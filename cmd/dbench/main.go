@@ -3,32 +3,29 @@
 //
 // Usage:
 //
-//	dbench [-scale quick|std|full] [-exp t3,f4,f5,t4,t5,f6,f7|all] [-parallel N]
-//	dbench -exp t4 [-stats metrics.csv] [-awr] [-sample-interval 1s]
-//	dbench -exp chaos [-crashpoints N] [-seed S] [-parallel N] [-warehouses W]
-//	dbench -exp scale [-warehouses 1,2,4,8] [-parallel N]
-//	dbench -exp logical [-scale quick|std|full] [-parallel N]
-//	dbench -exp pareto [-budget 30s] [-pareto-grid F1G3T1,F100G3T10]
-//	dbench -exp replica [-standbys 1,3] [-repl-mode sync,async] [-repl-link lan,wan]
+//	dbench [-scale quick|std|full] [-exp t3,f4,f5,t4,t5,f6,f7|all] [-parallel N] [-seed S]
+//	dbench -exp scale,logical,pareto,replica,chaos   (opt-in: never part of "all")
+//	dbench -h                                        (every flag, tagged with its experiment)
 //	dbench recover -scan [-seed S] [-warehouses W]
 //
 // Output is the paper-style text table for each experiment, preceded by
 // per-run progress lines on stderr. -parallel sets the campaign worker
 // count (0 = one worker per CPU, 1 = sequential); results are identical
-// for every worker count.
+// for every worker count. The -exp tokens, their run order and which of
+// them "all" selects come from the experiment registry below.
 //
 // The chaos experiment is the crash-point exploration harness: N seeded
 // crash points against a running TPC-C workload, each followed by
-// recovery and invariant checks (see internal/chaos). It is not part of
-// "all" — it validates the recovery machinery rather than regenerating a
-// paper table — and exits non-zero if any invariant is violated. Its
-// stdout report is byte-identical for a given -crashpoints/-seed pair.
-// -warehouses sets its TPC-C scale (first value if a list is given).
+// recovery and invariant checks (see internal/chaos). It validates the
+// recovery machinery rather than regenerating a paper table, and exits
+// non-zero if any invariant is violated. Its stdout report is
+// byte-identical for a given -crashpoints/-seed pair. -warehouses sets
+// its TPC-C scale (first value if a list is given).
 //
 // The scale experiment sweeps the warehouse count (-warehouses, default
 // 1,2,4,8): per W, fault-free and shutdown-abort runs for the baseline
 // and perf-tuned recovery configurations, producing a throughput-vs-W and
-// recovery-time-vs-W table. Like chaos it is opt-in (not part of "all").
+// recovery-time-vs-W table.
 //
 // -recovery-workers sets the parallel-recovery fan-out: for scale it is a
 // comma-separated sweep (recovery time is reported per worker count, the
@@ -40,7 +37,7 @@
 // operator faults — FLASHBACK TABLE (logical recovery from the redo
 // stream, instance open) versus the paper's physical point-in-time
 // restore — per fault class: recovery time, availability during the
-// repair, and lost transactions. Opt-in (not part of "all").
+// repair, and lost transactions.
 //
 // The pareto experiment maps the tpmC-vs-recovery-time frontier: per
 // static configuration one fault-free run (tpmC) and one shutdown-abort
@@ -49,8 +46,8 @@
 // crash after the controller settles, and a shifting load with a late
 // crash. The report shows each static point, whether it meets the
 // budget, and the controller's throughput as a fraction of the best
-// within-budget static configuration. Opt-in (not part of "all");
-// byte-identical across reruns of the same scale and seed.
+// within-budget static configuration. Byte-identical across reruns of
+// the same scale and seed.
 //
 // The replica experiment measures managed failover on a streaming-
 // replication cluster: continuous redo shipping to N stand-bys (sync
@@ -61,15 +58,17 @@
 // reports RPO (acknowledged commits lost, checked against the external
 // ledger — 0 in sync mode), measured RTO alongside the MMON live
 // estimate, end-user outage, and the stand-by read-routing counts.
-// Opt-in (not part of "all").
 //
-// -stats/-awr enable the MMON workload repository on the campaign's
-// first run (sampled every -sample-interval of virtual time): -stats
-// exports the full metric time-series — counters, gauges (dirty-buffer
-// depth, checkpoint lag, per-tablespace offline time) and the live
-// recovery-time estimate — as CSV (or JSON for .json paths), -awr
-// prints an AWR-style first-vs-last snapshot diff report. Both outputs
-// are byte-identical across reruns of the same seed.
+// -trace/-timeline and -stats/-awr observe one run: the instrumented run
+// of the first selected experiment (its first run, unless the campaign
+// nominates a more telling one — scale its first recovery run, pareto its
+// first controller run). Runs have independent virtual timelines, so a
+// second experiment in the same invocation is neither traced nor sampled.
+// -stats samples that run with the MMON workload repository every
+// -sample-interval of virtual time and exports the metric time-series —
+// counters, gauges and the live recovery-time estimate — as CSV (JSON for
+// .json paths); -awr prints an AWR-style first-vs-last snapshot diff.
+// Both outputs are byte-identical across reruns of the same seed.
 //
 // `dbench recover -scan` demonstrates dictionary reconstruction from
 // datafile headers: it builds a seeded TPC-C database, truncates the
@@ -82,7 +81,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -95,99 +96,169 @@ import (
 	"dbench/internal/trace"
 )
 
-// experiments is the known -exp token set, in campaign order. "chaos" and
-// "scale" are opt-in: valid tokens but not part of "all".
-var experiments = []string{"t3", "f4", "f5", "t4", "t5", "f6", "f7", "chaos", "scale", "logical", "pareto", "replica"}
-
-// parseStandbys parses the -standbys flag: a comma-separated list of
-// positive first-tier stand-by counts for the replica sweep.
-func parseStandbys(list string) ([]int, error) {
-	var out []int
-	for _, tok := range strings.Split(list, ",") {
-		tok = strings.TrimSpace(tok)
-		n, err := strconv.Atoi(tok)
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad -standbys value %q: want positive integers, e.g. 1,3", tok)
-		}
-		out = append(out, n)
-	}
-	return out, nil
+// env is what an experiment sees of the command line: the campaign scale
+// (carrying the tracer and sampling hooks while they are unconsumed), the
+// progress sink and the parsed per-experiment flags.
+type env struct {
+	sc          core.Scale
+	progress    core.Progress
+	crashPoints int
+	warehouses  []int
+	pareto      core.ParetoConfig
+	replica     core.ReplicaGrid
+	// perf carries the Table 3 rows from t3 to f4, which otherwise
+	// re-runs the fault-free side itself.
+	perf []core.PerfRow
 }
 
-// parseReplModes parses the -repl-mode flag: a comma-separated list of
-// commit-acknowledgement modes (sync, async).
-func parseReplModes(list string) ([]standby.Mode, error) {
-	var out []standby.Mode
-	for _, tok := range strings.Split(list, ",") {
-		m, err := standby.ParseMode(strings.TrimSpace(strings.ToLower(tok)))
+// experiment is one -exp token: run executes the campaign and prints its
+// report. inAll says whether "all" selects it; the others are opt-in.
+type experiment struct {
+	name  string
+	inAll bool
+	run   func(e *env) error
+}
+
+// registry is the experiment table, in run order. It drives selection,
+// the valid-token error and the -exp help text. chaos comes last: a
+// violated invariant ends the invocation with the other reports already
+// printed.
+var registry = []experiment{
+	{"t3", true, func(e *env) error {
+		rows, err := core.RunTable3(e.sc, e.progress)
+		e.perf = rows
+		return emit(rows, err, core.FormatTable3)
+	}},
+	{"f4", true, func(e *env) error {
+		rows, err := core.RunFigure4(e.sc, e.perf, e.progress)
+		return emit(rows, err, core.FormatFigure4)
+	}},
+	{"f5", true, func(e *env) error {
+		rows, err := core.RunFigure5(e.sc, e.progress)
+		return emit(rows, err, core.FormatFigure5)
+	}},
+	{"t4", true, func(e *env) error {
+		rows, err := core.RunTable4(e.sc, e.progress)
+		return emit(rows, err, func(r []core.RecRow) string { return core.FormatTable4(r, e.sc) })
+	}},
+	{"t5", true, func(e *env) error {
+		rows, err := core.RunTable5(e.sc, e.progress)
+		return emit(rows, err, func(r []core.RecRow) string { return core.FormatTable5(r, e.sc) })
+	}},
+	{"f6", true, func(e *env) error {
+		rows, err := core.RunFigure6(e.sc, e.progress)
+		return emit(rows, err, core.FormatFigure6)
+	}},
+	{"f7", true, func(e *env) error {
+		rows, err := core.RunFigure7(e.sc, e.progress)
+		return emit(rows, err, core.FormatFigure7)
+	}},
+	{"scale", false, func(e *env) error {
+		rows, err := core.RunScaling(e.sc, e.warehouses, e.progress)
+		return emit(rows, err, core.FormatScaling)
+	}},
+	{"logical", false, func(e *env) error {
+		rows, err := core.RunLogicalVsPhysical(e.sc, e.progress)
+		return emit(rows, err, core.FormatLogical)
+	}},
+	{"pareto", false, func(e *env) error {
+		rep, err := core.RunPareto(e.sc, e.pareto, e.progress)
+		return emit(rep, err, core.FormatPareto)
+	}},
+	{"replica", false, func(e *env) error {
+		rows, err := core.RunReplica(e.sc, e.replica, e.progress)
+		return emit(rows, err, core.FormatReplica)
+	}},
+	{"chaos", false, func(e *env) error {
+		cfg := chaos.DefaultConfig()
+		cfg.Points = e.crashPoints
+		cfg.Seed = e.sc.Seed
+		cfg.Parallel = e.sc.Parallel
+		cfg.TPCC.Warehouses = e.warehouses[0]
+		cfg.RecoveryWorkers = slices.Max(e.sc.RecoveryWorkers)
+		cfg.Tracer = e.sc.Tracer
+		rep, err := chaos.Explore(cfg, e.progress)
 		if err != nil {
-			return nil, fmt.Errorf("bad -repl-mode value %q: want sync or async", tok)
+			return err
 		}
-		out = append(out, m)
-	}
-	return out, nil
+		fmt.Print(chaos.FormatReport(rep))
+		if !rep.AllGreen() {
+			return fmt.Errorf("chaos: %d/%d crash points violated an invariant", rep.Failed(), len(rep.Points))
+		}
+		return nil
+	}},
 }
 
-// parseReplLinks parses the -repl-link flag: a comma-separated list of
-// link profile names (lan, wan).
-func parseReplLinks(list string) ([]sim.LinkSpec, error) {
-	var out []sim.LinkSpec
-	for _, tok := range strings.Split(list, ",") {
-		spec, ok := core.LinkByName(strings.TrimSpace(strings.ToLower(tok)))
-		if !ok {
-			return nil, fmt.Errorf("bad -repl-link value %q: want lan or wan", tok)
-		}
-		out = append(out, spec)
+// emit prints one campaign's report, unless the campaign failed.
+func emit[R any](rows R, err error, format func(R) string) error {
+	if err != nil {
+		return err
 	}
-	return out, nil
+	fmt.Println(format(rows))
+	return nil
 }
 
-// parseParetoGrid parses the -pareto-grid flag: a comma-separated list of
-// Table 3 configuration names (empty = the default grid).
-func parseParetoGrid(list string) ([]core.RecoveryConfig, error) {
-	if strings.TrimSpace(list) == "" {
-		return nil, nil
-	}
-	var out []core.RecoveryConfig
-	for _, tok := range strings.Split(list, ",") {
-		tok = strings.ToUpper(strings.TrimSpace(tok))
-		cfg, ok := core.ConfigByName(tok)
-		if !ok {
-			return nil, fmt.Errorf("bad -pareto-grid value %q: want Table 3 config names, e.g. F1G3T1,F100G3T10", tok)
+// expNames lists the registry's tokens with the given "all" membership.
+func expNames(reg []experiment, inAll bool) []string {
+	var names []string
+	for _, x := range reg {
+		if x.inAll == inAll {
+			names = append(names, x.name)
 		}
-		out = append(out, cfg)
 	}
-	return out, nil
+	return names
 }
 
-// parseWarehouses parses the -warehouses flag: a comma-separated list of
-// positive warehouse counts.
-func parseWarehouses(list string) ([]int, error) {
-	var out []int
-	for _, tok := range strings.Split(list, ",") {
-		tok = strings.TrimSpace(tok)
-		w, err := strconv.Atoi(tok)
-		if err != nil || w < 1 {
-			return nil, fmt.Errorf("bad -warehouses value %q: want positive integers, e.g. 1,2,4,8", tok)
+// runExperiments runs the selected entries in registry order. Only the
+// first one is instrumented: the tracer and the sampling hooks observe a
+// single run's virtual timeline, so once an experiment has had them they
+// are cleared for the rest of the invocation.
+func runExperiments(reg []experiment, want map[string]bool, e *env) error {
+	for _, x := range reg {
+		if !want[x.name] && !(want["all"] && x.inAll) {
+			continue
 		}
-		out = append(out, w)
+		if err := x.run(e); err != nil {
+			return err
+		}
+		e.sc.Tracer, e.sc.SampleInterval, e.sc.OnRepository = nil, 0, nil
 	}
-	return out, nil
+	return nil
 }
 
-// parseRecoveryWorkers parses the -recovery-workers flag: a
-// comma-separated list of positive parallel-recovery worker counts.
-func parseRecoveryWorkers(list string) ([]int, error) {
-	var out []int
+// parseList parses a comma-separated flag value, converting each trimmed
+// token with conv; a token conv rejects fails the flag with errFmt (which
+// takes the token as its one %q operand).
+func parseList[T any](list, errFmt string, conv func(tok string) (T, bool)) ([]T, error) {
+	var out []T
 	for _, tok := range strings.Split(list, ",") {
 		tok = strings.TrimSpace(tok)
-		n, err := strconv.Atoi(tok)
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad -recovery-workers value %q: want positive integers, e.g. 1,4", tok)
+		v, ok := conv(tok)
+		if !ok {
+			return nil, fmt.Errorf(errFmt, tok)
 		}
-		out = append(out, n)
+		out = append(out, v)
 	}
 	return out, nil
+}
+
+// writeFile creates path and fills it through write, reporting the first
+// of the write and close errors.
+func writeFile(path string, write func(w io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+func positiveInt(tok string) (int, bool) {
+	n, err := strconv.Atoi(tok)
+	return n, err == nil && n >= 1
 }
 
 func main() {
@@ -232,19 +303,20 @@ func runRecover(args []string) error {
 }
 
 // parseExperiments validates a comma-separated -exp value against the
-// known experiment set. An unknown or empty token is an error (a typo
-// must not silently run nothing), listing the valid names.
+// registry. An unknown or empty token is an error (a typo must not
+// silently run nothing), listing the valid names.
 func parseExperiments(list string) (map[string]bool, error) {
-	valid := map[string]bool{"all": true}
-	for _, e := range experiments {
-		valid[e] = true
+	names := append(expNames(registry, true), expNames(registry, false)...)
+	toks, err := parseList(list, "unknown experiment %q: valid names are all, "+strings.Join(names, ", "),
+		func(tok string) (string, bool) {
+			tok = strings.ToLower(tok)
+			return tok, tok == "all" || slices.Contains(names, tok)
+		})
+	if err != nil {
+		return nil, err
 	}
 	want := map[string]bool{}
-	for _, e := range strings.Split(list, ",") {
-		tok := strings.TrimSpace(strings.ToLower(e))
-		if !valid[tok] {
-			return nil, fmt.Errorf("unknown experiment %q: valid names are all, %s", tok, strings.Join(experiments, ", "))
-		}
+	for _, tok := range toks {
 		want[tok] = true
 	}
 	return want, nil
@@ -253,16 +325,17 @@ func parseExperiments(list string) (map[string]bool, error) {
 func run(args []string) error {
 	fs := flag.NewFlagSet("dbench", flag.ContinueOnError)
 	scaleName := fs.String("scale", "std", "experiment scale: quick, std or full")
-	expList := fs.String("exp", "all", "comma-separated experiments: t3,f4,f5,t4,t5,f6,f7 or all")
+	expList := fs.String("exp", "all", "comma-separated experiments: "+strings.Join(expNames(registry, true), ",")+
+		" or all; opt-in, never part of all: "+strings.Join(expNames(registry, false), ","))
 	parallel := fs.Int("parallel", 0, "campaign workers: 0 = one per CPU, 1 = sequential, N = exactly N")
 	crashPoints := fs.Int("crashpoints", 50, "chaos: number of crash points to explore")
 	seed := fs.Int64("seed", 1, "campaign seed: workload seed for every experiment, crash-point seed for chaos (same seed = byte-identical report)")
 	warehousesList := fs.String("warehouses", "1,2,4,8", "scale: warehouse counts to sweep; chaos: warehouse count (first value)")
 	recoveryWorkers := fs.String("recovery-workers", "1", "parallel recovery fan-out: scale sweeps each listed count, other experiments use the largest")
-	traceFile := fs.String("trace", "", "write a Chrome trace_event JSON file (virtual timebase) for the campaign's first run; open in chrome://tracing or ui.perfetto.dev")
+	traceFile := fs.String("trace", "", "write a Chrome trace_event JSON file (virtual timebase) for the instrumented run of the first selected experiment; open in chrome://tracing or ui.perfetto.dev")
 	timeline := fs.Bool("timeline", false, "print the traced run's recovery-phase timeline after the reports")
-	statsFile := fs.String("stats", "", "sample the campaign's first run with the MMON workload repository and export the metric time-series to this file (CSV; .json for JSON); byte-identical across reruns of the same seed")
-	awr := fs.Bool("awr", false, "sample the campaign's first run and print an AWR-style first-vs-last snapshot diff report")
+	statsFile := fs.String("stats", "", "sample the instrumented run of the first selected experiment with the MMON workload repository and export the metric time-series to this file (CSV; .json for JSON); byte-identical across reruns of the same seed")
+	awr := fs.Bool("awr", false, "sample the instrumented run of the first selected experiment and print an AWR-style first-vs-last snapshot diff report")
 	sampleEvery := fs.Duration("sample-interval", time.Second, "MMON sample interval (virtual time) used by -stats/-awr")
 	budget := fs.Duration("budget", 30*time.Second, "pareto: recovery-time budget the controller must hold")
 	paretoGrid := fs.String("pareto-grid", "", "pareto: comma-separated Table 3 config names to sweep (empty = default six-config grid)")
@@ -273,46 +346,57 @@ func run(args []string) error {
 		return err
 	}
 
-	var sc core.Scale
-	switch *scaleName {
-	case "quick":
-		sc = core.QuickScale()
-	case "std":
-		sc = core.StdScale()
-	case "full":
-		sc = core.FullScale()
-	default:
+	e := &env{
+		crashPoints: *crashPoints,
+		pareto:      core.ParetoConfig{Budget: *budget},
+		replica:     core.DefaultReplicaGrid(),
+		progress: func(line string) {
+			fmt.Fprintf(os.Stderr, "%s  %s\n", time.Now().Format("15:04:05"), line)
+		},
+	}
+	scale, ok := map[string]func() core.Scale{"quick": core.QuickScale, "std": core.StdScale, "full": core.FullScale}[*scaleName]
+	if !ok {
 		return fmt.Errorf("unknown scale %q", *scaleName)
 	}
+	e.sc = scale()
 	if *parallel < 0 {
 		return fmt.Errorf("-parallel must be >= 0 (got %d)", *parallel)
 	}
-	sc.Parallel = *parallel
-	sc.Seed = *seed
+	e.sc.Parallel = *parallel
+	e.sc.Seed = *seed
 
 	want, err := parseExperiments(*expList)
 	if err != nil {
 		return err
 	}
-	warehouses, err := parseWarehouses(*warehousesList)
-	if err != nil {
+	if e.warehouses, err = parseList(*warehousesList, "bad -warehouses value %q: want positive integers, e.g. 1,2,4,8", positiveInt); err != nil {
 		return err
 	}
-	workers, err := parseRecoveryWorkers(*recoveryWorkers)
-	if err != nil {
+	if e.sc.RecoveryWorkers, err = parseList(*recoveryWorkers, "bad -recovery-workers value %q: want positive integers, e.g. 1,4", positiveInt); err != nil {
 		return err
 	}
-	sc.RecoveryWorkers = workers
-	maxWorkers := 1
-	for _, n := range workers {
-		if n > maxWorkers {
-			maxWorkers = n
+	if strings.TrimSpace(*paretoGrid) != "" { // empty = the default grid
+		e.pareto.Grid, err = parseList(*paretoGrid, "bad -pareto-grid value %q: want Table 3 config names, e.g. F1G3T1,F100G3T10",
+			func(tok string) (core.RecoveryConfig, bool) { return core.ConfigByName(strings.ToUpper(tok)) })
+		if err != nil {
+			return err
 		}
 	}
-	all := want["all"]
-	progress := core.Progress(func(line string) {
-		fmt.Fprintf(os.Stderr, "%s  %s\n", time.Now().Format("15:04:05"), line)
+	if e.replica.Standbys, err = parseList(*standbysList, "bad -standbys value %q: want positive integers, e.g. 1,3", positiveInt); err != nil {
+		return err
+	}
+	e.replica.Modes, err = parseList(*replModes, "bad -repl-mode value %q: want sync or async", func(tok string) (standby.Mode, bool) {
+		m, err := standby.ParseMode(strings.ToLower(tok))
+		return m, err == nil
 	})
+	if err != nil {
+		return err
+	}
+	e.replica.Links, err = parseList(*replLinks, "bad -repl-link value %q: want lan or wan",
+		func(tok string) (sim.LinkSpec, bool) { return core.LinkByName(strings.ToLower(tok)) })
+	if err != nil {
+		return err
+	}
 
 	// Tracing: the Chrome sink feeds -trace, the timeline sink feeds
 	// -timeline; both observe the same event stream. A nil tracer (no
@@ -328,51 +412,38 @@ func run(args []string) error {
 		timelineSink = trace.NewTimelineSink()
 		sinks = append(sinks, timelineSink)
 	}
-	var tracer *trace.Tracer
 	if sink := trace.MultiSink(sinks...); sink != nil {
-		tracer = trace.New(sink)
+		e.sc.Tracer = trace.New(sink)
 	}
-	sc.Tracer = tracer
 
-	// -stats/-awr: sample the campaign's first run with the MMON
-	// repository. The repository pointer lands here when that run
-	// completes (the pool joins before we read it).
+	// -stats/-awr: sample the instrumented run with the MMON repository.
+	// The repository pointer lands here when that run completes (the
+	// pool joins before we read it).
 	var repo *monitor.Repository
 	if *statsFile != "" || *awr {
 		if *sampleEvery <= 0 {
 			return fmt.Errorf("-sample-interval must be positive (got %v)", *sampleEvery)
 		}
-		sc.SampleInterval = *sampleEvery
-		sc.OnRepository = func(r *monitor.Repository) { repo = r }
+		e.sc.SampleInterval = *sampleEvery
+		e.sc.OnRepository = func(r *monitor.Repository) { repo = r }
 	}
 
-	// flushTrace writes the collected trace outputs; called once after
-	// the campaigns (including before a chaos-violation exit, so the
-	// evidence is on disk).
-	flushed := false
+	// flushTrace writes the collected trace outputs.
 	flushTrace := func() error {
-		if flushed {
-			return nil
-		}
-		flushed = true
 		if timelineSink != nil {
 			fmt.Println(timelineSink.Render())
 		}
-		if chromeSink != nil {
-			f, err := os.Create(*traceFile)
-			if err != nil {
-				return err
-			}
-			if _, err := chromeSink.WriteTo(f); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
+		if chromeSink == nil {
+			return nil
+		}
+		err := writeFile(*traceFile, func(w io.Writer) error {
+			_, err := chromeSink.WriteTo(w)
+			return err
+		})
+		if err == nil {
 			fmt.Fprintf(os.Stderr, "trace: %d records written to %s\n", chromeSink.Len(), *traceFile)
 		}
-		return nil
+		return err
 	}
 
 	// flushStats exports the sampled repository (if a campaign ran one):
@@ -380,151 +451,37 @@ func run(args []string) error {
 	flushStats := func() error {
 		if repo == nil {
 			if *statsFile != "" || *awr {
-				fmt.Fprintln(os.Stderr, "stats: no run was sampled (selected experiments ran no campaign)")
+				fmt.Fprintln(os.Stderr, "stats: no run was sampled (the first selected experiment samples no run)")
 			}
 			return nil
 		}
 		if *awr {
 			fmt.Print(monitor.FormatAWR(repo))
 		}
-		if *statsFile != "" {
-			f, err := os.Create(*statsFile)
-			if err != nil {
-				return err
-			}
-			if strings.HasSuffix(*statsFile, ".json") {
-				err = repo.WriteJSON(f)
-			} else {
-				err = repo.WriteCSV(f)
-			}
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				return err
-			}
+		if *statsFile == "" {
+			return nil
+		}
+		write := repo.WriteCSV
+		if strings.HasSuffix(*statsFile, ".json") {
+			write = repo.WriteJSON
+		}
+		err := writeFile(*statsFile, write)
+		if err == nil {
 			fmt.Fprintf(os.Stderr, "stats: %d samples written to %s\n", repo.Len(), *statsFile)
 		}
-		return nil
-	}
-
-	var perf []core.PerfRow
-	if all || want["t3"] || want["f4"] {
-		rows, err := core.RunTable3(sc, progress)
-		if err != nil {
-			return err
-		}
-		perf = rows
-		if all || want["t3"] {
-			fmt.Println(core.FormatTable3(rows))
-		}
-	}
-	if all || want["f4"] {
-		rows, err := core.RunFigure4(sc, perf, progress)
-		if err != nil {
-			return err
-		}
-		fmt.Println(core.FormatFigure4(rows))
-	}
-	if all || want["f5"] {
-		rows, err := core.RunFigure5(sc, progress)
-		if err != nil {
-			return err
-		}
-		fmt.Println(core.FormatFigure5(rows))
-	}
-	if all || want["t4"] {
-		rows, err := core.RunTable4(sc, progress)
-		if err != nil {
-			return err
-		}
-		fmt.Println(core.FormatTable4(rows, sc))
-	}
-	if all || want["t5"] {
-		rows, err := core.RunTable5(sc, progress)
-		if err != nil {
-			return err
-		}
-		fmt.Println(core.FormatTable5(rows, sc))
-	}
-	if all || want["f6"] {
-		rows, err := core.RunFigure6(sc, progress)
-		if err != nil {
-			return err
-		}
-		fmt.Println(core.FormatFigure6(rows))
-	}
-	if all || want["f7"] {
-		rows, err := core.RunFigure7(sc, progress)
-		if err != nil {
-			return err
-		}
-		fmt.Println(core.FormatFigure7(rows))
-	}
-	if want["scale"] {
-		rows, err := core.RunScaling(sc, warehouses, progress)
-		if err != nil {
-			return err
-		}
-		fmt.Println(core.FormatScaling(rows))
-	}
-	if want["logical"] {
-		rows, err := core.RunLogicalVsPhysical(sc, progress)
-		if err != nil {
-			return err
-		}
-		fmt.Println(core.FormatLogical(rows))
-	}
-	if want["pareto"] {
-		grid, err := parseParetoGrid(*paretoGrid)
-		if err != nil {
-			return err
-		}
-		rep, err := core.RunPareto(sc, core.ParetoConfig{Budget: *budget, Grid: grid}, progress)
-		if err != nil {
-			return err
-		}
-		fmt.Println(core.FormatPareto(rep))
-	}
-	if want["replica"] {
-		grid := core.DefaultReplicaGrid()
-		if grid.Standbys, err = parseStandbys(*standbysList); err != nil {
-			return err
-		}
-		if grid.Modes, err = parseReplModes(*replModes); err != nil {
-			return err
-		}
-		if grid.Links, err = parseReplLinks(*replLinks); err != nil {
-			return err
-		}
-		rows, err := core.RunReplica(sc, grid, progress)
-		if err != nil {
-			return err
-		}
-		fmt.Println(core.FormatReplica(rows))
-	}
-	if want["chaos"] {
-		cfg := chaos.DefaultConfig()
-		cfg.Points = *crashPoints
-		cfg.Seed = *seed
-		cfg.Parallel = *parallel
-		cfg.TPCC.Warehouses = warehouses[0]
-		cfg.RecoveryWorkers = maxWorkers
-		cfg.Tracer = tracer
-		rep, err := chaos.Explore(cfg, progress)
-		if err != nil {
-			return err
-		}
-		fmt.Print(chaos.FormatReport(rep))
-		if !rep.AllGreen() {
-			if err := flushTrace(); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-			}
-			return fmt.Errorf("chaos: %d/%d crash points violated an invariant", rep.Failed(), len(rep.Points))
-		}
-	}
-	if err := flushStats(); err != nil {
 		return err
 	}
-	return flushTrace()
+
+	err = runExperiments(registry, want, e)
+	if err == nil {
+		err = flushStats()
+	}
+	// The trace is flushed even when an experiment failed — a chaos
+	// violation above all — so the evidence is on disk.
+	if terr := flushTrace(); err == nil {
+		err = terr
+	} else if terr != nil {
+		fmt.Fprintln(os.Stderr, terr)
+	}
+	return err
 }

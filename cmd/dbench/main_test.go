@@ -1,8 +1,14 @@
 package main
 
 import (
+	"os"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
+
+	"dbench/internal/monitor"
+	"dbench/internal/trace"
 )
 
 func TestParseExperimentsValid(t *testing.T) {
@@ -71,6 +77,45 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	for _, args := range cases {
 		if err := run(args); err == nil {
 			t.Errorf("run(%v): expected error", args)
+		}
+	}
+}
+
+// Only the first selected experiment is instrumented: runs have
+// independent virtual timelines, so a second experiment sharing the
+// tracer or the repository hook would interleave two timelines in one
+// trace file and overwrite the first one's repository.
+func TestRunExperimentsInstrumentsFirstOnly(t *testing.T) {
+	type seen struct{ traced, sampled, hooked bool }
+	var got []seen
+	record := func(e *env) error {
+		got = append(got, seen{e.sc.Tracer != nil, e.sc.SampleInterval > 0, e.sc.OnRepository != nil})
+		return nil
+	}
+	stub := []experiment{{"first", true, record}, {"skipped", false, record}, {"second", true, record}}
+	e := &env{}
+	e.sc.Tracer = trace.New(trace.NewHashSink())
+	e.sc.SampleInterval = time.Second
+	e.sc.OnRepository = func(*monitor.Repository) {}
+	if err := runExperiments(stub, map[string]bool{"all": true}, e); err != nil {
+		t.Fatal(err)
+	}
+	want := []seen{{true, true, true}, {false, false, false}}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("entries saw (traced, sampled, hooked) = %v, want %v", got, want)
+	}
+}
+
+// The package doc's usage block is hand-written; hold it to the registry.
+func TestPackageDocListsEveryExperiment(t *testing.T) {
+	src, err := os.ReadFile("main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, _, _ := strings.Cut(string(src), "\npackage main")
+	for _, inAll := range []bool{true, false} {
+		if list := strings.Join(expNames(registry, inAll), ","); !strings.Contains(doc, "-exp "+list) {
+			t.Errorf("package doc usage block does not list %q", "-exp "+list)
 		}
 	}
 }

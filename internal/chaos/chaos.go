@@ -28,7 +28,6 @@ import (
 	"math/rand"
 	"time"
 
-	"dbench/internal/backup"
 	"dbench/internal/control"
 	"dbench/internal/core"
 	"dbench/internal/engine"
@@ -37,8 +36,6 @@ import (
 	"dbench/internal/recovery"
 	"dbench/internal/redo"
 	"dbench/internal/sim"
-	"dbench/internal/simdisk"
-	"dbench/internal/sqladmin"
 	"dbench/internal/standby"
 	"dbench/internal/tpcc"
 	"dbench/internal/trace"
@@ -257,9 +254,6 @@ func Explore(cfg Config, progress core.Progress) (*Report, error) {
 	return &Report{Config: cfg, Points: points}, nil
 }
 
-// debugChaos enables phase tracing on stdout (used while calibrating).
-var debugChaos = false
-
 // runPoint executes one crash point end to end on a fresh simulated
 // platform and returns every measure except the determinism verdict
 // (Explore fills that in from the rerun).
@@ -274,13 +268,6 @@ func runPoint(cfg Config, index int) (*PointResult, error) {
 	crashDelay := cfg.CrashMin + time.Duration(rng.Int63n(int64(cfg.CrashMax-cfg.CrashMin)))
 	jitter := time.Duration(rng.Int63n(int64(50 * time.Millisecond)))
 
-	k := sim.NewKernel(seed)
-	fs := simdisk.NewFS(
-		simdisk.DefaultSpec(engine.DiskData1),
-		simdisk.DefaultSpec(engine.DiskData2),
-		simdisk.DefaultSpec(engine.DiskRedo),
-		simdisk.DefaultSpec(engine.DiskArch),
-	)
 	ecfg := engine.DefaultConfig()
 	ecfg.Redo.GroupSizeBytes = cfg.GroupSize
 	ecfg.Redo.Groups = cfg.Groups
@@ -296,19 +283,14 @@ func runPoint(cfg Config, index int) (*PointResult, error) {
 	// the same final state still trips this.
 	hs := trace.NewHashSink()
 	ecfg.Tracer = trace.New(hs)
-	in, err := engine.New(k, fs, ecfg)
+	rig, err := core.NewRig(seed, ecfg, cfg.TPCC, tpcc.DefaultDriverConfig(), 0)
 	if err != nil {
 		return nil, err
 	}
-	bk := backup.NewManager(k, fs, engine.DiskArch)
-	rm := recovery.NewManager(in, bk)
-	ex := sqladmin.NewExecutor(in, rm, bk)
-	inj := faults.NewInjector(in, rm, ex)
+	k, in, rm, inj, app, drv := rig.K, rig.In, rig.Rm, rig.Inj, rig.App, rig.Drv
 	if cfg.Detection > 0 {
 		inj.Detection = cfg.Detection
 	}
-	app := tpcc.NewApp(in, cfg.TPCC)
-	drv := tpcc.NewDriver(app, tpcc.DefaultDriverConfig())
 	var ctl *control.Controller
 	if cfg.Controller {
 		if cfg.SampleInterval <= 0 {
@@ -327,83 +309,36 @@ func runPoint(cfg Config, index int) (*PointResult, error) {
 	res := &PointResult{Index: index, Window: window, Seed: seed, ReplActive: cfg.Standbys > 0}
 	var cluster *standby.Cluster
 	var reopenAt sim.Time
-	var runErr error
-	fail := func(err error) {
-		if runErr == nil {
-			runErr = err
-		}
-		k.Stop()
-	}
-	debugf := func(msg string) {
-		if debugChaos {
-			fmt.Printf("[%v] point %d: %s\n", k.Now(), index, msg)
+	// The first instance to (re)open after the crash closes the dark
+	// window of the served-safety check.
+	noteOpen := func(now sim.Time, s engine.State) {
+		if s == engine.StateOpen && reopenAt == 0 {
+			reopenAt = now
 		}
 	}
 
-	k.Go("chaos", func(p *sim.Proc) {
-		// Phase 1: create, load, checkpoint, reference backup — same
-		// procedure as core.Run.
-		if err := in.Open(p); err != nil {
-			fail(err)
-			return
-		}
-		if err := app.CreateSchema(p, []string{engine.DiskData1, engine.DiskData2}); err != nil {
-			fail(err)
-			return
-		}
-		if err := app.Load(p, rand.New(rand.NewSource(seed))); err != nil {
-			fail(err)
-			return
-		}
-		if err := in.Checkpoint(p); err != nil {
-			fail(err)
-			return
-		}
-		backupSCN := in.DB().Control.CheckpointSCN
-		if _, err := bk.TakeFull(p, in.DB(), in.Catalog(), backupSCN); err != nil {
-			fail(err)
-			return
-		}
-		if err := in.ForceLogSwitch(p); err != nil {
-			fail(err)
-			return
+	err = rig.Exec("chaos", func(p *sim.Proc) error {
+		// Phase 1: create, load, checkpoint, reference backup.
+		if err := rig.Load(p); err != nil {
+			return err
 		}
 
-		// Phase 1b (replicated explorations): the streaming cluster.
-		// Every stand-by instance reports its open — after a promotion
-		// the primary never reopens, so the dark window closes when the
-		// promoted stand-by comes up instead.
+		// Phase 1b (replicated explorations): the streaming cluster. Only
+		// the primary feeds the trace hash and the MMON repository, so
+		// the stand-bys do not sample. Every stand-by instance reports
+		// its open — after a promotion the primary never reopens, so the
+		// dark window closes when the promoted stand-by comes up instead.
 		if cfg.Standbys > 0 {
-			sbs := make([]*standby.Standby, cfg.Standbys)
-			for i := range sbs {
-				sbs[i], err = buildChaosStandby(p, k, ecfg, cfg, seed, backupSCN, fmt.Sprintf("standby%d", i+1))
-				if err != nil {
-					fail(err)
-					return
-				}
-				sbs[i].Instance().OnStateChange = func(now sim.Time, s engine.State) {
-					if s == engine.StateOpen && reopenAt == 0 {
-						reopenAt = now
-					}
-				}
-			}
-			link := cfg.ReplLink
-			if link == (sim.LinkSpec{}) {
-				link = core.LinkLAN
-			}
-			cluster, err = standby.NewCluster(in, sbs, standby.ClusterConfig{Mode: cfg.ReplMode, Link: link})
+			sbCfg := ecfg
+			sbCfg.SampleInterval = 0
+			var err error
+			cluster, err = rig.StartCluster(p, sbCfg, cfg.Standbys, standby.ClusterConfig{Mode: cfg.ReplMode, Link: cfg.ReplLink})
 			if err != nil {
-				fail(err)
-				return
+				return err
 			}
-			if err := cluster.Start(p); err != nil {
-				fail(err)
-				return
+			for _, s := range cluster.Standbys() {
+				s.Instance().OnStateChange = noteOpen
 			}
-			in.Log().OnDurable = cluster.OnDurable
-			in.Txns().CommitGate = cluster.CommitGate
-			in.OnStateChange = cluster.OnPrimaryState
-			inj.Failover = cluster
 		}
 
 		// Phase 2: workload, then position the crash inside the
@@ -484,15 +419,6 @@ func runPoint(cfg Config, index int) (*PointResult, error) {
 				}
 			}
 		}
-		if debugChaos {
-			for _, f := range in.DB().Datafiles() {
-				for no := 0; no < f.NumBlocks(); no++ {
-					if img := f.PeekBlock(no); img.SCN > res.CrashSCN {
-						debugf(fmt.Sprintf("WAL VIOLATION: %s block %d durable SCN %d > flushed %d", f.Name, no, img.SCN, res.CrashSCN))
-					}
-				}
-			}
-		}
 		// The durability ledger: commits the terminals saw acknowledged
 		// before the crash, recorded outside the engine.
 		ledger := append([]tpcc.CommitRecord(nil), drv.Commits()...)
@@ -511,14 +437,11 @@ func runPoint(cfg Config, index int) (*PointResult, error) {
 			if prevState != nil {
 				prevState(now, s)
 			}
-			if s == engine.StateOpen && reopenAt == 0 {
-				reopenAt = now
-			}
+			noteOpen(now, s)
 		}
 		o := faults.Observed(faults.Fault{Kind: faults.ShutdownAbort}, res.CrashAt, preSCN)
 		if err := inj.Recover(p, o); err != nil {
-			fail(fmt.Errorf("recovery after crash at %v: %w", res.CrashAt, err))
-			return
+			return fmt.Errorf("recovery after crash at %v: %w", res.CrashAt, err)
 		}
 		res.RecoveryKind = o.Report.Kind
 		res.RecoveryTime = o.RecoveryDuration()
@@ -584,12 +507,10 @@ func runPoint(cfg Config, index int) (*PointResult, error) {
 		res.Idempotent = res.ReappliedRecords == 0 && StateHash(checkIn) == before
 
 		// Phase 4: post-recovery tail, then quiesce and check.
-		debugf("recovered")
 		if cfg.Tail > 0 {
 			p.Sleep(cfg.Tail)
 		}
 		drv.Quiesce(p)
-		debugf("quiesced")
 
 		// Invariant (a): every ledger entry must be in the database — up
 		// to the promotion SCN after a failover. Acknowledged commits
@@ -598,8 +519,7 @@ func runPoint(cfg Config, index int) (*PointResult, error) {
 		// (the commit gate held those acknowledgements for the quorum).
 		missing, beyond, err := missingFromLedger(p, app, ledger, recoveryPoint)
 		if err != nil {
-			fail(fmt.Errorf("durability check: %w", err))
-			return
+			return fmt.Errorf("durability check: %w", err)
 		}
 		res.MissingCommits = missing
 		res.RPOLost = beyond
@@ -633,22 +553,16 @@ func runPoint(cfg Config, index int) (*PointResult, error) {
 		// Invariant (b): the TPC-C consistency conditions.
 		viols, err := app.CheckConsistency(p)
 		if err != nil {
-			fail(fmt.Errorf("consistency check: %w", err))
-			return
-		}
-		for _, v := range viols {
-			debugf("violation: " + v.String())
+			return fmt.Errorf("consistency check: %w", err)
 		}
 		res.Violations = len(viols)
 		res.Consistent = len(viols) == 0
-		k.Stop()
+		return nil
 	})
-	k.Run(sim.Time(200 * time.Hour))
-	k.KillAll()
-	if runErr != nil {
-		return nil, runErr
+	if err != nil {
+		return nil, err
 	}
-	// The trace stream is only complete once KillAll has unwound the
+	// The trace stream is only complete once Exec has unwound the
 	// background processes (their deferred span Ends emit last), so the
 	// hash — and the fingerprint that folds it in — is taken here.
 	res.TraceHash = hs.Sum()
@@ -672,37 +586,6 @@ func runPoint(cfg Config, index int) (*PointResult, error) {
 	}
 	res.Fingerprint = fingerprint(activeIn, res)
 	return res, nil
-}
-
-// buildChaosStandby creates one streaming stand-by on the point's kernel:
-// its own simulated machine and engine, schema and rows recreated from
-// the same seed (so its datafiles start bit-identical to the primary's
-// reference backup), mounted at the backup SCN.
-func buildChaosStandby(p *sim.Proc, k *sim.Kernel, ecfg engine.Config, cfg Config, seed int64, startSCN redo.SCN, name string) (*standby.Standby, error) {
-	fs := simdisk.NewFS(
-		simdisk.DefaultSpec(engine.DiskData1),
-		simdisk.DefaultSpec(engine.DiskData2),
-		simdisk.DefaultSpec(engine.DiskRedo),
-		simdisk.DefaultSpec(engine.DiskArch),
-	)
-	sbCfg := ecfg
-	sbCfg.Name = name
-	// The stand-by shares the point's kernel but is a second database;
-	// only the primary feeds the trace hash and the MMON repository.
-	sbCfg.Tracer = nil
-	sbCfg.SampleInterval = 0
-	sbIn, err := engine.New(k, fs, sbCfg)
-	if err != nil {
-		return nil, fmt.Errorf("chaos: standby: %w", err)
-	}
-	sbApp := tpcc.NewApp(sbIn, cfg.TPCC)
-	if err := sbApp.CreateSchema(p, []string{engine.DiskData1, engine.DiskData2}); err != nil {
-		return nil, fmt.Errorf("chaos: standby schema: %w", err)
-	}
-	if err := sbApp.Load(p, rand.New(rand.NewSource(seed))); err != nil {
-		return nil, fmt.Errorf("chaos: standby load: %w", err)
-	}
-	return standby.New(sbIn, standby.DefaultConfig(), startSCN), nil
 }
 
 // Estimator-accuracy tolerance: the crash-instant redo-replay estimate

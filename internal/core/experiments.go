@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"dbench/internal/engine"
@@ -36,18 +37,16 @@ type Scale struct {
 	// other campaigns run recovery at the largest listed count. Empty
 	// means serial recovery everywhere — the paper's configuration.
 	RecoveryWorkers []int
-	// Tracer, when set, is attached to the campaign's first run (runs
-	// have independent virtual timebases, so exactly one is traced; the
-	// first makes the choice reproducible). Nil disables tracing.
+	// Tracer, when set, is attached to the campaign's instrumented run
+	// (runs have independent virtual timebases, so exactly one is traced:
+	// the first, unless the runner nominates a more telling one — see
+	// campaign.go). Nil disables tracing.
 	Tracer *trace.Tracer
 	// SampleInterval, when positive, enables the MMON workload
-	// repository on the campaign's first run (same single-run rule as
-	// Tracer: each run has its own virtual timeline).
+	// repository on the same instrumented run.
 	SampleInterval time.Duration
-	// RepositoryDepth bounds the sampled repository (0 = monitor default).
-	RepositoryDepth int
-	// OnRepository receives the sampled run's repository after it
-	// completes (dbench's -stats/-awr export hook).
+	// OnRepository receives the instrumented run's repository after it
+	// completes, if that run sampled (dbench's -stats/-awr export hook).
 	OnRepository func(*monitor.Repository)
 }
 
@@ -124,31 +123,7 @@ func (sc Scale) spec(name string, cfg RecoveryConfig) Spec {
 // maxRecoveryWorkers returns the largest configured recovery fan-out
 // (1 when none is configured) — the count the non-sweep campaigns use.
 func (sc Scale) maxRecoveryWorkers() int {
-	max := 1
-	for _, n := range sc.RecoveryWorkers {
-		if n > max {
-			max = n
-		}
-	}
-	return max
-}
-
-// traceFirst attaches the scale's instrumentation — tracer and/or MMON
-// sampling — to the first spec. Campaign runners call it after building
-// their spec list, so -trace/-stats/-awr always observe the campaign's
-// first experiment.
-func (sc Scale) traceFirst(specs []Spec) {
-	if len(specs) == 0 {
-		return
-	}
-	if sc.Tracer != nil {
-		specs[0].Tracer = sc.Tracer
-	}
-	if sc.SampleInterval > 0 {
-		specs[0].SampleInterval = sc.SampleInterval
-		specs[0].RepositoryDepth = sc.RepositoryDepth
-		specs[0].OnRepository = sc.OnRepository
-	}
+	return slices.Max(append([]int{1}, sc.RecoveryWorkers...))
 }
 
 // Progress receives one line per completed run; may be nil. Campaign
@@ -182,26 +157,16 @@ func perfRow(cfg RecoveryConfig, sc Scale, res *Result) PerfRow {
 
 // RunTable3 measures every Table 3 configuration without faults.
 func RunTable3(sc Scale, progress Progress) ([]PerfRow, error) {
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
-	specs := make([]Spec, len(Table3Configs))
+	rows := make([]PerfRow, len(Table3Configs))
+	c := campaign{sc: sc}
 	for i, cfg := range Table3Configs {
-		specs[i] = sc.spec("T3/"+cfg.Name, cfg)
+		row := &rows[i]
+		c.add(sc.spec("T3/"+cfg.Name, cfg), func(res *Result) string {
+			r := perfRow(cfg, sc, res)
+			return fmt.Sprintf("T3 %-10s tpmC=%5.0f ckpts=%3d stalls=%v", cfg.Name, r.TpmC, r.Checkpoints, r.LogStalls.Round(time.Second))
+		}, func(res *Result) { *row = perfRow(cfg, sc, res) })
 	}
-	sc.traceFirst(specs)
-	results, err := runPool(specs, sc.Parallel, progress, func(i int, res *Result) string {
-		row := perfRow(Table3Configs[i], sc, res)
-		return fmt.Sprintf("T3 %-10s tpmC=%5.0f ckpts=%3d stalls=%v", row.Config.Name, row.TpmC, row.Checkpoints, row.LogStalls.Round(time.Second))
-	})
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]PerfRow, len(results))
-	for i, res := range results {
-		rows[i] = perfRow(Table3Configs[i], sc, res)
-	}
-	return rows, nil
+	return runCampaign(&c, rows, progress)
 }
 
 // Fig4Row pairs a configuration's performance with its shutdown-abort
@@ -217,36 +182,26 @@ type Fig4Row struct {
 // Table 3 rows to avoid re-running the fault-free side; pass nil to run
 // them here.
 func RunFigure4(sc Scale, perf []PerfRow, progress Progress) ([]Fig4Row, error) {
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
-	var err error
 	if perf == nil {
-		perf, err = RunTable3(sc, progress)
-		if err != nil {
+		var err error
+		if perf, err = RunTable3(sc, progress); err != nil {
 			return nil, err
 		}
+		// The fault-free campaign consumed the scale's instrumentation.
+		sc.Tracer, sc.SampleInterval, sc.OnRepository = nil, 0, nil
 	}
-	specs := make([]Spec, len(perf))
+	rows := make([]Fig4Row, len(perf))
+	c := campaign{sc: sc}
 	for i, pr := range perf {
+		row := &rows[i]
+		*row = Fig4Row{Config: pr.Config, TpmC: pr.TpmC}
 		spec := sc.spec("F4/"+pr.Config.Name, pr.Config)
-		spec.Fault = &faults.Fault{Kind: faults.ShutdownAbort}
-		spec.InjectAt = sc.InjectTimes[1] // at full throughput
-		spec.TailAfterRecovery = sc.Tail
-		specs[i] = spec
+		sc.inject(&spec, faults.Fault{Kind: faults.ShutdownAbort}, sc.InjectTimes[1]) // at full throughput
+		c.add(spec, func(res *Result) string {
+			return fmt.Sprintf("F4 %-10s tpmC=%5.0f recovery=%v", row.Config.Name, row.TpmC, res.RecoveryTime.Round(time.Second))
+		}, func(res *Result) { row.RecoveryTime = res.RecoveryTime })
 	}
-	sc.traceFirst(specs)
-	results, err := runPool(specs, sc.Parallel, progress, func(i int, res *Result) string {
-		return fmt.Sprintf("F4 %-10s tpmC=%5.0f recovery=%v", perf[i].Config.Name, perf[i].TpmC, res.RecoveryTime.Round(time.Second))
-	})
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]Fig4Row, len(results))
-	for i, res := range results {
-		rows[i] = Fig4Row{Config: perf[i].Config, TpmC: perf[i].TpmC, RecoveryTime: res.RecoveryTime}
-	}
-	return rows, nil
+	return runCampaign(&c, rows, progress)
 }
 
 // ---------------------------------------------------------------------
@@ -267,37 +222,28 @@ func (r Fig5Row) OverheadPct() float64 {
 	return 100 * (1 - r.TpmCArchive/r.TpmCNoArchive)
 }
 
-// RunFigure5 reproduces Figure 5 over the archive-relevant configurations.
+// RunFigure5 reproduces Figure 5 over the archive-relevant configurations:
+// two runs per configuration, archiver off and on.
 func RunFigure5(sc Scale, progress Progress) ([]Fig5Row, error) {
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
 	configs := ArchiveConfigs()
-	// Two jobs per configuration: archiver off (even indices), on (odd).
-	specs := make([]Spec, 0, 2*len(configs))
-	for _, cfg := range configs {
+	rows := make([]Fig5Row, len(configs))
+	c := campaign{sc: sc}
+	for i, cfg := range configs {
+		row := &rows[i]
+		row.Config = cfg
 		for _, archive := range []bool{false, true} {
 			spec := sc.spec(fmt.Sprintf("F5/%s/arch=%v", cfg.Name, archive), cfg)
 			spec.Archive = archive
-			specs = append(specs, spec)
+			cell := &row.TpmCNoArchive
+			if archive {
+				cell = &row.TpmCArchive
+			}
+			c.add(spec, func(res *Result) string {
+				return fmt.Sprintf("F5 %-10s arch=%-5v tpmC=%5.0f", cfg.Name, archive, res.TpmC)
+			}, func(res *Result) { *cell = res.TpmC })
 		}
 	}
-	sc.traceFirst(specs)
-	results, err := runPool(specs, sc.Parallel, progress, func(i int, res *Result) string {
-		return fmt.Sprintf("F5 %-10s arch=%-5v tpmC=%5.0f", configs[i/2].Name, i%2 == 1, res.TpmC)
-	})
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]Fig5Row, len(configs))
-	for i, cfg := range configs {
-		rows[i] = Fig5Row{
-			Config:        cfg,
-			TpmCNoArchive: results[2*i].TpmC,
-			TpmCArchive:   results[2*i+1].TpmC,
-		}
-	}
-	return rows, nil
+	return runCampaign(&c, rows, progress)
 }
 
 // ---------------------------------------------------------------------
@@ -324,11 +270,9 @@ type RecRow struct {
 	Avail [3]float64
 }
 
-// runRecoveryGrid executes fault × config × inject-time with archives on.
+// runRecoveryGrid executes fault × config × inject-time with archives on:
+// one row per (fault, config), one job per injection instant.
 func runRecoveryGrid(sc Scale, kinds []faults.Kind, configs []RecoveryConfig, label string, progress Progress) ([]RecRow, error) {
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
 	targets := map[faults.Kind]string{
 		faults.DeleteDatafile:       "TPCC_01.dbf",
 		faults.SetDatafileOffline:   "TPCC_01.dbf",
@@ -336,50 +280,34 @@ func runRecoveryGrid(sc Scale, kinds []faults.Kind, configs []RecoveryConfig, la
 		faults.SetTablespaceOffline: "TPCC",
 		faults.DeleteUsersObject:    tpcc.TableStock,
 	}
-	// One job per (fault, config, injection-instant) cell, enumerated
-	// row-major so cell j belongs to row j/3 at instant j%3.
-	nRows := len(kinds) * len(configs)
-	specs := make([]Spec, 0, 3*nRows)
+	var rows []RecRow
+	c := campaign{sc: sc}
 	for _, kind := range kinds {
 		for _, cfg := range configs {
-			for i, at := range sc.InjectTimes {
-				spec := sc.spec(fmt.Sprintf("%s/%v/%s/t%d", label, kind, cfg.Name, i), cfg)
+			r := len(rows)
+			rows = append(rows, RecRow{Fault: kind, Config: cfg})
+			for t, at := range sc.InjectTimes {
+				spec := sc.spec(fmt.Sprintf("%s/%v/%s/t%d", label, kind, cfg.Name, t), cfg)
 				spec.Archive = true
-				spec.Fault = &faults.Fault{Kind: kind, Target: targets[kind]}
-				spec.InjectAt = at
-				spec.TailAfterRecovery = sc.Tail
-				specs = append(specs, spec)
+				sc.inject(&spec, faults.Fault{Kind: kind, Target: targets[kind]}, at)
+				c.add(spec, func(res *Result) string {
+					return fmt.Sprintf("%s %-22v %-10s t%d recovery=%v", label, kind, cfg.Name,
+						t, res.RecoveryTime.Round(time.Second))
+				}, func(res *Result) {
+					row := &rows[r]
+					row.Times[t] = res.RecoveryTime
+					if res.Outcome != nil && res.Outcome.Report != nil {
+						row.LostCommits[t] = res.Outcome.Report.LostCommits
+					}
+					row.Violations[t] = len(res.IntegrityViolations)
+					if res.Availability != nil {
+						row.Avail[t] = res.Availability.GlobalFraction()
+					}
+				})
 			}
 		}
 	}
-	cell := func(j int) (kind faults.Kind, cfg RecoveryConfig, instant int) {
-		row := j / 3
-		return kinds[row/len(configs)], configs[row%len(configs)], j % 3
-	}
-	sc.traceFirst(specs)
-	results, err := runPool(specs, sc.Parallel, progress, func(j int, res *Result) string {
-		kind, cfg, instant := cell(j)
-		return fmt.Sprintf("%s %-22v %-10s t%d recovery=%v", label, kind, cfg.Name,
-			instant, res.RecoveryTime.Round(time.Second))
-	})
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]RecRow, nRows)
-	for j, res := range results {
-		kind, cfg, instant := cell(j)
-		row := &rows[j/3]
-		row.Fault, row.Config = kind, cfg
-		row.Times[instant] = res.RecoveryTime
-		if res.Outcome != nil && res.Outcome.Report != nil {
-			row.LostCommits[instant] = res.Outcome.Report.LostCommits
-		}
-		row.Violations[instant] = len(res.IntegrityViolations)
-		if res.Availability != nil {
-			row.Avail[instant] = res.Availability.GlobalFraction()
-		}
-	}
-	return rows, nil
+	return runCampaign(&c, rows, progress)
 }
 
 // RunTable4 reproduces Table 4: the faults with incomplete recovery.
@@ -413,63 +341,40 @@ type Fig6Row struct {
 	MediaRecovery time.Duration
 }
 
-// RunFigure6 reproduces Figure 6 over the archive configurations.
+// RunFigure6 reproduces Figure 6 over the archive configurations: per
+// configuration two fault-free runs (archive only, archive + stand-by)
+// and two late-instant fault runs (stand-by failover, archive-only media
+// recovery).
 func RunFigure6(sc Scale, progress Progress) ([]Fig6Row, error) {
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
 	configs := ArchiveConfigs()
-	// Four jobs per configuration, in this fixed order.
-	f6Jobs := [4]string{"arch", "sb", "failover", "media"}
-	specs := make([]Spec, 0, 4*len(configs))
-	for _, cfg := range configs {
-		spec := sc.spec("F6/arch/"+cfg.Name, cfg)
-		spec.Archive = true
-		specs = append(specs, spec)
-
-		spec = sc.spec("F6/sb/"+cfg.Name, cfg)
-		spec.Archive = true
-		spec.Standby = true
-		specs = append(specs, spec)
-
-		spec = sc.spec("F6/failover/"+cfg.Name, cfg)
-		spec.Archive = true
-		spec.Standby = true
-		spec.Fault = &faults.Fault{Kind: faults.ShutdownAbort}
-		spec.InjectAt = sc.InjectTimes[2]
-		spec.TailAfterRecovery = sc.Tail
-		specs = append(specs, spec)
-
-		spec = sc.spec("F6/media/"+cfg.Name, cfg)
-		spec.Archive = true
-		spec.Fault = &faults.Fault{Kind: faults.DeleteDatafile, Target: "TPCC_01.dbf"}
-		spec.InjectAt = sc.InjectTimes[2]
-		spec.TailAfterRecovery = sc.Tail
-		specs = append(specs, spec)
-	}
-	sc.traceFirst(specs)
-	results, err := runPool(specs, sc.Parallel, progress, func(i int, res *Result) string {
-		measure := res.TpmC
-		unit := "tpmC"
-		if i%4 >= 2 {
-			measure, unit = res.RecoveryTime.Seconds(), "rec-s"
-		}
-		return fmt.Sprintf("F6 %-10s %-8s %s=%5.1f", configs[i/4].Name, f6Jobs[i%4], unit, measure)
-	})
-	if err != nil {
-		return nil, err
-	}
 	rows := make([]Fig6Row, len(configs))
+	c := campaign{sc: sc}
 	for i, cfg := range configs {
-		rows[i] = Fig6Row{
-			Config:        cfg,
-			TpmCArchive:   results[4*i].TpmC,
-			TpmCStandby:   results[4*i+1].TpmC,
-			Failover:      results[4*i+2].RecoveryTime,
-			MediaRecovery: results[4*i+3].RecoveryTime,
+		row := &rows[i]
+		row.Config = cfg
+		add := func(kind string, standby bool, fault *faults.Fault, fold func(res *Result)) {
+			spec := sc.spec("F6/"+kind+"/"+cfg.Name, cfg)
+			spec.Archive = true
+			spec.Standby = standby
+			if fault != nil {
+				sc.inject(&spec, *fault, sc.InjectTimes[2])
+			}
+			c.add(spec, func(res *Result) string {
+				measure, unit := res.TpmC, "tpmC"
+				if fault != nil {
+					measure, unit = res.RecoveryTime.Seconds(), "rec-s"
+				}
+				return fmt.Sprintf("F6 %-10s %-8s %s=%5.1f", cfg.Name, kind, unit, measure)
+			}, fold)
 		}
+		add("arch", false, nil, func(res *Result) { row.TpmCArchive = res.TpmC })
+		add("sb", true, nil, func(res *Result) { row.TpmCStandby = res.TpmC })
+		add("failover", true, &faults.Fault{Kind: faults.ShutdownAbort},
+			func(res *Result) { row.Failover = res.RecoveryTime })
+		add("media", false, &faults.Fault{Kind: faults.DeleteDatafile, Target: "TPCC_01.dbf"},
+			func(res *Result) { row.MediaRecovery = res.RecoveryTime })
 	}
-	return rows, nil
+	return runCampaign(&c, rows, progress)
 }
 
 // ---------------------------------------------------------------------
@@ -497,11 +402,8 @@ var Figure7Grid = struct {
 // RunFigure7 reproduces Figure 7: primary crash at the late instant with
 // a stand-by, varying the online log geometry.
 func RunFigure7(sc Scale, progress Progress) ([]Fig7Row, error) {
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
-	var specs []Spec
-	var rows []Fig7Row // filled with the grid coordinates, Lost folded in below
+	var rows []Fig7Row
+	c := campaign{sc: sc}
 	for _, sizeMB := range Figure7Grid.SizesMB {
 		for _, groups := range Figure7Grid.Groups {
 			cfg := RecoveryConfig{
@@ -510,25 +412,16 @@ func RunFigure7(sc Scale, progress Progress) ([]Fig7Row, error) {
 				Groups:            groups,
 				CheckpointTimeout: time.Minute,
 			}
+			r := len(rows)
+			rows = append(rows, Fig7Row{SizeMB: sizeMB, Groups: groups})
 			spec := sc.spec("F7/"+cfg.Name, cfg)
 			spec.Archive = true
 			spec.Standby = true
-			spec.Fault = &faults.Fault{Kind: faults.ShutdownAbort}
-			spec.InjectAt = sc.InjectTimes[2]
-			spec.TailAfterRecovery = sc.Tail
-			specs = append(specs, spec)
-			rows = append(rows, Fig7Row{SizeMB: sizeMB, Groups: groups})
+			sc.inject(&spec, faults.Fault{Kind: faults.ShutdownAbort}, sc.InjectTimes[2])
+			c.add(spec, func(res *Result) string {
+				return fmt.Sprintf("F7 size=%3dMB groups=%d lost=%d", sizeMB, groups, res.LostTransactions)
+			}, func(res *Result) { rows[r].Lost = res.LostTransactions })
 		}
 	}
-	sc.traceFirst(specs)
-	results, err := runPool(specs, sc.Parallel, progress, func(i int, res *Result) string {
-		return fmt.Sprintf("F7 size=%3dMB groups=%d lost=%d", rows[i].SizeMB, rows[i].Groups, res.LostTransactions)
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, res := range results {
-		rows[i].Lost = res.LostTransactions
-	}
-	return rows, nil
+	return runCampaign(&c, rows, progress)
 }

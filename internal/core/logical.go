@@ -13,17 +13,14 @@ package core
 import (
 	"fmt"
 	"hash/fnv"
-	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"time"
 
 	"dbench/internal/engine"
 	"dbench/internal/faults"
-	"dbench/internal/recovery"
 	"dbench/internal/sim"
-	"dbench/internal/simdisk"
-	"dbench/internal/sqladmin"
 	"dbench/internal/tpcc"
 )
 
@@ -64,51 +61,32 @@ func (r LogicalRow) Speedup() float64 {
 // physical point-in-time path, fault injected at full throughput against
 // the stock table (the largest, most update-heavy segment).
 func RunLogicalVsPhysical(sc Scale, progress Progress) ([]LogicalRow, error) {
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
 	cfg := mustConfig("F100G3T10")
-	// Two jobs per fault class: flashback (even indices), forced
-	// physical (odd).
-	specs := make([]Spec, 0, 2*len(LogicalKinds))
-	for _, kind := range LogicalKinds {
-		for _, force := range []bool{false, true} {
+	rows := make([]LogicalRow, len(LogicalKinds))
+	c := campaign{sc: sc}
+	for i, kind := range LogicalKinds {
+		row := &rows[i]
+		row.Fault = kind
+		add := func(remedy string, force bool, arm *LogicalArm) {
 			spec := sc.spec(fmt.Sprintf("LvP/%v/physical=%v", kind, force), cfg)
 			spec.Archive = true
-			spec.Fault = &faults.Fault{Kind: kind, Target: tpcc.TableStock}
-			spec.InjectAt = sc.InjectTimes[1]
-			spec.TailAfterRecovery = sc.Tail
 			spec.ForcePhysical = force
-			specs = append(specs, spec)
+			sc.inject(&spec, faults.Fault{Kind: kind, Target: tpcc.TableStock}, sc.InjectTimes[1])
+			c.add(spec, func(res *Result) string {
+				return fmt.Sprintf("LvP %-22v %-9s recovery=%v lost=%d",
+					kind, remedy, res.RecoveryTime.Round(time.Second), res.LostTransactions)
+			}, func(res *Result) {
+				arm.RecoveryTime = res.RecoveryTime
+				arm.Lost = res.LostTransactions
+				if res.Availability != nil {
+					arm.Avail = res.Availability.GlobalFraction()
+				}
+			})
 		}
+		add("flashback", false, &row.Flashback)
+		add("physical", true, &row.Physical)
 	}
-	sc.traceFirst(specs)
-	results, err := runPool(specs, sc.Parallel, progress, func(i int, res *Result) string {
-		remedy := "flashback"
-		if i%2 == 1 {
-			remedy = "physical"
-		}
-		return fmt.Sprintf("LvP %-22v %-9s recovery=%v lost=%d",
-			LogicalKinds[i/2], remedy, res.RecoveryTime.Round(time.Second), res.LostTransactions)
-	})
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]LogicalRow, len(LogicalKinds))
-	for i, res := range results {
-		row := &rows[i/2]
-		row.Fault = LogicalKinds[i/2]
-		arm := &row.Flashback
-		if i%2 == 1 {
-			arm = &row.Physical
-		}
-		arm.RecoveryTime = res.RecoveryTime
-		arm.Lost = res.LostTransactions
-		if res.Availability != nil {
-			arm.Avail = res.Availability.GlobalFraction()
-		}
-	}
-	return rows, nil
+	return runCampaign(&c, rows, progress)
 }
 
 // FormatLogical renders the logical-vs-physical comparison table.
@@ -157,78 +135,55 @@ func (r *ScanReport) OK() bool {
 // round-trips — every table rediscovered and flashback still working on
 // top of the rebuilt dictionary.
 func RunCatalogScan(seed int64, warehouses int) (*ScanReport, error) {
-	k := sim.NewKernel(seed)
-	dataDisks := dataDiskNames(0)
-	fs := simdisk.NewFS(diskSpecs(dataDisks)...)
 	ecfg := engine.DefaultConfig()
 	ecfg.Redo.GroupSizeBytes = 1 << 20
 	ecfg.Redo.Groups = 3
 	ecfg.Redo.ArchiveMode = true
 	ecfg.CacheBlocks = 256
 	ecfg.CheckpointTimeout = 0
-	in, err := engine.New(k, fs, ecfg)
-	if err != nil {
-		return nil, err
-	}
-	rm := recovery.NewManager(in, nil)
-	ex := sqladmin.NewExecutor(in, rm, nil)
 	cfg := tpcc.DefaultConfig()
 	cfg.Warehouses = warehouses
 	cfg.CustomersPerDistrict = 30
 	cfg.Items = 300
-	app := tpcc.NewApp(in, cfg)
+	rig, err := NewRig(seed, ecfg, cfg, tpcc.DefaultDriverConfig(), 0)
+	if err != nil {
+		return nil, err
+	}
+	in, ex := rig.In, rig.ex
 
 	rep := &ScanReport{}
-	var runErr error
-	k.Go("scan", func(p *sim.Proc) {
-		defer k.Stop()
-		fail := func(err error) { runErr = err }
-		if err := in.Open(p); err != nil {
-			fail(err)
-			return
-		}
-		if err := app.CreateSchema(p, dataDisks); err != nil {
-			fail(err)
-			return
-		}
-		if err := app.Load(p, rand.New(rand.NewSource(seed))); err != nil {
-			fail(err)
-			return
+	err = rig.Exec("scan", func(p *sim.Proc) error {
+		if err := rig.Load(p); err != nil {
+			return err
 		}
 		rep.TablesBefore = tableNames(in)
 		before, err := tableHash(p, in, tpcc.TableStock)
 		if err != nil {
-			fail(err)
-			return
+			return err
 		}
 		if _, err := ex.Execute(p, "TRUNCATE TABLE "+tpcc.TableStock); err != nil {
-			fail(err)
-			return
+			return err
 		}
 		preSCN, _ := in.LastDDL()
 		// The catalog-destroying operator fault.
 		in.Catalog().Wipe()
 		if _, err := ex.Execute(p, "RECOVER CATALOG SCAN"); err != nil {
-			fail(fmt.Errorf("scan rebuild: %w", err))
-			return
+			return fmt.Errorf("scan rebuild: %w", err)
 		}
 		rep.TablesAfter = tableNames(in)
 		rep.Missing, rep.Extra = diffNames(rep.TablesBefore, rep.TablesAfter)
 		if _, err := ex.Execute(p, fmt.Sprintf("FLASHBACK TABLE %s TO SCN %d", tpcc.TableStock, preSCN-1)); err != nil {
-			fail(fmt.Errorf("flashback after rebuild: %w", err))
-			return
+			return fmt.Errorf("flashback after rebuild: %w", err)
 		}
 		after, err := tableHash(p, in, tpcc.TableStock)
 		if err != nil {
-			fail(err)
-			return
+			return err
 		}
 		rep.FlashbackOK = before == after
+		return nil
 	})
-	k.Run(sim.Time(200 * time.Hour))
-	k.KillAll()
-	if runErr != nil {
-		return nil, fmt.Errorf("core: recover --scan: %w", runErr)
+	if err != nil {
+		return nil, fmt.Errorf("core: recover --scan: %w", err)
 	}
 	return rep, nil
 }
@@ -269,20 +224,14 @@ func tableNames(in *engine.Instance) []string {
 // diffNames returns names in a but not b (missing) and in b but not a
 // (extra); both inputs sorted.
 func diffNames(a, b []string) (missing, extra []string) {
-	inA := make(map[string]bool, len(a))
 	for _, n := range a {
-		inA[n] = true
-	}
-	inB := make(map[string]bool, len(b))
-	for _, n := range b {
-		inB[n] = true
-		if !inA[n] {
-			extra = append(extra, n)
+		if !slices.Contains(b, n) {
+			missing = append(missing, n)
 		}
 	}
-	for _, n := range a {
-		if !inB[n] {
-			missing = append(missing, n)
+	for _, n := range b {
+		if !slices.Contains(a, n) {
+			extra = append(extra, n)
 		}
 	}
 	return missing, extra

@@ -133,26 +133,10 @@ func paretoPhases(d time.Duration) []tpcc.LoadPhase {
 	}
 }
 
-// ctlSpec builds one controller-run spec: monitored (the controller's
-// sensor) with the budgeted controller attached.
-func (sc Scale) ctlSpec(name string, budget time.Duration) Spec {
-	spec := sc.spec(name, mustConfig("F100G3T10"))
-	spec.SampleInterval = sc.SampleInterval
-	if spec.SampleInterval <= 0 {
-		spec.SampleInterval = time.Second
-	}
-	spec.RepositoryDepth = sc.RepositoryDepth
-	spec.Control = &control.Config{Budget: budget}
-	return spec
-}
-
 // RunPareto executes the sweep: 2 jobs per grid config (fault-free tpmC,
 // shutdown-abort recovery) then the three controller scenarios, all
 // through the deterministic pool.
 func RunPareto(sc Scale, cfg ParetoConfig, progress Progress) (*ParetoReport, error) {
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
 	if cfg.Budget <= 0 {
 		cfg.Budget = 30 * time.Second
 	}
@@ -160,72 +144,57 @@ func RunPareto(sc Scale, cfg ParetoConfig, progress Progress) (*ParetoReport, er
 	if len(grid) == 0 {
 		grid = ParetoGrid()
 	}
-	// Fixed spec order: [perf, crash] per grid config, then the three
-	// controller scenarios. Extraction below indexes on this layout.
-	specs := make([]Spec, 0, 2*len(grid)+3)
-	for _, rc := range grid {
-		specs = append(specs, sc.spec("PF/perf/"+rc.Name, rc))
+	crash := faults.Fault{Kind: faults.ShutdownAbort}
+	rep := &ParetoReport{Budget: cfg.Budget, BestStatic: -1, Rows: make([]ParetoRow, len(grid))}
+	c := campaign{sc: sc}
+	for i, rc := range grid {
+		row := &rep.Rows[i]
+		row.Config = rc
+		c.add(sc.spec("PF/perf/"+rc.Name, rc), func(res *Result) string {
+			return fmt.Sprintf("PF %-10s perf   tpmC=%5.0f", rc.Name, res.TpmC)
+		}, func(res *Result) { row.TpmC = res.TpmC })
 
 		spec := sc.spec("PF/crash/"+rc.Name, rc)
-		spec.Fault = &faults.Fault{Kind: faults.ShutdownAbort}
-		spec.InjectAt = sc.InjectTimes[1] // at full throughput
-		spec.TailAfterRecovery = sc.Tail
-		specs = append(specs, spec)
-	}
-	specs = append(specs, sc.ctlSpec("PF/ctl/steady", cfg.Budget))
-
-	spec := sc.ctlSpec("PF/ctl/crash", cfg.Budget)
-	spec.Fault = &faults.Fault{Kind: faults.ShutdownAbort}
-	spec.InjectAt = sc.InjectTimes[1]
-	spec.TailAfterRecovery = sc.Tail
-	specs = append(specs, spec)
-
-	spec = sc.ctlSpec("PF/ctl/shift", cfg.Budget)
-	spec.Phases = paretoPhases(sc.Duration)
-	spec.Fault = &faults.Fault{Kind: faults.ShutdownAbort}
-	spec.InjectAt = sc.InjectTimes[2] // after the load has shifted twice
-	spec.TailAfterRecovery = sc.Tail
-	specs = append(specs, spec)
-
-	if sc.Tracer != nil {
-		// The controller runs are the interesting ones to trace; the
-		// static grid is covered by the scaling/figure campaigns.
-		specs[2*len(grid)].Tracer = sc.Tracer
-	}
-
-	ctlKinds := [3]string{"steady", "crash", "shift"}
-	results, err := runPool(specs, sc.Parallel, progress, func(i int, res *Result) string {
-		if i < 2*len(grid) {
-			rc := grid[i/2]
-			if i%2 == 0 {
-				return fmt.Sprintf("PF %-10s perf   tpmC=%5.0f", rc.Name, res.TpmC)
-			}
+		sc.inject(&spec, crash, sc.InjectTimes[1]) // at full throughput
+		c.add(spec, func(res *Result) string {
 			return fmt.Sprintf("PF %-10s crash  recovery=%v", rc.Name, res.RecoveryTime.Round(time.Second))
+		}, func(res *Result) { row.Recovery = res.RecoveryTime })
+	}
+	// A controller run is monitored (the repository is the controller's
+	// sensor) with the budgeted controller attached; injectAt 0 = no fault.
+	ctl := func(kind string, cell *ParetoCtl, phases []tpcc.LoadPhase, injectAt time.Duration) {
+		spec := sc.spec("PF/ctl/"+kind, mustConfig("F100G3T10"))
+		if spec.SampleInterval = sc.SampleInterval; spec.SampleInterval <= 0 {
+			spec.SampleInterval = time.Second
 		}
-		pc := paretoCtl(ctlKinds[i-2*len(grid)], cfg.Budget, res)
-		return fmt.Sprintf("PF ctl/%-6s tpmC=%5.0f recovery=%v rung=%s", pc.Kind, pc.TpmC,
-			pc.Recovery.Round(time.Second), pc.FinalRung)
-	})
-	if err != nil {
+		spec.Control = &control.Config{Budget: cfg.Budget}
+		spec.Phases = phases
+		if injectAt > 0 {
+			sc.inject(&spec, crash, injectAt)
+		}
+		c.add(spec, func(res *Result) string {
+			pc := paretoCtl(kind, cfg.Budget, res)
+			return fmt.Sprintf("PF ctl/%-6s tpmC=%5.0f recovery=%v rung=%s", kind, pc.TpmC,
+				pc.Recovery.Round(time.Second), pc.FinalRung)
+		}, func(res *Result) { *cell = paretoCtl(kind, cfg.Budget, res) })
+		// The controller runs are the interesting ones to trace and
+		// sample; the static grid is covered by the scaling/figure
+		// campaigns.
+		c.nominate()
+	}
+	ctl("steady", &rep.Steady, nil, 0)
+	ctl("crash", &rep.Crash, nil, sc.InjectTimes[1])
+	ctl("shift", &rep.Shift, paretoPhases(sc.Duration), sc.InjectTimes[2]) // after the load has shifted twice
+	if _, err := runCampaign(&c, rep, progress); err != nil {
 		return nil, err
 	}
-
-	rep := &ParetoReport{Budget: cfg.Budget, BestStatic: -1}
-	for i, rc := range grid {
-		row := ParetoRow{
-			Config:   rc,
-			TpmC:     results[2*i].TpmC,
-			Recovery: results[2*i+1].RecoveryTime,
-		}
+	for i := range rep.Rows {
+		row := &rep.Rows[i]
 		row.WithinBudget = row.Recovery > 0 && row.Recovery <= cfg.Budget
-		rep.Rows = append(rep.Rows, row)
 		if row.WithinBudget && (rep.BestStatic < 0 || row.TpmC > rep.Rows[rep.BestStatic].TpmC) {
 			rep.BestStatic = i
 		}
 	}
-	rep.Steady = paretoCtl("steady", cfg.Budget, results[2*len(grid)])
-	rep.Crash = paretoCtl("crash", cfg.Budget, results[2*len(grid)+1])
-	rep.Shift = paretoCtl("shift", cfg.Budget, results[2*len(grid)+2])
 	return rep, nil
 }
 

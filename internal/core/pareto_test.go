@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"dbench/internal/monitor"
 )
 
 // tinyParetoScale shrinks the sweep to seconds of wall time: two grid
@@ -24,9 +26,17 @@ func tinyParetoScale() Scale {
 // checks the report's structure: every frontier point measured, a
 // within-budget best exists (F1G3T1 recovers in ~13 s against a 30 s
 // budget), and all three controller scenarios ran — the crash scenarios
-// with a measured recovery, the steady one without.
+// with a measured recovery, the steady one without. The scale's
+// repository hook must fire exactly once (the first controller run is the
+// campaign's instrumented job; `-exp pareto -stats/-awr` used to export
+// nothing).
 func TestRunParetoTiny(t *testing.T) {
 	sc := tinyParetoScale()
+	var repos, samples int
+	sc.OnRepository = func(r *monitor.Repository) {
+		repos++
+		samples = r.Len()
+	}
 	cfg := ParetoConfig{
 		Budget: 30 * time.Second,
 		Grid:   []RecoveryConfig{mustConfig("F1G3T1"), mustConfig("F100G3T10")},
@@ -37,6 +47,9 @@ func TestRunParetoTiny(t *testing.T) {
 	}
 	if len(rep.Rows) != 2 {
 		t.Fatalf("%d frontier rows, want 2", len(rep.Rows))
+	}
+	if repos != 1 || samples == 0 {
+		t.Errorf("OnRepository fired %d times (last with %d samples), want once with a non-empty repository", repos, samples)
 	}
 	for _, row := range rep.Rows {
 		if row.TpmC <= 0 {

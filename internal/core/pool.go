@@ -6,11 +6,11 @@ import (
 	"sync"
 )
 
-// This file is the campaign executor: every campaign in experiments.go
-// first *enumerates* its runs declaratively into a []Spec, then submits
-// the list to a pool of workers. Results come back in enumeration order
-// regardless of completion order or worker count, so campaign tables are
-// bit-identical whether they ran on one core or sixteen. Each Run owns
+// This file is the campaign executor: every campaign first *enumerates*
+// its runs declaratively (campaign.go), then submits the list to a pool
+// of workers. Results come back in enumeration order regardless of
+// completion order or worker count, so campaign tables are bit-identical
+// whether they ran on one core or sixteen. Each Run owns
 // its entire simulated platform (kernel, RNG, disks, engine), so runs
 // share no mutable state and the pool needs no coordination beyond the
 // job queue itself.
@@ -23,13 +23,7 @@ func Workers(parallel, n int) int {
 	if parallel <= 0 {
 		parallel = runtime.GOMAXPROCS(0)
 	}
-	if parallel > n {
-		parallel = n
-	}
-	if parallel < 1 {
-		parallel = 1
-	}
-	return parallel
+	return max(1, min(parallel, n))
 }
 
 // RunSpecs executes every spec on a pool of workers and returns the
@@ -40,18 +34,9 @@ func Workers(parallel, n int) int {
 // Progress, when non-nil, receives one mutex-serialized line per
 // completed run, prefixed with a completed/total counter.
 func RunSpecs(specs []Spec, parallel int, progress Progress) ([]*Result, error) {
-	return runPool(specs, parallel, progress, func(_ int, res *Result) string {
-		return res.String()
-	})
-}
-
-// runPool is RunSpecs with a per-job progress-line formatter: line is
-// called with the job's enumeration index and its result, under the
-// pool's mutex, as each run completes.
-func runPool(specs []Spec, parallel int, progress Progress, line func(i int, res *Result) string) ([]*Result, error) {
 	return RunIndexed(len(specs), parallel, func(i int) (*Result, error) {
 		return Run(specs[i])
-	}, progress, line)
+	}, progress, func(_ int, res *Result) string { return res.String() })
 }
 
 // RunIndexed executes jobs 0..n-1 on a pool of workers and returns their

@@ -127,15 +127,12 @@ type ReplicaRow struct {
 // stand-by, crashes the primary at the late instant, promotes, and lets
 // the drivers re-target the promoted primary for the tail.
 func RunReplica(sc Scale, grid ReplicaGrid, progress Progress) ([]ReplicaRow, error) {
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
 	if len(grid.Standbys) == 0 || len(grid.Modes) == 0 || len(grid.Links) == 0 {
 		return nil, fmt.Errorf("core: replica grid needs at least one stand-by count, mode and link")
 	}
 	cfg := mustConfig("F40G3T5")
-	var specs []Spec
 	var rows []ReplicaRow
+	c := campaign{sc: sc}
 	for _, n := range grid.Standbys {
 		for _, mode := range grid.Modes {
 			for _, link := range grid.Links {
@@ -143,43 +140,36 @@ func RunReplica(sc Scale, grid ReplicaGrid, progress Progress) ([]ReplicaRow, er
 				if grid.CascadeAt > 0 && n >= grid.CascadeAt {
 					casc = 1
 				}
+				r := len(rows)
+				rows = append(rows, ReplicaRow{Standbys: n, Cascade: casc, Mode: mode, Link: link})
 				spec := sc.spec(fmt.Sprintf("REPL/s%d-%s-%s", n, mode, link.Name), cfg)
 				spec.Standbys = n
 				spec.ReplMode = mode
 				spec.ReplLink = link
 				spec.ReplCascade = casc
 				spec.ReplicaReads = replicaReadShare
-				spec.Fault = &faults.Fault{Kind: faults.ShutdownAbort}
-				spec.InjectAt = sc.InjectTimes[2]
-				spec.TailAfterRecovery = sc.Tail
-				specs = append(specs, spec)
-				rows = append(rows, ReplicaRow{Standbys: n, Cascade: casc, Mode: mode, Link: link})
+				sc.inject(&spec, faults.Fault{Kind: faults.ShutdownAbort}, sc.InjectTimes[2])
+				c.add(spec, func(res *Result) string {
+					return fmt.Sprintf("REPL s=%d+%d %-5s %-3s rpo=%d rto=%.1fs",
+						n, casc, mode, link.Name, res.LostTransactions, res.RecoveryTime.Seconds())
+				}, func(res *Result) {
+					row := &rows[r]
+					row.TpmC = res.TpmC
+					row.RPO = res.LostTransactions
+					row.LagRecords = res.ReplLagRecords
+					row.RTO = res.RecoveryTime
+					row.RTOEstimate = res.RTOEstimate
+					row.UserOutage = res.UserOutage
+					row.Served = res.ReplicaServed
+					row.Fallback = res.ReplicaFallback
+					row.Violations = len(res.IntegrityViolations)
+					row.FailedOver = res.FailedOver
+					row.Replication = res.Replication
+				})
 			}
 		}
 	}
-	sc.traceFirst(specs)
-	results, err := runPool(specs, sc.Parallel, progress, func(i int, res *Result) string {
-		return fmt.Sprintf("REPL s=%d+%d %-5s %-3s rpo=%d rto=%.1fs",
-			rows[i].Standbys, rows[i].Cascade, rows[i].Mode, rows[i].Link.Name,
-			res.LostTransactions, res.RecoveryTime.Seconds())
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, res := range results {
-		rows[i].TpmC = res.TpmC
-		rows[i].RPO = res.LostTransactions
-		rows[i].LagRecords = res.ReplLagRecords
-		rows[i].RTO = res.RecoveryTime
-		rows[i].RTOEstimate = res.RTOEstimate
-		rows[i].UserOutage = res.UserOutage
-		rows[i].Served = res.ReplicaServed
-		rows[i].Fallback = res.ReplicaFallback
-		rows[i].Violations = len(res.IntegrityViolations)
-		rows[i].FailedOver = res.FailedOver
-		rows[i].Replication = res.Replication
-	}
-	return rows, nil
+	return runCampaign(&c, rows, progress)
 }
 
 // FormatReplica renders the RPO/RTO matrix plus the first cell's final

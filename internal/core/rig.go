@@ -1,0 +1,203 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"time"
+
+	"dbench/internal/backup"
+	"dbench/internal/engine"
+	"dbench/internal/faults"
+	"dbench/internal/recovery"
+	"dbench/internal/redo"
+	"dbench/internal/sim"
+	"dbench/internal/simdisk"
+	"dbench/internal/sqladmin"
+	"dbench/internal/standby"
+	"dbench/internal/tpcc"
+)
+
+// Rig is one experiment's simulated platform: a kernel, the primary
+// server and the TPC-C application with its terminal driver. It is the
+// single place an experiment is built, loaded and wired to stand-bys —
+// Run, the chaos harness and RunCatalogScan all start here. A Rig shares
+// nothing with any other Rig, so many can run concurrently.
+type Rig struct {
+	K   *sim.Kernel
+	In  *engine.Instance
+	Rm  *recovery.Manager
+	Inj *faults.Injector
+	App *tpcc.App
+	Drv *tpcc.Driver
+
+	bk *backup.Manager
+	ex *sqladmin.Executor
+	// backupSCN is the reference backup's SCN (set by Load): the content
+	// every stand-by is instantiated from and starts managed recovery at.
+	backupSCN redo.SCN
+	seed      int64
+	dataDisks []string
+	err       error
+}
+
+// NewRig builds the platform in a fixed order (the counter registry and
+// the trace stream depend on it). seed drives the kernel and the data
+// load; dataDisks follows Spec.DataDisks (0 = the paper's two disks).
+func NewRig(seed int64, ecfg engine.Config, tc tpcc.Config, dc tpcc.DriverConfig, dataDisks int) (*Rig, error) {
+	r := &Rig{K: sim.NewKernel(seed), seed: seed, dataDisks: dataDiskNames(dataDisks)}
+	in, err := r.machine(ecfg)
+	if err != nil {
+		return nil, err
+	}
+	r.In = in
+	r.bk = backup.NewManager(r.K, in.FS(), engine.DiskArch)
+	r.Rm = recovery.NewManager(in, r.bk)
+	r.ex = sqladmin.NewExecutor(in, r.Rm, r.bk)
+	r.Inj = faults.NewInjector(in, r.Rm, r.ex)
+	r.App = tpcc.NewApp(in, tc)
+	r.Drv = tpcc.NewDriver(r.App, dc)
+	return r, nil
+}
+
+// dataDiskNames returns data1..dataN (n < 2 means the paper's two-disk
+// layout; the control file stays on data1).
+func dataDiskNames(n int) []string {
+	if n < 2 {
+		n = 2
+	}
+	names := make([]string, n)
+	for i := range names {
+		names[i] = fmt.Sprintf("data%d", i+1)
+	}
+	return names
+}
+
+// machine builds one simulated server on the rig's kernel — the data
+// disks plus the dedicated redo and archive disks, and an engine instance
+// on them. The primary and every stand-by are built here.
+func (r *Rig) machine(ecfg engine.Config) (*engine.Instance, error) {
+	specs := make([]simdisk.DiskSpec, 0, len(r.dataDisks)+2)
+	for _, d := range r.dataDisks {
+		specs = append(specs, simdisk.DefaultSpec(d))
+	}
+	specs = append(specs, simdisk.DefaultSpec(engine.DiskRedo), simdisk.DefaultSpec(engine.DiskArch))
+	return engine.New(r.K, simdisk.NewFS(specs...), ecfg)
+}
+
+// populate creates the schema and loads the seeded rows into an instance.
+// The load is a pure function of the seed, so a stand-by populated here
+// holds datafiles bit-identical to the primary's reference backup.
+func (r *Rig) populate(p *sim.Proc, app *tpcc.App) error {
+	if err := app.CreateSchema(p, r.dataDisks); err != nil {
+		return err
+	}
+	return app.Load(p, rand.New(rand.NewSource(r.seed)))
+}
+
+// Load is the set-up procedure: open, create and load the database,
+// checkpoint, take the reference backup and — in archive mode — force a
+// log switch so the backup's redo is archived.
+func (r *Rig) Load(p *sim.Proc) error {
+	if err := r.In.Open(p); err != nil {
+		return err
+	}
+	if err := r.populate(p, r.App); err != nil {
+		return err
+	}
+	if err := r.In.Checkpoint(p); err != nil {
+		return err
+	}
+	r.backupSCN = r.In.DB().Control.CheckpointSCN
+	if _, err := r.bk.TakeFull(p, r.In.DB(), r.In.Catalog(), r.backupSCN); err != nil {
+		return err
+	}
+	if r.In.Config().Redo.ArchiveMode {
+		return r.In.ForceLogSwitch(p)
+	}
+	return nil
+}
+
+// Standby creates one stand-by server: its own simulated machine with an
+// identical schema and data content (the standard "instantiate from a
+// backup of the primary" procedure, reproduced by re-running the
+// deterministic load), left unopened for managed recovery from the
+// reference backup. ecfg is normally the primary's; call after Load.
+func (r *Rig) Standby(p *sim.Proc, ecfg engine.Config, name string) (*standby.Standby, error) {
+	ecfg.Name = name
+	// The stand-by shares the primary's kernel but is a second database:
+	// its events would interleave with the primary's on the same tracks,
+	// so only the primary is traced.
+	ecfg.Tracer = nil
+	in, err := r.machine(ecfg)
+	if err != nil {
+		return nil, fmt.Errorf("core: %s: %w", name, err)
+	}
+	if err := r.populate(p, tpcc.NewApp(in, r.App.Cfg)); err != nil {
+		return nil, fmt.Errorf("core: %s load: %w", name, err)
+	}
+	return standby.New(in, standby.DefaultConfig(), r.backupSCN), nil
+}
+
+// StartCluster instantiates n streaming stand-bys (standby1..standbyN),
+// starts the replication cluster over them and wires it to the primary:
+// the durable-redo tap, the commit gate, the lifecycle observer (chained
+// behind any observer already set) and failover as the injector's
+// ShutdownAbort remedy. A zero ccfg.Link means LinkLAN.
+func (r *Rig) StartCluster(p *sim.Proc, ecfg engine.Config, n int, ccfg standby.ClusterConfig) (*standby.Cluster, error) {
+	sbs := make([]*standby.Standby, n)
+	for i := range sbs {
+		var err error
+		if sbs[i], err = r.Standby(p, ecfg, fmt.Sprintf("standby%d", i+1)); err != nil {
+			return nil, err
+		}
+	}
+	if ccfg.Link == (sim.LinkSpec{}) {
+		ccfg.Link = LinkLAN
+	}
+	cluster, err := standby.NewCluster(r.In, sbs, ccfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := cluster.Start(p); err != nil {
+		return nil, err
+	}
+	r.In.Log().OnDurable = cluster.OnDurable
+	r.In.Txns().CommitGate = cluster.CommitGate
+	prevState := r.In.OnStateChange
+	r.In.OnStateChange = func(now sim.Time, st engine.State) {
+		if prevState != nil {
+			prevState(now, st)
+		}
+		cluster.OnPrimaryState(now, st)
+	}
+	r.Inj.Failover = cluster
+	return cluster, nil
+}
+
+// Exec runs body as the experiment's main simulated process, drives the
+// kernel until body returns (or Fail is called) and returns the first
+// error either reported.
+func (r *Rig) Exec(name string, body func(p *sim.Proc) error) error {
+	r.K.Go(name, func(p *sim.Proc) {
+		if err := body(p); err != nil {
+			r.Fail(err)
+		}
+		r.K.Stop()
+	})
+	r.K.Run(sim.Time(200 * time.Hour))
+	// Tear the simulation down completely: blocked background processes
+	// (LGWR waiting for work, PMON sleeping, stand-by MRP, ...) would
+	// otherwise leak their goroutines and keep the whole run's state
+	// reachable — across a campaign of dozens of runs that is an OOM.
+	r.K.KillAll()
+	return r.err
+}
+
+// Fail aborts the experiment from any simulated process; the first error
+// wins and Exec returns it.
+func (r *Rig) Fail(err error) {
+	if r.err == nil {
+		r.err = err
+	}
+	r.K.Stop()
+}

@@ -2,20 +2,15 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
-	"dbench/internal/backup"
 	"dbench/internal/control"
 	"dbench/internal/engine"
 	"dbench/internal/faults"
 	"dbench/internal/metrics"
 	"dbench/internal/monitor"
-	"dbench/internal/recovery"
 	"dbench/internal/redo"
 	"dbench/internal/sim"
-	"dbench/internal/simdisk"
-	"dbench/internal/sqladmin"
 	"dbench/internal/standby"
 	"dbench/internal/tpcc"
 	"dbench/internal/trace"
@@ -104,8 +99,6 @@ type Spec struct {
 	// at zero cost. Like Tracer, at most one spec per campaign should
 	// sample — the repository rides on a single run's virtual timeline.
 	SampleInterval time.Duration
-	// RepositoryDepth bounds the retained samples (0 = monitor default).
-	RepositoryDepth int
 	// OnRepository, when set, receives the run's workload repository
 	// after the simulation has fully stopped (dbench uses it to export
 	// -stats / -awr). Called once per Run, only when sampling is on.
@@ -226,7 +219,6 @@ type Result struct {
 	Control *control.Controller
 
 	// Diagnostics for calibration and reports.
-	DebugLog     *redo.Manager // the primary instance's log (debug access)
 	ByType       map[tpcc.TxnType]int
 	LockWaits    int64
 	LockTimeouts int64
@@ -245,46 +237,15 @@ func (r *Result) String() string {
 	return s
 }
 
-// debugTrace enables phase tracing on stdout (used while calibrating).
-var debugTrace = false
-
-// dataDiskNames returns the data disk names for a spec: data1..dataN
-// (n = 0 means the paper's two-disk layout, keeping the control file on
-// data1 as always).
-func dataDiskNames(n int) []string {
-	if n < 2 {
-		n = 2
-	}
-	names := make([]string, n)
-	for i := range names {
-		names[i] = fmt.Sprintf("data%d", i+1)
-	}
-	return names
-}
-
-// diskSpecs builds the platform's disk set: the data disks plus the
-// dedicated redo and archive disks.
-func diskSpecs(dataDisks []string) []simdisk.DiskSpec {
-	specs := make([]simdisk.DiskSpec, 0, len(dataDisks)+2)
-	for _, d := range dataDisks {
-		specs = append(specs, simdisk.DefaultSpec(d))
-	}
-	specs = append(specs, simdisk.DefaultSpec(engine.DiskRedo), simdisk.DefaultSpec(engine.DiskArch))
-	return specs
-}
-
 // Run executes one experiment end to end: build the simulated platform,
 // create and load the database, take the reference backup, run TPC-C for
 // the configured duration with the optional fault, then collect measures.
 //
-// Run is safe for concurrent use: every call builds its own sim kernel,
-// RNG, disks and engine, and touches no package-level mutable state, so
-// campaign runners may execute many Runs in parallel (see pool.go) with
-// results identical to sequential execution.
+// Run is safe for concurrent use: every call builds its own Rig (sim
+// kernel, RNG, disks and engine) and touches no package-level mutable
+// state, so campaign runners may execute many Runs in parallel (see
+// pool.go) with results identical to sequential execution.
 func Run(spec Spec) (*Result, error) {
-	k := sim.NewKernel(spec.Seed)
-	dataDisks := dataDiskNames(spec.DataDisks)
-	fs := simdisk.NewFS(diskSpecs(dataDisks)...)
 	ecfg := engine.DefaultConfig()
 	ecfg.Redo.GroupSizeBytes = spec.Recovery.FileSize
 	ecfg.Redo.Groups = spec.Recovery.Groups
@@ -296,83 +257,34 @@ func Run(spec Spec) (*Result, error) {
 	ecfg.Cost = spec.Cost
 	ecfg.Tracer = spec.Tracer
 	ecfg.SampleInterval = spec.SampleInterval
-	ecfg.RepositoryDepth = spec.RepositoryDepth
-	in, err := engine.New(k, fs, ecfg)
+	dcfg := tpcc.DefaultDriverConfig()
+	dcfg.Phases = spec.Phases
+	rig, err := NewRig(spec.Seed, ecfg, spec.TPCC, dcfg, spec.DataDisks)
 	if err != nil {
 		return nil, err
 	}
-
-	bk := backup.NewManager(k, fs, engine.DiskArch)
-	rm := recovery.NewManager(in, bk)
-	ex := sqladmin.NewExecutor(in, rm, bk)
-	inj := faults.NewInjector(in, rm, ex)
+	in, ex, inj, app, drv := rig.In, rig.ex, rig.Inj, rig.App, rig.Drv
 	if spec.Detection > 0 {
 		inj.Detection = spec.Detection
 	}
 	inj.ForcePhysical = spec.ForcePhysical
 
-	app := tpcc.NewApp(in, spec.TPCC)
-	dcfg := tpcc.DefaultDriverConfig()
-	dcfg.Phases = spec.Phases
-	drv := tpcc.NewDriver(app, dcfg)
-
 	res := &Result{Spec: spec}
-	var runErr error
-	fail := func(err error) {
-		if runErr == nil {
-			runErr = err
-		}
-		k.Stop()
-	}
-
-	trace := func(msg string) {
-		if debugTrace {
-			fmt.Printf("[%v] %s\n", k.Now(), msg)
-		}
-	}
-	var sb *standby.Standby
-	var cluster *standby.Cluster
-	recoveryPoint := redo.SCN(-1) // -1: complete recovery, nothing lost
-	k.Go("benchmark", func(p *sim.Proc) {
+	err = rig.Exec("benchmark", func(p *sim.Proc) error {
 		// Phase 1: create, load, checkpoint, reference backup.
-		if err := in.Open(p); err != nil {
-			fail(err)
-			return
-		}
-		if err := app.CreateSchema(p, dataDisks); err != nil {
-			fail(err)
-			return
-		}
-		if err := app.Load(p, rand.New(rand.NewSource(spec.Seed))); err != nil {
-			fail(err)
-			return
-		}
-		if err := in.Checkpoint(p); err != nil {
-			fail(err)
-			return
-		}
-		backupSCN := in.DB().Control.CheckpointSCN
-		if _, err := bk.TakeFull(p, in.DB(), in.Catalog(), backupSCN); err != nil {
-			fail(err)
-			return
-		}
-		if spec.Archive {
-			if err := in.ForceLogSwitch(p); err != nil {
-				fail(err)
-				return
-			}
+		if err := rig.Load(p); err != nil {
+			return err
 		}
 
 		// Phase 1b: instantiate the stand-by from the same content.
+		var sb *standby.Standby
 		if spec.Standby {
-			sb, err = buildStandby(p, k, ecfg, spec, backupSCN, "standby")
-			if err != nil {
-				fail(err)
-				return
+			var err error
+			if sb, err = rig.Standby(p, ecfg, "standby"); err != nil {
+				return err
 			}
 			if err := sb.Start(p); err != nil {
-				fail(err)
-				return
+				return err
 			}
 			in.Archiver().OnArchived = sb.Ship
 		}
@@ -380,43 +292,17 @@ func Run(spec Spec) (*Result, error) {
 		// Phase 1c: the streaming-replication cluster — N stand-bys fed
 		// by continuous redo streaming, the commit gate, and failover as
 		// the ShutdownAbort remedy.
+		var cluster *standby.Cluster
 		if spec.Standbys > 0 {
-			n := spec.Standbys + spec.ReplCascade
-			sbs := make([]*standby.Standby, n)
-			for i := range sbs {
-				sbs[i], err = buildStandby(p, k, ecfg, spec, backupSCN, fmt.Sprintf("standby%d", i+1))
-				if err != nil {
-					fail(err)
-					return
-				}
-			}
-			link := spec.ReplLink
-			if link == (sim.LinkSpec{}) {
-				link = LinkLAN
-			}
-			cluster, err = standby.NewCluster(in, sbs, standby.ClusterConfig{
+			var err error
+			cluster, err = rig.StartCluster(p, ecfg, spec.Standbys+spec.ReplCascade, standby.ClusterConfig{
 				Mode:    spec.ReplMode,
-				Link:    link,
+				Link:    spec.ReplLink,
 				Cascade: spec.ReplCascade,
 			})
 			if err != nil {
-				fail(err)
-				return
+				return err
 			}
-			if err := cluster.Start(p); err != nil {
-				fail(err)
-				return
-			}
-			in.Log().OnDurable = cluster.OnDurable
-			in.Txns().CommitGate = cluster.CommitGate
-			prevState := in.OnStateChange
-			in.OnStateChange = func(now sim.Time, st engine.State) {
-				if prevState != nil {
-					prevState(now, st)
-				}
-				cluster.OnPrimaryState(now, st)
-			}
-			inj.Failover = cluster
 			cluster.RegisterProbes(in.Monitor())
 			if spec.ReplicaReads > 0 {
 				app.Replica = ReplicaOf(cluster.Standbys()[0])
@@ -424,13 +310,11 @@ func Run(spec Spec) (*Result, error) {
 			}
 		}
 
-		trace("setup done")
 		// Phase 2: measured run.
 		if spec.Control != nil {
 			ctl, err := control.New(in, *spec.Control)
 			if err != nil {
-				fail(err)
-				return
+				return err
 			}
 			ctl.Start()
 			res.Control = ctl
@@ -439,27 +323,25 @@ func Run(spec Spec) (*Result, error) {
 		ckptBase := in.Stats().Checkpoints
 		drv.Start()
 		if len(spec.Script) > 0 {
-			script := spec.Script
-			k.Go("DBA-script", func(sp *sim.Proc) {
-				for _, s := range script {
+			rig.K.Go("DBA-script", func(sp *sim.Proc) {
+				for _, s := range spec.Script {
 					if at := start.Add(s.At); at > sp.Now() {
 						sp.Sleep(at.Sub(sp.Now()))
 					}
 					if _, err := ex.Execute(sp, s.Stmt); err != nil {
-						fail(fmt.Errorf("core: script %q: %w", s.Stmt, err))
+						rig.Fail(fmt.Errorf("core: script %q: %w", s.Stmt, err))
 						return
 					}
 				}
 			})
 		}
 
+		recoveryPoint := redo.SCN(-1) // -1: complete recovery, nothing lost
 		if spec.Fault != nil {
 			p.Sleep(spec.InjectAt)
-			trace("injecting")
 			o, err := inj.Inject(p, *spec.Fault)
 			if err != nil {
-				fail(err)
-				return
+				return err
 			}
 			res.Outcome = o
 			if spec.Standby && *spec.Fault == (faults.Fault{Kind: faults.ShutdownAbort}) {
@@ -468,16 +350,14 @@ func Run(spec Spec) (*Result, error) {
 				p.Sleep(inj.Detection)
 				o.DetectedAt = p.Now()
 				if _, err := sb.Activate(p); err != nil {
-					fail(err)
-					return
+					return err
 				}
 				recoveryPoint = sb.AppliedSCN()
 				app.In = sb.Instance()
 				o.RecoveredAt = p.Now()
 			} else {
 				if err := inj.Recover(p, o); err != nil {
-					fail(err)
-					return
+					return err
 				}
 				switch {
 				case o.FailedOver:
@@ -498,7 +378,10 @@ func Run(spec Spec) (*Result, error) {
 			res.RecoveryTime = o.RecoveryDuration()
 		}
 
-		trace("tail")
+		// No recovery can start from here on: drop the recovery side, so
+		// the reference backup — a full copy of the database — can be
+		// collected now instead of being carried to the end of the run.
+		rig.bk, rig.Rm, rig.ex, rig.Inj = nil, nil, nil, nil
 		rest := spec.Duration - p.Now().Sub(start)
 		if spec.Fault != nil && spec.TailAfterRecovery > 0 && rest > spec.TailAfterRecovery {
 			rest = spec.TailAfterRecovery
@@ -506,9 +389,7 @@ func Run(spec Spec) (*Result, error) {
 		if rest > 0 {
 			p.Sleep(rest)
 		}
-		trace("quiesce")
 		drv.Quiesce(p)
-		trace("quiesced")
 		end := p.Now()
 		if full := start.Add(spec.Duration); end > full {
 			end = full
@@ -522,7 +403,6 @@ func Run(spec Spec) (*Result, error) {
 		res.Checkpoints = in.Stats().Checkpoints - ckptBase
 		res.RedoWritten = in.Log().Stats().FlushedBytes
 		res.LogStalls = in.Log().Stats().StallTime
-		res.DebugLog = in.Log()
 		res.Repository = in.Monitor()
 		res.ByType = make(map[tpcc.TxnType]int)
 		for _, c := range drv.Commits() {
@@ -535,8 +415,8 @@ func Run(spec Spec) (*Result, error) {
 			res.CacheHitRate = float64(cs.Hits) / float64(cs.Hits+cs.Misses)
 		}
 		res.DiskBusy = make(map[string]time.Duration)
-		for _, d := range fs.DiskNames() {
-			res.DiskBusy[d] = fs.Disk(d).BusyTotal()
+		for _, d := range in.FS().DiskNames() {
+			res.DiskBusy[d] = in.FS().Disk(d).BusyTotal()
 		}
 		if res.Outcome != nil {
 			if back, ok := drv.FirstCommitAfter(res.Outcome.InjectedAt); ok {
@@ -571,8 +451,7 @@ func Run(spec Spec) (*Result, error) {
 		} else {
 			lost, err := drv.VerifyDurability(p)
 			if err != nil {
-				fail(fmt.Errorf("core: durability check: %w", err))
-				return
+				return fmt.Errorf("core: durability check: %w", err)
 			}
 			res.LostTransactions = len(lost)
 		}
@@ -583,50 +462,16 @@ func Run(spec Spec) (*Result, error) {
 		}
 		viols, err := app.CheckConsistency(p)
 		if err != nil {
-			fail(fmt.Errorf("core: consistency check: %w", err))
-			return
+			return fmt.Errorf("core: consistency check: %w", err)
 		}
 		res.IntegrityViolations = viols
-		k.Stop()
+		return nil
 	})
-	k.Run(sim.Time(200 * time.Hour))
-	// Tear the simulation down completely: blocked background processes
-	// (LGWR waiting for work, PMON sleeping, stand-by MRP, ...) would
-	// otherwise leak their goroutines and keep the whole run's state
-	// reachable — across a campaign of dozens of runs that is an OOM.
-	k.KillAll()
-	if runErr != nil {
-		return nil, fmt.Errorf("core: run %q: %w", spec.Name, runErr)
+	if err != nil {
+		return nil, fmt.Errorf("core: run %q: %w", spec.Name, err)
 	}
 	if spec.OnRepository != nil && res.Repository != nil {
 		spec.OnRepository(res.Repository)
 	}
 	return res, nil
-}
-
-// buildStandby creates one stand-by server: its own simulated machine
-// with an identical schema and data content (the standard "instantiate
-// from a backup of the primary" procedure, reproduced by re-running the
-// deterministic load), left mounted in managed recovery from startSCN.
-func buildStandby(p *sim.Proc, k *sim.Kernel, ecfg engine.Config, spec Spec, startSCN redo.SCN, name string) (*standby.Standby, error) {
-	dataDisks := dataDiskNames(spec.DataDisks)
-	sbFS := simdisk.NewFS(diskSpecs(dataDisks)...)
-	sbCfg := ecfg
-	sbCfg.Name = name
-	// The stand-by shares the primary's kernel but is a second database:
-	// its events would interleave with the primary's on the same tracks,
-	// so only the primary is traced.
-	sbCfg.Tracer = nil
-	sbIn, err := engine.New(k, sbFS, sbCfg)
-	if err != nil {
-		return nil, fmt.Errorf("core: standby: %w", err)
-	}
-	sbApp := tpcc.NewApp(sbIn, spec.TPCC)
-	if err := sbApp.CreateSchema(p, dataDisks); err != nil {
-		return nil, fmt.Errorf("core: standby schema: %w", err)
-	}
-	if err := sbApp.Load(p, rand.New(rand.NewSource(spec.Seed))); err != nil {
-		return nil, fmt.Errorf("core: standby load: %w", err)
-	}
-	return standby.New(sbIn, standby.DefaultConfig(), startSCN), nil
 }

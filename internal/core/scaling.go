@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"dbench/internal/faults"
@@ -71,48 +71,23 @@ type ScalingRow struct {
 // counts sorted ascending and deduplicated, with the serial baseline (1)
 // always included first so parallel runs are always measured against it.
 func scalingWorkerCounts(sc Scale) []int {
-	counts := []int{1}
-	for _, n := range sc.RecoveryWorkers {
-		if n > 1 {
-			counts = append(counts, n)
-		}
-	}
-	sort.Ints(counts)
-	out := counts[:1]
-	for _, n := range counts[1:] {
-		if n != out[len(out)-1] {
-			out = append(out, n)
-		}
-	}
-	return out
+	counts := slices.DeleteFunc(append([]int{1}, sc.RecoveryWorkers...), func(n int) bool { return n < 1 })
+	slices.Sort(counts)
+	return slices.Compact(counts)
 }
 
-// scalingSpec builds one spec of the sweep. The simulated platform grows
-// with the warehouse count — CPU slots and data disks scale with W and
-// the buffer cache keeps its per-warehouse share — so the sweep measures
-// the scaled system, not one starved box.
-func scalingSpec(sc Scale, cfg RecoveryConfig, w int, fault bool, recWorkers int) Spec {
-	kind := "perf"
-	if fault {
-		kind = "rec"
-		if recWorkers > 1 {
-			kind = fmt.Sprintf("rec@%dw", recWorkers)
-		}
-	}
+// scalingSpec builds one spec of the sweep; kind labels the job ("perf",
+// "rec", "rec@4w", "media"). The simulated platform grows with the
+// warehouse count — CPU slots and data disks scale with W and the buffer
+// cache keeps its per-warehouse share — so the sweep measures the scaled
+// system, not one starved box.
+func scalingSpec(sc Scale, cfg RecoveryConfig, w int, kind string, recWorkers int) Spec {
 	spec := sc.spec(fmt.Sprintf("SC/W%d/%s/%s", w, cfg.Name, kind), cfg)
 	spec.TPCC.Warehouses = w
 	spec.CacheBlocks = sc.CacheBlocks * w
 	spec.CPUs = w
-	spec.DataDisks = w
-	if spec.DataDisks > 8 {
-		spec.DataDisks = 8
-	}
+	spec.DataDisks = min(w, 8)
 	spec.RecoveryWorkers = recWorkers
-	if fault {
-		spec.Fault = &faults.Fault{Kind: faults.ShutdownAbort}
-		spec.InjectAt = sc.InjectTimes[1] // at full throughput
-		spec.TailAfterRecovery = sc.Tail
-	}
 	return spec
 }
 
@@ -126,29 +101,11 @@ func scalingMediaTarget(w int) string {
 	return "TPCC_W01_01.dbf"
 }
 
-// scalingMediaSpec builds the media-fault job: delete warehouse 1's
-// datafile at full throughput, with archives on so media recovery can
-// roll the restored file forward. At W>1 only that warehouse's
-// tablespace goes offline and the run measures how much traffic the
-// rest of the database keeps serving.
-func scalingMediaSpec(sc Scale, cfg RecoveryConfig, w int) Spec {
-	spec := scalingSpec(sc, cfg, w, false, sc.maxRecoveryWorkers())
-	spec.Name = fmt.Sprintf("SC/W%d/%s/media", w, cfg.Name)
-	spec.Archive = true
-	spec.Fault = &faults.Fault{Kind: faults.DeleteDatafile, Target: scalingMediaTarget(w)}
-	spec.InjectAt = sc.InjectTimes[1]
-	spec.TailAfterRecovery = sc.Tail
-	return spec
-}
-
-// RunScaling measures the scaling sweep: for every warehouse count, a
-// fault-free run per configuration plus a shutdown-abort run per
-// configuration and recovery-worker count (2·(1+len(workers)) runs per
-// W). Results are identical for every Parallel setting.
+// RunScaling measures the scaling sweep: for every warehouse count and
+// configuration (baseline before tuned), a fault-free run, a
+// shutdown-abort run per recovery-worker count and a media-fault run.
+// Results are identical for every Parallel setting.
 func RunScaling(sc Scale, warehouses []int, progress Progress) ([]ScalingRow, error) {
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
 	if len(warehouses) == 0 {
 		warehouses = DefaultScalingWarehouses
 	}
@@ -158,95 +115,70 @@ func RunScaling(sc Scale, warehouses []int, progress Progress) ([]ScalingRow, er
 		}
 	}
 	ws := scalingWorkerCounts(sc)
-	// Per W and configuration: one perf job, one rec job per worker
-	// count, then one media-fault job, baseline before tuned, in this
-	// fixed order.
-	block := 1 + len(ws) + 1
-	stride := 2 * block
-	labels := make([]string, 0, stride)
-	for _, cfgName := range []string{"base", "tuned"} {
-		labels = append(labels, cfgName+"/perf")
-		for _, n := range ws {
-			if n > 1 {
-				labels = append(labels, fmt.Sprintf("%s/rec@%dw", cfgName, n))
-			} else {
-				labels = append(labels, cfgName+"/rec")
-			}
-		}
-		labels = append(labels, cfgName+"/media")
-	}
-	specs := make([]Spec, 0, stride*len(warehouses))
-	for _, w := range warehouses {
-		for _, cfg := range []RecoveryConfig{ScalingBaselineConfig, ScalingTunedConfig} {
-			specs = append(specs, scalingSpec(sc, cfg, w, false, 1))
-			for _, n := range ws {
-				specs = append(specs, scalingSpec(sc, cfg, w, true, n))
-			}
-			specs = append(specs, scalingMediaSpec(sc, cfg, w))
-		}
-	}
-	// Trace the first recovery run at the largest worker count (not the
-	// first run): the recovery timeline — worker spans included when the
-	// sweep is parallel — is what a -trace/-timeline user wants. With no
-	// worker sweep this is specs[1], the first recovery run, as before.
-	sc.traceFirst(specs[len(ws):])
-	results, err := runPool(specs, sc.Parallel, progress, func(i int, res *Result) string {
-		w := warehouses[i/stride]
-		j := i % stride
-		switch {
-		case j%block == 0:
-			return fmt.Sprintf("SC W=%-2d %-10s tpmC=%5.0f", w, labels[j], res.TpmC)
-		case j%block == block-1:
-			avail := 0.0
-			if res.Availability != nil {
-				avail = res.Availability.GlobalFraction()
-			}
-			return fmt.Sprintf("SC W=%-2d %-10s recovery=%v avail=%.0f%%", w, labels[j],
-				res.RecoveryTime.Round(time.Second), 100*avail)
-		default:
-			return fmt.Sprintf("SC W=%-2d %-10s recovery=%v", w, labels[j], res.RecoveryTime.Round(time.Second))
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
 	rows := make([]ScalingRow, len(warehouses))
+	c := campaign{sc: sc}
 	for i, w := range warehouses {
-		r := results[stride*i : stride*(i+1)]
-		basePerf, baseRec, baseMedia := r[0], r[1:1+len(ws)], r[block-1]
-		tunedPerf, tunedRec, tunedMedia := r[block], r[block+1:block+1+len(ws)], r[2*block-1]
-		cell := func(perf, rec, media *Result) ScalingCell {
-			c := ScalingCell{
-				TpmC:          perf.TpmC,
-				RecoveryTime:  rec.RecoveryTime,
-				RedoMBps:      float64(perf.RedoWritten) / (1 << 20) / sc.Duration.Seconds(),
-				MediaRecovery: media.RecoveryTime,
-			}
-			if a := media.Availability; a != nil {
-				c.MediaAvail = a.GlobalFraction()
-				var other metrics.AvailabilityCell
-				for wn := 2; wn <= a.Warehouses(); wn++ {
-					cw := a.Warehouse(wn)
-					other.Offered += cw.Offered
-					other.Served += cw.Served
+		row := &rows[i]
+		*row = ScalingRow{Warehouses: w, Terminals: w * sc.TPCC.TerminalsPerWarehouse}
+		for _, n := range ws[1:] {
+			row.WorkerRec = append(row.WorkerRec, ScalingWorkerCell{Workers: n})
+		}
+		// side enumerates one configuration's jobs; workerRec picks its
+		// column of a parallel-recovery cell.
+		side := func(name string, cfg RecoveryConfig, cell *ScalingCell, workerRec func(*ScalingWorkerCell) *time.Duration) {
+			c.add(scalingSpec(sc, cfg, w, "perf", 1), func(res *Result) string {
+				return fmt.Sprintf("SC W=%-2d %-10s tpmC=%5.0f", w, name+"/perf", res.TpmC)
+			}, func(res *Result) {
+				cell.TpmC = res.TpmC
+				cell.RedoMBps = float64(res.RedoWritten) / (1 << 20) / sc.Duration.Seconds()
+			})
+			for j, n := range ws {
+				kind, rec := "rec", &cell.RecoveryTime
+				if n > 1 {
+					kind, rec = fmt.Sprintf("rec@%dw", n), workerRec(&row.WorkerRec[j-1])
 				}
-				c.MediaAvailOther = other.Fraction()
+				spec := scalingSpec(sc, cfg, w, kind, n)
+				sc.inject(&spec, faults.Fault{Kind: faults.ShutdownAbort}, sc.InjectTimes[1]) // at full throughput
+				c.add(spec, func(res *Result) string {
+					return fmt.Sprintf("SC W=%-2d %-10s recovery=%v", w, name+"/"+kind, res.RecoveryTime.Round(time.Second))
+				}, func(res *Result) { *rec = res.RecoveryTime })
 			}
-			return c
-		}
-		rows[i] = ScalingRow{
-			Warehouses: w,
-			Terminals:  w * sc.TPCC.TerminalsPerWarehouse,
-			Base:       cell(basePerf, baseRec[0], baseMedia),
-			Tuned:      cell(tunedPerf, tunedRec[0], tunedMedia),
-		}
-		for j := 1; j < len(ws); j++ {
-			rows[i].WorkerRec = append(rows[i].WorkerRec, ScalingWorkerCell{
-				Workers: ws[j],
-				Base:    baseRec[j].RecoveryTime,
-				Tuned:   tunedRec[j].RecoveryTime,
+			// Instrument the first recovery run at the largest worker count
+			// (not the first run): the recovery timeline — worker spans
+			// included when the sweep is parallel — is what a
+			// -trace/-timeline user wants.
+			c.nominate()
+			// The media-fault job deletes warehouse 1's datafile at full
+			// throughput, with archives on so media recovery can roll the
+			// restored file forward. At W>1 only that warehouse's
+			// tablespace goes offline and the run measures how much
+			// traffic the rest of the database keeps serving.
+			media := scalingSpec(sc, cfg, w, "media", sc.maxRecoveryWorkers())
+			media.Archive = true
+			sc.inject(&media, faults.Fault{Kind: faults.DeleteDatafile, Target: scalingMediaTarget(w)}, sc.InjectTimes[1])
+			c.add(media, func(res *Result) string {
+				avail := 0.0
+				if res.Availability != nil {
+					avail = res.Availability.GlobalFraction()
+				}
+				return fmt.Sprintf("SC W=%-2d %-10s recovery=%v avail=%.0f%%", w, name+"/media",
+					res.RecoveryTime.Round(time.Second), 100*avail)
+			}, func(res *Result) {
+				cell.MediaRecovery = res.RecoveryTime
+				if a := res.Availability; a != nil {
+					cell.MediaAvail = a.GlobalFraction()
+					var other metrics.AvailabilityCell
+					for wn := 2; wn <= a.Warehouses(); wn++ {
+						cw := a.Warehouse(wn)
+						other.Offered += cw.Offered
+						other.Served += cw.Served
+					}
+					cell.MediaAvailOther = other.Fraction()
+				}
 			})
 		}
+		side("base", ScalingBaselineConfig, &row.Base, func(wc *ScalingWorkerCell) *time.Duration { return &wc.Base })
+		side("tuned", ScalingTunedConfig, &row.Tuned, func(wc *ScalingWorkerCell) *time.Duration { return &wc.Tuned })
 	}
-	return rows, nil
+	return runCampaign(&c, rows, progress)
 }

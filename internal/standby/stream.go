@@ -181,10 +181,9 @@ func (s *Standby) Receive(p *sim.Proc, f *redo.StreamFrame, encoded []byte) {
 type ClusterConfig struct {
 	// Mode is the commit-acknowledgement protocol.
 	Mode Mode
-	// Link is the primary→stand-by network profile.
+	// Link is the network profile of every hop: primary→stand-by and
+	// stand-by→cascade.
 	Link sim.LinkSpec
-	// CascadeLink is the stand-by→cascade profile (zero value: Link).
-	CascadeLink sim.LinkSpec
 	// Cascade turns the trailing Cascade stand-bys into second-tier
 	// destinations fed from the first stand-by's reception.
 	Cascade int
@@ -225,9 +224,6 @@ func NewCluster(primary *engine.Instance, standbys []*Standby, cfg ClusterConfig
 	}
 	if cfg.Cascade < 0 || cfg.Cascade >= len(standbys) {
 		return nil, fmt.Errorf("standby: %d cascades leave no first-tier standby (have %d)", cfg.Cascade, len(standbys))
-	}
-	if cfg.CascadeLink == (sim.LinkSpec{}) {
-		cfg.CascadeLink = cfg.Link
 	}
 	reg := primary.Registry()
 	return &Cluster{
@@ -285,7 +281,7 @@ func (c *Cluster) Start(p *sim.Proc) error {
 	// Cascades chain off the first stand-by's reception.
 	feeder := c.standbys[0]
 	for _, s := range c.standbys[c.firstTier:] {
-		spec := c.cfg.CascadeLink
+		spec := c.cfg.Link
 		if spec.Name == "" {
 			spec.Name = "repl-casc-" + s.name
 		}
