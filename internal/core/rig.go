@@ -176,8 +176,16 @@ func (r *Rig) StartCluster(p *sim.Proc, ecfg engine.Config, n int, ccfg standby.
 
 // Exec runs body as the experiment's main simulated process, drives the
 // kernel until body returns (or Fail is called) and returns the first
-// error either reported.
-func (r *Rig) Exec(name string, body func(p *sim.Proc) error) error {
+// error either reported. A panic in any simulated process — sim names the
+// process and the virtual time — comes back as that error too, so a bad
+// spec fails its own campaign job instead of the whole campaign process.
+func (r *Rig) Exec(name string, body func(p *sim.Proc) error) (err error) {
+	defer func() {
+		if rec := recover(); rec != nil {
+			r.K.KillAll()
+			err = fmt.Errorf("experiment aborted: %v", rec)
+		}
+	}()
 	r.K.Go(name, func(p *sim.Proc) {
 		if err := body(p); err != nil {
 			r.Fail(err)
@@ -185,10 +193,10 @@ func (r *Rig) Exec(name string, body func(p *sim.Proc) error) error {
 		r.K.Stop()
 	})
 	r.K.Run(sim.Time(200 * time.Hour))
-	// Tear the simulation down completely: blocked background processes
+	// Tear the simulation down completely: parked background processes
 	// (LGWR waiting for work, PMON sleeping, stand-by MRP, ...) would
-	// otherwise leak their goroutines and keep the whole run's state
-	// reachable — across a campaign of dozens of runs that is an OOM.
+	// otherwise leak their coroutines' goroutines and keep the whole run's
+	// state reachable — across a campaign of dozens of runs that is an OOM.
 	r.K.KillAll()
 	return r.err
 }

@@ -3,11 +3,15 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"dbench/internal/engine"
 	"dbench/internal/sim"
 	"dbench/internal/tpcc"
+	"dbench/internal/trace"
 )
 
 // TestRigStandbyMatchesPrimaryAfterLoad pins the instantiate-from-backup
@@ -56,5 +60,48 @@ func TestRigStandbyMatchesPrimaryAfterLoad(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// panicSink stands for any bug that panics inside a simulated process: it
+// blows up on the first event traced after the given virtual time.
+type panicSink struct{ after sim.Time }
+
+func (s panicSink) Emit(ev trace.Event) {
+	if ev.Start >= s.after {
+		panic("sink exploded")
+	}
+}
+
+// TestProcessPanicFailsOnlyItsOwnJob: a panic inside a simulated process
+// used to re-panic on that process's goroutine and kill the whole campaign
+// process. It now comes back from Run as an error naming the process and
+// the virtual time, the run's other processes are torn down, and the jobs
+// after it run as if nothing had happened.
+func TestProcessPanicFailsOnlyItsOwnJob(t *testing.T) {
+	sc := tinyScale()
+	sc.Duration = 20 * time.Second
+	good := sc.spec("panic/good", Table3Configs[0])
+	bad := sc.spec("panic/bad", Table3Configs[0])
+	bad.Tracer = trace.New(panicSink{after: sim.Time(5 * time.Second)})
+
+	want, err := Run(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	_, err = Run(bad)
+	if err == nil || !strings.Contains(err.Error(), `sim: process "`) || !strings.Contains(err.Error(), "sink exploded") {
+		t.Fatalf("the panicking run returned %v, want an error naming the process", err)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines after the aborted run, %d before: its processes were not torn down", n, before)
+	}
+	got, err := Run(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.TpmC != want.TpmC || got.TpmC <= 0 {
+		t.Errorf("run after the aborted one: tpmC %v, want %v", got.TpmC, want.TpmC)
 	}
 }

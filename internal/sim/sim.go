@@ -1,9 +1,9 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
 // The kernel advances a virtual clock and runs simulated processes. A
-// process is an ordinary Go function executing on its own goroutine, but
-// exactly one process (or the kernel itself) runs at any instant: control is
-// handed off explicitly whenever a process blocks on Sleep, a Cond, or a
+// process is an ordinary Go function executing as a coroutine (iter.Pull),
+// so exactly one process (or the kernel itself) runs at any instant: control
+// is handed off explicitly whenever a process blocks on Sleep, a Cond, or a
 // Resource. Events at equal virtual times fire in scheduling order, so runs
 // are fully reproducible.
 //
@@ -13,9 +13,11 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
+	"iter"
+	"math"
 	"math/rand"
+	"runtime/debug"
 	"sort"
 	"time"
 )
@@ -38,35 +40,20 @@ func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 
 func (t Time) String() string { return time.Duration(t).String() }
 
-// event is a scheduled callback.
+// event is a scheduled wakeup of proc or, when proc is nil, a call of fn. It
+// is stored by value in the kernel's heap: scheduling allocates nothing.
 type event struct {
-	at  Time
-	seq uint64
-	fn  func()
+	at   Time
+	seq  uint64
+	proc *Proc
+	fn   func()
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (e *event) before(o *event) bool {
+	if e.at != o.at {
+		return e.at < o.at
 	}
-	return h[i].seq < h[j].seq
-}
-
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-
-func (h *eventHeap) Push(x any) { *h = append(*h, x.(*event)) }
-
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+	return e.seq < o.seq
 }
 
 // Kernel is a discrete-event simulation engine. The zero value is not
@@ -74,7 +61,7 @@ func (h *eventHeap) Pop() any {
 type Kernel struct {
 	now     Time
 	seq     uint64
-	events  eventHeap
+	events  []event // binary min-heap on (at, seq)
 	rng     *rand.Rand
 	procs   int
 	live    map[*Proc]struct{}
@@ -104,8 +91,42 @@ func (k *Kernel) Schedule(at Time, fn func()) {
 	if at < k.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, k.now))
 	}
+	k.push(at, nil, fn)
+}
+
+// push queues a wakeup of p (or a call of fn) at at, after everything
+// already queued for that instant.
+func (k *Kernel) push(at Time, p *Proc, fn func()) {
 	k.seq++
-	heap.Push(&k.events, &event{at: at, seq: k.seq, fn: fn})
+	e := event{at: at, seq: k.seq, proc: p, fn: fn}
+	h := append(k.events, e)
+	i := len(h) - 1
+	for ; i > 0 && e.before(&h[(i-1)/2]); i = (i - 1) / 2 {
+		h[i] = h[(i-1)/2]
+	}
+	h[i] = e
+	k.events = h
+}
+
+// pop removes and returns the earliest event.
+func (k *Kernel) pop() event {
+	h := k.events
+	n := len(h) - 1
+	top, last := h[0], h[n]
+	i := 0
+	for c := 1; c < n; c = 2*i + 1 {
+		if c+1 < n && h[c+1].before(&h[c]) {
+			c++
+		}
+		if !h[c].before(&last) {
+			break
+		}
+		h[i], i = h[c], c
+	}
+	h[i] = last
+	h[n] = event{} // drop the references the vacated slot holds
+	k.events = h[:n]
+	return top
 }
 
 // After registers fn to run d from now.
@@ -121,19 +142,11 @@ func (k *Kernel) Stop() { k.stopped = true }
 
 // Run executes events in time order until the event queue drains, the
 // clock would pass until, or Stop is called. It returns the virtual time at
-// which it stopped. Events scheduled exactly at until still run.
+// which it stopped. Events scheduled exactly at until still run. A panic
+// in a process surfaces here, wrapped with the process name and the virtual
+// time; the kernel stays usable (KillAll still unwinds the other processes).
 func (k *Kernel) Run(until Time) Time {
-	k.stopped = false
-	for len(k.events) > 0 && !k.stopped {
-		next := k.events[0]
-		if next.at > until {
-			k.now = until
-			return k.now
-		}
-		heap.Pop(&k.events)
-		k.now = next.at
-		next.fn()
-	}
+	k.run(until)
 	if k.now < until && !k.stopped {
 		k.now = until
 	}
@@ -142,19 +155,27 @@ func (k *Kernel) Run(until Time) Time {
 
 // RunAll executes events until the queue drains or Stop is called.
 func (k *Kernel) RunAll() Time {
-	k.stopped = false
-	for len(k.events) > 0 && !k.stopped {
-		next := heap.Pop(&k.events).(*event)
-		k.now = next.at
-		next.fn()
-	}
+	k.run(math.MaxInt64)
 	return k.now
+}
+
+func (k *Kernel) run(until Time) {
+	k.stopped = false
+	for len(k.events) > 0 && !k.stopped && k.events[0].at <= until {
+		e := k.pop()
+		k.now = e.at
+		if e.proc != nil {
+			e.proc.step()
+		} else {
+			e.fn()
+		}
+	}
 }
 
 // KillAll terminates every live process (in creation order) and runs the
 // kernel until they have unwound. Call it when a simulation ends so that
-// blocked process goroutines — and everything their closures retain — can
-// be collected; otherwise each finished simulation leaks its whole state.
+// parked process coroutines — and everything their stacks retain — can be
+// collected; otherwise each finished simulation leaks its whole state.
 func (k *Kernel) KillAll() {
 	procs := make([]*Proc, 0, len(k.live))
 	for p := range k.live {
@@ -173,14 +194,14 @@ func (k *Kernel) Pending() int { return len(k.events) }
 // Procs reports the number of live processes (started and not finished).
 func (k *Kernel) Procs() int { return k.procs }
 
-// Proc is a simulated process: a goroutine that runs only when the kernel
+// Proc is a simulated process: a coroutine that runs only when the kernel
 // hands it control and that yields control back whenever it blocks.
 type Proc struct {
 	k      *Kernel
 	name   string
 	pid    uint64
-	resume chan struct{}
-	yield  chan struct{}
+	next   func() (struct{}, bool) // kernel side: run the process to its next block
+	yield  func(struct{}) bool     // process side: hand control back to the kernel
 	done   bool
 	killed bool
 }
@@ -190,54 +211,48 @@ type Proc struct {
 // on its Proc. Go itself never blocks.
 func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
 	k.nextPID++
-	p := &Proc{
-		k:      k,
-		name:   name,
-		pid:    k.nextPID,
-		resume: make(chan struct{}),
-		yield:  make(chan struct{}),
-	}
+	p := &Proc{k: k, name: name, pid: k.nextPID}
 	k.procs++
 	k.live[p] = struct{}{}
-	go func() {
-		<-p.resume
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
 			p.done = true
 			k.procs--
 			delete(k.live, p)
-			if r := recover(); r != nil {
-				if _, ok := r.(killSignal); ok {
-					p.yield <- struct{}{}
-					return
-				}
-				panic(r)
+			switch r := recover().(type) {
+			case nil, killSignal:
+			default: // iter.Pull re-raises this from next, i.e. out of Run
+				panic(fmt.Errorf("sim: process %q panicked at t=%v: %v\n%s", name, k.now, r, debug.Stack()))
 			}
-			p.yield <- struct{}{}
 		}()
-		fn(p)
-	}()
-	k.After(0, func() { p.step() })
+		// The coroutine keeps this closure reachable for the life of the
+		// process; drop fn from it, or whatever fn captured (a whole
+		// experiment's state) stays pinned after fn itself is done with it.
+		f := fn
+		fn = nil
+		f(p)
+	})
+	k.push(k.now, p, nil)
 	return p
 }
 
 type killSignal struct{}
 
-// step transfers control to the process goroutine and waits for it to block
-// or finish. It runs on the kernel's goroutine.
+// step resumes the process coroutine and returns when it blocks or
+// finishes. It runs on the kernel's goroutine.
 func (p *Proc) step() {
 	if p.done {
 		return
 	}
-	p.resume <- struct{}{}
-	<-p.yield
+	p.next()
 }
 
-// block suspends the process goroutine and returns control to the kernel.
-// It must be called from the process goroutine. The process resumes when
-// some event calls step.
+// block suspends the process and returns control to the kernel. It must be
+// called from the process itself. The process resumes when a wakeup event
+// for it fires.
 func (p *Proc) block() {
-	p.yield <- struct{}{}
-	<-p.resume
+	p.yield(struct{}{})
 	if p.killed {
 		panic(killSignal{})
 	}
@@ -260,7 +275,7 @@ func (p *Proc) Sleep(d Duration) {
 	if d < 0 {
 		d = 0
 	}
-	p.k.Schedule(p.k.now.Add(d), p.step)
+	p.k.push(p.k.now.Add(d), p, nil)
 	p.block()
 }
 
@@ -277,17 +292,24 @@ func (p *Proc) Kill() {
 		return
 	}
 	p.killed = true
-	p.k.After(0, p.step)
+	p.k.push(p.k.now, p, nil)
 }
 
 // Cond is a condition variable for simulated processes. The zero value is
 // ready to use once associated with a kernel via Wait's process argument.
 type Cond struct {
-	waiters []*Proc
+	waiters []*Proc // the queue is waiters[head:]
+	head    int
 }
 
 // Wait suspends p until another process calls Signal or Broadcast.
 func (c *Cond) Wait(p *Proc) {
+	if w := c.waiters; len(w) == cap(w) && c.head*2 >= len(w) {
+		// Reuse the slots Signal vacated instead of letting append grow.
+		n := copy(w, w[c.head:])
+		clear(w[n:])
+		c.waiters, c.head = w[:n], 0
+	}
 	c.waiters = append(c.waiters, p)
 	p.block()
 }
@@ -295,36 +317,42 @@ func (c *Cond) Wait(p *Proc) {
 // Signal wakes the earliest waiter, if any, scheduling it at the current
 // instant on k.
 func (c *Cond) Signal(k *Kernel) {
-	if len(c.waiters) == 0 {
+	if c.head == len(c.waiters) {
 		return
 	}
-	w := c.waiters[0]
-	c.waiters = c.waiters[1:]
-	k.After(0, w.step)
+	w := c.waiters[c.head]
+	c.waiters[c.head] = nil
+	c.head++
+	k.push(k.now, w, nil)
 }
 
 // Broadcast wakes all waiters in FIFO order.
 func (c *Cond) Broadcast(k *Kernel) {
-	for _, w := range c.waiters {
-		k.After(0, w.step)
+	for _, w := range c.waiters[c.head:] {
+		k.push(k.now, w, nil)
 	}
-	c.waiters = nil
+	clear(c.waiters)
+	c.waiters, c.head = c.waiters[:0], 0
 }
 
 // Waiting reports the number of processes blocked on c.
-func (c *Cond) Waiting() int { return len(c.waiters) }
+func (c *Cond) Waiting() int { return len(c.waiters) - c.head }
 
 // Resource is a FIFO server with fixed capacity, used to model contended
 // devices such as disks or a CPU. Acquire blocks while all slots are busy.
 type Resource struct {
-	capacity int
-	inUse    int
-	queue    Cond
+	inUse int
+	queue Cond
 
 	// Busy accumulates total busy time across slots, for utilisation
 	// reporting.
-	busySince map[*Proc]Time
+	holds     []hold // one per slot; proc == nil when the slot is free
 	busyTotal Duration
+}
+
+type hold struct {
+	proc  *Proc
+	since Time
 }
 
 // NewResource returns a resource with the given number of slots.
@@ -332,23 +360,31 @@ func NewResource(capacity int) *Resource {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Resource{capacity: capacity, busySince: make(map[*Proc]Time)}
+	return &Resource{holds: make([]hold, capacity)}
 }
 
 // Acquire obtains a slot, blocking in FIFO order while none is free.
 func (r *Resource) Acquire(p *Proc) {
-	for r.inUse >= r.capacity {
+	for r.inUse >= len(r.holds) {
 		r.queue.Wait(p)
 	}
 	r.inUse++
-	r.busySince[p] = p.Now()
+	for i := range r.holds {
+		if r.holds[i].proc == nil {
+			r.holds[i] = hold{p, p.Now()}
+			break
+		}
+	}
 }
 
 // Release frees the slot held by p and wakes the next waiter.
 func (r *Resource) Release(p *Proc) {
-	if since, ok := r.busySince[p]; ok {
-		r.busyTotal += p.Now().Sub(since)
-		delete(r.busySince, p)
+	for i := range r.holds {
+		if r.holds[i].proc == p {
+			r.busyTotal += p.Now().Sub(r.holds[i].since)
+			r.holds[i] = hold{}
+			break
+		}
 	}
 	r.inUse--
 	r.queue.Signal(p.k)

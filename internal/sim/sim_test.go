@@ -1,6 +1,11 @@
 package sim
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -332,5 +337,302 @@ func TestQuickResourceThroughput(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSimAllocs is the kernel's allocation gate: in steady state — event
+// heap and wait queues grown — no scheduling primitive allocates, and a
+// plain Schedule costs nothing beyond the caller's own closure.
+func TestSimAllocs(t *testing.T) {
+	loads := map[string]load{
+		"Sleep": sleepLoad, "CondPingPong": condPingPongLoad, "Broadcast": broadcastLoad,
+		"ResourceUse": resourceUseLoad, "LinkSend": linkSendLoad,
+	}
+	for name, l := range loads {
+		inSim(func(k *Kernel, p *Proc) {
+			if got := testing.AllocsPerRun(200, l(k, p)); got != 0 {
+				t.Errorf("%s: %v allocs per operation in steady state, want 0", name, got)
+			}
+		})
+	}
+	k := NewKernel(1)
+	fired := 0
+	fn := func() { fired++ }
+	if got := testing.AllocsPerRun(200, func() { k.After(time.Microsecond, fn); k.RunAll() }); got != 0 {
+		t.Errorf("Schedule of a ready-made func: %v allocs, want 0", got)
+	}
+	if got := testing.AllocsPerRun(200, func() { k.After(time.Microsecond, func() { fired++ }); k.RunAll() }); got > 1 {
+		t.Errorf("Schedule of a fresh closure: %v allocs, want at most the closure itself", got)
+	}
+}
+
+// randomProgramHash runs a seeded random program over every kernel
+// primitive and returns the FNV-1a hash of its (now, pid, op) trace. Every
+// draw comes from the kernel's own source in execution order, so one event
+// firing out of order changes every later draw and the hash with it.
+func randomProgramHash(seed int64) uint64 {
+	const mains, steps, childSteps = 30, 2000, 25
+	k := NewKernel(seed)
+	h := fnv.New64a()
+	var buf [17]byte
+	rec := func(pid uint64, op byte) {
+		binary.LittleEndian.PutUint64(buf[0:], uint64(k.Now()))
+		binary.LittleEndian.PutUint64(buf[8:], pid)
+		buf[16] = op
+		h.Write(buf[:])
+	}
+	var conds [4]Cond
+	cpu, disk := NewResource(2), NewResource(1)
+	var children []*Proc
+	alive := mains
+	rnd := k.Rand()
+	dur := func() Duration { return Duration(rnd.Intn(3000)) * time.Microsecond }
+
+	// Only the mains spawn: a child that spawned would, at these odds, leave
+	// one descendant on average and the program would never end.
+	var body func(n int, spawn bool) func(p *Proc)
+	body = func(n int, spawn bool) func(p *Proc) {
+		return func(p *Proc) {
+			defer rec(p.pid, 'X') // also fires, in kill order, when unwinding
+			for i := 0; i < n; i++ {
+				var op byte
+				switch r := rnd.Intn(100); {
+				case r < 25:
+					op = 's'
+					p.Sleep(dur())
+				case r < 35:
+					op = 'y'
+					p.Yield()
+				case r < 50:
+					op = 'w'
+					conds[rnd.Intn(len(conds))].Wait(p)
+				case r < 65:
+					op = 'g'
+					conds[rnd.Intn(len(conds))].Signal(k)
+				case r < 70:
+					op = 'b'
+					conds[rnd.Intn(len(conds))].Broadcast(k)
+				case r < 80:
+					op = 'c'
+					cpu.Use(p, dur())
+				case r < 88:
+					op = 'd'
+					disk.Use(p, dur())
+				case r < 92 && spawn:
+					op = 'n'
+					children = append(children, k.Go("child", body(childSteps, false)))
+				case r < 95:
+					op = 'k'
+					if len(children) > 0 {
+						if c := children[rnd.Intn(len(children))]; c != p {
+							c.Kill()
+						}
+					}
+				default:
+					op = 'a'
+					c := &conds[rnd.Intn(len(conds))]
+					k.After(dur(), func() {
+						rec(0, 'A')
+						c.Signal(k)
+					})
+				}
+				rec(p.pid, op)
+			}
+		}
+	}
+	for i := 0; i < mains; i++ {
+		k.Go(fmt.Sprintf("main%d", i), func(p *Proc) {
+			defer func() { alive-- }()
+			body(steps, true)(p)
+		})
+	}
+	// The pump keeps waiters from wedging once every signaller is parked.
+	k.Go("pump", func(p *Proc) {
+		for alive > 0 {
+			p.Sleep(2 * time.Millisecond)
+			for i := range conds {
+				conds[i].Broadcast(k)
+			}
+			// A killed acquirer stays queued and can swallow a Release's
+			// wakeup; Acquire re-checks, so a spurious one is harmless.
+			cpu.queue.Broadcast(k)
+			disk.queue.Broadcast(k)
+		}
+	})
+	// Drive in slices so Run(until)'s boundary handling is in the hash too.
+	for t := Time(0); alive > 0 && t < Time(time.Hour); {
+		t = t.Add(40 * time.Millisecond)
+		rec(0, 'R')
+		k.Run(t)
+	}
+	rec(uint64(k.Procs()), 'K')
+	k.KillAll()
+	rec(uint64(k.Pending()), 'E')
+	return h.Sum64()
+}
+
+// TestSimEventOrderPinned proves the kernel fires events in the order the
+// channel-handoff kernel it replaced did: the pinned values are that
+// kernel's hashes of the same program (commit e3b9689). Any change to the
+// (at, seq) order — a missed or extra k.seq++, a heap that is not stable on
+// ties, a different Run boundary — moves them, in a fraction of a second
+// instead of the minutes the goldens take.
+func TestSimEventOrderPinned(t *testing.T) {
+	for seed, want := range map[int64]uint64{1: 0x187b9b612d80061d, 42: 0x605bd59348108e94} {
+		if got := randomProgramHash(seed); got != want {
+			t.Errorf("seed %d: trace hash %#x, want %#x: event order changed", seed, got, want)
+		}
+	}
+}
+
+func TestRunResumesParkedProcesses(t *testing.T) {
+	k := NewKernel(1)
+	var c Cond
+	r := NewResource(1)
+	var got []string
+	k.Go("sleeper", func(p *Proc) { p.Sleep(3 * time.Second); got = append(got, "sleeper") })
+	k.Go("waiter", func(p *Proc) { c.Wait(p); got = append(got, "waiter") })
+	k.Go("holder", func(p *Proc) { r.Use(p, 2*time.Second); got = append(got, "holder") })
+	k.Go("queued", func(p *Proc) { r.Use(p, 2*time.Second); got = append(got, "queued") })
+	if end := k.Run(Time(time.Second)); end != Time(time.Second) || len(got) != 0 || k.Procs() != 4 {
+		t.Fatalf("first Run: end=%v finished=%v procs=%d, want 1s, none, 4", end, got, k.Procs())
+	}
+	k.After(0, func() { c.Signal(k) })
+	k.Run(Time(10 * time.Second))
+	if want := "waiter holder sleeper queued"; strings.Join(got, " ") != want {
+		t.Fatalf("second Run finished %v, want %s", got, want)
+	}
+	if k.Procs() != 0 || k.Now() != Time(10*time.Second) {
+		t.Fatalf("procs=%d now=%v, want 0 and 10s", k.Procs(), k.Now())
+	}
+}
+
+func TestStopFromInsideProcess(t *testing.T) {
+	k := NewKernel(1)
+	steps := 0
+	k.Go("stopper", func(p *Proc) {
+		for {
+			p.Sleep(time.Second)
+			steps++
+			if steps == 2 {
+				k.Stop()
+			}
+		}
+	})
+	if end := k.Run(Time(time.Hour)); end != Time(2*time.Second) || steps != 2 {
+		t.Fatalf("Run stopped at %v after %d steps, want 2s and 2", end, steps)
+	}
+	// Stop holds for one Run only; the parked process carries on.
+	k.Run(Time(3 * time.Second))
+	if steps != 3 {
+		t.Fatalf("steps = %d after resuming, want 3", steps)
+	}
+	k.KillAll()
+}
+
+// A panic in a process reaches Run's caller once, wrapped with the process
+// name and the virtual time and carrying the stack of the panicking frame,
+// and leaves a kernel KillAll can still tear down.
+func TestProcessPanicSurfacesFromRun(t *testing.T) {
+	k := NewKernel(1)
+	cleaned := false
+	k.Go("bystander", func(p *Proc) {
+		defer func() { cleaned = true }()
+		p.Sleep(time.Hour)
+	})
+	k.Go("boom", func(p *Proc) {
+		p.Sleep(3 * time.Millisecond)
+		explode()
+	})
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		k.Run(Time(time.Second))
+	}()
+	err, ok := got.(error)
+	if !ok {
+		t.Fatalf("Run panicked with %T %v, want an error", got, got)
+	}
+	for _, want := range []string{`sim: process "boom" panicked at t=3ms: kaboom`, "sim.explode"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("panic message lacks %q:\n%v", want, err)
+		}
+	}
+	if k.Now() != Time(3*time.Millisecond) || k.Procs() != 1 {
+		t.Fatalf("after the panic now=%v procs=%d, want 3ms and the bystander", k.Now(), k.Procs())
+	}
+	k.KillAll()
+	if !cleaned || k.Procs() != 0 {
+		t.Fatalf("KillAll after the panic: bystander unwound=%v procs=%d", cleaned, k.Procs())
+	}
+}
+
+//go:noinline
+func explode() { panic("kaboom") }
+
+// The coroutine keeps Go's closure reachable for the life of the process,
+// so Go must drop fn from it: whatever fn captured has to be collectable as
+// soon as fn itself no longer needs it, even with the process still parked.
+func TestSimLifetimesFnReleasedWhileParked(t *testing.T) {
+	k := NewKernel(1)
+	var park Cond
+	collected := make(chan struct{})
+	func() {
+		state := new([1 << 20]byte)
+		runtime.SetFinalizer(state, func(*[1 << 20]byte) { close(collected) })
+		k.Go("holder", func(p *Proc) {
+			state[0] = 1 // fn's closure is the only reference
+			park.Wait(p)
+		})
+	}()
+	k.RunAll()
+	if k.Procs() != 1 || park.Waiting() != 1 {
+		t.Fatalf("procs=%d waiting=%d, want the holder parked", k.Procs(), park.Waiting())
+	}
+	for i := 0; i < 50; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			k.KillAll()
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("the state fn captured is still reachable while the process is parked")
+}
+
+// Every process is a coroutine on a goroutine of its own; KillAll must end
+// all of them, however they are parked — or never started.
+func TestSimLifetimesKillAllEndsEveryGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	k := NewKernel(1)
+	var c Cond
+	r := NewResource(1)
+	for i := 0; i < 150; i++ {
+		switch i % 3 {
+		case 0:
+			k.Go("cond", func(p *Proc) { c.Wait(p) })
+		case 1:
+			k.Go("sleep", func(p *Proc) { p.Sleep(time.Hour) })
+		case 2:
+			k.Go("resource", func(p *Proc) { r.Use(p, time.Hour) })
+		}
+	}
+	k.Run(Time(time.Second))
+	for i := 0; i < 50; i++ {
+		k.Go("unstarted", func(p *Proc) { p.Sleep(time.Hour) })
+	}
+	if k.Procs() != 200 || runtime.NumGoroutine() < before+200 {
+		t.Fatalf("procs=%d goroutines=%d (before: %d), want 200 live coroutines", k.Procs(), runtime.NumGoroutine(), before)
+	}
+	k.KillAll()
+	if k.Procs() != 0 || k.Pending() != 0 {
+		t.Fatalf("after KillAll procs=%d pending=%d", k.Procs(), k.Pending())
+	}
+	for i := 0; runtime.NumGoroutine() > before; i++ {
+		if i == 100 {
+			t.Fatalf("%d goroutines after KillAll, %d before the kernel", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
