@@ -190,20 +190,14 @@ func (b *Backup) RestoreTablespace(p *sim.Proc, fs *simdisk.FS, db *storage.DB, 
 	return nil
 }
 
-// RestoreAll restores the entire database: every tablespace in the backup
-// is reattached if it was dropped, every datafile is restored, and the
-// dictionary is reset to the backup snapshot. Used by point-in-time
-// (incomplete) recovery.
-func (b *Backup) RestoreAll(p *sim.Proc, fs *simdisk.FS, db *storage.DB, dict *catalog.Catalog) error {
-	return b.RestoreAllWorkers(p, fs, db, dict, 1)
-}
-
-// RestoreAllWorkers is RestoreAll with the per-datafile restores fanned
-// out across `workers` concurrent processes (parallel recovery's restore
-// phase). Datafiles are assigned round-robin in the deterministic
-// tablespace/file order; with workers <= 1 everything runs inline on p,
-// byte-for-byte the serial procedure. Restored state is identical either
-// way — only the I/O overlap differs.
+// RestoreAllWorkers restores the entire database — every tablespace in
+// the backup is reattached if it was dropped, every datafile is restored,
+// and the dictionary is reset to the backup snapshot — with the
+// per-datafile restores fanned out across `workers` concurrent processes
+// (point-in-time recovery's restore phase, at the recovery fan-out).
+// Datafiles are assigned round-robin in the deterministic
+// tablespace/file order; with workers <= 1 everything runs inline on p.
+// Restored state is identical either way — only the I/O overlap differs.
 func (b *Backup) RestoreAllWorkers(p *sim.Proc, fs *simdisk.FS, db *storage.DB, dict *catalog.Catalog, workers int) error {
 	for _, tb := range b.tablespaces {
 		if _, err := db.Tablespace(tb.ts.Name); err != nil {

@@ -139,7 +139,7 @@ func TestRestoreAllRevivesDictionary(t *testing.T) {
 		if err := r.cat.DropTable("t"); err != nil {
 			return err
 		}
-		if err := b.RestoreAll(p, r.fs, r.db, r.cat); err != nil {
+		if err := b.RestoreAllWorkers(p, r.fs, r.db, r.cat, 1); err != nil {
 			return err
 		}
 		if _, err := r.cat.Table("t"); err != nil {

@@ -29,7 +29,8 @@ type Spec struct {
 	Recovery RecoveryConfig
 	// Archive enables the archive log mechanism (§5.2).
 	Archive bool
-	// Standby adds a stand-by database fed by archive shipping (§5.3).
+	// Standby adds a stand-by database fed by archive shipping (§5.3); a
+	// primary crash (ShutdownAbort) then fails over to it.
 	Standby bool
 
 	// Standbys adds a streaming-replication cluster: that many first-tier
@@ -287,6 +288,7 @@ func Run(spec Spec) (*Result, error) {
 				return err
 			}
 			in.Archiver().OnArchived = sb.Ship
+			inj.Failover = sb
 		}
 
 		// Phase 1c: the streaming-replication cluster — N stand-bys fed
@@ -344,36 +346,27 @@ func Run(spec Spec) (*Result, error) {
 				return err
 			}
 			res.Outcome = o
-			if spec.Standby && *spec.Fault == (faults.Fault{Kind: faults.ShutdownAbort}) {
-				// Fail over to the stand-by instead of recovering
-				// the primary.
-				p.Sleep(inj.Detection)
-				o.DetectedAt = p.Now()
-				if _, err := sb.Activate(p); err != nil {
-					return err
-				}
-				recoveryPoint = sb.AppliedSCN()
-				app.In = sb.Instance()
-				o.RecoveredAt = p.Now()
-			} else {
-				if err := inj.Recover(p, o); err != nil {
-					return err
-				}
-				switch {
-				case o.FailedOver:
-					// The cluster promoted a stand-by: the new
-					// incarnation starts at the promoted watermark,
-					// acknowledged commits beyond it are the RPO, and
-					// the drivers re-target the new primary.
-					recoveryPoint = cluster.PromotedSCN()
-					app.In = cluster.ActiveInstance()
-					app.Replica = nil
-					res.FailedOver = true
+			if err := inj.Recover(p, o); err != nil {
+				return err
+			}
+			switch {
+			case o.FailedOver:
+				// A stand-by was promoted instead of the primary recovered:
+				// the new incarnation starts at the promoted watermark,
+				// acknowledged commits beyond it are lost (the RPO), and
+				// the drivers re-target the new primary.
+				promoted := sb
+				if cluster != nil {
+					promoted = cluster.Promoted()
 					res.RTOEstimate = cluster.LastRTOEstimate()
 					res.ReplLagRecords = cluster.PromotedLag()
-				case o.Report != nil && !o.Report.Complete:
-					recoveryPoint = o.PreFaultSCN
 				}
+				recoveryPoint = promoted.AppliedSCN()
+				app.In = promoted.Instance()
+				app.Replica = nil
+				res.FailedOver = true
+			case o.Report != nil && !o.Report.Complete:
+				recoveryPoint = o.PreFaultSCN
 			}
 			res.RecoveryTime = o.RecoveryDuration()
 		}

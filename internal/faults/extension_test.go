@@ -2,10 +2,14 @@ package faults
 
 import (
 	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"dbench/internal/sim"
+	"dbench/internal/storage"
+	"dbench/internal/trace"
 )
 
 // The extension fault kinds (other paper Table 2 rows) and negative
@@ -75,9 +79,34 @@ func TestKillSessionWithNoActiveTxnIsNoop(t *testing.T) {
 // TestDeletedArchiveLogBreaksMediaRecovery is the consequence of the
 // Table 2 "delete an archive log file" mistake: a media recovery that
 // needs the deleted archive fails with a diagnosable error instead of
-// silently losing data.
+// silently losing data — and fails cleanly, at one apply worker and at
+// four: the error comes back, no apply process is left running, every
+// span is closed with the failure on the recovery's root span, and once
+// the archive is put back a second attempt recovers the datafile to the
+// image an undisturbed in-order recovery of the same history produces.
 func TestDeletedArchiveLogBreaksMediaRecovery(t *testing.T) {
-	r := newRig(t)
+	want := lostArchiveRecovery(t, 1, false)
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			got := lostArchiveRecovery(t, workers, true)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("datafile image after the retried recovery differs from the undisturbed recovery's")
+			}
+		})
+	}
+}
+
+// lostArchiveRecovery deletes a datafile after a few archived logs' worth
+// of commits and media-recovers it, returning the recovered block images.
+// With loseArchive the last archived log is deleted first, so the first
+// attempt must fail — after the earlier archives were read (and, with an
+// apply crew, already being replayed) — and is retried with the archive
+// back in place.
+func lostArchiveRecovery(t *testing.T, workers int, loseArchive bool) []*storage.Block {
+	ring := &trace.RingSink{}
+	tr := trace.New(ring)
+	r := newRigWith(t, workers, tr)
+	var images []*storage.Block
 	r.run(t, func(p *sim.Proc) error {
 		if err := r.setup(p); err != nil {
 			return err
@@ -88,7 +117,7 @@ func TestDeletedArchiveLogBreaksMediaRecovery(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			if err := r.in.Insert(p, tx, "t", i, make([]byte, 64)); err != nil {
+			if err := r.in.Insert(p, tx, "t", i, make([]byte, 1024)); err != nil {
 				return err
 			}
 			if err := r.in.Commit(p, tx); err != nil {
@@ -100,23 +129,66 @@ func TestDeletedArchiveLogBreaksMediaRecovery(t *testing.T) {
 		if len(logs) < 2 {
 			return fmt.Errorf("need archived logs, got %d", len(logs))
 		}
-		// Second operator mistake: delete the first archived log.
-		if err := r.in.FS().Delete(logs[0].File().Name()); err != nil {
-			return err
-		}
-		// Now the "delete datafile" fault cannot be recovered.
-		if err := r.in.FS().Delete("USERS_01.dbf"); err != nil {
-			return err
+		lostLog := logs[len(logs)-1]
+		if loseArchive {
+			// Second operator mistake: delete an archived log.
+			if err := r.in.FS().Delete(lostLog.File().Name()); err != nil {
+				return err
+			}
 		}
 		o, err := r.inj.Inject(p, Fault{Kind: DeleteDatafile, Target: "USERS_01.dbf"})
-		if err == nil {
-			err = r.inj.Recover(p, o)
+		if err != nil {
+			return err
 		}
-		if err == nil {
-			return fmt.Errorf("media recovery succeeded despite a lost archive log")
+		if loseArchive {
+			// Now the "delete datafile" fault cannot be recovered.
+			if err := r.inj.Recover(p, o); err == nil {
+				return fmt.Errorf("media recovery succeeded despite a lost archive log")
+			}
+			for _, lp := range r.k.Live() {
+				if strings.HasPrefix(lp.Name(), "recovery-") {
+					return fmt.Errorf("process %s still running after the failed recovery", lp.Name())
+				}
+			}
+			if n := tr.OpenSpans(); n != 0 {
+				return fmt.Errorf("%d spans left open by the failed recovery", n)
+			}
+			var rootErr string
+			applied := false
+			for _, ev := range ring.Events() {
+				if ev.Kind != trace.KindSpan || ev.Cat != trace.CatRecovery {
+					continue
+				}
+				applied = applied || ev.Name == "apply worker"
+				for _, a := range ev.Attrs[:ev.NAttrs] {
+					if ev.Parent == 0 && a.Key == "error" {
+						rootErr = a.Str
+					}
+				}
+			}
+			if !strings.Contains(rootErr, "lost") {
+				return fmt.Errorf("failed recovery's root span carries error=%q, want the lost archive", rootErr)
+			}
+			if workers > 1 && !applied {
+				return fmt.Errorf("scan failed before the crew replayed anything: the abort was not exercised")
+			}
+			// The operator finds a copy of the archive; the same procedure,
+			// re-run over the half-recovered file, now completes.
+			if _, err := r.in.FS().Restore(lostLog.File().Name(), lostLog.Bytes); err != nil {
+				return err
+			}
 		}
-		return nil
+		if err := r.inj.Recover(p, o); err != nil {
+			return err
+		}
+		f, err := r.in.DB().Datafile("USERS_01.dbf")
+		if err != nil {
+			return err
+		}
+		images = f.SnapshotImages()
+		return r.verifyData(p, 40)
 	})
+	return images
 }
 
 // TestControlFileLossIsFatal is the Table 2 "delete a controlfile"

@@ -11,6 +11,7 @@ import (
 	"dbench/internal/sim"
 	"dbench/internal/simdisk"
 	"dbench/internal/sqladmin"
+	"dbench/internal/trace"
 )
 
 func TestClassificationCoversAllClasses(t *testing.T) {
@@ -62,7 +63,11 @@ type rig struct {
 	err error
 }
 
-func newRig(t *testing.T) *rig {
+func newRig(t *testing.T) *rig { return newRigWith(t, 1, nil) }
+
+// newRigWith is newRig at a given recovery fan-out, traced when tr is
+// non-nil.
+func newRigWith(t *testing.T, workers int, tr *trace.Tracer) *rig {
 	t.Helper()
 	k := sim.NewKernel(9)
 	fs := simdisk.NewFS(
@@ -76,6 +81,8 @@ func newRig(t *testing.T) *rig {
 	cfg.Redo.ArchiveMode = true
 	cfg.CheckpointTimeout = 0
 	cfg.CacheBlocks = 64
+	cfg.RecoveryParallelism = workers
+	cfg.Tracer = tr
 	in, err := engine.New(k, fs, cfg)
 	if err != nil {
 		t.Fatal(err)

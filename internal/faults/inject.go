@@ -173,14 +173,16 @@ type Injector struct {
 	ForcePhysical bool
 
 	// Failover, when set, turns a primary crash (ShutdownAbort) into a
-	// managed failover: instead of recovering the crashed instance, the
-	// cluster promotes a stand-by and the outcome reports FailedOver.
+	// managed failover: instead of recovering the crashed instance, a
+	// stand-by is promoted and the outcome reports FailedOver. Every
+	// failover of a run enters here.
 	Failover Promoter
 }
 
-// Promoter is a stand-by cluster that can take over after a primary
-// crash (standby.Cluster implements it; an interface here keeps faults
-// free of the replication machinery).
+// Promoter is a stand-by configuration that can take over after a primary
+// crash: the archive-fed standby.Standby of §5.3 or a streaming
+// standby.Cluster (an interface here keeps faults free of the replication
+// machinery).
 type Promoter interface {
 	Promote(p *sim.Proc) (*recovery.Report, error)
 }

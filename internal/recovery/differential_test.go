@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -90,13 +91,38 @@ func diffImages(base, got map[string][]*storage.Block) string {
 	return ""
 }
 
-// runDifferential builds a fresh simulation (fixed kernel seed, so the
-// entire pre-fault history is identical across calls), loads a TPC-C
-// database at the given warehouse count, runs the workload, injects the
-// fault for `kind`, recovers with the given worker count, and returns the
-// recovered state snapshotted at the virtual instant recovery returned.
+// diffRun is what one differential simulation produced: the recovered
+// state snapshotted at the virtual instant recovery returned, the report,
+// and the names of the recovery worker processes (recovery-apply-*,
+// recovery-io-*) seen alive while it ran.
+type diffRun struct {
+	counts repCounts
+	images map[string][]*storage.Block
+	rep    *Report
+	crew   map[string]bool
+}
+
+// diffRuns keeps each (kind, warehouses, workers) simulation, so the
+// differential and the virtual-time pins (virtual_time_test.go) share the
+// same 24 runs instead of simulating them twice.
+var diffRuns = map[string]*diffRun{}
+
 func runDifferential(t *testing.T, kind string, warehouses, workers int) (repCounts, map[string][]*storage.Block, *Report) {
 	t.Helper()
+	r := differentialRun(t, kind, warehouses, workers)
+	return r.counts, r.images, r.rep
+}
+
+// differentialRun builds a fresh simulation (fixed kernel seed, so the
+// entire pre-fault history is identical across calls), loads a TPC-C
+// database at the given warehouse count, runs the workload, injects the
+// fault for `kind` and recovers with the given worker count.
+func differentialRun(t *testing.T, kind string, warehouses, workers int) *diffRun {
+	t.Helper()
+	key := fmt.Sprintf("%s/W%d/workers=%d", kind, warehouses, workers)
+	if r, ok := diffRuns[key]; ok {
+		return r
+	}
 	k := sim.NewKernel(1234)
 	fs := simdisk.NewFS(
 		simdisk.DefaultSpec(engine.DiskData1),
@@ -128,6 +154,7 @@ func runDifferential(t *testing.T, kind string, warehouses, workers int) (repCou
 
 	var rep *Report
 	var images map[string][]*storage.Block
+	crew := map[string]bool{}
 	var runErr error
 	k.Go("diff", func(p *sim.Proc) {
 		runErr = func() error {
@@ -152,6 +179,22 @@ func runDifferential(t *testing.T, kind string, warehouses, workers int) (repCou
 			drv.Start()
 			p.Sleep(30 * time.Second)
 			drv.Quiesce(p)
+
+			// Sample the live processes every virtual millisecond until
+			// recovery returns: a crew or IO worker lives for a whole phase,
+			// so any that is ever started is seen.
+			recovering := true
+			defer func() { recovering = false }()
+			k.Go("crew-watch", func(wp *sim.Proc) {
+				for recovering {
+					for _, lp := range k.Live() {
+						if strings.HasPrefix(lp.Name(), "recovery-") {
+							crew[lp.Name()] = true
+						}
+					}
+					wp.Sleep(time.Millisecond)
+				}
+			})
 
 			// commitRow commits one synthetic history row (history keys
 			// are a global sequence; huge keys cannot collide with it).
@@ -248,12 +291,13 @@ func runDifferential(t *testing.T, kind string, warehouses, workers int) (repCou
 	})
 	k.Run(sim.Time(100 * time.Hour))
 	if runErr != nil {
-		t.Fatalf("%s/W%d/workers=%d: %v", kind, warehouses, workers, runErr)
+		t.Fatalf("%s: %v", key, runErr)
 	}
 	counts := countsOf(rep)
 	g := drv.Availability(0, sim.Time(100*time.Hour)).Global()
 	counts.Offered, counts.Served = g.Offered, g.Served
-	return counts, images, rep
+	diffRuns[key] = &diffRun{counts: counts, images: images, rep: rep, crew: crew}
+	return diffRuns[key]
 }
 
 // TestDifferentialSerialVsParallel is the headline differential: for each

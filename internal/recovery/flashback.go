@@ -47,13 +47,18 @@ import (
 // the damaged table is rewound, and its post-toSCN commits are counted
 // in LostCommits.
 func (m *Manager) FlashbackTable(p *sim.Proc, table string, toSCN redo.SCN) (*Report, error) {
-	in := m.in
-	if in.State() != engine.StateOpen {
+	if m.in.State() != engine.StateOpen {
 		return nil, fmt.Errorf("recovery: instance must be open for flashback")
 	}
-	rep := &Report{Kind: KindFlashback, Complete: true, Started: p.Now()}
-	tl := m.beginTimeline(p, rep)
+	return m.run(p, KindFlashback, func(rep *Report, tl *timeline) error {
+		return m.flashbackTable(p, table, toSCN, rep, tl)
+	})
+}
 
+// flashbackTable is FlashbackTable's procedure, steps 1-6, inside the
+// recovery frame.
+func (m *Manager) flashbackTable(p *sim.Proc, table string, toSCN redo.SCN, rep *Report, tl *timeline) error {
+	in := m.in
 	// Pin the retention horizon for the duration of the rewind.
 	tm := in.Txns()
 	prevRet := tm.Retention()
@@ -74,7 +79,7 @@ func (m *Manager) FlashbackTable(p *sim.Proc, table string, toSCN redo.SCN) (*Re
 
 	recs, err := m.redoRange(p, rep, toSCN+1, tl, nil)
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	if terr != nil {
@@ -85,16 +90,16 @@ func (m *Manager) FlashbackTable(p *sim.Proc, table string, toSCN redo.SCN) (*Re
 			rec := &recs[i]
 			if rec.Op == redo.OpDDL && rec.Meta == "DROP TABLE "+table && len(rec.Before) > 0 {
 				if desc, err = redo.DecodeTableDescriptor(rec.Before); err != nil {
-					return nil, fmt.Errorf("recovery: flashback %s: %w", table, err)
+					return fmt.Errorf("recovery: flashback %s: %w", table, err)
 				}
 				break
 			}
 		}
 		if desc == nil {
-			return nil, fmt.Errorf("recovery: flashback: table %q not in dictionary and no DROP TABLE record after SCN %d", table, toSCN)
+			return fmt.Errorf("recovery: flashback: table %q not in dictionary and no DROP TABLE record after SCN %d", table, toSCN)
 		}
 		if tbl, err = cat.CreateTableFromDescriptor(desc, in.DB()); err != nil {
-			return nil, err
+			return err
 		}
 		tbl.Frozen = true
 		defer func() { tbl.Frozen = false }()
@@ -109,7 +114,7 @@ func (m *Manager) FlashbackTable(p *sim.Proc, table string, toSCN redo.SCN) (*Re
 	// flush and the invalidate, silently discarding a committed change.
 	// The freeze guarantees this table's own dirty set cannot grow.
 	if err := in.Cache().FlushBlocksForce(p, tbl.Blocks()); err != nil {
-		return nil, err
+		return err
 	}
 	in.Cache().InvalidateBlocks(tbl.Blocks())
 
@@ -127,7 +132,7 @@ func (m *Manager) FlashbackTable(p *sim.Proc, table string, toSCN redo.SCN) (*Re
 			continue
 		}
 		ref := tbl.BlockFor(rec.Key)
-		m.undoToImage(rec, ref, stamp)
+		UndoToImage(rec, ref, stamp)
 		rep.RecordsApplied++
 		rep.BytesApplied += rec.Size()
 		touched[ref] = true
@@ -142,17 +147,12 @@ func (m *Manager) FlashbackTable(p *sim.Proc, table string, toSCN redo.SCN) (*Re
 	}
 	cs.flush()
 	tl.phase(p, PhaseBlockWrites)
-	if err := m.chargeBlockPasses(p, touched); err != nil {
-		return nil, err
+	if err := m.chargeBlockPasses(p, touched, 1, tl); err != nil {
+		return err
 	}
 
 	tl.phase(p, PhaseOpen)
-	if err := in.LogDDL(p, fmt.Sprintf("FLASHBACK TABLE %s TO SCN %d", table, toSCN), nil); err != nil {
-		return nil, err
-	}
-	rep.Finished = p.Now()
-	tl.finish(p)
-	return rep, nil
+	return in.LogDDL(p, fmt.Sprintf("FLASHBACK TABLE %s TO SCN %d", table, toSCN), nil)
 }
 
 // RebuildCatalog rebuilds the dictionary by scanning every datafile's

@@ -1,19 +1,26 @@
-// Parallel recovery pipeline. The redo stream is partitioned by block —
-// storage.BlockRef.Route, the same hash the buffer cache shards with —
-// onto N apply workers running as simulation processes, while the
-// coordinator scans archives and the online log ahead of them. One block
-// maps to exactly one worker and each worker consumes its queue in
-// arrival order, so the per-block SCN apply order of serial recovery is
-// preserved; workers charge their apply CPU against the instance's CPU
-// slots, so the speedup is bounded by the configured CPU count. The crew
-// drains to a barrier before every DDL replay and phase transition,
+// The redo-apply pass. Every recovery that rolls redo forward — instance,
+// datafile and tablespace media, point-in-time, failover — runs the one
+// pass in this file (streamApply): the coordinator scans the stream in SCN
+// order, keeps bookkeeping, catalog lookups and DDL replay to itself, and
+// routes each data change to whoever applies it. The recovery fan-out
+// decides only that "who": at one worker the coordinator applies the
+// record itself, inline and in scan order, and no other process exists;
+// at N > 1 an apply crew of N simulation processes does, partitioned by
+// block — storage.BlockRef.Route, the same hash the buffer cache shards
+// with. One block maps to exactly one worker and each worker consumes its
+// queue in arrival order, so the per-block SCN apply order of the inline
+// pass is preserved; workers charge their apply CPU against the instance's
+// CPU slots, so the speedup is bounded by the configured CPU count. The
+// crew drains to a barrier before every DDL replay and phase transition,
 // which keeps the phase timeline contiguous-by-construction and nests
-// worker spans inside their phase's span. With RecoveryParallelism <= 1
-// none of this code runs: the serial paths are untouched.
+// worker spans inside their phase's span. Recovered images and report
+// counts are identical at every worker count (differential_test.go); only
+// the virtual time differs (virtual_time_test.go pins it).
 package recovery
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"dbench/internal/redo"
@@ -21,16 +28,6 @@ import (
 	"dbench/internal/storage"
 	"dbench/internal/trace"
 )
-
-// workerCount returns the recovery apply fan-out (1 = serial), read
-// from the dynamic configuration at recovery start so an ALTER SYSTEM
-// SET recovery_parallelism applies to the next recovery.
-func (m *Manager) workerCount() int {
-	if n := m.in.RecoveryParallelism(); n > 1 {
-		return n
-	}
-	return 1
-}
 
 // workerFor routes a block to one of n apply workers via the shared
 // block routing hash. A block always lands on the same worker, so
@@ -46,25 +43,21 @@ const applyChunk = 50 * time.Millisecond
 
 // routed is one redo record queued for a worker, its block already
 // resolved by the coordinator (catalog lookups stay on the coordinator
-// so DDL replay keeps its serial semantics).
+// so DDL replay keeps its scan-order semantics).
 type routed struct {
 	rec *redo.Record
 	ref storage.BlockRef
 }
 
-// applyCrew is a set of redo-apply worker processes fed by the recovery
+// applyCrew is a set of redo-apply worker processes fed by the pass's
 // coordinator. pending counts records routed but not yet applied and
 // charged; drain waits for it to reach zero — the barrier used before
 // DDL replay, the undo pass and every phase transition. The kernel runs
-// one process at a time, so the crew's shared state (Report counters,
-// touched set, queues) needs no locking, and execution stays
-// deterministic for a given seed.
+// one process at a time, so the state the crew shares with the pass
+// (Report counters, touched set, queues) needs no locking, and execution
+// stays deterministic for a given seed.
 type applyCrew struct {
-	m       *Manager
-	rep     *Report
-	tl      *timeline
-	n       int
-	touched map[storage.BlockRef]bool
+	sa *streamApply
 
 	workers []*applyWorker
 	pending int
@@ -80,11 +73,11 @@ type applyWorker struct {
 	span  trace.SpanID
 }
 
-// newApplyCrew starts n apply workers on the instance's kernel.
-func (m *Manager) newApplyCrew(p *sim.Proc, rep *Report, tl *timeline, n int) *applyCrew {
-	c := &applyCrew{m: m, rep: rep, tl: tl, n: n, touched: make(map[storage.BlockRef]bool)}
+// newApplyCrew starts sa.n apply workers on the instance's kernel.
+func newApplyCrew(p *sim.Proc, sa *streamApply) *applyCrew {
+	c := &applyCrew{sa: sa}
 	k := p.Kernel()
-	for i := 0; i < n; i++ {
+	for i := 0; i < sa.n; i++ {
 		w := &applyWorker{id: i}
 		c.workers = append(c.workers, w)
 		c.wg.Add(1)
@@ -98,8 +91,9 @@ func (m *Manager) newApplyCrew(p *sim.Proc, rep *Report, tl *timeline, n int) *a
 
 func (c *applyCrew) runWorker(p *sim.Proc, w *applyWorker) {
 	k := p.Kernel()
-	cost := c.m.in.Config().Cost.RedoApplyPerRecord
-	cpu := c.m.in.CPU()
+	in := c.sa.m.in
+	cost := in.Config().Cost.RedoApplyPerRecord
+	cpu := in.CPU()
 	var owed time.Duration
 	done := 0
 	// settle pays the accrued CPU and only then publishes the consumed
@@ -136,11 +130,7 @@ func (c *applyCrew) runWorker(p *sim.Proc, w *applyWorker) {
 		batch := w.queue
 		w.queue = nil
 		for i := range batch {
-			it := &batch[i]
-			if c.m.applyToImage(it.rec, it.ref) {
-				c.rep.RecordsApplied++
-				c.rep.BytesApplied += it.rec.Size()
-				c.touched[it.ref] = true
+			if c.sa.applyOne(batch[i].rec, batch[i].ref) {
 				owed += cost
 			}
 			done++
@@ -160,21 +150,22 @@ func (c *applyCrew) beginWorkerSpan(p *sim.Proc, w *applyWorker) {
 	if w.span != 0 {
 		return
 	}
-	w.span = c.tl.tracer().BeginChild(p.Now(), trace.CatRecovery, "recovery",
-		"apply worker", c.tl.currentSpan(), trace.I("worker", int64(w.id)))
+	tl := c.sa.tl
+	w.span = tl.tracer().BeginChild(p.Now(), trace.CatRecovery, "recovery",
+		"apply worker", tl.currentSpan(), trace.I("worker", int64(w.id)))
 }
 
 func (c *applyCrew) endWorkerSpan(p *sim.Proc, w *applyWorker) {
 	if w.span == 0 {
 		return
 	}
-	c.tl.tracer().End(p.Now(), w.span)
+	c.sa.tl.tracer().End(p.Now(), w.span)
 	w.span = 0
 }
 
 // dispatch routes one record to its block's worker.
 func (c *applyCrew) dispatch(p *sim.Proc, rec *redo.Record, ref storage.BlockRef) {
-	w := c.workers[workerFor(ref, c.n)]
+	w := c.workers[workerFor(ref, len(c.workers))]
 	w.queue = append(w.queue, routed{rec: rec, ref: ref})
 	c.pending++
 	w.work.Signal(p.Kernel())
@@ -187,26 +178,10 @@ func (c *applyCrew) drain(p *sim.Proc) {
 	}
 }
 
-// close drains outstanding work and shuts the workers down, waiting for
-// their processes to exit so their spans are closed before the next
-// phase opens. Idempotent.
-func (c *applyCrew) close(p *sim.Proc) {
-	if c.closed {
-		return
-	}
-	c.drain(p)
-	c.shutdown(p)
-}
-
-// abort shuts the crew down without the drain barrier (error paths);
-// workers still finish whatever is already queued before exiting.
-func (c *applyCrew) abort(p *sim.Proc) {
-	if c.closed {
-		return
-	}
-	c.shutdown(p)
-}
-
+// shutdown stops the workers and waits for their processes to exit, so
+// their spans are closed before the next phase opens (or the failed
+// recovery's spans are). Workers finish whatever is already queued first;
+// the pass drains before it calls this, a failed scan does not.
 func (c *applyCrew) shutdown(p *sim.Proc) {
 	c.closed = true
 	k := p.Kernel()
@@ -216,25 +191,34 @@ func (c *applyCrew) shutdown(p *sim.Proc) {
 	c.wg.Wait(p)
 }
 
-// streamApply is the coordinator side of the parallel pipeline: it scans
-// redo in SCN order (batch by batch when the scan itself is pipelined,
-// e.g. archive by archive), keeps bookkeeping and catalog work on the
-// coordinator, and routes data changes to the crew. Loser candidacy is
-// decided with the catalog state at scan position — exactly what serial
-// replay sees — and filtered against the full stream's commit/abort set
-// once the scan completes.
+// streamApply is the one forward/undo pass of recovery. Its coordinator
+// takes redo in SCN order — the whole stream at once, or batch by batch
+// when the scan is pipelined into a crew, archive by archive — keeps
+// bookkeeping and catalog work to itself, and hands each data change to
+// the crew or applies it on the spot. Loser candidacy is decided with the
+// catalog state at scan position and filtered against the full stream's
+// commit/abort set once the scan completes.
 type streamApply struct {
-	m              *Manager
-	rep            *Report
-	tl             *timeline
-	crew           *applyCrew
-	cs             *chunkedSleep
-	includeOffline bool
+	m   *Manager
+	rep *Report
+	tl  *timeline
+	// n is the recovery fan-out; crew is nil at n == 1, where the
+	// coordinator applies every routed record itself.
+	n    int
+	crew *applyCrew
+	cs   *chunkedSleep
 	// only restricts the pass to a set of datafiles (media recovery of
-	// one file or one tablespace); nil means a whole-database pass
-	// (instance / point-in-time). Used for membership only, never
-	// iterated, so map order cannot perturb determinism.
-	only     map[*storage.Datafile]bool
+	// one file or one tablespace); nil means a whole-database pass, which
+	// takes every participating file (includeOffline: also the offline
+	// ones, which point-in-time recovery and failover restored or own).
+	// Used for membership only, never iterated, so map order cannot
+	// perturb determinism.
+	only           map[*storage.Datafile]bool
+	includeOffline bool
+	// until is the last SCN the pass rolls forward to; commits beyond it
+	// are counted as lost (point-in-time recovery's stop point).
+	until    redo.SCN
+	touched  map[storage.BlockRef]bool
 	finished map[redo.TxnID]bool
 	cands    []loserCand
 }
@@ -247,117 +231,171 @@ type loserCand struct {
 	active bool
 }
 
-func (m *Manager) newStreamApply(p *sim.Proc, rep *Report, tl *timeline, includeOffline bool, only map[*storage.Datafile]bool, n int) *streamApply {
+// newStreamApply opens the pass at the instance's current recovery
+// fan-out — read here, so an ALTER SYSTEM SET recovery_parallelism
+// applies to the next recovery — and starts the crew when that is > 1.
+func (m *Manager) newStreamApply(p *sim.Proc, rep *Report, tl *timeline, includeOffline bool, only map[*storage.Datafile]bool) *streamApply {
 	sa := &streamApply{
 		m: m, rep: rep, tl: tl,
+		n:              m.in.RecoveryParallelism(),
 		cs:             &chunkedSleep{p: p},
-		includeOffline: includeOffline,
 		only:           only,
+		includeOffline: includeOffline,
+		until:          math.MaxInt64,
+		touched:        make(map[storage.BlockRef]bool),
 		finished:       make(map[redo.TxnID]bool),
 	}
-	sa.crew = m.newApplyCrew(p, rep, tl, n)
+	if sa.n > 1 {
+		sa.crew = newApplyCrew(p, sa)
+	}
 	return sa
+}
+
+// takes reports whether the pass rolls the given file.
+func (sa *streamApply) takes(f *storage.Datafile) bool {
+	if sa.only != nil {
+		return sa.only[f]
+	}
+	return participates(f, sa.includeOffline)
+}
+
+// applyOne applies one routed record to its image and books it. It
+// reports whether the image changed — whoever applied it pays the CPU.
+func (sa *streamApply) applyOne(rec *redo.Record, ref storage.BlockRef) bool {
+	if !ApplyToImage(rec, ref) {
+		return false
+	}
+	sa.rep.RecordsApplied++
+	sa.rep.BytesApplied += rec.Size()
+	sa.touched[ref] = true
+	return true
+}
+
+// roll scans redo from SCN `from` through the pass and completes it.
+// A crew is fed from inside the scan, each archived log's records as
+// soon as they are read, so workers replay one archive while the
+// coordinator pays the open-and-read cost of the next. The inline pass
+// reads, then applies: feeding it per archive would move the apply CPU
+// into the archive-replay phase (and, with the instance open, shift the
+// disk contention of everything after). A failed scan stops the crew
+// here, for every caller.
+func (sa *streamApply) roll(p *sim.Proc, from, stamp redo.SCN) error {
+	var sink func(*sim.Proc, []redo.Record)
+	if sa.crew != nil {
+		sink = sa.feed
+	}
+	recs, err := sa.m.redoRange(p, sa.rep, from, sa.tl, sink)
+	if err != nil {
+		if sa.crew != nil {
+			sa.crew.shutdown(p)
+		}
+		return err
+	}
+	if sink == nil {
+		sa.feed(p, recs)
+	}
+	return sa.finish(p, stamp)
 }
 
 // feed scans one batch of redo records in SCN order. DDL is a barrier:
 // the crew drains before the dictionary changes, so refFor resolves
-// every record against the same catalog state serial replay would.
+// every record against the catalog state an in-order replay sees.
 func (sa *streamApply) feed(p *sim.Proc, recs []redo.Record) {
-	sa.tl.setWorkers(sa.crew.n)
-	cost := sa.m.in.Config().Cost.RedoApplyPerRecord
+	sa.tl.setWorkers(sa.n)
+	in := sa.m.in
+	cost := in.Config().Cost.RedoApplyPerRecord
 	for i := range recs {
 		rec := &recs[i]
+		if rec.SCN > sa.until {
+			if rec.Op == redo.OpCommit {
+				sa.rep.LostCommits++
+			}
+			continue
+		}
 		sa.rep.RecordsScanned++
 		if rec.Op == redo.OpCommit || rec.Op == redo.OpAbort {
 			sa.finished[rec.Txn] = true
 		}
-		if sa.only != nil {
+		switch {
+		case sa.only != nil:
 			// Media recovery: every scanned record costs a quarter
-			// charge; only the target files' changes are routed.
+			// charge, and the live dictionary replays no DDL.
 			sa.cs.add(cost / 4)
-			if !rec.IsDataChange() {
-				continue
+		case rec.Op == redo.OpDDL:
+			if sa.crew != nil {
+				sa.crew.drain(p)
 			}
-			ref, ok := sa.m.refFor(rec)
-			if !ok || !sa.only[ref.File] {
-				continue
-			}
-			sa.crew.dispatch(p, rec, ref)
-			sa.cands = append(sa.cands, loserCand{rec: rec, active: sa.m.in.Txns().IsActive(rec.Txn)})
-			continue
-		}
-		if rec.Op == redo.OpDDL {
-			sa.crew.drain(p)
 			sa.cs.add(cost)
-			sa.m.replayDDL(rec.Meta)
-			continue
+			ReplayDDL(in.Catalog(), in.DB(), rec.Meta)
+		case !rec.IsDataChange():
+			sa.cs.add(cost / 4)
 		}
 		if !rec.IsDataChange() {
-			sa.cs.add(cost / 4)
 			continue
 		}
 		ref, ok := sa.m.refFor(rec)
-		if !ok || !participates(ref.File, sa.includeOffline) {
+		if !ok || !sa.takes(ref.File) {
 			continue
 		}
-		sa.crew.dispatch(p, rec, ref)
-		sa.cands = append(sa.cands, loserCand{rec: rec})
+		if sa.crew != nil {
+			sa.crew.dispatch(p, rec, ref)
+		} else if sa.applyOne(rec, ref) {
+			sa.cs.add(cost)
+		}
+		// With the instance open (media recovery), a transaction still
+		// running will finish through the normal commit or rollback path.
+		sa.cands = append(sa.cands, loserCand{rec: rec, active: sa.only != nil && in.Txns().IsActive(rec.Txn)})
 	}
 }
 
-// finish completes the parallel pass: final drain and worker shutdown,
-// then the undo pass — serial on the coordinator, re-resolving each
-// record against the post-DDL catalog exactly like serial recovery —
-// and the block-write phase fanned out across the workers' count.
+// finish completes the pass: the undo of losers — on the coordinator, in
+// reverse SCN order, re-resolving each record against the post-DDL
+// catalog — and the block-write phase at the pass's fan-out. A crew is
+// drained and stopped first, after the coordinator has paid its own
+// accrued CPU; the inline pass carries that remainder (under one chunk)
+// into the undo phase instead.
 func (sa *streamApply) finish(p *sim.Proc, stamp redo.SCN) error {
-	sa.cs.flush()
-	sa.crew.close(p)
-	cost := sa.m.in.Config().Cost
+	if sa.crew != nil {
+		sa.cs.flush()
+		sa.crew.drain(p)
+		sa.crew.shutdown(p)
+	}
 	sa.tl.phase(p, PhaseUndoRollback)
-	cs := &chunkedSleep{p: p}
+	cost := sa.m.in.Config().Cost.RedoApplyPerRecord
 	losers := make(map[redo.TxnID]bool)
-	var loserRecs []*redo.Record
-	for _, c := range sa.cands {
+	for i := len(sa.cands) - 1; i >= 0; i-- {
+		c := sa.cands[i]
 		if sa.finished[c.rec.Txn] || c.active {
 			continue
 		}
 		losers[c.rec.Txn] = true
-		loserRecs = append(loserRecs, c.rec)
-	}
-	for i := len(loserRecs) - 1; i >= 0; i-- {
-		rec := loserRecs[i]
-		ref, ok := sa.m.refFor(rec)
-		if !ok {
+		ref, ok := sa.m.refFor(c.rec)
+		if !ok || !sa.takes(ref.File) {
 			continue
 		}
-		if sa.only != nil {
-			if !sa.only[ref.File] {
-				continue
-			}
-		} else if !participates(ref.File, sa.includeOffline) {
-			continue
-		}
-		sa.m.undoToImage(rec, ref, stamp)
-		sa.crew.touched[ref] = true
-		cs.add(cost.RedoApplyPerRecord)
+		UndoToImage(c.rec, ref, stamp)
+		sa.touched[ref] = true
+		sa.cs.add(cost)
 	}
 	sa.rep.LosersRolledBack = len(losers)
-	cs.flush()
+	sa.cs.flush()
 	sa.tl.phase(p, PhaseBlockWrites)
-	sa.tl.setWorkers(sa.crew.n)
-	return sa.m.chargeBlockPassesParallel(p, sa.crew.touched, sa.crew.n, sa.tl)
+	sa.tl.setWorkers(sa.n)
+	return sa.m.chargeBlockPasses(p, sa.touched, sa.n, sa.tl)
 }
 
-// chargeBlockPassesParallel fans the recovery block read+write passes
-// out across n IO workers, whole files at a time: a file's blocks stay
-// one sorted sequential pass, and different files — spread over the data
-// disks — proceed concurrently. Only the I/O charging is concurrent; the
+// chargeBlockPasses charges the recovery block I/O — one sorted
+// sequential read pass and one sorted sequential write pass over the
+// touched blocks — fanned out across n IO workers, whole files at a
+// time: a file's blocks stay one sequential pass, and different files —
+// spread over the data disks — proceed concurrently. At n <= 1 the
+// caller's process does it all. Only the I/O charging is concurrent; the
 // images were already written by the apply and undo passes.
-func (m *Manager) chargeBlockPassesParallel(p *sim.Proc, touched map[storage.BlockRef]bool, n int, tl *timeline) error {
+func (m *Manager) chargeBlockPasses(p *sim.Proc, touched map[storage.BlockRef]bool, n int, tl *timeline) error {
+	refs := SortedRefs(touched)
 	if n <= 1 {
-		return m.chargeBlockPasses(p, touched)
+		return blockPass(p, refs)
 	}
-	refs := sortedRefs(touched)
 	parts := make([][]storage.BlockRef, n)
 	for _, ref := range refs {
 		i := int(ref.File.ShardHint() % uint32(n))

@@ -1,18 +1,17 @@
-// Failover promotion: the streaming standby's activation runs on the
-// same recovery machinery as every other path — the received-but-unapplied
-// stream tail is rolled forward (on the parallel apply crew when
-// configured), transactions the stream never finished are rolled back in
-// reverse global SCN order, and the database opens RESETLOGS as the new
-// primary. The package-level image helpers are exported here so the
-// standby's continuous managed recovery applies records with exactly the
-// semantics the recovery paths use; any drift between the two would break
-// the failover differential (promoted images must be bit-identical to a
-// serial recovery of the same redo prefix).
+// Failover promotion: the standby's activation runs on the same recovery
+// machinery as every other path — the received-but-unapplied tail rolls
+// forward through the one redo-apply pass (parallel.go), transactions the
+// stream never finished are rolled back in reverse global SCN order, and
+// the database opens RESETLOGS as the new primary. The package-level image
+// helpers are exported here so the standby's continuous managed recovery
+// applies records with exactly the semantics the recovery paths use; any
+// drift between the two would break the failover differential (promoted
+// images must be bit-identical to an in-order recovery of the same redo
+// prefix).
 package recovery
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"dbench/internal/catalog"
@@ -79,51 +78,32 @@ func ReplayDDL(cat *catalog.Catalog, db *storage.DB, stmt string) {
 // mounted with a physical copy consistent through the standby's continuous
 // apply; tail is the received-but-not-yet-applied stream suffix (SCN
 // order), pending the data records of transactions the continuous apply
-// saw no commit or abort for (arrival order), and scn the standby's
-// received watermark — the SCN the new incarnation starts after.
+// saw no commit or abort for (SCN order, all below the tail's), and scn
+// the standby's received watermark — the SCN the new incarnation starts
+// after.
 //
-// The tail is rolled forward through applyAndUndo, so with
-// RecoveryParallelism > 1 it rides the parallel apply crew like any crash
-// recovery. Pending records whose transaction commits inside the tail are
-// dropped from the undo set; the rest are undone after the tail's own
-// losers, which keeps the whole undo pass in reverse global SCN order
-// (tail SCNs are all above pending SCNs).
+// The tail rolls forward through the same pass as every other recovery —
+// on the apply crew when the stand-by's RecoveryParallelism > 1 — with the
+// pending records seeded as undo candidates: those whose transaction
+// commits inside the tail drop out like any finished transaction, the rest
+// are undone after the tail's own losers, which keeps the whole undo pass
+// in reverse global SCN order.
 func (m *Manager) Failover(p *sim.Proc, tail, pending []redo.Record, scn redo.SCN) (*Report, error) {
-	in := m.in
-	if in.State() == engine.StateOpen {
+	if m.in.State() == engine.StateOpen {
 		return nil, fmt.Errorf("recovery: failover target is already open")
 	}
-	rep := &Report{Kind: KindFailover, Complete: true, Started: p.Now()}
-	tl := m.beginTimeline(p, rep)
-	tl.phase(p, PhaseRedoReplay)
-
-	finished := redo.FinishedTxns(tail)
-	undo := make([]redo.Record, 0, len(pending))
-	for _, rec := range pending {
-		if !finished[rec.Txn] {
-			undo = append(undo, rec)
+	return m.run(p, KindFailover, func(rep *Report, tl *timeline) error {
+		tl.phase(p, PhaseRedoReplay)
+		sa := m.newStreamApply(p, rep, tl, true, nil)
+		for i := range pending {
+			sa.cands = append(sa.cands, loserCand{rec: &pending[i]})
 		}
-	}
-	sort.SliceStable(undo, func(i, j int) bool { return undo[i].SCN < undo[j].SCN })
-	if err := m.applyAndUndoPending(p, rep, tail, undo, true, scn, tl); err != nil {
-		return nil, err
-	}
-	tl.phase(p, PhaseOpen)
-	// Open RESETLOGS: the new incarnation's SCN stream starts past the
-	// received watermark; whatever the old primary flushed beyond it is
-	// gone (the failover's RPO, measured against the commit ledger).
-	if err := in.Log().ResetLogs(scn + 1); err != nil {
-		return nil, err
-	}
-	if err := m.finishRecovery(p, scn, true); err != nil {
-		return nil, err
-	}
-	in.MarkRecovered()
-	if err := in.Open(p); err != nil {
-		return nil, err
-	}
-	rep.Finished = p.Now()
-	tl.finish(p)
-	m.observeRedoReplay(rep)
-	return rep, nil
+		sa.feed(p, tail)
+		if err := sa.finish(p, scn); err != nil {
+			return err
+		}
+		// Whatever the old primary flushed beyond the received watermark
+		// is gone (the failover's RPO, measured against the commit ledger).
+		return m.finishRecovery(p, tl, scn, true)
+	})
 }

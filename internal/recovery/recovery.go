@@ -12,6 +12,10 @@
 //     destructive command. Committed transactions after the stop point
 //     are lost — the paper's Table 4 faults ("delete user's object",
 //     "delete tablespace") land here.
+//
+// These, online tablespace recovery and failover promotion all roll redo
+// forward through the one pass in parallel.go, inside the one frame
+// Manager.run gives every entry point.
 package recovery
 
 import (
@@ -146,6 +150,24 @@ func (c *chunkedSleep) flush() {
 	}
 }
 
+// run is the frame every recovery entry point runs in: it opens the
+// report and its timeline, runs body, and on success stamps the end,
+// closes the timeline and calibrates the estimator. A body that fails
+// still closes its open phase and the root span, tagged with the error,
+// so a failed recovery shows up in -trace/-timeline like any other.
+func (m *Manager) run(p *sim.Proc, kind Kind, body func(rep *Report, tl *timeline) error) (*Report, error) {
+	rep := &Report{Kind: kind, Complete: kind != KindPointInTime, Started: p.Now()}
+	tl := m.beginTimeline(p, rep)
+	if err := body(rep, tl); err != nil {
+		tl.finish(p, err)
+		return nil, err
+	}
+	rep.Finished = p.Now()
+	tl.finish(p, nil)
+	m.observeRedoReplay(rep)
+	return rep, nil
+}
+
 // InstanceRecovery performs crash recovery and opens the database:
 // startup/mount, forward redo pass from the last checkpoint, rollback of
 // transactions without a commit/abort record, and open. Datafiles that
@@ -158,55 +180,47 @@ func (m *Manager) InstanceRecovery(p *sim.Proc) (*Report, error) {
 	if !in.Crashed() {
 		return nil, fmt.Errorf("recovery: database was cleanly shut down")
 	}
-	rep := &Report{Kind: KindInstance, Complete: true, Started: p.Now()}
-	tl := m.beginTimeline(p, rep)
-	tl.phase(p, PhaseMount)
-	if err := in.Mount(p); err != nil {
-		return nil, err
-	}
-
-	log := in.Log()
-	ctl := in.DB().Control
-	from := ctl.CheckpointSCN + 1
-	if ctl.UndoSCN > 0 && ctl.UndoSCN < from {
-		// Transactions in flight at the last checkpoint may have had
-		// uncommitted changes flushed; scan from their first record
-		// so the undo pass can see them.
-		from = ctl.UndoSCN
-	}
-	// Instance recovery collects the stream before applying (no sink):
-	// the clamp retry below may rescan from a lower SCN, and records must
-	// not reach the apply crew from a scan that is then abandoned.
-	recs, err := m.redoRange(p, rep, from, tl, nil)
-	if err != nil && from <= ctl.CheckpointSCN {
-		// The undo extension below the checkpoint was overwritten.
-		// That is safe to clamp: the log's reuse undo-floor keeps the
-		// records of every transaction still active at crash time
-		// online, so whatever is missing belonged to transactions
-		// that finished (and need no undo). The redo pass itself only
-		// needs records after the checkpoint.
-		if lowest := log.LowestOnlineSCN(); lowest >= 0 && lowest <= ctl.CheckpointSCN+1 {
-			recs, err = m.redoRange(p, rep, lowest, tl, nil)
+	return m.run(p, KindInstance, func(rep *Report, tl *timeline) error {
+		tl.phase(p, PhaseMount)
+		if err := in.Mount(p); err != nil {
+			return err
 		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	if err := m.applyAndUndo(p, rep, recs, false, log.FlushedSCN(), tl); err != nil {
-		return nil, err
-	}
-	tl.phase(p, PhaseOpen)
-	if err := m.finishRecovery(p, log.FlushedSCN(), false); err != nil {
-		return nil, err
-	}
-	in.MarkRecovered()
-	if err := in.Open(p); err != nil {
-		return nil, err
-	}
-	rep.Finished = p.Now()
-	tl.finish(p)
-	m.observeRedoReplay(rep)
-	return rep, nil
+
+		log := in.Log()
+		ctl := in.DB().Control
+		from := ctl.CheckpointSCN + 1
+		if ctl.UndoSCN > 0 && ctl.UndoSCN < from {
+			// Transactions in flight at the last checkpoint may have had
+			// uncommitted changes flushed; scan from their first record
+			// so the undo pass can see them.
+			from = ctl.UndoSCN
+		}
+		// Instance recovery collects the stream before it opens the pass
+		// (no sink, at any fan-out): the clamp retry below may rescan from
+		// a lower SCN, and records must not reach an apply crew from a
+		// scan that is then abandoned.
+		recs, err := m.redoRange(p, rep, from, tl, nil)
+		if err != nil && from <= ctl.CheckpointSCN {
+			// The undo extension below the checkpoint was overwritten.
+			// That is safe to clamp: the log's reuse undo-floor keeps the
+			// records of every transaction still active at crash time
+			// online, so whatever is missing belonged to transactions
+			// that finished (and need no undo). The redo pass itself only
+			// needs records after the checkpoint.
+			if lowest := log.LowestOnlineSCN(); lowest >= 0 && lowest <= ctl.CheckpointSCN+1 {
+				recs, err = m.redoRange(p, rep, lowest, tl, nil)
+			}
+		}
+		if err != nil {
+			return err
+		}
+		sa := m.newStreamApply(p, rep, tl, false, nil)
+		sa.feed(p, recs)
+		if err := sa.finish(p, log.FlushedSCN()); err != nil {
+			return err
+		}
+		return m.finishRecovery(p, tl, log.FlushedSCN(), false)
+	})
 }
 
 // RecoverDatafile rolls one restored or offlined datafile forward to the
@@ -226,116 +240,38 @@ func (m *Manager) RecoverDatafile(p *sim.Proc, name string) (*Report, error) {
 	if f.Lost() {
 		return nil, fmt.Errorf("recovery: datafile %q lost; restore it first", name)
 	}
-	rep := &Report{Kind: KindDatafile, Complete: true, Started: p.Now()}
-	tl := m.beginTimeline(p, rep)
-	return m.recoverDatafile(p, name, f, rep, tl)
+	return m.run(p, KindDatafile, func(rep *Report, tl *timeline) error {
+		return m.recoverDatafile(p, name, f, rep, tl)
+	})
 }
 
 // recoverDatafile is the shared roll-forward/rollback body of
-// RecoverDatafile and RestoreAndRecoverDatafile; rep and tl were opened
-// by the caller (possibly already past a restore phase).
-func (m *Manager) recoverDatafile(p *sim.Proc, name string, f *storage.Datafile, rep *Report, tl *timeline) (*Report, error) {
+// RecoverDatafile and RestoreAndRecoverDatafile (which is already past a
+// restore phase): roll the file forward, stamp it consistent as of the
+// end SCN and bring it online.
+func (m *Manager) recoverDatafile(p *sim.Proc, name string, f *storage.Datafile, rep *Report, tl *timeline) error {
 	from := f.CkptSCN + 1
 	if f.UndoSCN > 0 && f.UndoSCN < from {
 		from = f.UndoSCN
 	}
 	end, err := m.rollForwardFiles(p, map[*storage.Datafile]bool{f: true}, from, rep, tl)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return m.finishDatafile(p, name, f, rep, tl, end)
-}
-
-// rollForwardFiles is the media-recovery roll-forward: replay redo from
-// `from` to the current end of flushed redo for exactly the given file
-// set, then undo transactions that vanished without a commit/abort
-// record. Shared by single-datafile and tablespace recovery; with
-// RecoveryParallelism > 1 the forward pass is pipelined onto the apply
-// crew (each archived log's records are routed as soon as they are read,
-// so workers replay one archive while the coordinator pays the
-// open-and-read cost of the next). Returns the end SCN the files are now
-// consistent at.
-func (m *Manager) rollForwardFiles(p *sim.Proc, files map[*storage.Datafile]bool, from redo.SCN, rep *Report, tl *timeline) (redo.SCN, error) {
-	in := m.in
-	end := in.Log().FlushedSCN()
-	if n := m.workerCount(); n > 1 {
-		sa := m.newStreamApply(p, rep, tl, false, files, n)
-		if _, err := m.redoRange(p, rep, from, tl, sa.feed); err != nil {
-			sa.crew.abort(p)
-			return 0, err
-		}
-		if err := sa.finish(p, end); err != nil {
-			return 0, err
-		}
-		return end, nil
-	}
-	recs, err := m.redoRange(p, rep, from, tl, nil)
-	if err != nil {
-		return 0, err
-	}
-
-	cs := &chunkedSleep{p: p}
-	cost := in.Config().Cost
-
-	finished := redo.FinishedTxns(recs)
-	touched := make(map[storage.BlockRef]bool)
-	losers := make(map[redo.TxnID]bool)
-	var loserRecs []redo.Record
-	for i := range recs {
-		rec := &recs[i]
-		rep.RecordsScanned++
-		cs.add(cost.RedoApplyPerRecord / 4)
-		if !rec.IsDataChange() {
-			continue
-		}
-		ref, ok := m.refFor(rec)
-		if !ok || !files[ref.File] {
-			continue
-		}
-		if m.applyToImage(rec, ref) {
-			rep.RecordsApplied++
-			rep.BytesApplied += rec.Size()
-			touched[ref] = true
-			cs.add(cost.RedoApplyPerRecord)
-		}
-		if !finished[rec.Txn] && !in.Txns().IsActive(rec.Txn) {
-			losers[rec.Txn] = true
-			loserRecs = append(loserRecs, *rec)
-		}
-	}
-	tl.phase(p, PhaseUndoRollback)
-	for i := len(loserRecs) - 1; i >= 0; i-- {
-		rec := &loserRecs[i]
-		ref, ok := m.refFor(rec)
-		if !ok || !files[ref.File] {
-			continue
-		}
-		m.undoToImage(rec, ref, end)
-		touched[ref] = true
-		cs.add(cost.RedoApplyPerRecord)
-	}
-	rep.LosersRolledBack = len(losers)
-	cs.flush()
-	tl.phase(p, PhaseBlockWrites)
-	if err := m.chargeBlockPasses(p, touched); err != nil {
-		return 0, err
-	}
-	return end, nil
-}
-
-// finishDatafile is the shared tail of serial and parallel media
-// recovery: stamp the file consistent as of `end` and bring it online.
-func (m *Manager) finishDatafile(p *sim.Proc, name string, f *storage.Datafile, rep *Report, tl *timeline, end redo.SCN) (*Report, error) {
 	tl.phase(p, PhaseOpen)
 	f.CkptSCN = end
 	f.NeedsRecovery = false
-	if err := m.in.OnlineDatafile(p, name); err != nil {
-		return nil, err
-	}
-	rep.Finished = p.Now()
-	tl.finish(p)
-	m.observeRedoReplay(rep)
-	return rep, nil
+	return m.in.OnlineDatafile(p, name)
+}
+
+// rollForwardFiles is the media-recovery roll-forward: run the pass over
+// redo from `from` to the current end of flushed redo for exactly the
+// given file set, undoing transactions that vanished without a
+// commit/abort record. Shared by single-datafile and tablespace
+// recovery. Returns the end SCN the files are now consistent at.
+func (m *Manager) rollForwardFiles(p *sim.Proc, files map[*storage.Datafile]bool, from redo.SCN, rep *Report, tl *timeline) (redo.SCN, error) {
+	end := m.in.Log().FlushedSCN()
+	return end, m.newStreamApply(p, rep, tl, false, files).roll(p, from, end)
 }
 
 // RestoreAndRecoverDatafile is the full "delete datafile" procedure: take
@@ -354,25 +290,24 @@ func (m *Manager) RestoreAndRecoverDatafile(p *sim.Proc, name string) (*Report, 
 	if !b.HasFile(name) {
 		return nil, fmt.Errorf("recovery: datafile %q missing from backup %d", name, b.ID)
 	}
-	rep := &Report{Kind: KindDatafile, Complete: true, Started: p.Now()}
-	tl := m.beginTimeline(p, rep)
-	tl.phase(p, PhaseRestore)
-	in.Cache().InvalidateFile(f)
-	f.SetOnline(false)
-	p.Sleep(in.Config().Cost.BackupRestoreOverhead)
-	if err := b.RestoreDatafile(p, in.FS(), name); err != nil {
-		return nil, err
-	}
-	return m.recoverDatafile(p, name, f, rep, tl)
+	return m.run(p, KindDatafile, func(rep *Report, tl *timeline) error {
+		tl.phase(p, PhaseRestore)
+		in.Cache().InvalidateFile(f)
+		f.SetOnline(false)
+		p.Sleep(in.Config().Cost.BackupRestoreOverhead)
+		if err := b.RestoreDatafile(p, in.FS(), name); err != nil {
+			return err
+		}
+		return m.recoverDatafile(p, name, f, rep, tl)
+	})
 }
 
 // OnlineTablespaceRecovery repairs one damaged or dropped tablespace
 // while the instance stays open, so unaffected tablespaces keep serving
 // transactions throughout: files lost from media are restored from the
 // latest backup (the whole tablespace when it was dropped), every file
-// needing recovery is rolled forward to the current end of redo — on the
-// parallel pipeline when configured — and the tablespace is brought back
-// online. The dictionary is NOT restored: tables fully contained in a
+// needing recovery is rolled forward to the current end of redo and the
+// tablespace is brought back online. The dictionary is NOT restored: tables fully contained in a
 // dropped tablespace stay dropped (point-in-time recovery is the paper's
 // answer there), while partitioned tables, which merely lost this
 // tablespace's partitions, come back complete.
@@ -381,92 +316,85 @@ func (m *Manager) OnlineTablespaceRecovery(p *sim.Proc, name string) (*Report, e
 	if in.State() != engine.StateOpen {
 		return nil, fmt.Errorf("recovery: instance must be open for online tablespace recovery")
 	}
-	rep := &Report{Kind: KindTablespace, Complete: true, Started: p.Now()}
-	tl := m.beginTimeline(p, rep)
-
-	ts, err := in.DB().Tablespace(name)
-	dropped := err != nil
-	lost := false
-	if !dropped {
-		for _, f := range ts.Files {
-			if f.Lost() {
-				lost = true
-			}
-		}
-	}
-	if dropped || lost {
-		b, berr := m.latestBackup()
-		if berr != nil {
-			return nil, berr
-		}
-		tl.phase(p, PhaseRestore)
-		p.Sleep(in.Config().Cost.BackupRestoreOverhead)
-		if dropped {
-			if err := b.RestoreTablespace(p, in.FS(), in.DB(), name); err != nil {
-				return nil, err
-			}
-			if ts, err = in.DB().Tablespace(name); err != nil {
-				return nil, err
-			}
-			// Restored but not yet rolled forward: stays unavailable to
-			// DML until recovery completes.
-			ts.SetOnline(false)
-		} else {
+	return m.run(p, KindTablespace, func(rep *Report, tl *timeline) error {
+		ts, err := in.DB().Tablespace(name)
+		dropped := err != nil
+		lost := false
+		if !dropped {
 			for _, f := range ts.Files {
-				if !f.Lost() {
-					continue
-				}
-				if !b.HasFile(f.Name) {
-					return nil, fmt.Errorf("recovery: datafile %q missing from backup %d", f.Name, b.ID)
-				}
-				in.Cache().InvalidateFile(f)
-				if err := b.RestoreDatafile(p, in.FS(), f.Name); err != nil {
-					return nil, err
+				if f.Lost() {
+					lost = true
 				}
 			}
 		}
-	}
+		if dropped || lost {
+			b, berr := m.latestBackup()
+			if berr != nil {
+				return berr
+			}
+			tl.phase(p, PhaseRestore)
+			p.Sleep(in.Config().Cost.BackupRestoreOverhead)
+			if dropped {
+				if err := b.RestoreTablespace(p, in.FS(), in.DB(), name); err != nil {
+					return err
+				}
+				if ts, err = in.DB().Tablespace(name); err != nil {
+					return err
+				}
+				// Restored but not yet rolled forward: stays unavailable to
+				// DML until recovery completes.
+				ts.SetOnline(false)
+			} else {
+				for _, f := range ts.Files {
+					if !f.Lost() {
+						continue
+					}
+					if !b.HasFile(f.Name) {
+						return fmt.Errorf("recovery: datafile %q missing from backup %d", f.Name, b.ID)
+					}
+					in.Cache().InvalidateFile(f)
+					if err := b.RestoreDatafile(p, in.FS(), f.Name); err != nil {
+						return err
+					}
+				}
+			}
+		}
 
-	// Roll the damaged files forward together from the earliest point any
-	// of them needs; intact siblings were checkpointed clean when the
-	// tablespace went offline and need no redo.
-	files := make(map[*storage.Datafile]bool)
-	from := redo.SCN(-1)
-	for _, f := range ts.Files {
-		if !f.NeedsRecovery {
-			continue
-		}
-		files[f] = true
-		start := f.CkptSCN + 1
-		if f.UndoSCN > 0 && f.UndoSCN < start {
-			start = f.UndoSCN
-		}
-		if from < 0 || start < from {
-			from = start
-		}
-	}
-	if len(files) > 0 {
-		end, err := m.rollForwardFiles(p, files, from, rep, tl)
-		if err != nil {
-			return nil, err
-		}
+		// Roll the damaged files forward together from the earliest point any
+		// of them needs; intact siblings were checkpointed clean when the
+		// tablespace went offline and need no redo.
+		files := make(map[*storage.Datafile]bool)
+		from := redo.SCN(-1)
 		for _, f := range ts.Files {
-			if !files[f] {
+			if !f.NeedsRecovery {
 				continue
 			}
-			f.CkptSCN = end
-			f.UndoSCN = end + 1
-			f.NeedsRecovery = false
+			files[f] = true
+			start := f.CkptSCN + 1
+			if f.UndoSCN > 0 && f.UndoSCN < start {
+				start = f.UndoSCN
+			}
+			if from < 0 || start < from {
+				from = start
+			}
 		}
-	}
-	tl.phase(p, PhaseOpen)
-	if err := in.OnlineTablespace(p, name); err != nil {
-		return nil, err
-	}
-	rep.Finished = p.Now()
-	tl.finish(p)
-	m.observeRedoReplay(rep)
-	return rep, nil
+		if len(files) > 0 {
+			end, err := m.rollForwardFiles(p, files, from, rep, tl)
+			if err != nil {
+				return err
+			}
+			for _, f := range ts.Files {
+				if !files[f] {
+					continue
+				}
+				f.CkptSCN = end
+				f.UndoSCN = end + 1
+				f.NeedsRecovery = false
+			}
+		}
+		tl.phase(p, PhaseOpen)
+		return in.OnlineTablespace(p, name)
+	})
 }
 
 // PointInTime performs incomplete recovery: crash the instance if needed,
@@ -476,7 +404,6 @@ func (m *Manager) OnlineTablespaceRecovery(p *sim.Proc, name string) (*Report, e
 // and counted in the report.
 func (m *Manager) PointInTime(p *sim.Proc, untilSCN redo.SCN) (*Report, error) {
 	in := m.in
-	rep := &Report{Kind: KindPointInTime, Complete: false, Started: p.Now()}
 	b, err := m.latestBackup()
 	if err != nil {
 		return nil, err
@@ -484,86 +411,32 @@ func (m *Manager) PointInTime(p *sim.Proc, untilSCN redo.SCN) (*Report, error) {
 	if untilSCN < b.SCN {
 		return nil, fmt.Errorf("recovery: until SCN %d precedes backup SCN %d", untilSCN, b.SCN)
 	}
-	tl := m.beginTimeline(p, rep)
-	tl.phase(p, PhaseMount)
-	// The DBA shuts the instance down before a full restore.
-	if in.State() == engine.StateOpen {
-		in.Crash()
-	}
-	if err := in.Mount(p); err != nil {
-		return nil, err
-	}
-	tl.phase(p, PhaseRestore)
-	p.Sleep(in.Config().Cost.BackupRestoreOverhead)
-	if n := m.workerCount(); n > 1 {
-		// Parallel point-in-time recovery restores datafiles on n
-		// concurrent workers, then streams the redo scan into the apply
-		// crew, filtering at the stop point: records past untilSCN are
-		// never routed and their commits are counted as lost.
+	return m.run(p, KindPointInTime, func(rep *Report, tl *timeline) error {
+		tl.phase(p, PhaseMount)
+		// The DBA shuts the instance down before a full restore.
+		if in.State() == engine.StateOpen {
+			in.Crash()
+		}
+		if err := in.Mount(p); err != nil {
+			return err
+		}
+		tl.phase(p, PhaseRestore)
+		p.Sleep(in.Config().Cost.BackupRestoreOverhead)
+		// The datafiles are restored at the recovery fan-out, then redo
+		// from the backup SCN forward rolls through the pass, which stops
+		// at untilSCN and counts the commits beyond it as lost.
+		n := in.RecoveryParallelism()
 		tl.setWorkers(n)
 		if err := b.RestoreAllWorkers(p, in.FS(), in.DB(), in.Catalog(), n); err != nil {
-			return nil, err
+			return err
 		}
-		sa := m.newStreamApply(p, rep, tl, true, nil, n)
-		if _, err := m.redoRange(p, rep, b.SCN+1, tl, func(sp *sim.Proc, batch []redo.Record) {
-			cut := len(batch)
-			for i := range batch {
-				if batch[i].SCN > untilSCN {
-					cut = i
-					break
-				}
-			}
-			sa.feed(sp, batch[:cut])
-			for i := cut; i < len(batch); i++ {
-				if batch[i].Op == redo.OpCommit {
-					rep.LostCommits++
-				}
-			}
-		}); err != nil {
-			sa.crew.abort(p)
-			return nil, err
+		sa := m.newStreamApply(p, rep, tl, true, nil)
+		sa.until = untilSCN
+		if err := sa.roll(p, b.SCN+1, untilSCN); err != nil {
+			return err
 		}
-		if err := sa.finish(p, untilSCN); err != nil {
-			return nil, err
-		}
-	} else {
-		if err := b.RestoreAll(p, in.FS(), in.DB(), in.Catalog()); err != nil {
-			return nil, err
-		}
-		// Gather redo from the backup SCN forward and count what will be
-		// lost beyond the stop point.
-		recs, err := m.redoRange(p, rep, b.SCN+1, tl, nil)
-		if err != nil {
-			return nil, err
-		}
-		var apply []redo.Record
-		for _, rec := range recs {
-			if rec.SCN <= untilSCN {
-				apply = append(apply, rec)
-			} else if rec.Op == redo.OpCommit {
-				rep.LostCommits++
-			}
-		}
-		if err := m.applyAndUndo(p, rep, apply, true, untilSCN, tl); err != nil {
-			return nil, err
-		}
-	}
-	tl.phase(p, PhaseOpen)
-	// Open RESETLOGS: discard post-untilSCN redo, new log incarnation.
-	if err := in.Log().ResetLogs(untilSCN + 1); err != nil {
-		return nil, err
-	}
-	if err := m.finishRecovery(p, untilSCN, true); err != nil {
-		return nil, err
-	}
-	in.MarkRecovered()
-	if err := in.Open(p); err != nil {
-		return nil, err
-	}
-	rep.Finished = p.Now()
-	tl.finish(p)
-	m.observeRedoReplay(rep)
-	return rep, nil
+		return m.finishRecovery(p, tl, untilSCN, true)
+	})
 }
 
 // latestBackup returns the most recent backup or a helpful error.
@@ -582,9 +455,8 @@ func (m *Manager) latestBackup() (*backup.Backup, error) {
 //
 // A non-nil sink receives each newly scanned segment (one per archived
 // log, one for the online top-up) in SCN order as soon as it is read —
-// parallel recovery feeds the apply crew through it, so workers replay
-// one archive while the coordinator pays the open-and-read cost of the
-// next. The full stream is still returned.
+// streamApply.roll feeds an apply crew through it. The full stream is
+// still returned.
 func (m *Manager) redoRange(p *sim.Proc, rep *Report, from redo.SCN, tl *timeline, sink func(*sim.Proc, []redo.Record)) ([]redo.Record, error) {
 	in := m.in
 	log := in.Log()
@@ -677,19 +549,6 @@ func (m *Manager) refFor(rec *redo.Record) (storage.BlockRef, bool) {
 	return tbl.BlockFor(rec.Key), true
 }
 
-// applyToImage applies one data record to the durable image, honouring
-// the block-SCN idempotence guard. It reports whether the record was
-// applied.
-func (m *Manager) applyToImage(rec *redo.Record, ref storage.BlockRef) bool {
-	return ApplyToImage(rec, ref)
-}
-
-// undoToImage applies a before-image during the rollback pass, stamping
-// the image with the recovery end SCN.
-func (m *Manager) undoToImage(rec *redo.Record, ref storage.BlockRef, stamp redo.SCN) {
-	UndoToImage(rec, ref, stamp)
-}
-
 // participates decides whether a file takes part in a whole-database
 // recovery pass. Offline files are skipped during crash recovery (their
 // own media recovery picks them up later) but included in point-in-time
@@ -702,94 +561,6 @@ func participates(f *storage.Datafile, includeOffline bool) bool {
 		return true
 	}
 	return f.Online()
-}
-
-// applyAndUndo runs the forward pass over recs and then rolls back losers
-// — transactions with changes but no commit/abort record within recs.
-// stamp is the SCN recovery ends at (images touched by undo are stamped
-// with it). With RecoveryParallelism > 1 the forward pass is fanned out
-// across the apply crew; results are identical, only the timing differs.
-func (m *Manager) applyAndUndo(p *sim.Proc, rep *Report, recs []redo.Record, includeOffline bool, stamp redo.SCN, tl *timeline) error {
-	return m.applyAndUndoPending(p, rep, recs, nil, includeOffline, stamp, tl)
-}
-
-// applyAndUndoPending is applyAndUndo with a pre-seeded undo set:
-// `pending` holds already-applied records (SCN order, all below recs'
-// SCNs) of transactions known unfinished, which failover promotion must
-// roll back alongside the tail's own losers. They are undone last —
-// i.e. the undo pass stays in reverse global SCN order.
-func (m *Manager) applyAndUndoPending(p *sim.Proc, rep *Report, recs, pending []redo.Record, includeOffline bool, stamp redo.SCN, tl *timeline) error {
-	if n := m.workerCount(); n > 1 {
-		sa := m.newStreamApply(p, rep, tl, includeOffline, nil, n)
-		for i := range pending {
-			sa.cands = append(sa.cands, loserCand{rec: &pending[i]})
-		}
-		sa.feed(p, recs)
-		return sa.finish(p, stamp)
-	}
-	in := m.in
-	cost := in.Config().Cost
-	cs := &chunkedSleep{p: p}
-
-	finished := redo.FinishedTxns(recs)
-	touched := make(map[storage.BlockRef]bool)
-	var loserRecs []redo.Record
-	losers := make(map[redo.TxnID]bool)
-	for i := range pending {
-		losers[pending[i].Txn] = true
-		loserRecs = append(loserRecs, pending[i])
-	}
-
-	// Forward pass: apply everything (DDL included).
-	for i := range recs {
-		rec := &recs[i]
-		rep.RecordsScanned++
-		if rec.Op == redo.OpDDL {
-			cs.add(cost.RedoApplyPerRecord)
-			m.replayDDL(rec.Meta)
-			continue
-		}
-		if !rec.IsDataChange() {
-			cs.add(cost.RedoApplyPerRecord / 4)
-			continue
-		}
-		ref, ok := m.refFor(rec)
-		if !ok {
-			continue
-		}
-		if !participates(ref.File, includeOffline) {
-			continue
-		}
-		if m.applyToImage(rec, ref) {
-			rep.RecordsApplied++
-			rep.BytesApplied += rec.Size()
-			touched[ref] = true
-			cs.add(cost.RedoApplyPerRecord)
-		}
-		if !finished[rec.Txn] {
-			losers[rec.Txn] = true
-			loserRecs = append(loserRecs, *rec)
-		}
-	}
-	// Backward pass: undo losers in reverse SCN order.
-	tl.phase(p, PhaseUndoRollback)
-	for i := len(loserRecs) - 1; i >= 0; i-- {
-		rec := &loserRecs[i]
-		ref, ok := m.refFor(rec)
-		if !ok {
-			continue
-		}
-		if !participates(ref.File, includeOffline) {
-			continue
-		}
-		m.undoToImage(rec, ref, stamp)
-		touched[ref] = true
-		cs.add(cost.RedoApplyPerRecord)
-	}
-	rep.LosersRolledBack = len(losers)
-	cs.flush()
-	tl.phase(p, PhaseBlockWrites)
-	return m.chargeBlockPasses(p, touched)
 }
 
 // ReapplyDataRecords re-applies data-change records through the same
@@ -812,18 +583,11 @@ func (m *Manager) ReapplyDataRecords(recs []redo.Record) int {
 		if !ok || ref.File.Lost() {
 			continue
 		}
-		if m.applyToImage(rec, ref) {
+		if ApplyToImage(rec, ref) {
 			n++
 		}
 	}
 	return n
-}
-
-// replayDDL re-executes a logged DDL statement against the dictionary
-// during roll-forward (e.g. a DROP TABLE that happened after the backup
-// but before the recovery target).
-func (m *Manager) replayDDL(stmt string) {
-	ReplayDDL(m.in.Catalog(), m.in.DB(), stmt)
 }
 
 func firstWord(s string) string {
@@ -833,15 +597,9 @@ func firstWord(s string) string {
 	return s
 }
 
-// chargeBlockPasses charges the recovery block I/O: one sorted sequential
-// read pass and one sorted sequential write pass over the touched blocks.
-func (m *Manager) chargeBlockPasses(p *sim.Proc, touched map[storage.BlockRef]bool) error {
-	return blockPass(p, sortedRefs(touched))
-}
-
-// sortedRefs flattens a touched-block set into (file name, block number)
-// order — the deterministic sequential-pass order the I/O is charged in.
-func sortedRefs(touched map[storage.BlockRef]bool) []storage.BlockRef {
+// SortedRefs flattens a touched-block set into (file name, block number)
+// order — the deterministic sequential-pass order block I/O is charged in.
+func SortedRefs(touched map[storage.BlockRef]bool) []storage.BlockRef {
 	refs := make([]storage.BlockRef, 0, len(touched))
 	for ref := range touched {
 		refs = append(refs, ref)
@@ -877,16 +635,26 @@ func blockPass(p *sim.Proc, refs []storage.BlockRef) error {
 	return nil
 }
 
-// finishRecovery persists the recovery end point: participating
-// datafiles are stamped, the control file updated, and the log released.
-func (m *Manager) finishRecovery(p *sim.Proc, scn redo.SCN, includeOffline bool) error {
+// finishRecovery is the open phase of a whole-database recovery: persist
+// the end point — participating datafiles stamped, control file updated,
+// log released — and open the database. resetLogs opens a new log
+// incarnation starting past scn, discarding whatever redo lies beyond it
+// (point-in-time recovery, failover); those recoveries restored or own
+// every datafile, so the offline ones are stamped and onlined as well.
+func (m *Manager) finishRecovery(p *sim.Proc, tl *timeline, scn redo.SCN, resetLogs bool) error {
 	in := m.in
+	tl.phase(p, PhaseOpen)
+	if resetLogs {
+		if err := in.Log().ResetLogs(scn + 1); err != nil {
+			return err
+		}
+	}
 	ctl := in.DB().Control
 	ctl.CheckpointSCN = scn
 	ctl.UndoSCN = scn + 1
 	ctl.StopSCN = scn // consistent as of scn: no crash recovery on open
 	for _, f := range in.DB().Datafiles() {
-		if !participates(f, includeOffline) {
+		if !participates(f, resetLogs) {
 			continue
 		}
 		f.CkptSCN = scn
@@ -898,5 +666,6 @@ func (m *Manager) finishRecovery(p *sim.Proc, scn redo.SCN, includeOffline bool)
 		return err
 	}
 	in.Log().CheckpointCompleted(scn)
-	return nil
+	in.MarkRecovered()
+	return in.Open(p)
 }

@@ -36,7 +36,7 @@ type Phase struct {
 	Records int
 	Bytes   int64
 	// Workers is the apply/IO fan-out active during the phase (1 for
-	// coordinator-only phases and all of serial recovery). The phase
+	// coordinator-only phases and all of a one-worker recovery). The phase
 	// interval is still the coordinator's contiguous wall-clock slice;
 	// worker activity shows up as child spans of the phase span.
 	Workers int
@@ -76,7 +76,7 @@ func (tl *timeline) phase(p *sim.Proc, name string) {
 	if tl == nil {
 		return
 	}
-	tl.closePhase(p)
+	tl.closePhase(p, nil)
 	tl.rep.Phases = append(tl.rep.Phases, Phase{Name: name, Start: p.Now(), Workers: 1})
 	tl.open = true
 	tl.baseScanned = tl.rep.RecordsScanned
@@ -114,7 +114,9 @@ func (tl *timeline) tracer() *trace.Tracer {
 	return tl.tr
 }
 
-func (tl *timeline) closePhase(p *sim.Proc) {
+// closePhase ends the open phase and its span; a non-nil err — the
+// recovery failed inside this phase — is recorded on the span.
+func (tl *timeline) closePhase(p *sim.Proc, err error) {
 	if tl == nil || !tl.open {
 		return
 	}
@@ -123,20 +125,30 @@ func (tl *timeline) closePhase(p *sim.Proc) {
 	ph.Scanned = tl.rep.RecordsScanned - tl.baseScanned
 	ph.Records = tl.rep.RecordsApplied - tl.baseApplied
 	ph.Bytes = tl.rep.BytesApplied - tl.baseBytes
-	tl.tr.End(p.Now(), tl.cur,
-		trace.I("records", int64(ph.Records)), trace.I("bytes", ph.Bytes), trace.I("scanned", int64(ph.Scanned)))
+	tl.tr.End(p.Now(), tl.cur, withError(err,
+		trace.I("records", int64(ph.Records)), trace.I("bytes", ph.Bytes), trace.I("scanned", int64(ph.Scanned)))...)
 	tl.open = false
 }
 
-// finish closes the last phase and the root span. Call it after
-// rep.Finished is stamped, at the same virtual instant.
-func (tl *timeline) finish(p *sim.Proc) {
+// finish closes the last phase and the root span, both tagged with err
+// when the recovery failed. On success call it after rep.Finished is
+// stamped, at the same virtual instant.
+func (tl *timeline) finish(p *sim.Proc, err error) {
 	if tl == nil {
 		return
 	}
-	tl.closePhase(p)
-	tl.tr.End(p.Now(), tl.root,
+	tl.closePhase(p, err)
+	tl.tr.End(p.Now(), tl.root, withError(err,
 		trace.I("records", int64(tl.rep.RecordsApplied)),
 		trace.I("bytes", tl.rep.BytesApplied),
-		trace.I("losers", int64(tl.rep.LosersRolledBack)))
+		trace.I("losers", int64(tl.rep.LosersRolledBack)))...)
+}
+
+// withError appends an error attribute to a span's closing attributes
+// when err is non-nil.
+func withError(err error, attrs ...trace.Attr) []trace.Attr {
+	if err != nil {
+		attrs = append(attrs, trace.S("error", err.Error()))
+	}
+	return attrs
 }

@@ -160,17 +160,3 @@ func readBytes(b []byte, i int) ([]byte, int, error) {
 func (r *Record) IsDataChange() bool {
 	return r.Op == OpInsert || r.Op == OpUpdate || r.Op == OpDelete
 }
-
-// FinishedTxns returns the set of transactions with a commit or abort
-// record in recs. Recovery uses it to separate finished transactions from
-// losers: any transaction with data changes in the stream but no entry
-// here vanished without resolving and must be rolled back.
-func FinishedTxns(recs []Record) map[TxnID]bool {
-	finished := make(map[TxnID]bool)
-	for i := range recs {
-		if recs[i].Op == OpCommit || recs[i].Op == OpAbort {
-			finished[recs[i].Txn] = true
-		}
-	}
-	return finished
-}

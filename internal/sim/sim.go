@@ -177,15 +177,22 @@ func (k *Kernel) run(until Time) {
 // parked process coroutines — and everything their stacks retain — can be
 // collected; otherwise each finished simulation leaks its whole state.
 func (k *Kernel) KillAll() {
+	for _, p := range k.Live() {
+		p.Kill()
+	}
+	k.RunAll()
+}
+
+// Live returns the processes started and not yet finished, in start
+// order: who is still there when part of a simulation should have wound
+// down.
+func (k *Kernel) Live() []*Proc {
 	procs := make([]*Proc, 0, len(k.live))
 	for p := range k.live {
 		procs = append(procs, p)
 	}
 	sort.Slice(procs, func(i, j int) bool { return procs[i].pid < procs[j].pid })
-	for _, p := range procs {
-		p.Kill()
-	}
-	k.RunAll()
+	return procs
 }
 
 // Pending reports the number of queued events.

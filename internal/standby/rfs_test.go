@@ -90,7 +90,7 @@ func TestActivationKeepsFullyHandedOffArchive(t *testing.T) {
 
 		pr.primary.Crash()
 		start := p.Now()
-		if _, err := pr.sb.Activate(p); err != nil {
+		if _, err := pr.sb.Promote(p); err != nil {
 			return err
 		}
 		// Activation must have paid the outstanding transfers, not

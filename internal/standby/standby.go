@@ -6,8 +6,8 @@
 // link (see stream.go), in sync or async mode, with optional cascading.
 //
 // On a primary failure the stand-by is promoted: the received-but-
-// unapplied redo tail is rolled forward on the regular recovery pipeline
-// (parallel apply crew included), transactions the stream never finished
+// unapplied redo tail is rolled forward by recovery's one redo-apply pass
+// (recovery.Manager.Failover), transactions the stream never finished
 // are rolled back, and the database opens as the new primary. Committed
 // transactions whose redo never reached the stand-by are lost — the
 // paper's Figure 7 measures that against the online log geometry for
@@ -445,18 +445,8 @@ func (s *Standby) finishTxn(id redo.TxnID) {
 func (s *Standby) chargeTouched(p *sim.Proc, touched map[storage.BlockRef]bool) {
 	// Managed recovery writes blocks lazily and mostly sequentially;
 	// charge one write per touched block at the sequential rate on the
-	// file's disk. Sorted for determinism.
-	refs := make([]storage.BlockRef, 0, len(touched))
-	for ref := range touched {
-		refs = append(refs, ref)
-	}
-	sort.Slice(refs, func(i, j int) bool {
-		if refs[i].File.Name != refs[j].File.Name {
-			return refs[i].File.Name < refs[j].File.Name
-		}
-		return refs[i].No < refs[j].No
-	})
-	for _, ref := range refs {
+	// file's disk, in recovery's sorted block-pass order.
+	for _, ref := range recovery.SortedRefs(touched) {
 		if ref.File.Lost() {
 			continue
 		}
@@ -476,24 +466,12 @@ func (s *Standby) pendingRecords() []redo.Record {
 	return out
 }
 
-// Activate fails the stand-by over and reports the number of in-flight
-// transactions rolled back (the legacy archive-transport API; Promote
-// returns the full recovery report).
-func (s *Standby) Activate(p *sim.Proc) (int, error) {
-	rep, err := s.Promote(p)
-	if err != nil {
-		return 0, err
-	}
-	return rep.LosersRolledBack, nil
-}
-
 // Promote fails the stand-by over: in-flight archive transfers are
 // drained (received bytes must not be lost), the received-but-unapplied
 // redo tail — queued archives plus the stream queue — is rolled forward
-// on the regular recovery pipeline (recovery.Manager.Failover, parallel
-// apply crew included), transactions with no commit record in the
+// by recovery.Manager.Failover, transactions with no commit record in the
 // received stream are rolled back, and the database opens RESETLOGS as
-// the new primary.
+// the new primary. Implements the fault injector's failover hook.
 func (s *Standby) Promote(p *sim.Proc) (*recovery.Report, error) {
 	if s.activated {
 		return nil, fmt.Errorf("standby: already activated")

@@ -149,7 +149,7 @@ func TestStandbyAppliesShippedLogsAndActivates(t *testing.T) {
 		appliedBefore := pr.sb.AppliedSCN()
 		pr.primary.Crash()
 		start := p.Now()
-		if _, err := pr.sb.Activate(p); err != nil {
+		if _, err := pr.sb.Promote(p); err != nil {
 			return err
 		}
 		took := p.Now().Sub(start)
@@ -228,7 +228,7 @@ func TestStandbyLostTransactionsGrowWithLogSize(t *testing.T) {
 			}
 			p.Sleep(2 * time.Second)
 			pr.primary.Crash()
-			if _, err := pr.sb.Activate(p); err != nil {
+			if _, err := pr.sb.Promote(p); err != nil {
 				return err
 			}
 			for _, scn := range acked {
@@ -256,10 +256,10 @@ func TestStandbyActivateTwiceFails(t *testing.T) {
 		if err := pr.sb.Start(p); err != nil {
 			return err
 		}
-		if _, err := pr.sb.Activate(p); err != nil {
+		if _, err := pr.sb.Promote(p); err != nil {
 			return err
 		}
-		if _, err := pr.sb.Activate(p); err == nil {
+		if _, err := pr.sb.Promote(p); err == nil {
 			return fmt.Errorf("second activation succeeded")
 		}
 		return nil
@@ -308,7 +308,7 @@ func TestStandbyDetectsArchiveGap(t *testing.T) {
 		if got, want := pr.sb.Stats().Applied, 1; got != want {
 			return fmt.Errorf("applied %d logs, want %d (everything before the gap only)", got, want)
 		}
-		if _, err := pr.sb.Activate(p); err == nil {
+		if _, err := pr.sb.Promote(p); err == nil {
 			return fmt.Errorf("activation succeeded across a redo gap")
 		}
 		return nil
