@@ -1,6 +1,7 @@
-// Stand-by failover: a primary and a stand-by server run side by side,
-// archived redo shipping continuously. The primary crashes mid-run; the
-// stand-by is activated and takes the workload. The example prints the
+// Stand-by failover: a primary and a stand-by server run side by side —
+// a replication cluster of one in archive mode, each archived redo log
+// shipped after its log switch. The primary crashes mid-run; the
+// stand-by is promoted and takes the workload. The example prints the
 // failover time (roughly constant, unlike media recovery) and the
 // transactions lost in the unarchived online log — the trade-off the
 // paper's §5.3 quantifies.
@@ -13,6 +14,7 @@ import (
 
 	"dbench/internal/core"
 	"dbench/internal/faults"
+	"dbench/internal/standby"
 )
 
 func main() {
@@ -24,7 +26,7 @@ func main() {
 		spec.Duration = 8 * time.Minute
 		spec.Recovery = cfg
 		spec.Archive = true
-		spec.Standby = true
+		spec.Standbys, spec.ReplMode = 1, standby.ModeArchive
 		spec.Fault = &faults.Fault{Kind: faults.ShutdownAbort}
 		spec.InjectAt = 5 * time.Minute
 		spec.TailAfterRecovery = time.Minute

@@ -8,6 +8,7 @@ import (
 	"dbench/internal/engine"
 	"dbench/internal/faults"
 	"dbench/internal/monitor"
+	"dbench/internal/standby"
 	"dbench/internal/tpcc"
 	"dbench/internal/trace"
 )
@@ -352,10 +353,12 @@ func RunFigure6(sc Scale, progress Progress) ([]Fig6Row, error) {
 	for i, cfg := range configs {
 		row := &rows[i]
 		row.Config = cfg
-		add := func(kind string, standby bool, fault *faults.Fault, fold func(res *Result)) {
+		add := func(kind string, sb bool, fault *faults.Fault, fold func(res *Result)) {
 			spec := sc.spec("F6/"+kind+"/"+cfg.Name, cfg)
 			spec.Archive = true
-			spec.Standby = standby
+			if sb {
+				spec.Standbys, spec.ReplMode = 1, standby.ModeArchive
+			}
 			if fault != nil {
 				sc.inject(&spec, *fault, sc.InjectTimes[2])
 			}
@@ -416,7 +419,7 @@ func RunFigure7(sc Scale, progress Progress) ([]Fig7Row, error) {
 			rows = append(rows, Fig7Row{SizeMB: sizeMB, Groups: groups})
 			spec := sc.spec("F7/"+cfg.Name, cfg)
 			spec.Archive = true
-			spec.Standby = true
+			spec.Standbys, spec.ReplMode = 1, standby.ModeArchive
 			sc.inject(&spec, faults.Fault{Kind: faults.ShutdownAbort}, sc.InjectTimes[2])
 			c.add(spec, func(res *Result) string {
 				return fmt.Sprintf("F7 size=%3dMB groups=%d lost=%d", sizeMB, groups, res.LostTransactions)

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"dbench/internal/faults"
+	"dbench/internal/standby"
 	"dbench/internal/tpcc"
 )
 
@@ -101,7 +102,7 @@ func TestShapeLostTransactionsVsLogSize(t *testing.T) {
 		cfg.FileSize = int64(sizeMB) << 10 * 64 // 64 KB per "MB" step
 		spec := sc.spec("f7", cfg)
 		spec.Archive = true
-		spec.Standby = true
+		spec.Standbys, spec.ReplMode = 1, standby.ModeArchive
 		spec.Fault = &faults.Fault{Kind: faults.ShutdownAbort}
 		spec.InjectAt = sc.InjectTimes[2]
 		spec.TailAfterRecovery = sc.Tail
@@ -123,7 +124,10 @@ func TestShapeLostTransactionsVsLogSize(t *testing.T) {
 // commits in the never-archived online tail — an archive fully handed
 // off before the crash must never join it (the RFS transport owns the
 // transfer), so a change here means the shipping/activation accounting
-// changed: re-pin only if that is deliberate.
+// changed: re-pin only if that is deliberate. The failover's virtual
+// duration is pinned with it, to the nanosecond (the value the two-path
+// stand-by of PR 15 produced): activation overhead, the roll of whatever
+// managed recovery had not applied yet, the rollback set and the open.
 func TestFigure7LostTransactionCountPinned(t *testing.T) {
 	sc := miniScale()
 	cfg := RecoveryConfig{
@@ -131,7 +135,7 @@ func TestFigure7LostTransactionCountPinned(t *testing.T) {
 	}
 	spec := sc.spec("f7pin", cfg)
 	spec.Archive = true
-	spec.Standby = true
+	spec.Standbys, spec.ReplMode = 1, standby.ModeArchive
 	spec.Fault = &faults.Fault{Kind: faults.ShutdownAbort}
 	spec.InjectAt = sc.InjectTimes[2]
 	spec.TailAfterRecovery = sc.Tail
@@ -142,5 +146,9 @@ func TestFigure7LostTransactionCountPinned(t *testing.T) {
 	const pinned = 109
 	if res.LostTransactions != pinned {
 		t.Errorf("Figure 7 cell lost %d transactions, pinned %d (re-pin if the change is deliberate)", res.LostTransactions, pinned)
+	}
+	const pinnedFailover = 8019562500 * time.Nanosecond
+	if res.RecoveryTime != pinnedFailover {
+		t.Errorf("Figure 7 cell failed over in %d ns, pinned %d (re-pin if the change is deliberate)", res.RecoveryTime, pinnedFailover)
 	}
 }

@@ -138,11 +138,12 @@ func (r *Rig) Standby(p *sim.Proc, ecfg engine.Config, name string) (*standby.St
 	return standby.New(in, standby.DefaultConfig(), r.backupSCN), nil
 }
 
-// StartCluster instantiates n streaming stand-bys (standby1..standbyN),
-// starts the replication cluster over them and wires it to the primary:
-// the durable-redo tap, the commit gate, the lifecycle observer (chained
-// behind any observer already set) and failover as the injector's
-// ShutdownAbort remedy. A zero ccfg.Link means LinkLAN.
+// StartCluster instantiates n stand-bys (standby1..standbyN), starts the
+// replication cluster over them and wires it to the primary: the redo tap
+// (durable records, or archived logs in archive mode), the commit gate,
+// the lifecycle observer (chained behind any observer already set) and
+// failover as the injector's ShutdownAbort remedy. It is the only
+// stand-by wiring there is. A zero ccfg.Link means LinkLAN.
 func (r *Rig) StartCluster(p *sim.Proc, ecfg engine.Config, n int, ccfg standby.ClusterConfig) (*standby.Cluster, error) {
 	sbs := make([]*standby.Standby, n)
 	for i := range sbs {
@@ -161,7 +162,11 @@ func (r *Rig) StartCluster(p *sim.Proc, ecfg engine.Config, n int, ccfg standby.
 	if err := cluster.Start(p); err != nil {
 		return nil, err
 	}
-	r.In.Log().OnDurable = cluster.OnDurable
+	if ccfg.Mode == standby.ModeArchive {
+		r.In.Archiver().OnArchived = cluster.OnArchived
+	} else {
+		r.In.Log().OnDurable = cluster.OnDurable
+	}
 	r.In.Txns().CommitGate = cluster.CommitGate
 	prevState := r.In.OnStateChange
 	r.In.OnStateChange = func(now sim.Time, st engine.State) {

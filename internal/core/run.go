@@ -29,18 +29,16 @@ type Spec struct {
 	Recovery RecoveryConfig
 	// Archive enables the archive log mechanism (§5.2).
 	Archive bool
-	// Standby adds a stand-by database fed by archive shipping (§5.3); a
-	// primary crash (ShutdownAbort) then fails over to it.
-	Standby bool
 
-	// Standbys adds a streaming-replication cluster: that many first-tier
-	// stand-bys fed by continuous redo streaming (plus ReplCascade
-	// cascaded ones), with commit acknowledgement per ReplMode. A primary
-	// crash (ShutdownAbort) then fails over to the most advanced stand-by
-	// instead of recovering in place. Mutually independent from Standby
-	// (the archive-shipping configuration).
+	// Standbys adds a replication cluster: that many first-tier stand-bys
+	// (plus ReplCascade cascaded ones) fed per ReplMode. A primary crash
+	// (ShutdownAbort) then fails over to the most advanced stand-by
+	// instead of recovering in place.
 	Standbys int
-	// ReplMode is the commit-acknowledgement protocol (sync or async).
+	// ReplMode is the redo transport and commit-acknowledgement protocol:
+	// continuous streaming, sync or async, or standby.ModeArchive — whole
+	// archived logs shipped after each log switch, the paper's §5.3
+	// stand-by (needs Archive).
 	ReplMode standby.Mode
 	// ReplLink is the primary→stand-by network profile (zero: LinkLAN).
 	ReplLink sim.LinkSpec
@@ -193,7 +191,7 @@ type Result struct {
 	RTOEstimate    time.Duration
 	ReplLagRecords int64
 	// Replication is the final V$REPLICATION view (nil without a
-	// streaming cluster); ReplicaServed/ReplicaFallback count stand-by-
+	// cluster); ReplicaServed/ReplicaFallback count stand-by-
 	// routed read-only transactions.
 	Replication     []monitor.ReplicationRow
 	ReplicaServed   int64
@@ -277,23 +275,9 @@ func Run(spec Spec) (*Result, error) {
 			return err
 		}
 
-		// Phase 1b: instantiate the stand-by from the same content.
-		var sb *standby.Standby
-		if spec.Standby {
-			var err error
-			if sb, err = rig.Standby(p, ecfg, "standby"); err != nil {
-				return err
-			}
-			if err := sb.Start(p); err != nil {
-				return err
-			}
-			in.Archiver().OnArchived = sb.Ship
-			inj.Failover = sb
-		}
-
-		// Phase 1c: the streaming-replication cluster — N stand-bys fed
-		// by continuous redo streaming, the commit gate, and failover as
-		// the ShutdownAbort remedy.
+		// Phase 1b: the replication cluster — N stand-bys instantiated from
+		// the same content and fed per ReplMode, the commit gate, and
+		// failover as the ShutdownAbort remedy.
 		var cluster *standby.Cluster
 		if spec.Standbys > 0 {
 			var err error
@@ -355,14 +339,10 @@ func Run(spec Spec) (*Result, error) {
 				// the new incarnation starts at the promoted watermark,
 				// acknowledged commits beyond it are lost (the RPO), and
 				// the drivers re-target the new primary.
-				promoted := sb
-				if cluster != nil {
-					promoted = cluster.Promoted()
-					res.RTOEstimate = cluster.LastRTOEstimate()
-					res.ReplLagRecords = cluster.PromotedLag()
-				}
-				recoveryPoint = promoted.AppliedSCN()
-				app.In = promoted.Instance()
+				recoveryPoint = cluster.PromotedSCN()
+				app.In = cluster.ActiveInstance()
+				res.RTOEstimate = cluster.LastRTOEstimate()
+				res.ReplLagRecords = cluster.PromotedLag()
 				app.Replica = nil
 				res.FailedOver = true
 			case o.Report != nil && !o.Report.Complete:

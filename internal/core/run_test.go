@@ -6,6 +6,7 @@ import (
 
 	"dbench/internal/faults"
 	"dbench/internal/recovery"
+	"dbench/internal/standby"
 	"dbench/internal/tpcc"
 )
 
@@ -169,7 +170,7 @@ func TestRunWithDropTableFlashback(t *testing.T) {
 func TestRunWithStandbyFailover(t *testing.T) {
 	spec := quickSpec("standby")
 	spec.Archive = true
-	spec.Standby = true
+	spec.Standbys, spec.ReplMode = 1, standby.ModeArchive
 	spec.Recovery = mustConfig("F1G3T1")
 	spec.Fault = &faults.Fault{Kind: faults.ShutdownAbort}
 	spec.InjectAt = 90 * time.Second
@@ -179,6 +180,15 @@ func TestRunWithStandbyFailover(t *testing.T) {
 	}
 	if res.RecoveryTime <= 0 || res.RecoveryTime > 2*time.Minute {
 		t.Fatalf("failover took %v", res.RecoveryTime)
+	}
+	// The archive stand-by is a cluster member like any other: the run
+	// reports the failover, its V$REPLICATION row and the RTO estimate
+	// taken at the promotion decision.
+	if !res.FailedOver || res.RTOEstimate <= 0 {
+		t.Fatalf("FailedOver=%v RTOEstimate=%v, want a failover with a positive estimate", res.FailedOver, res.RTOEstimate)
+	}
+	if len(res.Replication) != 1 || res.Replication[0].Mode != "archive" || res.Replication[0].Status != "PRIMARY" {
+		t.Fatalf("V$REPLICATION = %+v, want one promoted archive-mode row", res.Replication)
 	}
 	// The stand-by loses the unarchived tail; that is the paper's
 	// Figure 7 measure. The recovered prefix must still be consistent.

@@ -180,9 +180,8 @@ type Injector struct {
 }
 
 // Promoter is a stand-by configuration that can take over after a primary
-// crash: the archive-fed standby.Standby of §5.3 or a streaming
-// standby.Cluster (an interface here keeps faults free of the replication
-// machinery).
+// crash — a standby.Cluster, in any of its modes (an interface here keeps
+// faults free of the replication machinery).
 type Promoter interface {
 	Promote(p *sim.Proc) (*recovery.Report, error)
 }

@@ -33,22 +33,6 @@ func (f *StreamFrame) Size() int64 {
 	return n
 }
 
-// FirstSCN returns the SCN of the first record (0 for an empty frame).
-func (f *StreamFrame) FirstSCN() SCN {
-	if len(f.Records) == 0 {
-		return 0
-	}
-	return f.Records[0].SCN
-}
-
-// LastSCN returns the SCN of the last record (0 for an empty frame).
-func (f *StreamFrame) LastSCN() SCN {
-	if len(f.Records) == 0 {
-		return 0
-	}
-	return f.Records[len(f.Records)-1].SCN
-}
-
 // Encode serialises f to a self-delimiting binary form.
 func (f *StreamFrame) Encode() []byte {
 	buf := make([]byte, 0, f.Size())

@@ -36,10 +36,6 @@ func TestStreamFrameRoundTrip(t *testing.T) {
 		if dec.Seq != f.Seq || dec.PrimarySCN != f.PrimarySCN || len(dec.Records) != len(f.Records) {
 			t.Fatalf("round trip mismatch:\n in: %+v\nout: %+v", f, dec)
 		}
-		if dec.FirstSCN() != f.FirstSCN() || dec.LastSCN() != f.LastSCN() {
-			t.Fatalf("SCN range mismatch: [%d,%d] vs [%d,%d]",
-				f.FirstSCN(), f.LastSCN(), dec.FirstSCN(), dec.LastSCN())
-		}
 		if re := dec.Encode(); !bytes.Equal(re, enc) {
 			t.Fatalf("re-encode not byte-identical")
 		}

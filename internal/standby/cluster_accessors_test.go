@@ -9,6 +9,7 @@ import (
 
 	"dbench/internal/engine"
 	"dbench/internal/monitor"
+	"dbench/internal/redo"
 	"dbench/internal/sim"
 	"dbench/internal/tpcc"
 )
@@ -26,8 +27,15 @@ func TestParseMode(t *testing.T) {
 			t.Fatalf("%v.String() = %q", got, got.String())
 		}
 	}
-	if _, err := ParseMode("quorum"); err == nil {
-		t.Fatal("unknown mode parsed")
+	// Archive shipping is a cluster mode but not a streaming mode: it has
+	// a name, and the -repl-mode parser does not take it.
+	if got := ModeArchive.String(); got != "archive" {
+		t.Fatalf("ModeArchive.String() = %q", got)
+	}
+	for _, bad := range []string{"quorum", "archive"} {
+		if _, err := ParseMode(bad); err == nil {
+			t.Fatalf("ParseMode(%q) succeeded", bad)
+		}
 	}
 }
 
@@ -159,7 +167,6 @@ func TestClusterIntrospection(t *testing.T) {
 			if sb.LastPrimarySCN() == 0 || sb.StreamHash() == 0 {
 				return fmt.Errorf("stream watermarks empty: primary=%d hash=%d", sb.LastPrimarySCN(), sb.StreamHash())
 			}
-			_ = sb.QueueLen()
 			last, ok := repo.Last()
 			if !ok {
 				return fmt.Errorf("no sample")
@@ -219,4 +226,85 @@ func TestClusterIntrospection(t *testing.T) {
 	if runErr != nil {
 		t.Fatal(runErr)
 	}
+}
+
+// TestClusterIntrospectionArchive: an archive-shipping cluster shows on the
+// same introspection surface as a streaming one — a V$REPLICATION row with
+// mode "archive" counting whole logs as transport units, the MMON probes,
+// and the promoted-instance accessors — while costing the primary no
+// stream: no link, no LNS process, no commit wait.
+func TestClusterIntrospectionArchive(t *testing.T) {
+	pr := newPair(t, 32<<10, 3)
+	pr.run(t, func(p *sim.Proc) error {
+		if err := schema(p, pr.primary); err != nil {
+			return err
+		}
+		if err := schemaStandby(p, pr.sb.Instance()); err != nil {
+			return err
+		}
+		cluster, err := NewCluster(pr.primary, []*Standby{pr.sb}, ClusterConfig{Mode: ModeArchive})
+		if err != nil {
+			return err
+		}
+		if err := cluster.Start(p); err != nil {
+			return err
+		}
+		pr.primary.Archiver().OnArchived = cluster.OnArchived
+		pr.primary.Txns().CommitGate = cluster.CommitGate
+		pr.primary.OnStateChange = cluster.OnPrimaryState
+		repo := monitor.New(monitor.Config{})
+		cluster.RegisterProbes(repo)
+
+		for i := int64(0); i < 600; i++ {
+			if err := pr.put(p, pr.primary, i%200, fmt.Sprintf("v%d", i)); err != nil {
+				return err
+			}
+		}
+		p.Sleep(5 * time.Second) // let ARCH, RFS and MRP drain
+		repo.Sample(p.Now())
+
+		if n := len(cluster.Links()); n != 0 {
+			return fmt.Errorf("archive cluster built %d stream links", n)
+		}
+		if frames, _, _, syncWaits, _, _ := cluster.Counters(); frames != 0 || syncWaits != 0 {
+			return fmt.Errorf("archive cluster streamed %d frames and held %d commits", frames, syncWaits)
+		}
+		rows := cluster.VReplication()
+		if len(rows) != 1 {
+			return fmt.Errorf("V$REPLICATION rows = %d, want 1", len(rows))
+		}
+		r := rows[0]
+		if r.Mode != "archive" || r.Status != "APPLYING" || r.Frames < 2 || r.Bytes == 0 ||
+			r.ReceivedSCN == 0 || r.AppliedSCN != r.ReceivedSCN || r.LagRecords != 0 {
+			return fmt.Errorf("row = %+v, want a caught-up archive stand-by with several logs received", r)
+		}
+		if int(r.Frames) != pr.primary.Archiver().Archived() {
+			return fmt.Errorf("stand-by received %d logs, primary archived %d", r.Frames, pr.primary.Archiver().Archived())
+		}
+		last, ok := repo.Last()
+		if !ok {
+			return fmt.Errorf("no sample")
+		}
+		for _, g := range last.Gauges {
+			if g.Name == "repl.rto.estimate.ms" && g.Value < DefaultConfig().ActivationOverhead.Milliseconds() {
+				return fmt.Errorf("RTO estimate %d ms is below the activation overhead", g.Value)
+			}
+		}
+
+		pr.primary.Crash()
+		if _, err := cluster.Promote(p); err != nil {
+			return err
+		}
+		if cluster.Promoted() != pr.sb || cluster.ActiveInstance() != pr.sb.Instance() {
+			return fmt.Errorf("active instance did not follow the promotion")
+		}
+		if cluster.PromotedSCN() != redo.SCN(r.ReceivedSCN) || cluster.PromotedLag() == 0 {
+			return fmt.Errorf("promoted at SCN %d with lag %d, want SCN %d and the unarchived tail as lag",
+				cluster.PromotedSCN(), cluster.PromotedLag(), r.ReceivedSCN)
+		}
+		if got := cluster.VReplication()[0].Status; got != "PRIMARY" {
+			return fmt.Errorf("promoted row status = %q", got)
+		}
+		return nil
+	})
 }

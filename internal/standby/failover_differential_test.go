@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"dbench/internal/archivelog"
 	"dbench/internal/engine"
 	"dbench/internal/recovery"
 	"dbench/internal/redo"
@@ -15,15 +16,17 @@ import (
 	"dbench/internal/tpcc"
 )
 
-// Failover differential harness: crash a streaming primary at seeded
+// Failover differential harness: crash a replicated primary at seeded
 // points under TPC-C load, promote, and hold the outcome to three
 // promises — sync mode loses no acknowledged commit (RPO 0 against the
 // external ledger), async mode loses exactly the unacked stream tail
 // (the acked commits between the best received watermark at the crash
-// and the primary's flushed position), and the promoted stand-by's
-// datafile images are bit-identical to a serial recovery of the same
-// redo prefix on a scratch clone. Mirrors the serial-vs-parallel
-// differential in internal/recovery.
+// and the primary's flushed position) and archive mode exactly the
+// unarchived tail (the acked commits past the last archived log ARCH
+// handed off, in flight or not), and the promoted stand-by's datafile
+// images are bit-identical to a serial recovery of the same redo prefix
+// on a scratch clone. Mirrors the serial-vs-parallel differential in
+// internal/recovery.
 
 // diffLink is deliberately slow (20 ms one way) so frames are reliably
 // in flight at the crash and the async tail is non-trivial.
@@ -32,13 +35,17 @@ var diffLink = sim.LinkSpec{Name: "diff", Latency: 20 * time.Millisecond, BytesP
 type failoverOutcome struct {
 	mode        Mode
 	promotedSCN redo.SCN
-	bestRecv    redo.SCN // highest stand-by received watermark at the crash
+	// bestRecv is the redo the stand-bys hold a claim on at the crash: the
+	// highest received watermark, or in archive mode the end of the last
+	// archived log handed off (its transfer may still be in flight).
+	bestRecv    redo.SCN
 	flushed     redo.SCN // primary flushed SCN at the crash
 	acked       int      // ledger size at the crash
 	rpo         int      // acked commits beyond the promotion SCN
 	tailCommits int      // acked commits in (bestRecv, flushed]
 	promotedLag int64
 	streamed    int // captured redo records offered to the streamers
+	inFlight    int // archive transfers outstanding at the crash
 	imageDiff   string
 }
 
@@ -105,6 +112,13 @@ func runFailoverDifferential(t *testing.T, seed int64, mode Mode, standbys, casc
 	k := sim.NewKernel(seed)
 	ecfg := engine.DefaultConfig()
 	ecfg.Redo.GroupSizeBytes = 1 << 20
+	scfg := DefaultConfig()
+	if mode == ModeArchive {
+		// Logs small enough that several are archived before the crash,
+		// over a shipping link slow enough that one is usually mid-transfer.
+		ecfg.Redo.GroupSizeBytes = 128 << 10
+		scfg.ShipBytesPerSec = 1 << 20
+	}
 	ecfg.Redo.Groups = 3
 	ecfg.Redo.ArchiveMode = true
 	ecfg.CacheBlocks = 256
@@ -150,7 +164,7 @@ func runFailoverDifferential(t *testing.T, seed int64, mode Mode, standbys, casc
 				if err != nil {
 					return err
 				}
-				sbs[i] = New(in, DefaultConfig(), backupSCN)
+				sbs[i] = New(in, scfg, backupSCN)
 			}
 			// The serial reference: same physical starting copy, redo
 			// applied later by a single-worker recovery pipeline.
@@ -168,11 +182,21 @@ func runFailoverDifferential(t *testing.T, seed int64, mode Mode, standbys, casc
 			}
 			// Tap the durable redo ahead of the streamers: captured is
 			// exactly the stream the cluster was offered, the reference's
-			// input.
+			// input. An archive cluster is offered whole archived logs
+			// instead; handedOff is where the last of them ends.
 			var captured []redo.Record
+			handedOff := backupSCN
 			pri.Log().OnDurable = func(dp *sim.Proc, recs []redo.Record) {
 				captured = append(captured, recs...)
-				cluster.OnDurable(dp, recs)
+				if mode != ModeArchive {
+					cluster.OnDurable(dp, recs)
+				}
+			}
+			if mode == ModeArchive {
+				pri.Archiver().OnArchived = func(ap *sim.Proc, al *archivelog.ArchivedLog) {
+					handedOff = max(handedOff, al.LastSCN)
+					cluster.OnArchived(ap, al)
+				}
 			}
 			pri.Txns().CommitGate = cluster.CommitGate
 			pri.OnStateChange = cluster.OnPrimaryState
@@ -186,6 +210,10 @@ func runFailoverDifferential(t *testing.T, seed int64, mode Mode, standbys, casc
 				if r := s.ReceivedSCN(); r > out.bestRecv {
 					out.bestRecv = r
 				}
+				out.inFlight += s.InFlight()
+			}
+			if mode == ModeArchive {
+				out.bestRecv = handedOff
 			}
 			ledger := append([]tpcc.CommitRecord(nil), drv.Commits()...)
 			out.acked = len(ledger)
@@ -235,7 +263,8 @@ func runFailoverDifferential(t *testing.T, seed int64, mode Mode, standbys, casc
 }
 
 // TestFailoverDifferential is the headline battery: seeded crash points
-// × {sync, async} × stand-by counts {1, 3} (three includes a cascade).
+// × {sync, async, archive} × stand-by counts {1, 3} (three includes a
+// cascade).
 func TestFailoverDifferential(t *testing.T) {
 	points := []struct {
 		seed  int64
@@ -244,10 +273,10 @@ func TestFailoverDifferential(t *testing.T) {
 		{seed: 21, crash: 8 * time.Second},
 		{seed: 22, crash: 13 * time.Second},
 	}
-	for _, mode := range []Mode{ModeSync, ModeAsync} {
+	for _, mode := range []Mode{ModeSync, ModeAsync, ModeArchive} {
 		mode := mode
 		t.Run(mode.String(), func(t *testing.T) {
-			asyncLost := 0
+			lost, inFlight := 0, 0
 			for _, n := range []int{1, 3} {
 				cascade := 0
 				if n == 3 {
@@ -256,9 +285,9 @@ func TestFailoverDifferential(t *testing.T) {
 				for _, pt := range points {
 					out := runFailoverDifferential(t, pt.seed, mode, n, cascade, pt.crash)
 					name := fmt.Sprintf("sb=%d seed=%d", n, pt.seed)
-					t.Logf("%s: acked=%d streamed=%d promoted=%d flushed=%d rpo=%d tail=%d lag=%d",
+					t.Logf("%s: acked=%d streamed=%d promoted=%d flushed=%d rpo=%d tail=%d lag=%d inflight=%d",
 						name, out.acked, out.streamed, out.promotedSCN, out.flushed,
-						out.rpo, out.tailCommits, out.promotedLag)
+						out.rpo, out.tailCommits, out.promotedLag, out.inFlight)
 					// The scenario must be non-trivial.
 					if out.acked == 0 || out.streamed == 0 {
 						t.Fatalf("%s: trivial scenario (acked=%d streamed=%d)", name, out.acked, out.streamed)
@@ -279,7 +308,8 @@ func TestFailoverDifferential(t *testing.T) {
 					if int64(out.rpo) > out.promotedLag {
 						t.Errorf("%s: RPO %d exceeds the promoted lag bound %d records", name, out.rpo, out.promotedLag)
 					}
-					asyncLost += out.rpo
+					lost += out.rpo
+					inFlight += out.inFlight
 					// The promoted images must equal the serial reference.
 					if out.imageDiff != "" {
 						t.Errorf("%s: promoted images diverge from serial recovery of the same prefix: %s",
@@ -287,10 +317,13 @@ func TestFailoverDifferential(t *testing.T) {
 					}
 				}
 			}
-			// The slow link must make the async exposure real somewhere,
-			// or the RPO equalities hold vacuously.
-			if mode == ModeAsync && asyncLost == 0 {
-				t.Error("async matrix lost no acknowledged commits: the stream tail was never exposed")
+			// The slow link must make the exposure real somewhere, or the
+			// RPO equalities hold vacuously.
+			if mode != ModeSync && lost == 0 {
+				t.Errorf("%s matrix lost no acknowledged commits: the unshipped tail was never exposed", mode)
+			}
+			if mode == ModeArchive && inFlight == 0 {
+				t.Error("no archive was mid-transfer at any crash: promotion never had to drain the receiver")
 			}
 		})
 	}

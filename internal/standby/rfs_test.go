@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"dbench/internal/archivelog"
-	"dbench/internal/engine"
 	"dbench/internal/redo"
 	"dbench/internal/sim"
 )
@@ -17,30 +16,12 @@ import (
 // transfer, so activation drains it and applies the log instead of
 // dropping it (the old standby lost exactly this archive).
 func TestActivationKeepsFullyHandedOffArchive(t *testing.T) {
-	k := sim.NewKernel(11)
-	cfg := engine.DefaultConfig()
-	cfg.Redo.GroupSizeBytes = 32 << 10
-	cfg.Redo.Groups = 3
-	cfg.Redo.ArchiveMode = true
-	cfg.CheckpointTimeout = 0
-	cfg.CacheBlocks = 256
-
-	pri, err := engine.New(k, machineFS(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sbCfg := cfg
-	sbCfg.Name = "standby"
-	sbIn, err := engine.New(k, machineFS(), sbCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// A glacial shipping link: transfers take seconds, so at the crash
 	// every handed-off archive is still mid-transfer — the exact window
 	// the old transport lost.
 	scfg := DefaultConfig()
 	scfg.ShipBytesPerSec = 4 << 10
-	pr := &pair{k: k, primary: pri, sb: New(sbIn, scfg, 0)}
+	pr := newPairWith(t, 32<<10, 3, scfg, nil)
 
 	pr.run(t, func(p *sim.Proc) error {
 		if err := schema(p, pr.primary); err != nil {

@@ -1,13 +1,16 @@
 // Package standby implements the stand-by database of the paper's §5.3
 // and its modern extension: replication. A stand-by is a second server
-// kept in permanent managed recovery, fed either by whole archived redo
-// logs shipped after each log switch (the paper's cold configuration,
-// Figures 6/7) or by continuous redo streaming over a simulated network
-// link (see stream.go), in sync or async mode, with optional cascading.
+// kept in permanent managed recovery by one redo feed: numbered transport
+// units arrive in order, their records join one receive queue, and one
+// managed-recovery process applies them continuously. What a unit is
+// depends on the cluster's mode (see stream.go): one whole archived log,
+// shipped after each log switch (the paper's cold configuration, Figures
+// 6/7), or one frame of a continuous redo stream over a simulated network
+// link, acknowledged sync or async, with optional cascading.
 //
 // On a primary failure the stand-by is promoted: the received-but-
 // unapplied redo tail is rolled forward by recovery's one redo-apply pass
-// (recovery.Manager.Failover), transactions the stream never finished
+// (recovery.Manager.Failover), transactions the feed never finished
 // are rolled back, and the database opens as the new primary. Committed
 // transactions whose redo never reached the stand-by are lost — the
 // paper's Figure 7 measures that against the online log geometry for
@@ -31,8 +34,8 @@ import (
 // Config tunes the stand-by machinery.
 type Config struct {
 	// ShipBytesPerSec is the archive shipping bandwidth between the
-	// servers (the paper used dedicated fast Ethernet). Continuous
-	// streaming uses the cluster's link spec instead.
+	// servers (the paper used dedicated fast Ethernet; archive mode only).
+	// Continuous streaming uses the cluster's link spec instead.
 	ShipBytesPerSec int64
 	// ApplyPerRecord is the managed-recovery CPU cost per redo record.
 	ApplyPerRecord time.Duration
@@ -65,12 +68,12 @@ func DefaultConfig() Config {
 
 // Stats counts stand-by activity.
 type Stats struct {
-	// Shipped counts archived logs fully received; Applied counts apply
-	// batches (one per archived log or received stream batch).
-	Shipped     int
+	// Applied counts apply batches (one per drained receive queue).
 	Applied     int
 	RecordsDone int64
-	// Frames/StreamBytes count received stream frames (streaming only).
+	// Frames/StreamBytes count the transport units received in sequence
+	// (stream frames, or whole archived logs in archive mode) and their
+	// bytes on the wire.
 	Frames      int64
 	StreamBytes int64
 }
@@ -102,28 +105,23 @@ type Standby struct {
 	running   bool
 	activated bool
 
-	// Archive transport: Ship hands archives to the RFS receiver process,
-	// which pays the network transfer on the stand-by side — so a primary
-	// crash cannot lose an archive that was already fully handed off —
-	// and queues them for the MRP apply loop.
-	shipQueue  []*archivelog.ArchivedLog
-	rfsWake    sim.Cond
-	rfsDrained sim.Cond
-	rfs        *sim.Proc
-	queue      []*archivelog.ArchivedLog
-	wake       sim.Cond
-	mrp        *sim.Proc
-
-	// Streaming transport (fed by a cluster streamer, see stream.go).
+	// The one feed (see accept): transport units arrive in sequence and
+	// their records wait in recvQueue for the managed-recovery process.
 	wantSeq     uint64
 	receivedSCN redo.SCN
 	lastPrimary redo.SCN
 	recvQueue   []redo.Record
 	applyWake   sim.Cond
-	applier     *sim.Proc
+	mrp         *sim.Proc
 	streamHash  uint64
-	frames      int64
-	streamBytes int64
+	// Archive shipping: Ship hands archives to the RFS receiver process,
+	// which pays the network transfer on the stand-by side — so a primary
+	// crash cannot lose an archive that was already fully handed off —
+	// and feeds each one in as a single transport unit.
+	shipQueue  []*archivelog.ArchivedLog
+	rfsWake    sim.Cond
+	rfsDrained sim.Cond
+	rfs        *sim.Proc
 	// relays forward received records to cascaded stand-bys, on receipt
 	// (a cascade's lag is bounded by its feeder's reception, not apply).
 	relays []*streamer
@@ -140,10 +138,10 @@ type Standby struct {
 	// paid when the snapshot closes.
 	snapReads int64
 
-	// gapErr is set when shipped or streamed redo arrives beyond the
-	// expected watermark — something is missing from the middle of the
-	// sequence. Managed recovery halts rather than apply around the
-	// hole; promotion refuses until the gap is resolved.
+	// gapErr is set when a transport unit arrives beyond the expected
+	// sequence number — something is missing from the middle of the
+	// feed. Managed recovery halts rather than apply around the hole;
+	// promotion refuses until the gap is resolved.
 	gapErr error
 
 	stats Stats
@@ -185,7 +183,7 @@ func (s *Standby) Name() string { return s.name }
 func (s *Standby) AppliedSCN() redo.SCN { return s.appliedSCN }
 
 // ReceivedSCN returns the reception watermark: the highest SCN the
-// stand-by holds redo for (streamed frames plus applied archives).
+// stand-by holds redo for.
 // Promotion recovers through it; in sync mode no commit is acknowledged
 // until the quorum's ReceivedSCN covers it.
 func (s *Standby) ReceivedSCN() redo.SCN {
@@ -217,26 +215,17 @@ func (s *Standby) StreamHash() uint64 { return s.streamHash }
 func (s *Standby) Activated() bool { return s.activated }
 
 // Stats returns a copy of the counters.
-func (s *Standby) Stats() Stats {
-	st := s.stats
-	st.Frames = s.frames
-	st.StreamBytes = s.streamBytes
-	return st
-}
-
-// QueueLen reports received-but-unapplied archived logs.
-func (s *Standby) QueueLen() int { return len(s.queue) }
+func (s *Standby) Stats() Stats { return s.stats }
 
 // InFlight reports archives handed off by the primary's ARCH process but
 // not yet fully received.
 func (s *Standby) InFlight() int { return len(s.shipQueue) }
 
-// Err reports why managed recovery halted (a gap in the shipped or
-// streamed redo), or nil while the stand-by is healthy.
+// Err reports why managed recovery halted (a gap in the redo feed), or
+// nil while the stand-by is healthy.
 func (s *Standby) Err() error { return s.gapErr }
 
-// Start mounts the stand-by instance and launches the receiver and
-// managed recovery processes.
+// Start mounts the stand-by instance and launches managed recovery.
 func (s *Standby) Start(p *sim.Proc) error {
 	if s.running {
 		return nil
@@ -245,37 +234,76 @@ func (s *Standby) Start(p *sim.Proc) error {
 		return err
 	}
 	s.running = true
-	s.rfs = s.k.Go("RFS-"+s.name, s.rfsLoop)
-	s.mrp = s.k.Go("MRP-"+s.name, s.mrpLoop)
-	s.applier = s.k.Go("MRP-stream-"+s.name, s.streamApplyLoop)
+	s.mrp = s.k.Go("MRP-"+s.name, s.applyLoop)
 	return nil
 }
 
-// Stop halts the receiver and managed recovery (without activating).
+// Stop halts managed recovery and the archive receiver (without
+// activating).
 func (s *Standby) Stop() {
 	if !s.running {
 		return
 	}
 	s.running = false
-	for _, pr := range []*sim.Proc{s.mrp, s.applier, s.rfs} {
-		if pr != nil {
-			pr.Kill()
-		}
+	s.mrp.Kill()
+	if s.rfs != nil {
+		s.rfs.Kill()
+		s.rfs = nil
 	}
 }
 
-// Ship hands one archived log to the stand-by. It is called from the
-// primary's ARCH process (via archivelog.Archiver.OnArchived) and only
-// enqueues: the stand-by's own RFS process pays the network transfer, so
-// a primary crash after the hand-off cannot lose the archive — the
-// received bytes are accounted in the activation apply phase.
+// accept is the stand-by's one intake. A transport unit — a stream frame,
+// or in archive mode one whole archived log — carries its sender's
+// sequence number; units must arrive in sequence. A skipped number means
+// redo is missing from the middle of the feed, so the stand-by halts
+// rather than apply around the hole; an old number is a duplicate and is
+// dropped quietly. The unit's records join the receive queue and are
+// forwarded to any cascaded destinations on receipt, before apply.
+// Reports whether the unit was taken.
+func (s *Standby) accept(seq uint64, primarySCN redo.SCN, bytes int64, recs []redo.Record) bool {
+	if s.gapErr != nil || s.activated || seq < s.wantSeq {
+		return false
+	}
+	if seq != s.wantSeq {
+		s.gapErr = fmt.Errorf("standby: gap in received redo: want transport unit %d, got %d", s.wantSeq, seq)
+		return false
+	}
+	s.wantSeq++
+	s.stats.Frames++
+	s.stats.StreamBytes += bytes
+	if primarySCN > s.lastPrimary {
+		s.lastPrimary = primarySCN
+	}
+	if len(recs) == 0 {
+		return true
+	}
+	if last := recs[len(recs)-1].SCN; last > s.receivedSCN {
+		s.receivedSCN = last
+	}
+	s.recvQueue = append(s.recvQueue, recs...)
+	s.applyWake.Broadcast(s.k)
+	for _, rel := range s.relays {
+		rel.enqueue(recs)
+	}
+	return true
+}
+
+// Ship hands one archived log to the stand-by (call after Start). It is
+// called from the primary's ARCH process (archivelog.Archiver.OnArchived,
+// via Cluster.OnArchived) and only enqueues: the stand-by's own RFS
+// process — started with the first archive — pays the network transfer, so
+// a primary crash after the hand-off cannot lose the archive.
 func (s *Standby) Ship(p *sim.Proc, al *archivelog.ArchivedLog) {
 	s.shipQueue = append(s.shipQueue, al)
+	if s.rfs == nil {
+		s.rfs = s.k.Go("RFS-"+s.name, s.rfsLoop)
+	}
 	s.rfsWake.Broadcast(s.k)
 }
 
 // rfsLoop is the remote-file-server receiver: it pays each handed-off
-// archive's transfer time and queues it for apply.
+// archive's transfer time and feeds the log in as one transport unit,
+// numbered by its log sequence.
 func (s *Standby) rfsLoop(p *sim.Proc) {
 	for s.running {
 		for s.running && len(s.shipQueue) == 0 {
@@ -289,40 +317,17 @@ func (s *Standby) rfsLoop(p *sim.Proc) {
 			p.Sleep(time.Duration(al.Bytes * int64(time.Second) / s.cfg.ShipBytesPerSec))
 		}
 		s.shipQueue = s.shipQueue[1:]
-		s.stats.Shipped++
-		s.queue = append(s.queue, al)
-		s.wake.Broadcast(s.k)
+		s.accept(uint64(al.Seq), al.LastSCN, al.Bytes, al.Records())
 		s.rfsDrained.Broadcast(s.k)
 	}
 }
 
-// mrpLoop is the archive-fed managed recovery process: it applies
-// received logs in order, forever.
-func (s *Standby) mrpLoop(p *sim.Proc) {
-	for s.running {
-		for s.running && len(s.queue) == 0 {
-			s.wake.Wait(p)
-		}
-		if !s.running {
-			return
-		}
-		al := s.queue[0]
-		s.queue = s.queue[1:]
-		s.applyLog(p, al)
-		if s.gapErr != nil {
-			// Managed recovery halts on a gap; the un-applied queue is
-			// kept so a re-ship of the missing log could resume.
-			return
-		}
-	}
-}
-
-// streamApplyLoop is the stream-fed managed recovery process: it applies
-// received records as they arrive. Records are popped one at a time and
-// applied instantly, with the CPU cost paid in chunks — a kill mid-sleep
-// leaves appliedSCN exactly at the last applied record and the queue
-// holding exactly the unapplied tail.
-func (s *Standby) streamApplyLoop(p *sim.Proc) {
+// applyLoop is the managed recovery process: it applies received records
+// as they arrive. Records are popped one at a time and applied instantly,
+// with the CPU cost paid in chunks — a kill mid-sleep leaves appliedSCN
+// exactly at the last applied record and the queue holding exactly the
+// unapplied tail.
+func (s *Standby) applyLoop(p *sim.Proc) {
 	var owed time.Duration
 	touched := make(map[storage.BlockRef]bool)
 	for s.running {
@@ -359,37 +364,6 @@ func (s *Standby) streamApplyLoop(p *sim.Proc) {
 			p.Sleep(d)
 		}
 	}
-}
-
-// applyLog replays one archived log on the stand-by's physical database.
-// SCNs are assigned consecutively on the primary, so a log whose first
-// record lies beyond appliedSCN+1 (while carrying new records) proves an
-// earlier archived log was never shipped: applying it would silently
-// skip the missing changes, so managed recovery records the gap and
-// stops instead. Already-applied (duplicate) logs are skipped quietly.
-func (s *Standby) applyLog(p *sim.Proc, al *archivelog.ArchivedLog) {
-	if s.gapErr != nil {
-		return
-	}
-	if recs := al.Records(); len(recs) > 0 &&
-		recs[len(recs)-1].SCN > s.appliedSCN && recs[0].SCN > s.appliedSCN+1 {
-		s.gapErr = fmt.Errorf("standby: gap in shipped redo: applied through SCN %d but archived log seq %d starts at SCN %d", s.appliedSCN, al.Seq, recs[0].SCN)
-		return
-	}
-	cs := time.Duration(0)
-	touched := make(map[storage.BlockRef]bool)
-	for _, rec := range al.Records() {
-		if rec.SCN <= s.appliedSCN {
-			continue
-		}
-		cs += s.cfg.ApplyPerRecord
-		s.applyRecord(rec, touched)
-		s.appliedSCN = rec.SCN
-		s.stats.RecordsDone++
-	}
-	p.Sleep(cs)
-	s.chargeTouched(p, touched)
-	s.stats.Applied++
 }
 
 // applyRecord applies one record to the stand-by images with exactly the
@@ -468,66 +442,38 @@ func (s *Standby) pendingRecords() []redo.Record {
 
 // Promote fails the stand-by over: in-flight archive transfers are
 // drained (received bytes must not be lost), the received-but-unapplied
-// redo tail — queued archives plus the stream queue — is rolled forward
-// by recovery.Manager.Failover, transactions with no commit record in the
-// received stream are rolled back, and the database opens RESETLOGS as
-// the new primary. Implements the fault injector's failover hook.
+// redo tail is rolled forward by recovery.Manager.Failover, transactions
+// with no commit record in the received feed are rolled back, and the
+// database opens RESETLOGS as the new primary. A failed promotion keeps
+// the tail and the rollback set, so it can be retried once the cause is
+// repaired.
 func (s *Standby) Promote(p *sim.Proc) (*recovery.Report, error) {
 	if s.activated {
 		return nil, fmt.Errorf("standby: already activated")
 	}
 	p.Sleep(s.cfg.ActivationOverhead)
 	// Account received-but-unapplied bytes: every archive already handed
-	// off by the primary's ARCH finishes its transfer and joins the apply
-	// queue before managed recovery stops.
+	// off by the primary's ARCH finishes its transfer and joins the
+	// receive queue before managed recovery stops.
 	for len(s.shipQueue) > 0 {
 		s.rfsDrained.Wait(p)
 	}
 	s.Stop()
-
-	// Collect the unapplied tail: queued archives first (their SCNs
-	// precede any streamed records on a healthy stand-by), then the
-	// stream queue, gap-checked like the apply loops.
-	var tail []redo.Record
-	next := s.appliedSCN
-	for _, al := range s.queue {
-		recs := al.Records()
-		if len(recs) > 0 && recs[len(recs)-1].SCN > next && recs[0].SCN > next+1 {
-			s.gapErr = fmt.Errorf("standby: gap in shipped redo: applied through SCN %d but archived log seq %d starts at SCN %d", next, al.Seq, recs[0].SCN)
-		}
-		if s.gapErr != nil {
-			break
-		}
-		for _, rec := range recs {
-			if rec.SCN > next {
-				tail = append(tail, rec)
-				next = rec.SCN
-			}
-		}
-	}
 	if s.gapErr != nil {
 		// Opening with a hole in the applied redo would present a state
 		// that never existed on the primary.
 		return nil, s.gapErr
 	}
-	s.queue = nil
-	for _, rec := range s.recvQueue {
-		if rec.SCN > next {
-			tail = append(tail, rec)
-			next = rec.SCN
-		}
+	tail := s.recvQueue
+	for len(tail) > 0 && tail[0].SCN <= s.appliedSCN {
+		tail = tail[1:]
 	}
-	s.recvQueue = nil
-	scn := next
-	if s.receivedSCN > scn {
-		scn = s.receivedSCN
-	}
-
-	rm := recovery.NewManager(s.in, nil)
-	rep, err := rm.Failover(p, tail, s.pendingRecords(), scn)
+	scn := s.ReceivedSCN()
+	rep, err := recovery.NewManager(s.in, nil).Failover(p, tail, s.pendingRecords(), scn)
 	if err != nil {
 		return nil, err
 	}
+	s.recvQueue = nil
 	s.appliedSCN = scn
 	s.receivedSCN = scn
 	s.pending = make(map[redo.TxnID][]redo.Record)
@@ -541,13 +487,6 @@ func (s *Standby) Promote(p *sim.Proc) (*recovery.Report, error) {
 // apply and rollback cost of everything received but not yet applied.
 func (s *Standby) EstimateRTO() time.Duration {
 	backlog := int64(len(s.recvQueue))
-	for _, al := range s.queue {
-		for _, rec := range al.Records() {
-			if rec.SCN > s.appliedSCN {
-				backlog++
-			}
-		}
-	}
 	for _, recs := range s.pending {
 		backlog += int64(len(recs))
 	}

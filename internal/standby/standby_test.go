@@ -2,6 +2,7 @@ package standby
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -10,6 +11,8 @@ import (
 	"dbench/internal/redo"
 	"dbench/internal/sim"
 	"dbench/internal/simdisk"
+	"dbench/internal/storage"
+	"dbench/internal/trace"
 )
 
 // pair is a primary + stand-by rig sharing one simulation kernel, with
@@ -32,6 +35,13 @@ func machineFS() *simdisk.FS {
 
 func newPair(t *testing.T, groupSize int64, groups int) *pair {
 	t.Helper()
+	return newPairWith(t, groupSize, groups, DefaultConfig(), nil)
+}
+
+// newPairWith is newPair with the stand-by's machinery costs and, when
+// sbTracer is set, a tracer on the stand-by instance.
+func newPairWith(t *testing.T, groupSize int64, groups int, scfg Config, sbTracer *trace.Tracer) *pair {
+	t.Helper()
 	k := sim.NewKernel(11)
 	cfg := engine.DefaultConfig()
 	cfg.Redo.GroupSizeBytes = groupSize
@@ -46,13 +56,12 @@ func newPair(t *testing.T, groupSize int64, groups int) *pair {
 	}
 	sbCfg := cfg
 	sbCfg.Name = "standby"
+	sbCfg.Tracer = sbTracer
 	sbIn, err := engine.New(k, machineFS(), sbCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb := New(sbIn, DefaultConfig(), 0)
-	pr := &pair{k: k, primary: pri, sb: sb}
-	return pr
+	return &pair{k: k, primary: pri, sb: New(sbIn, scfg, 0)}
 }
 
 // schema creates the same tablespace/table layout on an instance.
@@ -137,8 +146,8 @@ func TestStandbyAppliesShippedLogsAndActivates(t *testing.T) {
 			lastAcked = i
 		}
 		p.Sleep(5 * time.Second) // let ARCH/MRP drain
-		if pr.sb.Stats().Shipped == 0 || pr.sb.Stats().Applied == 0 {
-			return fmt.Errorf("shipped=%d applied=%d", pr.sb.Stats().Shipped, pr.sb.Stats().Applied)
+		if pr.sb.Stats().Frames == 0 || pr.sb.Stats().Applied == 0 {
+			return fmt.Errorf("received=%d applied=%d", pr.sb.Stats().Frames, pr.sb.Stats().Applied)
 		}
 		if pr.sb.AppliedSCN() == 0 {
 			return fmt.Errorf("applied SCN still zero")
@@ -313,4 +322,119 @@ func TestStandbyDetectsArchiveGap(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+// A promotion that fails — here on a deleted stand-by control file, after
+// the roll-forward and the rollback already ran — must keep the unapplied
+// tail and the rollback set: once the file is put back, a second Promote
+// rolls the same tail and undoes the same transactions, and opens with the
+// images of a promotion that never failed.
+// The failed attempt closes every span, with the error on the root span.
+func TestPromoteRetriesAfterFailure(t *testing.T) {
+	want, wantSCN := promoteWithBrokenControl(t, false)
+	got, gotSCN := promoteWithBrokenControl(t, true)
+	if gotSCN != wantSCN {
+		t.Errorf("retried promotion opened at SCN %d, the undisturbed one at %d", gotSCN, wantSCN)
+	}
+	if d := diffImages(want, got); d != "" {
+		t.Errorf("images after the retried promotion differ from the undisturbed promotion's: %s", d)
+	}
+}
+
+func promoteWithBrokenControl(t *testing.T, breakControl bool) (map[string][]*storage.Block, redo.SCN) {
+	ring := &trace.RingSink{}
+	tr := trace.New(ring)
+	// A shipping link slow enough (4 s per log) that the archives handed
+	// off last are still mid-transfer when the activation overhead has been
+	// paid: promotion drains them and has a real tail to roll. Eight log
+	// groups leave room for one transaction to stay open across several.
+	scfg := DefaultConfig()
+	scfg.ShipBytesPerSec = 32 << 10
+	pr := newPairWith(t, 128<<10, 8, scfg, tr)
+
+	var images map[string][]*storage.Block
+	pr.run(t, func(p *sim.Proc) error {
+		if err := schema(p, pr.primary); err != nil {
+			return err
+		}
+		if err := schemaStandby(p, pr.sb.Instance()); err != nil {
+			return err
+		}
+		pr.primary.Archiver().OnArchived = pr.sb.Ship
+		if err := pr.sb.Start(p); err != nil {
+			return err
+		}
+		// One transaction stays open across the archived logs: its rows
+		// are the promotion's rollback set.
+		open, err := pr.primary.Begin()
+		if err != nil {
+			return err
+		}
+		if err := pr.primary.Insert(p, open, "acct", 5000, []byte("uncommitted")); err != nil {
+			return err
+		}
+		for i := int64(0); i < 2800; i++ {
+			if i == 700 {
+				p.Sleep(6 * time.Second) // the first archive arrives and is applied
+			}
+			if err := pr.put(p, pr.primary, i%200, fmt.Sprintf("v%d", i)); err != nil {
+				return err
+			}
+		}
+		if pr.sb.InFlight() == 0 {
+			return fmt.Errorf("no archive in flight at the crash: the promotion would have no tail")
+		}
+		if len(pr.sb.pending[open.ID]) == 0 {
+			return fmt.Errorf("the open transaction was not applied before the crash: no rollback set to keep")
+		}
+		pr.primary.Crash()
+
+		if breakControl {
+			fs := pr.sb.Instance().FS()
+			ctl := pr.sb.Instance().DB().Control.File()
+			if err := fs.Delete(ctl.Name()); err != nil {
+				return err
+			}
+			if _, err := pr.sb.Promote(p); err == nil {
+				return fmt.Errorf("promotion succeeded without a control file")
+			}
+			if pr.sb.Activated() {
+				return fmt.Errorf("stand-by reports activated after a failed promotion")
+			}
+			if n := tr.OpenSpans(); n != 0 {
+				return fmt.Errorf("%d spans left open by the failed promotion", n)
+			}
+			var rootErr string
+			for _, ev := range ring.Events() {
+				if ev.Kind != trace.KindSpan || ev.Cat != trace.CatRecovery || ev.Parent != 0 {
+					continue
+				}
+				for _, a := range ev.Attrs[:ev.NAttrs] {
+					if a.Key == "error" {
+						rootErr = a.Str
+					}
+				}
+			}
+			if !strings.Contains(rootErr, ctl.Name()) {
+				return fmt.Errorf("failed promotion's root span carries error=%q, want the lost control file", rootErr)
+			}
+			if _, err := fs.Restore(ctl.Name(), ctl.Size()); err != nil {
+				return err
+			}
+		}
+		rep, err := pr.sb.Promote(p)
+		if err != nil {
+			return err
+		}
+		if rep.RecordsScanned == 0 || rep.LosersRolledBack == 0 {
+			return fmt.Errorf("promotion scanned %d records and rolled back %d transactions; want a real tail and the open transaction undone",
+				rep.RecordsScanned, rep.LosersRolledBack)
+		}
+		images = snapshotImages(pr.sb.Instance().DB())
+		return nil
+	})
+	if images == nil {
+		t.Fatal("scenario never reached the promotion (a simulated process is stuck)")
+	}
+	return images, pr.sb.AppliedSCN()
 }

@@ -1,12 +1,15 @@
-// Continuous redo streaming: instead of waiting for a log switch and
-// shipping whole archives, a log-network-server (LNS) process per
-// destination tails the primary's durable redo and pushes framed record
-// batches over a simulated network link. In sync mode a commit is not
-// acknowledged until every first-tier stand-by has received its redo
-// (zero RPO by construction); async mode acknowledges locally and bounds
-// the loss by the stream lag. Cascaded stand-bys are fed from the first
-// stand-by's reception — not the primary — so remote copies cost the
-// primary nothing.
+// The replication cluster and its transports. The modes differ only in
+// transport granularity and acknowledgement rule; every stand-by takes
+// its redo through the same intake (Standby.accept). In archive mode the
+// unit is one whole archived log, handed off by the primary's ARCH after
+// each log switch and pulled over by the stand-by's RFS receiver. In the
+// streaming modes a log-network-server (LNS) process per destination
+// tails the primary's durable redo and pushes framed record batches over
+// a simulated network link: in sync mode a commit is not acknowledged
+// until every first-tier stand-by has received its redo (zero RPO by
+// construction); async mode acknowledges locally and bounds the loss by
+// the stream lag. Cascaded stand-bys are fed from the first stand-by's
+// reception — not the primary — so remote copies cost the primary nothing.
 package standby
 
 import (
@@ -14,6 +17,7 @@ import (
 	"fmt"
 	"time"
 
+	"dbench/internal/archivelog"
 	"dbench/internal/engine"
 	"dbench/internal/monitor"
 	"dbench/internal/recovery"
@@ -22,7 +26,7 @@ import (
 	"dbench/internal/trace"
 )
 
-// Mode selects the commit-acknowledgement protocol.
+// Mode selects the redo transport and its commit-acknowledgement rule.
 type Mode uint8
 
 const (
@@ -32,16 +36,23 @@ const (
 	// ModeSync holds the commit until every healthy first-tier stand-by
 	// has received the transaction's redo (RPO zero on failover).
 	ModeSync
+	// ModeArchive ships whole archived logs instead of streaming (the
+	// paper's §5.3 stand-by): commits are never held, and a failover
+	// loses whatever the primary had not yet archived and handed off.
+	ModeArchive
 )
 
 func (m Mode) String() string {
-	if m == ModeSync {
+	switch m {
+	case ModeSync:
 		return "sync"
+	case ModeArchive:
+		return "archive"
 	}
 	return "async"
 }
 
-// ParseMode parses "sync" or "async".
+// ParseMode parses a streaming mode, "sync" or "async".
 func ParseMode(s string) (Mode, error) {
 	switch s {
 	case "sync":
@@ -135,63 +146,33 @@ func (st *streamer) loop(p *sim.Proc) {
 	}
 }
 
-// markGap halts the stand-by on the first detected hole in its redo feed.
-func (s *Standby) markGap(err error) {
-	if s.gapErr == nil {
-		s.gapErr = err
-	}
-}
-
-// Receive accepts one stream frame. Frames must arrive in sequence — a
-// skipped frame means redo is missing from the middle of the stream, so
-// the stand-by halts (like an archive gap) rather than apply around it.
-// Records are queued for the stream apply loop and forwarded to any
-// cascaded destinations on receipt, before apply.
+// Receive accepts one stream frame (see accept) and chains its encoded
+// bytes into the stream hash.
 func (s *Standby) Receive(p *sim.Proc, f *redo.StreamFrame, encoded []byte) {
-	if s.gapErr != nil || s.activated {
+	if !s.accept(f.Seq, f.PrimarySCN, int64(len(encoded)), f.Records) {
 		return
 	}
-	if f.Seq != s.wantSeq {
-		s.markGap(fmt.Errorf("standby: stream gap: want frame %d, got %d", s.wantSeq, f.Seq))
-		return
-	}
-	s.wantSeq++
-	s.frames++
-	s.streamBytes += int64(len(encoded))
 	for _, b := range encoded {
 		s.streamHash = (s.streamHash ^ uint64(b)) * fnvPrime
-	}
-	if f.PrimarySCN > s.lastPrimary {
-		s.lastPrimary = f.PrimarySCN
-	}
-	if len(f.Records) == 0 {
-		return
-	}
-	if last := f.LastSCN(); last > s.receivedSCN {
-		s.receivedSCN = last
-	}
-	s.recvQueue = append(s.recvQueue, f.Records...)
-	s.applyWake.Broadcast(s.k)
-	for _, rel := range s.relays {
-		rel.enqueue(f.Records)
 	}
 }
 
 // ClusterConfig shapes a replicated configuration.
 type ClusterConfig struct {
-	// Mode is the commit-acknowledgement protocol.
+	// Mode is the transport and commit-acknowledgement protocol.
 	Mode Mode
-	// Link is the network profile of every hop: primary→stand-by and
-	// stand-by→cascade.
+	// Link is the network profile of every streamed hop: primary→stand-by
+	// (sync/async) and stand-by→cascade.
 	Link sim.LinkSpec
 	// Cascade turns the trailing Cascade stand-bys into second-tier
 	// destinations fed from the first stand-by's reception.
 	Cascade int
 }
 
-// Cluster wires a primary instance to its streaming stand-bys: it taps
-// the primary's durable redo, gates sync commits on quorum reception,
-// and promotes the most advanced stand-by when the primary dies.
+// Cluster wires a primary instance to its stand-bys: it taps the
+// primary's redo (durable records, or archived logs in archive mode),
+// gates sync commits on quorum reception, and promotes the most advanced
+// stand-by when the primary dies.
 type Cluster struct {
 	k         *sim.Kernel
 	primary   *engine.Instance
@@ -242,9 +223,10 @@ func NewCluster(primary *engine.Instance, standbys []*Standby, cfg ClusterConfig
 }
 
 // Start mounts every stand-by and launches the shipping processes. The
-// caller wires the primary's redo tap (Log().OnDurable = c.OnDurable),
-// commit gate (Txns().CommitGate = c.CommitGate) and lifecycle observer
-// (chain OnStateChange to c.OnPrimaryState).
+// caller wires the primary's redo tap (Log().OnDurable = c.OnDurable, or
+// Archiver().OnArchived = c.OnArchived in archive mode), commit gate
+// (Txns().CommitGate = c.CommitGate) and lifecycle observer (chain
+// OnStateChange to c.OnPrimaryState).
 func (c *Cluster) Start(p *sim.Proc) error {
 	deliver := func(dp *sim.Proc, f *redo.StreamFrame, encoded int) {
 		c.cFrames.Inc()
@@ -252,55 +234,42 @@ func (c *Cluster) Start(p *sim.Proc) error {
 		c.cRecords.Add(int64(len(f.Records)))
 		c.ackWake.Broadcast(c.k)
 	}
+	// ship starts one LNS process streaming to dst over its own link.
+	ship := func(name, linkName string, src func() redo.SCN, dst *Standby) *streamer {
+		spec := c.cfg.Link
+		if spec.Name == "" {
+			spec.Name = linkName
+		}
+		st := &streamer{k: c.k, name: name, link: sim.NewLink(c.k, spec), src: src, dst: dst,
+			max: frameMax(dst.cfg), nextSeq: 1, onDeliver: deliver}
+		st.start()
+		c.links = append(c.links, st.link)
+		return st
+	}
 	for i, s := range c.standbys {
 		if err := s.Start(p); err != nil {
 			return err
 		}
-		if i >= c.firstTier {
-			continue
+		switch {
+		case i >= c.firstTier:
+		case c.cfg.Mode == ModeArchive:
+			// Archives are numbered by log sequence. The stand-by is a copy
+			// of the primary as of its last log switch, so the redo it lacks
+			// starts in the current log; an older log ARCH is still
+			// finishing arrives as a duplicate.
+			s.wantSeq = uint64(c.primary.Log().CurrentGroup().Seq)
+		default:
+			c.streamers = append(c.streamers,
+				ship("LNS-"+s.name, "repl-"+s.name, c.primary.Log().FlushedSCN, s))
 		}
-		spec := c.cfg.Link
-		if spec.Name == "" {
-			spec.Name = "repl-" + s.name
-		}
-		link := sim.NewLink(c.k, spec)
-		st := &streamer{
-			k:         c.k,
-			name:      "LNS-" + s.name,
-			link:      link,
-			src:       c.primary.Log().FlushedSCN,
-			dst:       s,
-			max:       frameMax(s.cfg),
-			nextSeq:   1,
-			onDeliver: deliver,
-		}
-		st.start()
-		c.links = append(c.links, link)
-		c.streamers = append(c.streamers, st)
 	}
-	// Cascades chain off the first stand-by's reception.
+	// Cascades chain off the first stand-by's reception. A cascade frame
+	// carries the feeder's best knowledge of the primary position, not a
+	// fresh read of the primary.
 	feeder := c.standbys[0]
 	for _, s := range c.standbys[c.firstTier:] {
-		spec := c.cfg.Link
-		if spec.Name == "" {
-			spec.Name = "repl-casc-" + s.name
-		}
-		link := sim.NewLink(c.k, spec)
-		rel := &streamer{
-			k:    c.k,
-			name: "LNS-casc-" + s.name,
-			// A cascade frame carries the feeder's best knowledge of the
-			// primary position, not a fresh read of the primary.
-			src:       func() redo.SCN { return feeder.lastPrimary },
-			link:      link,
-			dst:       s,
-			max:       frameMax(s.cfg),
-			nextSeq:   1,
-			onDeliver: deliver,
-		}
-		rel.start()
-		feeder.relays = append(feeder.relays, rel)
-		c.links = append(c.links, link)
+		feeder.relays = append(feeder.relays,
+			ship("LNS-casc-"+s.name, "repl-casc-"+s.name, func() redo.SCN { return feeder.lastPrimary }, s))
 	}
 	return nil
 }
@@ -318,6 +287,16 @@ func frameMax(cfg Config) int {
 func (c *Cluster) OnDurable(p *sim.Proc, recs []redo.Record) {
 	for _, st := range c.streamers {
 		st.enqueue(recs)
+	}
+}
+
+// OnArchived is the primary redo tap in archive mode
+// (archivelog.Archiver.OnArchived): each archived log is handed to every
+// first-tier stand-by's receiver. Runs on the ARCH process and only
+// enqueues.
+func (c *Cluster) OnArchived(p *sim.Proc, al *archivelog.ArchivedLog) {
+	for _, s := range c.standbys[:c.firstTier] {
+		s.Ship(p, al)
 	}
 }
 
@@ -398,7 +377,7 @@ func (c *Cluster) resync() {
 		}
 		recs, ok := c.primary.Log().OnlineRecords(s.ReceivedSCN() + 1)
 		if !ok {
-			s.markGap(fmt.Errorf("standby: resync gap: online redo past SCN %d was overwritten", s.ReceivedSCN()))
+			s.gapErr = fmt.Errorf("standby: resync gap: online redo past SCN %d was overwritten", s.ReceivedSCN())
 			continue
 		}
 		st.nextSeq = s.wantSeq
@@ -410,14 +389,10 @@ func (c *Cluster) resync() {
 	c.ackWake.Broadcast(c.k)
 }
 
-// Promote fails the cluster over: the stand-by with the highest received
-// watermark (lowest index on ties — deterministic) is activated on the
-// recovery pipeline and becomes the new primary. Implements the fault
-// injector's failover hook.
-func (c *Cluster) Promote(p *sim.Proc) (*recovery.Report, error) {
-	if c.promoted != nil {
-		return nil, errors.New("standby: cluster already failed over")
-	}
+// candidate picks the stand-by a failover would promote: the healthy one
+// with the highest received watermark (lowest index on ties —
+// deterministic), or nil.
+func (c *Cluster) candidate() *Standby {
 	var best *Standby
 	for _, s := range c.standbys {
 		if s.activated || s.gapErr != nil {
@@ -427,6 +402,17 @@ func (c *Cluster) Promote(p *sim.Proc) (*recovery.Report, error) {
 			best = s
 		}
 	}
+	return best
+}
+
+// Promote fails the cluster over: the candidate stand-by is activated on
+// the recovery pipeline and becomes the new primary. Implements the fault
+// injector's failover hook.
+func (c *Cluster) Promote(p *sim.Proc) (*recovery.Report, error) {
+	if c.promoted != nil {
+		return nil, errors.New("standby: cluster already failed over")
+	}
+	best := c.candidate()
 	if best == nil {
 		return nil, errors.New("standby: no healthy standby to promote")
 	}
@@ -527,8 +513,8 @@ func (c *Cluster) VReplication() []monitor.ReplicationRow {
 			ReceivedSCN: int64(s.ReceivedSCN()),
 			AppliedSCN:  int64(s.appliedSCN),
 			LagRecords:  s.Lag(),
-			Frames:      s.frames,
-			Bytes:       s.streamBytes,
+			Frames:      s.stats.Frames,
+			Bytes:       s.stats.StreamBytes,
 			Status:      status,
 		})
 	}
@@ -549,15 +535,7 @@ func (c *Cluster) RegisterProbes(repo *monitor.Repository) {
 		return worst
 	})
 	repo.AddProbe("repl.rto.estimate.ms", func() int64 {
-		var best *Standby
-		for _, s := range c.standbys {
-			if s.activated || s.gapErr != nil {
-				continue
-			}
-			if best == nil || s.ReceivedSCN() > best.ReceivedSCN() {
-				best = s
-			}
-		}
+		best := c.candidate()
 		if best == nil {
 			return 0
 		}
