@@ -44,11 +44,20 @@ func NewBlock() *Block {
 	return &Block{Rows: make(map[int64][]byte)}
 }
 
-// Clone returns a deep copy of b.
+// Clone returns a deep copy of b. The copy's rows share one backing array,
+// each capped at its own length, so replacing or growing a row never
+// touches a neighbour: one allocation per block image instead of one per
+// row, which is most of what a cache miss or a dirty write costs the host.
 func (b *Block) Clone() *Block {
+	n := 0
+	for _, v := range b.Rows {
+		n += len(v)
+	}
+	buf := make([]byte, 0, n)
 	c := &Block{SCN: b.SCN, Corrupt: b.Corrupt, Rows: make(map[int64][]byte, len(b.Rows))}
 	for k, v := range b.Rows {
-		c.Rows[k] = append([]byte(nil), v...)
+		buf = append(buf, v...)
+		c.Rows[k] = buf[len(buf)-len(v) : len(buf) : len(buf)]
 	}
 	return c
 }
@@ -186,8 +195,9 @@ func (d *Datafile) ReadBlock(p *sim.Proc, no int) (*Block, error) {
 	return b.Clone(), nil
 }
 
-// WriteBlock charges a random block write and installs a copy of b as the
-// durable image.
+// WriteBlock charges a random block write and installs b as the durable
+// image. It takes b over: the caller passes a private image (a ReadBlock
+// result, a Clone snapshot) and does not touch it afterwards.
 func (d *Datafile) WriteBlock(p *sim.Proc, no int, b *Block) error {
 	if err := d.available(); err != nil {
 		return err
@@ -202,14 +212,15 @@ func (d *Datafile) WriteBlock(p *sim.Proc, no int, b *Block) error {
 	// try to install an older image after yielding; the durable image
 	// only ever moves forward. Restores bypass this via InstallImages.
 	if b.SCN >= d.blocks[no].SCN {
-		d.blocks[no] = b.Clone()
+		d.blocks[no] = b
 	}
 	return nil
 }
 
 // WriteBlockForce writes a block image ignoring the online flag (used by
 // the offline-normal sweep, which must flush dirty buffers of a file that
-// has just stopped accepting DML). It still fails on lost media.
+// has just stopped accepting DML). It still fails on lost media. Like
+// WriteBlock it takes b over.
 func (d *Datafile) WriteBlockForce(p *sim.Proc, no int, b *Block) error {
 	if d.file.Deleted() || d.file.Corrupted() {
 		return fmt.Errorf("%w: %s", ErrFileLost, d.Name)
@@ -221,7 +232,7 @@ func (d *Datafile) WriteBlockForce(p *sim.Proc, no int, b *Block) error {
 		return err
 	}
 	if b.SCN >= d.blocks[no].SCN {
-		d.blocks[no] = b.Clone()
+		d.blocks[no] = b
 	}
 	return nil
 }

@@ -72,8 +72,10 @@ func TestBlockReadWriteRoundTrip(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		// Mutating the original must not affect the durable image.
-		b.Rows[42] = []byte("mutated")
+		// WriteBlock took b over: it is the durable image now, not a copy.
+		if f.PeekBlock(2) != b {
+			t.Error("WriteBlock copied the image it was handed")
+		}
 		got, err := f.ReadBlock(p, 2)
 		if err != nil {
 			t.Error(err)
@@ -89,6 +91,28 @@ func TestBlockReadWriteRoundTrip(t *testing.T) {
 			t.Errorf("image aliased: %q", again.Rows[42])
 		}
 	})
+}
+
+// A clone's rows share one backing array; each must still behave as its own
+// slice: writing through or growing one leaves its neighbours and the
+// original alone.
+func TestCloneRowsIndependent(t *testing.T) {
+	b := NewBlock()
+	b.SCN, b.Rows[1], b.Rows[2], b.Rows[3] = 9, []byte("aaaa"), []byte("bbbb"), nil
+	c := b.Clone()
+	for k, v := range c.Rows {
+		if len(v) != cap(v) {
+			t.Errorf("row %d: cap %d beyond len %d reaches into a neighbour", k, cap(v), len(v))
+		}
+		c.Rows[k] = append(v, "zz"...)
+		copy(v, "ZZZZ")
+	}
+	if string(c.Rows[1]) != "aaaazz" || string(c.Rows[2]) != "bbbbzz" || string(c.Rows[3]) != "zz" {
+		t.Errorf("grown rows: %q %q %q", c.Rows[1], c.Rows[2], c.Rows[3])
+	}
+	if string(b.Rows[1]) != "aaaa" || string(b.Rows[2]) != "bbbb" || c.SCN != 9 || len(c.Rows) != 3 {
+		t.Errorf("original touched or clone incomplete: %q %q scn %d rows %d", b.Rows[1], b.Rows[2], c.SCN, len(c.Rows))
+	}
 }
 
 func TestBlockOutOfRange(t *testing.T) {
