@@ -12,7 +12,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"maps"
 	"os"
+	"slices"
+	"strings"
 	"time"
 
 	"dbench/internal/core"
@@ -23,9 +26,9 @@ import (
 var faultNames = map[string]faults.Fault{
 	"shutdown":           {Kind: faults.ShutdownAbort},
 	"delete-datafile":    {Kind: faults.DeleteDatafile, Target: "TPCC_01.dbf"},
-	"delete-tablespace":  {Kind: faults.DeleteTablespace, Target: "TPCC"},
+	"delete-tablespace":  {Kind: faults.DeleteTablespace, Target: tpcc.Tablespace},
 	"offline-datafile":   {Kind: faults.SetDatafileOffline, Target: "TPCC_01.dbf"},
-	"offline-tablespace": {Kind: faults.SetTablespaceOffline, Target: "TPCC"},
+	"offline-tablespace": {Kind: faults.SetTablespaceOffline, Target: tpcc.Tablespace},
 	"drop-table":         {Kind: faults.DeleteUsersObject, Target: tpcc.TableStock},
 }
 
@@ -48,7 +51,8 @@ func run(args []string) error {
 	}
 	f, ok := faultNames[*faultName]
 	if !ok {
-		return fmt.Errorf("unknown fault %q", *faultName)
+		valid := slices.Sorted(maps.Keys(faultNames))
+		return fmt.Errorf("unknown fault %q (valid: %s)", *faultName, strings.Join(valid, ", "))
 	}
 	cfg, ok := core.ConfigByName(*cfgName)
 	if !ok {

@@ -35,8 +35,8 @@ func main() {
 	targets := map[faults.Kind]string{
 		faults.DeleteDatafile:       "TPCC_01.dbf",
 		faults.SetDatafileOffline:   "TPCC_01.dbf",
-		faults.DeleteTablespace:     "TPCC",
-		faults.SetTablespaceOffline: "TPCC",
+		faults.DeleteTablespace:     tpcc.Tablespace,
+		faults.SetTablespaceOffline: tpcc.Tablespace,
 		faults.DeleteUsersObject:    tpcc.TableStock,
 	}
 	cfg, _ := core.ConfigByName("F10G3T1")

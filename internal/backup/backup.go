@@ -64,9 +64,6 @@ func NewManager(k *sim.Kernel, fs *simdisk.FS, disk string) *Manager {
 	return &Manager{k: k, fs: fs, disk: disk}
 }
 
-// Backups returns all backups, oldest first.
-func (m *Manager) Backups() []*Backup { return m.backups }
-
 // Latest returns the most recent backup, or ErrNoBackup.
 func (m *Manager) Latest() (*Backup, error) {
 	if len(m.backups) == 0 {
@@ -123,9 +120,6 @@ func (b *Backup) HasFile(name string) bool {
 	_, ok := b.files[name]
 	return ok
 }
-
-// Dict returns the backed-up data dictionary snapshot.
-func (b *Backup) Dict() *catalog.Catalog { return b.dict }
 
 // RestoreDatafile re-creates one datafile from the backup: the simulated
 // file is revived, the backup piece is copied back (charged), and the

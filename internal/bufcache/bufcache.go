@@ -155,39 +155,19 @@ func shardCountFor(capacity int) int {
 	return n
 }
 
-// New returns a cache holding at most capacity blocks, sharded
-// automatically by size.
+// New returns a cache holding at most capacity blocks, sharded by size
+// (shardCountFor), the capacity spread evenly over the shards.
 func New(k *sim.Kernel, capacity int) *Cache {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return NewSharded(k, capacity, shardCountFor(capacity))
-}
-
-// NewSharded returns a cache with an explicit shard count (rounded up to a
-// power of two, capped so every shard holds at least one block).
-func NewSharded(k *sim.Kernel, capacity, shards int) *Cache {
-	if capacity < 1 {
-		capacity = 1
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	pow := 1
-	for pow < shards && pow < maxShards {
-		pow *= 2
-	}
-	for pow > capacity {
-		pow /= 2
-	}
+	capacity = max(capacity, 1)
+	n := shardCountFor(capacity)
 	c := &Cache{
 		k:        k,
 		capacity: capacity,
-		mask:     uint32(pow - 1),
+		mask:     uint32(n - 1),
 		c:        newCounters(),
 	}
-	base, extra := capacity/pow, capacity%pow
-	for i := 0; i < pow; i++ {
+	base, extra := capacity/n, capacity%n
+	for i := 0; i < n; i++ {
 		cap := base
 		if i < extra {
 			cap++
@@ -196,9 +176,6 @@ func NewSharded(k *sim.Kernel, capacity, shards int) *Cache {
 	}
 	return c
 }
-
-// Shards returns the shard count.
-func (c *Cache) Shards() int { return len(c.shards) }
 
 // shardFor maps a block to its home shard: the shared block routing hash
 // (storage.BlockRef.Route — the datafile's creation-time hash mixed with
@@ -310,6 +287,61 @@ func (c *Cache) MarkDirty(ref storage.BlockRef, scn redo.SCN) {
 	b.block.SCN = scn
 }
 
+// outcome is what writeBack did with a dirty buffer.
+type outcome uint8
+
+const (
+	// stale: the buffer was evicted or cleaned by another process while
+	// the log was forced, so there was nothing left to write.
+	stale outcome = iota
+	// unforced: the log force failed (the log writer is down); every
+	// caller gives up with the error.
+	unforced
+	// unwritten: the datafile refused the image; what that means is the
+	// caller's policy.
+	unwritten
+	// written: the image is durable. The buffer is clean, or — changed
+	// while it was being written — dirty from the image's SCN + 1.
+	written
+)
+
+// writeBack is the one write of a dirty buffer to its datafile; the
+// eviction pass, the checkpoint and the two forced sweeps differ only in
+// what they do with its outcome. The order is what makes the write safe.
+// Snapshot the block BEFORE forcing the log: both the flush wait and the
+// disk write yield, and a concurrent transaction may modify the buffer
+// meanwhile. Writing the live pointer would persist that newer, possibly
+// unflushed change — a write-ahead violation that leaves an unrecoverable
+// half-transaction on disk after a crash. The snapshot contains only
+// changes the forced flush covers. Afterwards a buffer that changed while
+// being written stays dirty: everything up to the image's SCN is durable,
+// only the newer changes still need the next write (or recovery). force
+// bypasses the file's online flag. The returned SCN is the image's.
+func (c *Cache) writeBack(p *sim.Proc, s *shard, key bufKey, b *buffer, force bool) (outcome, redo.SCN, error) {
+	img := b.block.Clone()
+	if err := c.forceLog(p, img.SCN); err != nil {
+		return unforced, img.SCN, err
+	}
+	if !b.dirty || s.buffers[key] != b {
+		return stale, img.SCN, nil
+	}
+	var err error
+	if force {
+		err = b.ref.File.WriteBlockForce(p, b.ref.No, img)
+	} else {
+		err = b.ref.File.WriteBlock(p, b.ref.No, img)
+	}
+	if err != nil {
+		return unwritten, img.SCN, err
+	}
+	if b.block.SCN == img.SCN {
+		c.setClean(s, key, b)
+	} else {
+		b.firstDirtySCN = img.SCN + 1
+	}
+	return written, img.SCN, nil
+}
+
 // evictOne makes room for one buffer in shard s: it writes out and drops
 // the least recently used evictable buffer. When concurrent processes race
 // for the same victims it retries (bounded), waiting a beat for their
@@ -352,40 +384,24 @@ func (c *Cache) tryEvict(p *sim.Proc, s *shard) (yielded, evicted bool, err erro
 			continue // evicted by a concurrent process meanwhile
 		}
 		if b.dirty {
-			// Snapshot the block BEFORE forcing the log: both the flush
-			// wait and the disk write below yield, and a concurrent
-			// transaction may modify the buffer meanwhile. Writing the
-			// live pointer would persist that newer, possibly unflushed
-			// change — a write-ahead violation that leaves an
-			// unrecoverable half-transaction on disk after a crash.
-			img := b.block.Clone()
-			if ferr := c.forceLog(p, img.SCN); ferr != nil {
-				return yielded, false, ferr
+			out, scn, werr := c.writeBack(p, s, key, b, false)
+			if out == unforced {
+				return yielded, false, werr
 			}
 			yielded = true
-			if s.buffers[key] != b {
-				continue // gone while we forced the log
-			}
-			if !b.dirty {
-				// Cleaned concurrently (checkpoint): drop without
-				// a write below.
-			} else if werr := b.ref.File.WriteBlock(p, b.ref.No, img); werr != nil {
+			switch out {
+			case unwritten:
 				continue // unwritable: try an older buffer
-			} else {
+			case written:
 				c.c.dirtyEvictWrites.Inc()
 				c.Trace.Instant(p.Now(), trace.CatDBWR, "DBWR", "evict write",
-					trace.S("file", b.ref.File.Name), trace.I("block", int64(b.ref.No)), trace.I("scn", int64(img.SCN)))
-				if b.block.SCN == img.SCN {
-					c.setClean(s, key, b)
-				} else {
-					// Changes up to the written snapshot are durable; only
-					// the newer ones still need recovery.
-					b.firstDirtySCN = img.SCN + 1
-				}
+					trace.S("file", b.ref.File.Name), trace.I("block", int64(b.ref.No)), trace.I("scn", int64(scn)))
 			}
+			// Stale, or written: evict below unless it is gone already or
+			// was modified while writing.
 		}
 		if s.buffers[key] != b {
-			continue
+			continue // gone while the log was forced
 		}
 		if b.dirty {
 			continue // modified while writing: the newer change is not durable yet
@@ -424,7 +440,7 @@ func (c *Cache) Checkpoint(p *sim.Proc) (int, error) {
 	// Snapshot the dirty set: blocks dirtied while the checkpoint is in
 	// progress belong to the next checkpoint.
 	snap := c.dirtySnapshot(nil)
-	written := 0
+	n := 0
 	for _, b := range snap {
 		if !b.dirty {
 			continue // cleaned concurrently (evicted)
@@ -439,40 +455,21 @@ func (c *Cache) Checkpoint(p *sim.Proc) (int, error) {
 				trace.S("file", b.ref.File.Name), trace.I("block", int64(b.ref.No)), trace.I("scn", int64(b.block.SCN)))
 			continue
 		}
-		// Snapshot before forcing the log (see tryEvict): the flush wait
-		// and the write both yield, so the live buffer may pick up newer,
-		// unflushed changes meanwhile. The snapshot contains only changes
-		// the forced flush covers, keeping the durable image within the
-		// write-ahead rule.
-		img := b.block.Clone()
-		if err := c.forceLog(p, img.SCN); err != nil {
-			return written, err
-		}
-		if !b.dirty {
-			continue // cleaned while forcing the log
-		}
 		key := bufKey{file: b.ref.File, no: b.ref.No}
-		s := c.shardFor(key)
-		if s.buffers[key] != b {
-			continue // evicted (and therefore written) meanwhile
-		}
-		if err := b.ref.File.WriteBlock(p, b.ref.No, img); err != nil {
+		// A buffer that changes while being written stays dirty: its newer
+		// change has SCN above this checkpoint's position, so the next
+		// checkpoint (or recovery) covers it.
+		switch out, _, err := c.writeBack(p, c.shardFor(key), key, b, false); out {
+		case unforced:
+			return n, err
+		case unwritten:
 			c.c.skippedWrites.Inc()
-			continue
+		case written:
+			n++
+			c.c.checkpointWrites.Inc()
 		}
-		if b.block.SCN == img.SCN {
-			c.setClean(s, key, b)
-		} else {
-			// A buffer that changed while being written stays dirty: its
-			// newer change has SCN above this checkpoint's position, so
-			// the next checkpoint (or recovery) covers it. The snapshot
-			// made everything up to img.SCN durable.
-			b.firstDirtySCN = img.SCN + 1
-		}
-		written++
-		c.c.checkpointWrites.Inc()
 	}
-	return written, nil
+	return n, nil
 }
 
 // MinDirtySCN returns the earliest first-dirty SCN among dirty buffers, or
@@ -506,34 +503,11 @@ func (c *Cache) InvalidateAll() {
 // resident and clean.
 func (c *Cache) FlushFileForce(p *sim.Proc, f *storage.Datafile) error {
 	snap := c.dirtySnapshot(f)
-	for _, b := range snap {
-		if !b.dirty {
-			continue
-		}
-		// Same snapshot discipline as Checkpoint; with the file offline
-		// no new changes can arrive, but the invariant is kept uniform.
-		img := b.block.Clone()
-		if err := c.forceLog(p, img.SCN); err != nil {
-			return err
-		}
-		if !b.dirty {
-			continue
-		}
-		key := bufKey{file: b.ref.File, no: b.ref.No}
-		s := c.shardFor(key)
-		if s.buffers[key] != b {
-			continue
-		}
-		if err := b.ref.File.WriteBlockForce(p, b.ref.No, img); err != nil {
-			return err
-		}
-		if b.block.SCN == img.SCN {
-			c.setClean(s, key, b)
-		} else {
-			b.firstDirtySCN = img.SCN + 1
-		}
+	refs := make([]storage.BlockRef, len(snap))
+	for i, b := range snap {
+		refs[i] = b.ref
 	}
-	return nil
+	return c.FlushBlocksForce(p, refs)
 }
 
 // FlushBlocksForce writes the dirty buffers among the given blocks,
@@ -549,21 +523,8 @@ func (c *Cache) FlushBlocksForce(p *sim.Proc, refs []storage.BlockRef) error {
 		if !ok || !b.dirty {
 			continue
 		}
-		// Same snapshot discipline as Checkpoint.
-		img := b.block.Clone()
-		if err := c.forceLog(p, img.SCN); err != nil {
+		if _, _, err := c.writeBack(p, s, key, b, true); err != nil {
 			return err
-		}
-		if !b.dirty || s.buffers[key] != b {
-			continue
-		}
-		if err := ref.File.WriteBlockForce(p, ref.No, img); err != nil {
-			return err
-		}
-		if b.block.SCN == img.SCN {
-			c.setClean(s, key, b)
-		} else {
-			b.firstDirtySCN = img.SCN + 1
 		}
 	}
 	return nil

@@ -310,62 +310,94 @@ func TestQuickCheckpointCoherence(t *testing.T) {
 	}
 }
 
-// A buffer modified while its checkpoint write is in flight must not leak
-// the newer change into the durable image, and must stay dirty. The flush
-// wait and the disk write both yield, so a concurrent transaction can
-// modify the buffer mid-write; persisting the live pointer would put a
-// change on disk whose redo may never be flushed (a write-ahead
-// violation), leaving an unrecoverable half-transaction after a crash.
-// Found by the chaos harness (crash mid-checkpoint, C1 skew).
+// A buffer modified while its write is in flight must not leak the newer
+// change into the durable image, and must stay dirty from the change after
+// the image. The flush wait and the disk write both yield, so a concurrent
+// transaction can modify the buffer mid-write; persisting the live pointer
+// would put a change on disk whose redo may never be flushed (a
+// write-ahead violation), leaving an unrecoverable half-transaction after
+// a crash. Found by the chaos harness (crash mid-checkpoint, C1 skew) in
+// Checkpoint; the eviction pass and the two forced sweeps write through
+// the same step (writeBack) and are held to the same scenario.
 func TestCheckpointDoesNotPersistChangesMadeDuringWrite(t *testing.T) {
-	f := newFixture(t, 4, 8)
-	flushed := redo.SCN(10) // everything at or below 10 is durable redo
-	f.c.FlushLog = func(p *sim.Proc, scn redo.SCN) error {
-		if scn > flushed {
-			t.Errorf("flush forced to SCN %d: unflushed change reached the write path", scn)
-		}
-		p.Sleep(1) // yield, like a real group-commit wait
-		return nil
-	}
-	f.run(func(p *sim.Proc) {
-		b, err := f.c.Get(p, f.ref(0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		b.Rows[1] = []byte("flushed-change")
-		f.c.MarkDirty(f.ref(0), 10)
-
-		ckptDone := false
-		f.k.Go("ckpt", func(cp *sim.Proc) {
-			if _, err := f.c.Checkpoint(cp); err != nil {
-				t.Error(err)
+	writers := []struct {
+		name  string
+		write func(f *fixture, p *sim.Proc) error
+	}{
+		{"Checkpoint", func(f *fixture, p *sim.Proc) error {
+			_, err := f.c.Checkpoint(p)
+			return err
+		}},
+		{"tryEvict", func(f *fixture, p *sim.Proc) error {
+			key := bufKey{file: f.ref(0).File, no: 0}
+			yielded, evicted, err := f.c.tryEvict(p, f.c.shardFor(key))
+			if !yielded || evicted {
+				t.Errorf("tryEvict: yielded=%v evicted=%v, want a yielding pass that evicts nothing", yielded, evicted)
 			}
-			ckptDone = true
-		})
-		// Let the checkpoint reach its flush wait, then modify the same
-		// buffer with a newer, unflushed change.
-		p.Yield()
-		blk, err := f.c.Get(p, f.ref(0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		blk.Rows[2] = []byte("unflushed-change")
-		f.c.MarkDirty(f.ref(0), 11)
-		for !ckptDone {
-			p.Sleep(time.Millisecond)
-		}
+			return err
+		}},
+		{"FlushFileForce", func(f *fixture, p *sim.Proc) error {
+			return f.c.FlushFileForce(p, f.ts.Files[0])
+		}},
+		{"FlushBlocksForce", func(f *fixture, p *sim.Proc) error {
+			return f.c.FlushBlocksForce(p, []storage.BlockRef{f.ref(0)})
+		}},
+	}
+	for _, w := range writers {
+		t.Run(w.name, func(t *testing.T) {
+			f := newFixture(t, 4, 8)
+			flushed := redo.SCN(10) // everything at or below 10 is durable redo
+			f.c.FlushLog = func(p *sim.Proc, scn redo.SCN) error {
+				if scn > flushed {
+					t.Errorf("flush forced to SCN %d: unflushed change reached the write path", scn)
+				}
+				p.Sleep(1) // yield, like a real group-commit wait
+				return nil
+			}
+			f.run(func(p *sim.Proc) {
+				b, err := f.c.Get(p, f.ref(0))
+				if err != nil {
+					t.Fatal(err)
+				}
+				b.Rows[1] = []byte("flushed-change")
+				f.c.MarkDirty(f.ref(0), 10)
 
-		img := f.ts.Files[0].PeekBlock(0)
-		if string(img.Rows[1]) != "flushed-change" {
-			t.Errorf("flushed change missing from durable image: %q", img.Rows[1])
-		}
-		if _, leaked := img.Rows[2]; leaked || img.SCN > flushed {
-			t.Errorf("unflushed change leaked to disk: scn=%d rows[2]=%q", img.SCN, img.Rows[2])
-		}
-		if f.c.DirtyCount() != 1 {
-			t.Errorf("dirty count = %d, want 1 (newer change still pending)", f.c.DirtyCount())
-		}
-	})
+				done := false
+				f.k.Go("writer", func(wp *sim.Proc) {
+					if err := w.write(f, wp); err != nil {
+						t.Error(err)
+					}
+					done = true
+				})
+				// Let the writer reach its flush wait, then modify the same
+				// buffer with a newer, unflushed change.
+				p.Yield()
+				blk, err := f.c.Get(p, f.ref(0))
+				if err != nil {
+					t.Fatal(err)
+				}
+				blk.Rows[2] = []byte("unflushed-change")
+				f.c.MarkDirty(f.ref(0), 11)
+				for !done {
+					p.Sleep(time.Millisecond)
+				}
+
+				img := f.ts.Files[0].PeekBlock(0)
+				if string(img.Rows[1]) != "flushed-change" {
+					t.Errorf("flushed change missing from durable image: %q", img.Rows[1])
+				}
+				if _, leaked := img.Rows[2]; leaked || img.SCN != flushed {
+					t.Errorf("unflushed change leaked to disk: scn=%d rows[2]=%q", img.SCN, img.Rows[2])
+				}
+				if f.c.DirtyCount() != 1 {
+					t.Errorf("dirty count = %d, want 1 (newer change still pending)", f.c.DirtyCount())
+				}
+				if got := f.c.MinDirtySCN(); got != img.SCN+1 {
+					t.Errorf("first dirty SCN = %d, want %d (the change after the image)", got, img.SCN+1)
+				}
+			})
+		})
+	}
 }
 
 // A buffer whose newest change lies beyond the flushable redo horizon must

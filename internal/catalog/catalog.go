@@ -305,24 +305,12 @@ func (c *Catalog) Tables() []*Table {
 	return out
 }
 
-// TablesIn returns the names of tables stored in the given tablespace.
-func (c *Catalog) TablesIn(tablespace string) []string {
-	var names []string
-	for n, t := range c.tables {
-		if t.Tablespace == tablespace {
-			names = append(names, n)
-		}
-	}
-	sort.Strings(names)
-	return names
-}
-
 // TablesFullyIn returns the names of tables whose every block lives in
 // the given tablespace. A partitioned table with one partition in the
 // tablespace and the rest elsewhere is NOT included: dropping a
 // per-warehouse tablespace must not take the other warehouses' partitions
-// with it. (TablesIn matches only the Tablespace attribute, which for a
-// partitioned table is the first partition's tablespace.)
+// with it. (A table's Tablespace attribute does not say this: for a
+// partitioned table it names only the first partition's tablespace.)
 func (c *Catalog) TablesFullyIn(tablespace string) []string {
 	var names []string
 	for n, t := range c.tables {

@@ -133,22 +133,6 @@ func TestUsersAndDropUserCascades(t *testing.T) {
 	}
 }
 
-func TestTablesInFiltersByTablespace(t *testing.T) {
-	specs := []simdisk.DiskSpec{simdisk.DefaultSpec("d1")}
-	fs := simdisk.NewFS(specs...)
-	db, _ := storage.NewDB(fs, "d1")
-	tsA, _ := db.CreateTablespace("A", []string{"d1"}, 10)
-	tsB, _ := db.CreateTablespace("B", []string{"d1"}, 10)
-	c := New()
-	_, _ = c.CreateTable("t1", "u", tsA, 1)
-	_, _ = c.CreateTable("t2", "u", tsB, 1)
-	_, _ = c.CreateTable("t3", "u", tsA, 1)
-	got := c.TablesIn("A")
-	if len(got) != 2 || got[0] != "t1" || got[1] != "t3" {
-		t.Fatalf("TablesIn(A) = %v", got)
-	}
-}
-
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	ts := newTS(t, 1, 10)
 	c := New()

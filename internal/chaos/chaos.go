@@ -283,7 +283,7 @@ func runPoint(cfg Config, index int) (*PointResult, error) {
 	// the same final state still trips this.
 	hs := trace.NewHashSink()
 	ecfg.Tracer = trace.New(hs)
-	rig, err := core.NewRig(seed, ecfg, cfg.TPCC, tpcc.DefaultDriverConfig(), 0)
+	rig, err := core.NewRig(seed, ecfg, cfg.TPCC, tpcc.DriverConfig{}, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -300,7 +300,7 @@ func runPoint(cfg Config, index int) (*PointResult, error) {
 		if budget <= 0 {
 			budget = 30 * time.Second
 		}
-		ctl, err = control.New(in, control.Config{Budget: budget, Interval: cfg.SampleInterval})
+		ctl, err = control.New(in, control.Config{Budget: budget})
 		if err != nil {
 			return nil, err
 		}

@@ -96,7 +96,7 @@ func runFlashbackCrashPoint(seed int64, crashAfter time.Duration) (*flashPoint, 
 	tcfg.Items = 300
 	tcfg.TerminalsPerWarehouse = 4
 	app := tpcc.NewApp(in, tcfg)
-	drv := tpcc.NewDriver(app, tpcc.DefaultDriverConfig())
+	drv := tpcc.NewDriver(app, tpcc.DriverConfig{})
 
 	res := &flashPoint{}
 	var runErr error

@@ -8,6 +8,7 @@ import (
 	"dbench/internal/engine"
 	"dbench/internal/redo"
 	"dbench/internal/sim"
+	"dbench/internal/storage"
 	"dbench/internal/tpcc"
 )
 
@@ -63,10 +64,7 @@ func StateHash(in *engine.Instance) uint64 {
 // implementations cross-check each other.
 func captureRedo(in *engine.Instance) []redo.Record {
 	ctl := in.DB().Control
-	from := ctl.CheckpointSCN + 1
-	if ctl.UndoSCN > 0 && ctl.UndoSCN < from {
-		from = ctl.UndoSCN
-	}
+	from := storage.ScanStart(ctl.CheckpointSCN, ctl.UndoSCN)
 	log := in.Log()
 	if recs, ok := log.OnlineRecords(from); ok {
 		return append([]redo.Record(nil), recs...)

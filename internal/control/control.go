@@ -20,7 +20,7 @@
 // Stability over reactivity: moving down the ladder (toward faster
 // recovery) happens immediately — a budget at risk is acted on — while
 // moving up requires the more aggressive rung to stay within target for
-// UpTicks consecutive ticks, so a noisy rate sample cannot make the
+// upTicks consecutive ticks, so a noisy rate sample cannot make the
 // knobs oscillate. A budget no configuration can meet (below the fixed
 // instance-restart cost) is reported as infeasible rather than silently
 // missed.
@@ -46,10 +46,12 @@ type Rung struct {
 	CheckpointTimeout time.Duration
 }
 
-// DefaultLadder mirrors the paper's Table 3 axis from its most
-// conservative configuration (1 MB groups, 1-minute checkpoints: fast
-// recovery, heavy checkpoint traffic) to its most aggressive (400 MB
-// groups, 20-minute checkpoints: peak tpmC, minutes of redo to replay).
+// DefaultLadder is the ladder every controller climbs. It mirrors the
+// paper's Table 3 axis from its most conservative configuration (1 MB
+// groups, 1-minute checkpoints: fast recovery, heavy checkpoint traffic)
+// to its most aggressive (400 MB groups, 20-minute checkpoints: peak
+// tpmC, minutes of redo to replay); each rung is the Table 3
+// configuration of the same name.
 func DefaultLadder() []Rung {
 	return []Rung{
 		{Name: "F1G3T1", GroupSizeBytes: 1 << 20, Groups: 3, CheckpointTimeout: time.Minute},
@@ -61,56 +63,33 @@ func DefaultLadder() []Rung {
 	}
 }
 
-// Config parameterizes the controller.
+// Config parameterizes the controller. The budget is all an operator
+// states; the rest of the policy is the constants below, and the
+// evaluation period is the instance's MMON sample interval — the natural
+// cadence of the sensing layer.
 type Config struct {
 	// Budget is the recovery-time objective: the controller keeps the
 	// predicted worst-case crash-recovery time at or below it. Required.
 	Budget time.Duration
-	// Interval is the evaluation period (0 = the instance's MMON sample
-	// interval, the natural cadence of the sensing layer).
-	Interval time.Duration
-	// Margin is the fraction of Budget the controller actually targets
-	// (0 = 0.75): the headroom absorbs estimator error — the chaos
-	// harness pins the estimate to ±35%, so targeting 75% keeps the
-	// measured recovery inside the budget.
-	Margin float64
-	// Slack inflates the observed redo rates when predicting a rung's
-	// worst case (0 = 1.3), covering checkpoint duration and the
-	// position clamps that leave the durable checkpoint short of the
-	// trigger point.
-	Slack float64
-	// UpTicks is how many consecutive ticks a more aggressive rung must
-	// stay within target before the controller moves up (0 = 3).
-	UpTicks int
-	// MaxParallel caps the recovery_parallelism the controller sets
-	// (0 = 8; the effective fan-out is additionally bounded by CPUs).
-	MaxParallel int
-	// Ladder overrides the config ladder (nil = DefaultLadder).
-	Ladder []Rung
 }
 
-func (c *Config) withDefaults() Config {
-	out := *c
-	if out.Interval < 0 {
-		out.Interval = 0
-	}
-	if out.Margin <= 0 || out.Margin > 1 {
-		out.Margin = 0.75
-	}
-	if out.Slack <= 0 {
-		out.Slack = 1.3
-	}
-	if out.UpTicks <= 0 {
-		out.UpTicks = 3
-	}
-	if out.MaxParallel <= 0 {
-		out.MaxParallel = 8
-	}
-	if len(out.Ladder) == 0 {
-		out.Ladder = DefaultLadder()
-	}
-	return out
-}
+const (
+	// margin is the fraction of Budget the controller actually targets:
+	// the headroom absorbs estimator error — the chaos harness pins the
+	// estimate to ±35%, so targeting 75% keeps the measured recovery
+	// inside the budget.
+	margin = 0.75
+	// slack inflates the observed redo rates when predicting a rung's
+	// worst case, covering checkpoint duration and the position clamps
+	// that leave the durable checkpoint short of the trigger point.
+	slack = 1.3
+	// upTicks is how many consecutive ticks a more aggressive rung must
+	// stay within target before the controller moves up.
+	upTicks = 3
+	// maxParallel is the recovery_parallelism the controller sets (the
+	// effective fan-out is additionally bounded by CPUs).
+	maxParallel = 8
+)
 
 // Decision is one evaluated tick of the controller, kept for reports
 // and tests.
@@ -127,8 +106,9 @@ type Decision struct {
 // (like the TPC-C terminals, outside the engine), so it survives
 // instance crashes and simply skips ticks while the instance is down.
 type Controller struct {
-	in  *engine.Instance
-	cfg Config
+	in     *engine.Instance
+	budget time.Duration
+	ladder []Rung
 
 	proc    *sim.Proc
 	running bool
@@ -176,10 +156,7 @@ func New(in *engine.Instance, cfg Config) (*Controller, error) {
 	if in.Monitor() == nil {
 		return nil, fmt.Errorf("control: instance has no workload repository (set Config.SampleInterval > 0)")
 	}
-	c := &Controller{in: in, cfg: cfg.withDefaults()}
-	if c.cfg.Interval == 0 {
-		c.cfg.Interval = in.Config().SampleInterval
-	}
+	c := &Controller{in: in, budget: cfg.Budget, ladder: DefaultLadder()}
 	c.rung = c.matchRung()
 	reg := in.Registry()
 	c.c.ticks = reg.Counter("ctl.ticks")
@@ -196,7 +173,7 @@ func New(in *engine.Instance, cfg Config) (*Controller, error) {
 func (c *Controller) matchRung() int {
 	size := c.in.Log().TargetGroupSize()
 	best, bestDiff := 0, int64(-1)
-	for i, r := range c.cfg.Ladder {
+	for i, r := range c.ladder {
 		diff := r.GroupSizeBytes - size
 		if diff < 0 {
 			diff = -diff
@@ -229,10 +206,10 @@ func (c *Controller) Stop() {
 }
 
 // Budget returns the controller's recovery-time objective.
-func (c *Controller) Budget() time.Duration { return c.cfg.Budget }
+func (c *Controller) Budget() time.Duration { return c.budget }
 
 // Rung returns the ladder rung currently held.
-func (c *Controller) Rung() Rung { return c.cfg.Ladder[c.rung] }
+func (c *Controller) Rung() Rung { return c.ladder[c.rung] }
 
 // RungIndex returns the index of the rung currently held.
 func (c *Controller) RungIndex() int { return c.rung }
@@ -254,7 +231,7 @@ func (c *Controller) History() []Decision { return c.history }
 
 func (c *Controller) loop(p *sim.Proc) {
 	for c.running {
-		p.Sleep(c.cfg.Interval)
+		p.Sleep(c.in.Config().SampleInterval)
 		if !c.running {
 			return
 		}
@@ -274,10 +251,8 @@ func (c *Controller) tick(p *sim.Proc) {
 	// fan-out knob has no trade-off: raise it once to the ceiling.
 	if !c.parSet {
 		c.parSet = true
-		cur := c.in.RecoveryParallelism()
-		want := min(c.cfg.MaxParallel, engine.MaxParallelism)
-		if want > cur {
-			if _, err := c.in.AlterSystem(p, "recovery_parallelism", strconv.Itoa(want)); err == nil {
+		if maxParallel > c.in.RecoveryParallelism() {
+			if _, _, err := c.in.AlterSystem(p, "recovery_parallelism", strconv.Itoa(maxParallel)); err == nil {
 				c.c.knobs.Inc()
 				c.lastChange = c.ticks
 			}
@@ -301,9 +276,9 @@ func (c *Controller) tick(p *sim.Proc) {
 		c.ewmaBytes += ewmaAlpha * (byteRate - c.ewmaBytes)
 	}
 
-	target := time.Duration(float64(c.cfg.Budget) * c.cfg.Margin)
+	target := time.Duration(float64(c.budget) * margin)
 	desired := -1
-	for i := len(c.cfg.Ladder) - 1; i >= 0; i-- {
+	for i := len(c.ladder) - 1; i >= 0; i-- {
 		if c.predict(i) <= target {
 			desired = i
 			break
@@ -311,13 +286,13 @@ func (c *Controller) tick(p *sim.Proc) {
 	}
 	floorPred := c.predict(0)
 	switch {
-	case floorPred > c.cfg.Budget:
+	case floorPred > c.budget:
 		// Not even the most conservative rung fits: the budget is
 		// unattainable at this load. Hold rung 0 and say so.
 		if !c.infeasible {
 			c.infeasible = true
 			c.in.Tracer().Instant(p.Now(), trace.CatCtl, "CTL", "budget infeasible",
-				trace.I("budget_ms", c.cfg.Budget.Milliseconds()),
+				trace.I("budget_ms", c.budget.Milliseconds()),
 				trace.I("floor_ms", floorPred.Milliseconds()))
 		}
 		c.c.infeasible.Inc()
@@ -339,7 +314,7 @@ func (c *Controller) tick(p *sim.Proc) {
 		c.upStreak = 0
 	case desired > c.rung:
 		// More headroom: step up only when the higher rung clears the
-		// hysteresis bar AND has done so for UpTicks consecutive ticks,
+		// hysteresis bar AND has done so for upTicks consecutive ticks,
 		// so neither one optimistic sample nor a prediction hovering at
 		// the target can start an oscillation.
 		if c.predict(desired) <= time.Duration(float64(target)*upFactor) {
@@ -348,7 +323,7 @@ func (c *Controller) tick(p *sim.Proc) {
 			c.upStreak = 0
 			changed = c.move(p, c.rung) // repair drift while holding
 		}
-		if c.upStreak >= c.cfg.UpTicks {
+		if c.upStreak >= upTicks {
 			changed = c.move(p, desired)
 			c.upStreak = 0
 		}
@@ -365,7 +340,7 @@ func (c *Controller) tick(p *sim.Proc) {
 		Predicted: pred, Changed: changed, Infeasible: c.infeasible,
 	})
 	c.in.Tracer().Instant(p.Now(), trace.CatCtl, "CTL", "decision",
-		trace.S("rung", c.cfg.Ladder[c.rung].Name),
+		trace.S("rung", c.ladder[c.rung].Name),
 		trace.I("predicted_ms", pred.Milliseconds()),
 		trace.I("target_ms", target.Milliseconds()),
 		trace.I("tick", int64(c.ticks)))
@@ -378,15 +353,15 @@ func (c *Controller) tick(p *sim.Proc) {
 // the effective interval is the sooner of the timeout trigger and the
 // group filling up (a switch triggers a checkpoint too).
 func (c *Controller) predict(i int) time.Duration {
-	r := c.cfg.Ladder[i]
+	r := c.ladder[i]
 	eff := r.CheckpointTimeout.Seconds()
 	if c.ewmaBytes > 1 {
 		if fill := float64(r.GroupSizeBytes) / c.ewmaBytes; fill < eff {
 			eff = fill
 		}
 	}
-	recs := int64(c.ewmaRec * eff * c.cfg.Slack)
-	bytes := int64(c.ewmaBytes * eff * c.cfg.Slack)
+	recs := int64(c.ewmaRec * eff * slack)
+	bytes := int64(c.ewmaBytes * eff * slack)
 	return c.in.Monitor().Estimator().PredictTotal(recs, bytes)
 }
 
@@ -394,8 +369,8 @@ func (c *Controller) predict(i int) time.Duration {
 // same code path, latency and trace events as a DBA session). Reports
 // whether any knob actually changed.
 func (c *Controller) move(p *sim.Proc, to int) bool {
-	r := c.cfg.Ladder[to]
-	from := c.cfg.Ladder[c.rung].Name
+	r := c.ladder[to]
+	from := c.ladder[c.rung].Name
 	down := to < c.rung
 	c.rung = to
 	changed := false
@@ -405,16 +380,15 @@ func (c *Controller) move(p *sim.Proc, to int) bool {
 		{"log_groups", strconv.Itoa(r.Groups)},
 	}
 	for _, kv := range knobs {
-		name, value := kv[0], kv[1]
-		if !c.alreadyAt(name, value) {
-			if _, err := c.in.AlterSystem(p, name, value); err != nil {
-				break // instance went down mid-move; retry next tick
-			}
+		// A knob already at (or converging to) its value is a free
+		// no-op, so re-asserting a rung does not burn admin latency.
+		_, moved, err := c.in.AlterSystem(p, kv[0], kv[1])
+		if err != nil {
+			break // instance went down mid-move; retry next tick
+		}
+		if moved {
 			c.c.knobs.Inc()
 			changed = true
-		}
-		if c.in.State() != engine.StateOpen {
-			break
 		}
 	}
 	if changed {
@@ -435,21 +409,4 @@ func (c *Controller) move(p *sim.Proc, to int) bool {
 		}
 	}
 	return changed
-}
-
-// alreadyAt reports whether a knob already holds (or is converging to)
-// the value, so re-asserting a rung does not burn admin latency.
-func (c *Controller) alreadyAt(name, value string) bool {
-	switch name {
-	case "checkpoint_timeout":
-		d, err := time.ParseDuration(value)
-		return err == nil && d == c.in.Dynamic().CheckpointTimeout()
-	case "log_group_size_bytes":
-		n, err := strconv.ParseInt(value, 10, 64)
-		return err == nil && n == c.in.Log().TargetGroupSize()
-	case "log_groups":
-		n, err := strconv.Atoi(value)
-		return err == nil && n == c.in.Log().TargetGroups()
-	}
-	return false
 }

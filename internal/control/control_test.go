@@ -203,3 +203,29 @@ func TestDefaultLadderOrdered(t *testing.T) {
 		}
 	}
 }
+
+// TestDefaultLadderIsTable3 pins each rung to the paper's Table 3
+// configuration of the same name, and the pareto grid to the ladder: the
+// controller's chosen rung is only comparable to a measured frontier point
+// because the two are the same geometry, declared once each and looked up
+// by name (core.ParetoGrid).
+func TestDefaultLadderIsTable3(t *testing.T) {
+	grid := core.ParetoGrid()
+	ladder := control.DefaultLadder()
+	if len(grid) != len(ladder) {
+		t.Fatalf("pareto grid has %d configurations for a ladder of %d rungs", len(grid), len(ladder))
+	}
+	for i, r := range ladder {
+		rc, ok := core.ConfigByName(r.Name)
+		if !ok {
+			t.Errorf("rung %q is not a Table 3 configuration", r.Name)
+			continue
+		}
+		if rc.FileSize != r.GroupSizeBytes || rc.Groups != r.Groups || rc.CheckpointTimeout != r.CheckpointTimeout {
+			t.Errorf("rung %+v differs from Table 3's %+v", r, rc)
+		}
+		if grid[i] != rc {
+			t.Errorf("pareto grid[%d] = %+v, want the rung's configuration %+v", i, grid[i], rc)
+		}
+	}
+}

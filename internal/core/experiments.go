@@ -93,18 +93,9 @@ func QuickScale() Scale {
 	}
 }
 
-// Validate rejects scales that would silently run an empty campaign: a
-// workload with no warehouses or no terminals produces no transactions,
-// and every table would be a column of zeros rather than an error.
-func (sc Scale) Validate() error {
-	if sc.TPCC.Warehouses < 1 {
-		return fmt.Errorf("core: scale needs Warehouses >= 1 (got %d)", sc.TPCC.Warehouses)
-	}
-	if sc.TPCC.TerminalsPerWarehouse < 1 {
-		return fmt.Errorf("core: scale needs TerminalsPerWarehouse >= 1 (got %d)", sc.TPCC.TerminalsPerWarehouse)
-	}
-	return nil
-}
+// Validate rejects, before any job of a campaign runs, the empty workload
+// every Run would reject (validateWorkload).
+func (sc Scale) Validate() error { return validateWorkload(sc.TPCC) }
 
 // spec builds a base Spec for this scale.
 func (sc Scale) spec(name string, cfg RecoveryConfig) Spec {
@@ -277,8 +268,8 @@ func runRecoveryGrid(sc Scale, kinds []faults.Kind, configs []RecoveryConfig, la
 	targets := map[faults.Kind]string{
 		faults.DeleteDatafile:       "TPCC_01.dbf",
 		faults.SetDatafileOffline:   "TPCC_01.dbf",
-		faults.DeleteTablespace:     "TPCC",
-		faults.SetTablespaceOffline: "TPCC",
+		faults.DeleteTablespace:     tpcc.Tablespace,
+		faults.SetTablespaceOffline: tpcc.Tablespace,
 		faults.DeleteUsersObject:    tpcc.TableStock,
 	}
 	var rows []RecRow

@@ -145,7 +145,7 @@ func RunCatalogScan(seed int64, warehouses int) (*ScanReport, error) {
 	cfg.Warehouses = warehouses
 	cfg.CustomersPerDistrict = 30
 	cfg.Items = 300
-	rig, err := NewRig(seed, ecfg, cfg, tpcc.DefaultDriverConfig(), 0)
+	rig, err := NewRig(seed, ecfg, cfg, tpcc.DriverConfig{}, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -30,18 +30,18 @@ type ParetoConfig struct {
 	Grid []RecoveryConfig
 }
 
-// ParetoGrid is the default static grid: the same six geometries as the
-// controller's DefaultLadder, so the controller's chosen rung is always
-// directly comparable to a measured frontier point.
+// ParetoGrid is the default static grid: the Table 3 configuration behind
+// each rung of the controller's ladder, so the controller's chosen rung is
+// always directly comparable to a measured frontier point.
 func ParetoGrid() []RecoveryConfig {
-	return []RecoveryConfig{
-		mkCfg(1, 3, 1*time.Minute),
-		mkCfg(10, 3, 1*time.Minute),
-		mkCfg(40, 3, 5*time.Minute),
-		mkCfg(100, 3, 10*time.Minute),
-		mkCfg(400, 3, 10*time.Minute),
-		mkCfg(400, 3, 20*time.Minute),
+	var grid []RecoveryConfig
+	for _, r := range control.DefaultLadder() {
+		// Every rung has a Table 3 namesake of the same geometry
+		// (control.TestDefaultLadderIsTable3).
+		c, _ := ConfigByName(r.Name)
+		grid = append(grid, c)
 	}
+	return grid
 }
 
 // ParetoRow is one static configuration's frontier point.

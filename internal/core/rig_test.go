@@ -23,7 +23,7 @@ func TestRigStandbyMatchesPrimaryAfterLoad(t *testing.T) {
 	ecfg := engine.DefaultConfig()
 	ecfg.Redo.ArchiveMode = true
 	ecfg.CacheBlocks = 512
-	rig, err := NewRig(11, ecfg, tinyScale().TPCC, tpcc.DefaultDriverConfig(), 0)
+	rig, err := NewRig(11, ecfg, tinyScale().TPCC, tpcc.DriverConfig{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -236,6 +236,21 @@ func (r *Result) String() string {
 	return s
 }
 
+// validateWorkload rejects a workload that would silently run empty: with
+// no warehouses or no terminals nothing is ever submitted, and every
+// measure would be a zero rather than an error. Run checks it for every
+// entry (campaigns, tpccrun, faultinject, the benchmark); a zero Duration
+// stays valid — a load-only run.
+func validateWorkload(c tpcc.Config) error {
+	if c.Warehouses < 1 {
+		return fmt.Errorf("core: workload needs Warehouses >= 1 (got %d)", c.Warehouses)
+	}
+	if c.TerminalsPerWarehouse < 1 {
+		return fmt.Errorf("core: workload needs TerminalsPerWarehouse >= 1 (got %d)", c.TerminalsPerWarehouse)
+	}
+	return nil
+}
+
 // Run executes one experiment end to end: build the simulated platform,
 // create and load the database, take the reference backup, run TPC-C for
 // the configured duration with the optional fault, then collect measures.
@@ -245,6 +260,9 @@ func (r *Result) String() string {
 // state, so campaign runners may execute many Runs in parallel (see
 // pool.go) with results identical to sequential execution.
 func Run(spec Spec) (*Result, error) {
+	if err := validateWorkload(spec.TPCC); err != nil {
+		return nil, err
+	}
 	ecfg := engine.DefaultConfig()
 	ecfg.Redo.GroupSizeBytes = spec.Recovery.FileSize
 	ecfg.Redo.Groups = spec.Recovery.Groups
@@ -256,9 +274,7 @@ func Run(spec Spec) (*Result, error) {
 	ecfg.Cost = spec.Cost
 	ecfg.Tracer = spec.Tracer
 	ecfg.SampleInterval = spec.SampleInterval
-	dcfg := tpcc.DefaultDriverConfig()
-	dcfg.Phases = spec.Phases
-	rig, err := NewRig(spec.Seed, ecfg, spec.TPCC, dcfg, spec.DataDisks)
+	rig, err := NewRig(spec.Seed, ecfg, spec.TPCC, tpcc.DriverConfig{Phases: spec.Phases}, spec.DataDisks)
 	if err != nil {
 		return nil, err
 	}

@@ -33,6 +33,11 @@ func TestScaleValidateRejectsEmptyWorkloads(t *testing.T) {
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
 			}
+			// Run is where every entry (campaign, tpccrun, faultinject,
+			// the benchmark) meets the same check.
+			if _, rerr := Run(sc.spec("empty", Table3Configs[0])); rerr == nil || rerr.Error() != err.Error() {
+				t.Fatalf("Run error = %v, want %v", rerr, err)
+			}
 		})
 	}
 }

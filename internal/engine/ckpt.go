@@ -38,7 +38,7 @@ func (c *ckptProcess) start() {
 	}
 	c.running = true
 	c.proc = c.in.k.Go("CKPT", c.loop)
-	if c.in.dyn.CheckpointTimeout() > 0 {
+	if c.in.cfg.CheckpointTimeout > 0 {
 		c.timer = c.in.k.Go("CKPT-timer", c.timerLoop)
 	}
 }
@@ -54,7 +54,7 @@ func (c *ckptProcess) rearmTimer() {
 		c.timer.Kill()
 		c.timer = nil
 	}
-	if c.in.dyn.CheckpointTimeout() > 0 {
+	if c.in.cfg.CheckpointTimeout > 0 {
 		c.timer = c.in.k.Go("CKPT-timer", c.timerLoop)
 	}
 }
@@ -110,7 +110,7 @@ func (c *ckptProcess) loop(p *sim.Proc) {
 
 func (c *ckptProcess) timerLoop(p *sim.Proc) {
 	for c.running {
-		p.Sleep(c.in.dyn.CheckpointTimeout())
+		p.Sleep(c.in.cfg.CheckpointTimeout)
 		if !c.running {
 			return
 		}
@@ -118,43 +118,41 @@ func (c *ckptProcess) timerLoop(p *sim.Proc) {
 	}
 }
 
-// pmonProcess is the engine's PMON: it sweeps zombie transactions (whose
+// periodic is a background process that runs tick every interval of
+// virtual time until stopped. PMON sweeps zombie transactions (whose
 // client-side rollback failed, typically because their datafiles were
-// offline) and rolls them back once their media is available again.
-type pmonProcess struct {
-	in      *Instance
+// offline) and rolls them back once their media is available again; MMON
+// snapshots the counter registry, gauge probes and the live recovery-time
+// estimate into the workload repository, and only exists when monitoring
+// is enabled.
+type periodic struct {
+	every   time.Duration
+	tick    func(p *sim.Proc)
 	proc    *sim.Proc
 	running bool
 }
 
-func newPmon(in *Instance) *pmonProcess { return &pmonProcess{in: in} }
-
-func (m *pmonProcess) start() {
-	if m.running {
-		return
-	}
-	m.running = true
-	m.proc = m.in.k.Go("PMON", m.loop)
+func startPeriodic(k *sim.Kernel, name string, every time.Duration, tick func(p *sim.Proc)) *periodic {
+	b := &periodic{every: every, tick: tick, running: true}
+	b.proc = k.Go(name, b.loop)
+	return b
 }
 
-func (m *pmonProcess) stop() {
-	if !m.running {
+// stop ends the process; a nil receiver (never started) is a no-op.
+func (b *periodic) stop() {
+	if b == nil || !b.running {
 		return
 	}
-	m.running = false
-	if m.proc != nil {
-		m.proc.Kill()
-	}
+	b.running = false
+	b.proc.Kill()
 }
 
-func (m *pmonProcess) loop(p *sim.Proc) {
-	for m.running {
-		p.Sleep(time.Second)
-		if !m.running {
+func (b *periodic) loop(p *sim.Proc) {
+	for b.running {
+		p.Sleep(b.every)
+		if !b.running {
 			return
 		}
-		if m.in.tm.ZombieCount() > 0 {
-			m.in.tm.RollbackZombies(p)
-		}
+		b.tick(p)
 	}
 }

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"time"
 
 	"dbench/internal/redo"
@@ -55,6 +54,9 @@ func DefaultCostModel() CostModel {
 }
 
 // Config configures an instance. Redo carries the paper's Table 3 knobs.
+// Every field an operator can see or set is one row of the parameter table
+// (parameters.go); the instance keeps its Config live — ALTER SYSTEM SET
+// writes the dynamic fields in place.
 type Config struct {
 	// Name identifies the instance (e.g. "primary", "standby").
 	Name string
@@ -90,60 +92,6 @@ type Config struct {
 	// recovery-time estimate every SampleInterval of virtual time. Zero
 	// disables monitoring entirely (nil repository, zero cost).
 	SampleInterval time.Duration
-	// RepositoryDepth bounds the number of retained samples (0 =
-	// monitor.DefaultDepth). Older samples are evicted ring-style.
-	RepositoryDepth int
-}
-
-// Parameter is one configuration knob as surfaced by SHOW PARAMETERS
-// and V$PARAMETER. Adjustable marks knobs changeable on a running
-// instance via ALTER SYSTEM SET; Pending carries the value a deferred
-// change (redo group resize) will take at the next log switch, empty
-// when nothing is pending.
-type Parameter struct {
-	Name       string
-	Value      string
-	Adjustable bool
-	Pending    string
-}
-
-// dynamicParams names the knobs ALTER SYSTEM SET can change on a
-// running instance; everything else in Parameters is static.
-var dynamicParams = map[string]bool{
-	"checkpoint_timeout":   true,
-	"log_group_size_bytes": true,
-	"log_groups":           true,
-	"recovery_parallelism": true,
-}
-
-// Parameters lists the instance configuration in SHOW PARAMETERS order
-// (stable, alphabetical within each group: instance, redo, cost model).
-func (c Config) Parameters() []Parameter {
-	p := func(name, format string, v any) Parameter {
-		return Parameter{Name: name, Value: fmt.Sprintf(format, v), Adjustable: dynamicParams[name]}
-	}
-	return []Parameter{
-		p("archive_disk", "%s", c.ArchiveDisk),
-		p("cache_blocks", "%d", c.CacheBlocks),
-		p("checkpoint_timeout", "%v", c.CheckpointTimeout),
-		p("control_disk", "%s", c.ControlDisk),
-		p("cpus", "%d", max(c.CPUs, 1)),
-		p("instance_name", "%s", c.Name),
-		p("recovery_parallelism", "%d", max(c.RecoveryParallelism, 1)),
-		p("repository_depth", "%d", c.RepositoryDepth),
-		p("sample_interval", "%v", c.SampleInterval),
-		p("log_archive_mode", "%t", c.Redo.ArchiveMode),
-		p("log_disk", "%s", c.Redo.Disk),
-		p("log_group_size_bytes", "%d", c.Redo.GroupSizeBytes),
-		p("log_groups", "%d", c.Redo.Groups),
-		p("log_members_per_group", "%d", max(c.Redo.MembersPerGroup, 1)),
-		p("cost_archive_open_overhead", "%v", c.Cost.ArchiveOpenOverhead),
-		p("cost_backup_restore_overhead", "%v", c.Cost.BackupRestoreOverhead),
-		p("cost_cpu_per_op", "%v", c.Cost.CPUPerOp),
-		p("cost_instance_startup", "%v", c.Cost.InstanceStartup),
-		p("cost_lock_timeout", "%v", c.Cost.LockTimeout),
-		p("cost_redo_apply_per_record", "%v", c.Cost.RedoApplyPerRecord),
-	}
 }
 
 // DefaultConfig returns a ready-to-run configuration with a 100 MB / 3

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"time"
 
 	"dbench/internal/archivelog"
 	"dbench/internal/bufcache"
@@ -96,16 +97,13 @@ type Instance struct {
 	crashed   bool // not cleanly shut down; recovery required before Open
 	recovered bool // recovery manager completed instance recovery
 
-	dyn       *DynamicConfig
-	ckpt      *ckptProcess
-	pmon      *pmonProcess
-	mmon      *mmonProcess
-	repo      *monitor.Repository
-	c         counters
-	reg       *trace.Registry
-	tr        *trace.Tracer
-	openedAt  sim.Time
-	downSince sim.Time
+	ckpt *ckptProcess
+	pmon *periodic
+	mmon *periodic // nil when monitoring is off
+	repo *monitor.Repository
+	c    counters
+	reg  *trace.Registry
+	tr   *trace.Tracer
 
 	// tsDown records, per tablespace, when it became unavailable to DML
 	// (offlined, dropped, or damaged): the start of the localized outage
@@ -152,7 +150,6 @@ func New(k *sim.Kernel, fs *simdisk.FS, cfg Config) (*Instance, error) {
 		state:  StateDown,
 		tsDown: make(map[string]sim.Time),
 	}
-	inst.dyn = newDynamicConfig(cfg)
 	// One registry per instance: the engine's own counters plus every
 	// subsystem block, in construction order. Status() derives its
 	// counter fields from here, so a counter added in any subsystem
@@ -244,8 +241,14 @@ func (in *Instance) CPU() *sim.Resource { return in.cpu }
 // Archiver returns the ARCH process, or nil when archive mode is off.
 func (in *Instance) Archiver() *archivelog.Archiver { return in.arch }
 
-// Config returns the instance configuration.
-func (in *Instance) Config() Config { return in.cfg }
+// Config returns the configuration as it stands now: what New was given
+// with every ALTER SYSTEM SET since, the redo geometry as far as the log
+// manager has landed it.
+func (in *Instance) Config() Config {
+	c := in.cfg
+	c.Redo = in.log.Config()
+	return c
+}
 
 // Stats returns a snapshot of the instance counters.
 func (in *Instance) Stats() Stats {
@@ -279,18 +282,6 @@ func (in *Instance) Crashed() bool { return in.crashed }
 // MarkRecovered is called by the recovery manager once instance recovery
 // has completed, unblocking Open.
 func (in *Instance) MarkRecovered() { in.recovered = true }
-
-// DownSince reports when the instance last left the open state.
-func (in *Instance) DownSince() sim.Time { return in.downSince }
-
-// TablespaceDownSince reports when the named tablespace became
-// unavailable to DML, and whether it currently is. Faults that never
-// crash the instance (datafile deletion, tablespace offline/drop) show
-// up here rather than in DownSince.
-func (in *Instance) TablespaceDownSince(name string) (sim.Time, bool) {
-	t, ok := in.tsDown[name]
-	return t, ok
-}
 
 // markTablespaceDown records the start of a tablespace outage (first
 // marking wins: a fault followed by a recovery offline keeps the fault's
@@ -362,16 +353,17 @@ func (in *Instance) Open(p *sim.Proc) error {
 	}
 	in.ckpt = newCkptProcess(in)
 	in.ckpt.start()
-	in.pmon = newPmon(in)
-	in.pmon.start()
+	in.pmon = startPeriodic(in.k, "PMON", time.Second, func(p *sim.Proc) {
+		if in.tm.ZombieCount() > 0 {
+			in.tm.RollbackZombies(p)
+		}
+	})
 	if in.repo != nil {
-		in.mmon = newMmon(in)
-		in.mmon.start()
+		in.mmon = startPeriodic(in.k, "MMON", in.cfg.SampleInterval, func(p *sim.Proc) { in.repo.Sample(p.Now()) })
 	}
 	in.crashed = false
 	in.recovered = false
 	in.state = StateOpen
-	in.openedAt = in.k.Now()
 	// Mark the control file "in use": a crash leaves this mark behind.
 	in.db.Control.StopSCN = -1
 	if err := in.db.Control.Update(p); err != nil {
@@ -413,13 +405,20 @@ func (in *Instance) Crash() {
 	// picture, which is what the chaos estimator invariant compares the
 	// measured recovery against.
 	in.repo.Sample(in.k.Now())
-	in.state = StateDown
-	in.mounted = false
-	in.crashed = true
-	in.downSince = in.k.Now()
 	in.c.crashes.Inc()
 	in.tr.Instant(in.k.Now(), trace.CatEngine, "engine", "crash",
 		trace.I("scn", int64(in.log.NextSCN())))
+	in.stop(true)
+}
+
+// stop takes the instance down: the state flips, the background processes
+// end, the cache content is dropped (lost in a crash, clean after the
+// shutdown checkpoint) and — only a crash leaves any — in-flight
+// transactions are abandoned to recovery.
+func (in *Instance) stop(crashed bool) {
+	in.state = StateDown
+	in.mounted = false
+	in.crashed = crashed
 	in.log.Stop()
 	if in.arch != nil {
 		in.arch.Stop()
@@ -427,14 +426,12 @@ func (in *Instance) Crash() {
 	if in.ckpt != nil {
 		in.ckpt.stop()
 	}
-	if in.pmon != nil {
-		in.pmon.stop()
-	}
-	if in.mmon != nil {
-		in.mmon.stop()
-	}
+	in.pmon.stop()
+	in.mmon.stop()
 	in.cache.InvalidateAll()
-	in.tm.AbandonAll()
+	if crashed {
+		in.tm.AbandonAll()
+	}
 	if in.OnStateChange != nil {
 		in.OnStateChange(in.k.Now(), StateDown)
 	}
@@ -459,27 +456,7 @@ func (in *Instance) ShutdownImmediate(p *sim.Proc) error {
 	if err := in.db.Control.Update(p); err != nil {
 		return err
 	}
-	in.state = StateDown
-	in.mounted = false
-	in.crashed = false
-	in.downSince = in.k.Now()
-	in.log.Stop()
-	if in.arch != nil {
-		in.arch.Stop()
-	}
-	if in.ckpt != nil {
-		in.ckpt.stop()
-	}
-	if in.pmon != nil {
-		in.pmon.stop()
-	}
-	if in.mmon != nil {
-		in.mmon.stop()
-	}
-	in.cache.InvalidateAll() // cache is clean after the checkpoint
-	if in.OnStateChange != nil {
-		in.OnStateChange(in.k.Now(), StateDown)
-	}
+	in.stop(false)
 	return nil
 }
 

@@ -4,49 +4,8 @@ import (
 	"sort"
 
 	"dbench/internal/monitor"
-	"dbench/internal/sim"
+	"dbench/internal/storage"
 )
-
-// mmonProcess is the engine's MMON: a background sampler that snapshots
-// the counter registry, gauge probes and the live recovery-time estimate
-// into the workload repository every Config.SampleInterval of virtual
-// time. It only exists when monitoring is enabled; the repository itself
-// is nil-safe, so every other caller samples unconditionally.
-type mmonProcess struct {
-	in      *Instance
-	proc    *sim.Proc
-	running bool
-}
-
-func newMmon(in *Instance) *mmonProcess { return &mmonProcess{in: in} }
-
-func (m *mmonProcess) start() {
-	if m.running {
-		return
-	}
-	m.running = true
-	m.proc = m.in.k.Go("MMON", m.loop)
-}
-
-func (m *mmonProcess) stop() {
-	if !m.running {
-		return
-	}
-	m.running = false
-	if m.proc != nil {
-		m.proc.Kill()
-	}
-}
-
-func (m *mmonProcess) loop(p *sim.Proc) {
-	for m.running {
-		p.Sleep(m.in.cfg.SampleInterval)
-		if !m.running {
-			return
-		}
-		m.in.repo.Sample(p.Now())
-	}
-}
 
 // buildRepository wires the workload repository for an instance:
 // registry binding, the gauge probes, and the recovery-time estimator
@@ -54,7 +13,7 @@ func (m *mmonProcess) loop(p *sim.Proc) {
 // Config.SampleInterval > 0; everything it registers is a pure read of
 // instance state, so sampling never advances virtual time.
 func buildRepository(in *Instance) *monitor.Repository {
-	repo := monitor.New(monitor.Config{Depth: in.cfg.RepositoryDepth})
+	repo := monitor.New(monitor.Config{})
 	repo.Bind(in.reg)
 
 	repo.AddProbe("db.current_scn", func() int64 { return int64(in.log.NextSCN() - 1) })
@@ -92,27 +51,16 @@ func buildRepository(in *Instance) *monitor.Repository {
 	})
 
 	spec := in.fs.Disk(in.cfg.Redo.Disk).Spec()
-	par := in.dyn.RecoveryParallelism()
-	if cpus := max(in.cfg.CPUs, 1); par > cpus {
-		par = cpus
-	}
 	est := monitor.NewEstimator(monitor.Model{
 		ApplyPerRecord:  in.cfg.Cost.RedoApplyPerRecord,
 		ScanBytesPerSec: spec.TransferBytesPerSec,
 		SeekOverhead:    spec.Position,
 		MountOverhead:   in.cfg.Cost.InstanceStartup,
-		Parallel:        par,
+		Parallel:        min(in.RecoveryParallelism(), max(in.cfg.CPUs, 1)),
 	})
-	// The input closure mirrors recovery's scan-start rule exactly
-	// (recovery.go): scan from the checkpoint position plus one, lowered
-	// to the undo low-watermark when older transactions were active.
 	repo.SetEstimator(est, func() (scanStartSCN, flushedSCN, flushedBytes int64) {
 		ctl := in.db.Control
-		from := ctl.CheckpointSCN + 1
-		if ctl.UndoSCN > 0 && ctl.UndoSCN < from {
-			from = ctl.UndoSCN
-		}
-		return int64(from), int64(in.log.FlushedSCN()), in.reg.Value("redo.flushed_bytes")
+		return int64(storage.ScanStart(ctl.CheckpointSCN, ctl.UndoSCN)), int64(in.log.FlushedSCN()), in.reg.Value("redo.flushed_bytes")
 	})
 	return repo
 }

@@ -345,28 +345,17 @@ func (inj *Injector) Recover(p *sim.Proc, o *Outcome) error {
 		} else {
 			o.Report, err = inj.rm.InstanceRecovery(p)
 		}
-	case DeleteDatafile, CorruptDatafile:
-		// The damaged file's tablespace is offline while the rest of the
-		// database serves: restore and roll it forward online. The
-		// whole-file fallback covers outcomes observed without a
-		// tablespace (older callers).
-		if o.Tablespace != "" {
-			o.Report, err = inj.rm.OnlineTablespaceRecovery(p, o.Tablespace)
-		} else {
-			o.Report, err = inj.rm.RestoreAndRecoverDatafile(p, o.Fault.Target)
-		}
-	case SetDatafileOffline:
-		if o.Tablespace != "" {
-			o.Report, err = inj.rm.OnlineTablespaceRecovery(p, o.Tablespace)
-		} else {
-			o.Report, err = inj.rm.RecoverDatafile(p, o.Fault.Target)
-		}
+	case DeleteDatafile, CorruptDatafile, SetDatafileOffline:
+		// The file's tablespace (Inject recorded it) is offline while the
+		// rest of the database serves: restore what is damaged and roll
+		// it forward online.
+		o.Report, err = inj.rm.OnlineTablespaceRecovery(p, o.Tablespace)
 	case SetTablespaceOffline:
 		// The tablespace was offlined cleanly: bringing it back is a
 		// pure administrative command (the paper measures ~1 s).
 		_, err = inj.ex.Execute(p, "ALTER TABLESPACE "+o.Fault.Target+" ONLINE")
 	case DeleteTablespace:
-		if o.Localized && o.Tablespace != "" {
+		if o.Localized {
 			// No table lived fully inside the tablespace: restoring its
 			// files online brings every partition back, with no committed
 			// work lost and the other warehouses serving throughout.

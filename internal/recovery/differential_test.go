@@ -148,7 +148,7 @@ func differentialRun(t *testing.T, kind string, warehouses, workers int) *diffRu
 	tcfg.Items = 300
 	tcfg.TerminalsPerWarehouse = 4
 	app := tpcc.NewApp(in, tcfg)
-	drv := tpcc.NewDriver(app, tpcc.DefaultDriverConfig())
+	drv := tpcc.NewDriver(app, tpcc.DriverConfig{})
 	bk := backup.NewManager(k, fs, engine.DiskArch)
 	rm := NewManager(in, bk)
 

@@ -132,7 +132,7 @@ func runLogicalDifferential(t *testing.T, fault string, warehouses int, physical
 	tcfg.Items = 300
 	tcfg.TerminalsPerWarehouse = 4
 	app := tpcc.NewApp(in, tcfg)
-	drv := tpcc.NewDriver(app, tpcc.DefaultDriverConfig())
+	drv := tpcc.NewDriver(app, tpcc.DriverConfig{})
 	bk := backup.NewManager(k, fs, engine.DiskArch)
 	rm := NewManager(in, bk)
 
@@ -292,7 +292,7 @@ func TestFlashbackAvailabilityUnderLiveTraffic(t *testing.T) {
 	tcfg.Items = 300
 	tcfg.TerminalsPerWarehouse = 4
 	app := tpcc.NewApp(in, tcfg)
-	drv := tpcc.NewDriver(app, tpcc.DefaultDriverConfig())
+	drv := tpcc.NewDriver(app, tpcc.DriverConfig{})
 	bk := backup.NewManager(k, fs, engine.DiskArch)
 	rm := NewManager(in, bk)
 

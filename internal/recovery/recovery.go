@@ -188,13 +188,7 @@ func (m *Manager) InstanceRecovery(p *sim.Proc) (*Report, error) {
 
 		log := in.Log()
 		ctl := in.DB().Control
-		from := ctl.CheckpointSCN + 1
-		if ctl.UndoSCN > 0 && ctl.UndoSCN < from {
-			// Transactions in flight at the last checkpoint may have had
-			// uncommitted changes flushed; scan from their first record
-			// so the undo pass can see them.
-			from = ctl.UndoSCN
-		}
+		from := storage.ScanStart(ctl.CheckpointSCN, ctl.UndoSCN)
 		// Instance recovery collects the stream before it opens the pass
 		// (no sink, at any fan-out): the clamp retry below may rescan from
 		// a lower SCN, and records must not reach an apply crew from a
@@ -250,10 +244,7 @@ func (m *Manager) RecoverDatafile(p *sim.Proc, name string) (*Report, error) {
 // restore phase): roll the file forward, stamp it consistent as of the
 // end SCN and bring it online.
 func (m *Manager) recoverDatafile(p *sim.Proc, name string, f *storage.Datafile, rep *Report, tl *timeline) error {
-	from := f.CkptSCN + 1
-	if f.UndoSCN > 0 && f.UndoSCN < from {
-		from = f.UndoSCN
-	}
+	from := storage.ScanStart(f.CkptSCN, f.UndoSCN)
 	end, err := m.rollForwardFiles(p, map[*storage.Datafile]bool{f: true}, from, rep, tl)
 	if err != nil {
 		return err
@@ -370,11 +361,7 @@ func (m *Manager) OnlineTablespaceRecovery(p *sim.Proc, name string) (*Report, e
 				continue
 			}
 			files[f] = true
-			start := f.CkptSCN + 1
-			if f.UndoSCN > 0 && f.UndoSCN < start {
-				start = f.UndoSCN
-			}
-			if from < 0 || start < from {
+			if start := storage.ScanStart(f.CkptSCN, f.UndoSCN); from < 0 || start < from {
 				from = start
 			}
 		}

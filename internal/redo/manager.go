@@ -44,10 +44,6 @@ func (g *Group) Records() []Record { return g.records }
 // Archived reports whether the group's content has been archived.
 func (g *Group) Archived() bool { return g.archived }
 
-// CkptDone reports whether the group's content is covered by a completed
-// checkpoint (a reuse precondition).
-func (g *Group) CkptDone() bool { return g.ckptDone }
-
 // Current reports whether the group is being written.
 func (g *Group) Current() bool { return g.current }
 

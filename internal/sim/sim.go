@@ -407,9 +407,6 @@ func (r *Resource) Use(p *Proc, service Duration) {
 	p.Sleep(service)
 }
 
-// InUse reports the number of busy slots.
-func (r *Resource) InUse() int { return r.inUse }
-
 // QueueLen reports the number of blocked acquirers.
 func (r *Resource) QueueLen() int { return r.queue.Waiting() }
 

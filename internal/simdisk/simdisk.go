@@ -186,10 +186,6 @@ func NewFS(specs ...DiskSpec) *FS {
 	return fs
 }
 
-// AddDisk adds a disk after construction. Adding a duplicate name replaces
-// the cost model but keeps existing files (used by tests).
-func (fs *FS) AddDisk(spec DiskSpec) { fs.disks[spec.Name] = NewDisk(spec) }
-
 // Disk returns the named disk, or nil.
 func (fs *FS) Disk(name string) *Disk { return fs.disks[name] }
 
@@ -341,34 +337,4 @@ func (f *File) ReadAll(p *sim.Proc) error {
 		f.disk.access(p, f.name, 0, 0, false)
 	}
 	return nil
-}
-
-// Copy charges reading src fully and writing it to a new file dst on disk
-// dstDisk, returning the new file.
-func (fs *FS) Copy(p *sim.Proc, src, dstDisk, dst string) (*File, error) {
-	sf, err := fs.Open(src)
-	if err != nil {
-		return nil, err
-	}
-	df, err := fs.Create(dstDisk, dst, 0)
-	if err != nil {
-		return nil, err
-	}
-	const chunk = 1 << 20
-	var off int64
-	for off < sf.size {
-		n := sf.size - off
-		if n > chunk {
-			n = chunk
-		}
-		if err := sf.Read(p, off, n); err != nil {
-			return nil, err
-		}
-		if err := df.Append(p, n); err != nil {
-			return nil, err
-		}
-		off += n
-	}
-	df.corrupted = sf.corrupted
-	return df, nil
 }

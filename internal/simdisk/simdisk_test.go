@@ -178,46 +178,6 @@ func TestReadDeletedFails(t *testing.T) {
 	})
 }
 
-func TestCopyChargesBothDisks(t *testing.T) {
-	fs := testFS()
-	src, _ := fs.Create("data", "src", 2<<20)
-	_ = src
-	runProc(t, fs, func(p *sim.Proc) {
-		dst, err := fs.Copy(p, "src", "redo", "dst")
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if dst.Size() != 2<<20 {
-			t.Errorf("dst size = %d", dst.Size())
-		}
-	})
-	dr, _, drb, _ := fs.Disk("data").Stats()
-	_, ww, _, wwb := fs.Disk("redo").Stats()
-	if dr == 0 || ww == 0 {
-		t.Fatalf("stats: data reads=%d redo writes=%d", dr, ww)
-	}
-	if drb != 2<<20 || wwb != 2<<20 {
-		t.Fatalf("bytes: read=%d written=%d", drb, wwb)
-	}
-}
-
-func TestCopyPreservesCorruption(t *testing.T) {
-	fs := testFS()
-	_, _ = fs.Create("data", "src", 1024)
-	_ = fs.Corrupt("src")
-	runProc(t, fs, func(p *sim.Proc) {
-		dst, err := fs.Copy(p, "src", "data", "dst")
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if !dst.Corrupted() {
-			t.Error("copy of corrupted file not corrupted")
-		}
-	})
-}
-
 func TestFilesListsSortedLive(t *testing.T) {
 	fs := testFS()
 	_, _ = fs.Create("data", "b", 1)

@@ -79,8 +79,8 @@ func TestAlterSystemSetMatrix(t *testing.T) {
 				}
 			}
 		}
-		// The accepted values are visible through the dynamic config.
-		if got := r.in.Dynamic().CheckpointTimeout(); got != 2*time.Minute {
+		// The accepted values are visible through the live config.
+		if got := r.in.Config().CheckpointTimeout; got != 2*time.Minute {
 			return fmt.Errorf("checkpoint_timeout = %v after ALTER, want 2m", got)
 		}
 		if got := r.in.RecoveryParallelism(); got != 4 {

@@ -27,8 +27,9 @@
 //
 // The SELECT surface is deliberately narrow: V$PARAMETER projects the
 // instance parameter table (static/dynamic scope, current and pending
-// values); the other V$ views project the MMON workload repository (see
-// internal/monitor) and require Config.SampleInterval > 0.
+// values) and SHOW PARAMETERS is a synonym for it; the other V$ views
+// project the MMON workload repository (see internal/monitor) and require
+// Config.SampleInterval > 0.
 package sqladmin
 
 import (
@@ -126,15 +127,16 @@ func (e *Executor) Execute(p *sim.Proc, stmt string) (string, error) {
 	}
 }
 
-// show handles SHOW STATUS and SHOW PARAMETERS; an unknown target lists
-// the valid ones so the operator is not left guessing.
+// show handles SHOW STATUS and SHOW PARAMETERS (the V$PARAMETER table);
+// an unknown target lists the valid ones so the operator is not left
+// guessing.
 func (e *Executor) show(toks []string) (string, error) {
 	if len(toks) >= 2 {
 		switch toks[1] {
 		case "STATUS":
 			return e.in.Status().String(), nil
 		case "PARAMETERS":
-			return formatParameters(e.in.Parameters()), nil
+			return formatVParameter(e.in.Parameters()), nil
 		}
 	}
 	got := "nothing"
@@ -144,26 +146,10 @@ func (e *Executor) show(toks []string) (string, error) {
 	return "", fmt.Errorf("%w: SHOW %s (valid targets: STATUS, PARAMETERS)", ErrSyntax, got)
 }
 
-// formatParameters renders SHOW PARAMETERS: every engine Config knob
-// with its current (live) value and whether ALTER SYSTEM SET can change
-// it on the running instance.
-func formatParameters(params []engine.Parameter) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-30s %-20s %s\n", "NAME", "VALUE", "ADJUSTABLE")
-	for _, p := range params {
-		adj := "no"
-		if p.Adjustable {
-			adj = "yes"
-		}
-		fmt.Fprintf(&b, "%-30s %-20s %s\n", p.Name, p.Value, adj)
-	}
-	fmt.Fprintf(&b, "%d parameters.", len(params))
-	return b.String()
-}
-
-// formatVParameter renders V$PARAMETER: the parameter table with each
-// knob's scope (static vs dynamic) and, for a deferred change, the
-// pending value it converges to at the next log switch.
+// formatVParameter renders V$PARAMETER and SHOW PARAMETERS: the parameter
+// table with each knob's live value, its scope (static vs dynamic) and,
+// for a deferred change, the pending value it converges to at the next
+// log switch.
 func formatVParameter(params []engine.Parameter) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-30s %-8s %-20s %s\n", "NAME", "SCOPE", "VALUE", "PENDING")
@@ -308,9 +294,10 @@ func (e *Executor) alterSet(p *sim.Proc, toks []string) (string, error) {
 	if !ok || strings.TrimSpace(name) == "" || strings.TrimSpace(value) == "" {
 		return "", fmt.Errorf("%w: ALTER SYSTEM SET <parameter> = <value>", ErrSyntax)
 	}
-	return e.in.AlterSystem(p,
+	msg, _, err := e.in.AlterSystem(p,
 		strings.ToLower(strings.TrimSpace(name)),
 		strings.ToLower(strings.TrimSpace(value)))
+	return msg, err
 }
 
 func (e *Executor) drop(p *sim.Proc, toks []string) (string, error) {

@@ -280,21 +280,27 @@ func TestShowStatus(t *testing.T) {
 	})
 }
 
+// TestShowParameters pins SHOW PARAMETERS as a synonym: it prints the
+// V$PARAMETER table (whose bytes TestVParameterGolden pins).
 func TestShowParameters(t *testing.T) {
 	r := newRig(t)
 	r.run(t, func(p *sim.Proc) error {
+		if err := r.setup(p); err != nil {
+			return err
+		}
+		if _, err := r.ex.Execute(p, "ALTER SYSTEM SET log_groups = 5"); err != nil {
+			return err
+		}
 		out, err := r.ex.Execute(p, "SHOW PARAMETERS")
 		if err != nil {
 			return err
 		}
-		for _, want := range []string{
-			"NAME", "VALUE", "ADJUSTABLE",
-			"cache_blocks", "checkpoint_timeout", "log_group_size_bytes",
-			"recovery_parallelism", "sample_interval", "parameters.",
-		} {
-			if !strings.Contains(out, want) {
-				return fmt.Errorf("SHOW PARAMETERS missing %q:\n%s", want, out)
-			}
+		view, err := r.ex.Execute(p, "SELECT * FROM V$PARAMETER")
+		if err != nil {
+			return err
+		}
+		if out != view || !strings.Contains(out, "log_groups") || !strings.Contains(out, "PENDING") {
+			return fmt.Errorf("SHOW PARAMETERS is not the V$PARAMETER table:\n%s\n--- V$PARAMETER:\n%s", out, view)
 		}
 		return nil
 	})

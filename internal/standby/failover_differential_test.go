@@ -135,7 +135,7 @@ func runFailoverDifferential(t *testing.T, seed int64, mode Mode, standbys, casc
 		t.Fatal(err)
 	}
 	app := tpcc.NewApp(pri, tcfg)
-	drv := tpcc.NewDriver(app, tpcc.DefaultDriverConfig())
+	drv := tpcc.NewDriver(app, tpcc.DriverConfig{})
 
 	out := &failoverOutcome{mode: mode}
 	var runErr error

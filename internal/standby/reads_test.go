@@ -54,7 +54,7 @@ func TestReplicaServedReadsConsistent(t *testing.T) {
 		t.Fatal(err)
 	}
 	app := tpcc.NewApp(pri, tcfg)
-	drv := tpcc.NewDriver(app, tpcc.DefaultDriverConfig())
+	drv := tpcc.NewDriver(app, tpcc.DriverConfig{})
 
 	var runErr error
 	k.Go("reads", func(p *sim.Proc) {

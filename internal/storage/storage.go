@@ -73,7 +73,7 @@ type Datafile struct {
 	// the file is online and intact.
 	CkptSCN redo.SCN
 	// UndoSCN is the undo low-watermark recorded with CkptSCN: redo
-	// scanning for this file's recovery starts at min(CkptSCN+1,
+	// scanning for this file's recovery starts at ScanStart(CkptSCN,
 	// UndoSCN) so in-flight transactions flushed by the checkpoint can
 	// be rolled back.
 	UndoSCN redo.SCN
@@ -95,10 +95,6 @@ type Datafile struct {
 // hosts. Headers survive everything short of losing the file itself, so
 // `recover --scan` can rebuild dictionary metadata from disk alone.
 func (d *Datafile) SetHeader(b []byte) { d.header = append([]byte(nil), b...) }
-
-// Header returns the metadata header stamped by SetHeader (nil if never
-// stamped). Callers must not modify the returned slice.
-func (d *Datafile) Header() []byte { return d.header }
 
 // CorruptHeader damages the metadata header in place (operator-fault
 // simulation): the blob stays present but no longer decodes.
@@ -199,7 +195,18 @@ func (d *Datafile) ReadBlock(p *sim.Proc, no int) (*Block, error) {
 // image. It takes b over: the caller passes a private image (a ReadBlock
 // result, a Clone snapshot) and does not touch it afterwards.
 func (d *Datafile) WriteBlock(p *sim.Proc, no int, b *Block) error {
-	if err := d.available(); err != nil {
+	return d.writeBlock(p, no, b, false)
+}
+
+// WriteBlockForce is WriteBlock ignoring the online flag (used by the
+// offline-normal sweep, which must flush dirty buffers of a file that has
+// just stopped accepting DML). It still fails on lost media.
+func (d *Datafile) WriteBlockForce(p *sim.Proc, no int, b *Block) error {
+	return d.writeBlock(p, no, b, true)
+}
+
+func (d *Datafile) writeBlock(p *sim.Proc, no int, b *Block, force bool) error {
+	if err := d.available(); err != nil && !(force && errors.Is(err, ErrFileOffline)) {
 		return err
 	}
 	if no < 0 || no >= len(d.blocks) {
@@ -211,26 +218,6 @@ func (d *Datafile) WriteBlock(p *sim.Proc, no int, b *Block) error {
 	// SCN guard: concurrent writers (eviction racing a checkpoint) may
 	// try to install an older image after yielding; the durable image
 	// only ever moves forward. Restores bypass this via InstallImages.
-	if b.SCN >= d.blocks[no].SCN {
-		d.blocks[no] = b
-	}
-	return nil
-}
-
-// WriteBlockForce writes a block image ignoring the online flag (used by
-// the offline-normal sweep, which must flush dirty buffers of a file that
-// has just stopped accepting DML). It still fails on lost media. Like
-// WriteBlock it takes b over.
-func (d *Datafile) WriteBlockForce(p *sim.Proc, no int, b *Block) error {
-	if d.file.Deleted() || d.file.Corrupted() {
-		return fmt.Errorf("%w: %s", ErrFileLost, d.Name)
-	}
-	if no < 0 || no >= len(d.blocks) {
-		return fmt.Errorf("storage: block %d out of range in %s", no, d.Name)
-	}
-	if err := d.file.Write(p, int64(no)*BlockSize, BlockSize); err != nil {
-		return err
-	}
 	if b.SCN >= d.blocks[no].SCN {
 		d.blocks[no] = b
 	}
@@ -259,14 +246,6 @@ func (d *Datafile) SnapshotImages() []*Block {
 	return out
 }
 
-// MarkAllCorrupt flags every durable image as corrupt (simulated content
-// damage — a corrupted file's blocks fail validation when read).
-func (d *Datafile) MarkAllCorrupt() {
-	for _, b := range d.blocks {
-		b.Corrupt = true
-	}
-}
-
 // Tablespace is a logical storage area composed of one or more datafiles.
 type Tablespace struct {
 	Name   string
@@ -290,15 +269,6 @@ func (t *Tablespace) SetOnline(v bool) {
 // offline or dropped).
 func (t *Tablespace) System() bool { return t.system }
 
-// SizeBytes returns the total allocated size.
-func (t *Tablespace) SizeBytes() int64 {
-	var n int64
-	for _, f := range t.Files {
-		n += f.SizeBytes()
-	}
-	return n
-}
-
 // Lost reports whether any of the tablespace's files is lost.
 func (t *Tablespace) Lost() bool {
 	for _, f := range t.Files {
@@ -319,11 +289,25 @@ type ControlFile struct {
 	CheckpointSCN redo.SCN
 	// UndoSCN is the undo low-watermark at the last checkpoint: the
 	// first redo record of the oldest transaction then in flight.
-	// Recovery scans from min(CheckpointSCN+1, UndoSCN).
+	// Recovery scans from ScanStart(CheckpointSCN, UndoSCN).
 	UndoSCN redo.SCN
 	// StopSCN is set on clean shutdown; -1 means the database was not
 	// shut down cleanly (crash recovery required at startup).
 	StopSCN redo.SCN
+}
+
+// ScanStart is the recovery scan-start rule: redo is read from just past
+// the checkpoint position (a control file's, or one datafile's), lowered
+// to the undo low-watermark when transactions in flight at that
+// checkpoint may have had uncommitted changes flushed — the scan must see
+// their first record for the undo pass to roll them back. Recovery, the
+// live recovery-time estimate and the chaos replay capture all start here.
+func ScanStart(ckptSCN, undoSCN redo.SCN) redo.SCN {
+	from := ckptSCN + 1
+	if undoSCN > 0 && undoSCN < from {
+		from = undoSCN
+	}
+	return from
 }
 
 // Update durably writes the control file (small sequential write).
@@ -469,15 +453,6 @@ func (db *DB) Datafiles() []*Datafile {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
-}
-
-// TotalBytes returns the summed size of all datafiles.
-func (db *DB) TotalBytes() int64 {
-	var n int64
-	for _, t := range db.tbs {
-		n += t.SizeBytes()
-	}
-	return n
 }
 
 // BlockRef identifies one block within the database.

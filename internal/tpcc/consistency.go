@@ -166,7 +166,7 @@ func (c *checker) run() error {
 	// C1: warehouse YTD equals the sum of its districts' YTD.
 	for w, ytd := range wYTD {
 		var sum float64
-		for d := 1; d <= c.a.Cfg.Districts; d++ {
+		for d := 1; d <= Districts; d++ {
 			sum += dYTD[DKey(w, d)]
 		}
 		if math.Abs(sum-ytd) > 0.01 {

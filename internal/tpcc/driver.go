@@ -51,19 +51,15 @@ type LoadPhase struct {
 
 // DriverConfig tunes the terminal emulator.
 type DriverConfig struct {
-	// RetryBackoff is how long a terminal waits after a failed attempt
-	// before submitting the next transaction (the end user retrying).
-	RetryBackoff sim.Duration
 	// Phases, when non-empty, shapes the offered load over time (the
 	// pareto experiment's shifting-load scenario). Empty = every
 	// terminal active for the whole run, the default.
 	Phases []LoadPhase
 }
 
-// DefaultDriverConfig returns the defaults used by the benchmark.
-func DefaultDriverConfig() DriverConfig {
-	return DriverConfig{RetryBackoff: time.Second}
-}
+// retryBackoff is how long a terminal waits after a failed attempt before
+// submitting the next transaction (the end user retrying).
+const retryBackoff = time.Second
 
 // Driver emulates the TPC-C remote terminal emulator: one process per
 // terminal submitting the spec's transaction mix against the application.
@@ -90,9 +86,6 @@ type Driver struct {
 
 // NewDriver creates a driver for the loaded application.
 func NewDriver(app *App, cfg DriverConfig) *Driver {
-	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = time.Second
-	}
 	reg := app.In.Registry()
 	return &Driver{
 		app: app, k: app.In.Kernel(), cfg: cfg,
@@ -229,16 +222,6 @@ func (d *Driver) terminalLoop(p *sim.Proc, w int, track string, r *rand.Rand, id
 			p.Sleep(nap)
 			continue
 		}
-		if d.app.Cfg.ThinkTimeMean > 0 {
-			think := time.Duration(r.ExpFloat64() * float64(d.app.Cfg.ThinkTimeMean))
-			if think > 10*time.Duration(d.app.Cfg.ThinkTimeMean) {
-				think = 10 * time.Duration(d.app.Cfg.ThinkTimeMean)
-			}
-			p.Sleep(think)
-		}
-		if !d.running {
-			return
-		}
 		if len(deck) == 0 {
 			deck = newDeck(r)
 		}
@@ -280,7 +263,7 @@ func (d *Driver) terminalLoop(p *sim.Proc, w int, track string, r *rand.Rand, id
 		default:
 			d.failures = append(d.failures, FailureRecord{Type: typ, At: now, W: w, Err: err.Error()})
 			d.refused.Inc()
-			p.Sleep(d.cfg.RetryBackoff)
+			p.Sleep(retryBackoff)
 		}
 	}
 }

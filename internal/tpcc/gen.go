@@ -14,34 +14,32 @@ import (
 type Config struct {
 	// Warehouses is the scale factor W.
 	Warehouses int
-	// Districts per warehouse (the spec fixes 10).
-	Districts int
 	// CustomersPerDistrict (spec: 3000; scaled down by default here).
 	CustomersPerDistrict int
 	// Items in the catalogue (spec: 100000; scaled down by default).
 	Items int
-	// TerminalsPerWarehouse drives concurrency (spec: 10).
+	// TerminalsPerWarehouse drives concurrency (spec: 10). Terminals
+	// submit back to back: there is no keying or think time.
 	TerminalsPerWarehouse int
-	// ThinkTimeMean is the mean keying+think delay between transactions
-	// per terminal (exponentially distributed). Zero disables pacing.
-	ThinkTimeMean sim.Duration
-	// Tablespace is where the TPC-C tables live.
-	Tablespace string
-	// Owner is the schema owner account.
-	Owner string
 }
+
+const (
+	// Districts per warehouse (fixed by the spec).
+	Districts = 10
+	// Tablespace is where the TPC-C tables live: all of them at W = 1,
+	// the shared ones (item, history) in the per-warehouse layout.
+	Tablespace = "TPCC"
+	// owner is the schema owner account.
+	owner = "tpcc"
+)
 
 // DefaultConfig returns the scaled-down default used by the benchmark.
 func DefaultConfig() Config {
 	return Config{
 		Warehouses:            2,
-		Districts:             10,
 		CustomersPerDistrict:  300,
 		Items:                 10000,
 		TerminalsPerWarehouse: 10,
-		ThinkTimeMean:         0,
-		Tablespace:            "TPCC",
-		Owner:                 "tpcc",
 	}
 }
 
@@ -159,7 +157,7 @@ type tableSpec struct {
 // right edges in a real DBMS).
 func (c Config) tableSpecs() map[string]tableSpec {
 	w := c.Warehouses
-	dist := w * c.Districts
+	dist := w * Districts
 	cust := dist * c.CustomersPerDistrict
 	stock := w * c.Items
 	at := func(n, per int) int { return 1 + n/per }
@@ -191,10 +189,10 @@ var partDivs = map[string]int64{
 	TableOrderLine: 100000000000,
 }
 
-// WarehouseTablespace names warehouse w's tablespace in the partitioned
+// warehouseTablespace names warehouse w's tablespace in the partitioned
 // (W > 1) layout.
-func (c Config) WarehouseTablespace(w int) string {
-	return fmt.Sprintf("%s_W%02d", c.Tablespace, w)
+func warehouseTablespace(w int) string {
+	return fmt.Sprintf("%s_W%02d", Tablespace, w)
 }
 
 // CreateSchema creates the physical layout and the nine tables. At W = 1
@@ -220,15 +218,15 @@ func (a *App) createSchemaShared(p *sim.Proc, disks []string) error {
 		total += sp.blocks
 	}
 	perFile := total/len(disks) + total/(4*len(disks)) + 16 // ~25% headroom
-	if _, err := a.In.CreateTablespace(p, a.Cfg.Tablespace, disks, perFile); err != nil {
+	if _, err := a.In.CreateTablespace(p, Tablespace, disks, perFile); err != nil {
 		return err
 	}
-	if err := a.In.CreateUser(p, a.Cfg.Owner, a.Cfg.Tablespace); err != nil {
+	if err := a.In.CreateUser(p, owner, Tablespace); err != nil {
 		return err
 	}
 	for _, tbl := range Tables {
 		sp := specs[tbl]
-		if err := a.In.CreateTableClustered(p, tbl, a.Cfg.Owner, a.Cfg.Tablespace, sp.blocks, sp.cluster); err != nil {
+		if err := a.In.CreateTableClustered(p, tbl, owner, Tablespace, sp.blocks, sp.cluster); err != nil {
 			return err
 		}
 	}
@@ -245,10 +243,10 @@ func (a *App) createSchemaPartitioned(p *sim.Proc, disks []string) error {
 	// Shared tablespace on every data disk: item + history.
 	shared := full[TableItem].blocks + full[TableHistory].blocks
 	sharedPerFile := shared/len(disks) + shared/(4*len(disks)) + 16
-	if _, err := a.In.CreateTablespace(p, a.Cfg.Tablespace, disks, sharedPerFile); err != nil {
+	if _, err := a.In.CreateTablespace(p, Tablespace, disks, sharedPerFile); err != nil {
 		return err
 	}
-	if err := a.In.CreateUser(p, a.Cfg.Owner, a.Cfg.Tablespace); err != nil {
+	if err := a.In.CreateUser(p, owner, Tablespace); err != nil {
 		return err
 	}
 
@@ -260,7 +258,7 @@ func (a *App) createSchemaPartitioned(p *sim.Proc, disks []string) error {
 	}
 	wts := make([]string, 0, a.Cfg.Warehouses)
 	for w := 1; w <= a.Cfg.Warehouses; w++ {
-		name := a.Cfg.WarehouseTablespace(w)
+		name := warehouseTablespace(w)
 		disk := disks[(w-1)%len(disks)]
 		size := perWarehouse + perWarehouse/4 + 16
 		if _, err := a.In.CreateTablespace(p, name, []string{disk}, size); err != nil {
@@ -273,13 +271,13 @@ func (a *App) createSchemaPartitioned(p *sim.Proc, disks []string) error {
 		div, partitioned := partDivs[tbl]
 		if !partitioned {
 			sp := full[tbl]
-			if err := a.In.CreateTableClustered(p, tbl, a.Cfg.Owner, a.Cfg.Tablespace, sp.blocks, sp.cluster); err != nil {
+			if err := a.In.CreateTableClustered(p, tbl, owner, Tablespace, sp.blocks, sp.cluster); err != nil {
 				return err
 			}
 			continue
 		}
 		sp := per[tbl]
-		if err := a.In.CreateTablePartitioned(p, tbl, a.Cfg.Owner, wts, sp.blocks, sp.cluster, div); err != nil {
+		if err := a.In.CreateTablePartitioned(p, tbl, owner, wts, sp.blocks, sp.cluster, div); err != nil {
 			return err
 		}
 	}
@@ -307,7 +305,7 @@ func (a *App) Load(p *sim.Proc, r *rand.Rand) error {
 	}
 
 	warehouses := make(map[int64][]byte, cfg.Warehouses)
-	districts := make(map[int64][]byte, cfg.Warehouses*cfg.Districts)
+	districts := make(map[int64][]byte, cfg.Warehouses*Districts)
 	customers := make(map[int64][]byte)
 	history := make(map[int64][]byte)
 	orders := make(map[int64][]byte)
@@ -328,7 +326,7 @@ func (a *App) Load(p *sim.Proc, r *rand.Rand) error {
 			// amounts (10 per customer), the identity conditions C8/C9
 			// audit (spec §3.3.2.8–9). The spec's 300,000 is this same
 			// identity at the unscaled 10×3000 customers.
-			YTD: 10 * float64(cfg.Districts*cfg.CustomersPerDistrict),
+			YTD: 10 * float64(Districts*cfg.CustomersPerDistrict),
 		}
 		warehouses[WKey(w)] = wh.Encode()
 
@@ -345,7 +343,7 @@ func (a *App) Load(p *sim.Proc, r *rand.Rand) error {
 			stocks[SKey(w, i)] = st.Encode()
 		}
 
-		for d := 1; d <= cfg.Districts; d++ {
+		for d := 1; d <= Districts; d++ {
 			// Every customer starts with exactly one order, so
 			// next_o_id is customers+1.
 			dist := District{
@@ -460,7 +458,7 @@ func (a *App) Load(p *sim.Proc, r *rand.Rand) error {
 		sort.Ints(a.byName[k])
 	}
 	for w := 1; w <= cfg.Warehouses; w++ {
-		for d := 1; d <= cfg.Districts; d++ {
+		for d := 1; d <= Districts; d++ {
 			var pendingIDs []int
 			for o := 1; o <= cfg.CustomersPerDistrict; o++ {
 				if _, ok := newOrders[OKey(w, d, o)]; ok {
@@ -471,6 +469,6 @@ func (a *App) Load(p *sim.Proc, r *rand.Rand) error {
 			a.noQueue[DKey(w, d)] = pendingIDs
 		}
 	}
-	a.histSeq = int64(cfg.Warehouses*cfg.Districts*cfg.CustomersPerDistrict) * 4
+	a.histSeq = int64(cfg.Warehouses*Districts*cfg.CustomersPerDistrict) * 4
 	return nil
 }

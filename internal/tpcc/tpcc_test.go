@@ -53,7 +53,7 @@ func newRig(t *testing.T, cfg Config, mutate func(*engine.Config)) *rig {
 		t.Fatal(err)
 	}
 	app := NewApp(in, cfg)
-	return &rig{k: k, in: in, app: app, drv: NewDriver(app, DefaultDriverConfig())}
+	return &rig{k: k, in: in, app: app, drv: NewDriver(app, DriverConfig{})}
 }
 
 func (r *rig) boot(p *sim.Proc) error {

@@ -64,7 +64,7 @@ type orderLineReq struct {
 
 // pick helpers --------------------------------------------------------
 
-func (a *App) randomDistrict(r *rand.Rand) int { return 1 + r.Intn(a.Cfg.Districts) }
+func (a *App) randomDistrict(r *rand.Rand) int { return 1 + r.Intn(Districts) }
 
 func (a *App) randomCustomerID(r *rand.Rand) int {
 	return nuRand(r, scaledA(1023, 3000, a.Cfg.CustomersPerDistrict), nuRandCID, 1, a.Cfg.CustomersPerDistrict)
@@ -379,7 +379,7 @@ func (a *App) Delivery(p *sim.Proc, r *rand.Rand, w int) (Result, error) {
 		oid  int
 	}
 	err = func() error {
-		for d := 1; d <= a.Cfg.Districts; d++ {
+		for d := 1; d <= Districts; d++ {
 			dk := DKey(w, d)
 			queue := a.noQueue[dk]
 			// Pop entries whose row vanished (orders undone by

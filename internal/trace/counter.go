@@ -93,24 +93,3 @@ func (r *Registry) SnapshotInto(dst []CounterSnapshot) []CounterSnapshot {
 	}
 	return dst
 }
-
-// CounterDelta is one counter's movement between two snapshots.
-type CounterDelta struct {
-	Name  string
-	Delta int64
-}
-
-// DiffSnapshots returns, per counter of the later snapshot b, the delta
-// against the earlier snapshot a (counters absent from a diff against
-// zero). Order follows b, i.e. registration order.
-func DiffSnapshots(a, b []CounterSnapshot) []CounterDelta {
-	prev := make(map[string]int64, len(a))
-	for _, c := range a {
-		prev[c.Name] = c.Value
-	}
-	out := make([]CounterDelta, len(b))
-	for i, c := range b {
-		out[i] = CounterDelta{Name: c.Name, Delta: c.Value - prev[c.Name]}
-	}
-	return out
-}

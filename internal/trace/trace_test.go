@@ -402,30 +402,6 @@ func TestSnapshotIntoReusesBacking(t *testing.T) {
 	}
 }
 
-func TestDiffSnapshots(t *testing.T) {
-	r := NewRegistry()
-	a := r.Counter("a")
-	b := r.Counter("b")
-	a.Set(5)
-	b.Set(10)
-	before := r.Snapshot()
-	a.Add(3)
-	b.Add(7)
-	c := r.Counter("c") // registered mid-window: diffs against zero
-	c.Set(100)
-	after := r.Snapshot()
-	deltas := DiffSnapshots(before, after)
-	want := []CounterDelta{{"a", 3}, {"b", 7}, {"c", 100}}
-	if len(deltas) != len(want) {
-		t.Fatalf("DiffSnapshots = %+v, want %+v", deltas, want)
-	}
-	for i := range want {
-		if deltas[i] != want[i] {
-			t.Errorf("delta %d = %+v, want %+v", i, deltas[i], want[i])
-		}
-	}
-}
-
 func TestCategoryStrings(t *testing.T) {
 	seen := map[string]bool{}
 	for _, c := range Categories {

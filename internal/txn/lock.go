@@ -200,13 +200,3 @@ func (lt *lockTable) held(t *Txn, table string, key int64) bool {
 	st, ok := stripe.locks[lockKey{table: table, key: key}]
 	return ok && st.holder == t
 }
-
-// stripeLoads returns the number of live lock entries per stripe (used by
-// tests to verify warehouse traffic actually spreads over stripes).
-func (lt *lockTable) stripeLoads() []int {
-	loads := make([]int, len(lt.stripes))
-	for i, s := range lt.stripes {
-		loads[i] = len(s.locks)
-	}
-	return loads
-}

@@ -53,9 +53,6 @@ type Txn struct {
 // State returns the transaction's lifecycle state.
 func (t *Txn) State() State { return t.state }
 
-// Writes returns the number of data changes made so far.
-func (t *Txn) Writes() int { return len(t.undo) }
-
 // Config tunes the transaction manager.
 type Config struct {
 	// LockTimeout bounds lock waits (also the deadlock breaker).
