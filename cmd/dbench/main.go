@@ -70,6 +70,10 @@
 // .json paths); -awr prints an AWR-style first-vs-last snapshot diff.
 // Both outputs are byte-identical across reruns of the same seed.
 //
+// -cpuprofile/-memprofile write host-side pprof profiles of the whole
+// invocation (CPU samples; every allocation since start): where the wall
+// clock and the garbage of a campaign go, as opposed to its virtual time.
+//
 // `dbench recover -scan` demonstrates dictionary reconstruction from
 // datafile headers: it builds a seeded TPC-C database, truncates the
 // stock table, destroys the data dictionary, rebuilds it by scanning
@@ -83,6 +87,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"slices"
 	"strconv"
 	"strings"
@@ -256,6 +262,38 @@ func writeFile(path string, write func(w io.Writer) error) error {
 	return err
 }
 
+// startProfiles begins the host-side profiles -cpuprofile and -memprofile
+// ask for and returns the function that finishes them: it stops the CPU
+// profile and writes every allocation since process start (read it with
+// go tool pprof -sample_index=alloc_objects or alloc_space).
+func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
+	var cpu *os.File
+	if cpuPath != "" {
+		if cpu, err = os.Create(cpuPath); err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, err
+		}
+	}
+	return func() error {
+		var err error
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			err = cpu.Close()
+		}
+		if memPath != "" {
+			runtime.GC() // the profile is complete up to the last collection
+			werr := writeFile(memPath, func(w io.Writer) error { return pprof.Lookup("allocs").WriteTo(w, 0) })
+			if err == nil {
+				err = werr
+			}
+		}
+		return err
+	}, nil
+}
+
 func positiveInt(tok string) (int, bool) {
 	n, err := strconv.Atoi(tok)
 	return n, err == nil && n >= 1
@@ -342,6 +380,8 @@ func run(args []string) error {
 	standbysList := fs.String("standbys", "1,3", "replica: first-tier stand-by counts to sweep")
 	replModes := fs.String("repl-mode", "sync,async", "replica: commit-acknowledgement modes to sweep (sync, async)")
 	replLinks := fs.String("repl-link", "lan,wan", "replica: link profiles to sweep (lan, wan)")
+	cpuProfile := fs.String("cpuprofile", "", "write a host CPU profile of the whole invocation to this file (go tool pprof)")
+	memProfile := fs.String("memprofile", "", "write a host allocation profile of the whole invocation to this file (go tool pprof -sample_index=alloc_objects)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -472,7 +512,14 @@ func run(args []string) error {
 		return err
 	}
 
+	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		return err
+	}
 	err = runExperiments(registry, want, e)
+	if perr := stopProfiles(); err == nil {
+		err = perr
+	}
 	if err == nil {
 		err = flushStats()
 	}

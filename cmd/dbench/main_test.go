@@ -2,6 +2,7 @@ package main
 
 import (
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -73,6 +74,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-exp", "chaos", "-crashpoints", "0"},
 		{"-exp", "t4", "-stats", "m.csv", "-sample-interval", "0s"},
 		{"-exp", "t4", "-awr", "-sample-interval", "-1s"},
+		{"-exp", "t4", "-cpuprofile", "no/such/dir/cpu.prof"},
 	}
 	for _, args := range cases {
 		if err := run(args); err == nil {
@@ -117,5 +119,33 @@ func TestPackageDocListsEveryExperiment(t *testing.T) {
 		if list := strings.Join(expNames(registry, inAll), ","); !strings.Contains(doc, "-exp "+list) {
 			t.Errorf("package doc usage block does not list %q", "-exp "+list)
 		}
+	}
+}
+
+// -cpuprofile/-memprofile: both files are written, non-empty, when the
+// returned stop function runs, and a second CPU profile cannot start while
+// one is running.
+func TestStartProfilesWritesBothFiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	stop, err := startProfiles(cpu, mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := startProfiles(filepath.Join(dir, "second.prof"), ""); err == nil {
+		t.Error("a second CPU profile started while the first was running")
+	}
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{cpu, mem} {
+		if fi, err := os.Stat(path); err != nil {
+			t.Error(err)
+		} else if fi.Size() == 0 {
+			t.Errorf("%s is empty", path)
+		}
+	}
+	if stop, err := startProfiles("", ""); err != nil || stop() != nil {
+		t.Errorf("no profile requested: %v", err)
 	}
 }

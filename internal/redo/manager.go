@@ -143,7 +143,12 @@ type Manager struct {
 	nextSCN    SCN
 	flushedSCN SCN
 
+	// buffer[bufHead:] is the redo buffer, oldest record first. LGWR
+	// consumes it by advancing bufHead and rewinds both once it is empty,
+	// so Append refills one backing array instead of reallocating one that
+	// shrinks from the front.
 	buffer      []Record
+	bufHead     int
 	bufferBytes int64
 
 	wakeLGWR  sim.Cond
@@ -411,7 +416,7 @@ func (m *Manager) Stop() {
 	if m.lgwr != nil {
 		m.lgwr.Kill()
 	}
-	m.buffer = nil
+	m.buffer, m.bufHead = nil, 0
 	m.bufferBytes = 0
 	// Wake anything blocked on the log so it can observe the failure.
 	m.flushed.Broadcast(m.k)
@@ -627,7 +632,7 @@ func (m *Manager) drainBuffer(p *sim.Proc) error {
 		return nil
 	}
 	for len(m.buffer) > 0 {
-		rec := m.buffer[0]
+		rec := m.buffer[m.bufHead]
 		g := m.groups[m.cur]
 		if g.bytes+rec.Size() > g.capacity && g.bytes > 0 {
 			if err := flushSeg(); err != nil {
@@ -638,7 +643,10 @@ func (m *Manager) drainBuffer(p *sim.Proc) error {
 			}
 			g = m.groups[m.cur]
 		}
-		m.buffer = m.buffer[1:]
+		m.buffer[m.bufHead] = Record{} // the group holds the images now
+		if m.bufHead++; m.bufHead == len(m.buffer) {
+			m.buffer, m.bufHead = m.buffer[:0], 0
+		}
 		g.records = append(g.records, rec)
 		g.bytes += rec.Size()
 		segBytes += rec.Size()
@@ -663,7 +671,7 @@ func (m *Manager) FlushableSCN() SCN {
 	horizon := m.flushedSCN
 	free := m.groups[m.cur].capacity - m.groups[m.cur].bytes
 	next := 1
-	for _, rec := range m.buffer {
+	for _, rec := range m.buffer[m.bufHead:] {
 		if sz := rec.Size(); sz > free {
 			if next >= len(m.groups) {
 				return horizon
@@ -850,7 +858,7 @@ func (m *Manager) ResetLogs(nextSCN SCN) error {
 	m.groups[0].Seq = 1
 	m.nextSCN = nextSCN
 	m.flushedSCN = nextSCN - 1
-	m.buffer = nil
+	m.buffer, m.bufHead = nil, 0
 	m.bufferBytes = 0
 	m.flushWant = 0
 	m.failed = false

@@ -465,3 +465,67 @@ func TestStalledSwitchStillAcknowledgesPlacedRecords(t *testing.T) {
 	m.Stop()
 	k.RunAll()
 }
+
+// The redo buffer is a queue over one backing array: LGWR rewinds it when
+// it has drained it, so the next burst of Appends refills the array instead
+// of reallocating one whose capacity drained away from the front. Records
+// appended while LGWR is blocked in a member write mid-drain are placed
+// after the ones before them, in SCN order, exactly once.
+func TestRedoBufferReusesItsArray(t *testing.T) {
+	k, _, m := newTestLog(t, 1<<20, 3, false)
+	m.Start()
+	var durable []SCN
+	m.OnDurable = func(_ *sim.Proc, recs []Record) {
+		for _, r := range recs {
+			durable = append(durable, r.SCN)
+		}
+	}
+	const writers, rounds, burst = 2, 50, 8
+	arrays := map[*Record]bool{} // every backing array seen while the buffer was empty
+	for w := 0; w < writers; w++ {
+		w := w
+		k.Go("writer", func(p *sim.Proc) {
+			for i := 0; i < rounds; i++ {
+				var scn SCN
+				for j := 0; j < burst; j++ {
+					scn = m.Append(dataRec(TxnID(w+1), int64(i*burst+j), 40))
+				}
+				if err := m.WaitFlushed(p, scn); err != nil {
+					t.Error(err)
+					return
+				}
+				if len(m.buffer) == 0 {
+					if m.bufHead != 0 {
+						t.Errorf("drained buffer left its head at %d", m.bufHead)
+					}
+					arrays[&m.buffer[:1][0]] = true
+				}
+			}
+		})
+	}
+	k.Run(sim.Time(time.Minute))
+	m.Stop()
+	k.RunAll()
+	if len(durable) != writers*rounds*burst {
+		t.Fatalf("%d records became durable, want %d", len(durable), writers*rounds*burst)
+	}
+	var placed []SCN
+	for _, g := range m.Groups() {
+		for _, r := range g.Records() {
+			placed = append(placed, r.SCN)
+		}
+	}
+	if len(placed) != len(durable) {
+		t.Fatalf("%d records placed in groups, %d durable", len(placed), len(durable))
+	}
+	for i := range durable {
+		if durable[i] != SCN(i+1) || placed[i] != SCN(i+1) {
+			t.Fatalf("record %d: durable SCN %d, placed SCN %d: order broken", i, durable[i], placed[i])
+		}
+	}
+	// Doubling to the largest backlog takes a handful of arrays; a buffer
+	// that shrinks from the front takes a new one every few rounds.
+	if len(arrays) == 0 || len(arrays) > 6 {
+		t.Fatalf("the buffer used %d backing arrays over %d rounds, want the same one reused", len(arrays), rounds)
+	}
+}

@@ -1,0 +1,210 @@
+package tpcc
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"errors"
+	"fmt"
+	"math/rand"
+	"slices"
+	"strings"
+	"testing"
+)
+
+// codecRow is one row type as the codec tests see it: a value, its encoding,
+// and a decode that must give the value back.
+type codecRow struct {
+	name   string
+	encode func() []byte
+	// roundTrip decodes b and compares the result with the value.
+	roundTrip func(b []byte) error
+	// decodeAllocs measures one decode of b; maxDecodeAllocs bounds it: one
+	// string shared by every text column, nothing for an all-integer row.
+	decodeAllocs    func(b []byte) float64
+	maxDecodeAllocs float64
+}
+
+func rowOf[T comparable](name string, v T, enc func(*T) []byte, dec func([]byte) (T, error), maxDecodeAllocs float64) codecRow {
+	return codecRow{
+		name:   name,
+		encode: func() []byte { return enc(&v) },
+		roundTrip: func(b []byte) error {
+			got, err := dec(b)
+			if err != nil {
+				return err
+			}
+			if got != v {
+				return fmt.Errorf("decoded %+v, want %+v", got, v)
+			}
+			return nil
+		},
+		decodeAllocs: func(b []byte) float64 {
+			var got T
+			n := testing.AllocsPerRun(100, func() { got, _ = dec(b) })
+			_ = got
+			return n
+		},
+		maxDecodeAllocs: maxDecodeAllocs,
+	}
+}
+
+// codecRows builds one row of each of the nine types from a handful of
+// values: the fixed sample below and whatever the fuzzer comes up with.
+func codecRows(x, y int, at int64, money float64, s1, s2 string) []codecRow {
+	st := Stock{ItemID: x, WID: y, Quantity: x - y, YTD: y, OrderCnt: x, RemoteCnt: y, Data: s1}
+	for i := range st.Dists {
+		st.Dists[i] = s2[:len(s2)*i/len(st.Dists)] // ten different lengths, the first empty
+	}
+	return []codecRow{
+		rowOf("warehouse", Warehouse{ID: x, Name: s1, Street: s2, City: s1, State: "ST", Zip: s2, Tax: money, YTD: -money},
+			(*Warehouse).Encode, DecodeWarehouse, 1),
+		rowOf("district", District{ID: x, WID: y, Name: s2, Street: s1, City: s2, State: "", Zip: s1, Tax: money, YTD: money, NextOID: y},
+			(*District).Encode, DecodeDistrict, 1),
+		rowOf("customer", Customer{ID: x, DID: y, WID: x, First: s1, Middle: "OE", Last: s2, Street: s1, City: s2, State: s1,
+			Zip: s2, Phone: s1, Credit: "BC", CreditLim: money, Discount: money, Balance: -money, YTDPayment: money,
+			PaymentCnt: x, DeliveryCnt: y, Data: s2 + s1 + s2},
+			(*Customer).Encode, DecodeCustomer, 1),
+		rowOf("history", History{CID: x, CDID: y, CWID: x, DID: y, WID: x, Amount: money, Data: s1},
+			(*History).Encode, DecodeHistory, 1),
+		rowOf("order", Order{ID: x, DID: y, WID: x, CID: y, EntryTime: at, CarrierID: x, OLCnt: y, AllLocal: 1},
+			(*Order).Encode, DecodeOrder, 0),
+		rowOf("new_order", NewOrderRow{OID: x, DID: y, WID: x},
+			(*NewOrderRow).Encode, DecodeNewOrder, 0),
+		rowOf("order_line", OrderLine{OID: y, DID: y, WID: y, Number: y, ItemID: x, SupplyWID: y, DeliveryTime: at, Quantity: y, Amount: money, DistInfo: s2},
+			(*OrderLine).Encode, DecodeOrderLine, 1),
+		rowOf("item", Item{ID: x, ImID: y, Name: s1, Price: money, Data: s2},
+			(*Item).Encode, DecodeItem, 1),
+		rowOf("stock", st, (*Stock).Encode, DecodeStock, 1),
+	}
+}
+
+func sampleRows() []codecRow {
+	return codecRows(4711, 3, 1234567890123, 49.95, "acme-w", "dist-info-24-characters!")
+}
+
+// TestEncodeBytesPinned holds the row format still: the hashes are what the
+// codec produced before it was rewritten to allocate once (computed at the
+// parent commit, 6f2cec6). Encoded rows are what redo records, block images,
+// backups and every golden are made of.
+func TestEncodeBytesPinned(t *testing.T) {
+	want := map[string]string{
+		"warehouse":  "c6998f1cece5e07c",
+		"district":   "a0a9d64d10e07b9f",
+		"customer":   "0253864a6b137eba",
+		"history":    "e5beb385d0a675eb",
+		"order":      "42f6d558c8c02c73",
+		"new_order":  "a4a02240d35991eb",
+		"order_line": "f1940006ed822c1b",
+		"item":       "49f2516a70c5725e",
+		"stock":      "ff2df5818dd85982",
+	}
+	for _, row := range sampleRows() {
+		sum := sha256.Sum256(row.encode())
+		if got := hex.EncodeToString(sum[:8]); got != want[row.name] {
+			t.Errorf("%s: encoding hashes to %s, pinned %s", row.name, got, want[row.name])
+		}
+	}
+}
+
+// TestRowCodecAllocs is the codec's allocation contract: a row is encoded
+// into one exactly sized buffer and decoded into at most one string.
+func TestRowCodecAllocs(t *testing.T) {
+	var sink []byte
+	rows := sampleRows()
+	for _, row := range rows {
+		b := row.encode()
+		if cap(b) != len(b) {
+			t.Errorf("%s: Encode built %d bytes in a buffer of %d", row.name, len(b), cap(b))
+		}
+		if got := testing.AllocsPerRun(100, func() { sink = row.encode() }); got != 1 {
+			t.Errorf("%s: Encode allocates %v times, want 1", row.name, got)
+		}
+		if got := row.decodeAllocs(b); got > row.maxDecodeAllocs {
+			t.Errorf("%s: Decode allocates %v times, want at most %v", row.name, got, row.maxDecodeAllocs)
+		}
+	}
+	_ = sink
+	line, stock := rows[6].encode(), rows[8].encode()
+	var n int
+	if got := testing.AllocsPerRun(100, func() { n, _ = orderLineItemID(line) }); got != 0 || n != 4711 {
+		t.Errorf("orderLineItemID = %d in %v allocations, want 4711 in 0", n, got)
+	}
+	if got := testing.AllocsPerRun(100, func() { n, _ = stockQuantity(stock) }); got != 0 || n != 4708 {
+		t.Errorf("stockQuantity = %d in %v allocations, want 4708 in 0", n, got)
+	}
+}
+
+// FuzzRowCodecRoundTrip: for a row of every type, Decode(Encode(x)) is x,
+// the two Stock-Level field readers agree with the full decode, and every
+// proper prefix of an encoding is ErrBadRow — never a panic, never a row.
+func FuzzRowCodecRoundTrip(f *testing.F) {
+	f.Add(int64(4711), int64(3), int32(4995), "acme-w", "dist-info-24-characters!")
+	f.Add(int64(-1), int64(1)<<62, int32(-1050), "", "bytes \x00 and \xff, and then some")
+	f.Fuzz(func(t *testing.T, a, b int64, cents int32, s1, s2 string) {
+		rows := codecRows(int(a), int(b), a^b, float64(cents)/100, s1, s2)
+		for _, row := range rows {
+			full := row.encode()
+			if err := row.roundTrip(full); err != nil {
+				t.Fatalf("%s: %v", row.name, err)
+			}
+			for n := 0; n < len(full); n++ {
+				if err := row.roundTrip(full[:n]); !errors.Is(err, ErrBadRow) {
+					t.Fatalf("%s cut to %d of %d bytes: %v, want ErrBadRow", row.name, n, len(full), err)
+				}
+			}
+		}
+		line, stock := rows[6].encode(), rows[8].encode()
+		if got, err := orderLineItemID(line); err != nil || got != int(a) {
+			t.Fatalf("orderLineItemID = %d, %v, want %d", got, err, int(a))
+		}
+		if got, err := stockQuantity(stock); err != nil || got != int(a)-int(b) {
+			t.Fatalf("stockQuantity = %d, %v, want %d", got, err, int(a)-int(b))
+		}
+		if _, err := orderLineItemID(line[:39]); !errors.Is(err, ErrBadRow) {
+			t.Fatalf("orderLineItemID of a row cut inside the field: %v, want ErrBadRow", err)
+		}
+		if _, err := stockQuantity(stock[:23]); !errors.Is(err, ErrBadRow) {
+			t.Fatalf("stockQuantity of a row cut inside the field: %v, want ErrBadRow", err)
+		}
+	})
+}
+
+// TestRowTextDrawsWhatAStringPerColumnDrew: the load's one-string-per-row
+// arena makes the RNG calls, in the order, and yields the characters that a
+// separately built string per column did before it — which is what keeps a
+// seed's loaded database byte-identical.
+func TestRowTextDrawsWhatAStringPerColumnDrew(t *testing.T) {
+	// The per-column generators as they were at the parent commit.
+	randString := func(r *rand.Rand, minLen, maxLen int) string {
+		const chars = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789"
+		n := minLen
+		if maxLen > minLen {
+			n += r.Intn(maxLen - minLen + 1)
+		}
+		var sb strings.Builder
+		for i := 0; i < n; i++ {
+			sb.WriteByte(chars[r.Intn(len(chars))])
+		}
+		return sb.String()
+	}
+	randZip := func(r *rand.Rand) string { return fmt.Sprintf("%04d11111", r.Intn(10000)) }
+
+	old, now := rand.New(rand.NewSource(42)), rand.New(rand.NewSource(42))
+	var txt rowText
+	for row := 0; row < 200; row++ {
+		want := []string{
+			randString(old, 6, 10), randString(old, 10, 20), randString(old, 10, 20), randString(old, 2, 2), randZip(old),
+			randString(old, 24, 24), randString(old, 200, 400),
+		}
+		txt.address(now)
+		txt.str(now, 24, 24)
+		txt.str(now, 200, 400)
+		got := txt.take()
+		if !slices.Equal(got, want) {
+			t.Fatalf("row %d: drew %q, want %q", row, got, want)
+		}
+		if a, b := old.Int63(), now.Int63(); a != b {
+			t.Fatalf("row %d: the generators have parted ways", row)
+		}
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"strings"
 
 	"dbench/internal/engine"
 	"dbench/internal/sim"
@@ -85,22 +84,59 @@ func LastName(num int) string {
 // the scaled name space) and run time (NURand).
 func randLastNameNum(r *rand.Rand) int { return nuRand(r, 255, nuRandCLast, 0, 999) }
 
-func randString(r *rand.Rand, minLen, maxLen int) string {
+// rowText draws the random text columns of one loaded row into a single
+// buffer, with exactly the RNG calls a string per column would make, and
+// turns it into one string the columns are slices of: a Stock row's eleven
+// strings cost the load one allocation.
+type rowText struct {
+	buf  []byte
+	ends []int
+	cols []string
+}
+
+// str draws the row's next column: minLen..maxLen random characters.
+func (t *rowText) str(r *rand.Rand, minLen, maxLen int) {
 	const chars = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789"
 	n := minLen
 	if maxLen > minLen {
 		n += r.Intn(maxLen - minLen + 1)
 	}
-	var sb strings.Builder
-	sb.Grow(n)
 	for i := 0; i < n; i++ {
-		sb.WriteByte(chars[r.Intn(len(chars))])
+		t.buf = append(t.buf, chars[r.Intn(len(chars))])
 	}
-	return sb.String()
+	t.ends = append(t.ends, len(t.buf))
 }
 
-func randZip(r *rand.Rand) string {
-	return fmt.Sprintf("%04d11111", r.Intn(10000))
+// zip draws the row's next column: a spec zip code.
+func (t *rowText) zip(r *rand.Rand) {
+	n := r.Intn(10000)
+	t.buf = append(t.buf, byte('0'+n/1000), byte('0'+n/100%10), byte('0'+n/10%10), byte('0'+n%10))
+	t.buf = append(t.buf, "11111"...)
+	t.ends = append(t.ends, len(t.buf))
+}
+
+// address draws the five columns a warehouse and a district share: name,
+// street, city, state, zip.
+func (t *rowText) address(r *rand.Rand) {
+	t.str(r, 6, 10)
+	t.str(r, 10, 20)
+	t.str(r, 10, 20)
+	t.str(r, 2, 2)
+	t.zip(r)
+}
+
+// take returns the columns drawn since the last take, in order. The slice
+// is reused by the next row; the strings are the caller's.
+func (t *rowText) take() []string {
+	all := string(t.buf)
+	t.cols = t.cols[:0]
+	start := 0
+	for _, end := range t.ends {
+		t.cols = append(t.cols, all[start:end])
+		start = end
+	}
+	t.buf, t.ends = t.buf[:0], t.ends[:0]
+	return t.cols
 }
 
 // App binds the TPC-C schema and workload to one engine instance. It also
@@ -122,7 +158,7 @@ type App struct {
 
 	// byName maps (w, d, lastname) to the customer IDs sharing that
 	// name, sorted by first name then ID (spec's midpoint rule input).
-	byName map[string][]int
+	byName map[nameKey][]int
 	// noQueue holds undelivered order IDs per district (driver-side
 	// view of the NEW_ORDER table, FIFO).
 	noQueue map[int64][]int
@@ -135,13 +171,16 @@ func NewApp(in *engine.Instance, cfg Config) *App {
 	return &App{
 		In:      in,
 		Cfg:     cfg,
-		byName:  make(map[string][]int),
+		byName:  make(map[nameKey][]int),
 		noQueue: make(map[int64][]int),
 	}
 }
 
-func nameKey(w, d int, last string) string {
-	return fmt.Sprintf("%d/%d/%s", w, d, last)
+// nameKey is the name index's key: one district's customers of one last
+// name.
+type nameKey struct {
+	w, d int
+	last string
 }
 
 // tableSpec is the physical sizing of one table: segment blocks plus the
@@ -289,15 +328,18 @@ func (a *App) createSchemaPartitioned(p *sim.Proc, disks []string) error {
 func (a *App) Load(p *sim.Proc, r *rand.Rand) error {
 	cfg := a.Cfg
 
+	// Each row's columns are drawn in the order the row struct lists them,
+	// integers included: the RNG call order is what makes a seed's database.
+	var txt rowText
+
 	items := make(map[int64][]byte, cfg.Items)
 	for i := 1; i <= cfg.Items; i++ {
-		it := Item{
-			ID:    i,
-			ImID:  1 + r.Intn(10000),
-			Name:  randString(r, 14, 24),
-			Price: 1 + float64(r.Intn(9900))/100,
-			Data:  randString(r, 26, 50),
-		}
+		it := Item{ID: i, ImID: 1 + r.Intn(10000)}
+		txt.str(r, 14, 24) // Name
+		it.Price = 1 + float64(r.Intn(9900))/100
+		txt.str(r, 26, 50) // Data
+		col := txt.take()
+		it.Name, it.Data = col[0], col[1]
 		items[IKey(i)] = it.Encode()
 	}
 	if err := a.In.DirectLoad(p, TableItem, items); err != nil {
@@ -314,14 +356,11 @@ func (a *App) Load(p *sim.Proc, r *rand.Rand) error {
 	stocks := make(map[int64][]byte)
 
 	for w := 1; w <= cfg.Warehouses; w++ {
+		txt.address(r)
+		col := txt.take()
 		wh := Warehouse{
-			ID:     w,
-			Name:   randString(r, 6, 10),
-			Street: randString(r, 10, 20),
-			City:   randString(r, 10, 20),
-			State:  randString(r, 2, 2),
-			Zip:    randZip(r),
-			Tax:    float64(r.Intn(2000)) / 10000,
+			ID: w, Name: col[0], Street: col[1], City: col[2], State: col[3], Zip: col[4],
+			Tax: float64(r.Intn(2000)) / 10000,
 			// W_YTD equals the sum of the warehouse's loaded history
 			// amounts (10 per customer), the identity conditions C8/C9
 			// audit (spec §3.3.2.8–9). The spec's 300,000 is this same
@@ -331,30 +370,25 @@ func (a *App) Load(p *sim.Proc, r *rand.Rand) error {
 		warehouses[WKey(w)] = wh.Encode()
 
 		for i := 1; i <= cfg.Items; i++ {
-			st := Stock{
-				ItemID:   i,
-				WID:      w,
-				Quantity: 10 + r.Intn(91),
-				Data:     randString(r, 26, 50),
+			st := Stock{ItemID: i, WID: w, Quantity: 10 + r.Intn(91)}
+			txt.str(r, 26, 50) // Data
+			for range st.Dists {
+				txt.str(r, 24, 24)
 			}
-			for di := range st.Dists {
-				st.Dists[di] = randString(r, 24, 24)
-			}
+			col := txt.take()
+			st.Data = col[0]
+			copy(st.Dists[:], col[1:])
 			stocks[SKey(w, i)] = st.Encode()
 		}
 
 		for d := 1; d <= Districts; d++ {
 			// Every customer starts with exactly one order, so
 			// next_o_id is customers+1.
+			txt.address(r)
+			col := txt.take()
 			dist := District{
-				ID:     d,
-				WID:    w,
-				Name:   randString(r, 6, 10),
-				Street: randString(r, 10, 20),
-				City:   randString(r, 10, 20),
-				State:  randString(r, 2, 2),
-				Zip:    randZip(r),
-				Tax:    float64(r.Intn(2000)) / 10000,
+				ID: d, WID: w, Name: col[0], Street: col[1], City: col[2], State: col[3], Zip: col[4],
+				Tax: float64(r.Intn(2000)) / 10000,
 				// D_YTD = 10 per loaded history row of the district (C9).
 				YTD:     10 * float64(cfg.CustomersPerDistrict),
 				NextOID: cfg.CustomersPerDistrict + 1,
@@ -371,30 +405,30 @@ func (a *App) Load(p *sim.Proc, r *rand.Rand) error {
 				if r.Intn(10) == 0 {
 					credit = "BC"
 				}
+				txt.str(r, 8, 16)  // First
+				txt.str(r, 10, 20) // Street
+				txt.str(r, 10, 20) // City
+				txt.str(r, 2, 2)   // State
+				txt.zip(r)
+				txt.str(r, 16, 16) // Phone
+				discount := float64(r.Intn(5000)) / 10000
+				txt.str(r, 200, 400) // Data
+				col := txt.take()
 				cust := Customer{
-					ID:        c,
-					DID:       d,
-					WID:       w,
-					First:     randString(r, 8, 16),
-					Middle:    "OE",
-					Last:      last,
-					Street:    randString(r, 10, 20),
-					City:      randString(r, 10, 20),
-					State:     randString(r, 2, 2),
-					Zip:       randZip(r),
-					Phone:     randString(r, 16, 16),
-					Credit:    credit,
-					CreditLim: 50000,
-					Discount:  float64(r.Intn(5000)) / 10000,
-					Balance:   -10,
-					Data:      randString(r, 200, 400),
+					ID: c, DID: d, WID: w,
+					First: col[0], Middle: "OE", Last: last,
+					Street: col[1], City: col[2], State: col[3], Zip: col[4], Phone: col[5],
+					Credit: credit, CreditLim: 50000, Discount: discount, Balance: -10,
+					Data: col[6],
 				}
 				customers[CKey(w, d, c)] = cust.Encode()
-				a.byName[nameKey(w, d, last)] = append(a.byName[nameKey(w, d, last)], c)
+				nk := nameKey{w, d, last}
+				a.byName[nk] = append(a.byName[nk], c)
 
+				txt.str(r, 12, 24)
 				h := History{
 					CID: c, CDID: d, CWID: w, DID: d, WID: w,
-					Amount: 10, Data: randString(r, 12, 24),
+					Amount: 10, Data: txt.take()[0],
 				}
 				history[CKey(w, d, c)] = h.Encode()
 
@@ -421,8 +455,9 @@ func (a *App) Load(p *sim.Proc, r *rand.Rand) error {
 						ItemID:    1 + r.Intn(cfg.Items),
 						SupplyWID: w,
 						Quantity:  5,
-						DistInfo:  randString(r, 24, 24),
 					}
+					txt.str(r, 24, 24)
+					line.DistInfo = txt.take()[0]
 					if delivered {
 						line.DeliveryTime = 1
 						line.Amount = float64(r.Intn(999999)) / 100

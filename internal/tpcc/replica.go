@@ -109,23 +109,23 @@ func (a *App) stockLevelBody(p *sim.Proc, read readFn, w, d, threshold int) erro
 			if err != nil {
 				continue
 			}
-			line, err := DecodeOrderLine(lb)
+			item, err := orderLineItemID(lb)
 			if err != nil {
 				return err
 			}
-			if seen[line.ItemID] {
+			if seen[item] {
 				continue
 			}
-			seen[line.ItemID] = true
-			sb, err := read(p, TableStock, SKey(w, line.ItemID))
+			seen[item] = true
+			sb, err := read(p, TableStock, SKey(w, item))
 			if err != nil {
 				return err
 			}
-			st, err := DecodeStock(sb)
+			qty, err := stockQuantity(sb)
 			if err != nil {
 				return err
 			}
-			if st.Quantity < threshold {
+			if qty < threshold {
 				low++
 			}
 		}

@@ -63,46 +63,106 @@ func SKey(w, i int) int64 { return int64(w)*1000000 + int64(i) }
 // ErrBadRow reports a row that failed to decode.
 var ErrBadRow = errors.New("tpcc: bad row encoding")
 
-// enc/dec are minimal binary helpers for the row codecs.
+// enc builds a row in two passes over one field list: the first pass adds
+// up the exact length (8 bytes per integer or money field, 4 + len per
+// string), the second writes into a buffer of exactly that size. A row costs
+// one allocation, and its size and its fields cannot disagree:
+//
+//	var e enc
+//	for e.pass() {
+//		e.i64(...)
+//		e.str(...)
+//	}
+//	return e.b
+type enc struct {
+	b    []byte
+	n    int   // pass 1: the length so far
+	step uint8 // 1 = measuring, 2 = writing
+}
 
-type enc struct{ b []byte }
+func (e *enc) pass() bool {
+	e.step++
+	if e.step == 2 {
+		e.b = make([]byte, 0, e.n)
+	}
+	return e.step <= 2
+}
 
-func (e *enc) i64(v int64)   { e.b = binary.BigEndian.AppendUint64(e.b, uint64(v)) }
+func (e *enc) i64(v int64) {
+	if e.step == 1 {
+		e.n += 8
+		return
+	}
+	e.b = binary.BigEndian.AppendUint64(e.b, uint64(v))
+}
+
 func (e *enc) f64(v float64) { e.i64(int64(math.Round(v * 100))) } // money: cents
-func (e *enc) str(s string)  { e.b = append(binary.BigEndian.AppendUint32(e.b, uint32(len(s))), s...) }
-func (e *enc) bytes() []byte { return e.b }
 
+func (e *enc) str(s string) {
+	if e.step == 1 {
+		e.n += 4 + len(s)
+		return
+	}
+	e.b = append(binary.BigEndian.AppendUint32(e.b, uint32(len(s))), s...)
+}
+
+// dec reads a row front to back. The first string field converts the rest
+// of the row to one string and every string field is a substring of it, so
+// a decode allocates once however many text columns the row has, and not at
+// all for an all-integer row.
 type dec struct {
-	b   []byte
-	err error
+	b    []byte
+	off  int    // next unread byte of b
+	text string // string(b), once a string field has been read
+	err  error
+}
+
+// take consumes the next n bytes and returns where they start, or -1 (and
+// ErrBadRow from then on) when the row is too short.
+func (d *dec) take(n int) int {
+	if d.err != nil || len(d.b)-d.off < n {
+		d.err = ErrBadRow
+		return -1
+	}
+	d.off += n
+	return d.off - n
 }
 
 func (d *dec) i64() int64 {
-	if d.err != nil || len(d.b) < 8 {
-		d.err = ErrBadRow
+	at := d.take(8)
+	if at < 0 {
 		return 0
 	}
-	v := int64(binary.BigEndian.Uint64(d.b))
-	d.b = d.b[8:]
-	return v
+	return int64(binary.BigEndian.Uint64(d.b[at:]))
 }
 
 func (d *dec) f64() float64 { return float64(d.i64()) / 100 }
 
 func (d *dec) str() string {
-	if d.err != nil || len(d.b) < 4 {
-		d.err = ErrBadRow
+	at := d.take(4)
+	if at < 0 {
 		return ""
 	}
-	n := int(binary.BigEndian.Uint32(d.b))
-	d.b = d.b[4:]
-	if len(d.b) < n {
-		d.err = ErrBadRow
+	n := int(binary.BigEndian.Uint32(d.b[at:]))
+	if at = d.take(n); at < 0 {
 		return ""
 	}
-	s := string(d.b[:n])
-	d.b = d.b[n:]
-	return s
+	if d.text == "" {
+		// Rebase on the first string's first byte: the integers already
+		// read need not be copied into the text.
+		d.b, d.off, at = d.b[at:], d.off-at, 0
+		d.text = string(d.b)
+	}
+	return d.text[at : at+n]
+}
+
+// intField reads integer field i of a row whose first i+1 fields are all
+// integers, without decoding the rest.
+func intField(b []byte, i int) (int, error) {
+	if len(b) < 8*(i+1) {
+		return 0, ErrBadRow
+	}
+	return int(int64(binary.BigEndian.Uint64(b[8*i:]))), nil
 }
 
 // Warehouse is one row of the WAREHOUSE table.
@@ -119,16 +179,18 @@ type Warehouse struct {
 
 // Encode serialises the row.
 func (w *Warehouse) Encode() []byte {
-	e := &enc{}
-	e.i64(int64(w.ID))
-	e.str(w.Name)
-	e.str(w.Street)
-	e.str(w.City)
-	e.str(w.State)
-	e.str(w.Zip)
-	e.f64(w.Tax)
-	e.f64(w.YTD)
-	return e.bytes()
+	var e enc
+	for e.pass() {
+		e.i64(int64(w.ID))
+		e.str(w.Name)
+		e.str(w.Street)
+		e.str(w.City)
+		e.str(w.State)
+		e.str(w.Zip)
+		e.f64(w.Tax)
+		e.f64(w.YTD)
+	}
+	return e.b
 }
 
 // DecodeWarehouse parses a row.
@@ -163,18 +225,20 @@ type District struct {
 
 // Encode serialises the row.
 func (x *District) Encode() []byte {
-	e := &enc{}
-	e.i64(int64(x.ID))
-	e.i64(int64(x.WID))
-	e.str(x.Name)
-	e.str(x.Street)
-	e.str(x.City)
-	e.str(x.State)
-	e.str(x.Zip)
-	e.f64(x.Tax)
-	e.f64(x.YTD)
-	e.i64(int64(x.NextOID))
-	return e.bytes()
+	var e enc
+	for e.pass() {
+		e.i64(int64(x.ID))
+		e.i64(int64(x.WID))
+		e.str(x.Name)
+		e.str(x.Street)
+		e.str(x.City)
+		e.str(x.State)
+		e.str(x.Zip)
+		e.f64(x.Tax)
+		e.f64(x.YTD)
+		e.i64(int64(x.NextOID))
+	}
+	return e.b
 }
 
 // DecodeDistrict parses a row.
@@ -220,27 +284,29 @@ type Customer struct {
 
 // Encode serialises the row.
 func (c *Customer) Encode() []byte {
-	e := &enc{}
-	e.i64(int64(c.ID))
-	e.i64(int64(c.DID))
-	e.i64(int64(c.WID))
-	e.str(c.First)
-	e.str(c.Middle)
-	e.str(c.Last)
-	e.str(c.Street)
-	e.str(c.City)
-	e.str(c.State)
-	e.str(c.Zip)
-	e.str(c.Phone)
-	e.str(c.Credit)
-	e.f64(c.CreditLim)
-	e.f64(c.Discount)
-	e.f64(c.Balance)
-	e.f64(c.YTDPayment)
-	e.i64(int64(c.PaymentCnt))
-	e.i64(int64(c.DeliveryCnt))
-	e.str(c.Data)
-	return e.bytes()
+	var e enc
+	for e.pass() {
+		e.i64(int64(c.ID))
+		e.i64(int64(c.DID))
+		e.i64(int64(c.WID))
+		e.str(c.First)
+		e.str(c.Middle)
+		e.str(c.Last)
+		e.str(c.Street)
+		e.str(c.City)
+		e.str(c.State)
+		e.str(c.Zip)
+		e.str(c.Phone)
+		e.str(c.Credit)
+		e.f64(c.CreditLim)
+		e.f64(c.Discount)
+		e.f64(c.Balance)
+		e.f64(c.YTDPayment)
+		e.i64(int64(c.PaymentCnt))
+		e.i64(int64(c.DeliveryCnt))
+		e.str(c.Data)
+	}
+	return e.b
 }
 
 // DecodeCustomer parses a row.
@@ -283,15 +349,17 @@ type History struct {
 
 // Encode serialises the row.
 func (h *History) Encode() []byte {
-	e := &enc{}
-	e.i64(int64(h.CID))
-	e.i64(int64(h.CDID))
-	e.i64(int64(h.CWID))
-	e.i64(int64(h.DID))
-	e.i64(int64(h.WID))
-	e.f64(h.Amount)
-	e.str(h.Data)
-	return e.bytes()
+	var e enc
+	for e.pass() {
+		e.i64(int64(h.CID))
+		e.i64(int64(h.CDID))
+		e.i64(int64(h.CWID))
+		e.i64(int64(h.DID))
+		e.i64(int64(h.WID))
+		e.f64(h.Amount)
+		e.str(h.Data)
+	}
+	return e.b
 }
 
 // DecodeHistory parses a row.
@@ -323,16 +391,18 @@ type Order struct {
 
 // Encode serialises the row.
 func (o *Order) Encode() []byte {
-	e := &enc{}
-	e.i64(int64(o.ID))
-	e.i64(int64(o.DID))
-	e.i64(int64(o.WID))
-	e.i64(int64(o.CID))
-	e.i64(o.EntryTime)
-	e.i64(int64(o.CarrierID))
-	e.i64(int64(o.OLCnt))
-	e.i64(int64(o.AllLocal))
-	return e.bytes()
+	var e enc
+	for e.pass() {
+		e.i64(int64(o.ID))
+		e.i64(int64(o.DID))
+		e.i64(int64(o.WID))
+		e.i64(int64(o.CID))
+		e.i64(o.EntryTime)
+		e.i64(int64(o.CarrierID))
+		e.i64(int64(o.OLCnt))
+		e.i64(int64(o.AllLocal))
+	}
+	return e.b
 }
 
 // DecodeOrder parses a row.
@@ -360,11 +430,13 @@ type NewOrderRow struct {
 
 // Encode serialises the row.
 func (n *NewOrderRow) Encode() []byte {
-	e := &enc{}
-	e.i64(int64(n.OID))
-	e.i64(int64(n.DID))
-	e.i64(int64(n.WID))
-	return e.bytes()
+	var e enc
+	for e.pass() {
+		e.i64(int64(n.OID))
+		e.i64(int64(n.DID))
+		e.i64(int64(n.WID))
+	}
+	return e.b
 }
 
 // DecodeNewOrder parses a row.
@@ -390,18 +462,20 @@ type OrderLine struct {
 
 // Encode serialises the row.
 func (l *OrderLine) Encode() []byte {
-	e := &enc{}
-	e.i64(int64(l.OID))
-	e.i64(int64(l.DID))
-	e.i64(int64(l.WID))
-	e.i64(int64(l.Number))
-	e.i64(int64(l.ItemID))
-	e.i64(int64(l.SupplyWID))
-	e.i64(l.DeliveryTime)
-	e.i64(int64(l.Quantity))
-	e.f64(l.Amount)
-	e.str(l.DistInfo)
-	return e.bytes()
+	var e enc
+	for e.pass() {
+		e.i64(int64(l.OID))
+		e.i64(int64(l.DID))
+		e.i64(int64(l.WID))
+		e.i64(int64(l.Number))
+		e.i64(int64(l.ItemID))
+		e.i64(int64(l.SupplyWID))
+		e.i64(l.DeliveryTime)
+		e.i64(int64(l.Quantity))
+		e.f64(l.Amount)
+		e.str(l.DistInfo)
+	}
+	return e.b
 }
 
 // DecodeOrderLine parses a row.
@@ -422,6 +496,10 @@ func DecodeOrderLine(b []byte) (OrderLine, error) {
 	return l, d.err
 }
 
+// orderLineItemID reads OrderLine.ItemID alone: Stock-Level looks at nothing
+// else of the up to 300 order lines it visits.
+func orderLineItemID(b []byte) (int, error) { return intField(b, 4) }
+
 // Item is one row of the ITEM table.
 type Item struct {
 	ID    int
@@ -433,13 +511,15 @@ type Item struct {
 
 // Encode serialises the row.
 func (it *Item) Encode() []byte {
-	e := &enc{}
-	e.i64(int64(it.ID))
-	e.i64(int64(it.ImID))
-	e.str(it.Name)
-	e.f64(it.Price)
-	e.str(it.Data)
-	return e.bytes()
+	var e enc
+	for e.pass() {
+		e.i64(int64(it.ID))
+		e.i64(int64(it.ImID))
+		e.str(it.Name)
+		e.f64(it.Price)
+		e.str(it.Data)
+	}
+	return e.b
 }
 
 // DecodeItem parses a row.
@@ -469,18 +549,20 @@ type Stock struct {
 
 // Encode serialises the row.
 func (s *Stock) Encode() []byte {
-	e := &enc{}
-	e.i64(int64(s.ItemID))
-	e.i64(int64(s.WID))
-	e.i64(int64(s.Quantity))
-	e.i64(int64(s.YTD))
-	e.i64(int64(s.OrderCnt))
-	e.i64(int64(s.RemoteCnt))
-	e.str(s.Data)
-	for _, di := range s.Dists {
-		e.str(di)
+	var e enc
+	for e.pass() {
+		e.i64(int64(s.ItemID))
+		e.i64(int64(s.WID))
+		e.i64(int64(s.Quantity))
+		e.i64(int64(s.YTD))
+		e.i64(int64(s.OrderCnt))
+		e.i64(int64(s.RemoteCnt))
+		e.str(s.Data)
+		for _, di := range s.Dists {
+			e.str(di)
+		}
 	}
-	return e.bytes()
+	return e.b
 }
 
 // DecodeStock parses a row.
@@ -500,6 +582,10 @@ func DecodeStock(b []byte) (Stock, error) {
 	}
 	return s, d.err
 }
+
+// stockQuantity reads Stock.Quantity alone, for Stock-Level's threshold
+// count.
+func stockQuantity(b []byte) (int, error) { return intField(b, 2) }
 
 // fmtOrderKey formats an order identity for error messages.
 func fmtOrderKey(w, d, o int) string { return fmt.Sprintf("w%d/d%d/o%d", w, d, o) }

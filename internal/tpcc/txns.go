@@ -79,7 +79,7 @@ func (a *App) randomItemID(r *rand.Rand) int {
 // index, like the client application's prepared lookup).
 func (a *App) customerByName(r *rand.Rand, w, d int) (int, bool) {
 	last := LastName(randLastNameNum(r))
-	ids := a.byName[nameKey(w, d, last)]
+	ids := a.byName[nameKey{w, d, last}]
 	if len(ids) == 0 {
 		return 0, false
 	}

@@ -38,6 +38,9 @@ type lockWaiter struct {
 	wakeCond *sim.Cond
 }
 
+// lockState is held by value in its stripe's map: granting and releasing an
+// uncontended lock allocates nothing, and waiters exists only while
+// somebody waits. Every change is stored back with put.
 type lockState struct {
 	holder  *Txn
 	waiters []*lockWaiter
@@ -45,7 +48,16 @@ type lockState struct {
 
 // lockStripe is one independently managed slice of the lock namespace.
 type lockStripe struct {
-	locks map[lockKey]*lockState
+	locks map[lockKey]lockState
+}
+
+// put stores the state of lk, or forgets the lock once it is free.
+func (s *lockStripe) put(lk lockKey, st lockState) {
+	if st.holder == nil && len(st.waiters) == 0 {
+		delete(s.locks, lk)
+		return
+	}
+	s.locks[lk] = st
 }
 
 // lockTable grants exclusive row locks in FIFO order with a wait timeout.
@@ -75,7 +87,7 @@ func newLockTable(k *sim.Kernel, timeout time.Duration, stripes int) *lockTable 
 	}
 	lt := &lockTable{k: k, timeout: timeout}
 	for i := 0; i < stripes; i++ {
-		lt.stripes = append(lt.stripes, &lockStripe{locks: make(map[lockKey]*lockState)})
+		lt.stripes = append(lt.stripes, &lockStripe{locks: make(map[lockKey]lockState)})
 	}
 	return lt
 }
@@ -98,21 +110,18 @@ func (lt *lockTable) acquire(p *sim.Proc, t *Txn, table string, key int64) error
 	lk := lockKey{table: table, key: key}
 	sn := lt.stripeFor(table, key)
 	stripe := lt.stripes[sn]
-	st, ok := stripe.locks[lk]
-	if !ok {
-		st = &lockState{}
-		stripe.locks[lk] = st
-	}
+	st := stripe.locks[lk]
 	if st.holder == t {
 		return nil
 	}
 	if st.holder == nil && len(st.waiters) == 0 {
-		st.holder = t
+		stripe.locks[lk] = lockState{holder: t}
 		t.locks = append(t.locks, heldLock{lk: lk, stripe: sn})
 		return nil
 	}
 	w := &lockWaiter{txn: t, proc: p}
 	st.waiters = append(st.waiters, w)
+	stripe.locks[lk] = st
 	lt.waits++
 	lt.k.After(lt.timeout, func() {
 		if w.granted || w.timeout {
@@ -124,12 +133,15 @@ func (lt *lockTable) acquire(p *sim.Proc, t *Txn, table string, key int64) error
 	for !w.granted && !w.timeout {
 		w.block()
 	}
+	st = stripe.locks[lk] // the lock moved on while we were parked
 	if w.timeout {
 		lt.timeouts++
-		// Remove ourselves from the queue.
+		// Remove ourselves from the queue (a release that came first has
+		// already dropped us).
 		for i, q := range st.waiters {
 			if q == w {
 				st.waiters = append(st.waiters[:i], st.waiters[i+1:]...)
+				stripe.put(lk, st)
 				break
 			}
 		}
@@ -138,16 +150,17 @@ func (lt *lockTable) acquire(p *sim.Proc, t *Txn, table string, key int64) error
 	if t.state != StateActive {
 		// The transaction was abandoned (instance crash) while we were
 		// waiting; pass the lock on and fail the operation.
-		st.holder = nil
-		lt.grantNext(st)
+		stripe.put(lk, lt.grantNext(st))
 		return ErrTxnDone
 	}
 	t.locks = append(t.locks, heldLock{lk: lk, stripe: sn})
 	return nil
 }
 
-// grantNext hands a free lock to the next live waiter.
-func (lt *lockTable) grantNext(st *lockState) {
+// grantNext takes the lock from its holder and hands it to the next live
+// waiter, if there is one; it returns the state to store.
+func (lt *lockTable) grantNext(st lockState) lockState {
+	st.holder = nil
 	for len(st.waiters) > 0 {
 		w := st.waiters[0]
 		st.waiters = st.waiters[1:]
@@ -157,8 +170,9 @@ func (lt *lockTable) grantNext(st *lockState) {
 		st.holder = w.txn
 		w.granted = true
 		lt.k.After(0, w.wake)
-		return
+		break
 	}
+	return st
 }
 
 // block/wake adapt a waiter to the kernel's handoff protocol via a private
@@ -185,11 +199,7 @@ func (lt *lockTable) releaseAll(t *Txn) {
 		if !ok || st.holder != t {
 			continue
 		}
-		st.holder = nil
-		lt.grantNext(st)
-		if st.holder == nil && len(st.waiters) == 0 {
-			delete(stripe.locks, hl.lk)
-		}
+		stripe.put(hl.lk, lt.grantNext(st))
 	}
 	t.locks = nil
 }

@@ -1,0 +1,87 @@
+package txn
+
+import (
+	"errors"
+	"testing"
+	"time"
+
+	"dbench/internal/sim"
+)
+
+// An uncontended grant and its release touch the stripe's map and the
+// transaction's lock list, and allocate nothing: the lock state is a map
+// value, and a waiter queue exists only while somebody waits.
+func TestUncontendedLockGrantAllocatesNothing(t *testing.T) {
+	lt := newLockTable(sim.NewKernel(1), time.Second, 1)
+	tx := &Txn{state: StateActive}
+	room := make([]heldLock, 0, 16)
+	got := testing.AllocsPerRun(100, func() {
+		tx.locks = room
+		for key := int64(0); key < 16; key++ {
+			if err := lt.acquire(nil, tx, "stock", key); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !lt.held(tx, "stock", 7) {
+			t.Fatal("granted lock is not held")
+		}
+		lt.releaseAll(tx)
+	})
+	if got != 0 {
+		t.Fatalf("16 uncontended grants and releases allocate %v times, want 0", got)
+	}
+	if n := len(lt.stripes[0].locks); n != 0 {
+		t.Fatalf("%d released locks still in the table", n)
+	}
+}
+
+// Waiters are served first come, first served; one that times out in the
+// middle of the queue drops out without disturbing the order behind it;
+// and a lock nobody holds or waits for leaves nothing in the table.
+func TestLockQueueIsFIFOAcrossATimeout(t *testing.T) {
+	f := newFixture(t) // LockTimeout 2 s
+	defer f.shutdown()
+	var events []string
+	contender := func(name string, arrive, hold time.Duration) {
+		f.k.Go(name, func(p *sim.Proc) {
+			p.Sleep(arrive)
+			tx := f.m.Begin()
+			if _, err := f.m.ReadForUpdate(p, tx, "acct", 1); errors.Is(err, ErrLockTimeout) {
+				events = append(events, name+" timed out")
+				_ = f.m.Rollback(p, tx)
+				return
+			}
+			events = append(events, name+" locked")
+			p.Sleep(hold)
+			_ = f.m.Commit(p, tx)
+		})
+	}
+	f.k.Go("holder", func(p *sim.Proc) {
+		tx := f.m.Begin()
+		_ = f.m.Insert(p, tx, "acct", 1, []byte("row"))
+		events = append(events, "holder locked")
+		p.Sleep(1500 * time.Millisecond)
+		_ = f.m.Commit(p, tx)
+	})
+	contender("w1", 100*time.Millisecond, 750*time.Millisecond) // granted at 1.5 s, holds to 2.25 s
+	contender("w2", 200*time.Millisecond, 0)                    // gives up at 2.2 s, mid-queue
+	contender("w3", 300*time.Millisecond, 0)                    // granted at 2.25 s, before its 2.3 s limit
+	f.k.Run(sim.Time(time.Hour))
+	want := []string{"holder locked", "w1 locked", "w2 timed out", "w3 locked"}
+	if len(events) != len(want) {
+		t.Fatalf("events = %v, want %v", events, want)
+	}
+	for i := range want {
+		if events[i] != want[i] {
+			t.Fatalf("events = %v, want %v", events, want)
+		}
+	}
+	if s := f.m.Stats(); s.LockWaits != 3 || s.LockTimeouts != 1 {
+		t.Fatalf("lock waits %d, timeouts %d, want 3 and 1", s.LockWaits, s.LockTimeouts)
+	}
+	for i, stripe := range f.m.locks.stripes {
+		if n := len(stripe.locks); n != 0 {
+			t.Fatalf("stripe %d still holds %d lock entries after everyone finished", i, n)
+		}
+	}
+}

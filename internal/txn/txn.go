@@ -223,7 +223,9 @@ func (m *Manager) IsActive(id redo.TxnID) bool {
 
 // Begin starts a transaction.
 func (m *Manager) Begin() *Txn {
-	t := &Txn{ID: m.nextID, state: StateActive}
+	// Room for a New-Order's two dozen row changes up front, instead of
+	// regrowing both lists from nil five times in every transaction.
+	t := &Txn{ID: m.nextID, state: StateActive, undo: make([]undoRec, 0, 32), locks: make([]heldLock, 0, 32)}
 	m.nextID++
 	m.active[t.ID] = t
 	m.stats.Begun++
@@ -253,8 +255,12 @@ func available(ref storage.BlockRef) error {
 	return nil
 }
 
-// Read returns a copy of the row's value without locking (read committed
-// in spirit; see package doc for the anomaly discussion).
+// Read returns the row's value without locking (read committed in spirit;
+// see package doc for the anomaly discussion). The result is a read-only
+// view of the stored image, not a copy: row images are replaced, never
+// written in place, so it stays what it was whatever happens to the row
+// afterwards. Its capacity is capped at its length — an append reallocates
+// instead of reaching the neighbouring row of a cloned block's buffer.
 func (m *Manager) Read(p *sim.Proc, t *Txn, table string, key int64) ([]byte, error) {
 	if t.state != StateActive {
 		return nil, ErrTxnDone
@@ -278,7 +284,7 @@ func (m *Manager) Read(p *sim.Proc, t *Txn, table string, key int64) ([]byte, er
 	if !ok {
 		return nil, fmt.Errorf("%w: %s[%d]", ErrRowNotFound, table, key)
 	}
-	return append([]byte(nil), v...), nil
+	return v[:len(v):len(v)], nil
 }
 
 // ReadForUpdate locks the row exclusively, then reads it (SELECT ... FOR
@@ -309,7 +315,10 @@ func (m *Manager) Delete(p *sim.Proc, t *Txn, table string, key int64) error {
 }
 
 // write is the single mutation path: lock, reserve redo space, log (WAL),
-// apply to the cached block, remember undo.
+// apply to the cached block, remember undo. The caller keeps value: the
+// redo record and the block share one private copy of it, and the before
+// image is copied too — the stored one may sit in a cloned block's shared
+// buffer, which a retained redo record must not pin.
 func (m *Manager) write(p *sim.Proc, t *Txn, op redo.Op, table string, key int64, value []byte) error {
 	if t.state != StateActive {
 		return ErrTxnDone
@@ -358,13 +367,14 @@ func (m *Manager) write(p *sim.Proc, t *Txn, op redo.Op, table string, key int64
 		}
 	}
 	beforeCopy := append([]byte(nil), before...)
+	after := append([]byte(nil), value...)
 	scn := m.log.Append(redo.Record{
 		Txn:    t.ID,
 		Op:     op,
 		Table:  table,
 		Key:    key,
 		Before: beforeCopy,
-		After:  append([]byte(nil), value...),
+		After:  after,
 	})
 	if t.firstSCN == 0 {
 		t.firstSCN = scn
@@ -372,7 +382,7 @@ func (m *Manager) write(p *sim.Proc, t *Txn, op redo.Op, table string, key int64
 	if op == redo.OpDelete {
 		delete(blk.Rows, key)
 	} else {
-		blk.Rows[key] = append([]byte(nil), value...)
+		blk.Rows[key] = after
 	}
 	if cur, ok := m.cache.Peek(ref); !ok || cur != blk {
 		panic("txn: mutated stale block pointer in write")
@@ -488,11 +498,13 @@ func (m *Manager) compensate(p *sim.Proc, t *Txn, u undoRec) error {
 		delete(blk.Rows, u.key)
 	case redo.OpUpdate: // compensate by restoring the before image
 		cur := append([]byte(nil), blk.Rows[u.key]...)
-		rec = redo.Record{Txn: t.ID, Op: redo.OpUpdate, Table: u.table, Key: u.key, Before: cur, After: append([]byte(nil), u.before...), Meta: "clr"}
-		blk.Rows[u.key] = append([]byte(nil), u.before...)
+		restored := append([]byte(nil), u.before...) // one copy for record and row, as in write
+		rec = redo.Record{Txn: t.ID, Op: redo.OpUpdate, Table: u.table, Key: u.key, Before: cur, After: restored, Meta: "clr"}
+		blk.Rows[u.key] = restored
 	case redo.OpDelete: // compensate by re-insert
-		rec = redo.Record{Txn: t.ID, Op: redo.OpInsert, Table: u.table, Key: u.key, After: append([]byte(nil), u.before...), Meta: "clr"}
-		blk.Rows[u.key] = append([]byte(nil), u.before...)
+		restored := append([]byte(nil), u.before...)
+		rec = redo.Record{Txn: t.ID, Op: redo.OpInsert, Table: u.table, Key: u.key, After: restored, Meta: "clr"}
+		blk.Rows[u.key] = restored
 	default:
 		return fmt.Errorf("txn: cannot compensate op %v", u.op)
 	}
@@ -610,6 +622,7 @@ func (m *Manager) AbandonAll() {
 // Scan iterates all rows of a table in unspecified order, reading cached
 // blocks where resident and durable images otherwise (charged as block
 // reads), without polluting the cache. fn returning false stops the scan.
+// Like Read, it hands fn a read-only view of each image, not a copy.
 func (m *Manager) Scan(p *sim.Proc, table string, fn func(key int64, value []byte) bool) error {
 	tbl, err := m.cat.Table(table)
 	if err != nil {
@@ -630,7 +643,7 @@ func (m *Manager) Scan(p *sim.Proc, table string, fn func(key int64, value []byt
 			rows = blk.Rows
 		}
 		for k, v := range rows {
-			if !fn(k, append([]byte(nil), v...)) {
+			if !fn(k, v[:len(v):len(v)]) {
 				return nil
 			}
 		}

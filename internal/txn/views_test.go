@@ -1,0 +1,196 @@
+package txn
+
+import (
+	"bytes"
+	"testing"
+
+	"dbench/internal/redo"
+	"dbench/internal/sim"
+)
+
+// The tests below hold the invariant Read's views, Block.Clone's shared
+// buffer and write's shared After/row copy stand on (DESIGN.md §4b): a row
+// image is replaced, never written in place.
+
+// Keys 1 and 9 share a block of the fixture's 8-block table.
+const rowA, rowB int64 = 1, 9
+
+// seedRows commits the two rows and returns their values.
+func seedRows(t *testing.T, f *fixture, p *sim.Proc) (a, b []byte) {
+	t.Helper()
+	a, b = []byte("row A, first image"), []byte("row B, first image")
+	tx := f.m.Begin()
+	if err := f.m.Insert(p, tx, "acct", rowA, a); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.m.Insert(p, tx, "acct", rowB, b); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.m.Commit(p, tx); err != nil {
+		t.Fatal(err)
+	}
+	return a, b
+}
+
+// reload writes the cache back and empties it, so the next Get installs a
+// clone: rows packed into one shared buffer.
+func reload(t *testing.T, f *fixture, p *sim.Proc) {
+	t.Helper()
+	if _, err := f.c.Checkpoint(p); err != nil {
+		t.Fatal(err)
+	}
+	f.c.InvalidateAll()
+}
+
+func mustRead(t *testing.T, f *fixture, p *sim.Proc, key int64) []byte {
+	t.Helper()
+	tx := f.m.Begin()
+	v, err := f.m.Read(p, tx, "acct", key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.m.Commit(p, tx); err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+func TestReadViewSurvivesEveryChangeToItsRow(t *testing.T) {
+	f := newFixture(t)
+	defer f.shutdown()
+	f.run(func(p *sim.Proc) {
+		seedRows(t, f, p)
+		type held struct {
+			when       string
+			view, want []byte
+		}
+		var views []held
+		// step takes a view of the row before the change and (unless it
+		// was a delete) after it, finishes the transaction, and checks every
+		// view taken so far against what it read when taken.
+		step := func(name string, change func(tx *Txn) error, finish func(*sim.Proc, *Txn) error) {
+			t.Helper()
+			tx := f.m.Begin()
+			v, err := f.m.Read(p, tx, "acct", rowA)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			views = append(views, held{"before " + name, v, append([]byte(nil), v...)})
+			if err := change(tx); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if v, err := f.m.Read(p, tx, "acct", rowA); err == nil {
+				views = append(views, held{"inside " + name, v, append([]byte(nil), v...)})
+			}
+			if err := finish(p, tx); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			for _, h := range views {
+				if !bytes.Equal(h.view, h.want) {
+					t.Fatalf("the view taken %s reads %q after %s, want %q", h.when, h.view, name, h.want)
+				}
+			}
+		}
+		update := func(value string) func(*Txn) error {
+			return func(tx *Txn) error { return f.m.Update(p, tx, "acct", rowA, []byte(value)) }
+		}
+		del := func(tx *Txn) error { return f.m.Delete(p, tx, "acct", rowA) }
+		evict := func(*Txn) error { reload(t, f, p); return nil }
+
+		// Shorter, longer and equal-length images, on a block as written
+		// and on a reloaded one (rows packed into one buffer).
+		for _, round := range []string{"as written", "reloaded"} {
+			step("a shorter update, "+round, update("short"), f.m.Commit)
+			step("an equal update, "+round, update("SHORT"), f.m.Commit)
+			step("a longer update, "+round, update("a longer image than before"), f.m.Commit)
+			step("a rolled-back update, "+round, update("never committed, and longer than every other image"), f.m.Rollback)
+			step("a rolled-back delete, "+round, del, f.m.Rollback)
+			step("eviction, "+round, evict, f.m.Commit)
+		}
+		step("a shorter update of the reloaded block", update("tiny"), f.m.Commit)
+		step("delete", del, f.m.Commit)
+	})
+}
+
+func TestAppendToReadViewLeavesTheNeighbourAlone(t *testing.T) {
+	f := newFixture(t)
+	defer f.shutdown()
+	f.run(func(p *sim.Proc) {
+		a, b := seedRows(t, f, p)
+		// A written row owns its buffer, spare capacity included: two
+		// views that could append into that spare room would overwrite
+		// each other.
+		v1, v2 := mustRead(t, f, p, rowA), mustRead(t, f, p, rowA)
+		if x, y := append(v1, 'x'), append(v2, 'y'); x[len(a)] != 'x' || y[len(a)] != 'y' {
+			t.Fatalf("two views of one row appended into the same bytes: %q, %q", x, y)
+		}
+		reload(t, f, p)
+		// In the clone one of the two rows is followed by the other in the
+		// shared buffer; which one is up to map order, so grow both.
+		for _, key := range []int64{rowA, rowB} {
+			v := mustRead(t, f, p, key)
+			if cap(v) != len(v) {
+				t.Fatalf("Read(%d): cap %d over len %d reaches into the block's buffer", key, cap(v), len(v))
+			}
+			_ = append(v, "overwrites whatever follows"...)
+		}
+		if got := mustRead(t, f, p, rowA); !bytes.Equal(got, a) {
+			t.Fatalf("row A = %q after appending to row B's view, want %q", got, a)
+		}
+		if got := mustRead(t, f, p, rowB); !bytes.Equal(got, b) {
+			t.Fatalf("row B = %q after appending to row A's view, want %q", got, b)
+		}
+	})
+}
+
+func TestUpdateLeavesTheCallerItsBuffer(t *testing.T) {
+	f := newFixture(t)
+	defer f.shutdown()
+	f.run(func(p *sim.Proc) {
+		first, _ := seedRows(t, f, p)
+		reload(t, f, p)
+		stored := mustRead(t, f, p, rowA) // aliases the image in the reloaded block
+
+		buf := []byte("second image")
+		want := append([]byte(nil), buf...)
+		tx := f.m.Begin()
+		if err := f.m.Update(p, tx, "acct", rowA, buf); err != nil {
+			t.Fatal(err)
+		}
+		// The caller reuses its buffer for the next row, as the benchmark's
+		// update probe does 2 000 times over.
+		copy(buf, "XXXXXXXXXXXX")
+		if err := f.m.Update(p, tx, "acct", rowB, buf); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := f.m.Read(p, tx, "acct", rowA); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("row A = %q, %v after its caller's buffer was overwritten, want %q", got, err, want)
+		}
+		if got := tx.undo[0].before; !bytes.Equal(got, first) {
+			t.Fatalf("undo image = %q, want %q", got, first)
+		}
+		if &tx.undo[0].before[0] == &stored[0] {
+			t.Fatal("undo image aliases the stored row: a retained record would pin the block's buffer")
+		}
+		if err := f.m.Commit(p, tx); err != nil {
+			t.Fatal(err)
+		}
+		var rec *redo.Record
+		for _, g := range f.log.Groups() {
+			for i, r := range g.Records() {
+				if r.Txn == tx.ID && r.Key == rowA {
+					rec = &g.Records()[i]
+				}
+			}
+		}
+		if rec == nil {
+			t.Fatal("no redo record for the update of row A")
+		}
+		if !bytes.Equal(rec.After, want) || !bytes.Equal(rec.Before, first) {
+			t.Fatalf("redo record carries %q -> %q, want %q -> %q", rec.Before, rec.After, first, want)
+		}
+		if &rec.Before[0] == &stored[0] {
+			t.Fatal("Record.Before aliases the stored row: a retained record would pin the block's buffer")
+		}
+	})
+}
