@@ -72,8 +72,10 @@ func TestTakeFullAndRestoreDatafile(t *testing.T) {
 		if !b.HasFile(f.Name) || b.SCN != 9 {
 			return errorsNew(t, "backup missing file or wrong SCN")
 		}
-		// Mutate then lose the file.
-		img.Rows[1] = []byte("v2")
+		// Mutate then lose the file. The backup holds img too by now: the
+		// change goes into the image EditBlock hands out.
+		img = f.EditBlock(0)
+		img.Put(1, []byte("v2"))
 		img.SCN = 12
 		if err := f.WriteBlock(p, 0, img); err != nil {
 			return err

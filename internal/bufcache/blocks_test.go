@@ -18,12 +18,10 @@ func TestFlushBlocksForceConfinesSweepToGivenBlocks(t *testing.T) {
 	f := newFixture(t, 8, 8)
 	f.run(func(p *sim.Proc) {
 		for i, no := range []int{0, 1, 2} {
-			b, err := f.c.Get(p, f.ref(no))
-			if err != nil {
+			if _, err := f.c.Get(p, f.ref(no)); err != nil {
 				t.Fatal(err)
 			}
-			b.Rows[int64(no)] = []byte("dirty")
-			f.c.MarkDirty(f.ref(no), redo.SCN(10+i))
+			f.c.MarkDirty(f.ref(no), redo.SCN(10+i)).Put(int64(no), []byte("dirty"))
 		}
 		segment := []storage.BlockRef{f.ref(0), f.ref(1)}
 		if err := f.c.FlushBlocksForce(p, segment); err != nil {
@@ -70,12 +68,10 @@ func TestFlushBlocksForceConfinesSweepToGivenBlocks(t *testing.T) {
 func TestInvalidateBlocksDropsDirtyWithoutWrite(t *testing.T) {
 	f := newFixture(t, 4, 4)
 	f.run(func(p *sim.Proc) {
-		b, err := f.c.Get(p, f.ref(1))
-		if err != nil {
+		if _, err := f.c.Get(p, f.ref(1)); err != nil {
 			t.Fatal(err)
 		}
-		b.Rows[5] = []byte("stale")
-		f.c.MarkDirty(f.ref(1), 3)
+		f.c.MarkDirty(f.ref(1), 3).Put(5, []byte("stale"))
 		f.c.InvalidateBlocks([]storage.BlockRef{f.ref(1), f.ref(3)})
 		if _, ok := f.c.Peek(f.ref(1)); ok {
 			t.Fatal("still resident")

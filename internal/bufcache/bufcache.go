@@ -57,6 +57,10 @@ type shard struct {
 	buffers  map[bufKey]*buffer
 	lru      *list.List // front = most recently used
 	dirty    map[bufKey]*buffer
+	// spares are tryEvict's used candidate lists, cleared, for its next
+	// passes: a stack, because a pass yields and a second one may start on
+	// the same shard meanwhile — each holds its own list.
+	spares [][]*buffer
 }
 
 func newShard(capacity int) *shard {
@@ -226,8 +230,9 @@ func (c *Cache) setClean(s *shard, key bufKey, b *buffer) {
 }
 
 // Get returns the cached block for ref, reading it from disk on a miss
-// (charged to the datafile's disk). The returned block is the cache's own
-// copy: callers that mutate it must call MarkDirty before yielding.
+// (charged to the datafile's disk). The returned block is to be read: it
+// may be the durable image itself. A caller that wants to change it calls
+// MarkDirty before yielding and changes the block MarkDirty returns.
 func (c *Cache) Get(p *sim.Proc, ref storage.BlockRef) (*storage.Block, error) {
 	key := bufKey{file: ref.File, no: ref.No}
 	s := c.shardFor(key)
@@ -269,9 +274,12 @@ func (c *Cache) Peek(ref storage.BlockRef) (*storage.Block, bool) {
 	return b.block, true
 }
 
-// MarkDirty records that the block for ref was modified at scn. The block
-// must be resident (callers mutate the pointer returned by Get).
-func (c *Cache) MarkDirty(ref storage.BlockRef, scn redo.SCN) {
+// MarkDirty records that the block for ref changes at scn and returns the
+// block to change: the resident image, or — when the datafile, a backup or
+// a write in progress also holds that one — its clone, which replaces it in
+// the buffer. The block must be resident, and the caller makes its change
+// before yielding.
+func (c *Cache) MarkDirty(ref storage.BlockRef, scn redo.SCN) *storage.Block {
 	key := bufKey{file: ref.File, no: ref.No}
 	s := c.shardFor(key)
 	b, ok := s.buffers[key]
@@ -284,7 +292,11 @@ func (c *Cache) MarkDirty(ref storage.BlockRef, scn redo.SCN) {
 		s.dirty[key] = b
 		c.nDirty++
 	}
+	if b.block.Shared() {
+		b.block = b.block.Clone()
+	}
 	b.block.SCN = scn
+	return b.block
 }
 
 // outcome is what writeBack did with a dirty buffer.
@@ -308,17 +320,19 @@ const (
 // writeBack is the one write of a dirty buffer to its datafile; the
 // eviction pass, the checkpoint and the two forced sweeps differ only in
 // what they do with its outcome. The order is what makes the write safe.
-// Snapshot the block BEFORE forcing the log: both the flush wait and the
-// disk write yield, and a concurrent transaction may modify the buffer
-// meanwhile. Writing the live pointer would persist that newer, possibly
-// unflushed change — a write-ahead violation that leaves an unrecoverable
-// half-transaction on disk after a crash. The snapshot contains only
-// changes the forced flush covers. Afterwards a buffer that changed while
-// being written stays dirty: everything up to the image's SCN is durable,
-// only the newer changes still need the next write (or recovery). force
-// bypasses the file's online flag. The returned SCN is the image's.
+// Freeze the image BEFORE forcing the log: both the flush wait and the
+// disk write yield, and a concurrent transaction may change the buffer
+// meanwhile. Writing an image that change could reach would persist a
+// newer, possibly unflushed change — a write-ahead violation that leaves an
+// unrecoverable half-transaction on disk after a crash. Marked shared, the
+// image holds only changes the forced flush covers, for good: MarkDirty
+// gives a later change a clone, and the datafile takes the image itself —
+// nothing is copied. Afterwards a buffer that changed while being written
+// stays dirty: everything up to the image's SCN is durable, only the newer
+// changes still need the next write (or recovery). force bypasses the
+// file's online flag. The returned SCN is the image's.
 func (c *Cache) writeBack(p *sim.Proc, s *shard, key bufKey, b *buffer, force bool) (outcome, redo.SCN, error) {
-	img := b.block.Clone()
+	img := b.block.Share()
 	if err := c.forceLog(p, img.SCN); err != nil {
 		return unforced, img.SCN, err
 	}
@@ -371,13 +385,22 @@ func (c *Cache) evictOne(p *sim.Proc, s *shard) error {
 }
 
 // tryEvict runs one eviction pass over a snapshot of the shard's LRU
-// order. It reports whether the pass yielded control (so the cache may
-// have changed) and whether a buffer was evicted.
+// order — a snapshot, not a live walk: the order as of the pass's start is
+// what it continues in after a write yields. It reports whether the pass
+// yielded control (so the cache may have changed) and whether a buffer was
+// evicted.
 func (c *Cache) tryEvict(p *sim.Proc, s *shard) (yielded, evicted bool, err error) {
 	var candidates []*buffer
+	if n := len(s.spares); n > 0 {
+		candidates, s.spares = s.spares[n-1], s.spares[:n-1]
+	}
 	for e := s.lru.Back(); e != nil; e = e.Prev() {
 		candidates = append(candidates, e.Value.(*buffer))
 	}
+	defer func() {
+		clear(candidates) // a spare pins no evicted buffer
+		s.spares = append(s.spares, candidates[:0])
+	}()
 	for _, b := range candidates {
 		key := bufKey{file: b.ref.File, no: b.ref.No}
 		if s.buffers[key] != b {

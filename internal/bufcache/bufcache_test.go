@@ -86,13 +86,11 @@ func TestLRUEvictsColdest(t *testing.T) {
 func TestDirtyEvictionWritesBack(t *testing.T) {
 	f := newFixture(t, 1, 4)
 	f.run(func(p *sim.Proc) {
-		b, err := f.c.Get(p, f.ref(0))
-		if err != nil {
+		if _, err := f.c.Get(p, f.ref(0)); err != nil {
 			t.Error(err)
 			return
 		}
-		b.Rows[7] = []byte("seven")
-		f.c.MarkDirty(f.ref(0), 10)
+		f.c.MarkDirty(f.ref(0), 10).Put(7, []byte("seven"))
 		// Force eviction of the dirty block.
 		if _, err := f.c.Get(p, f.ref(1)); err != nil {
 			t.Error(err)
@@ -116,9 +114,8 @@ func TestCheckpointDrainsDirty(t *testing.T) {
 	f := newFixture(t, 8, 8)
 	f.run(func(p *sim.Proc) {
 		for i := 0; i < 4; i++ {
-			b, _ := f.c.Get(p, f.ref(i))
-			b.Rows[int64(i)] = []byte{byte(i)}
-			f.c.MarkDirty(f.ref(i), redo.SCN(i+1))
+			_, _ = f.c.Get(p, f.ref(i))
+			f.c.MarkDirty(f.ref(i), redo.SCN(i+1)).Put(int64(i), []byte{byte(i)})
 		}
 		n, err := f.c.Checkpoint(p)
 		if err != nil {
@@ -145,12 +142,10 @@ func TestCheckpointDrainsDirty(t *testing.T) {
 func TestMinDirtySCNTracksEarliest(t *testing.T) {
 	f := newFixture(t, 8, 8)
 	f.run(func(p *sim.Proc) {
-		b0, _ := f.c.Get(p, f.ref(0))
-		b0.Rows[0] = []byte("x")
-		f.c.MarkDirty(f.ref(0), 5)
-		b1, _ := f.c.Get(p, f.ref(1))
-		b1.Rows[0] = []byte("y")
-		f.c.MarkDirty(f.ref(1), 3)
+		_, _ = f.c.Get(p, f.ref(0))
+		f.c.MarkDirty(f.ref(0), 5).Put(0, []byte("x"))
+		_, _ = f.c.Get(p, f.ref(1))
+		f.c.MarkDirty(f.ref(1), 3).Put(0, []byte("y"))
 		// Re-dirtying block 0 keeps its first dirty SCN.
 		f.c.MarkDirty(f.ref(0), 9)
 	})
@@ -162,9 +157,8 @@ func TestMinDirtySCNTracksEarliest(t *testing.T) {
 func TestCheckpointSkipsLostFile(t *testing.T) {
 	f := newFixture(t, 8, 8)
 	f.run(func(p *sim.Proc) {
-		b, _ := f.c.Get(p, f.ref(0))
-		b.Rows[0] = []byte("x")
-		f.c.MarkDirty(f.ref(0), 1)
+		_, _ = f.c.Get(p, f.ref(0))
+		f.c.MarkDirty(f.ref(0), 1).Put(0, []byte("x"))
 		if err := f.fs.Delete(f.ts.Files[0].Name); err != nil {
 			t.Error(err)
 		}
@@ -187,9 +181,8 @@ func TestCheckpointSkipsLostFile(t *testing.T) {
 func TestNoEvictableWhenAllDirtyUnwritable(t *testing.T) {
 	f := newFixture(t, 1, 4)
 	f.run(func(p *sim.Proc) {
-		b, _ := f.c.Get(p, f.ref(0))
-		b.Rows[0] = []byte("x")
-		f.c.MarkDirty(f.ref(0), 1)
+		_, _ = f.c.Get(p, f.ref(0))
+		f.c.MarkDirty(f.ref(0), 1).Put(0, []byte("x"))
 		if err := f.fs.Delete(f.ts.Files[0].Name); err != nil {
 			t.Error(err)
 		}
@@ -207,9 +200,8 @@ func TestNoEvictableWhenAllDirtyUnwritable(t *testing.T) {
 func TestInvalidateAllLosesDirtyData(t *testing.T) {
 	f := newFixture(t, 8, 8)
 	f.run(func(p *sim.Proc) {
-		b, _ := f.c.Get(p, f.ref(0))
-		b.Rows[0] = []byte("volatile")
-		f.c.MarkDirty(f.ref(0), 1)
+		_, _ = f.c.Get(p, f.ref(0))
+		f.c.MarkDirty(f.ref(0), 1).Put(0, []byte("volatile"))
 	})
 	f.c.InvalidateAll()
 	if f.c.Len() != 0 || f.c.DirtyCount() != 0 {
@@ -229,9 +221,8 @@ func TestInvalidateFileDropsOnlyThatFile(t *testing.T) {
 	ts2, _ := db.CreateTablespace("V", []string{"data"}, 4)
 	c := New(k, 8)
 	k.Go("t", func(p *sim.Proc) {
-		b, _ := c.Get(p, storage.BlockRef{File: ts.Files[0], No: 0})
-		b.Rows[0] = []byte("a")
-		c.MarkDirty(storage.BlockRef{File: ts.Files[0], No: 0}, 1)
+		_, _ = c.Get(p, storage.BlockRef{File: ts.Files[0], No: 0})
+		c.MarkDirty(storage.BlockRef{File: ts.Files[0], No: 0}, 1).Put(0, []byte("a"))
 		_, _ = c.Get(p, storage.BlockRef{File: ts2.Files[0], No: 0})
 	})
 	k.RunAll()
@@ -279,13 +270,11 @@ func TestQuickCheckpointCoherence(t *testing.T) {
 			for _, op := range ops {
 				no := int(op % 8)
 				ref := storage.BlockRef{File: ts.Files[0], No: no}
-				b, err := c.Get(p, ref)
-				if err != nil {
+				if _, err := c.Get(p, ref); err != nil {
 					ok = false
 					return
 				}
-				b.Rows[0] = []byte{op}
-				c.MarkDirty(ref, scn)
+				c.MarkDirty(ref, scn).Put(0, []byte{op})
 				scn++
 				want[no] = op
 			}
@@ -355,12 +344,10 @@ func TestCheckpointDoesNotPersistChangesMadeDuringWrite(t *testing.T) {
 				return nil
 			}
 			f.run(func(p *sim.Proc) {
-				b, err := f.c.Get(p, f.ref(0))
-				if err != nil {
+				if _, err := f.c.Get(p, f.ref(0)); err != nil {
 					t.Fatal(err)
 				}
-				b.Rows[1] = []byte("flushed-change")
-				f.c.MarkDirty(f.ref(0), 10)
+				f.c.MarkDirty(f.ref(0), 10).Put(1, []byte("flushed-change"))
 
 				done := false
 				f.k.Go("writer", func(wp *sim.Proc) {
@@ -372,12 +359,10 @@ func TestCheckpointDoesNotPersistChangesMadeDuringWrite(t *testing.T) {
 				// Let the writer reach its flush wait, then modify the same
 				// buffer with a newer, unflushed change.
 				p.Yield()
-				blk, err := f.c.Get(p, f.ref(0))
-				if err != nil {
+				if _, err := f.c.Get(p, f.ref(0)); err != nil {
 					t.Fatal(err)
 				}
-				blk.Rows[2] = []byte("unflushed-change")
-				f.c.MarkDirty(f.ref(0), 11)
+				f.c.MarkDirty(f.ref(0), 11).Put(2, []byte("unflushed-change"))
 				for !done {
 					p.Sleep(time.Millisecond)
 				}
@@ -414,18 +399,14 @@ func TestCheckpointSkipsBufferWithUnflushableRedo(t *testing.T) {
 	}
 	f.c.FlushableSCN = func() redo.SCN { return 10 }
 	f.run(func(p *sim.Proc) {
-		flushable, err := f.c.Get(p, f.ref(0))
-		if err != nil {
+		if _, err := f.c.Get(p, f.ref(0)); err != nil {
 			t.Fatal(err)
 		}
-		flushable.Rows[1] = []byte("old")
-		f.c.MarkDirty(f.ref(0), 5)
-		stuck, err := f.c.Get(p, f.ref(1))
-		if err != nil {
+		f.c.MarkDirty(f.ref(0), 5).Put(1, []byte("old"))
+		if _, err := f.c.Get(p, f.ref(1)); err != nil {
 			t.Fatal(err)
 		}
-		stuck.Rows[1] = []byte("new")
-		f.c.MarkDirty(f.ref(1), 20)
+		f.c.MarkDirty(f.ref(1), 20).Put(1, []byte("new"))
 
 		written, err := f.c.Checkpoint(p)
 		if err != nil {

@@ -1,0 +1,142 @@
+package chaos
+
+import (
+	"hash/fnv"
+	"testing"
+	"time"
+
+	"dbench/internal/core"
+	"dbench/internal/engine"
+	"dbench/internal/faults"
+	"dbench/internal/sim"
+	"dbench/internal/storage"
+	"dbench/internal/tpcc"
+)
+
+// imagesHash is StateHash's block hash over a bare set of images.
+func imagesHash(images []*storage.Block) uint64 {
+	h := fnv.New64a()
+	for no, img := range images {
+		hashImage(h, no, img)
+	}
+	return h.Sum64()
+}
+
+// A backup shares its images with the datafile it was taken of, and a
+// restore shares them back: nothing is copied, so everything that changes a
+// block afterwards — the workload through the cache, write-backs and
+// checkpoints, a datafile's restore-and-recover under live traffic, instance
+// recovery after SHUTDOWN ABORT with transactions in flight — has to leave
+// the backup's images alone. Hash them when taken and after each stage, and
+// restore the same file a second time, with nothing new in the redo: it must
+// come out the same file.
+//
+// The media recoveries come before the crash on purpose. Instance recovery
+// rolls its losers back without logging the compensation, so a media
+// recovery that later replays the same redo undoes them a second time, at
+// the end of the stream, over whatever committed since (ROADMAP item 1 has
+// it as a found bug; the parent commit shows it too). No experiment injects
+// two faults, and this test is not about that.
+func TestBackupImagesSurviveWorkloadRestoresAndCrash(t *testing.T) {
+	cfg := quickConfig()
+	ecfg := engine.DefaultConfig()
+	ecfg.Redo.GroupSizeBytes = cfg.GroupSize
+	ecfg.Redo.Groups = cfg.Groups
+	ecfg.Redo.ArchiveMode = true
+	ecfg.CheckpointTimeout = 2 * time.Second
+	ecfg.CacheBlocks = 48 // far below the working set: evictions write dirty blocks back
+	rig, err := core.NewRig(5, ecfg, cfg.TPCC, tpcc.DriverConfig{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const target = "TPCC_01.dbf"
+	err = rig.Exec("backup-share", func(p *sim.Proc) error {
+		if err := rig.Load(p); err != nil {
+			return err
+		}
+		in := rig.In
+		// Load took the reference backup a moment ago and nothing has
+		// changed a block since: a snapshot taken now holds the very
+		// images the backup does.
+		held := make(map[string][]*storage.Block)
+		taken := make(map[string]uint64)
+		for _, f := range in.DB().Datafiles() {
+			held[f.Name] = f.SnapshotImages()
+			taken[f.Name] = imagesHash(held[f.Name])
+		}
+		backupIntact := func(stage string) {
+			t.Helper()
+			for name, images := range held {
+				if got := imagesHash(images); got != taken[name] {
+					t.Errorf("after %s: backup images of %s hash %#x, %#x when taken", stage, name, got, taken[name])
+				}
+			}
+		}
+
+		rig.Drv.Start()
+		p.Sleep(6 * time.Second)
+		if err := in.Checkpoint(p); err != nil {
+			return err
+		}
+		p.Sleep(time.Second)
+		if st := in.Cache().Stats(); st.DirtyEvictWrites == 0 || st.CheckpointWrites == 0 {
+			t.Errorf("workload wrote back nothing (evict %d, checkpoint %d): the test exercises no write-back", st.DirtyEvictWrites, st.CheckpointWrites)
+		}
+		backupIntact("workload and checkpoints")
+
+		o, err := rig.Inj.InjectAndRecover(p, faults.Fault{Kind: faults.DeleteDatafile, Target: target})
+		if err != nil {
+			return err
+		}
+		if o.Report.RecordsApplied == 0 {
+			t.Error("media recovery applied no record")
+		}
+		backupIntact("datafile restore and recovery")
+
+		// The second restore, with nothing new in the redo: the same file.
+		p.Sleep(2 * time.Second)
+		rig.Drv.Quiesce(p)
+		if err := in.Checkpoint(p); err != nil {
+			return err
+		}
+		f, err := in.DB().Datafile(target)
+		if err != nil {
+			return err
+		}
+		first := imagesHash(f.SnapshotImages())
+		if first == taken[target] {
+			t.Errorf("%s is what the backup holds: the workload never changed it", target)
+		}
+		if _, err := rig.Rm.RestoreAndRecoverDatafile(p, target); err != nil {
+			return err
+		}
+		backupIntact("a second restore and recovery")
+		if again := imagesHash(f.SnapshotImages()); again != first {
+			t.Errorf("second restore of %s yields %#x, the first %#x", target, again, first)
+		}
+
+		rig.Drv.Start()
+		p.Sleep(4 * time.Second)
+		preSCN := in.Log().NextSCN() - 1
+		in.Crash()
+		crash := faults.Observed(faults.Fault{Kind: faults.ShutdownAbort}, p.Now(), preSCN)
+		if err := rig.Inj.Recover(p, crash); err != nil {
+			return err
+		}
+		if rep := crash.Report; rep.RecordsApplied == 0 || rep.LosersRolledBack == 0 {
+			t.Errorf("instance recovery applied %d records and rolled back %d transactions: no redo or no undo exercised", rep.RecordsApplied, rep.LosersRolledBack)
+		}
+		backupIntact("SHUTDOWN ABORT and instance recovery")
+
+		p.Sleep(2 * time.Second)
+		rig.Drv.Quiesce(p)
+		backupIntact("the tail workload")
+		if v, err := rig.App.CheckConsistency(p); err != nil || len(v) != 0 {
+			t.Errorf("consistency at the end: %d violations, err %v: %v", len(v), err, v)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"encoding/binary"
+	"hash"
 	"hash/fnv"
 	"sort"
 
@@ -23,36 +24,41 @@ import (
 // runs from the same seed must produce the same value (determinism).
 func StateHash(in *engine.Instance) uint64 {
 	h := fnv.New64a()
+	for _, f := range in.DB().Datafiles() { // sorted by name
+		h.Write([]byte(f.Name))
+		h.Write(binary.BigEndian.AppendUint64(nil, uint64(f.CkptSCN)))
+		for no := 0; no < f.NumBlocks(); no++ {
+			hashImage(h, no, f.PeekBlock(no))
+		}
+	}
+	return h.Sum64()
+}
+
+// hashImage folds one block image into h: its number, SCN, corruption flag
+// and rows by ascending key.
+func hashImage(h hash.Hash64, no int, img *storage.Block) {
 	var buf [8]byte
 	writeInt := func(v int64) {
 		binary.BigEndian.PutUint64(buf[:], uint64(v))
 		h.Write(buf[:])
 	}
-	for _, f := range in.DB().Datafiles() { // sorted by name
-		h.Write([]byte(f.Name))
-		writeInt(int64(f.CkptSCN))
-		for no := 0; no < f.NumBlocks(); no++ {
-			img := f.PeekBlock(no)
-			writeInt(int64(no))
-			writeInt(int64(img.SCN))
-			if img.Corrupt {
-				h.Write([]byte{1})
-			} else {
-				h.Write([]byte{0})
-			}
-			keys := make([]int64, 0, len(img.Rows))
-			for k := range img.Rows {
-				keys = append(keys, k)
-			}
-			sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-			for _, k := range keys {
-				writeInt(k)
-				writeInt(int64(len(img.Rows[k])))
-				h.Write(img.Rows[k])
-			}
-		}
+	writeInt(int64(no))
+	writeInt(int64(img.SCN))
+	if img.Corrupt {
+		h.Write([]byte{1})
+	} else {
+		h.Write([]byte{0})
 	}
-	return h.Sum64()
+	keys := make([]int64, 0, len(img.Rows))
+	for k := range img.Rows {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	for _, k := range keys {
+		writeInt(k)
+		writeInt(int64(len(img.Rows[k])))
+		h.Write(img.Rows[k])
+	}
 }
 
 // captureRedo snapshots the redo stream instance recovery is about to

@@ -50,7 +50,10 @@ func TestRigStandbyMatchesPrimaryAfterLoad(t *testing.T) {
 				continue
 			}
 			for no := 0; no < f.NumBlocks(); no++ {
-				if !reflect.DeepEqual(f.PeekBlock(no), g.PeekBlock(no)) {
+				// Field by field: a primary image is shared with the
+				// reference backup and says so, the stand-by's is not.
+				a, b := f.PeekBlock(no), g.PeekBlock(no)
+				if a.SCN != b.SCN || a.Corrupt != b.Corrupt || !reflect.DeepEqual(a.Rows, b.Rows) {
 					t.Errorf("%s block %d differs between primary and stand-by", f.Name, no)
 					break
 				}

@@ -113,8 +113,9 @@ func (in *Instance) DirectLoad(p *sim.Proc, table string, rows map[int64][]byte)
 		if err != nil {
 			return fmt.Errorf("engine: direct load: %w", err)
 		}
-		// One buffer for the block's rows, each capped at its own length
-		// (the layout Block.Clone produces).
+		img = img.Clone() // what was read is the durable image itself
+		// One buffer for the block's rows, each capped at its own length so
+		// that growing one never reaches its neighbour.
 		n := 0
 		for _, key := range keys {
 			n += len(rows[key])
@@ -122,7 +123,7 @@ func (in *Instance) DirectLoad(p *sim.Proc, table string, rows map[int64][]byte)
 		buf := make([]byte, 0, n)
 		for _, key := range keys {
 			buf = append(buf, rows[key]...)
-			img.Rows[key] = buf[len(buf)-len(rows[key]) : len(buf) : len(buf)]
+			img.Put(key, buf[len(buf)-len(rows[key]):len(buf):len(buf)])
 		}
 		if err := ref.File.WriteBlock(p, ref.No, img); err != nil {
 			return fmt.Errorf("engine: direct load: %w", err)

@@ -23,17 +23,18 @@ import (
 
 // ApplyToImage applies one data-change record to its durable block image,
 // honouring the block-SCN idempotence guard. It reports whether the
-// record was applied (false: the change was already present).
+// record was applied (false: the change was already present — and the
+// image, which a backup may share, was not taken for editing).
 func ApplyToImage(rec *redo.Record, ref storage.BlockRef) bool {
-	img := ref.File.PeekBlock(ref.No)
-	if img.SCN >= rec.SCN {
+	if ref.File.PeekBlock(ref.No).SCN >= rec.SCN {
 		return false
 	}
+	img := ref.File.EditBlock(ref.No)
 	switch rec.Op {
 	case redo.OpInsert, redo.OpUpdate:
-		img.Rows[rec.Key] = append([]byte(nil), rec.After...)
+		img.Put(rec.Key, append([]byte(nil), rec.After...))
 	case redo.OpDelete:
-		delete(img.Rows, rec.Key)
+		img.Remove(rec.Key)
 	}
 	img.SCN = rec.SCN
 	return true
@@ -42,12 +43,12 @@ func ApplyToImage(rec *redo.Record, ref storage.BlockRef) bool {
 // UndoToImage applies a record's before-image during a rollback pass,
 // stamping the image with the recovery end SCN.
 func UndoToImage(rec *redo.Record, ref storage.BlockRef, stamp redo.SCN) {
-	img := ref.File.PeekBlock(ref.No)
+	img := ref.File.EditBlock(ref.No)
 	switch rec.Op {
 	case redo.OpInsert: // undo insert: remove the row
-		delete(img.Rows, rec.Key)
+		img.Remove(rec.Key)
 	case redo.OpUpdate, redo.OpDelete: // restore the before image
-		img.Rows[rec.Key] = append([]byte(nil), rec.Before...)
+		img.Put(rec.Key, append([]byte(nil), rec.Before...))
 	}
 	if img.SCN < stamp {
 		img.SCN = stamp

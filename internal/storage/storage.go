@@ -33,10 +33,19 @@ var (
 
 // Block is the content of one database block: a set of rows keyed by row
 // id, stamped with the SCN of the last change applied.
+//
+// An image is shared, not copied: a datafile, a backup, a cache buffer and
+// a scan may all hold the same *Block. That is safe on two invariants — row
+// images are replaced, never written in place, and an image with a second
+// holder is never changed again: whoever wants to change it first takes a
+// Clone. Change rows through Put and Remove, which enforce the second.
 type Block struct {
 	SCN     redo.SCN
 	Rows    map[int64][]byte
 	Corrupt bool
+
+	// shared is set, for good, when the image gets a second holder.
+	shared bool
 }
 
 // NewBlock returns an empty block.
@@ -44,22 +53,46 @@ func NewBlock() *Block {
 	return &Block{Rows: make(map[int64][]byte)}
 }
 
-// Clone returns a deep copy of b. The copy's rows share one backing array,
-// each capped at its own length, so replacing or growing a row never
-// touches a neighbour: one allocation per block image instead of one per
-// row, which is most of what a cache miss or a dirty write costs the host.
+// Share marks b as having a second holder and returns it: from here on it
+// is read-only, and a holder that wants to change it works on a Clone.
+func (b *Block) Share() *Block {
+	b.shared = true
+	return b
+}
+
+// Shared reports whether b may have a second holder.
+func (b *Block) Shared() bool { return b.shared }
+
+// Clone returns an unshared copy of b for its caller to change. It copies
+// the row index, not the row bytes: row images are never written in place,
+// so the copy and the original can point at the same ones.
 func (b *Block) Clone() *Block {
-	n := 0
-	for _, v := range b.Rows {
-		n += len(v)
-	}
-	buf := make([]byte, 0, n)
 	c := &Block{SCN: b.SCN, Corrupt: b.Corrupt, Rows: make(map[int64][]byte, len(b.Rows))}
 	for k, v := range b.Rows {
-		buf = append(buf, v...)
-		c.Rows[k] = buf[len(buf)-len(v) : len(buf) : len(buf)]
+		c.Rows[k] = v
 	}
 	return c
+}
+
+// Put sets a row's image. v belongs to the block from here on.
+func (b *Block) Put(key int64, v []byte) {
+	b.mustOwn()
+	b.Rows[key] = v
+}
+
+// Remove deletes a row.
+func (b *Block) Remove(key int64) {
+	b.mustOwn()
+	delete(b.Rows, key)
+}
+
+// mustOwn turns a change to an image someone else also holds — which would
+// silently rewrite a backup or a durable image — into a stack trace at the
+// write.
+func (b *Block) mustOwn() {
+	if b.shared {
+		panic("storage: change to a shared block image")
+	}
 }
 
 // Datafile is one physical database file holding durable block images.
@@ -172,8 +205,9 @@ func (d *Datafile) available() error {
 	return nil
 }
 
-// ReadBlock charges a random block read and returns a copy of the durable
-// image.
+// ReadBlock charges a random block read and returns the durable image
+// itself, marked shared: the caller may keep it as long as it likes and
+// changes only a Clone of it.
 func (d *Datafile) ReadBlock(p *sim.Proc, no int) (*Block, error) {
 	if err := d.available(); err != nil {
 		return nil, err
@@ -188,12 +222,13 @@ func (d *Datafile) ReadBlock(p *sim.Proc, no int) (*Block, error) {
 	if b.Corrupt {
 		return nil, fmt.Errorf("%w: %s block %d", ErrBlockCorrupted, d.Name, no)
 	}
-	return b.Clone(), nil
+	return b.Share(), nil
 }
 
 // WriteBlock charges a random block write and installs b as the durable
-// image. It takes b over: the caller passes a private image (a ReadBlock
-// result, a Clone snapshot) and does not touch it afterwards.
+// image — b itself, not a copy. A caller that keeps b (the cache does)
+// marks it shared first; one that hands over a private image does not touch
+// it afterwards.
 func (d *Datafile) WriteBlock(p *sim.Proc, no int, b *Block) error {
 	return d.writeBlock(p, no, b, false)
 }
@@ -224,24 +259,36 @@ func (d *Datafile) writeBlock(p *sim.Proc, no int, b *Block, force bool) error {
 	return nil
 }
 
-// PeekBlock returns the durable image without charging I/O (used by
-// recovery bookkeeping and tests).
+// PeekBlock returns the durable image without charging I/O, to be read
+// (used by recovery bookkeeping and tests).
 func (d *Datafile) PeekBlock(no int) *Block { return d.blocks[no] }
 
-// InstallImages replaces all durable images (used by restore). Images are
-// deep-copied.
+// EditBlock returns the durable image for a change in place, without
+// charging I/O: an image someone else also holds (a backup, a cache buffer,
+// a scan) is replaced by its clone first. Recovery's image steps use it.
+func (d *Datafile) EditBlock(no int) *Block {
+	if d.blocks[no].shared {
+		d.blocks[no] = d.blocks[no].Clone()
+	}
+	return d.blocks[no]
+}
+
+// InstallImages replaces all durable images with the given ones (used by
+// restore). The images are shared with the caller's set, not copied.
 func (d *Datafile) InstallImages(images []*Block) {
 	d.blocks = make([]*Block, len(images))
 	for i, b := range images {
-		d.blocks[i] = b.Clone()
+		d.blocks[i] = b.Share()
 	}
 }
 
-// SnapshotImages deep-copies all durable images (used by backup).
+// SnapshotImages returns all durable images as of now (used by backup).
+// The images are shared with the datafile, not copied: later changes to the
+// file land in clones and leave the snapshot what it was.
 func (d *Datafile) SnapshotImages() []*Block {
 	out := make([]*Block, len(d.blocks))
 	for i, b := range d.blocks {
-		out[i] = b.Clone()
+		out[i] = b.Share()
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -86,8 +87,12 @@ func TestBlockReadWriteRoundTrip(t *testing.T) {
 		if string(got.Rows[42]) != "hello" || got.SCN != 7 {
 			t.Errorf("got rows=%q scn=%d", got.Rows[42], got.SCN)
 		}
-		// Mutating the returned copy must not affect the image either.
-		got.Rows[42] = []byte("x")
+		// What ReadBlock returned is the image itself, shared: its holder
+		// changes a clone, and that must not affect the image.
+		if got != b || !got.Shared() {
+			t.Error("ReadBlock copied the image or left it unmarked")
+		}
+		got.Clone().Put(42, []byte("x"))
 		again, _ := f.ReadBlock(p, 2)
 		if string(again.Rows[42]) != "hello" {
 			t.Errorf("image aliased: %q", again.Rows[42])
@@ -95,19 +100,23 @@ func TestBlockReadWriteRoundTrip(t *testing.T) {
 	})
 }
 
-// A clone's rows share one backing array; each must still behave as its own
-// slice: writing through or growing one leaves its neighbours and the
-// original alone.
+// A clone shares its rows' bytes with the original — here rows of one load
+// buffer, as DirectLoad lays them out — and copies only the index; each row
+// must still behave as its own slice: replacing or growing one leaves its
+// neighbours and the original alone. (Writing through one is what DESIGN.md
+// §4b rules out; nothing guards against it but views_test.go.)
 func TestCloneRowsIndependent(t *testing.T) {
-	b := NewBlock()
-	b.SCN, b.Rows[1], b.Rows[2], b.Rows[3] = 9, []byte("aaaa"), []byte("bbbb"), nil
-	c := b.Clone()
+	b, buf := NewBlock(), []byte("aaaabbbb")
+	b.SCN, b.Rows[1], b.Rows[2], b.Rows[3] = 9, buf[0:4:4], buf[4:8:8], nil
+	c := b.Share().Clone()
+	if c.Shared() {
+		t.Error("a clone starts out shared")
+	}
 	for k, v := range c.Rows {
 		if len(v) != cap(v) {
 			t.Errorf("row %d: cap %d beyond len %d reaches into a neighbour", k, cap(v), len(v))
 		}
-		c.Rows[k] = append(v, "zz"...)
-		copy(v, "ZZZZ")
+		c.Put(k, append(v, "zz"...))
 	}
 	if string(c.Rows[1]) != "aaaazz" || string(c.Rows[2]) != "bbbbzz" || string(c.Rows[3]) != "zz" {
 		t.Errorf("grown rows: %q %q %q", c.Rows[1], c.Rows[2], c.Rows[3])
@@ -216,7 +225,7 @@ func TestSnapshotAndInstallImages(t *testing.T) {
 	})
 	snap := f.SnapshotImages()
 	// Change the live image after the snapshot.
-	f.PeekBlock(0).Rows[1] = []byte("v2")
+	f.EditBlock(0).Put(1, []byte("v2"))
 	if string(snap[0].Rows[1]) != "v1" {
 		t.Fatal("snapshot aliased to live image")
 	}
@@ -226,6 +235,14 @@ func TestSnapshotAndInstallImages(t *testing.T) {
 	}
 	if f.NumBlocks() != 3 {
 		t.Fatalf("blocks = %d", f.NumBlocks())
+	}
+	// A set its caller built and keeps is shared the same way.
+	own := []*Block{NewBlock()}
+	own[0].Put(1, []byte("kept"))
+	f.InstallImages(own)
+	f.EditBlock(0).Put(1, []byte("v3"))
+	if string(own[0].Rows[1]) != "kept" || string(f.PeekBlock(0).Rows[1]) != "v3" {
+		t.Fatalf("installed set aliased to live image: %q, live %q", own[0].Rows[1], f.PeekBlock(0).Rows[1])
 	}
 }
 
@@ -340,5 +357,68 @@ func TestQuickBlockRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+var (
+	sinkBlock *Block
+	sinkRows  map[int64][]byte
+)
+
+// Clone costs the Block and its presized row index, nothing per row and no
+// row bytes: the copy points at the original's row images.
+func TestCloneCopiesTheIndexNotTheRows(t *testing.T) {
+	const rows, rowLen = 25, 310 // a loaded stock block
+	b := NewBlock()
+	for i := int64(0); i < rows; i++ {
+		b.Rows[i] = make([]byte, rowLen)
+	}
+	index := testing.AllocsPerRun(100, func() { sinkRows = make(map[int64][]byte, rows) })
+	if got := testing.AllocsPerRun(100, func() { sinkBlock = b.Clone() }); got != index+1 {
+		t.Errorf("Clone of a %d-row block allocates %v objects, want the Block and a presized map's %v", rows, got, index)
+	}
+	const n = 200
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < n; i++ {
+		sinkBlock = b.Clone()
+	}
+	runtime.ReadMemStats(&m1)
+	if perClone := (m1.TotalAlloc - m0.TotalAlloc) / n; perClone >= rows*rowLen/2 {
+		t.Errorf("Clone allocates %d bytes for %d bytes of rows: it copies them", perClone, rows*rowLen)
+	}
+	for k, v := range sinkBlock.Rows {
+		if &v[0] != &b.Rows[k][0] {
+			t.Fatalf("row %d of the clone is a copy", k)
+		}
+	}
+}
+
+func TestChangeToSharedImagePanics(t *testing.T) {
+	b := NewBlock()
+	b.Put(1, []byte("mine"))
+	b.Remove(1)
+	b.Put(1, []byte("mine"))
+	b.Share()
+	for name, change := range map[string]func(){
+		"Put":    func() { b.Put(1, []byte("theirs")) },
+		"Remove": func() { b.Remove(1) },
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != "storage: change to a shared block image" {
+					t.Errorf("%s on a shared image: recovered %v", name, r)
+				}
+			}()
+			change()
+		}()
+	}
+	if string(b.Rows[1]) != "mine" {
+		t.Errorf("shared image reads %q", b.Rows[1])
+	}
+	c := b.Clone()
+	c.Put(1, []byte("theirs")) // the clone is its holder's own
+	if string(b.Rows[1]) != "mine" {
+		t.Errorf("shared image reads %q after a change to its clone", b.Rows[1])
 	}
 }

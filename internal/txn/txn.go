@@ -260,7 +260,7 @@ func available(ref storage.BlockRef) error {
 // view of the stored image, not a copy: row images are replaced, never
 // written in place, so it stays what it was whatever happens to the row
 // afterwards. Its capacity is capped at its length — an append reallocates
-// instead of reaching the neighbouring row of a cloned block's buffer.
+// instead of reaching the neighbouring row of a loaded block's buffer.
 func (m *Manager) Read(p *sim.Proc, t *Txn, table string, key int64) ([]byte, error) {
 	if t.state != StateActive {
 		return nil, ErrTxnDone
@@ -317,8 +317,10 @@ func (m *Manager) Delete(p *sim.Proc, t *Txn, table string, key int64) error {
 // write is the single mutation path: lock, reserve redo space, log (WAL),
 // apply to the cached block, remember undo. The caller keeps value: the
 // redo record and the block share one private copy of it, and the before
-// image is copied too — the stored one may sit in a cloned block's shared
-// buffer, which a retained redo record must not pin.
+// image is copied too — the stored one may sit in a loaded block's one
+// buffer, which a retained redo record must not pin. The row changes in the
+// block MarkDirty returns, not the one Get did: that one may be the durable
+// image itself.
 func (m *Manager) write(p *sim.Proc, t *Txn, op redo.Op, table string, key int64, value []byte) error {
 	if t.state != StateActive {
 		return ErrTxnDone
@@ -379,15 +381,15 @@ func (m *Manager) write(p *sim.Proc, t *Txn, op redo.Op, table string, key int64
 	if t.firstSCN == 0 {
 		t.firstSCN = scn
 	}
-	if op == redo.OpDelete {
-		delete(blk.Rows, key)
-	} else {
-		blk.Rows[key] = after
-	}
 	if cur, ok := m.cache.Peek(ref); !ok || cur != blk {
 		panic("txn: mutated stale block pointer in write")
 	}
-	m.cache.MarkDirty(ref, scn)
+	blk = m.cache.MarkDirty(ref, scn)
+	if op == redo.OpDelete {
+		blk.Remove(key)
+	} else {
+		blk.Put(key, after)
+	}
 	t.undo = append(t.undo, undoRec{op: op, table: table, key: key, before: beforeCopy})
 	return nil
 }
@@ -490,21 +492,15 @@ func (m *Manager) compensate(p *sim.Proc, t *Txn, u undoRec) error {
 	if err != nil {
 		return err
 	}
-	var rec redo.Record
+	rec := redo.Record{Txn: t.ID, Table: u.table, Key: u.key, Meta: "clr"}
 	switch u.op {
 	case redo.OpInsert: // compensate by delete
-		cur := append([]byte(nil), blk.Rows[u.key]...)
-		rec = redo.Record{Txn: t.ID, Op: redo.OpDelete, Table: u.table, Key: u.key, Before: cur, Meta: "clr"}
-		delete(blk.Rows, u.key)
+		rec.Op, rec.Before = redo.OpDelete, append([]byte(nil), blk.Rows[u.key]...)
 	case redo.OpUpdate: // compensate by restoring the before image
-		cur := append([]byte(nil), blk.Rows[u.key]...)
-		restored := append([]byte(nil), u.before...) // one copy for record and row, as in write
-		rec = redo.Record{Txn: t.ID, Op: redo.OpUpdate, Table: u.table, Key: u.key, Before: cur, After: restored, Meta: "clr"}
-		blk.Rows[u.key] = restored
+		rec.Op, rec.Before = redo.OpUpdate, append([]byte(nil), blk.Rows[u.key]...)
+		rec.After = append([]byte(nil), u.before...) // one copy for record and row, as in write
 	case redo.OpDelete: // compensate by re-insert
-		restored := append([]byte(nil), u.before...)
-		rec = redo.Record{Txn: t.ID, Op: redo.OpInsert, Table: u.table, Key: u.key, After: restored, Meta: "clr"}
-		blk.Rows[u.key] = restored
+		rec.Op, rec.After = redo.OpInsert, append([]byte(nil), u.before...)
 	default:
 		return fmt.Errorf("txn: cannot compensate op %v", u.op)
 	}
@@ -512,7 +508,12 @@ func (m *Manager) compensate(p *sim.Proc, t *Txn, u undoRec) error {
 	if cur, ok := m.cache.Peek(ref); !ok || cur != blk {
 		panic("txn: mutated stale block pointer in compensate")
 	}
-	m.cache.MarkDirty(ref, scn)
+	blk = m.cache.MarkDirty(ref, scn)
+	if rec.Op == redo.OpDelete {
+		blk.Remove(u.key)
+	} else {
+		blk.Put(u.key, rec.After)
+	}
 	return nil
 }
 

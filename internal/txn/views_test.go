@@ -8,9 +8,10 @@ import (
 	"dbench/internal/sim"
 )
 
-// The tests below hold the invariant Read's views, Block.Clone's shared
-// buffer and write's shared After/row copy stand on (DESIGN.md §4b): a row
-// image is replaced, never written in place.
+// The tests below hold the invariant Read's views, shared block images
+// (Block.Clone copies the row index, not the rows) and write's shared
+// After/row copy stand on (DESIGN.md §4b): a row image is replaced, never
+// written in place.
 
 // Keys 1 and 9 share a block of the fixture's 8-block table.
 const rowA, rowB int64 = 1, 9
@@ -32,14 +33,33 @@ func seedRows(t *testing.T, f *fixture, p *sim.Proc) (a, b []byte) {
 	return a, b
 }
 
-// reload writes the cache back and empties it, so the next Get installs a
-// clone: rows packed into one shared buffer.
+// reload writes the cache back, empties it and lays the table's durable
+// images out as DirectLoad does — rows packed into one buffer, each capped at
+// its own length (what a miss's deep copy produced by itself until PR 19) —
+// so the next Get installs such an image, shared with the datafile, which
+// the next change has to clone.
 func reload(t *testing.T, f *fixture, p *sim.Proc) {
 	t.Helper()
 	if _, err := f.c.Checkpoint(p); err != nil {
 		t.Fatal(err)
 	}
 	f.c.InvalidateAll()
+	tbl, err := f.cat.Table("acct")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ref := range tbl.Blocks() {
+		img := ref.File.EditBlock(ref.No)
+		n := 0
+		for _, v := range img.Rows {
+			n += len(v)
+		}
+		buf := make([]byte, 0, n)
+		for k, v := range img.Rows {
+			buf = append(buf, v...)
+			img.Put(k, buf[len(buf)-len(v):len(buf):len(buf)])
+		}
+	}
 }
 
 func mustRead(t *testing.T, f *fixture, p *sim.Proc, key int64) []byte {
@@ -125,8 +145,8 @@ func TestAppendToReadViewLeavesTheNeighbourAlone(t *testing.T) {
 			t.Fatalf("two views of one row appended into the same bytes: %q, %q", x, y)
 		}
 		reload(t, f, p)
-		// In the clone one of the two rows is followed by the other in the
-		// shared buffer; which one is up to map order, so grow both.
+		// In the reloaded block one of the two rows is followed by the other
+		// in the one buffer; which one is up to map order, so grow both.
 		for _, key := range []int64{rowA, rowB} {
 			v := mustRead(t, f, p, key)
 			if cap(v) != len(v) {
