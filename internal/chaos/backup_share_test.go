@@ -1,14 +1,19 @@
 package chaos
 
 import (
+	"fmt"
 	"hash/fnv"
+	"slices"
 	"testing"
 	"time"
 
 	"dbench/internal/core"
 	"dbench/internal/engine"
 	"dbench/internal/faults"
+	"dbench/internal/recovery"
+	"dbench/internal/redo"
 	"dbench/internal/sim"
+	"dbench/internal/standby"
 	"dbench/internal/storage"
 	"dbench/internal/tpcc"
 )
@@ -133,6 +138,165 @@ func TestBackupImagesSurviveWorkloadRestoresAndCrash(t *testing.T) {
 		backupIntact("the tail workload")
 		if v, err := rig.App.CheckConsistency(p); err != nil || len(v) != 0 {
 			t.Errorf("consistency at the end: %d violations, err %v: %v", len(v), err, v)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// fileHashes is imagesHash per datafile, over the images the files hold now
+// (peeked: taking a snapshot would mark them all shared).
+func fileHashes(in *engine.Instance) map[string]uint64 {
+	out := make(map[string]uint64)
+	for _, f := range in.DB().Datafiles() {
+		h := fnv.New64a()
+		for no := 0; no < f.NumBlocks(); no++ {
+			hashImage(h, no, f.PeekBlock(no))
+		}
+		out[f.Name] = h.Sum64()
+	}
+	return out
+}
+
+// A stand-by is instantiated by installing the primary's generated images,
+// not equal ones: after Load and StartCluster the primary's datafiles, the
+// reference backup and every stand-by hold the same blocks. So everything that
+// changes a block anywhere — the workload, write-backs and checkpoints on the
+// primary, continuous redo apply on each stand-by, a promotion's roll-forward
+// and rollback — has to leave everyone else's images alone. The backup must
+// hash to the load at the end, and the stand-by that was not promoted —
+// promoted afterwards, on its own — must come out as a serial recovery of the
+// redo prefix it received does on a third copy of the same images (the
+// failover differential's oracle).
+func TestStandbysShareTheLoadedImagesAndNobodyWritesThrough(t *testing.T) {
+	cfg := quickConfig()
+	ecfg := engine.DefaultConfig()
+	ecfg.Redo.GroupSizeBytes = cfg.GroupSize
+	ecfg.Redo.Groups = cfg.Groups
+	ecfg.Redo.ArchiveMode = true
+	ecfg.CheckpointTimeout = 2 * time.Second
+	ecfg.CacheBlocks = 48 // far below the working set: evictions write dirty blocks back
+	rig, err := core.NewRig(6, ecfg, cfg.TPCC, tpcc.DriverConfig{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = rig.Exec("standby-share", func(p *sim.Proc) error {
+		if err := rig.Load(p); err != nil {
+			return err
+		}
+		in := rig.In
+		loaded := fileHashes(in)
+		backup := make(map[string][]*storage.Block) // what the reference backup holds
+		for _, f := range in.DB().Datafiles() {
+			backup[f.Name] = f.SnapshotImages()
+		}
+		cluster, err := rig.StartCluster(p, ecfg, 2, standby.ClusterConfig{Mode: standby.ModeSync})
+		if err != nil {
+			return err
+		}
+		refCfg := ecfg
+		refCfg.RecoveryParallelism = 1
+		ref, err := rig.Standby(p, refCfg, "reference")
+		if err != nil {
+			return err
+		}
+		rig.ReleaseLoadSet()
+
+		rows := 0
+		for _, sb := range slices.Concat(cluster.Standbys(), []*standby.Standby{ref}) {
+			if a, b := StateHash(sb.Instance()), StateHash(in); a != b {
+				t.Errorf("%s: state hash %#x when instantiated, the primary's %#x", sb.Name(), a, b)
+			}
+			for _, f := range sb.Instance().DB().Datafiles() {
+				for no := 0; no < f.NumBlocks(); no++ {
+					img := f.PeekBlock(no)
+					if len(img.Rows) == 0 {
+						continue
+					}
+					rows += len(img.Rows)
+					if img != backup[f.Name][no] {
+						return fmt.Errorf("%s: %s block %d is a copy, not the image the backup holds", sb.Name(), f.Name, no)
+					}
+					if !img.Shared() {
+						return fmt.Errorf("%s: %s block %d is installed unshared: a Put would write through to the backup", sb.Name(), f.Name, no)
+					}
+				}
+			}
+		}
+		if rows == 0 {
+			return fmt.Errorf("the stand-bys hold no rows")
+		}
+		victim := backup["TPCC_01.dbf"][0]
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("Put on an installed image did not panic")
+				}
+			}()
+			victim.Put(1, []byte("x"))
+		}()
+
+		// The redo the cluster is offered, captured ahead of the streamers.
+		var captured []redo.Record
+		stream := in.Log().OnDurable
+		in.Log().OnDurable = func(dp *sim.Proc, recs []redo.Record) {
+			captured = append(captured, recs...)
+			stream(dp, recs)
+		}
+		rig.Drv.Start()
+		p.Sleep(6 * time.Second)
+		if err := in.Checkpoint(p); err != nil {
+			return err
+		}
+		p.Sleep(2 * time.Second)
+		if st := in.Cache().Stats(); st.DirtyEvictWrites == 0 || st.CheckpointWrites == 0 {
+			t.Errorf("workload wrote back nothing (evict %d, checkpoint %d)", st.DirtyEvictWrites, st.CheckpointWrites)
+		}
+		in.Crash()
+		rig.Drv.Stop()
+		if _, err := cluster.Promote(p); err != nil {
+			return err
+		}
+
+		for name, images := range backup {
+			if got := imagesHash(images); got != loaded[name] {
+				t.Errorf("after workload, crash and promotion: backup images of %s hash %#x, %#x when loaded", name, got, loaded[name])
+			}
+		}
+		var other *standby.Standby
+		for _, sb := range cluster.Standbys() {
+			if sb != cluster.Promoted() {
+				other = sb
+			}
+		}
+		if other.AppliedSCN() <= ref.AppliedSCN() {
+			return fmt.Errorf("%s applied nothing past the backup", other.Name())
+		}
+		if _, err := other.Promote(p); err != nil {
+			return err
+		}
+		var prefix []redo.Record
+		for _, rec := range captured {
+			if rec.SCN <= other.AppliedSCN() {
+				prefix = append(prefix, rec)
+			}
+		}
+		if err := ref.Instance().Mount(p); err != nil {
+			return err
+		}
+		if _, err := recovery.NewManager(ref.Instance(), nil).Failover(p, prefix, nil, other.AppliedSCN()); err != nil {
+			return err
+		}
+		want, got := fileHashes(ref.Instance()), fileHashes(other.Instance())
+		for name := range want {
+			if got[name] != want[name] {
+				t.Errorf("%s: %s hashes to %#x, a serial recovery of the same %d records to %#x", other.Name(), name, got[name], len(prefix), want[name])
+			}
+			if want[name] == loaded[name] && name == "TPCC_01.dbf" {
+				t.Errorf("%s is what was loaded: the redo prefix changed nothing", name)
+			}
 		}
 		return nil
 	})

@@ -340,6 +340,7 @@ func runPoint(cfg Config, index int) (*PointResult, error) {
 				s.Instance().OnStateChange = noteOpen
 			}
 		}
+		rig.ReleaseLoadSet()
 
 		// Phase 2: workload, then position the crash inside the
 		// requested window. The controller (when enabled) starts with

@@ -156,6 +156,7 @@ func RunCatalogScan(seed int64, warehouses int) (*ScanReport, error) {
 		if err := rig.Load(p); err != nil {
 			return err
 		}
+		rig.ReleaseLoadSet()
 		rep.TablesBefore = tableNames(in)
 		before, err := tableHash(p, in, tpcc.TableStock)
 		if err != nil {

@@ -35,6 +35,10 @@ type Rig struct {
 	// backupSCN is the reference backup's SCN (set by Load): the content
 	// every stand-by is instantiated from and starts managed recovery at.
 	backupSCN redo.SCN
+	// set is the generated database: built by the first populate (the
+	// primary's), installed as it is into every stand-by, and given up by
+	// ReleaseLoadSet once set-up is over.
+	set       tpcc.LoadSet
 	seed      int64
 	dataDisks []string
 	err       error
@@ -84,15 +88,31 @@ func (r *Rig) machine(ecfg engine.Config) (*engine.Instance, error) {
 	return engine.New(r.K, simdisk.NewFS(specs...), ecfg)
 }
 
-// populate creates the schema and loads the seeded rows into an instance.
-// The load is a pure function of the seed, so a stand-by populated here
-// holds datafiles bit-identical to the primary's reference backup.
+// populate creates the schema in an instance and installs the rig's generated
+// database into it, generating it first if the rig has none: once, with the
+// primary's App, which also gets the driver-side indexes. The set is a pure
+// function of the seed and the layout, and an install hands over its images
+// themselves, so every instance populated here holds the same block images —
+// not equal ones — until it changes a block, in a copy of its own.
 func (r *Rig) populate(p *sim.Proc, app *tpcc.App) error {
 	if err := app.CreateSchema(p, r.dataDisks); err != nil {
 		return err
 	}
-	return app.Load(p, rand.New(rand.NewSource(r.seed)))
+	if r.set == nil {
+		set, err := app.Generate(rand.New(rand.NewSource(r.seed)))
+		if err != nil {
+			return err
+		}
+		r.set = set
+	}
+	return app.Install(p, r.set)
 }
+
+// ReleaseLoadSet gives up the generated database. Whoever drives the rig
+// calls it when the last stand-by has been instantiated, before the measured
+// run: the set keeps every loaded row reachable, long after the workload has
+// replaced it and the reference backup is gone.
+func (r *Rig) ReleaseLoadSet() { r.set = nil }
 
 // Load is the set-up procedure: open, create and load the database,
 // checkpoint, take the reference backup and — in archive mode — force a
@@ -118,10 +138,11 @@ func (r *Rig) Load(p *sim.Proc) error {
 }
 
 // Standby creates one stand-by server: its own simulated machine with an
-// identical schema and data content (the standard "instantiate from a
-// backup of the primary" procedure, reproduced by re-running the
-// deterministic load), left unopened for managed recovery from the
-// reference backup. ecfg is normally the primary's; call after Load.
+// identical schema, and the primary's loaded block images installed into it
+// at the I/O cost of a load — the standard "instantiate from a backup of
+// the primary" procedure: nothing is generated again. It is left unopened for
+// managed recovery from the reference backup. ecfg is normally the
+// primary's; call after Load and before ReleaseLoadSet.
 func (r *Rig) Standby(p *sim.Proc, ecfg engine.Config, name string) (*standby.Standby, error) {
 	ecfg.Name = name
 	// The stand-by shares the primary's kernel but is a second database:

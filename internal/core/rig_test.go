@@ -15,10 +15,14 @@ import (
 )
 
 // TestRigStandbyMatchesPrimaryAfterLoad pins the instantiate-from-backup
-// contract Run and the chaos harness both rely on: a stand-by populated
-// from the rig's seed holds, block for block, the datafile images of the
-// loaded and checkpointed primary — so redo streamed from the reference
-// backup's SCN applies to the stand-by exactly as it would to the backup.
+// contract Run and the chaos harness both rely on: a stand-by holds, block
+// for block, the datafile images of the loaded and checkpointed primary — so
+// redo streamed from the reference backup's SCN applies to the stand-by
+// exactly as it would to the backup. And it holds them because the rig
+// installed its one generated set into it, image by image: nothing was
+// generated a second time.
+// (chaos.TestStandbysShareTheLoadedImagesAndNobodyWritesThrough adds that the
+// state hashes agree and that nobody writes through.)
 func TestRigStandbyMatchesPrimaryAfterLoad(t *testing.T) {
 	ecfg := engine.DefaultConfig()
 	ecfg.Redo.ArchiveMode = true
@@ -31,33 +35,62 @@ func TestRigStandbyMatchesPrimaryAfterLoad(t *testing.T) {
 		if err := rig.Load(p); err != nil {
 			return err
 		}
-		sb, err := rig.Standby(p, ecfg, "standby")
-		if err != nil {
-			return err
+		set := rig.set
+		if len(set) != len(tpcc.Tables) {
+			return fmt.Errorf("the rig holds a set of %d tables after Load, want %d", len(set), len(tpcc.Tables))
 		}
-		if got := sb.AppliedSCN(); got != rig.backupSCN {
-			t.Errorf("stand-by starts at SCN %d, want the reference backup's %d", got, rig.backupSCN)
-		}
-		primary, replica := rig.In.DB().Datafiles(), sb.Instance().DB().Datafiles()
-		if len(primary) == 0 || len(primary) != len(replica) {
-			return fmt.Errorf("datafiles: primary %d, stand-by %d", len(primary), len(replica))
-		}
-		for i, f := range primary {
-			g := replica[i]
-			if f.Name != g.Name || f.NumBlocks() != g.NumBlocks() {
-				t.Errorf("file %d: primary %s (%d blocks), stand-by %s (%d blocks)",
-					i, f.Name, f.NumBlocks(), g.Name, g.NumBlocks())
-				continue
+		for _, name := range []string{"standby1", "standby2"} {
+			sb, err := rig.Standby(p, ecfg, name)
+			if err != nil {
+				return err
 			}
-			for no := 0; no < f.NumBlocks(); no++ {
-				// Field by field: a primary image is shared with the
-				// reference backup and says so, the stand-by's is not.
-				a, b := f.PeekBlock(no), g.PeekBlock(no)
-				if a.SCN != b.SCN || a.Corrupt != b.Corrupt || !reflect.DeepEqual(a.Rows, b.Rows) {
-					t.Errorf("%s block %d differs between primary and stand-by", f.Name, no)
-					break
+			if got := sb.AppliedSCN(); got != rig.backupSCN {
+				t.Errorf("%s starts at SCN %d, want the reference backup's %d", name, got, rig.backupSCN)
+			}
+			primary, replica := rig.In.DB().Datafiles(), sb.Instance().DB().Datafiles()
+			if len(primary) == 0 || len(primary) != len(replica) {
+				return fmt.Errorf("datafiles: primary %d, %s %d", len(primary), name, len(replica))
+			}
+			for i, f := range primary {
+				g := replica[i]
+				if f.Name != g.Name || f.NumBlocks() != g.NumBlocks() {
+					t.Errorf("file %d: primary %s (%d blocks), %s %s (%d blocks)",
+						i, f.Name, f.NumBlocks(), name, g.Name, g.NumBlocks())
+					continue
+				}
+				for no := 0; no < f.NumBlocks(); no++ {
+					a, b := f.PeekBlock(no), g.PeekBlock(no)
+					if a.SCN != b.SCN || a.Corrupt != b.Corrupt || !reflect.DeepEqual(a.Rows, b.Rows) {
+						t.Errorf("%s block %d differs between primary and %s", f.Name, no, name)
+						break
+					}
 				}
 			}
+			// Every image of the set is the image the stand-by's table
+			// holds at that position: installed, not copied or redrawn.
+			loaded := 0
+			for table, images := range set {
+				tbl, err := sb.Instance().Catalog().Table(table)
+				if err != nil {
+					return err
+				}
+				for pos, img := range images {
+					if img == nil {
+						continue
+					}
+					loaded++
+					if ref := tbl.Blocks()[pos]; ref.File.PeekBlock(ref.No) != img {
+						return fmt.Errorf("%s: block %d of %s is not the set's image", name, pos, table)
+					}
+				}
+			}
+			if loaded == 0 {
+				return fmt.Errorf("the set holds no image")
+			}
+		}
+		rig.ReleaseLoadSet()
+		if rig.set != nil {
+			t.Error("the set is still reachable from the rig after ReleaseLoadSet")
 		}
 		return nil
 	})

@@ -311,6 +311,8 @@ func Run(spec Spec) (*Result, error) {
 				app.ReplicaShare = spec.ReplicaReads
 			}
 		}
+		// Set-up is over: nothing else is instantiated from the load.
+		rig.ReleaseLoadSet()
 
 		// Phase 2: measured run.
 		if spec.Control != nil {

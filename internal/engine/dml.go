@@ -1,10 +1,7 @@
 package engine
 
 import (
-	"fmt"
-
 	"dbench/internal/sim"
-	"dbench/internal/storage"
 	"dbench/internal/txn"
 )
 
@@ -82,52 +79,4 @@ func (in *Instance) Scan(p *sim.Proc, table string, fn func(key int64, value []b
 		return ErrInstanceDown
 	}
 	return in.tm.Scan(p, table, fn)
-}
-
-// DirectLoad bulk-loads rows into a table bypassing the cache and the redo
-// log (like a direct-path load): rows are grouped per block and written
-// straight to the durable images. Used to populate the TPC-C database
-// before the measured run; callers should checkpoint and back up after.
-func (in *Instance) DirectLoad(p *sim.Proc, table string, rows map[int64][]byte) error {
-	tbl, err := in.cat.Table(table)
-	if err != nil {
-		return err
-	}
-	blocks := tbl.Blocks()
-	blockIdx := make(map[storage.BlockRef]int, len(blocks))
-	for i, ref := range blocks {
-		blockIdx[ref] = i
-	}
-	byBlock := make(map[int][]int64)
-	for key := range rows {
-		byBlock[blockIdx[tbl.BlockFor(key)]] = append(byBlock[blockIdx[tbl.BlockFor(key)]], key)
-	}
-	// Deterministic order over blocks.
-	for no := range blocks {
-		keys, ok := byBlock[no]
-		if !ok {
-			continue
-		}
-		ref := blocks[no]
-		img, err := ref.File.ReadBlock(p, ref.No)
-		if err != nil {
-			return fmt.Errorf("engine: direct load: %w", err)
-		}
-		img = img.Clone() // what was read is the durable image itself
-		// One buffer for the block's rows, each capped at its own length so
-		// that growing one never reaches its neighbour.
-		n := 0
-		for _, key := range keys {
-			n += len(rows[key])
-		}
-		buf := make([]byte, 0, n)
-		for _, key := range keys {
-			buf = append(buf, rows[key]...)
-			img.Put(key, buf[len(buf)-len(rows[key]):len(buf):len(buf)])
-		}
-		if err := ref.File.WriteBlock(p, ref.No, img); err != nil {
-			return fmt.Errorf("engine: direct load: %w", err)
-		}
-	}
-	return nil
 }

@@ -8,6 +8,7 @@ import (
 
 	"dbench/internal/sim"
 	"dbench/internal/simdisk"
+	"dbench/internal/storage"
 )
 
 func newInstance(t *testing.T, mutate func(*Config)) (*sim.Kernel, *simdisk.FS, *Instance) {
@@ -228,7 +229,19 @@ func TestDropTableMakesRowsUnreachable(t *testing.T) {
 	})
 }
 
-func TestDirectLoadThenScan(t *testing.T) {
+// stageRows stages the rows for table t and returns the images.
+func stageRows(in *Instance, rows map[int64][]byte) ([]*storage.Block, error) {
+	st, err := in.StageTable("t")
+	if err != nil {
+		return nil, err
+	}
+	for key, row := range rows {
+		st.Put(key, row)
+	}
+	return st.Images(), nil
+}
+
+func TestStagedLoadThenScan(t *testing.T) {
 	k, _, in := newInstance(t, nil)
 	runErr(t, k, func(p *sim.Proc) error {
 		if err := setupAndOpen(p, in); err != nil {
@@ -238,7 +251,11 @@ func TestDirectLoadThenScan(t *testing.T) {
 		for i := int64(0); i < 200; i++ {
 			rows[i] = []byte{byte(i)}
 		}
-		if err := in.DirectLoad(p, "t", rows); err != nil {
+		images, err := stageRows(in, rows)
+		if err != nil {
+			return err
+		}
+		if err := in.InstallImages(p, "t", images); err != nil {
 			return err
 		}
 		n := 0
@@ -262,6 +279,79 @@ func TestDirectLoadThenScan(t *testing.T) {
 		}
 		return in.Commit(p, tx)
 	})
+}
+
+// An install is one block read and one block write per staged block; the
+// datafile takes the staged image itself, marked shared, so the same set
+// installs again elsewhere and a later Put on it panics; a block that already
+// holds rows keeps them, the staged rows merged into a copy; and a set staged
+// for another layout is refused, not misplaced.
+func TestInstallImagesSharesMergesAndRefuses(t *testing.T) {
+	k, fs, in := newInstance(t, nil)
+	runErr(t, k, func(p *sim.Proc) error {
+		if err := setupAndOpen(p, in); err != nil {
+			return err
+		}
+		tbl, err := in.Catalog().Table("t")
+		if err != nil {
+			return err
+		}
+		first, err := stageRows(in, map[int64][]byte{1: {1}, 2: {2}})
+		if err != nil {
+			return err
+		}
+		r0, w0, _, _ := fs.Disk(DiskData1).Stats()
+		if err := in.InstallImages(p, "t", first); err != nil {
+			return err
+		}
+		if r1, w1, _, _ := fs.Disk(DiskData1).Stats(); r1-r0 != 2 || w1-w0 != 2 {
+			return fmt.Errorf("installing 2 blocks cost %d reads and %d writes, want 2 and 2", r1-r0, w1-w0)
+		}
+		home := -1 // row 2's block, by position
+		for no, ref := range tbl.Blocks() {
+			if ref == tbl.BlockFor(2) {
+				home = no
+			}
+		}
+		ref := tbl.Blocks()[home]
+		if ref.File.PeekBlock(ref.No) != first[home] || !first[home].Shared() {
+			return fmt.Errorf("the datafile holds a copy of the staged image, or holds it unshared")
+		}
+		if !panics(func() { first[home].Put(99, []byte{99}) }) {
+			return fmt.Errorf("Put on an installed image did not panic")
+		}
+
+		// A second load into the same blocks: old and new rows, and the
+		// first set still what it was.
+		second, err := stageRows(in, map[int64][]byte{2: {22}, 3: {3}})
+		if err != nil {
+			return err
+		}
+		if err := in.InstallImages(p, "t", second); err != nil {
+			return err
+		}
+		got := map[int64]byte{}
+		if err := in.Scan(p, "t", func(k int64, v []byte) bool { got[k] = v[0]; return true }); err != nil {
+			return err
+		}
+		if len(got) != 3 || got[1] != 1 || got[2] != 22 || got[3] != 3 {
+			return fmt.Errorf("after the second load the table holds %v, want 1:1 2:22 3:3", got)
+		}
+		if len(first[home].Rows) != 1 || first[home].Rows[2][0] != 2 || ref.File.PeekBlock(ref.No) == first[home] {
+			return fmt.Errorf("the merge wrote through the first set's image")
+		}
+
+		if err := in.InstallImages(p, "t", second[:len(second)-1]); err == nil {
+			return fmt.Errorf("a set one block short was installed")
+		}
+		return nil
+	})
+}
+
+func panics(fn func()) (did bool) {
+	defer func() { did = recover() != nil }()
+	fn()
+	return false
 }
 
 func TestControlFileLossCrashesOnCheckpoint(t *testing.T) {

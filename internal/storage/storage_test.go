@@ -101,7 +101,7 @@ func TestBlockReadWriteRoundTrip(t *testing.T) {
 }
 
 // A clone shares its rows' bytes with the original — here rows of one load
-// buffer, as DirectLoad lays them out — and copies only the index; each row
+// buffer, as the load's chunks lay them out — and copies only the index; each row
 // must still behave as its own slice: replacing or growing one leaves its
 // neighbours and the original alone. (Writing through one is what DESIGN.md
 // §4b rules out; nothing guards against it but views_test.go.)

@@ -208,3 +208,61 @@ func TestRowTextDrawsWhatAStringPerColumnDrew(t *testing.T) {
 		}
 	}
 }
+
+// TestNoTextDecode: the consistency checker's way of reading an order line or
+// a history row gives the numbers a full decode gives, allocates nothing, and
+// is as strict — a row cut anywhere, inside the text column included, is
+// ErrBadRow.
+func TestNoTextDecode(t *testing.T) {
+	line := OrderLine{OID: 7, DID: 3, WID: 2, Number: 4, ItemID: 4711, SupplyWID: 2, DeliveryTime: 9, Quantity: 5, Amount: 12.5, DistInfo: "dist-info-24-characters!"}
+	hist := History{CID: 7, CDID: 3, CWID: 2, DID: 4, WID: 1, Amount: 10, Data: "some history"}
+	lb, hb := line.Encode(), hist.Encode()
+
+	var gotLine OrderLine
+	var gotHist History
+	allocs := testing.AllocsPerRun(100, func() {
+		gotLine, _ = decodeOrderLine(&dec{b: lb, noText: true})
+		gotHist, _ = decodeHistory(&dec{b: hb, noText: true})
+	})
+	line.DistInfo, hist.Data = "", ""
+	if gotLine != line || gotHist != hist || allocs != 0 {
+		t.Errorf("decoded %+v and %+v in %v allocations, want %+v and %+v in 0", gotLine, gotHist, allocs, line, hist)
+	}
+	for n := 0; n < len(lb); n++ {
+		if _, err := decodeOrderLine(&dec{b: lb[:n], noText: true}); !errors.Is(err, ErrBadRow) {
+			t.Fatalf("order line cut to %d of %d bytes: %v, want ErrBadRow", n, len(lb), err)
+		}
+	}
+	for n := 0; n < len(hb); n++ {
+		if _, err := decodeHistory(&dec{b: hb[:n], noText: true}); !errors.Is(err, ErrBadRow) {
+			t.Fatalf("history row cut to %d of %d bytes: %v, want ErrBadRow", n, len(hb), err)
+		}
+	}
+}
+
+// TestChunkCutsExactCappedBuffers: a row cut from the load's chunk is what
+// Encode would have allocated — the same bytes in a buffer capped at its own
+// length, so appending to one row image never reaches the next — and a row
+// that does not fit what is left, or a whole chunk, starts a new allocation.
+func TestChunkCutsExactCappedBuffers(t *testing.T) {
+	var c chunk
+	st := Stock{ItemID: 1, WID: 2, Data: "data"}
+	want := st.Encode()
+	a, b := st.encode(&c), st.encode(&c)
+	if !slices.Equal(a, want) || !slices.Equal(b, want) || cap(a) != len(a) || cap(b) != len(b) {
+		t.Fatalf("rows cut from the chunk: %d/%d and %d/%d bytes, Encode gives %d/%d", len(a), cap(a), len(b), cap(b), len(want), cap(want))
+	}
+	if len(c.free) != chunkSize-2*len(want) {
+		t.Errorf("two rows of %d bytes left %d of a %d-byte chunk", len(want), len(c.free), chunkSize)
+	}
+	if a = append(a, 0xEE); !slices.Equal(b, want) {
+		t.Error("appending to a row image wrote into its neighbour")
+	}
+	left := len(c.free)
+	if big := c.cut(left + 1); cap(big) != left+1 || len(c.free) != chunkSize-(left+1) {
+		t.Errorf("a row larger than what is left got cap %d with %d left, want %d cut from a fresh chunk", cap(big), len(c.free), left+1)
+	}
+	if huge := c.cut(2 * chunkSize); cap(huge) != 2*chunkSize || len(c.free) != 0 {
+		t.Errorf("a row larger than a chunk got cap %d with %d left, want an allocation of its own", cap(huge), len(c.free))
+	}
+}

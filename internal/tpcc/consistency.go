@@ -98,7 +98,7 @@ func (c *checker) run() error {
 		carrier   int
 		lineCount int
 	}
-	orders := make(map[int64]*orderInfo)
+	orders := make(map[int64]orderInfo)
 	maxOID := make(map[int64]int)
 	if err := c.scan(c.p, TableOrder, func(k int64, v []byte) bool {
 		o, err := DecodeOrder(v)
@@ -106,7 +106,7 @@ func (c *checker) run() error {
 			c.addf("decode", "orders[%d]: %v", k, err)
 			return true
 		}
-		orders[OKey(o.WID, o.DID, o.ID)] = &orderInfo{olCnt: o.OLCnt, carrier: o.CarrierID}
+		orders[OKey(o.WID, o.DID, o.ID)] = orderInfo{olCnt: o.OLCnt, carrier: o.CarrierID}
 		dk := DKey(o.WID, o.DID)
 		if o.ID > maxOID[dk] {
 			maxOID[dk] = o.ID
@@ -116,14 +116,18 @@ func (c *checker) run() error {
 		return err
 	}
 
+	// Order lines and history rows are read for their numbers: the text
+	// column is checked to be all there, and not converted.
 	if err := c.scan(c.p, TableOrderLine, func(k int64, v []byte) bool {
-		l, err := DecodeOrderLine(v)
+		l, err := decodeOrderLine(&dec{b: v, noText: true})
 		if err != nil {
 			c.addf("decode", "order_line[%d]: %v", k, err)
 			return true
 		}
-		if oi, ok := orders[OKey(l.WID, l.DID, l.OID)]; ok {
+		okey := OKey(l.WID, l.DID, l.OID)
+		if oi, ok := orders[okey]; ok {
 			oi.lineCount++
+			orders[okey] = oi
 		} else {
 			c.addf("C4", "order_line %s#%d has no order", fmtOrderKey(l.WID, l.DID, l.OID), l.Number)
 		}
@@ -151,7 +155,7 @@ func (c *checker) run() error {
 	hWarehouse := make(map[int]float64)
 	hDistrict := make(map[int64]float64)
 	if err := c.scan(c.p, TableHistory, func(k int64, v []byte) bool {
-		h, err := DecodeHistory(v)
+		h, err := decodeHistory(&dec{b: v, noText: true})
 		if err != nil {
 			c.addf("decode", "history[%d]: %v", k, err)
 			return true

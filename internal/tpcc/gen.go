@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 
 	"dbench/internal/engine"
 	"dbench/internal/sim"
+	"dbench/internal/storage"
 )
 
 // Config scales and tunes the workload.
@@ -84,35 +86,55 @@ func LastName(num int) string {
 // the scaled name space) and run time (NURand).
 func randLastNameNum(r *rand.Rand) int { return nuRand(r, 255, nuRandCLast, 0, 999) }
 
-// rowText draws the random text columns of one loaded row into a single
-// buffer, with exactly the RNG calls a string per column would make, and
-// turns it into one string the columns are slices of: a Stock row's eleven
-// strings cost the load one allocation.
+// rowText draws the random text columns of the loaded rows into chunks, with
+// exactly the RNG calls a string per column would make, and hands each row's
+// columns out as substrings of its chunk: text costs the load one allocation
+// per chunkSize of it, not one per row.
 type rowText struct {
-	buf  []byte
-	ends []int
-	cols []string
+	chunk strings.Builder // its String() shares the buffer: no copy
+	start int             // where the current row's text begins
+	ends  []int
+	cols  []string
+}
+
+// maxRowText is the room a chunk must have left for a row to start in it.
+// The longest row text is a customer's, at most 483 bytes; a longer one would
+// still be drawn correctly, into a chunk the builder regrows.
+const maxRowText = 512
+
+// room starts a fresh chunk when the current one cannot take another row.
+// Strings already handed out keep the old one alive for as long as they live.
+func (t *rowText) room() {
+	if len(t.ends) == 0 && t.chunk.Cap()-t.chunk.Len() < maxRowText {
+		t.chunk = strings.Builder{}
+		t.chunk.Grow(chunkSize)
+		t.start = 0
+	}
 }
 
 // str draws the row's next column: minLen..maxLen random characters.
 func (t *rowText) str(r *rand.Rand, minLen, maxLen int) {
 	const chars = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789"
+	t.room()
 	n := minLen
 	if maxLen > minLen {
 		n += r.Intn(maxLen - minLen + 1)
 	}
 	for i := 0; i < n; i++ {
-		t.buf = append(t.buf, chars[r.Intn(len(chars))])
+		t.chunk.WriteByte(chars[r.Intn(len(chars))])
 	}
-	t.ends = append(t.ends, len(t.buf))
+	t.ends = append(t.ends, t.chunk.Len())
 }
 
 // zip draws the row's next column: a spec zip code.
 func (t *rowText) zip(r *rand.Rand) {
+	t.room()
 	n := r.Intn(10000)
-	t.buf = append(t.buf, byte('0'+n/1000), byte('0'+n/100%10), byte('0'+n/10%10), byte('0'+n%10))
-	t.buf = append(t.buf, "11111"...)
-	t.ends = append(t.ends, len(t.buf))
+	for div := 1000; div > 0; div /= 10 {
+		t.chunk.WriteByte(byte('0' + n/div%10))
+	}
+	t.chunk.WriteString("11111")
+	t.ends = append(t.ends, t.chunk.Len())
 }
 
 // address draws the five columns a warehouse and a district share: name,
@@ -128,14 +150,13 @@ func (t *rowText) address(r *rand.Rand) {
 // take returns the columns drawn since the last take, in order. The slice
 // is reused by the next row; the strings are the caller's.
 func (t *rowText) take() []string {
-	all := string(t.buf)
+	all := t.chunk.String()
 	t.cols = t.cols[:0]
-	start := 0
 	for _, end := range t.ends {
-		t.cols = append(t.cols, all[start:end])
-		start = end
+		t.cols = append(t.cols, all[t.start:end])
+		t.start = end
 	}
-	t.buf, t.ends = t.buf[:0], t.ends[:0]
+	t.ends = t.ends[:0]
 	return t.cols
 }
 
@@ -157,7 +178,8 @@ type App struct {
 	ReplicaFallback int64
 
 	// byName maps (w, d, lastname) to the customer IDs sharing that
-	// name, sorted by first name then ID (spec's midpoint rule input).
+	// name, sorted by ID: customerByName picks the middle one (the spec's
+	// midpoint rule, which orders by first name).
 	byName map[nameKey][]int
 	// noQueue holds undelivered order IDs per district (driver-side
 	// view of the NEW_ORDER table, FIFO).
@@ -323,16 +345,65 @@ func (a *App) createSchemaPartitioned(p *sim.Proc, disks []string) error {
 	return nil
 }
 
-// Load populates the database per TPC-C §4.3 (scaled), using direct-path
-// loads, and builds the driver-side indexes. The engine must be open.
+// LoadSet is one generated database: per table, its block images by position
+// in Table.Blocks(). It is a pure function of the seed and the schema layout,
+// so it can be installed into every instance that has that layout — the
+// images are shared, never copied, and nobody changes a shared image.
+type LoadSet map[string][]*storage.Block
+
+// loadOrder is the order tables are installed in: it fixes the load's I/O
+// sequence, and with it the load's virtual time.
+var loadOrder = []string{
+	TableItem, TableWarehouse, TableDistrict, TableCustomer, TableHistory,
+	TableOrder, TableNewOrder, TableOrderLine, TableStock,
+}
+
+// Load populates the database per TPC-C §4.3 (scaled) with a direct-path
+// load and builds the driver-side indexes. The schema must exist.
 func (a *App) Load(p *sim.Proc, r *rand.Rand) error {
+	set, err := a.Generate(r)
+	if err != nil {
+		return err
+	}
+	return a.Install(p, set)
+}
+
+// Install writes a generated database into the app's instance: one block read
+// and one block write per loaded block, table after table. It costs virtual
+// time and next to no host time, and builds no driver-side index: a stand-by
+// is instantiated from the primary's set this way.
+func (a *App) Install(p *sim.Proc, set LoadSet) error {
+	for _, table := range loadOrder {
+		if err := a.In.InstallImages(p, table, set[table]); err != nil {
+			return fmt.Errorf("tpcc: load %s: %w", table, err)
+		}
+	}
+	return nil
+}
+
+// Generate draws the seeded rows and encodes each straight into its home
+// block's image, for the layout of the app's instance (the schema must
+// exist), and builds the driver-side indexes. It costs host time only. Each
+// row's columns are drawn in the order the row struct lists them, integers
+// included: the RNG call order is what makes a seed's database.
+func (a *App) Generate(r *rand.Rand) (LoadSet, error) {
 	cfg := a.Cfg
+	stages := make(map[string]*engine.Stage, len(loadOrder))
+	for _, table := range loadOrder {
+		st, err := a.In.StageTable(table)
+		if err != nil {
+			return nil, err
+		}
+		stages[table] = st
+	}
+	items, warehouses, districts, customers := stages[TableItem], stages[TableWarehouse], stages[TableDistrict], stages[TableCustomer]
+	history, orders, newOrders := stages[TableHistory], stages[TableOrder], stages[TableNewOrder]
+	orderLines, stocks := stages[TableOrderLine], stages[TableStock]
+	var (
+		txt  rowText
+		rows chunk // every row image of the set is cut from here
+	)
 
-	// Each row's columns are drawn in the order the row struct lists them,
-	// integers included: the RNG call order is what makes a seed's database.
-	var txt rowText
-
-	items := make(map[int64][]byte, cfg.Items)
 	for i := 1; i <= cfg.Items; i++ {
 		it := Item{ID: i, ImID: 1 + r.Intn(10000)}
 		txt.str(r, 14, 24) // Name
@@ -340,20 +411,8 @@ func (a *App) Load(p *sim.Proc, r *rand.Rand) error {
 		txt.str(r, 26, 50) // Data
 		col := txt.take()
 		it.Name, it.Data = col[0], col[1]
-		items[IKey(i)] = it.Encode()
+		items.Put(IKey(i), it.encode(&rows))
 	}
-	if err := a.In.DirectLoad(p, TableItem, items); err != nil {
-		return err
-	}
-
-	warehouses := make(map[int64][]byte, cfg.Warehouses)
-	districts := make(map[int64][]byte, cfg.Warehouses*Districts)
-	customers := make(map[int64][]byte)
-	history := make(map[int64][]byte)
-	orders := make(map[int64][]byte)
-	newOrders := make(map[int64][]byte)
-	orderLines := make(map[int64][]byte)
-	stocks := make(map[int64][]byte)
 
 	for w := 1; w <= cfg.Warehouses; w++ {
 		txt.address(r)
@@ -367,7 +426,7 @@ func (a *App) Load(p *sim.Proc, r *rand.Rand) error {
 			// identity at the unscaled 10×3000 customers.
 			YTD: 10 * float64(Districts*cfg.CustomersPerDistrict),
 		}
-		warehouses[WKey(w)] = wh.Encode()
+		warehouses.Put(WKey(w), wh.encode(&rows))
 
 		for i := 1; i <= cfg.Items; i++ {
 			st := Stock{ItemID: i, WID: w, Quantity: 10 + r.Intn(91)}
@@ -378,7 +437,7 @@ func (a *App) Load(p *sim.Proc, r *rand.Rand) error {
 			col := txt.take()
 			st.Data = col[0]
 			copy(st.Dists[:], col[1:])
-			stocks[SKey(w, i)] = st.Encode()
+			stocks.Put(SKey(w, i), st.encode(&rows))
 		}
 
 		for d := 1; d <= Districts; d++ {
@@ -393,12 +452,13 @@ func (a *App) Load(p *sim.Proc, r *rand.Rand) error {
 				YTD:     10 * float64(cfg.CustomersPerDistrict),
 				NextOID: cfg.CustomersPerDistrict + 1,
 			}
-			districts[DKey(w, d)] = dist.Encode()
+			districts.Put(DKey(w, d), dist.encode(&rows))
 
 			// Customers: the first third get names from the
 			// name-number space, the rest random names too (the
 			// spec uses NURand names for the first 1000).
 			perm := r.Perm(cfg.CustomersPerDistrict) // customer -> order permutation
+			var undelivered []int                    // the district's new-order queue
 			for c := 1; c <= cfg.CustomersPerDistrict; c++ {
 				last := LastName(randLastNameNum(r))
 				credit := "GC"
@@ -421,7 +481,7 @@ func (a *App) Load(p *sim.Proc, r *rand.Rand) error {
 					Credit: credit, CreditLim: 50000, Discount: discount, Balance: -10,
 					Data: col[6],
 				}
-				customers[CKey(w, d, c)] = cust.Encode()
+				customers.Put(CKey(w, d, c), cust.encode(&rows))
 				nk := nameKey{w, d, last}
 				a.byName[nk] = append(a.byName[nk], c)
 
@@ -430,7 +490,7 @@ func (a *App) Load(p *sim.Proc, r *rand.Rand) error {
 					CID: c, CDID: d, CWID: w, DID: d, WID: w,
 					Amount: 10, Data: txt.take()[0],
 				}
-				history[CKey(w, d, c)] = h.Encode()
+				history.Put(CKey(w, d, c), h.encode(&rows))
 
 				// One initial order per customer, order id from
 				// the permutation.
@@ -444,10 +504,11 @@ func (a *App) Load(p *sim.Proc, r *rand.Rand) error {
 				if delivered {
 					ord.CarrierID = 1 + r.Intn(10)
 				}
-				orders[OKey(w, d, o)] = ord.Encode()
+				orders.Put(OKey(w, d, o), ord.encode(&rows))
 				if !delivered {
 					no := NewOrderRow{OID: o, DID: d, WID: w}
-					newOrders[OKey(w, d, o)] = no.Encode()
+					newOrders.Put(OKey(w, d, o), no.encode(&rows))
+					undelivered = append(undelivered, o)
 				}
 				for ol := 1; ol <= olCnt; ol++ {
 					line := OrderLine{
@@ -462,48 +523,24 @@ func (a *App) Load(p *sim.Proc, r *rand.Rand) error {
 						line.DeliveryTime = 1
 						line.Amount = float64(r.Intn(999999)) / 100
 					}
-					orderLines[OLKey(w, d, o, ol)] = line.Encode()
+					orderLines.Put(OLKey(w, d, o, ol), line.encode(&rows))
 				}
 			}
+			// The new-order queue is served oldest order first.
+			sort.Ints(undelivered)
+			a.noQueue[DKey(w, d)] = undelivered
 		}
 	}
 
-	loads := []struct {
-		table string
-		rows  map[int64][]byte
-	}{
-		{TableWarehouse, warehouses},
-		{TableDistrict, districts},
-		{TableCustomer, customers},
-		{TableHistory, history},
-		{TableOrder, orders},
-		{TableNewOrder, newOrders},
-		{TableOrderLine, orderLines},
-		{TableStock, stocks},
-	}
-	for _, l := range loads {
-		if err := a.In.DirectLoad(p, l.table, l.rows); err != nil {
-			return fmt.Errorf("tpcc: load %s: %w", l.table, err)
-		}
-	}
-
-	// Sort the name index deterministically and seed the new-order
-	// queues from the loaded NEW_ORDER rows.
+	// Sort the name index deterministically.
 	for k := range a.byName {
 		sort.Ints(a.byName[k])
 	}
-	for w := 1; w <= cfg.Warehouses; w++ {
-		for d := 1; d <= Districts; d++ {
-			var pendingIDs []int
-			for o := 1; o <= cfg.CustomersPerDistrict; o++ {
-				if _, ok := newOrders[OKey(w, d, o)]; ok {
-					pendingIDs = append(pendingIDs, o)
-				}
-			}
-			sort.Ints(pendingIDs)
-			a.noQueue[DKey(w, d)] = pendingIDs
-		}
-	}
 	a.histSeq = int64(cfg.Warehouses*Districts*cfg.CustomersPerDistrict) * 4
-	return nil
+
+	set := make(LoadSet, len(stages))
+	for table, st := range stages {
+		set[table] = st.Images()
+	}
+	return set, nil
 }

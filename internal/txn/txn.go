@@ -38,13 +38,18 @@ type undoRec struct {
 	before []byte
 }
 
+// txnLists are a transaction's two growing lists.
+type txnLists struct {
+	undo  []undoRec
+	locks []heldLock
+}
+
 // Txn is one transaction.
 type Txn struct {
 	ID    redo.TxnID
 	state State
 
-	undo      []undoRec
-	locks     []heldLock
+	txnLists
 	firstSCN  redo.SCN // SCN of the transaction's first redo record
 	CommitSCN redo.SCN
 	zombie    bool // client gave up after a failed rollback; PMON owns it
@@ -91,6 +96,10 @@ type Manager struct {
 	nextID redo.TxnID
 	active map[redo.TxnID]*Txn
 	stats  Stats
+	// spare holds the emptied undo and lock lists of finished transactions
+	// for Begin to hand out again: never more than ran at once. A crashed
+	// instance's transactions do not return theirs.
+	spare []txnLists
 
 	// retention is the flashback retention horizon: while non-zero, redo
 	// groups whose records reach back to this SCN are protected from
@@ -223,9 +232,15 @@ func (m *Manager) IsActive(id redo.TxnID) bool {
 
 // Begin starts a transaction.
 func (m *Manager) Begin() *Txn {
-	// Room for a New-Order's two dozen row changes up front, instead of
-	// regrowing both lists from nil five times in every transaction.
-	t := &Txn{ID: m.nextID, state: StateActive, undo: make([]undoRec, 0, 32), locks: make([]heldLock, 0, 32)}
+	t := &Txn{ID: m.nextID, state: StateActive}
+	if n := len(m.spare); n > 0 {
+		t.txnLists, m.spare[n-1] = m.spare[n-1], txnLists{}
+		m.spare = m.spare[:n-1]
+	} else {
+		// Room for a New-Order's two dozen row changes up front, instead
+		// of regrowing both lists from nil five times.
+		t.txnLists = txnLists{undo: make([]undoRec, 0, 32), locks: make([]heldLock, 0, 32)}
+	}
 	m.nextID++
 	m.active[t.ID] = t
 	m.stats.Begun++
@@ -403,8 +418,7 @@ func (m *Manager) Commit(p *sim.Proc, t *Txn) error {
 	if len(t.undo) == 0 {
 		// Read-only transaction: nothing to make durable.
 		t.state = StateCommitted
-		m.locks.releaseAll(t)
-		delete(m.active, t.ID)
+		m.retire(t)
 		m.stats.Committed++
 		m.finished()
 		return nil
@@ -428,11 +442,23 @@ func (m *Manager) Commit(p *sim.Proc, t *Txn) error {
 	}
 	t.state = StateCommitted
 	t.CommitSCN = scn
-	m.locks.releaseAll(t)
-	delete(m.active, t.ID)
+	m.retire(t)
 	m.stats.Committed++
 	m.finished()
 	return nil
+}
+
+// retire takes a committed or rolled-back transaction out of the active set:
+// its locks go to their next waiters, and its two lists — emptied, so that no
+// before-image stays reachable through them — to the spare stack.
+func (m *Manager) retire(t *Txn) {
+	lists := t.txnLists
+	m.locks.releaseAll(t)
+	delete(m.active, t.ID)
+	clear(lists.undo)
+	clear(lists.locks)
+	m.spare = append(m.spare, txnLists{undo: lists.undo[:0], locks: lists.locks[:0]})
+	t.txnLists = txnLists{}
 }
 
 // finished fires the completion hook.
@@ -450,6 +476,12 @@ func (m *Manager) Rollback(p *sim.Proc, t *Txn) error {
 		return ErrTxnDone
 	}
 	for i := len(t.undo) - 1; i >= 0; i-- {
+		if i >= len(t.undo) {
+			// PMON and the killed session both rolling it back: the
+			// other one finished, and retired the list, while this
+			// one was parked in a compensation.
+			return ErrTxnDone
+		}
 		u := t.undo[i]
 		if err := m.compensate(p, t, u); err != nil {
 			// A failed compensation (e.g. datafile lost mid-abort)
@@ -459,8 +491,7 @@ func (m *Manager) Rollback(p *sim.Proc, t *Txn) error {
 	}
 	m.log.Append(redo.Record{Txn: t.ID, Op: redo.OpAbort})
 	t.state = StateAborted
-	m.locks.releaseAll(t)
-	delete(m.active, t.ID)
+	m.retire(t)
 	m.stats.Aborted++
 	m.finished()
 	return nil

@@ -34,8 +34,8 @@ func seedRows(t *testing.T, f *fixture, p *sim.Proc) (a, b []byte) {
 }
 
 // reload writes the cache back, empties it and lays the table's durable
-// images out as DirectLoad does — rows packed into one buffer, each capped at
-// its own length (what a miss's deep copy produced by itself until PR 19) —
+// images out as the load does — rows cut from one buffer, each capped at its
+// own length (what a miss's deep copy produced by itself until PR 19) —
 // so the next Get installs such an image, shared with the datafile, which
 // the next change has to clone.
 func reload(t *testing.T, f *fixture, p *sim.Proc) {
