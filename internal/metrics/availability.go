@@ -1,3 +1,5 @@
+// Package metrics provides the served-fraction measure the availability
+// reports are built from.
 package metrics
 
 import "dbench/internal/sim"

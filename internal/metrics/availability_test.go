@@ -1,6 +1,13 @@
 package metrics
 
-import "testing"
+import (
+	"testing"
+	"time"
+
+	"dbench/internal/sim"
+)
+
+func at(sec int) sim.Time { return sim.Time(time.Duration(sec) * time.Second) }
 
 func TestAvailabilityWindowEdges(t *testing.T) {
 	a := NewAvailability(at(10), at(20), 1)

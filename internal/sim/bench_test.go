@@ -70,6 +70,22 @@ func resourceUseLoad(k *Kernel, p *Proc) func() {
 	}
 }
 
+// contendedResourceLoad: txn.charge's pattern — twenty processes loop Use of
+// a capacity-1 resource with nothing in between. The foreground takes the
+// slot first and, re-acquiring at each release, keeps it; every Release
+// wakes the head of the 19-deep queue to find the slot taken again.
+func contendedResourceLoad(k *Kernel, p *Proc) func() {
+	r := NewResource(1)
+	for i := 0; i < 19; i++ {
+		k.Go("contender", func(q *Proc) {
+			for {
+				r.Use(q, 180*time.Microsecond)
+			}
+		})
+	}
+	return func() { r.Use(p, 180*time.Microsecond) }
+}
+
 // linkSendLoad: one Send over a LAN-like link a second sender shares.
 func linkSendLoad(k *Kernel, p *Proc) func() {
 	l := NewLink(k, LinkSpec{Name: "lan", Latency: 200 * time.Microsecond, BytesPerSec: 100 << 20})
@@ -108,11 +124,12 @@ func benchLoad(b *testing.B, l load) {
 	})
 }
 
-func BenchmarkSleep(b *testing.B)        { benchLoad(b, sleepLoad) }
-func BenchmarkCondPingPong(b *testing.B) { benchLoad(b, condPingPongLoad) }
-func BenchmarkBroadcast(b *testing.B)    { benchLoad(b, broadcastLoad) }
-func BenchmarkResourceUse(b *testing.B)  { benchLoad(b, resourceUseLoad) }
-func BenchmarkLinkSend(b *testing.B)     { benchLoad(b, linkSendLoad) }
+func BenchmarkSleep(b *testing.B)             { benchLoad(b, sleepLoad) }
+func BenchmarkCondPingPong(b *testing.B)      { benchLoad(b, condPingPongLoad) }
+func BenchmarkBroadcast(b *testing.B)         { benchLoad(b, broadcastLoad) }
+func BenchmarkResourceUse(b *testing.B)       { benchLoad(b, resourceUseLoad) }
+func BenchmarkResourceContended(b *testing.B) { benchLoad(b, contendedResourceLoad) }
+func BenchmarkLinkSend(b *testing.B)          { benchLoad(b, linkSendLoad) }
 
 // BenchmarkSchedule is schedule + dispatch of a plain event: the heap and
 // the closure call, no coroutine switch. The one allocation is the caller's

@@ -4,8 +4,8 @@
 // process is an ordinary Go function executing as a coroutine (iter.Pull),
 // so exactly one process (or the kernel itself) runs at any instant: control
 // is handed off explicitly whenever a process blocks on Sleep, a Cond, or a
-// Resource. Events at equal virtual times fire in scheduling order, so runs
-// are fully reproducible.
+// Resource and something other than its own wakeup is due. Events at equal
+// virtual times fire in scheduling order, so runs are fully reproducible.
 //
 // The kernel is the substrate for everything else in this repository: the
 // simulated disks, the database engine's background processes, the TPC-C
@@ -60,6 +60,7 @@ func (e *event) before(o *event) bool {
 // usable; construct with NewKernel.
 type Kernel struct {
 	now     Time
+	until   Time // bound of the Run in progress
 	seq     uint64
 	events  []event // binary min-heap on (at, seq)
 	rng     *rand.Rand
@@ -67,6 +68,7 @@ type Kernel struct {
 	live    map[*Proc]struct{}
 	nextPID uint64
 	stopped bool
+	resumes int // coroutine switches into a process, for tests
 }
 
 // NewKernel returns a kernel with its clock at zero and a deterministic
@@ -160,16 +162,24 @@ func (k *Kernel) RunAll() Time {
 }
 
 func (k *Kernel) run(until Time) {
-	k.stopped = false
-	for len(k.events) > 0 && !k.stopped && k.events[0].at <= until {
+	k.stopped, k.until = false, until
+	for k.due() {
 		e := k.pop()
 		k.now = e.at
-		if e.proc != nil {
-			e.proc.step()
-		} else {
+		switch {
+		case e.proc == nil:
 			e.fn()
+		case e.proc.mustRequeue():
+			e.proc.requeue()
+		default:
+			e.proc.step()
 		}
 	}
+}
+
+// due reports whether the earliest event fires within the Run in progress.
+func (k *Kernel) due() bool {
+	return len(k.events) > 0 && !k.stopped && k.events[0].at <= k.until
 }
 
 // KillAll terminates every live process (in creation order) and runs the
@@ -211,6 +221,8 @@ type Proc struct {
 	yield  func(struct{}) bool     // process side: hand control back to the kernel
 	done   bool
 	killed bool
+
+	acquiring *Resource // set while in Acquire's wait loop
 }
 
 // Go starts fn as a simulated process. fn begins executing at the current
@@ -252,17 +264,54 @@ func (p *Proc) step() {
 	if p.done {
 		return
 	}
+	p.k.resumes++
 	p.next()
 }
 
-// block suspends the process and returns control to the kernel. It must be
-// called from the process itself. The process resumes when a wakeup event
-// for it fires.
+// mustRequeue reports whether resuming p would only put it back in the queue
+// of the resource it waits for: Acquire's loop, woken while every slot is
+// still taken, does nothing but wait again. A killed process must run to
+// unwind; one that finished inside Acquire was killed, so its wakeup is
+// spent as before.
+func (p *Proc) mustRequeue() bool {
+	r := p.acquiring
+	return r != nil && r.inUse >= len(r.holds) && !p.killed
+}
+
+// requeue is what p would do if resumed when mustRequeue holds.
+func (p *Proc) requeue() { p.acquiring.queue.enqueue(p) }
+
+// block suspends the process until a wakeup event for it fires. It must be
+// called from the process itself. It fires the due events only the kernel
+// would act on in place (settle), and returns control to the kernel only if
+// something else — another process, a func event, Stop or Run's bound —
+// comes before the process's own wakeup.
 func (p *Proc) block() {
-	p.yield(struct{}{})
+	if !p.settle() {
+		p.yield(struct{}{})
+	}
 	if p.killed {
 		panic(killSignal{})
 	}
+}
+
+// settle fires, in (at, seq) order and without a coroutine switch, the due
+// wakeups of processes that mustRequeue, and reports whether it reached one
+// of p's own — which it also fires: p then simply carries on.
+func (p *Proc) settle() bool {
+	k := p.k
+	for k.due() {
+		q := k.events[0].proc
+		if q != p && (q == nil || !q.mustRequeue()) {
+			return false
+		}
+		k.now = k.pop().at
+		if q == p {
+			return true
+		}
+		q.requeue()
+	}
+	return false
 }
 
 // Kernel returns the kernel this process runs on.
@@ -311,6 +360,12 @@ type Cond struct {
 
 // Wait suspends p until another process calls Signal or Broadcast.
 func (c *Cond) Wait(p *Proc) {
+	c.enqueue(p)
+	p.block()
+}
+
+// enqueue appends p to the queue.
+func (c *Cond) enqueue(p *Proc) {
 	if w := c.waiters; len(w) == cap(w) && c.head*2 >= len(w) {
 		// Reuse the slots Signal vacated instead of letting append grow.
 		n := copy(w, w[c.head:])
@@ -318,7 +373,6 @@ func (c *Cond) Wait(p *Proc) {
 		c.waiters, c.head = w[:n], 0
 	}
 	c.waiters = append(c.waiters, p)
-	p.block()
 }
 
 // Signal wakes the earliest waiter, if any, scheduling it at the current
@@ -372,9 +426,11 @@ func NewResource(capacity int) *Resource {
 
 // Acquire obtains a slot, blocking in FIFO order while none is free.
 func (r *Resource) Acquire(p *Proc) {
+	p.acquiring = r
 	for r.inUse >= len(r.holds) {
 		r.queue.Wait(p)
 	}
+	p.acquiring = nil
 	r.inUse++
 	for i := range r.holds {
 		if r.holds[i].proc == nil {

@@ -346,7 +346,7 @@ func TestQuickResourceThroughput(t *testing.T) {
 func TestSimAllocs(t *testing.T) {
 	loads := map[string]load{
 		"Sleep": sleepLoad, "CondPingPong": condPingPongLoad, "Broadcast": broadcastLoad,
-		"ResourceUse": resourceUseLoad, "LinkSend": linkSendLoad,
+		"ResourceUse": resourceUseLoad, "ResourceContended": contendedResourceLoad, "LinkSend": linkSendLoad,
 	}
 	for name, l := range loads {
 		inSim(func(k *Kernel, p *Proc) {
@@ -373,14 +373,7 @@ func TestSimAllocs(t *testing.T) {
 func randomProgramHash(seed int64) uint64 {
 	const mains, steps, childSteps = 30, 2000, 25
 	k := NewKernel(seed)
-	h := fnv.New64a()
-	var buf [17]byte
-	rec := func(pid uint64, op byte) {
-		binary.LittleEndian.PutUint64(buf[0:], uint64(k.Now()))
-		binary.LittleEndian.PutUint64(buf[8:], pid)
-		buf[16] = op
-		h.Write(buf[:])
-	}
+	rec, sum := traceHash(k)
 	var conds [4]Cond
 	cpu, disk := NewResource(2), NewResource(1)
 	var children []*Proc
@@ -468,7 +461,111 @@ func randomProgramHash(seed int64) uint64 {
 	rec(uint64(k.Procs()), 'K')
 	k.KillAll()
 	rec(uint64(k.Pending()), 'E')
-	return h.Sum64()
+	return sum()
+}
+
+// traceHash returns a recorder of (now, pid, op) into an FNV-1a hash, and
+// the hash so far.
+func traceHash(k *Kernel) (rec func(pid uint64, op byte), sum func() uint64) {
+	h := fnv.New64a()
+	var buf [17]byte
+	rec = func(pid uint64, op byte) {
+		binary.LittleEndian.PutUint64(buf[0:], uint64(k.Now()))
+		binary.LittleEndian.PutUint64(buf[8:], pid)
+		buf[16] = op
+		h.Write(buf[:])
+	}
+	return rec, h.Sum64
+}
+
+// contendedProgramHash is randomProgramHash for the contended shapes the
+// kernel settles without a coroutine switch: 24 acquirers run bursts of
+// back-to-back Use on a Resource(1) and a Resource(4) with nothing between
+// them (txn.charge's pattern, where a releaser re-acquires before the waiter
+// it signalled runs), queued acquirers are killed, resource queues are
+// broadcast and signalled from func events, processes call Stop, and the
+// program runs in slices short enough that some own wakeups lie past the
+// bound.
+func contendedProgramHash(seed int64) uint64 {
+	const acquirers, rounds = 24, 300
+	k := NewKernel(seed)
+	rec, sum := traceHash(k)
+	one, four := NewResource(1), NewResource(4)
+	rnd := k.Rand()
+	dur := func() Duration { return Duration(rnd.Intn(400)) * time.Microsecond }
+	var procs []*Proc
+	alive, kills := acquirers, 12
+
+	// A victim taken from a queue is waiting in Acquire; one taken from all
+	// acquirers may hold a slot, sleep, or have a wakeup pending.
+	victim := func() *Proc {
+		if q := &one.queue; rnd.Intn(3) > 0 && q.Waiting() > 0 {
+			return q.waiters[q.head+rnd.Intn(q.Waiting())]
+		}
+		return procs[rnd.Intn(len(procs))]
+	}
+	body := func(p *Proc) {
+		defer func() { alive-- }()
+		defer rec(p.pid, 'X') // also fires, in kill order, when unwinding
+		for i := 0; i < rounds; i++ {
+			switch r := rnd.Intn(100); {
+			case r < 45:
+				for n := rnd.Intn(4); n >= 0; n-- {
+					one.Use(p, dur())
+					rec(p.pid, 'c')
+				}
+			case r < 80:
+				for n := rnd.Intn(4); n >= 0; n-- {
+					four.Use(p, dur())
+					rec(p.pid, 'f')
+				}
+			case r < 90:
+				p.Sleep(dur())
+				rec(p.pid, 's')
+			case r < 94:
+				if v := victim(); v != p && kills > 0 && !v.Done() {
+					kills--
+					v.Kill()
+					rec(v.pid, 'k')
+				}
+			case r < 96:
+				one.queue.Broadcast(k)
+				rec(p.pid, 'b')
+			case r < 98:
+				k.After(dur(), func() {
+					rec(0, 'A')
+					one.queue.Signal(k)
+					four.queue.Signal(k)
+				})
+			default:
+				k.Stop()
+				rec(p.pid, 'S')
+			}
+		}
+	}
+	for i := 0; i < acquirers; i++ {
+		procs = append(procs, k.Go(fmt.Sprintf("acquirer%d", i), body))
+	}
+	// A killed acquirer stays queued and swallows a Release's wakeup; the
+	// pump's broadcasts keep the resources from wedging with a free slot.
+	k.Go("pump", func(p *Proc) {
+		for alive > 0 {
+			p.Sleep(3 * time.Millisecond)
+			one.queue.Broadcast(k)
+			four.queue.Broadcast(k)
+		}
+	})
+	for t := Time(0); alive > 0 && t < Time(time.Hour); {
+		t = t.Add(7 * time.Millisecond)
+		rec(0, 'R')
+		k.Run(t)
+	}
+	rec(uint64(one.BusyTotal()), '1')
+	rec(uint64(four.BusyTotal()), '4')
+	rec(uint64(k.Procs()), 'K')
+	k.KillAll()
+	rec(uint64(k.Pending()), 'E')
+	return sum()
 }
 
 // TestSimEventOrderPinned proves the kernel fires events in the order the
@@ -482,6 +579,121 @@ func TestSimEventOrderPinned(t *testing.T) {
 		if got := randomProgramHash(seed); got != want {
 			t.Errorf("seed %d: trace hash %#x, want %#x: event order changed", seed, got, want)
 		}
+	}
+}
+
+// TestSimContendedOrderPinned pins contendedProgramHash to the values the
+// kernel computed before it settled wakeups in place (commit 513e106): a
+// futile wakeup re-queued by the kernel, or a process's own wakeup fired
+// without a switch, must leave every event where the resuming kernel put it.
+func TestSimContendedOrderPinned(t *testing.T) {
+	for seed, want := range map[int64]uint64{1: 0x1f2bdd2dc0e55183, 7: 0xf20fd741bdaf948b, 42: 0x6c6cd5f60083aef9} {
+		if got := contendedProgramHash(seed); got != want {
+			t.Errorf("seed %d: trace hash %#x, want %#x: event order changed", seed, got, want)
+		}
+	}
+}
+
+// A process that blocks settles, in place, a waiter's futile wakeup (the
+// releaser re-acquired first) and its own wakeup when that is what comes
+// next: neither needs a coroutine switch.
+func TestSettledWakeupsSkipTheSwitch(t *testing.T) {
+	const users, uses, service = 20, 50, 180 * time.Microsecond
+	k := NewKernel(1)
+	r := NewResource(1)
+	for i := 0; i < users; i++ {
+		k.Go("user", func(p *Proc) {
+			for j := 0; j < uses; j++ {
+				r.Use(p, service)
+			}
+		})
+	}
+	// Each user runs once to queue and once when the slot is finally its
+	// own; resuming on every event took ~1 970 switches.
+	if end := k.RunAll(); end != Time(users*uses*service) || k.resumes > 2*users {
+		t.Errorf("%d users x %d uses: end %v, %d resumes, want %v and at most %d", users, uses, end, k.resumes, Time(users*uses*service), 2*users)
+	}
+
+	k = NewKernel(1)
+	k.Go("sleeper", func(p *Proc) {
+		for i := 0; i < 1000; i++ {
+			p.Sleep(time.Microsecond)
+		}
+	})
+	if end := k.RunAll(); end != Time(time.Millisecond) || k.resumes != 1 {
+		t.Errorf("1000 sleeps: end %v, %d resumes, want 1ms and 1", end, k.resumes)
+	}
+}
+
+// A queued acquirer that is killed unwinds through its defers — also when
+// the wakeup a Release gave it finds the slot taken again, the case the
+// kernel would otherwise settle by putting it back in the queue.
+func TestKilledQueuedAcquirerUnwinds(t *testing.T) {
+	k := NewKernel(1)
+	r := NewResource(1)
+	unwound := map[string]bool{}
+	var a, b *Proc
+	acquirer := func(name string) func(p *Proc) {
+		return func(p *Proc) {
+			defer func() { unwound[name] = true }()
+			r.Use(p, time.Second)
+			t.Errorf("%s got the slot", name)
+		}
+	}
+	k.Go("holder", func(p *Proc) {
+		r.Use(p, time.Second) // its Release signals a, queued first
+		a.Kill()
+		r.Use(p, time.Second) // taken before a's wakeup pops
+	})
+	a = k.Go("a", acquirer("a"))
+	b = k.Go("b", acquirer("b"))
+	k.Go("killer", func(p *Proc) {
+		p.Sleep(500 * time.Millisecond)
+		b.Kill() // queued, no wakeup pending
+	})
+	if end := k.RunAll(); end != Time(2*time.Second) || !unwound["a"] || !unwound["b"] || !a.Done() || !b.Done() || k.Procs() != 0 {
+		t.Fatalf("end %v, unwound %v, done a=%v b=%v, procs %d: want 2s, both unwound and done, none left", end, unwound, a.Done(), b.Done(), k.Procs())
+	}
+}
+
+// ROADMAP 5(c)'s dead waiter, kept as it is: Signal hands a Release to the
+// head of the queue without asking whether that process is still alive, so
+// a killed acquirer left in the queue swallows the wakeup and the waiter
+// behind it stays parked beside a free slot. The dead-waiter fix flips this
+// test on purpose.
+func TestFinishedWaiterSwallowsARelease(t *testing.T) {
+	k := NewKernel(1)
+	r := NewResource(1)
+	served := false
+	k.Go("holder", func(p *Proc) { r.Use(p, time.Second) })
+	dead := k.Go("dead", func(p *Proc) { r.Use(p, time.Second) })
+	k.Go("waiter", func(p *Proc) { r.Use(p, time.Second); served = true })
+	k.Go("killer", func(p *Proc) { p.Sleep(500 * time.Millisecond); dead.Kill() })
+	k.RunAll()
+	if served || !dead.Done() || r.QueueLen() != 1 || r.inUse != 0 || k.Procs() != 1 {
+		t.Fatalf("served=%v dead done=%v queued=%d in use=%d procs=%d: want the release swallowed, the waiter parked beside a free slot",
+			served, dead.Done(), r.QueueLen(), r.inUse, k.Procs())
+	}
+	k.KillAll()
+}
+
+// A process whose own next wakeup lies past Run's bound cannot settle it: it
+// parks, and the next Run resumes it.
+func TestOwnWakeupPastRunBoundParks(t *testing.T) {
+	k := NewKernel(1)
+	var woke []Time
+	k.Go("sleeper", func(p *Proc) {
+		for i := 0; i < 6; i++ {
+			p.Sleep(300 * time.Millisecond)
+			woke = append(woke, p.Now())
+		}
+	})
+	if end := k.Run(Time(time.Second)); end != Time(time.Second) || len(woke) != 3 || k.Pending() != 1 || k.resumes != 1 {
+		t.Fatalf("first Run: end %v, woke %v, pending %d, resumes %d; want 1s, 3 wakeups, the fourth queued, 1 resume", end, woke, k.Pending(), k.resumes)
+	}
+	k.Run(Time(2 * time.Second))
+	if len(woke) != 6 || woke[3] != Time(1200*time.Millisecond) || woke[5] != Time(1800*time.Millisecond) || k.resumes != 2 || k.Procs() != 0 {
+		t.Fatalf("second Run: woke %v, resumes %d, procs %d; want 6 wakeups to 1.8s, 2 resumes, done", woke, k.resumes, k.Procs())
 	}
 }
 
