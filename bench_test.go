@@ -143,7 +143,7 @@ func BenchmarkFigure7LostTransactions(b *testing.B) {
 // outside the timer, then b.N New-Orders execute round-robin over the
 // warehouses. The buffer cache keeps its per-warehouse share so the
 // number measures the transaction path (partition routing, sharded
-// cache, striped locks), not cache starvation. W=1 is the CI regression
+// cache, row locks), not cache starvation. W=1 is the CI regression
 // gate (see BENCH_NEWORDER.json); W=4/16 track the cost of scale.
 func benchmarkNewOrder(b *testing.B, warehouses int) {
 	k := sim.NewKernel(42)

@@ -32,7 +32,7 @@ func newRig(t *testing.T) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cat.CreateTable("t", "u", ts, 4); err != nil {
+	if _, err := cat.CreateTableClustered("t", "u", ts, 4, 1); err != nil {
 		t.Fatal(err)
 	}
 	return &rig{k: k, fs: fs, db: db, cat: cat, m: NewManager(k, fs, "arch")}

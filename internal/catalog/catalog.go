@@ -12,6 +12,8 @@ package catalog
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"dbench/internal/storage"
@@ -71,10 +73,10 @@ func (t *Table) Partitions() int {
 	return len(t.parts)
 }
 
-// PartitionOf maps a row key to its partition index (always 0 for an
+// partitionOf maps a row key to its partition index (always 0 for an
 // unpartitioned table). Out-of-range keys clamp to the edge partitions, so
 // a stray key misses its row rather than panicking.
-func (t *Table) PartitionOf(key int64) int {
+func (t *Table) partitionOf(key int64) int {
 	if t.PartDiv <= 0 || len(t.parts) == 0 {
 		return 0
 	}
@@ -98,7 +100,7 @@ func (t *Table) BlockFor(key int64) storage.BlockRef {
 	}
 	seg := t.blocks
 	if len(t.parts) > 0 {
-		seg = t.parts[t.PartitionOf(key)]
+		seg = t.parts[t.partitionOf(key)]
 	}
 	run := uint64(key) / uint64(c)
 	idx := int(run % uint64(len(seg)))
@@ -145,10 +147,14 @@ func (c *Catalog) DropUser(name string) ([]string, error) {
 	for tname, tbl := range c.tables {
 		if tbl.Owner == name {
 			dropped = append(dropped, tname)
-			delete(c.tables, tname)
 		}
 	}
 	sort.Strings(dropped)
+	for _, tname := range dropped {
+		if err := c.DropTable(tname); err != nil {
+			return nil, err
+		}
+	}
 	delete(c.users, name)
 	return dropped, nil
 }
@@ -162,51 +168,19 @@ func (c *Catalog) User(name string) (*User, error) {
 	return u, nil
 }
 
-// CreateTable allocates a segment of numBlocks blocks for a new table,
-// spread round-robin across the tablespace's datafiles.
-func (c *Catalog) CreateTable(name, owner string, ts *storage.Tablespace, numBlocks int) (*Table, error) {
-	return c.CreateTableClustered(name, owner, ts, numBlocks, 1)
-}
-
-// CreateTableClustered creates a table whose rows are clustered in runs
-// of `cluster` consecutive keys per block.
+// CreateTableClustered creates an unpartitioned table: one segment of
+// numBlocks blocks in ts whose rows are clustered in runs of `cluster`
+// consecutive keys per block.
 func (c *Catalog) CreateTableClustered(name, owner string, ts *storage.Tablespace, numBlocks, cluster int) (*Table, error) {
-	if _, ok := c.tables[name]; ok {
-		return nil, fmt.Errorf("catalog: table %q exists", name)
-	}
-	if numBlocks < 1 {
-		return nil, fmt.Errorf("catalog: table %q needs at least 1 block", name)
-	}
-	if len(ts.Files) == 0 {
-		return nil, fmt.Errorf("catalog: tablespace %q has no datafiles", ts.Name)
-	}
-	t := &Table{Name: name, Owner: owner, Tablespace: ts.Name, Cluster: cluster}
-	// Allocate blocks from the tablespace's files: a per-file cursor
-	// tracks the next free block (segments never share blocks).
-	perFile := (numBlocks + len(ts.Files) - 1) / len(ts.Files)
-	for _, f := range ts.Files {
-		start := c.allocated(f)
-		for i := 0; i < perFile && len(t.blocks) < numBlocks; i++ {
-			no := start + i
-			if no >= f.NumBlocks() {
-				return nil, fmt.Errorf("%w: tablespace %q file %q", storage.ErrNoSpace, ts.Name, f.Name)
-			}
-			t.blocks = append(t.blocks, storage.BlockRef{File: f, No: no})
-		}
-	}
-	if len(t.blocks) < numBlocks {
-		return nil, fmt.Errorf("%w: tablespace %q", storage.ErrNoSpace, ts.Name)
-	}
-	c.tables[name] = t
-	c.stampHeaders(t.files())
-	return t, nil
+	return c.CreateTablePartitioned(name, owner, []*storage.Tablespace{ts}, numBlocks, cluster, 0)
 }
 
 // CreateTablePartitioned creates a warehouse-partitioned table: partition
 // i (serving keys k with k/partDiv == i+1) gets its own segment of
-// blocksPerPart blocks allocated in tablespaces[i]. Rows within a
-// partition are clustered in runs of `cluster` consecutive keys, exactly
-// as in CreateTableClustered.
+// blocksPerPart blocks spread round-robin across the datafiles of
+// tablespaces[i], and rows within a partition are clustered in runs of
+// `cluster` consecutive keys. A zero partDiv over one tablespace is an
+// unpartitioned table (CreateTableClustered).
 func (c *Catalog) CreateTablePartitioned(name, owner string, tablespaces []*storage.Tablespace, blocksPerPart, cluster int, partDiv int64) (*Table, error) {
 	if _, ok := c.tables[name]; ok {
 		return nil, fmt.Errorf("catalog: table %q exists", name)
@@ -217,7 +191,7 @@ func (c *Catalog) CreateTablePartitioned(name, owner string, tablespaces []*stor
 	if blocksPerPart < 1 {
 		return nil, fmt.Errorf("catalog: table %q needs at least 1 block per partition", name)
 	}
-	if partDiv < 1 {
+	if partDiv < 0 || partDiv == 0 && len(tablespaces) > 1 {
 		return nil, fmt.Errorf("catalog: table %q needs a positive partition divisor", name)
 	}
 	t := &Table{Name: name, Owner: owner, Tablespace: tablespaces[0].Name, Cluster: cluster, PartDiv: partDiv}
@@ -225,6 +199,8 @@ func (c *Catalog) CreateTablePartitioned(name, owner string, tablespaces []*stor
 		if len(ts.Files) == 0 {
 			return nil, fmt.Errorf("catalog: tablespace %q has no datafiles", ts.Name)
 		}
+		// A per-file cursor tracks the next free block (segments never
+		// share blocks, nor do partitions sharing a datafile).
 		start := len(t.blocks)
 		perFile := (blocksPerPart + len(ts.Files) - 1) / len(ts.Files)
 		for _, f := range ts.Files {
@@ -240,10 +216,12 @@ func (c *Catalog) CreateTablePartitioned(name, owner string, tablespaces []*stor
 		if len(t.blocks)-start < blocksPerPart {
 			return nil, fmt.Errorf("%w: tablespace %q", storage.ErrNoSpace, ts.Name)
 		}
-		t.parts = append(t.parts, t.blocks[start:len(t.blocks):len(t.blocks)])
+		if partDiv > 0 {
+			t.parts = append(t.parts, t.blocks[start:len(t.blocks):len(t.blocks)])
+		}
 	}
 	c.tables[name] = t
-	c.stampHeaders(t.files())
+	c.stampHeaders(filesOf(t))
 	return t, nil
 }
 
@@ -282,7 +260,7 @@ func (c *Catalog) DropTable(name string) error {
 		return fmt.Errorf("%w: %q", ErrUnknownTable, name)
 	}
 	delete(c.tables, name)
-	c.stampHeaders(t.files())
+	c.stampHeaders(filesOf(t))
 	return nil
 }
 
@@ -363,15 +341,20 @@ func (c *Catalog) Snapshot() *Catalog {
 	return s
 }
 
-// Restore replaces the dictionary content with the snapshot's.
+// Restore replaces the dictionary content with the snapshot's, and restamps
+// every datafile either dictionary has a segment in: the headers describe
+// the restored table set, not the one it replaced.
 func (c *Catalog) Restore(snap *Catalog) {
+	touched := slices.Collect(maps.Values(c.tables))
 	c.tables = make(map[string]*Table, len(snap.tables))
 	c.users = make(map[string]*User, len(snap.users))
 	for n, t := range snap.tables {
 		c.tables[n] = copyTable(t)
+		touched = append(touched, c.tables[n])
 	}
 	for n, u := range snap.users {
 		cu := *u
 		c.users[n] = &cu
 	}
+	c.stampHeaders(filesOf(touched...))
 }

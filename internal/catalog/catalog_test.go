@@ -28,7 +28,7 @@ func newTS(t *testing.T, files, blocksPerFile int) *storage.Tablespace {
 func TestCreateTableAllocatesAcrossFiles(t *testing.T) {
 	ts := newTS(t, 2, 10)
 	c := New()
-	tbl, err := c.CreateTable("t1", "tpcc", ts, 6)
+	tbl, err := c.CreateTableClustered("t1", "tpcc", ts, 6, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,8 +47,8 @@ func TestCreateTableAllocatesAcrossFiles(t *testing.T) {
 func TestCreateTableNoOverlapBetweenTables(t *testing.T) {
 	ts := newTS(t, 1, 10)
 	c := New()
-	t1, _ := c.CreateTable("t1", "u", ts, 4)
-	t2, err := c.CreateTable("t2", "u", ts, 4)
+	t1, _ := c.CreateTableClustered("t1", "u", ts, 4, 1)
+	t2, err := c.CreateTableClustered("t2", "u", ts, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,15 +65,15 @@ func TestCreateTableNoOverlapBetweenTables(t *testing.T) {
 func TestCreateTableOutOfSpace(t *testing.T) {
 	ts := newTS(t, 1, 4)
 	c := New()
-	if _, err := c.CreateTable("t1", "u", ts, 5); !errors.Is(err, storage.ErrNoSpace) {
+	if _, err := c.CreateTableClustered("t1", "u", ts, 5, 1); !errors.Is(err, storage.ErrNoSpace) {
 		t.Fatalf("err = %v, want ErrNoSpace", err)
 	}
 	// Exactly filling works.
-	if _, err := c.CreateTable("t2", "u", ts, 4); err != nil {
+	if _, err := c.CreateTableClustered("t2", "u", ts, 4, 1); err != nil {
 		t.Fatal(err)
 	}
 	// And then nothing more fits.
-	if _, err := c.CreateTable("t3", "u", ts, 1); !errors.Is(err, storage.ErrNoSpace) {
+	if _, err := c.CreateTableClustered("t3", "u", ts, 1, 1); !errors.Is(err, storage.ErrNoSpace) {
 		t.Fatalf("err = %v, want ErrNoSpace", err)
 	}
 }
@@ -81,7 +81,7 @@ func TestCreateTableOutOfSpace(t *testing.T) {
 func TestBlockForIsStableAndInRange(t *testing.T) {
 	ts := newTS(t, 2, 10)
 	c := New()
-	tbl, _ := c.CreateTable("t", "u", ts, 7)
+	tbl, _ := c.CreateTableClustered("t", "u", ts, 7, 1)
 	for key := int64(-5); key < 100; key++ {
 		a := tbl.BlockFor(key)
 		b := tbl.BlockFor(key)
@@ -94,7 +94,7 @@ func TestBlockForIsStableAndInRange(t *testing.T) {
 func TestDropTable(t *testing.T) {
 	ts := newTS(t, 1, 8)
 	c := New()
-	_, _ = c.CreateTable("t", "u", ts, 2)
+	_, _ = c.CreateTableClustered("t", "u", ts, 2, 1)
 	if err := c.DropTable("t"); err != nil {
 		t.Fatal(err)
 	}
@@ -115,9 +115,9 @@ func TestUsersAndDropUserCascades(t *testing.T) {
 	if _, err := c.CreateUser("tpcc", "USERS"); err == nil {
 		t.Fatal("duplicate user accepted")
 	}
-	_, _ = c.CreateTable("a", "tpcc", ts, 1)
-	_, _ = c.CreateTable("b", "tpcc", ts, 1)
-	_, _ = c.CreateTable("x", "other", ts, 1)
+	_, _ = c.CreateTableClustered("a", "tpcc", ts, 1, 1)
+	_, _ = c.CreateTableClustered("b", "tpcc", ts, 1, 1)
+	_, _ = c.CreateTableClustered("x", "other", ts, 1, 1)
 	dropped, err := c.DropUser("tpcc")
 	if err != nil {
 		t.Fatal(err)
@@ -137,12 +137,12 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	ts := newTS(t, 1, 10)
 	c := New()
 	_, _ = c.CreateUser("u", "USERS")
-	_, _ = c.CreateTable("t1", "u", ts, 2)
+	_, _ = c.CreateTableClustered("t1", "u", ts, 2, 1)
 	snap := c.Snapshot()
 
 	// Mutate after snapshot.
 	_ = c.DropTable("t1")
-	_, _ = c.CreateTable("t2", "u", ts, 2)
+	_, _ = c.CreateTableClustered("t2", "u", ts, 2, 1)
 
 	c.Restore(snap)
 	if _, err := c.Table("t1"); err != nil {
@@ -165,7 +165,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 func TestQuickBlockForInSegment(t *testing.T) {
 	ts := newTS(t, 2, 64)
 	c := New()
-	tbl, err := c.CreateTable("t", "u", ts, 33)
+	tbl, err := c.CreateTableClustered("t", "u", ts, 33, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

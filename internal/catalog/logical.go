@@ -25,18 +25,16 @@ var ErrTableFrozen = errors.New("catalog: table frozen by flashback")
 // ErrCorruptHeader reports a datafile header damaged past recognition.
 var ErrCorruptHeader = errors.New("catalog: corrupt datafile header")
 
-// Files returns the distinct datafiles hosting t's segment (flashback
-// flushes and invalidates them before rewinding the durable images).
-func (t *Table) Files() []*storage.Datafile { return t.files() }
-
-// files returns the distinct datafiles hosting t's segment.
-func (t *Table) files() []*storage.Datafile {
+// filesOf returns the distinct datafiles hosting the tables' segments.
+func filesOf(tables ...*Table) []*storage.Datafile {
 	var out []*storage.Datafile
 	seen := make(map[*storage.Datafile]bool)
-	for _, ref := range t.blocks {
-		if !seen[ref.File] {
-			seen[ref.File] = true
-			out = append(out, ref.File)
+	for _, t := range tables {
+		for _, ref := range t.blocks {
+			if !seen[ref.File] {
+				seen[ref.File] = true
+				out = append(out, ref.File)
+			}
 		}
 	}
 	return out
@@ -92,7 +90,7 @@ func (c *Catalog) CreateTableFromDescriptor(d *redo.TableDescriptor, db *storage
 		return nil, err
 	}
 	c.tables[d.Name] = t
-	c.stampHeaders(t.files())
+	c.stampHeaders(filesOf(t))
 	return t, nil
 }
 
@@ -202,18 +200,22 @@ func decodeHeader(b []byte) ([]*redo.TableDescriptor, error) {
 
 // stampHeaders rewrites the metadata header of each given file to the
 // current dictionary state: for every table with blocks in the file, the
-// table's descriptor restricted to that file's extents. Called on every
-// DDL that changes segment layout.
+// table's descriptor restricted to that file's extents. Every change to the
+// table set calls it for the files the change touches.
 func (c *Catalog) stampHeaders(files []*storage.Datafile) {
+	tables := c.Tables()
+	full := make([]*redo.TableDescriptor, len(tables))
+	for i, t := range tables {
+		full[i] = t.Descriptor()
+	}
 	for _, f := range files {
 		var descs []*redo.TableDescriptor
-		for _, t := range c.Tables() {
-			full := t.Descriptor()
+		for _, d := range full {
 			local := &redo.TableDescriptor{
-				Name: full.Name, Owner: full.Owner, Tablespace: full.Tablespace,
-				Cluster: full.Cluster, PartDiv: full.PartDiv,
+				Name: d.Name, Owner: d.Owner, Tablespace: d.Tablespace,
+				Cluster: d.Cluster, PartDiv: d.PartDiv,
 			}
-			for _, e := range full.Extents {
+			for _, e := range d.Extents {
 				if e.File == f.Name {
 					local.Extents = append(local.Extents, e)
 				}

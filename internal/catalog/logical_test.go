@@ -140,12 +140,12 @@ func TestRebuildFromHeadersRoundTrip(t *testing.T) {
 // silently drop or invent tables.
 func TestRebuildFromHeadersRejectsCorruptHeader(t *testing.T) {
 	r := newScanRig(t)
-	if _, err := r.c.CreateTable("t1", "app", r.ts, 4); err != nil {
+	if _, err := r.c.CreateTableClustered("t1", "app", r.ts, 4, 1); err != nil {
 		t.Fatal(err)
 	}
 	// Corrupt the header of a file that hosts t1's segment.
 	var victim *storage.Datafile
-	for _, f := range mustTable(t, r.c, "t1").Files() {
+	for _, f := range filesOf(mustTable(t, r.c, "t1")) {
 		victim = f
 		break
 	}
@@ -168,7 +168,7 @@ func TestRebuildSkipsFilesWithoutSegments(t *testing.T) {
 	r := newScanRig(t)
 	// Only ts (d1+d2) hosts a table; ts2's file d2 shares the disk but
 	// USERS2_01.dbf itself has no segments and so no header.
-	if _, err := r.c.CreateTable("t1", "app", r.ts, 2); err != nil {
+	if _, err := r.c.CreateTableClustered("t1", "app", r.ts, 2, 1); err != nil {
 		t.Fatal(err)
 	}
 	r.c.Wipe()
@@ -182,6 +182,60 @@ func TestRebuildSkipsFilesWithoutSegments(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+// rebuilt wipes the dictionary and returns the tables a header scan finds.
+func (r *scanRig) rebuilt(t *testing.T) []string {
+	t.Helper()
+	r.c.Wipe()
+	var names []string
+	r.run(t, func(p *sim.Proc) (err error) {
+		names, err = r.c.RebuildFromHeaders(p, r.db)
+		return err
+	})
+	return names
+}
+
+// DROP USER ... CASCADE takes the user's tables out of the headers too: a
+// header scan after it must not resurrect them.
+func TestDropUserRestampsHeaders(t *testing.T) {
+	r := newScanRig(t)
+	if _, err := r.c.CreateTableClustered("t1", "app", r.ts, 4, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.c.CreateTableClustered("t2", "other", r.ts, 4, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.c.CreateUser("app", "USERS"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.c.DropUser("app"); err != nil {
+		t.Fatal(err)
+	}
+	if names := r.rebuilt(t); len(names) != 1 || names[0] != "t2" {
+		t.Errorf("rebuilt %v after DROP USER app, want [t2]", names)
+	}
+}
+
+// Restoring a dictionary snapshot (point-in-time recovery) restamps every
+// file either dictionary touches: the header scan afterwards finds the
+// table the snapshot brings back and not the one created after it.
+func TestRestoreRestampsHeaders(t *testing.T) {
+	r := newScanRig(t)
+	if _, err := r.c.CreateTableClustered("t1", "app", r.ts, 4, 1); err != nil {
+		t.Fatal(err)
+	}
+	snap := r.c.Snapshot()
+	if err := r.c.DropTable("t1"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.c.CreateTableClustered("t2", "app", r.ts2, 4, 1); err != nil {
+		t.Fatal(err)
+	}
+	r.c.Restore(snap)
+	if names := r.rebuilt(t); len(names) != 1 || names[0] != "t1" {
+		t.Errorf("rebuilt %v after restoring the snapshot, want [t1]", names)
+	}
 }
 
 func mustTable(t *testing.T, c *Catalog, name string) *Table {

@@ -45,8 +45,8 @@ func imagesHash(images []*storage.Block) uint64 {
 func TestBackupImagesSurviveWorkloadRestoresAndCrash(t *testing.T) {
 	cfg := quickConfig()
 	ecfg := engine.DefaultConfig()
-	ecfg.Redo.GroupSizeBytes = cfg.GroupSize
-	ecfg.Redo.Groups = cfg.Groups
+	ecfg.Redo.GroupSizeBytes = groupSize
+	ecfg.Redo.Groups = groups
 	ecfg.Redo.ArchiveMode = true
 	ecfg.CheckpointTimeout = 2 * time.Second
 	ecfg.CacheBlocks = 48 // far below the working set: evictions write dirty blocks back
@@ -173,8 +173,8 @@ func fileHashes(in *engine.Instance) map[string]uint64 {
 func TestStandbysShareTheLoadedImagesAndNobodyWritesThrough(t *testing.T) {
 	cfg := quickConfig()
 	ecfg := engine.DefaultConfig()
-	ecfg.Redo.GroupSizeBytes = cfg.GroupSize
-	ecfg.Redo.Groups = cfg.Groups
+	ecfg.Redo.GroupSizeBytes = groupSize
+	ecfg.Redo.Groups = groups
 	ecfg.Redo.ArchiveMode = true
 	ecfg.CheckpointTimeout = 2 * time.Second
 	ecfg.CacheBlocks = 48 // far below the working set: evictions write dirty blocks back
@@ -192,13 +192,11 @@ func TestStandbysShareTheLoadedImagesAndNobodyWritesThrough(t *testing.T) {
 		for _, f := range in.DB().Datafiles() {
 			backup[f.Name] = f.SnapshotImages()
 		}
-		cluster, err := rig.StartCluster(p, ecfg, 2, standby.ClusterConfig{Mode: standby.ModeSync})
+		cluster, err := rig.StartCluster(p, 2, standby.ClusterConfig{Mode: standby.ModeSync})
 		if err != nil {
 			return err
 		}
-		refCfg := ecfg
-		refCfg.RecoveryParallelism = 1
-		ref, err := rig.Standby(p, refCfg, "reference")
+		ref, err := rig.Standby(p, "reference")
 		if err != nil {
 			return err
 		}

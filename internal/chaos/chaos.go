@@ -110,16 +110,8 @@ type Config struct {
 	// CacheBlocks sizes the buffer cache; small caches write back
 	// dirty blocks early and widen the crash-state space.
 	CacheBlocks int
-	// GroupSize/Groups shape the redo log; small groups make switches,
-	// archiving and checkpoints frequent, so crash points land amid
-	// them.
-	GroupSize int64
-	Groups    int
 	// CheckpointTimeout is the engine's periodic checkpoint interval.
 	CheckpointTimeout time.Duration
-	// Detection is the simulated DBA error-detection time before
-	// recovery starts.
-	Detection time.Duration
 	// CrashMin/CrashMax bound the crash instant, measured from
 	// workload start.
 	CrashMin, CrashMax time.Duration
@@ -156,10 +148,9 @@ type Config struct {
 	// acknowledgements against a dark quorum. Zero keeps the harness —
 	// and its golden fingerprints — exactly as before.
 	Standbys int
-	// ReplMode is the commit-acknowledgement protocol (sync or async).
+	// ReplMode is the commit-acknowledgement protocol (sync or async), over
+	// the rig's default link (core.LinkLAN).
 	ReplMode standby.Mode
-	// ReplLink is the replication link profile (zero: core.LinkLAN).
-	ReplLink sim.LinkSpec
 
 	// SampleInterval enables the MMON workload repository on every
 	// point's instance and sets its sampling period. With sampling on,
@@ -178,9 +169,17 @@ type Config struct {
 	Tracer *trace.Tracer
 }
 
+// The redo log every point runs with: three 1 MB groups keep switches,
+// archiving and checkpoints frequent, so crash points land amid them.
+// Recovery starts after the injector's default detection time (2 s).
+const (
+	groupSize = 1 << 20
+	groups    = 3
+)
+
 // DefaultConfig explores 50 points of a deliberately twitchy
-// configuration: 1 MB redo groups keep switches, archiving and
-// checkpoints frequent, so crashes land amid the interesting machinery.
+// configuration, whose small redo groups put crashes amid the interesting
+// machinery.
 func DefaultConfig() Config {
 	tc := tpcc.DefaultConfig()
 	tc.Warehouses = 1
@@ -192,10 +191,7 @@ func DefaultConfig() Config {
 		Seed:              1,
 		TPCC:              tc,
 		CacheBlocks:       512,
-		GroupSize:         1 << 20,
-		Groups:            3,
 		CheckpointTimeout: 15 * time.Second,
-		Detection:         2 * time.Second,
 		CrashMin:          3 * time.Second,
 		CrashMax:          25 * time.Second,
 		Tail:              5 * time.Second,
@@ -237,7 +233,7 @@ func Explore(cfg Config, progress core.Progress) (*Report, error) {
 		if err != nil {
 			return nil, fmt.Errorf("chaos: point %d (determinism rerun): %w", i, err)
 		}
-		r1.Deterministic = sameOutcome(r1, r2)
+		r1.Deterministic = r1.Fingerprint == r2.Fingerprint
 		return r1, nil
 	}, nil, nil)
 	if err != nil {
@@ -269,8 +265,8 @@ func runPoint(cfg Config, index int) (*PointResult, error) {
 	jitter := time.Duration(rng.Int63n(int64(50 * time.Millisecond)))
 
 	ecfg := engine.DefaultConfig()
-	ecfg.Redo.GroupSizeBytes = cfg.GroupSize
-	ecfg.Redo.Groups = cfg.Groups
+	ecfg.Redo.GroupSizeBytes = groupSize
+	ecfg.Redo.Groups = groups
 	ecfg.Redo.ArchiveMode = true
 	ecfg.CheckpointTimeout = cfg.CheckpointTimeout
 	ecfg.CacheBlocks = cfg.CacheBlocks
@@ -288,9 +284,6 @@ func runPoint(cfg Config, index int) (*PointResult, error) {
 		return nil, err
 	}
 	k, in, rm, inj, app, drv := rig.K, rig.In, rig.Rm, rig.Inj, rig.App, rig.Drv
-	if cfg.Detection > 0 {
-		inj.Detection = cfg.Detection
-	}
 	var ctl *control.Controller
 	if cfg.Controller {
 		if cfg.SampleInterval <= 0 {
@@ -324,15 +317,14 @@ func runPoint(cfg Config, index int) (*PointResult, error) {
 		}
 
 		// Phase 1b (replicated explorations): the streaming cluster. Only
-		// the primary feeds the trace hash and the MMON repository, so
-		// the stand-bys do not sample. Every stand-by instance reports
-		// its open — after a promotion the primary never reopens, so the
-		// dark window closes when the promoted stand-by comes up instead.
+		// the primary feeds the trace hash and the MMON repository (the
+		// rig's stand-bys neither trace nor sample). Every stand-by
+		// instance reports its open — after a promotion the primary never
+		// reopens, so the dark window closes when the promoted stand-by
+		// comes up instead.
 		if cfg.Standbys > 0 {
-			sbCfg := ecfg
-			sbCfg.SampleInterval = 0
 			var err error
-			cluster, err = rig.StartCluster(p, sbCfg, cfg.Standbys, standby.ClusterConfig{Mode: cfg.ReplMode, Link: cfg.ReplLink})
+			cluster, err = rig.StartCluster(p, cfg.Standbys, standby.ClusterConfig{Mode: cfg.ReplMode})
 			if err != nil {
 				return err
 			}
@@ -585,7 +577,7 @@ func runPoint(cfg Config, index int) (*PointResult, error) {
 			activeIn = cluster.ActiveInstance()
 		}
 	}
-	res.Fingerprint = fingerprint(activeIn, res)
+	res.Fingerprint = fingerprint(StateHash(activeIn), res)
 	return res, nil
 }
 

@@ -210,39 +210,64 @@ func TestIdempotenceCheckerFlagsReappliedRecord(t *testing.T) {
 	})
 }
 
-// Invariant (d): sameOutcome must notice a divergence in any compared
-// field, and agree on identical results.
-func TestSameOutcomeDetectsDivergence(t *testing.T) {
+// Invariant (d): the determinism verdict compares fingerprints alone, so
+// the fingerprint must change when the state hash or any measure it folds
+// in does — on a replicated point, where every measure is folded.
+func TestFingerprintDetectsDivergence(t *testing.T) {
 	base := PointResult{
 		CrashAt: 1, CrashSCN: 2, AckedCommits: 3,
 		RecoveryKind: recovery.KindInstance, RecoveryTime: 4,
 		RecordsApplied: 5, BytesReplayed: 6,
 		MissingCommits: 0, Violations: 0, ReappliedRecords: 0,
-		Fingerprint: 7, TraceHash: 8, TraceEvents: 9,
+		Offered: 7, Served: 8, TraceHash: 9, TraceEvents: 10,
+		MetricsHash: 11, MetricSamples: 12,
+		EstimatedRedoReplay: 13, MeasuredRedoReplay: 14,
+		ReplActive: true, StreamHash: 15, ReplFrames: 16, ReplBytes: 17, ReplRecords: 18,
 	}
-	same := base
-	if !sameOutcome(&base, &same) {
-		t.Fatal("sameOutcome(x, x) = false")
+	const state = 42
+	want := fingerprint(state, &base)
+	if same := base; fingerprint(state, &same) != want {
+		t.Fatal("equal points fingerprint differently")
+	}
+	if fingerprint(state+1, &base) == want {
+		t.Error("fingerprint blind to a state hash divergence")
 	}
 	mutations := map[string]func(*PointResult){
-		"Fingerprint":      func(r *PointResult) { r.Fingerprint++ },
-		"CrashAt":          func(r *PointResult) { r.CrashAt++ },
-		"CrashSCN":         func(r *PointResult) { r.CrashSCN++ },
-		"AckedCommits":     func(r *PointResult) { r.AckedCommits++ },
-		"RecoveryTime":     func(r *PointResult) { r.RecoveryTime++ },
-		"RecordsApplied":   func(r *PointResult) { r.RecordsApplied++ },
-		"BytesReplayed":    func(r *PointResult) { r.BytesReplayed++ },
-		"MissingCommits":   func(r *PointResult) { r.MissingCommits++ },
-		"Violations":       func(r *PointResult) { r.Violations++ },
-		"ReappliedRecords": func(r *PointResult) { r.ReappliedRecords++ },
-		"TraceHash":        func(r *PointResult) { r.TraceHash++ },
-		"TraceEvents":      func(r *PointResult) { r.TraceEvents++ },
+		"CrashAt":             func(r *PointResult) { r.CrashAt++ },
+		"CrashSCN":            func(r *PointResult) { r.CrashSCN++ },
+		"AckedCommits":        func(r *PointResult) { r.AckedCommits++ },
+		"RecoveryKind":        func(r *PointResult) { r.RecoveryKind = recovery.KindFailover },
+		"RecoveryTime":        func(r *PointResult) { r.RecoveryTime++ },
+		"RecordsApplied":      func(r *PointResult) { r.RecordsApplied++ },
+		"BytesReplayed":       func(r *PointResult) { r.BytesReplayed++ },
+		"MissingCommits":      func(r *PointResult) { r.MissingCommits++ },
+		"Violations":          func(r *PointResult) { r.Violations++ },
+		"ReappliedRecords":    func(r *PointResult) { r.ReappliedRecords++ },
+		"Offered":             func(r *PointResult) { r.Offered++ },
+		"Served":              func(r *PointResult) { r.Served++ },
+		"DarkCommits":         func(r *PointResult) { r.DarkCommits++ },
+		"TraceHash":           func(r *PointResult) { r.TraceHash++ },
+		"TraceEvents":         func(r *PointResult) { r.TraceEvents++ },
+		"MetricsHash":         func(r *PointResult) { r.MetricsHash++ },
+		"MetricSamples":       func(r *PointResult) { r.MetricSamples++ },
+		"EstimatedRedoReplay": func(r *PointResult) { r.EstimatedRedoReplay++ },
+		"MeasuredRedoReplay":  func(r *PointResult) { r.MeasuredRedoReplay++ },
+		"FailedOver":          func(r *PointResult) { r.FailedOver = true },
+		"RPOLost":             func(r *PointResult) { r.RPOLost++ },
+		"DarkAcks":            func(r *PointResult) { r.DarkAcks++ },
+		"StreamHash":          func(r *PointResult) { r.StreamHash++ },
+		"ReplFrames":          func(r *PointResult) { r.ReplFrames++ },
+		"ReplBytes":           func(r *PointResult) { r.ReplBytes++ },
+		"ReplRecords":         func(r *PointResult) { r.ReplRecords++ },
+		"ReplSyncWaits":       func(r *PointResult) { r.ReplSyncWaits++ },
+		"ReplSyncLost":        func(r *PointResult) { r.ReplSyncLost++ },
+		"ReplResyncs":         func(r *PointResult) { r.ReplResyncs++ },
 	}
 	for field, mutate := range mutations {
 		diverged := base
 		mutate(&diverged)
-		if sameOutcome(&base, &diverged) {
-			t.Errorf("sameOutcome blind to %s divergence", field)
+		if fingerprint(state, &diverged) == want {
+			t.Errorf("fingerprint blind to %s divergence", field)
 		}
 	}
 }
@@ -259,7 +284,7 @@ func TestRunPointDeterministicAcrossRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameOutcome(r1, r2) {
+	if r1.Fingerprint != r2.Fingerprint {
 		t.Errorf("same seed diverged:\n  run1: %+v\n  run2: %+v", r1, r2)
 	}
 	r3, err := runPoint(cfg, 1)

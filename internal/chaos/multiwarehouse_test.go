@@ -2,9 +2,9 @@ package chaos
 
 import "testing"
 
-// Crash-point exploration at four warehouses: the partitioned schema,
-// sharded buffer cache and striped lock table must keep every recovery
-// invariant that holds at W=1. The golden fingerprints below are the
+// Crash-point exploration at four warehouses: the partitioned schema and
+// the sharded buffer cache must keep every recovery invariant that holds
+// at W=1. The golden fingerprints below are the
 // determinism contract: they were measured once and pinned, so any change
 // to the engine's deterministic execution at W=4 fails here loudly
 // instead of surfacing later as a flaky campaign. If a deliberate

@@ -41,14 +41,18 @@ type Rig struct {
 	set       tpcc.LoadSet
 	seed      int64
 	dataDisks []string
-	err       error
+	// sbCfg configures every stand-by: the primary's configuration
+	// without its tracer and sampler (see Standby).
+	sbCfg engine.Config
+	err   error
 }
 
 // NewRig builds the platform in a fixed order (the counter registry and
 // the trace stream depend on it). seed drives the kernel and the data
 // load; dataDisks follows Spec.DataDisks (0 = the paper's two disks).
 func NewRig(seed int64, ecfg engine.Config, tc tpcc.Config, dc tpcc.DriverConfig, dataDisks int) (*Rig, error) {
-	r := &Rig{K: sim.NewKernel(seed), seed: seed, dataDisks: dataDiskNames(dataDisks)}
+	r := &Rig{K: sim.NewKernel(seed), seed: seed, dataDisks: dataDiskNames(dataDisks), sbCfg: ecfg}
+	r.sbCfg.Tracer, r.sbCfg.SampleInterval = nil, 0
 	in, err := r.machine(ecfg)
 	if err != nil {
 		return nil, err
@@ -141,14 +145,15 @@ func (r *Rig) Load(p *sim.Proc) error {
 // identical schema, and the primary's loaded block images installed into it
 // at the I/O cost of a load — the standard "instantiate from a backup of
 // the primary" procedure: nothing is generated again. It is left unopened for
-// managed recovery from the reference backup. ecfg is normally the
-// primary's; call after Load and before ReleaseLoadSet.
-func (r *Rig) Standby(p *sim.Proc, ecfg engine.Config, name string) (*standby.Standby, error) {
+// managed recovery from the reference backup. Its configuration is the one
+// NewRig received, minus the tracer and the sampler: the stand-by shares the
+// primary's kernel but is a second database, whose events would interleave
+// with the primary's on the same tracks, and whose repository — a promoted
+// stand-by starts MMON at Open — nobody reads. Call after Load and before
+// ReleaseLoadSet.
+func (r *Rig) Standby(p *sim.Proc, name string) (*standby.Standby, error) {
+	ecfg := r.sbCfg
 	ecfg.Name = name
-	// The stand-by shares the primary's kernel but is a second database:
-	// its events would interleave with the primary's on the same tracks,
-	// so only the primary is traced.
-	ecfg.Tracer = nil
 	in, err := r.machine(ecfg)
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: %w", name, err)
@@ -165,11 +170,11 @@ func (r *Rig) Standby(p *sim.Proc, ecfg engine.Config, name string) (*standby.St
 // the lifecycle observer (chained behind any observer already set) and
 // failover as the injector's ShutdownAbort remedy. It is the only
 // stand-by wiring there is. A zero ccfg.Link means LinkLAN.
-func (r *Rig) StartCluster(p *sim.Proc, ecfg engine.Config, n int, ccfg standby.ClusterConfig) (*standby.Cluster, error) {
+func (r *Rig) StartCluster(p *sim.Proc, n int, ccfg standby.ClusterConfig) (*standby.Cluster, error) {
 	sbs := make([]*standby.Standby, n)
 	for i := range sbs {
 		var err error
-		if sbs[i], err = r.Standby(p, ecfg, fmt.Sprintf("standby%d", i+1)); err != nil {
+		if sbs[i], err = r.Standby(p, fmt.Sprintf("standby%d", i+1)); err != nil {
 			return nil, err
 		}
 	}

@@ -40,7 +40,7 @@ func TestRigStandbyMatchesPrimaryAfterLoad(t *testing.T) {
 			return fmt.Errorf("the rig holds a set of %d tables after Load, want %d", len(set), len(tpcc.Tables))
 		}
 		for _, name := range []string{"standby1", "standby2"} {
-			sb, err := rig.Standby(p, ecfg, name)
+			sb, err := rig.Standby(p, name)
 			if err != nil {
 				return err
 			}

@@ -297,7 +297,7 @@ func Run(spec Spec) (*Result, error) {
 		var cluster *standby.Cluster
 		if spec.Standbys > 0 {
 			var err error
-			cluster, err = rig.StartCluster(p, ecfg, spec.Standbys+spec.ReplCascade, standby.ClusterConfig{
+			cluster, err = rig.StartCluster(p, spec.Standbys+spec.ReplCascade, standby.ClusterConfig{
 				Mode:    spec.ReplMode,
 				Link:    spec.ReplLink,
 				Cascade: spec.ReplCascade,

@@ -37,11 +37,6 @@ func (in *Instance) CreateUser(p *sim.Proc, name, defaultTablespace string) erro
 	return err
 }
 
-// CreateTable allocates a table segment in the named tablespace.
-func (in *Instance) CreateTable(p *sim.Proc, table, owner, tablespace string, numBlocks int) error {
-	return in.CreateTableClustered(p, table, owner, tablespace, numBlocks, 1)
-}
-
 // CreateTableClustered allocates a table segment whose rows are clustered
 // in runs of `cluster` consecutive keys per block.
 func (in *Instance) CreateTableClustered(p *sim.Proc, table, owner, tablespace string, numBlocks, cluster int) error {

@@ -44,7 +44,7 @@ func setupAndOpen(p *sim.Proc, in *Instance) error {
 	if err := in.Open(p); err != nil {
 		return err
 	}
-	return in.CreateTable(p, "t", "u", "USERS", 8)
+	return in.CreateTableClustered(p, "t", "u", "USERS", 8, 1)
 }
 
 func runErr(t *testing.T, k *sim.Kernel, fn func(p *sim.Proc) error) {

@@ -28,7 +28,7 @@ func TestInjectStampsPreFaultSCNAtomically(t *testing.T) {
 		// The committer writes a table the operator does NOT drop: DROP
 		// TABLE's exclusive DDL lock drains writers on its own target, so
 		// only traffic to other tables can still race the operator action.
-		if err := r.in.CreateTable(p, "u", "app", "USERS", 8); err != nil {
+		if err := r.in.CreateTableClustered(p, "u", "app", "USERS", 8, 1); err != nil {
 			return err
 		}
 		type ack struct {

@@ -116,7 +116,7 @@ func (r *rig) setup(p *sim.Proc) error {
 	if err := r.in.Open(p); err != nil {
 		return err
 	}
-	if err := r.in.CreateTable(p, "t", "app", "USERS", 8); err != nil {
+	if err := r.in.CreateTableClustered(p, "t", "app", "USERS", 8, 1); err != nil {
 		return err
 	}
 	for i := int64(0); i < 40; i++ {

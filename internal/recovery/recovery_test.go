@@ -76,7 +76,7 @@ func (r *rig) setup(p *sim.Proc) error {
 	if err := r.in.Open(p); err != nil {
 		return err
 	}
-	if err := r.in.CreateTable(p, "acct", "tpcc", "USERS", 16); err != nil {
+	if err := r.in.CreateTableClustered(p, "acct", "tpcc", "USERS", 16, 1); err != nil {
 		return err
 	}
 	return nil

@@ -72,7 +72,7 @@ func (r *rig) setup(p *sim.Proc) error {
 	if err := r.in.Open(p); err != nil {
 		return err
 	}
-	return r.in.CreateTable(p, "t", "app", "USERS", 8)
+	return r.in.CreateTableClustered(p, "t", "app", "USERS", 8, 1)
 }
 
 func TestTokenize(t *testing.T) {
@@ -221,6 +221,39 @@ func TestBackupAndPITRStatements(t *testing.T) {
 			return err
 		}
 		return r.in.Commit(p, tx)
+	})
+}
+
+// A table that point-in-time recovery brings back is in the datafile
+// headers again: a catalog-destroying fault after the recovery and the
+// header scan that repairs it keep the table.
+func TestCatalogScanAfterPITRKeepsRecoveredTable(t *testing.T) {
+	r := newRig(t)
+	r.run(t, func(p *sim.Proc) error {
+		if err := r.setup(p); err != nil {
+			return err
+		}
+		if err := r.in.CreateTableClustered(p, "stock", "app", "USERS", 8, 1); err != nil {
+			return err
+		}
+		if _, err := r.ex.Execute(p, "BACKUP DATABASE"); err != nil {
+			return err
+		}
+		target := r.in.Log().NextSCN() - 1
+		if _, err := r.ex.Execute(p, "DROP TABLE stock"); err != nil {
+			return err
+		}
+		if _, err := r.ex.Execute(p, fmt.Sprintf("RECOVER DATABASE UNTIL SCN %d", target)); err != nil {
+			return err
+		}
+		r.in.Catalog().Wipe()
+		if _, err := r.ex.Execute(p, "RECOVER CATALOG SCAN"); err != nil {
+			return err
+		}
+		if _, err := r.in.Catalog().Table("stock"); err != nil {
+			return fmt.Errorf("after PITR and a catalog scan: %w", err)
+		}
+		return nil
 	})
 }
 

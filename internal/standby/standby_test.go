@@ -75,7 +75,7 @@ func schema(p *sim.Proc, in *engine.Instance) error {
 	if err := in.Open(p); err != nil {
 		return err
 	}
-	return in.CreateTable(p, "acct", "u", "USERS", 16)
+	return in.CreateTableClustered(p, "acct", "u", "USERS", 16, 1)
 }
 
 // schemaStandby prepares the stand-by physical copy without opening it.
@@ -90,7 +90,7 @@ func schemaStandby(p *sim.Proc, in *engine.Instance) error {
 	if err != nil {
 		return err
 	}
-	_, err = in.Catalog().CreateTable("acct", "u", ts, 16)
+	_, err = in.Catalog().CreateTableClustered("acct", "u", ts, 16, 1)
 	return err
 }
 

@@ -20,16 +20,6 @@ type lockKey struct {
 	key   int64
 }
 
-// heldLock records a granted lock together with the stripe it was granted
-// in. The stripe is captured at acquire time: DDL can drop a table while a
-// transaction still holds locks on it, and recomputing the stripe at
-// release (via the then-missing catalog entry) would hand the release to
-// the wrong stripe and leak the lock.
-type heldLock struct {
-	lk     lockKey
-	stripe int
-}
-
 type lockWaiter struct {
 	txn      *Txn
 	proc     *sim.Proc
@@ -38,7 +28,7 @@ type lockWaiter struct {
 	wakeCond *sim.Cond
 }
 
-// lockState is held by value in its stripe's map: granting and releasing an
+// lockState is held by value in the table's map: granting and releasing an
 // uncontended lock allocates nothing, and waiters exists only while
 // somebody waits. Every change is stored back with put.
 type lockState struct {
@@ -46,82 +36,50 @@ type lockState struct {
 	waiters []*lockWaiter
 }
 
-// lockStripe is one independently managed slice of the lock namespace.
-type lockStripe struct {
-	locks map[lockKey]lockState
-}
-
-// put stores the state of lk, or forgets the lock once it is free.
-func (s *lockStripe) put(lk lockKey, st lockState) {
-	if st.holder == nil && len(st.waiters) == 0 {
-		delete(s.locks, lk)
-		return
-	}
-	s.locks[lk] = st
-}
-
 // lockTable grants exclusive row locks in FIFO order with a wait timeout.
-// The lock namespace is striped — by warehouse when the caller wires a
-// partition-aware stripeOf — so hot tables at high warehouse counts do not
-// funnel every grant and release through one map.
+// It is one map: the kernel runs one process at a time, so splitting it
+// would change no grant and only add a routing step to every acquire.
 type lockTable struct {
 	k       *sim.Kernel
 	timeout time.Duration
-	stripes []*lockStripe
-
-	// stripeOf maps a row to its stripe; when nil everything lands in
-	// stripe 0. The Manager wires it to the catalog's partition routing
-	// so stripes align with warehouse partitions.
-	stripeOf func(table string, key int64) int
+	locks   map[lockKey]lockState
 
 	waits    int64
 	timeouts int64
 }
 
-func newLockTable(k *sim.Kernel, timeout time.Duration, stripes int) *lockTable {
+func newLockTable(k *sim.Kernel, timeout time.Duration) *lockTable {
 	if timeout <= 0 {
 		timeout = 10 * time.Second
 	}
-	if stripes < 1 {
-		stripes = 1
-	}
-	lt := &lockTable{k: k, timeout: timeout}
-	for i := 0; i < stripes; i++ {
-		lt.stripes = append(lt.stripes, &lockStripe{locks: make(map[lockKey]lockState)})
-	}
-	return lt
+	return &lockTable{k: k, timeout: timeout, locks: make(map[lockKey]lockState)}
 }
 
-// stripeFor returns the stripe index serving (table, key).
-func (lt *lockTable) stripeFor(table string, key int64) int {
-	if lt.stripeOf == nil || len(lt.stripes) == 1 {
-		return 0
+// put stores the state of lk, or forgets the lock once it is free.
+func (lt *lockTable) put(lk lockKey, st lockState) {
+	if st.holder == nil && len(st.waiters) == 0 {
+		delete(lt.locks, lk)
+		return
 	}
-	s := lt.stripeOf(table, key)
-	if s < 0 {
-		s = 0
-	}
-	return s % len(lt.stripes)
+	lt.locks[lk] = st
 }
 
 // acquire obtains the exclusive lock on (table, key) for t, blocking p
 // until granted or timed out. Re-acquiring a held lock is a no-op.
 func (lt *lockTable) acquire(p *sim.Proc, t *Txn, table string, key int64) error {
 	lk := lockKey{table: table, key: key}
-	sn := lt.stripeFor(table, key)
-	stripe := lt.stripes[sn]
-	st := stripe.locks[lk]
+	st := lt.locks[lk]
 	if st.holder == t {
 		return nil
 	}
 	if st.holder == nil && len(st.waiters) == 0 {
-		stripe.locks[lk] = lockState{holder: t}
-		t.locks = append(t.locks, heldLock{lk: lk, stripe: sn})
+		lt.locks[lk] = lockState{holder: t}
+		t.locks = append(t.locks, lk)
 		return nil
 	}
 	w := &lockWaiter{txn: t, proc: p}
 	st.waiters = append(st.waiters, w)
-	stripe.locks[lk] = st
+	lt.locks[lk] = st
 	lt.waits++
 	lt.k.After(lt.timeout, func() {
 		if w.granted || w.timeout {
@@ -133,7 +91,7 @@ func (lt *lockTable) acquire(p *sim.Proc, t *Txn, table string, key int64) error
 	for !w.granted && !w.timeout {
 		w.block()
 	}
-	st = stripe.locks[lk] // the lock moved on while we were parked
+	st = lt.locks[lk] // the lock moved on while we were parked
 	if w.timeout {
 		lt.timeouts++
 		// Remove ourselves from the queue (a release that came first has
@@ -141,7 +99,7 @@ func (lt *lockTable) acquire(p *sim.Proc, t *Txn, table string, key int64) error
 		for i, q := range st.waiters {
 			if q == w {
 				st.waiters = append(st.waiters[:i], st.waiters[i+1:]...)
-				stripe.put(lk, st)
+				lt.put(lk, st)
 				break
 			}
 		}
@@ -150,10 +108,10 @@ func (lt *lockTable) acquire(p *sim.Proc, t *Txn, table string, key int64) error
 	if t.state != StateActive {
 		// The transaction was abandoned (instance crash) while we were
 		// waiting; pass the lock on and fail the operation.
-		stripe.put(lk, lt.grantNext(st))
+		lt.put(lk, lt.grantNext(st))
 		return ErrTxnDone
 	}
-	t.locks = append(t.locks, heldLock{lk: lk, stripe: sn})
+	t.locks = append(t.locks, lk)
 	return nil
 }
 
@@ -191,22 +149,19 @@ func (w *lockWaiter) wake() {
 }
 
 // releaseAll frees every lock held by t, handing each to its next waiter.
-// Each release goes to the stripe recorded at acquire time.
 func (lt *lockTable) releaseAll(t *Txn) {
-	for _, hl := range t.locks {
-		stripe := lt.stripes[hl.stripe]
-		st, ok := stripe.locks[hl.lk]
+	for _, lk := range t.locks {
+		st, ok := lt.locks[lk]
 		if !ok || st.holder != t {
 			continue
 		}
-		stripe.put(hl.lk, lt.grantNext(st))
+		lt.put(lk, lt.grantNext(st))
 	}
 	t.locks = nil
 }
 
 // held reports whether t holds the lock (used by tests).
 func (lt *lockTable) held(t *Txn, table string, key int64) bool {
-	stripe := lt.stripes[lt.stripeFor(table, key)]
-	st, ok := stripe.locks[lockKey{table: table, key: key}]
+	st, ok := lt.locks[lockKey{table: table, key: key}]
 	return ok && st.holder == t
 }

@@ -8,13 +8,13 @@ import (
 	"dbench/internal/sim"
 )
 
-// An uncontended grant and its release touch the stripe's map and the
+// An uncontended grant and its release touch the table's map and the
 // transaction's lock list, and allocate nothing: the lock state is a map
 // value, and a waiter queue exists only while somebody waits.
 func TestUncontendedLockGrantAllocatesNothing(t *testing.T) {
-	lt := newLockTable(sim.NewKernel(1), time.Second, 1)
+	lt := newLockTable(sim.NewKernel(1), time.Second)
 	tx := &Txn{state: StateActive}
-	room := make([]heldLock, 0, 16)
+	room := make([]lockKey, 0, 16)
 	got := testing.AllocsPerRun(100, func() {
 		tx.locks = room
 		for key := int64(0); key < 16; key++ {
@@ -30,7 +30,7 @@ func TestUncontendedLockGrantAllocatesNothing(t *testing.T) {
 	if got != 0 {
 		t.Fatalf("16 uncontended grants and releases allocate %v times, want 0", got)
 	}
-	if n := len(lt.stripes[0].locks); n != 0 {
+	if n := len(lt.locks); n != 0 {
 		t.Fatalf("%d released locks still in the table", n)
 	}
 }
@@ -79,9 +79,7 @@ func TestLockQueueIsFIFOAcrossATimeout(t *testing.T) {
 	if s := f.m.Stats(); s.LockWaits != 3 || s.LockTimeouts != 1 {
 		t.Fatalf("lock waits %d, timeouts %d, want 3 and 1", s.LockWaits, s.LockTimeouts)
 	}
-	for i, stripe := range f.m.locks.stripes {
-		if n := len(stripe.locks); n != 0 {
-			t.Fatalf("stripe %d still holds %d lock entries after everyone finished", i, n)
-		}
+	if n := len(f.m.locks.locks); n != 0 {
+		t.Fatalf("the lock table still holds %d entries after everyone finished", n)
 	}
 }

@@ -19,7 +19,7 @@ func TestActiveWritersOnCountsOnlyWritersOfThatTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.cat.CreateTable("other", "bank", ts, 8); err != nil {
+	if _, err := f.cat.CreateTableClustered("other", "bank", ts, 8, 1); err != nil {
 		t.Fatal(err)
 	}
 	f.run(func(p *sim.Proc) {

@@ -1,9 +1,10 @@
 package txn
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"dbench/internal/bufcache"
@@ -41,7 +42,7 @@ type undoRec struct {
 // txnLists are a transaction's two growing lists.
 type txnLists struct {
 	undo  []undoRec
-	locks []heldLock
+	locks []lockKey
 }
 
 // Txn is one transaction.
@@ -64,15 +65,7 @@ type Config struct {
 	LockTimeout time.Duration
 	// CPUPerOp is the processing cost charged per row operation.
 	CPUPerOp time.Duration
-	// LockStripes is the number of lock-table stripes (0 = default 8).
-	// Stripes are keyed by the catalog's warehouse partition routing, so
-	// multi-warehouse traffic spreads across them.
-	LockStripes int
 }
-
-// defaultLockStripes serves warehouse counts up to the scaling
-// experiment's target without resizing.
-const defaultLockStripes = 8
 
 // Stats counts transaction-layer activity.
 type Stats struct {
@@ -124,31 +117,17 @@ type Manager struct {
 // NewManager wires a transaction manager. cpu may be nil to skip CPU
 // charging.
 func NewManager(k *sim.Kernel, log *redo.Manager, cache *bufcache.Cache, cat *catalog.Catalog, cpu *sim.Resource, cfg Config) *Manager {
-	stripes := cfg.LockStripes
-	if stripes == 0 {
-		stripes = defaultLockStripes
-	}
-	m := &Manager{
+	return &Manager{
 		k:      k,
 		log:    log,
 		cache:  cache,
 		cat:    cat,
-		locks:  newLockTable(k, cfg.LockTimeout, stripes),
+		locks:  newLockTable(k, cfg.LockTimeout),
 		cpu:    cpu,
 		cfg:    cfg,
 		nextID: 1,
 		active: make(map[redo.TxnID]*Txn),
 	}
-	// Stripe by the table's warehouse partition: rows of warehouse w land
-	// in stripe (w-1) mod stripes, and unpartitioned tables in stripe 0.
-	m.locks.stripeOf = func(table string, key int64) int {
-		tbl, err := cat.Table(table)
-		if err != nil {
-			return 0
-		}
-		return tbl.PartitionOf(key)
-	}
-	return m
 }
 
 // Stats returns a copy of the counters, folding in lock-table numbers.
@@ -239,7 +218,7 @@ func (m *Manager) Begin() *Txn {
 	} else {
 		// Room for a New-Order's two dozen row changes up front, instead
 		// of regrowing both lists from nil five times.
-		t.txnLists = txnLists{undo: make([]undoRec, 0, 32), locks: make([]heldLock, 0, 32)}
+		t.txnLists = txnLists{undo: make([]undoRec, 0, 32), locks: make([]lockKey, 0, 32)}
 	}
 	m.nextID++
 	m.active[t.ID] = t
@@ -333,9 +312,7 @@ func (m *Manager) Delete(p *sim.Proc, t *Txn, table string, key int64) error {
 // apply to the cached block, remember undo. The caller keeps value: the
 // redo record and the block share one private copy of it, and the before
 // image is copied too — the stored one may sit in a loaded block's one
-// buffer, which a retained redo record must not pin. The row changes in the
-// block MarkDirty returns, not the one Get did: that one may be the durable
-// image itself.
+// buffer, which a retained redo record must not pin.
 func (m *Manager) write(p *sim.Proc, t *Txn, op redo.Op, table string, key int64, value []byte) error {
 	if t.state != StateActive {
 		return ErrTxnDone
@@ -385,7 +362,7 @@ func (m *Manager) write(p *sim.Proc, t *Txn, op redo.Op, table string, key int64
 	}
 	beforeCopy := append([]byte(nil), before...)
 	after := append([]byte(nil), value...)
-	scn := m.log.Append(redo.Record{
+	scn := m.change(ref, blk, redo.Record{
 		Txn:    t.ID,
 		Op:     op,
 		Table:  table,
@@ -395,15 +372,6 @@ func (m *Manager) write(p *sim.Proc, t *Txn, op redo.Op, table string, key int64
 	})
 	if t.firstSCN == 0 {
 		t.firstSCN = scn
-	}
-	if cur, ok := m.cache.Peek(ref); !ok || cur != blk {
-		panic("txn: mutated stale block pointer in write")
-	}
-	blk = m.cache.MarkDirty(ref, scn)
-	if op == redo.OpDelete {
-		blk.Remove(key)
-	} else {
-		blk.Put(key, after)
 	}
 	t.undo = append(t.undo, undoRec{op: op, table: table, key: key, before: beforeCopy})
 	return nil
@@ -535,17 +503,26 @@ func (m *Manager) compensate(p *sim.Proc, t *Txn, u undoRec) error {
 	default:
 		return fmt.Errorf("txn: cannot compensate op %v", u.op)
 	}
+	m.change(ref, blk, rec)
+	return nil
+}
+
+// change ends every row change, forward or compensating: it appends rec
+// (WAL), checks the buffer is still the image Get returned, and changes the
+// block MarkDirty returns — not the one Get did, which may be the durable
+// image itself. It returns the record's SCN.
+func (m *Manager) change(ref storage.BlockRef, blk *storage.Block, rec redo.Record) redo.SCN {
 	scn := m.log.Append(rec)
 	if cur, ok := m.cache.Peek(ref); !ok || cur != blk {
-		panic("txn: mutated stale block pointer in compensate")
+		panic("txn: mutated stale block pointer")
 	}
 	blk = m.cache.MarkDirty(ref, scn)
 	if rec.Op == redo.OpDelete {
-		blk.Remove(u.key)
+		blk.Remove(rec.Key)
 	} else {
-		blk.Put(u.key, rec.After)
+		blk.Put(rec.Key, rec.After)
 	}
-	return nil
+	return scn
 }
 
 // KillOldestActive kills the longest-running in-flight transaction (the
@@ -589,21 +566,26 @@ func (m *Manager) ZombieCount() int {
 	return n
 }
 
+// activeByID lists the in-flight transactions in ID order: every sweep over
+// them takes this order, so none depends on map iteration. The sweeps that
+// yield re-check each one's state, since it may finish meanwhile.
+func (m *Manager) activeByID() []*Txn {
+	ts := make([]*Txn, 0, len(m.active))
+	for _, t := range m.active {
+		ts = append(ts, t)
+	}
+	slices.SortFunc(ts, func(a, b *Txn) int { return cmp.Compare(a.ID, b.ID) })
+	return ts
+}
+
 // RollbackZombies attempts to roll back every zombie transaction, in ID
 // order. Failures (media still unavailable) leave the zombie for the next
 // sweep. It reports how many were cleaned.
 func (m *Manager) RollbackZombies(p *sim.Proc) int {
-	ids := make([]redo.TxnID, 0, len(m.active))
-	for id, t := range m.active {
-		if t.zombie {
-			ids = append(ids, id)
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	zombies := slices.DeleteFunc(m.activeByID(), func(t *Txn) bool { return !t.zombie })
 	cleaned := 0
-	for _, id := range ids {
-		t, ok := m.active[id]
-		if !ok || t.state != StateActive {
+	for _, t := range zombies {
+		if t.state != StateActive {
 			continue
 		}
 		if err := m.Rollback(p, t); err == nil {
@@ -616,14 +598,8 @@ func (m *Manager) RollbackZombies(p *sim.Proc) int {
 // RollbackAllActive rolls back every in-flight transaction in ID order
 // (used by clean shutdown after the workload has been quiesced).
 func (m *Manager) RollbackAllActive(p *sim.Proc) error {
-	ids := make([]redo.TxnID, 0, len(m.active))
-	for id := range m.active {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		t, ok := m.active[id]
-		if !ok || t.state != StateActive {
+	for _, t := range m.activeByID() {
+		if t.state != StateActive {
 			continue
 		}
 		if err := m.Rollback(p, t); err != nil {
@@ -637,16 +613,10 @@ func (m *Manager) RollbackAllActive(p *sim.Proc) error {
 // modelling an instance crash: in-flight transactions simply vanish and
 // recovery rolls them back from the log.
 func (m *Manager) AbandonAll() {
-	ids := make([]redo.TxnID, 0, len(m.active))
-	for id := range m.active {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		t := m.active[id]
+	for _, t := range m.activeByID() {
 		t.state = StateAborted
 		m.locks.releaseAll(t)
-		delete(m.active, id)
+		delete(m.active, t.ID)
 	}
 	m.finished()
 }

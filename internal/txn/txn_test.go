@@ -36,7 +36,7 @@ func makeFixture() (*fixture, error) {
 		return nil, err
 	}
 	cat := catalog.New()
-	if _, err := cat.CreateTable("acct", "bank", ts, 8); err != nil {
+	if _, err := cat.CreateTableClustered("acct", "bank", ts, 8, 1); err != nil {
 		return nil, err
 	}
 	log, err := redo.NewManager(k, fs, redo.Config{GroupSizeBytes: 4 << 20, Groups: 3, Disk: "redo"})
