@@ -110,8 +110,7 @@ type Controller struct {
 	budget time.Duration
 	ladder []Rung
 
-	proc    *sim.Proc
-	running bool
+	ctl *sim.Periodic
 
 	rung       int
 	ticks      int
@@ -185,23 +184,11 @@ func (c *Controller) matchRung() int {
 	return best
 }
 
-// Start launches the controller process.
+// Start launches the controller process, which ticks every sample
+// interval.
 func (c *Controller) Start() {
-	if c.running {
-		return
-	}
-	c.running = true
-	c.proc = c.in.Kernel().Go("CTL", c.loop)
-}
-
-// Stop terminates the controller process.
-func (c *Controller) Stop() {
-	if !c.running {
-		return
-	}
-	c.running = false
-	if c.proc != nil {
-		c.proc.Kill()
+	if c.ctl == nil {
+		c.ctl = c.in.Kernel().Every("CTL", c.in.Config().SampleInterval, c.tick)
 	}
 }
 
@@ -228,16 +215,6 @@ func (c *Controller) Infeasible() bool { return c.infeasible }
 // History returns the evaluated-decision log (callers must not modify
 // the slice).
 func (c *Controller) History() []Decision { return c.history }
-
-func (c *Controller) loop(p *sim.Proc) {
-	for c.running {
-		p.Sleep(c.in.Config().SampleInterval)
-		if !c.running {
-			return
-		}
-		c.tick(p)
-	}
-}
 
 // tick is one evaluation: sense, predict each rung's worst case, move.
 func (c *Controller) tick(p *sim.Proc) {

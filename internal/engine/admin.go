@@ -8,6 +8,7 @@ import (
 	"dbench/internal/redo"
 	"dbench/internal/sim"
 	"dbench/internal/storage"
+	"dbench/internal/txn"
 )
 
 // Administrative surface: the operations a DBA performs, and therefore the
@@ -155,14 +156,14 @@ func (in *Instance) TruncateTable(p *sim.Proc, table string) error {
 		return err
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	t := in.tm.Begin()
-	for _, key := range keys {
-		if err := in.tm.Delete(p, t, table, key); err != nil {
-			in.tm.Rollback(p, t)
-			return fmt.Errorf("engine: truncate %s: %w", table, err)
+	if _, err := in.Atomically(p, func(t *txn.Txn) error {
+		for _, key := range keys {
+			if err := in.tm.Delete(p, t, table, key); err != nil {
+				return err
+			}
 		}
-	}
-	if err := in.tm.Commit(p, t); err != nil {
+		return nil
+	}); err != nil {
 		return fmt.Errorf("engine: truncate %s: %w", table, err)
 	}
 	p.Sleep(adminLatency)

@@ -1,10 +1,6 @@
 package engine
 
-import (
-	"time"
-
-	"dbench/internal/sim"
-)
+import "dbench/internal/sim"
 
 // ckptReason distinguishes what triggered a checkpoint, for the Table 3
 // accounting.
@@ -24,12 +20,8 @@ type ckptProcess struct {
 	pending []ckptReason
 	wake    sim.Cond
 	proc    *sim.Proc
-	timer   *sim.Proc
+	timer   *sim.Periodic // nil when checkpoint_timeout is 0
 	running bool
-}
-
-func newCkptProcess(in *Instance) *ckptProcess {
-	return &ckptProcess{in: in}
 }
 
 func (c *ckptProcess) start() {
@@ -38,24 +30,20 @@ func (c *ckptProcess) start() {
 	}
 	c.running = true
 	c.proc = c.in.k.Go("CKPT", c.loop)
-	if c.in.cfg.CheckpointTimeout > 0 {
-		c.timer = c.in.k.Go("CKPT-timer", c.timerLoop)
-	}
+	c.rearmTimer()
 }
 
-// rearmTimer restarts the timeout timer so a just-altered
+// rearmTimer (re)starts the timeout timer, so a just-altered
 // checkpoint_timeout counts from now instead of whenever the previous
 // interval would have expired.
 func (c *ckptProcess) rearmTimer() {
 	if !c.running {
 		return
 	}
-	if c.timer != nil {
-		c.timer.Kill()
-		c.timer = nil
-	}
+	c.timer.Stop()
+	c.timer = nil
 	if c.in.cfg.CheckpointTimeout > 0 {
-		c.timer = c.in.k.Go("CKPT-timer", c.timerLoop)
+		c.timer = c.in.k.Every("CKPT-timer", c.in.cfg.CheckpointTimeout, func(*sim.Proc) { c.request(reasonTimeout) })
 	}
 }
 
@@ -64,12 +52,8 @@ func (c *ckptProcess) stop() {
 		return
 	}
 	c.running = false
-	if c.proc != nil {
-		c.proc.Kill()
-	}
-	if c.timer != nil {
-		c.timer.Kill()
-	}
+	c.proc.Kill()
+	c.timer.Stop()
 	c.pending = nil
 }
 
@@ -105,54 +89,5 @@ func (c *ckptProcess) loop(p *sim.Proc) {
 		case reasonTimeout:
 			c.in.c.timeoutCheckpoints.Inc()
 		}
-	}
-}
-
-func (c *ckptProcess) timerLoop(p *sim.Proc) {
-	for c.running {
-		p.Sleep(c.in.cfg.CheckpointTimeout)
-		if !c.running {
-			return
-		}
-		c.request(reasonTimeout)
-	}
-}
-
-// periodic is a background process that runs tick every interval of
-// virtual time until stopped. PMON sweeps zombie transactions (whose
-// client-side rollback failed, typically because their datafiles were
-// offline) and rolls them back once their media is available again; MMON
-// snapshots the counter registry, gauge probes and the live recovery-time
-// estimate into the workload repository, and only exists when monitoring
-// is enabled.
-type periodic struct {
-	every   time.Duration
-	tick    func(p *sim.Proc)
-	proc    *sim.Proc
-	running bool
-}
-
-func startPeriodic(k *sim.Kernel, name string, every time.Duration, tick func(p *sim.Proc)) *periodic {
-	b := &periodic{every: every, tick: tick, running: true}
-	b.proc = k.Go(name, b.loop)
-	return b
-}
-
-// stop ends the process; a nil receiver (never started) is a no-op.
-func (b *periodic) stop() {
-	if b == nil || !b.running {
-		return
-	}
-	b.running = false
-	b.proc.Kill()
-}
-
-func (b *periodic) loop(p *sim.Proc) {
-	for b.running {
-		p.Sleep(b.every)
-		if !b.running {
-			return
-		}
-		b.tick(p)
 	}
 }

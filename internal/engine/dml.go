@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"dbench/internal/redo"
 	"dbench/internal/sim"
 	"dbench/internal/txn"
 )
@@ -71,6 +72,28 @@ func (in *Instance) Rollback(p *sim.Proc, t *txn.Txn) error {
 		return ErrInstanceDown
 	}
 	return in.tm.Rollback(p, t)
+}
+
+// Atomically runs body as one transaction: Begin, body, then Commit, and
+// returns the commit SCN (0 when body wrote nothing). When body fails the
+// transaction is rolled back, and if that fails too (its media offline, the
+// instance gone) it is handed to PMON, which retries the rollback until it
+// lands; either way the caller gets body's error.
+func (in *Instance) Atomically(p *sim.Proc, body func(t *txn.Txn) error) (redo.SCN, error) {
+	t, err := in.Begin()
+	if err != nil {
+		return 0, err
+	}
+	if err := body(t); err != nil {
+		if in.Rollback(p, t) != nil {
+			in.tm.MarkZombie(t)
+		}
+		return 0, err
+	}
+	if err := in.Commit(p, t); err != nil {
+		return 0, err
+	}
+	return t.CommitSCN, nil
 }
 
 // Scan iterates all rows of a table (see txn.Manager.Scan).

@@ -98,8 +98,8 @@ type Instance struct {
 	recovered bool // recovery manager completed instance recovery
 
 	ckpt *ckptProcess
-	pmon *periodic
-	mmon *periodic // nil when monitoring is off
+	pmon *sim.Periodic
+	mmon *sim.Periodic // nil when monitoring is off
 	repo *monitor.Repository
 	c    counters
 	reg  *trace.Registry
@@ -351,15 +351,18 @@ func (in *Instance) Open(p *sim.Proc) error {
 	if in.arch != nil {
 		in.arch.Start()
 	}
-	in.ckpt = newCkptProcess(in)
+	in.ckpt = &ckptProcess{in: in}
 	in.ckpt.start()
-	in.pmon = startPeriodic(in.k, "PMON", time.Second, func(p *sim.Proc) {
+	// PMON rolls back the transactions whose own rollback failed (their
+	// media offline) once it can; MMON snapshots the counters, gauges and
+	// recovery-time estimate into the workload repository.
+	in.pmon = in.k.Every("PMON", time.Second, func(p *sim.Proc) {
 		if in.tm.ZombieCount() > 0 {
 			in.tm.RollbackZombies(p)
 		}
 	})
 	if in.repo != nil {
-		in.mmon = startPeriodic(in.k, "MMON", in.cfg.SampleInterval, func(p *sim.Proc) { in.repo.Sample(p.Now()) })
+		in.mmon = in.k.Every("MMON", in.cfg.SampleInterval, func(p *sim.Proc) { in.repo.Sample(p.Now()) })
 	}
 	in.crashed = false
 	in.recovered = false
@@ -426,8 +429,8 @@ func (in *Instance) stop(crashed bool) {
 	if in.ckpt != nil {
 		in.ckpt.stop()
 	}
-	in.pmon.stop()
-	in.mmon.stop()
+	in.pmon.Stop()
+	in.mmon.Stop()
 	in.cache.InvalidateAll()
 	if crashed {
 		in.tm.AbandonAll()

@@ -63,6 +63,47 @@ func TestKillUserSessionRolledBackByPMON(t *testing.T) {
 	})
 }
 
+// A second fault inside the first: USERS goes offline while the mis-routed
+// batch is writing t. The batch fails and so does its rollback, so it goes
+// to PMON instead of holding its row locks forever; once USERS is recovered
+// and online, PMON rolls it back and t holds its pre-fault rows.
+func TestMisroutedBatchHandsFailedRollbackToPMON(t *testing.T) {
+	r := newRig(t)
+	r.run(t, func(p *sim.Proc) error {
+		if err := r.setup(p); err != nil {
+			return err
+		}
+		var offErr error
+		dba := r.k.Go("dba", func(p *sim.Proc) {
+			for r.in.Txns().ActiveWritersOn("t") == 0 {
+				p.Sleep(time.Millisecond)
+			}
+			offErr = r.in.OfflineTablespaceForRecovery(p, "USERS")
+		})
+		if _, err := r.inj.Inject(p, Fault{Kind: MisroutedBatchUpdate, Target: "t"}); err == nil {
+			return fmt.Errorf("the batch committed with its tablespace going offline under it")
+		}
+		for !dba.Done() {
+			p.Sleep(10 * time.Millisecond)
+		}
+		if offErr != nil {
+			return offErr
+		}
+		if n := r.in.Txns().ZombieCount(); n != 1 {
+			return fmt.Errorf("%d zombie(s) after the failed batch, want 1", n)
+		}
+		if _, err := r.inj.rm.OnlineTablespaceRecovery(p, "USERS"); err != nil {
+			return err
+		}
+		for deadline := p.Now().Add(2 * time.Second); r.in.Txns().ActiveCount() > 0; p.Sleep(100 * time.Millisecond) {
+			if p.Now() > deadline {
+				return fmt.Errorf("%d transaction(s) still active 2s after USERS came back", r.in.Txns().ActiveCount())
+			}
+		}
+		return r.verifyData(p, 40)
+	})
+}
+
 func TestKillSessionWithNoActiveTxnIsNoop(t *testing.T) {
 	r := newRig(t)
 	r.run(t, func(p *sim.Proc) error {

@@ -11,6 +11,7 @@ import (
 	"dbench/internal/sim"
 	"dbench/internal/sqladmin"
 	"dbench/internal/trace"
+	"dbench/internal/txn"
 )
 
 // Kind is one of the six fault types injected in the paper's experiments
@@ -423,17 +424,15 @@ func (inj *Injector) misrouteBatch(p *sim.Proc, table string) error {
 	if len(keys) > misroutedBatchSize {
 		keys = keys[:misroutedBatchSize]
 	}
-	t, err := inj.in.Begin()
-	if err != nil {
-		return err
-	}
-	for _, key := range keys {
-		if err := inj.in.Update(p, t, table, key, []byte("misrouted batch value")); err != nil {
-			_ = inj.in.Rollback(p, t)
-			return err
+	_, err := inj.in.Atomically(p, func(t *txn.Txn) error {
+		for _, key := range keys {
+			if err := inj.in.Update(p, t, table, key, []byte("misrouted batch value")); err != nil {
+				return err
+			}
 		}
-	}
-	return inj.in.Commit(p, t)
+		return nil
+	})
+	return err
 }
 
 // recoverLogical runs the flashback-preferred remedy for single-table

@@ -211,22 +211,42 @@ func NewManager(k *sim.Kernel, fs *simdisk.FS, cfg Config) (*Manager, error) {
 	if cfg.GroupSizeBytes <= 0 {
 		return nil, fmt.Errorf("redo: group size must be positive")
 	}
-	m := &Manager{k: k, fs: fs, cfg: cfg, maxID: cfg.Groups, nextSCN: 1, c: newCounters()}
-	for i := 0; i < cfg.Groups; i++ {
-		g := &Group{ID: i + 1, capacity: cfg.GroupSizeBytes, ckptDone: true, archived: true}
-		for j := 0; j < cfg.MembersPerGroup; j++ {
-			name := fmt.Sprintf("redo%02d_%d.log", i+1, j)
-			f, err := fs.Create(cfg.Disk, name, 0)
-			if err != nil {
-				return nil, fmt.Errorf("redo: create member: %w", err)
-			}
-			g.members = append(g.members, f)
+	m := &Manager{k: k, fs: fs, cfg: cfg, nextSCN: 1, c: newCounters()}
+	for range cfg.Groups {
+		g, err := m.newGroup(cfg.GroupSizeBytes)
+		if err != nil {
+			return nil, err
 		}
 		m.groups = append(m.groups, g)
 	}
 	m.groups[0].current = true
 	m.groups[0].Seq = 1
 	return m, nil
+}
+
+// newGroup creates an empty group of the given capacity under the next
+// unused ID, its members named after that ID.
+func (m *Manager) newGroup(capacity int64) (*Group, error) {
+	m.maxID++
+	g := &Group{ID: m.maxID, capacity: capacity, ckptDone: true, archived: true}
+	for j := range m.cfg.MembersPerGroup {
+		f, err := m.fs.Create(m.cfg.Disk, fmt.Sprintf("redo%02d_%d.log", g.ID, j), 0)
+		if err != nil {
+			return nil, fmt.Errorf("redo: create member: %w", err)
+		}
+		g.members = append(g.members, f)
+	}
+	return g, nil
+}
+
+// empty discards the group's content so it can be written from the start:
+// no sequence, nothing left to checkpoint or archive, every member truncated.
+func (g *Group) empty() {
+	g.Seq, g.bytes, g.records = 0, 0, nil
+	g.archived, g.ckptDone = true, true
+	for _, member := range g.members {
+		member.Truncate(0)
+	}
 }
 
 // Config returns the manager's configuration. Groups and GroupSizeBytes
@@ -326,28 +346,13 @@ func (m *Manager) applyResize(p *sim.Proc) error {
 			continue
 		}
 		g.capacity = size
-		g.bytes = 0
-		g.records = nil
-		g.Seq = 0
-		g.archived = true
-		g.ckptDone = true
-		for _, member := range g.members {
-			if !member.Deleted() && !member.Corrupted() {
-				member.Truncate(0)
-			}
-		}
+		g.empty()
 		kept = append(kept, g)
 	}
 	for len(kept) < target {
-		m.maxID++
-		g := &Group{ID: m.maxID, capacity: size, ckptDone: true, archived: true}
-		for j := 0; j < max(m.cfg.MembersPerGroup, 1); j++ {
-			name := fmt.Sprintf("redo%02d_%d.log", g.ID, j)
-			f, err := m.fs.Create(m.cfg.Disk, name, 0)
-			if err != nil {
-				return fmt.Errorf("redo: resize member: %w", err)
-			}
-			g.members = append(g.members, f)
+		g, err := m.newGroup(size)
+		if err != nil {
+			return err
 		}
 		kept = append(kept, g)
 	}
@@ -484,15 +489,7 @@ func (m *Manager) Reserve(p *sim.Proc, size int64) error {
 		if stallStart < 0 {
 			stallStart = p.Now()
 		}
-		if next := m.groups[(m.cur+1)%len(m.groups)]; !next.ckptDone {
-			m.c.checkpointWaits.Inc()
-			if m.OnCheckpointNeeded != nil {
-				m.OnCheckpointNeeded()
-			}
-		} else {
-			m.c.archiveWaits.Inc()
-		}
-		m.reusable.Wait(p)
+		m.waitReusable(p, m.groups[(m.cur+1)%len(m.groups)])
 	}
 	if stallStart >= 0 {
 		waited := p.Now().Sub(stallStart)
@@ -713,27 +710,15 @@ func (m *Manager) switchGroup(p *sim.Proc) error {
 		if m.reusableGroup(next) {
 			break
 		}
-		if !next.ckptDone {
-			m.c.checkpointWaits.Inc()
-			if m.OnCheckpointNeeded != nil {
-				m.OnCheckpointNeeded()
-			}
-		} else {
-			m.c.archiveWaits.Inc()
-		}
-		m.reusable.Wait(p)
+		m.waitReusable(p, next)
 	}
 	stalled := p.Now().Sub(stallStart)
 	m.c.stallNS.Add(int64(stalled))
 
 	m.cur = (m.cur + 1) % len(m.groups)
+	next.empty() // reuse rewrites the group from the start
 	next.current = true
 	next.Seq = old.Seq + 1
-	next.bytes = 0
-	next.records = nil
-	for _, member := range next.members {
-		member.Truncate(0) // reuse rewrites the file from the start
-	}
 	m.c.switches.Inc()
 	m.Trace.End(p.Now(), span,
 		trace.I("to_seq", int64(next.Seq)), trace.I("stall_ns", int64(stalled)))
@@ -744,6 +729,21 @@ func (m *Manager) switchGroup(p *sim.Proc) error {
 		m.OnSwitch(p, old)
 	}
 	return nil
+}
+
+// waitReusable waits once for a group to become reusable, counting the stall
+// by what next still lacks: a checkpoint ("checkpoint not complete", which
+// also demands a fresh one) or its archive copy ("archival required").
+func (m *Manager) waitReusable(p *sim.Proc, next *Group) {
+	if !next.ckptDone {
+		m.c.checkpointWaits.Inc()
+		if m.OnCheckpointNeeded != nil {
+			m.OnCheckpointNeeded()
+		}
+	} else {
+		m.c.archiveWaits.Inc()
+	}
+	m.reusable.Wait(p)
 }
 
 // ForceSwitch performs an administrative log switch (ALTER SYSTEM SWITCH
@@ -837,12 +837,6 @@ func (m *Manager) ResetLogs(nextSCN SCN) error {
 		nextSCN = m.nextSCN
 	}
 	for _, g := range m.groups {
-		g.records = nil
-		g.bytes = 0
-		g.Seq = 0
-		g.archived = true
-		g.ckptDone = true
-		g.current = false
 		for _, member := range g.members {
 			if member.Deleted() || member.Corrupted() {
 				// Recreate lost members as part of the reset.
@@ -850,8 +844,9 @@ func (m *Manager) ResetLogs(nextSCN SCN) error {
 					return fmt.Errorf("redo: reset member: %w", err)
 				}
 			}
-			member.Truncate(0)
 		}
+		g.empty()
+		g.current = false
 	}
 	m.cur = 0
 	m.groups[0].current = true

@@ -1,8 +1,11 @@
 package tpcc
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 
 	"dbench/internal/sim"
 )
@@ -219,5 +222,9 @@ func (c *checker) run() error {
 			c.addf("C5", "delivered order %d still in new_order", okey)
 		}
 	}
+	// The loops above walk maps: sort, for one order every time.
+	slices.SortFunc(c.violations, func(a, b Violation) int {
+		return cmp.Or(strings.Compare(a.Condition, b.Condition), strings.Compare(a.Detail, b.Detail))
+	})
 	return nil
 }

@@ -1,7 +1,9 @@
 package tpcc
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -81,6 +83,53 @@ func TestConsistencyDetectsCounterSkew(t *testing.T) {
 	if !hasCondition(viols, "C2") {
 		t.Fatalf("C2 not detected: %v", viols)
 	}
+}
+
+// Several violations come back in one order, whatever order the checker's
+// maps happen to iterate in: twenty checks of the same database, twenty
+// identical lists.
+func TestConsistencyViolationOrderIsStable(t *testing.T) {
+	r := newRig(t, smallConfig(), nil)
+	r.run(t, func(p *sim.Proc) error {
+		if err := r.boot(p); err != nil {
+			return err
+		}
+		for d := 1; d <= 5; d++ {
+			tx, _ := r.in.Begin()
+			db, err := r.in.ReadForUpdate(p, tx, TableDistrict, DKey(1, d))
+			if err != nil {
+				return err
+			}
+			dist, err := DecodeDistrict(db)
+			if err != nil {
+				return err
+			}
+			dist.NextOID += d
+			if err := r.in.Update(p, tx, TableDistrict, DKey(1, d), dist.Encode()); err != nil {
+				return err
+			}
+			if err := r.in.Commit(p, tx); err != nil {
+				return err
+			}
+		}
+		first, err := r.app.CheckConsistency(p)
+		if err != nil {
+			return err
+		}
+		if len(first) < 5 {
+			return fmt.Errorf("%d violations after skewing five districts, want at least 5: %v", len(first), first)
+		}
+		for i := 1; i < 20; i++ {
+			again, err := r.app.CheckConsistency(p)
+			if err != nil {
+				return err
+			}
+			if !slices.Equal(again, first) {
+				return fmt.Errorf("check %d reported\n%v\nthe first reported\n%v", i+1, again, first)
+			}
+		}
+		return nil
+	})
 }
 
 func TestConsistencyDetectsOrphanNewOrder(t *testing.T) {

@@ -10,6 +10,7 @@ import (
 	"dbench/internal/redo"
 	"dbench/internal/sim"
 	"dbench/internal/trace"
+	"dbench/internal/txn"
 )
 
 // CommitRecord is the driver's log of one successful transaction, the raw
@@ -373,12 +374,11 @@ func (d *Driver) VerifyDurability(p *sim.Proc) (lost []CommitRecord, err error) 
 // and the chaos harness's commit-ledger check. It reads through a
 // regular transaction, so the instance must be open.
 func (a *App) HasOrder(p *sim.Proc, w, d, oid int) (bool, error) {
-	t, err := a.In.Begin()
-	if err != nil {
-		return false, err
-	}
-	_, rerr := a.In.Read(p, t, TableOrder, OKey(w, d, oid))
-	if err := a.In.Commit(p, t); err != nil {
+	var rerr error
+	if _, err := a.In.Atomically(p, func(t *txn.Txn) error {
+		_, rerr = a.In.Read(p, t, TableOrder, OKey(w, d, oid))
+		return nil
+	}); err != nil {
 		return false, err
 	}
 	return rerr == nil, nil

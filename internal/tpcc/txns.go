@@ -48,8 +48,6 @@ type Result struct {
 	// CommitSCN is the durable commit position (0 for the read-only
 	// transactions executed without writes, and for rollbacks).
 	CommitSCN redo.SCN
-	// Aborted marks the spec's intentional New-Order rollback.
-	Aborted bool
 
 	orderID    int // New-Order: the allocated order id
 	districtID int // New-Order: the order's district
@@ -116,56 +114,44 @@ func (a *App) NewOrder(p *sim.Proc, r *rand.Rand, w int) (Result, error) {
 		return lines[i].item < lines[j].item
 	})
 
-	t, err := in.Begin()
+	var oid int
+	scn, err := in.Atomically(p, func(t *txn.Txn) (err error) {
+		oid, err = a.newOrderBody(p, t, w, d, c, lines, allLocal, userAbort)
+		return err
+	})
 	if err != nil {
 		return Result{Type: TxnNewOrder}, err
 	}
-	res, err := a.newOrderBody(p, r, t, w, d, c, lines, allLocal, userAbort)
-	if err != nil {
-		// Roll back on any failure (including the intentional abort);
-		// if the rollback itself fails (media offline, instance down),
-		// hand the transaction to PMON.
-		if rbErr := in.Rollback(p, t); rbErr != nil {
-			in.Txns().MarkZombie(t)
-			if !errors.Is(err, ErrUserAbort) {
-				return res, fmt.Errorf("%w (rollback: %v)", err, rbErr)
-			}
-		}
-		return res, err
-	}
-	if err := in.Commit(p, t); err != nil {
-		return res, err
-	}
-	res.CommitSCN = t.CommitSCN
 	// Driver-side bookkeeping after a successful commit.
-	a.noQueue[DKey(w, d)] = append(a.noQueue[DKey(w, d)], res.orderID)
-	return res, nil
+	a.noQueue[DKey(w, d)] = append(a.noQueue[DKey(w, d)], oid)
+	return Result{Type: TxnNewOrder, CommitSCN: scn, orderID: oid, districtID: d}, nil
 }
 
-func (a *App) newOrderBody(p *sim.Proc, r *rand.Rand, t *txn.Txn, w, d, c int, lines []orderLineReq, allLocal int, userAbort bool) (Result, error) {
+// newOrderBody makes the New-Order's changes in t and returns the order id
+// it allocated; on the spec's invalid-item path it fails with ErrUserAbort.
+func (a *App) newOrderBody(p *sim.Proc, t *txn.Txn, w, d, c int, lines []orderLineReq, allLocal int, userAbort bool) (int, error) {
 	in := a.In
-	res := Result{Type: TxnNewOrder}
 
 	// Warehouse tax (read) and customer info (read).
 	if _, err := in.Read(p, t, TableWarehouse, WKey(w)); err != nil {
-		return res, err
+		return 0, err
 	}
 	if _, err := in.Read(p, t, TableCustomer, CKey(w, d, c)); err != nil {
-		return res, err
+		return 0, err
 	}
 	// District: allocate the order number (select for update).
 	db, err := in.ReadForUpdate(p, t, TableDistrict, DKey(w, d))
 	if err != nil {
-		return res, err
+		return 0, err
 	}
 	dist, err := DecodeDistrict(db)
 	if err != nil {
-		return res, err
+		return 0, err
 	}
 	oid := dist.NextOID
 	dist.NextOID++
 	if err := in.Update(p, t, TableDistrict, DKey(w, d), dist.Encode()); err != nil {
-		return res, err
+		return 0, err
 	}
 
 	// Order and NEW-ORDER rows.
@@ -174,35 +160,34 @@ func (a *App) newOrderBody(p *sim.Proc, r *rand.Rand, t *txn.Txn, w, d, c int, l
 		EntryTime: int64(p.Now()), OLCnt: len(lines), AllLocal: allLocal,
 	}
 	if err := in.Insert(p, t, TableOrder, OKey(w, d, oid), ord.Encode()); err != nil {
-		return res, err
+		return 0, err
 	}
 	no := NewOrderRow{OID: oid, DID: d, WID: w}
 	if err := in.Insert(p, t, TableNewOrder, OKey(w, d, oid), no.Encode()); err != nil {
-		return res, err
+		return 0, err
 	}
 
 	// Order lines: read item, update stock, insert line.
 	for i, ln := range lines {
 		if userAbort && i == len(lines)-1 {
 			// Unused item number: the spec demands a rollback.
-			res.Aborted = true
-			return res, ErrUserAbort
+			return 0, ErrUserAbort
 		}
 		ib, err := in.Read(p, t, TableItem, IKey(ln.item))
 		if err != nil {
-			return res, err
+			return 0, err
 		}
 		item, err := DecodeItem(ib)
 		if err != nil {
-			return res, err
+			return 0, err
 		}
 		sb, err := in.ReadForUpdate(p, t, TableStock, SKey(ln.supply, ln.item))
 		if err != nil {
-			return res, err
+			return 0, err
 		}
 		st, err := DecodeStock(sb)
 		if err != nil {
-			return res, err
+			return 0, err
 		}
 		if st.Quantity >= ln.qty+10 {
 			st.Quantity -= ln.qty
@@ -215,7 +200,7 @@ func (a *App) newOrderBody(p *sim.Proc, r *rand.Rand, t *txn.Txn, w, d, c int, l
 			st.RemoteCnt++
 		}
 		if err := in.Update(p, t, TableStock, SKey(ln.supply, ln.item), st.Encode()); err != nil {
-			return res, err
+			return 0, err
 		}
 		ol := OrderLine{
 			OID: oid, DID: d, WID: w, Number: i + 1,
@@ -225,12 +210,10 @@ func (a *App) newOrderBody(p *sim.Proc, r *rand.Rand, t *txn.Txn, w, d, c int, l
 			DistInfo: st.Dists[d-1],
 		}
 		if err := in.Insert(p, t, TableOrderLine, OLKey(w, d, oid, i+1), ol.Encode()); err != nil {
-			return res, err
+			return 0, err
 		}
 	}
-	res.orderID = oid
-	res.districtID = d
-	return res, nil
+	return oid, nil
 }
 
 // Payment executes the Payment transaction (spec §2.5).
@@ -256,11 +239,7 @@ func (a *App) Payment(p *sim.Proc, r *rand.Rand, w int) (Result, error) {
 	}
 	amount := 1 + float64(r.Intn(499900))/100
 
-	t, err := in.Begin()
-	if err != nil {
-		return res, err
-	}
-	err = func() error {
+	scn, err := in.Atomically(p, func(t *txn.Txn) error {
 		wb, err := in.ReadForUpdate(p, t, TableWarehouse, WKey(w))
 		if err != nil {
 			return err
@@ -308,18 +287,9 @@ func (a *App) Payment(p *sim.Proc, r *rand.Rand, w int) (Result, error) {
 		a.histSeq++
 		h := History{CID: c, CDID: cd, CWID: cw, DID: d, WID: w, Amount: amount, Data: wh.Name + "    " + dist.Name}
 		return in.Insert(p, t, TableHistory, a.histSeq, h.Encode())
-	}()
-	if err != nil {
-		if rbErr := in.Rollback(p, t); rbErr != nil {
-			in.Txns().MarkZombie(t)
-		}
-		return res, err
-	}
-	if err := in.Commit(p, t); err != nil {
-		return res, err
-	}
-	res.CommitSCN = t.CommitSCN
-	return res, nil
+	})
+	res.CommitSCN = scn
+	return res, err
 }
 
 // OrderStatus executes the Order-Status read-only transaction (§2.6).
@@ -344,23 +314,12 @@ func (a *App) OrderStatus(p *sim.Proc, r *rand.Rand, w int) (Result, error) {
 			return res, nil
 		}
 	}
-	t, err := in.Begin()
-	if err != nil {
-		return res, err
-	}
-	err = a.orderStatusBody(p, func(p *sim.Proc, table string, key int64) ([]byte, error) {
-		return in.Read(p, t, table, key)
-	}, w, d, c)
-	if err != nil {
-		if rbErr := in.Rollback(p, t); rbErr != nil {
-			in.Txns().MarkZombie(t)
-		}
-		return res, err
-	}
-	if err := in.Commit(p, t); err != nil {
-		return res, err
-	}
-	return res, nil
+	_, err := in.Atomically(p, func(t *txn.Txn) error {
+		return a.orderStatusBody(p, func(p *sim.Proc, table string, key int64) ([]byte, error) {
+			return in.Read(p, t, table, key)
+		}, w, d, c)
+	})
+	return res, err
 }
 
 // Delivery executes the Delivery transaction (§2.7): one batch delivering
@@ -370,15 +329,11 @@ func (a *App) Delivery(p *sim.Proc, r *rand.Rand, w int) (Result, error) {
 	res := Result{Type: TxnDelivery}
 	carrier := 1 + r.Intn(10)
 
-	t, err := in.Begin()
-	if err != nil {
-		return res, err
-	}
 	var delivered []struct {
 		dkey int64
 		oid  int
 	}
-	err = func() error {
+	scn, err := in.Atomically(p, func(t *txn.Txn) error {
 		for d := 1; d <= Districts; d++ {
 			dk := DKey(w, d)
 			queue := a.noQueue[dk]
@@ -446,17 +401,11 @@ func (a *App) Delivery(p *sim.Proc, r *rand.Rand, w int) (Result, error) {
 			}
 		}
 		return nil
-	}()
+	})
 	if err != nil {
-		if rbErr := in.Rollback(p, t); rbErr != nil {
-			in.Txns().MarkZombie(t)
-		}
 		return res, err
 	}
-	if err := in.Commit(p, t); err != nil {
-		return res, err
-	}
-	res.CommitSCN = t.CommitSCN
+	res.CommitSCN = scn
 	// Remove delivered orders from the driver queues only after commit.
 	for _, dv := range delivered {
 		q := a.noQueue[dv.dkey]
@@ -484,21 +433,10 @@ func (a *App) StockLevel(p *sim.Proc, r *rand.Rand, w int) (Result, error) {
 			return res, nil
 		}
 	}
-	t, err := in.Begin()
-	if err != nil {
-		return res, err
-	}
-	err = a.stockLevelBody(p, func(p *sim.Proc, table string, key int64) ([]byte, error) {
-		return in.Read(p, t, table, key)
-	}, w, d, threshold)
-	if err != nil {
-		if rbErr := in.Rollback(p, t); rbErr != nil {
-			in.Txns().MarkZombie(t)
-		}
-		return res, err
-	}
-	if err := in.Commit(p, t); err != nil {
-		return res, err
-	}
-	return res, nil
+	_, err := in.Atomically(p, func(t *txn.Txn) error {
+		return a.stockLevelBody(p, func(p *sim.Proc, table string, key int64) ([]byte, error) {
+			return in.Read(p, t, table, key)
+		}, w, d, threshold)
+	})
+	return res, err
 }
