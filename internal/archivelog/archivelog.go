@@ -77,10 +77,8 @@ type Archiver struct {
 	disk string
 	inv  *Inventory
 
-	queue   []*redo.Group
-	wake    sim.Cond
-	proc    *sim.Proc
-	running bool
+	queue []*redo.Group
+	arch  *sim.Server
 
 	// OnArchived, when set, is called after each group is archived
 	// (the stand-by database hooks shipping here).
@@ -114,10 +112,9 @@ func (ar *Archiver) Failures() int { return ar.failures }
 // group from the queue but before the copy finished, and without the
 // rescan that group would stall log reuse ("archival required") forever.
 func (ar *Archiver) Start() {
-	if ar.running {
+	if ar.arch.Running() {
 		return
 	}
-	ar.running = true
 	queued := make(map[*redo.Group]bool, len(ar.queue))
 	for _, g := range ar.queue {
 		queued[g] = true
@@ -127,23 +124,15 @@ func (ar *Archiver) Start() {
 			ar.queue = append(ar.queue, g)
 		}
 	}
-	ar.proc = ar.k.Go("ARCH", ar.loop)
+	ar.arch = ar.k.Serve("ARCH", func() bool { return len(ar.queue) > 0 }, ar.archiveNext)
 }
 
 // Stop kills the ARCH process (instance crash). Queued groups stay queued
 // and are archived after restart.
-func (ar *Archiver) Stop() {
-	if !ar.running {
-		return
-	}
-	ar.running = false
-	if ar.proc != nil {
-		ar.proc.Kill()
-	}
-}
+func (ar *Archiver) Stop() { ar.arch.Stop() }
 
 // Running reports whether ARCH is active.
-func (ar *Archiver) Running() bool { return ar.running }
+func (ar *Archiver) Running() bool { return ar.arch.Running() }
 
 // Enqueue schedules a filled group for archiving. Safe to call from any
 // simulation process (typically the redo manager's OnSwitch hook).
@@ -151,30 +140,23 @@ func (ar *Archiver) Enqueue(g *redo.Group) {
 	ar.queue = append(ar.queue, g)
 	ar.Trace.Instant(ar.k.Now(), trace.CatArch, "ARCH", "enqueue",
 		trace.I("seq", int64(g.Seq)), trace.I("bytes", g.Bytes()))
-	ar.wake.Broadcast(ar.k)
+	ar.arch.Wake()
 }
 
 // QueueLen returns the number of groups waiting to be archived.
 func (ar *Archiver) QueueLen() int { return len(ar.queue) }
 
-func (ar *Archiver) loop(p *sim.Proc) {
-	for ar.running {
-		for ar.running && len(ar.queue) == 0 {
-			ar.wake.Wait(p)
-		}
-		if !ar.running {
-			return
-		}
-		g := ar.queue[0]
-		ar.queue = ar.queue[1:]
-		if err := ar.archive(p, g); err != nil {
-			ar.failures++
-			// The group stays unarchived; the log manager will
-			// stall on reuse, which is exactly Oracle's behaviour
-			// when the archive destination fails.
-			continue
-		}
+// archiveNext archives the group at the head of the queue.
+func (ar *Archiver) archiveNext(p *sim.Proc) bool {
+	g := ar.queue[0]
+	ar.queue = ar.queue[1:]
+	if err := ar.archive(p, g); err != nil {
+		// The group stays unarchived; the log manager will stall on
+		// reuse, which is exactly Oracle's behaviour when the archive
+		// destination fails.
+		ar.failures++
 	}
+	return true
 }
 
 // archive copies one group: read the online member, write the archive

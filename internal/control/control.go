@@ -110,7 +110,7 @@ type Controller struct {
 	budget time.Duration
 	ladder []Rung
 
-	ctl *sim.Periodic
+	ctl *sim.Server
 
 	rung       int
 	ticks      int

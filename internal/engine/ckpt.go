@@ -14,22 +14,21 @@ const (
 
 // ckptProcess is the CKPT background process plus its timeout timer. One
 // checkpoint runs at a time; requests arriving during a checkpoint are
-// coalesced into the next one.
+// coalesced into the next one. It runs from start to stop: a failed
+// checkpoint ends the CKPT process, but requests still queue and the timer
+// still ticks until the crash the failure raises stops them.
 type ckptProcess struct {
 	in      *Instance
 	pending []ckptReason
-	wake    sim.Cond
-	proc    *sim.Proc
-	timer   *sim.Periodic // nil when checkpoint_timeout is 0
-	running bool
+	ckpt    *sim.Server // nil until started and after stop
+	timer   *sim.Server // nil when checkpoint_timeout is 0
 }
 
 func (c *ckptProcess) start() {
-	if c.running {
+	if c.ckpt != nil {
 		return
 	}
-	c.running = true
-	c.proc = c.in.k.Go("CKPT", c.loop)
+	c.ckpt = c.in.k.Serve("CKPT", func() bool { return len(c.pending) > 0 }, c.serve)
 	c.rearmTimer()
 }
 
@@ -37,7 +36,7 @@ func (c *ckptProcess) start() {
 // checkpoint_timeout counts from now instead of whenever the previous
 // interval would have expired.
 func (c *ckptProcess) rearmTimer() {
-	if !c.running {
+	if c.ckpt == nil {
 		return
 	}
 	c.timer.Stop()
@@ -48,46 +47,40 @@ func (c *ckptProcess) rearmTimer() {
 }
 
 func (c *ckptProcess) stop() {
-	if !c.running {
+	if c.ckpt == nil {
 		return
 	}
-	c.running = false
-	c.proc.Kill()
+	c.ckpt.Stop()
+	c.ckpt = nil
 	c.timer.Stop()
 	c.pending = nil
 }
 
 func (c *ckptProcess) request(r ckptReason) {
-	if !c.running {
+	if c.ckpt == nil {
 		return
 	}
 	c.pending = append(c.pending, r)
-	c.wake.Broadcast(c.in.k)
+	c.ckpt.Wake()
 }
 
-func (c *ckptProcess) loop(p *sim.Proc) {
-	for c.running {
-		for c.running && len(c.pending) == 0 {
-			c.wake.Wait(p)
-		}
-		if !c.running {
-			return
-		}
-		batch := c.pending
-		c.pending = nil
-		if err := c.in.checkpoint(p); err != nil {
-			// The instance is crashing (log down or control file
-			// lost); the CKPT process just exits.
-			return
-		}
-		// Account one checkpoint per trigger reason batch: Oracle
-		// coalesces too, but the paper's Table 3 counts checkpoint
-		// *events*, so attribute the batch to its first reason.
-		switch batch[0] {
-		case reasonSwitch:
-			c.in.c.switchCheckpoints.Inc()
-		case reasonTimeout:
-			c.in.c.timeoutCheckpoints.Inc()
-		}
+// serve takes one checkpoint for every request pending.
+func (c *ckptProcess) serve(p *sim.Proc) bool {
+	batch := c.pending
+	c.pending = nil
+	if err := c.in.checkpoint(p); err != nil {
+		// The instance is crashing (log down or control file lost); the
+		// CKPT process just exits.
+		return false
 	}
+	// Account one checkpoint per trigger reason batch: Oracle coalesces
+	// too, but the paper's Table 3 counts checkpoint *events*, so
+	// attribute the batch to its first reason.
+	switch batch[0] {
+	case reasonSwitch:
+		c.in.c.switchCheckpoints.Inc()
+	case reasonTimeout:
+		c.in.c.timeoutCheckpoints.Inc()
+	}
+	return true
 }

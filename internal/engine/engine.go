@@ -98,8 +98,8 @@ type Instance struct {
 	recovered bool // recovery manager completed instance recovery
 
 	ckpt *ckptProcess
-	pmon *sim.Periodic
-	mmon *sim.Periodic // nil when monitoring is off
+	pmon *sim.Server
+	mmon *sim.Server // nil when monitoring is off
 	repo *monitor.Repository
 	c    counters
 	reg  *trace.Registry

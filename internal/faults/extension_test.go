@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"dbench/internal/sim"
 	"dbench/internal/storage"
 	"dbench/internal/trace"
+	"dbench/internal/txn"
 )
 
 // The extension fault kinds (other paper Table 2 rows) and negative
@@ -59,6 +61,51 @@ func TestKillUserSessionRolledBackByPMON(t *testing.T) {
 			return fmt.Errorf("killed session's insert survived")
 		}
 		_ = r.in.Rollback(p, check)
+		return r.verifyData(p, 40)
+	})
+}
+
+// A killed session stops at its next call: the insert and the commit after
+// the kill both fail, and PMON rolls back what the session wrote before it,
+// so neither row survives.
+func TestKilledSessionStopsAtItsNextCall(t *testing.T) {
+	r := newRig(t)
+	r.run(t, func(p *sim.Proc) error {
+		if err := r.setup(p); err != nil {
+			return err
+		}
+		tx, err := r.in.Begin()
+		if err != nil {
+			return err
+		}
+		if err := r.in.Insert(p, tx, "t", 998, []byte("before the kill")); err != nil {
+			return err
+		}
+		o, err := r.inj.Inject(p, Fault{Kind: KillUserSession})
+		if err != nil {
+			return err
+		}
+		if err := r.in.Insert(p, tx, "t", 999, []byte("after the kill")); !errors.Is(err, txn.ErrTxnDone) {
+			return fmt.Errorf("insert after the kill: %v, want %v", err, txn.ErrTxnDone)
+		}
+		if err := r.in.Commit(p, tx); !errors.Is(err, txn.ErrTxnDone) {
+			return fmt.Errorf("commit after the kill: %v, want %v", err, txn.ErrTxnDone)
+		}
+		if err := r.inj.Recover(p, o); err != nil {
+			return err
+		}
+		check, err := r.in.Begin()
+		if err != nil {
+			return err
+		}
+		for _, key := range []int64{998, 999} {
+			if _, err := r.in.Read(p, check, "t", key); !errors.Is(err, txn.ErrRowNotFound) {
+				return fmt.Errorf("row %d after PMON's cleanup: %v, want %v", key, err, txn.ErrRowNotFound)
+			}
+		}
+		if err := r.in.Commit(p, check); err != nil {
+			return err
+		}
 		return r.verifyData(p, 40)
 	})
 }

@@ -31,13 +31,6 @@ type Model struct {
 	// ApplyPerRecord is the full per-record apply cost (the engine's
 	// CostModel.RedoApplyPerRecord).
 	ApplyPerRecord time.Duration
-	// PriorApplyFraction is the share of ApplyPerRecord the prior
-	// charges per *scanned* record. Not every scanned record pays the
-	// full apply cost: commit/abort records cost a quarter, and
-	// data-change records whose block image is already current (written
-	// back by DBWR or a checkpoint before the crash) cost nothing. Zero
-	// selects DefaultPriorApplyFraction.
-	PriorApplyFraction float64
 	// ScanBytesPerSec is the redo disk's sequential transfer rate;
 	// SeekOverhead its initial positioning cost.
 	ScanBytesPerSec int64
@@ -51,9 +44,13 @@ type Model struct {
 	Parallel int
 }
 
-// DefaultPriorApplyFraction is the cold prior's effective apply share,
-// calibrated against the chaos harness's measured redo-replay phases
-// (see internal/chaos: the estimator-accuracy invariant).
+// DefaultPriorApplyFraction is the share of ApplyPerRecord the cold prior
+// charges per *scanned* record. Not every scanned record pays the full apply
+// cost: commit/abort records cost a quarter, and data-change records whose
+// block image is already current (written back by DBWR or a checkpoint
+// before the crash) cost nothing. It is calibrated against the chaos
+// harness's measured redo-replay phases (see internal/chaos: the
+// estimator-accuracy invariant).
 const DefaultPriorApplyFraction = 0.55
 
 // Estimate is one instant's recovery-cost prediction.
@@ -81,9 +78,6 @@ type Estimate struct {
 
 // NewEstimator returns an estimator over the given physical model.
 func NewEstimator(m Model) *Estimator {
-	if m.PriorApplyFraction <= 0 {
-		m.PriorApplyFraction = DefaultPriorApplyFraction
-	}
 	if m.Parallel < 1 {
 		m.Parallel = 1
 	}
@@ -92,9 +86,6 @@ func NewEstimator(m Model) *Estimator {
 	}
 	return &Estimator{m: m}
 }
-
-// Model returns the estimator's physical constants.
-func (e *Estimator) Model() Model { return e.m }
 
 // SetParallel updates the model's effective recovery fan-out (callers
 // pass min(workers, CPU slots), at least 1). The cold prior scales
@@ -140,7 +131,7 @@ func (e *Estimator) secPerRecord() float64 {
 	if e.calibrations > 0 {
 		return e.fitted
 	}
-	prior := e.m.PriorApplyFraction * e.m.ApplyPerRecord.Seconds()
+	prior := DefaultPriorApplyFraction * e.m.ApplyPerRecord.Seconds()
 	return prior / float64(e.m.Parallel)
 }
 
@@ -162,19 +153,14 @@ func (e *Estimator) Estimate(scanStartSCN, flushedSCN, flushedBytes int64) Estim
 		avg = float64(flushedBytes) / float64(flushedSCN)
 	}
 	bytes := int64(float64(n) * avg)
-	est := Estimate{
+	return Estimate{
 		Valid:        true,
 		ScanRecords:  n,
 		RedoBytes:    bytes,
+		RedoReplay:   e.PredictReplay(n, bytes),
+		Total:        e.PredictTotal(n, bytes),
 		Calibrations: e.calibrations,
 	}
-	if n > 0 {
-		scan := e.m.SeekOverhead.Seconds() + float64(bytes)/float64(e.m.ScanBytesPerSec)
-		apply := float64(n) * e.secPerRecord()
-		est.RedoReplay = time.Duration((scan + apply) * float64(time.Second))
-	}
-	est.Total = e.m.MountOverhead + est.RedoReplay
-	return est
 }
 
 // RecoveryObservation is one completed recovery's measured redo-replay

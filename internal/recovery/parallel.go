@@ -151,7 +151,7 @@ func (c *applyCrew) beginWorkerSpan(p *sim.Proc, w *applyWorker) {
 		return
 	}
 	tl := c.sa.tl
-	w.span = tl.tracer().BeginChild(p.Now(), trace.CatRecovery, "recovery",
+	w.span = tl.tr.BeginChild(p.Now(), trace.CatRecovery, "recovery",
 		"apply worker", tl.currentSpan(), trace.I("worker", int64(w.id)))
 }
 
@@ -159,7 +159,7 @@ func (c *applyCrew) endWorkerSpan(p *sim.Proc, w *applyWorker) {
 	if w.span == 0 {
 		return
 	}
-	c.sa.tl.tracer().End(p.Now(), w.span)
+	c.sa.tl.tr.End(p.Now(), w.span)
 	w.span = 0
 }
 
@@ -412,10 +412,10 @@ func (m *Manager) chargeBlockPasses(p *sim.Proc, touched map[storage.BlockRef]bo
 		wg.Add(1)
 		k.Go(fmt.Sprintf("recovery-io-%d", i), func(wp *sim.Proc) {
 			defer wg.Done(wp.Kernel())
-			span := tl.tracer().BeginChild(wp.Now(), trace.CatRecovery, "recovery",
+			span := tl.tr.BeginChild(wp.Now(), trace.CatRecovery, "recovery",
 				"io worker", tl.currentSpan(), trace.I("worker", int64(i)))
 			err := blockPass(wp, part)
-			tl.tracer().End(wp.Now(), span, trace.I("blocks", int64(len(part))))
+			tl.tr.End(wp.Now(), span, trace.I("blocks", int64(len(part))))
 			if err != nil && firstErr == nil {
 				firstErr = err
 			}

@@ -49,8 +49,7 @@ func (ph Phase) Duration() time.Duration { return ph.End.Sub(ph.Start) }
 // bus as a recovery-category span tree (one root span per recovery, one
 // child span per phase). Phases are contiguous by construction — each
 // opens at the virtual instant the previous closed — so they are
-// ordered, non-overlapping, and sum exactly to Finished-Started. A nil
-// *timeline is valid and records nothing.
+// ordered, non-overlapping, and sum exactly to Finished-Started.
 type timeline struct {
 	rep  *Report
 	tr   *trace.Tracer
@@ -73,9 +72,6 @@ func (m *Manager) beginTimeline(p *sim.Proc, rep *Report) *timeline {
 
 // phase closes the current phase (if any) and opens `name` at p.Now().
 func (tl *timeline) phase(p *sim.Proc, name string) {
-	if tl == nil {
-		return
-	}
 	tl.closePhase(p, nil)
 	tl.rep.Phases = append(tl.rep.Phases, Phase{Name: name, Start: p.Now(), Workers: 1})
 	tl.open = true
@@ -87,7 +83,7 @@ func (tl *timeline) phase(p *sim.Proc, name string) {
 
 // setWorkers records the fan-out active during the open phase.
 func (tl *timeline) setWorkers(n int) {
-	if tl == nil || !tl.open || n < 1 {
+	if !tl.open || n < 1 {
 		return
 	}
 	tl.rep.Phases[len(tl.rep.Phases)-1].Workers = n
@@ -96,28 +92,16 @@ func (tl *timeline) setWorkers(n int) {
 // currentSpan returns the open phase's span (the parent for worker
 // spans), falling back to the root when no phase is open.
 func (tl *timeline) currentSpan() trace.SpanID {
-	if tl == nil {
-		return 0
-	}
 	if tl.open {
 		return tl.cur
 	}
 	return tl.root
 }
 
-// tracer returns the trace bus worker spans are emitted on (nil when the
-// timeline itself is nil; the trace package treats a nil tracer as off).
-func (tl *timeline) tracer() *trace.Tracer {
-	if tl == nil {
-		return nil
-	}
-	return tl.tr
-}
-
 // closePhase ends the open phase and its span; a non-nil err — the
 // recovery failed inside this phase — is recorded on the span.
 func (tl *timeline) closePhase(p *sim.Proc, err error) {
-	if tl == nil || !tl.open {
+	if !tl.open {
 		return
 	}
 	ph := &tl.rep.Phases[len(tl.rep.Phases)-1]
@@ -134,9 +118,6 @@ func (tl *timeline) closePhase(p *sim.Proc, err error) {
 // when the recovery failed. On success call it after rep.Finished is
 // stamped, at the same virtual instant.
 func (tl *timeline) finish(p *sim.Proc, err error) {
-	if tl == nil {
-		return
-	}
 	tl.closePhase(p, err)
 	tl.tr.End(p.Now(), tl.root, withError(err,
 		trace.I("records", int64(tl.rep.RecordsApplied)),

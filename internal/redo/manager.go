@@ -151,11 +151,9 @@ type Manager struct {
 	bufHead     int
 	bufferBytes int64
 
-	wakeLGWR  sim.Cond
+	lgwr      *sim.Server
 	flushed   sim.Cond
 	reusable  sim.Cond
-	lgwr      *sim.Proc
-	running   bool
 	failed    bool
 	flushWant SCN
 
@@ -403,24 +401,21 @@ func (m *Manager) FlushedSCN() SCN { return m.flushedSCN }
 
 // Start launches the LGWR background process.
 func (m *Manager) Start() {
-	if m.running {
+	if m.Running() {
 		return
 	}
-	m.running = true
 	m.failed = false
-	m.lgwr = m.k.Go("LGWR", m.lgwrLoop)
+	m.lgwr = m.k.Serve("LGWR", m.flushDue, m.flush)
 }
 
 // Stop terminates LGWR without flushing (used by SHUTDOWN ABORT). Unflushed
-// buffer content is discarded, exactly like a crash.
+// buffer content is discarded, exactly like a crash. A log that failed is
+// already down: the crash its failure raises finds nothing to stop.
 func (m *Manager) Stop() {
-	if !m.running {
+	if !m.Running() {
 		return
 	}
-	m.running = false
-	if m.lgwr != nil {
-		m.lgwr.Kill()
-	}
+	m.lgwr.Stop()
 	m.buffer, m.bufHead = nil, 0
 	m.bufferBytes = 0
 	// Wake anything blocked on the log so it can observe the failure.
@@ -429,7 +424,7 @@ func (m *Manager) Stop() {
 }
 
 // Running reports whether LGWR is active.
-func (m *Manager) Running() bool { return m.running }
+func (m *Manager) Running() bool { return m.lgwr.Running() && !m.failed }
 
 // Failed reports whether the log hit a fatal media failure.
 func (m *Manager) Failed() bool { return m.failed }
@@ -471,7 +466,7 @@ func (m *Manager) NotifyUndoFloorChanged() {
 func (m *Manager) Reserve(p *sim.Proc, size int64) error {
 	stallStart := sim.Time(-1)
 	for {
-		if !m.running || m.failed {
+		if !m.Running() {
 			return fmt.Errorf("redo: log writer down")
 		}
 		cur := m.groups[m.cur]
@@ -508,7 +503,7 @@ func (m *Manager) Reserve(p *sim.Proc, size int64) error {
 func (m *Manager) Append(rec Record) SCN {
 	rec.SCN = m.nextSCN
 	m.nextSCN++
-	if !m.running || m.failed {
+	if !m.Running() {
 		// The instance is down: the record goes nowhere, exactly like
 		// writing into a crashed instance's SGA. Callers discover the
 		// failure at WaitFlushed.
@@ -525,9 +520,9 @@ func (m *Manager) WaitFlushed(p *sim.Proc, scn SCN) error {
 	if scn > m.flushWant {
 		m.flushWant = scn
 	}
-	m.wakeLGWR.Broadcast(m.k)
+	m.lgwr.Wake()
 	for m.flushedSCN < scn {
-		if !m.running || m.failed {
+		if !m.Running() {
 			return fmt.Errorf("redo: log writer down")
 		}
 		m.flushed.Wait(p)
@@ -557,28 +552,23 @@ func (m *Manager) MarkArchived(g *Group) {
 	m.reusable.Broadcast(m.k)
 }
 
-// lgwrLoop is the LGWR process body: it waits for flush demand, drains the
-// buffer into the current group (switching groups as they fill), charges
-// the member writes to disk, and wakes committers.
-func (m *Manager) lgwrLoop(p *sim.Proc) {
-	for m.running {
-		for m.running && (len(m.buffer) == 0 || m.flushWant <= m.flushedSCN) {
-			m.wakeLGWR.Wait(p)
+// flushDue reports LGWR's work: buffered redo a committer waits for.
+func (m *Manager) flushDue() bool { return len(m.buffer) > 0 && m.flushWant > m.flushedSCN }
+
+// flush is one round of LGWR: it drains the buffer into the current group
+// (switching groups as they fill), charges the member writes to disk, and
+// wakes committers. A media failure ends LGWR.
+func (m *Manager) flush(p *sim.Proc) bool {
+	if err := m.drainBuffer(p); err != nil {
+		m.failed = true
+		m.flushed.Broadcast(m.k)
+		if m.OnFatal != nil {
+			m.OnFatal(err)
 		}
-		if !m.running {
-			return
-		}
-		if err := m.drainBuffer(p); err != nil {
-			m.failed = true
-			m.running = false
-			m.flushed.Broadcast(m.k)
-			if m.OnFatal != nil {
-				m.OnFatal(err)
-			}
-			return
-		}
-		m.c.flushes.Inc()
+		return false
 	}
+	m.c.flushes.Inc()
+	return true
 }
 
 // drainBuffer appends buffered records to groups, switching when full, and
@@ -749,7 +739,7 @@ func (m *Manager) waitReusable(p *sim.Proc, next *Group) {
 // ForceSwitch performs an administrative log switch (ALTER SYSTEM SWITCH
 // LOGFILE), used at backup time so the archive captures all redo.
 func (m *Manager) ForceSwitch(p *sim.Proc) error {
-	if !m.running {
+	if !m.Running() {
 		return fmt.Errorf("redo: log writer down")
 	}
 	if m.groups[m.cur].bytes == 0 {
@@ -830,7 +820,7 @@ func (m *Manager) BufferedBytes() int64 { return m.bufferBytes }
 // DATABASE OPEN RESETLOGS): all group content is discarded and the SCN
 // stream resumes at nextSCN. The manager must be stopped.
 func (m *Manager) ResetLogs(nextSCN SCN) error {
-	if m.running {
+	if m.Running() {
 		return fmt.Errorf("redo: cannot reset a running log")
 	}
 	if nextSCN < m.nextSCN {

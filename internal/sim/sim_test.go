@@ -347,6 +347,7 @@ func TestSimAllocs(t *testing.T) {
 	loads := map[string]load{
 		"Sleep": sleepLoad, "CondPingPong": condPingPongLoad, "Broadcast": broadcastLoad,
 		"ResourceUse": resourceUseLoad, "ResourceContended": contendedResourceLoad, "LinkSend": linkSendLoad,
+		"ServePingPong": serveLoad,
 	}
 	for name, l := range loads {
 		inSim(func(k *Kernel, p *Proc) {

@@ -286,7 +286,7 @@ func TestClusterIntrospectionArchive(t *testing.T) {
 			return fmt.Errorf("no sample")
 		}
 		for _, g := range last.Gauges {
-			if g.Name == "repl.rto.estimate.ms" && g.Value < DefaultConfig().ActivationOverhead.Milliseconds() {
+			if g.Name == "repl.rto.estimate.ms" && g.Value < activationOverhead.Milliseconds() {
 				return fmt.Errorf("RTO estimate %d ms is below the activation overhead", g.Value)
 			}
 		}

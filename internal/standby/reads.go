@@ -58,7 +58,7 @@ func (sn *Snapshot) Done(p *sim.Proc) {
 	sn.rows = 0
 	sn.scn = -1
 	if rows > 0 {
-		p.Sleep(time.Duration(rows) * sn.s.cfg.ReadPerRow)
+		p.Sleep(time.Duration(rows) * readPerRow)
 	}
 }
 

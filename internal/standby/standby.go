@@ -37,14 +37,6 @@ type Config struct {
 	// servers (the paper used dedicated fast Ethernet; archive mode only).
 	// Continuous streaming uses the cluster's link spec instead.
 	ShipBytesPerSec int64
-	// ApplyPerRecord is the managed-recovery CPU cost per redo record.
-	ApplyPerRecord time.Duration
-	// ActivationOverhead is the fixed cost of activating the stand-by
-	// (terminating managed recovery, opening the database).
-	ActivationOverhead time.Duration
-	// ReadPerRow is the CPU cost a replica-served read-only transaction
-	// pays per row it reads from the stand-by's snapshot.
-	ReadPerRow time.Duration
 	// MaxReadLag bounds replica-served reads: when the stand-by's apply
 	// lag (last known primary SCN minus applied SCN, in records) exceeds
 	// it, snapshot reads are refused and the driver falls back to the
@@ -57,14 +49,20 @@ type Config struct {
 // DefaultConfig returns costs for a dedicated 100 Mbit/s link.
 func DefaultConfig() Config {
 	return Config{
-		ShipBytesPerSec:    12 << 20,
-		ApplyPerRecord:     110 * time.Microsecond,
-		ActivationOverhead: 8 * time.Second,
-		ReadPerRow:         60 * time.Microsecond,
-		MaxReadLag:         4096,
-		FrameRecords:       64,
+		ShipBytesPerSec: 12 << 20,
+		MaxReadLag:      4096,
+		FrameRecords:    64,
 	}
 }
+
+const (
+	// activationOverhead is the fixed cost of activating the stand-by
+	// (terminating managed recovery, opening the database).
+	activationOverhead = 8 * time.Second
+	// readPerRow is the CPU cost a replica-served read-only transaction
+	// pays per row it reads from the stand-by's snapshot.
+	readPerRow = 60 * time.Microsecond
+)
 
 // Stats counts stand-by activity.
 type Stats struct {
@@ -101,27 +99,31 @@ type Standby struct {
 	in   *engine.Instance
 	cfg  Config
 	name string
+	// applyPerRecord is managed recovery's CPU cost per redo record, the
+	// instance's own (engine.CostModel.RedoApplyPerRecord).
+	applyPerRecord time.Duration
 
-	running   bool
 	activated bool
 
 	// The one feed (see accept): transport units arrive in sequence and
-	// their records wait in recvQueue for the managed-recovery process.
+	// their records wait in recvQueue for the managed-recovery process,
+	// which owes the CPU cost of what it applied and has yet to write the
+	// blocks it touched.
 	wantSeq     uint64
 	receivedSCN redo.SCN
 	lastPrimary redo.SCN
 	recvQueue   []redo.Record
-	applyWake   sim.Cond
-	mrp         *sim.Proc
+	mrp         *sim.Server
+	owed        time.Duration
+	touched     map[storage.BlockRef]bool
 	streamHash  uint64
 	// Archive shipping: Ship hands archives to the RFS receiver process,
 	// which pays the network transfer on the stand-by side — so a primary
 	// crash cannot lose an archive that was already fully handed off —
 	// and feeds each one in as a single transport unit.
 	shipQueue  []*archivelog.ArchivedLog
-	rfsWake    sim.Cond
 	rfsDrained sim.Cond
-	rfs        *sim.Proc
+	rfs        *sim.Server
 	// relays forward received records to cascaded stand-bys, on receipt
 	// (a cascade's lag is bounded by its feeder's reception, not apply).
 	relays []*streamer
@@ -159,16 +161,17 @@ const (
 // was instantiated from); it stays unopened until activation.
 func New(in *engine.Instance, cfg Config, startSCN redo.SCN) *Standby {
 	return &Standby{
-		k:           in.Kernel(),
-		in:          in,
-		cfg:         cfg,
-		name:        in.Config().Name,
-		wantSeq:     1,
-		receivedSCN: startSCN,
-		appliedSCN:  startSCN,
-		pending:     make(map[redo.TxnID][]redo.Record),
-		overlay:     make(map[overlayKey]overlayEntry),
-		streamHash:  fnvOffset,
+		k:              in.Kernel(),
+		in:             in,
+		cfg:            cfg,
+		name:           in.Config().Name,
+		applyPerRecord: in.Config().Cost.RedoApplyPerRecord,
+		wantSeq:        1,
+		receivedSCN:    startSCN,
+		appliedSCN:     startSCN,
+		pending:        make(map[redo.TxnID][]redo.Record),
+		overlay:        make(map[overlayKey]overlayEntry),
+		streamHash:     fnvOffset,
 	}
 }
 
@@ -227,29 +230,23 @@ func (s *Standby) Err() error { return s.gapErr }
 
 // Start mounts the stand-by instance and launches managed recovery.
 func (s *Standby) Start(p *sim.Proc) error {
-	if s.running {
+	if s.mrp.Running() {
 		return nil
 	}
 	if err := s.in.Mount(p); err != nil {
 		return err
 	}
-	s.running = true
-	s.mrp = s.k.Go("MRP-"+s.name, s.applyLoop)
+	s.owed, s.touched = 0, make(map[storage.BlockRef]bool)
+	s.mrp = s.k.Serve("MRP-"+s.name, s.applyDue, s.apply)
 	return nil
 }
 
 // Stop halts managed recovery and the archive receiver (without
 // activating).
 func (s *Standby) Stop() {
-	if !s.running {
-		return
-	}
-	s.running = false
-	s.mrp.Kill()
-	if s.rfs != nil {
-		s.rfs.Kill()
-		s.rfs = nil
-	}
+	s.mrp.Stop()
+	s.rfs.Stop()
+	s.rfs = nil
 }
 
 // accept is the stand-by's one intake. A transport unit — a stream frame,
@@ -281,7 +278,7 @@ func (s *Standby) accept(seq uint64, primarySCN redo.SCN, bytes int64, recs []re
 		s.receivedSCN = last
 	}
 	s.recvQueue = append(s.recvQueue, recs...)
-	s.applyWake.Broadcast(s.k)
+	s.mrp.Wake()
 	for _, rel := range s.relays {
 		rel.enqueue(recs)
 	}
@@ -296,74 +293,65 @@ func (s *Standby) accept(seq uint64, primarySCN redo.SCN, bytes int64, recs []re
 func (s *Standby) Ship(p *sim.Proc, al *archivelog.ArchivedLog) {
 	s.shipQueue = append(s.shipQueue, al)
 	if s.rfs == nil {
-		s.rfs = s.k.Go("RFS-"+s.name, s.rfsLoop)
+		s.rfs = s.k.Serve("RFS-"+s.name, func() bool { return len(s.shipQueue) > 0 }, s.receive)
 	}
-	s.rfsWake.Broadcast(s.k)
+	s.rfs.Wake()
 }
 
-// rfsLoop is the remote-file-server receiver: it pays each handed-off
-// archive's transfer time and feeds the log in as one transport unit,
-// numbered by its log sequence.
-func (s *Standby) rfsLoop(p *sim.Proc) {
-	for s.running {
-		for s.running && len(s.shipQueue) == 0 {
-			s.rfsWake.Wait(p)
-		}
-		if !s.running {
-			return
-		}
-		al := s.shipQueue[0]
-		if s.cfg.ShipBytesPerSec > 0 {
-			p.Sleep(time.Duration(al.Bytes * int64(time.Second) / s.cfg.ShipBytesPerSec))
-		}
-		s.shipQueue = s.shipQueue[1:]
-		s.accept(uint64(al.Seq), al.LastSCN, al.Bytes, al.Records())
-		s.rfsDrained.Broadcast(s.k)
+// receive is the remote-file-server receiver: it pays the transfer time of
+// the archive at the head of the queue and feeds the log in as one
+// transport unit, numbered by its log sequence.
+func (s *Standby) receive(p *sim.Proc) bool {
+	al := s.shipQueue[0]
+	if s.cfg.ShipBytesPerSec > 0 {
+		p.Sleep(time.Duration(al.Bytes * int64(time.Second) / s.cfg.ShipBytesPerSec))
 	}
+	s.shipQueue = s.shipQueue[1:]
+	s.accept(uint64(al.Seq), al.LastSCN, al.Bytes, al.Records())
+	s.rfsDrained.Broadcast(s.k)
+	return true
 }
 
-// applyLoop is the managed recovery process: it applies received records
-// as they arrive. Records are popped one at a time and applied instantly,
-// with the CPU cost paid in chunks — a kill mid-sleep leaves appliedSCN
-// exactly at the last applied record and the queue holding exactly the
-// unapplied tail.
-func (s *Standby) applyLoop(p *sim.Proc) {
-	var owed time.Duration
-	touched := make(map[storage.BlockRef]bool)
-	for s.running {
-		for s.running && len(s.recvQueue) == 0 {
-			if owed > 0 || len(touched) > 0 {
-				d := owed
-				owed = 0
-				p.Sleep(d)
-				if len(s.recvQueue) > 0 {
-					continue // more work arrived while paying the debt
-				}
-				s.chargeTouched(p, touched)
-				touched = make(map[storage.BlockRef]bool)
-				s.stats.Applied++
-				continue
-			}
-			s.applyWake.Wait(p)
-		}
-		if !s.running {
-			return
-		}
+// applyDue reports managed recovery's work: records to apply, apply cost
+// to pay, or blocks to write.
+func (s *Standby) applyDue() bool {
+	return len(s.recvQueue) > 0 || s.owed > 0 || len(s.touched) > 0
+}
+
+// apply is managed recovery: it applies every record received so far.
+// Records are popped one at a time and applied instantly, with the CPU cost
+// paid in chunks — a kill mid-sleep leaves appliedSCN exactly at the last
+// applied record and the queue holding exactly the unapplied tail. With the
+// queue empty it pays the rest of the debt and then, unless more records
+// arrived meanwhile, writes the blocks it touched.
+func (s *Standby) apply(p *sim.Proc) bool {
+	for len(s.recvQueue) > 0 {
 		rec := s.recvQueue[0]
 		s.recvQueue = s.recvQueue[1:]
 		if rec.SCN <= s.appliedSCN {
 			continue
 		}
-		s.applyRecord(rec, touched)
+		s.applyRecord(rec)
 		s.appliedSCN = rec.SCN
 		s.stats.RecordsDone++
-		owed += s.cfg.ApplyPerRecord
-		if owed >= 50*time.Millisecond {
-			d := owed
-			owed = 0
+		if s.owed += s.applyPerRecord; s.owed >= 50*time.Millisecond {
+			d := s.owed
+			s.owed = 0
 			p.Sleep(d)
 		}
 	}
+	if s.owed == 0 && len(s.touched) == 0 {
+		return true
+	}
+	d := s.owed
+	s.owed = 0
+	p.Sleep(d)
+	if len(s.recvQueue) == 0 {
+		s.chargeTouched(p)
+		s.touched = make(map[storage.BlockRef]bool)
+		s.stats.Applied++
+	}
+	return true
 }
 
 // applyRecord applies one record to the stand-by images with exactly the
@@ -371,7 +359,7 @@ func (s *Standby) applyLoop(p *sim.Proc) {
 // promoted images stay bit-identical to a serial recovery of the same
 // redo prefix — and maintains the pending-transaction table and the
 // committed-read overlay.
-func (s *Standby) applyRecord(rec redo.Record, touched map[storage.BlockRef]bool) {
+func (s *Standby) applyRecord(rec redo.Record) {
 	switch rec.Op {
 	case redo.OpCommit, redo.OpAbort:
 		s.finishTxn(rec.Txn)
@@ -392,7 +380,7 @@ func (s *Standby) applyRecord(rec redo.Record, touched map[storage.BlockRef]bool
 		return
 	}
 	if recovery.ApplyToImage(&rec, ref) {
-		touched[ref] = true
+		s.touched[ref] = true
 	}
 	// Rollback candidacy is unconditional of the idempotence guard's
 	// outcome, mirroring the recovery loser tracking.
@@ -416,11 +404,11 @@ func (s *Standby) finishTxn(id redo.TxnID) {
 }
 
 // chargeTouched charges standby block I/O for the applied changes.
-func (s *Standby) chargeTouched(p *sim.Proc, touched map[storage.BlockRef]bool) {
+func (s *Standby) chargeTouched(p *sim.Proc) {
 	// Managed recovery writes blocks lazily and mostly sequentially;
 	// charge one write per touched block at the sequential rate on the
 	// file's disk, in recovery's sorted block-pass order.
-	for _, ref := range recovery.SortedRefs(touched) {
+	for _, ref := range recovery.SortedRefs(s.touched) {
 		if ref.File.Lost() {
 			continue
 		}
@@ -451,7 +439,7 @@ func (s *Standby) Promote(p *sim.Proc) (*recovery.Report, error) {
 	if s.activated {
 		return nil, fmt.Errorf("standby: already activated")
 	}
-	p.Sleep(s.cfg.ActivationOverhead)
+	p.Sleep(activationOverhead)
 	// Account received-but-unapplied bytes: every archive already handed
 	// off by the primary's ARCH finishes its transfer and joins the
 	// receive queue before managed recovery stops.
@@ -490,5 +478,5 @@ func (s *Standby) EstimateRTO() time.Duration {
 	for _, recs := range s.pending {
 		backlog += int64(len(recs))
 	}
-	return s.cfg.ActivationOverhead + time.Duration(backlog)*s.cfg.ApplyPerRecord
+	return activationOverhead + time.Duration(backlog)*s.applyPerRecord
 }

@@ -80,9 +80,7 @@ type streamer struct {
 	dst     *Standby
 	max     int // records per frame
 	outbox  []redo.Record
-	wake    sim.Cond
-	proc    *sim.Proc
-	running bool
+	lns     *sim.Server
 	nextSeq uint64
 	// onDeliver observes every delivered frame (cluster counters and
 	// sync-ack wakeups). Runs after the destination processed the frame.
@@ -90,60 +88,47 @@ type streamer struct {
 }
 
 func (st *streamer) start() {
-	if st.running {
+	if st.lns.Running() {
 		return
 	}
-	st.running = true
-	st.proc = st.k.Go(st.name, st.loop)
+	st.lns = st.k.Serve(st.name, func() bool { return len(st.outbox) > 0 }, st.ship)
 }
 
 // stop kills the shipping process and drops the outbox — the undelivered
 // records live in primary memory and are lost with it.
 func (st *streamer) stop() {
-	if !st.running {
+	if !st.lns.Running() {
 		return
 	}
-	st.running = false
 	st.outbox = nil
-	if st.proc != nil {
-		st.proc.Kill()
-	}
+	st.lns.Stop()
 }
 
 func (st *streamer) enqueue(recs []redo.Record) {
-	if !st.running || len(recs) == 0 {
+	if !st.lns.Running() || len(recs) == 0 {
 		return
 	}
 	st.outbox = append(st.outbox, recs...)
-	st.wake.Broadcast(st.k)
+	st.lns.Wake()
 }
 
-func (st *streamer) loop(p *sim.Proc) {
-	for st.running {
-		for st.running && len(st.outbox) == 0 {
-			st.wake.Wait(p)
-		}
-		if !st.running {
-			return
-		}
-		n := len(st.outbox)
-		if n > st.max {
-			n = st.max
-		}
-		f := redo.StreamFrame{
-			Seq:        st.nextSeq,
-			PrimarySCN: st.src(),
-			Records:    append([]redo.Record(nil), st.outbox[:n]...),
-		}
-		st.outbox = st.outbox[n:]
-		st.nextSeq++
-		enc := f.Encode()
-		st.link.Send(p, int64(len(enc)))
-		st.dst.Receive(p, &f, enc)
-		if st.onDeliver != nil {
-			st.onDeliver(p, &f, len(enc))
-		}
+// ship cuts one frame from the outbox and pushes it to the destination.
+func (st *streamer) ship(p *sim.Proc) bool {
+	n := min(len(st.outbox), st.max)
+	f := redo.StreamFrame{
+		Seq:        st.nextSeq,
+		PrimarySCN: st.src(),
+		Records:    append([]redo.Record(nil), st.outbox[:n]...),
 	}
+	st.outbox = st.outbox[n:]
+	st.nextSeq++
+	enc := f.Encode()
+	st.link.Send(p, int64(len(enc)))
+	st.dst.Receive(p, &f, enc)
+	if st.onDeliver != nil {
+		st.onDeliver(p, &f, len(enc))
+	}
+	return true
 }
 
 // Receive accepts one stream frame (see accept) and chains its encoded

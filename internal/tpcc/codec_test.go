@@ -221,20 +221,20 @@ func TestNoTextDecode(t *testing.T) {
 	var gotLine OrderLine
 	var gotHist History
 	allocs := testing.AllocsPerRun(100, func() {
-		gotLine, _ = decodeOrderLine(&dec{b: lb, noText: true})
-		gotHist, _ = decodeHistory(&dec{b: hb, noText: true})
+		gotLine, _ = decodeOrderLine(&codec{b: lb, noText: true})
+		gotHist, _ = decodeHistory(&codec{b: hb, noText: true})
 	})
 	line.DistInfo, hist.Data = "", ""
 	if gotLine != line || gotHist != hist || allocs != 0 {
 		t.Errorf("decoded %+v and %+v in %v allocations, want %+v and %+v in 0", gotLine, gotHist, allocs, line, hist)
 	}
 	for n := 0; n < len(lb); n++ {
-		if _, err := decodeOrderLine(&dec{b: lb[:n], noText: true}); !errors.Is(err, ErrBadRow) {
+		if _, err := decodeOrderLine(&codec{b: lb[:n], noText: true}); !errors.Is(err, ErrBadRow) {
 			t.Fatalf("order line cut to %d of %d bytes: %v, want ErrBadRow", n, len(lb), err)
 		}
 	}
 	for n := 0; n < len(hb); n++ {
-		if _, err := decodeHistory(&dec{b: hb[:n], noText: true}); !errors.Is(err, ErrBadRow) {
+		if _, err := decodeHistory(&codec{b: hb[:n], noText: true}); !errors.Is(err, ErrBadRow) {
 			t.Fatalf("history row cut to %d of %d bytes: %v, want ErrBadRow", n, len(hb), err)
 		}
 	}

@@ -63,31 +63,51 @@ func SKey(w, i int) int64 { return int64(w)*1000000 + int64(i) }
 // ErrBadRow reports a row that failed to decode.
 var ErrBadRow = errors.New("tpcc: bad row encoding")
 
-// enc builds a row in two passes over one field list: the first pass adds
-// up the exact length (8 bytes per integer or money field, 4 + len per
-// string), the second writes into a buffer of exactly that size. A row costs
-// one allocation — none when the load cuts the buffer from its chunk — and
-// its size and its fields cannot disagree:
+// codec walks a row's one field list in one of three steps. Encoding takes
+// two passes: the first (measure) adds up the exact length (8 bytes per
+// integer or money field, 4 + len per string), the second (write) writes into
+// a buffer of exactly that size. A row costs one allocation — none when the
+// load cuts the buffer from its chunk — and its size and its fields cannot
+// disagree:
 //
-//	e := enc{from: from}
-//	for e.pass() {
-//		e.i64(...)
-//		e.str(...)
+//	c := codec{from: from}
+//	for c.pass() {
+//		x.fields(&c)
 //	}
-//	return e.b
-type enc struct {
+//	return c.b
+//
+// Decoding (read, the zero step) takes one pass, front to back. The first
+// string field converts the rest of the row to one string and every string
+// field is a substring of it, so a decode allocates once however many text
+// columns the row has, and not at all for an all-integer row.
+type codec struct {
 	b    []byte
-	n    int    // pass 1: the length so far
-	step uint8  // 1 = measuring, 2 = writing
-	from *chunk // where the buffer is cut from; nil allocates it
+	step uint8  // read, measure or write
+	n    int    // measure: the length so far
+	from *chunk // write: where the buffer is cut from; nil allocates it
+	off  int    // read: next unread byte of b
+	text string // read: string(b), once a string field has been read
+	err  error
+	// noText makes a read check a text field's bounds and leave it ""
+	// without converting anything: for readers that want a row's numbers
+	// only.
+	noText bool
 }
 
-func (e *enc) pass() bool {
-	e.step++
-	if e.step == 2 {
-		e.b = e.from.cut(e.n)
+const (
+	read uint8 = iota
+	measure
+	write
+)
+
+// pass moves an encoding on to its next step and reports whether there is
+// one.
+func (c *codec) pass() bool {
+	c.step++
+	if c.step == write {
+		c.b = c.from.cut(c.n)
 	}
-	return e.step <= 2
+	return c.step <= write
 }
 
 // chunk hands the load its row buffers: each exactly sized and capped at its
@@ -117,75 +137,70 @@ func (c *chunk) cut(n int) []byte {
 	return b
 }
 
-func (e *enc) i64(v int64) {
-	if e.step == 1 {
-		e.n += 8
-		return
-	}
-	e.b = binary.BigEndian.AppendUint64(e.b, uint64(v))
-}
-
-func (e *enc) f64(v float64) { e.i64(int64(math.Round(v * 100))) } // money: cents
-
-func (e *enc) str(s string) {
-	if e.step == 1 {
-		e.n += 4 + len(s)
-		return
-	}
-	e.b = append(binary.BigEndian.AppendUint32(e.b, uint32(len(s))), s...)
-}
-
-// dec reads a row front to back. The first string field converts the rest
-// of the row to one string and every string field is a substring of it, so
-// a decode allocates once however many text columns the row has, and not at
-// all for an all-integer row.
-type dec struct {
-	b    []byte
-	off  int    // next unread byte of b
-	text string // string(b), once a string field has been read
-	err  error
-	// noText makes str check a text field's bounds and return "" without
-	// converting anything: for readers that want a row's numbers only.
-	noText bool
-}
-
 // take consumes the next n bytes and returns where they start, or -1 (and
 // ErrBadRow from then on) when the row is too short.
-func (d *dec) take(n int) int {
-	if d.err != nil || len(d.b)-d.off < n {
-		d.err = ErrBadRow
+func (c *codec) take(n int) int {
+	if c.err != nil || len(c.b)-c.off < n {
+		c.err = ErrBadRow
 		return -1
 	}
-	d.off += n
-	return d.off - n
+	c.off += n
+	return c.off - n
 }
 
-func (d *dec) i64() int64 {
-	at := d.take(8)
-	if at < 0 {
-		return 0
+func (c *codec) i64(v *int64) {
+	switch c.step {
+	case measure:
+		c.n += 8
+	case write:
+		c.b = binary.BigEndian.AppendUint64(c.b, uint64(*v))
+	default:
+		if at := c.take(8); at >= 0 {
+			*v = int64(binary.BigEndian.Uint64(c.b[at:]))
+		}
 	}
-	return int64(binary.BigEndian.Uint64(d.b[at:]))
 }
 
-func (d *dec) f64() float64 { return float64(d.i64()) / 100 }
+func (c *codec) int(v *int) {
+	x := int64(*v)
+	c.i64(&x)
+	if c.step == read {
+		*v = int(x)
+	}
+}
 
-func (d *dec) str() string {
-	at := d.take(4)
-	if at < 0 {
-		return ""
+// money is kept in whole cents.
+func (c *codec) money(v *float64) {
+	x := int64(math.Round(*v * 100))
+	c.i64(&x)
+	if c.step == read {
+		*v = float64(x) / 100
 	}
-	n := int(binary.BigEndian.Uint32(d.b[at:]))
-	if at = d.take(n); at < 0 || d.noText {
-		return ""
+}
+
+func (c *codec) str(v *string) {
+	switch c.step {
+	case measure:
+		c.n += 4 + len(*v)
+	case write:
+		c.b = append(binary.BigEndian.AppendUint32(c.b, uint32(len(*v))), *v...)
+	default:
+		at := c.take(4)
+		if at < 0 {
+			return
+		}
+		n := int(binary.BigEndian.Uint32(c.b[at:]))
+		if at = c.take(n); at < 0 || c.noText {
+			return
+		}
+		if c.text == "" {
+			// Rebase on the first string's first byte: the integers already
+			// read need not be copied into the text.
+			c.b, c.off, at = c.b[at:], c.off-at, 0
+			c.text = string(c.b)
+		}
+		*v = c.text[at : at+n]
 	}
-	if d.text == "" {
-		// Rebase on the first string's first byte: the integers already
-		// read need not be copied into the text.
-		d.b, d.off, at = d.b[at:], d.off-at, 0
-		d.text = string(d.b)
-	}
-	return d.text[at : at+n]
 }
 
 // intField reads integer field i of a row whose first i+1 fields are all
@@ -209,38 +224,34 @@ type Warehouse struct {
 	YTD    float64
 }
 
+// fields is the row's layout, for encode and DecodeWarehouse alike.
+func (w *Warehouse) fields(c *codec) {
+	c.int(&w.ID)
+	c.str(&w.Name)
+	c.str(&w.Street)
+	c.str(&w.City)
+	c.str(&w.State)
+	c.str(&w.Zip)
+	c.money(&w.Tax)
+	c.money(&w.YTD)
+}
+
 // Encode serialises the row.
 func (w *Warehouse) Encode() []byte { return w.encode(nil) }
 
 func (w *Warehouse) encode(from *chunk) []byte {
-	e := enc{from: from}
-	for e.pass() {
-		e.i64(int64(w.ID))
-		e.str(w.Name)
-		e.str(w.Street)
-		e.str(w.City)
-		e.str(w.State)
-		e.str(w.Zip)
-		e.f64(w.Tax)
-		e.f64(w.YTD)
+	c := codec{from: from}
+	for c.pass() {
+		w.fields(&c)
 	}
-	return e.b
+	return c.b
 }
 
 // DecodeWarehouse parses a row.
-func DecodeWarehouse(b []byte) (Warehouse, error) {
-	d := &dec{b: b}
-	w := Warehouse{
-		ID:     int(d.i64()),
-		Name:   d.str(),
-		Street: d.str(),
-		City:   d.str(),
-		State:  d.str(),
-		Zip:    d.str(),
-		Tax:    d.f64(),
-		YTD:    d.f64(),
-	}
-	return w, d.err
+func DecodeWarehouse(b []byte) (w Warehouse, err error) {
+	c := codec{b: b}
+	w.fields(&c)
+	return w, c.err
 }
 
 // District is one row of the DISTRICT table.
@@ -257,42 +268,35 @@ type District struct {
 	NextOID int
 }
 
+func (x *District) fields(c *codec) {
+	c.int(&x.ID)
+	c.int(&x.WID)
+	c.str(&x.Name)
+	c.str(&x.Street)
+	c.str(&x.City)
+	c.str(&x.State)
+	c.str(&x.Zip)
+	c.money(&x.Tax)
+	c.money(&x.YTD)
+	c.int(&x.NextOID)
+}
+
 // Encode serialises the row.
 func (x *District) Encode() []byte { return x.encode(nil) }
 
 func (x *District) encode(from *chunk) []byte {
-	e := enc{from: from}
-	for e.pass() {
-		e.i64(int64(x.ID))
-		e.i64(int64(x.WID))
-		e.str(x.Name)
-		e.str(x.Street)
-		e.str(x.City)
-		e.str(x.State)
-		e.str(x.Zip)
-		e.f64(x.Tax)
-		e.f64(x.YTD)
-		e.i64(int64(x.NextOID))
+	c := codec{from: from}
+	for c.pass() {
+		x.fields(&c)
 	}
-	return e.b
+	return c.b
 }
 
 // DecodeDistrict parses a row.
-func DecodeDistrict(b []byte) (District, error) {
-	d := &dec{b: b}
-	x := District{
-		ID:      int(d.i64()),
-		WID:     int(d.i64()),
-		Name:    d.str(),
-		Street:  d.str(),
-		City:    d.str(),
-		State:   d.str(),
-		Zip:     d.str(),
-		Tax:     d.f64(),
-		YTD:     d.f64(),
-		NextOID: int(d.i64()),
-	}
-	return x, d.err
+func DecodeDistrict(b []byte) (x District, err error) {
+	c := codec{b: b}
+	x.fields(&c)
+	return x, c.err
 }
 
 // Customer is one row of the CUSTOMER table.
@@ -318,60 +322,44 @@ type Customer struct {
 	Data        string
 }
 
-// Encode serialises the row.
-func (c *Customer) Encode() []byte { return c.encode(nil) }
+func (x *Customer) fields(c *codec) {
+	c.int(&x.ID)
+	c.int(&x.DID)
+	c.int(&x.WID)
+	c.str(&x.First)
+	c.str(&x.Middle)
+	c.str(&x.Last)
+	c.str(&x.Street)
+	c.str(&x.City)
+	c.str(&x.State)
+	c.str(&x.Zip)
+	c.str(&x.Phone)
+	c.str(&x.Credit)
+	c.money(&x.CreditLim)
+	c.money(&x.Discount)
+	c.money(&x.Balance)
+	c.money(&x.YTDPayment)
+	c.int(&x.PaymentCnt)
+	c.int(&x.DeliveryCnt)
+	c.str(&x.Data)
+}
 
-func (c *Customer) encode(from *chunk) []byte {
-	e := enc{from: from}
-	for e.pass() {
-		e.i64(int64(c.ID))
-		e.i64(int64(c.DID))
-		e.i64(int64(c.WID))
-		e.str(c.First)
-		e.str(c.Middle)
-		e.str(c.Last)
-		e.str(c.Street)
-		e.str(c.City)
-		e.str(c.State)
-		e.str(c.Zip)
-		e.str(c.Phone)
-		e.str(c.Credit)
-		e.f64(c.CreditLim)
-		e.f64(c.Discount)
-		e.f64(c.Balance)
-		e.f64(c.YTDPayment)
-		e.i64(int64(c.PaymentCnt))
-		e.i64(int64(c.DeliveryCnt))
-		e.str(c.Data)
+// Encode serialises the row.
+func (x *Customer) Encode() []byte { return x.encode(nil) }
+
+func (x *Customer) encode(from *chunk) []byte {
+	c := codec{from: from}
+	for c.pass() {
+		x.fields(&c)
 	}
-	return e.b
+	return c.b
 }
 
 // DecodeCustomer parses a row.
-func DecodeCustomer(b []byte) (Customer, error) {
-	d := &dec{b: b}
-	c := Customer{
-		ID:          int(d.i64()),
-		DID:         int(d.i64()),
-		WID:         int(d.i64()),
-		First:       d.str(),
-		Middle:      d.str(),
-		Last:        d.str(),
-		Street:      d.str(),
-		City:        d.str(),
-		State:       d.str(),
-		Zip:         d.str(),
-		Phone:       d.str(),
-		Credit:      d.str(),
-		CreditLim:   d.f64(),
-		Discount:    d.f64(),
-		Balance:     d.f64(),
-		YTDPayment:  d.f64(),
-		PaymentCnt:  int(d.i64()),
-		DeliveryCnt: int(d.i64()),
-		Data:        d.str(),
-	}
-	return c, d.err
+func DecodeCustomer(b []byte) (x Customer, err error) {
+	c := codec{b: b}
+	x.fields(&c)
+	return x, c.err
 }
 
 // History is one row of the HISTORY table.
@@ -385,37 +373,33 @@ type History struct {
 	Data   string
 }
 
+func (h *History) fields(c *codec) {
+	c.int(&h.CID)
+	c.int(&h.CDID)
+	c.int(&h.CWID)
+	c.int(&h.DID)
+	c.int(&h.WID)
+	c.money(&h.Amount)
+	c.str(&h.Data)
+}
+
 // Encode serialises the row.
 func (h *History) Encode() []byte { return h.encode(nil) }
 
 func (h *History) encode(from *chunk) []byte {
-	e := enc{from: from}
-	for e.pass() {
-		e.i64(int64(h.CID))
-		e.i64(int64(h.CDID))
-		e.i64(int64(h.CWID))
-		e.i64(int64(h.DID))
-		e.i64(int64(h.WID))
-		e.f64(h.Amount)
-		e.str(h.Data)
+	c := codec{from: from}
+	for c.pass() {
+		h.fields(&c)
 	}
-	return e.b
+	return c.b
 }
 
 // DecodeHistory parses a row.
-func DecodeHistory(b []byte) (History, error) { return decodeHistory(&dec{b: b}) }
+func DecodeHistory(b []byte) (History, error) { return decodeHistory(&codec{b: b}) }
 
-func decodeHistory(d *dec) (History, error) {
-	h := History{
-		CID:    int(d.i64()),
-		CDID:   int(d.i64()),
-		CWID:   int(d.i64()),
-		DID:    int(d.i64()),
-		WID:    int(d.i64()),
-		Amount: d.f64(),
-		Data:   d.str(),
-	}
-	return h, d.err
+func decodeHistory(c *codec) (h History, err error) {
+	h.fields(c)
+	return h, c.err
 }
 
 // Order is one row of the ORDERS table.
@@ -430,38 +414,33 @@ type Order struct {
 	AllLocal  int
 }
 
+func (o *Order) fields(c *codec) {
+	c.int(&o.ID)
+	c.int(&o.DID)
+	c.int(&o.WID)
+	c.int(&o.CID)
+	c.i64(&o.EntryTime)
+	c.int(&o.CarrierID)
+	c.int(&o.OLCnt)
+	c.int(&o.AllLocal)
+}
+
 // Encode serialises the row.
 func (o *Order) Encode() []byte { return o.encode(nil) }
 
 func (o *Order) encode(from *chunk) []byte {
-	e := enc{from: from}
-	for e.pass() {
-		e.i64(int64(o.ID))
-		e.i64(int64(o.DID))
-		e.i64(int64(o.WID))
-		e.i64(int64(o.CID))
-		e.i64(o.EntryTime)
-		e.i64(int64(o.CarrierID))
-		e.i64(int64(o.OLCnt))
-		e.i64(int64(o.AllLocal))
+	c := codec{from: from}
+	for c.pass() {
+		o.fields(&c)
 	}
-	return e.b
+	return c.b
 }
 
 // DecodeOrder parses a row.
-func DecodeOrder(b []byte) (Order, error) {
-	d := &dec{b: b}
-	o := Order{
-		ID:        int(d.i64()),
-		DID:       int(d.i64()),
-		WID:       int(d.i64()),
-		CID:       int(d.i64()),
-		EntryTime: d.i64(),
-		CarrierID: int(d.i64()),
-		OLCnt:     int(d.i64()),
-		AllLocal:  int(d.i64()),
-	}
-	return o, d.err
+func DecodeOrder(b []byte) (o Order, err error) {
+	c := codec{b: b}
+	o.fields(&c)
+	return o, c.err
 }
 
 // NewOrderRow is one row of the NEW_ORDER table.
@@ -471,24 +450,28 @@ type NewOrderRow struct {
 	WID int
 }
 
+func (n *NewOrderRow) fields(c *codec) {
+	c.int(&n.OID)
+	c.int(&n.DID)
+	c.int(&n.WID)
+}
+
 // Encode serialises the row.
 func (n *NewOrderRow) Encode() []byte { return n.encode(nil) }
 
 func (n *NewOrderRow) encode(from *chunk) []byte {
-	e := enc{from: from}
-	for e.pass() {
-		e.i64(int64(n.OID))
-		e.i64(int64(n.DID))
-		e.i64(int64(n.WID))
+	c := codec{from: from}
+	for c.pass() {
+		n.fields(&c)
 	}
-	return e.b
+	return c.b
 }
 
 // DecodeNewOrder parses a row.
-func DecodeNewOrder(b []byte) (NewOrderRow, error) {
-	d := &dec{b: b}
-	n := NewOrderRow{OID: int(d.i64()), DID: int(d.i64()), WID: int(d.i64())}
-	return n, d.err
+func DecodeNewOrder(b []byte) (n NewOrderRow, err error) {
+	c := codec{b: b}
+	n.fields(&c)
+	return n, c.err
 }
 
 // OrderLine is one row of the ORDER_LINE table.
@@ -505,43 +488,36 @@ type OrderLine struct {
 	DistInfo     string
 }
 
+func (l *OrderLine) fields(c *codec) {
+	c.int(&l.OID)
+	c.int(&l.DID)
+	c.int(&l.WID)
+	c.int(&l.Number)
+	c.int(&l.ItemID)
+	c.int(&l.SupplyWID)
+	c.i64(&l.DeliveryTime)
+	c.int(&l.Quantity)
+	c.money(&l.Amount)
+	c.str(&l.DistInfo)
+}
+
 // Encode serialises the row.
 func (l *OrderLine) Encode() []byte { return l.encode(nil) }
 
 func (l *OrderLine) encode(from *chunk) []byte {
-	e := enc{from: from}
-	for e.pass() {
-		e.i64(int64(l.OID))
-		e.i64(int64(l.DID))
-		e.i64(int64(l.WID))
-		e.i64(int64(l.Number))
-		e.i64(int64(l.ItemID))
-		e.i64(int64(l.SupplyWID))
-		e.i64(l.DeliveryTime)
-		e.i64(int64(l.Quantity))
-		e.f64(l.Amount)
-		e.str(l.DistInfo)
+	c := codec{from: from}
+	for c.pass() {
+		l.fields(&c)
 	}
-	return e.b
+	return c.b
 }
 
 // DecodeOrderLine parses a row.
-func DecodeOrderLine(b []byte) (OrderLine, error) { return decodeOrderLine(&dec{b: b}) }
+func DecodeOrderLine(b []byte) (OrderLine, error) { return decodeOrderLine(&codec{b: b}) }
 
-func decodeOrderLine(d *dec) (OrderLine, error) {
-	l := OrderLine{
-		OID:          int(d.i64()),
-		DID:          int(d.i64()),
-		WID:          int(d.i64()),
-		Number:       int(d.i64()),
-		ItemID:       int(d.i64()),
-		SupplyWID:    int(d.i64()),
-		DeliveryTime: d.i64(),
-		Quantity:     int(d.i64()),
-		Amount:       d.f64(),
-		DistInfo:     d.str(),
-	}
-	return l, d.err
+func decodeOrderLine(c *codec) (l OrderLine, err error) {
+	l.fields(c)
+	return l, c.err
 }
 
 // orderLineItemID reads OrderLine.ItemID alone: Stock-Level looks at nothing
@@ -557,32 +533,30 @@ type Item struct {
 	Data  string
 }
 
+func (it *Item) fields(c *codec) {
+	c.int(&it.ID)
+	c.int(&it.ImID)
+	c.str(&it.Name)
+	c.money(&it.Price)
+	c.str(&it.Data)
+}
+
 // Encode serialises the row.
 func (it *Item) Encode() []byte { return it.encode(nil) }
 
 func (it *Item) encode(from *chunk) []byte {
-	e := enc{from: from}
-	for e.pass() {
-		e.i64(int64(it.ID))
-		e.i64(int64(it.ImID))
-		e.str(it.Name)
-		e.f64(it.Price)
-		e.str(it.Data)
+	c := codec{from: from}
+	for c.pass() {
+		it.fields(&c)
 	}
-	return e.b
+	return c.b
 }
 
 // DecodeItem parses a row.
-func DecodeItem(b []byte) (Item, error) {
-	d := &dec{b: b}
-	it := Item{
-		ID:    int(d.i64()),
-		ImID:  int(d.i64()),
-		Name:  d.str(),
-		Price: d.f64(),
-		Data:  d.str(),
-	}
-	return it, d.err
+func DecodeItem(b []byte) (it Item, err error) {
+	c := codec{b: b}
+	it.fields(&c)
+	return it, c.err
 }
 
 // Stock is one row of the STOCK table.
@@ -597,42 +571,35 @@ type Stock struct {
 	Dists     [10]string
 }
 
+func (s *Stock) fields(c *codec) {
+	c.int(&s.ItemID)
+	c.int(&s.WID)
+	c.int(&s.Quantity)
+	c.int(&s.YTD)
+	c.int(&s.OrderCnt)
+	c.int(&s.RemoteCnt)
+	c.str(&s.Data)
+	for i := range s.Dists {
+		c.str(&s.Dists[i])
+	}
+}
+
 // Encode serialises the row.
 func (s *Stock) Encode() []byte { return s.encode(nil) }
 
 func (s *Stock) encode(from *chunk) []byte {
-	e := enc{from: from}
-	for e.pass() {
-		e.i64(int64(s.ItemID))
-		e.i64(int64(s.WID))
-		e.i64(int64(s.Quantity))
-		e.i64(int64(s.YTD))
-		e.i64(int64(s.OrderCnt))
-		e.i64(int64(s.RemoteCnt))
-		e.str(s.Data)
-		for _, di := range s.Dists {
-			e.str(di)
-		}
+	c := codec{from: from}
+	for c.pass() {
+		s.fields(&c)
 	}
-	return e.b
+	return c.b
 }
 
 // DecodeStock parses a row.
-func DecodeStock(b []byte) (Stock, error) {
-	d := &dec{b: b}
-	s := Stock{
-		ItemID:    int(d.i64()),
-		WID:       int(d.i64()),
-		Quantity:  int(d.i64()),
-		YTD:       int(d.i64()),
-		OrderCnt:  int(d.i64()),
-		RemoteCnt: int(d.i64()),
-		Data:      d.str(),
-	}
-	for i := range s.Dists {
-		s.Dists[i] = d.str()
-	}
-	return s, d.err
+func DecodeStock(b []byte) (s Stock, err error) {
+	c := codec{b: b}
+	s.fields(&c)
+	return s, c.err
 }
 
 // stockQuantity reads Stock.Quantity alone, for Stock-Level's threshold

@@ -59,6 +59,10 @@ type Txn struct {
 // State returns the transaction's lifecycle state.
 func (t *Txn) State() State { return t.state }
 
+// usable reports whether the client may still call on t: it is active, and
+// neither killed nor given up to PMON.
+func (t *Txn) usable() bool { return t.state == StateActive && !t.zombie }
+
 // Config tunes the transaction manager.
 type Config struct {
 	// LockTimeout bounds lock waits (also the deadlock breaker).
@@ -256,7 +260,7 @@ func available(ref storage.BlockRef) error {
 // afterwards. Its capacity is capped at its length — an append reallocates
 // instead of reaching the neighbouring row of a loaded block's buffer.
 func (m *Manager) Read(p *sim.Proc, t *Txn, table string, key int64) ([]byte, error) {
-	if t.state != StateActive {
+	if !t.usable() {
 		return nil, ErrTxnDone
 	}
 	m.charge(p)
@@ -284,7 +288,7 @@ func (m *Manager) Read(p *sim.Proc, t *Txn, table string, key int64) ([]byte, er
 // ReadForUpdate locks the row exclusively, then reads it (SELECT ... FOR
 // UPDATE). The lock is held until commit or rollback.
 func (m *Manager) ReadForUpdate(p *sim.Proc, t *Txn, table string, key int64) ([]byte, error) {
-	if t.state != StateActive {
+	if !t.usable() {
 		return nil, ErrTxnDone
 	}
 	if err := m.locks.acquire(p, t, table, key); err != nil {
@@ -314,7 +318,7 @@ func (m *Manager) Delete(p *sim.Proc, t *Txn, table string, key int64) error {
 // image is copied too — the stored one may sit in a loaded block's one
 // buffer, which a retained redo record must not pin.
 func (m *Manager) write(p *sim.Proc, t *Txn, op redo.Op, table string, key int64, value []byte) error {
-	if t.state != StateActive {
+	if !t.usable() {
 		return ErrTxnDone
 	}
 	if err := m.locks.acquire(p, t, table, key); err != nil {
@@ -335,8 +339,8 @@ func (m *Manager) write(p *sim.Proc, t *Txn, op redo.Op, table string, key int64
 	if err := m.log.Reserve(p, est); err != nil {
 		return fmt.Errorf("txn: %w", err)
 	}
-	if t.state != StateActive {
-		return ErrTxnDone // instance crashed while stalled
+	if !t.usable() {
+		return ErrTxnDone // instance crashed, or session killed, while stalled
 	}
 	ref := tbl.BlockFor(key)
 	if err := available(ref); err != nil {
@@ -346,8 +350,8 @@ func (m *Manager) write(p *sim.Proc, t *Txn, op redo.Op, table string, key int64
 	if err != nil {
 		return err
 	}
-	if t.state != StateActive {
-		return ErrTxnDone // instance crashed during the miss read
+	if !t.usable() {
+		return ErrTxnDone // instance crashed, or session killed, during the miss read
 	}
 	before, exists := blk.Rows[key]
 	switch op {
@@ -380,7 +384,7 @@ func (m *Manager) write(p *sim.Proc, t *Txn, op redo.Op, table string, key int64
 // Commit appends the commit record, waits for the log flush (durability),
 // and releases locks.
 func (m *Manager) Commit(p *sim.Proc, t *Txn) error {
-	if t.state != StateActive {
+	if !t.usable() {
 		return ErrTxnDone
 	}
 	if len(t.undo) == 0 {
@@ -394,8 +398,8 @@ func (m *Manager) Commit(p *sim.Proc, t *Txn) error {
 	if err := m.log.Reserve(p, 256); err != nil {
 		return fmt.Errorf("txn: commit: %w", err)
 	}
-	if t.state != StateActive {
-		return ErrTxnDone // instance crashed while stalled on the log
+	if !t.usable() {
+		return ErrTxnDone // instance crashed, or session killed, while stalled on the log
 	}
 	scn := m.log.Append(redo.Record{Txn: t.ID, Op: redo.OpCommit})
 	if err := m.log.WaitFlushed(p, scn); err != nil {
@@ -438,8 +442,17 @@ func (m *Manager) finished() {
 
 // Rollback undoes the transaction's changes in reverse order, logging the
 // compensating operations, then releases locks. Rollback never blocks on
-// locks (the transaction still holds them).
+// locks (the transaction still holds them). A killed session's transaction
+// is PMON's to roll back, not its client's.
 func (m *Manager) Rollback(p *sim.Proc, t *Txn) error {
+	if !t.usable() {
+		return ErrTxnDone
+	}
+	return m.rollback(p, t)
+}
+
+// rollback is Rollback for the client, PMON's sweep and shutdown alike.
+func (m *Manager) rollback(p *sim.Proc, t *Txn) error {
 	if t.state != StateActive {
 		return ErrTxnDone
 	}
@@ -528,7 +541,7 @@ func (m *Manager) change(ref storage.BlockRef, blk *storage.Block, rec redo.Reco
 // KillOldestActive kills the longest-running in-flight transaction (the
 // victim of an ALTER SYSTEM KILL SESSION operator mistake): it is marked
 // zombie and PMON rolls it back. The killed client sees ErrTxnDone on its
-// next call.
+// next call, so it writes nothing more while PMON undoes what it wrote.
 func (m *Manager) KillOldestActive() error {
 	var victim *Txn
 	for _, t := range m.active {
@@ -588,7 +601,7 @@ func (m *Manager) RollbackZombies(p *sim.Proc) int {
 		if t.state != StateActive {
 			continue
 		}
-		if err := m.Rollback(p, t); err == nil {
+		if err := m.rollback(p, t); err == nil {
 			cleaned++
 		}
 	}
@@ -602,7 +615,7 @@ func (m *Manager) RollbackAllActive(p *sim.Proc) error {
 		if t.state != StateActive {
 			continue
 		}
-		if err := m.Rollback(p, t); err != nil {
+		if err := m.rollback(p, t); err != nil {
 			return err
 		}
 	}
