@@ -29,20 +29,20 @@ func replConfig(mode standby.Mode) Config {
 func TestChaosReplicationLinkFaults(t *testing.T) {
 	golden := map[string][windowCountRepl]uint64{
 		"sync": {
-			0xfe6b0c1b7f295bfb,
-			0xc0dbb639a0854563,
-			0x482036a2c1760b96,
-			0xf5b1868b380f0871,
-			0x0874e74fea993b33,
-			0x754b96e9db2cdc57,
+			0xebfd6934dd32f11b,
+			0x99f03fd37635f590,
+			0x2d6f117638e189b4,
+			0xa1af0a5f3a6597aa,
+			0x54400356c53df835,
+			0x43744acef9f15143,
 		},
 		"async": {
-			0x2963156e8dc21934,
-			0x625a4241ac99bb45,
-			0x80c98d9d141a7b3d,
-			0xf220c9245c015eae,
-			0x15c68d106b68f5bd,
-			0xdb21c44668eeaa3c,
+			0x207943098d00a583,
+			0x4dadbb8188c6ebce,
+			0x23df289e59963616,
+			0x1bfac06b34b6e019,
+			0xc088a8b0203fbb6a,
+			0xf6787be16f188e3d,
 		},
 	}
 	for _, mode := range []standby.Mode{standby.ModeSync, standby.ModeAsync} {

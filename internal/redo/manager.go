@@ -174,10 +174,11 @@ type Manager struct {
 	UndoFloor func() SCN
 	// OnDurable, when set, is called (from the LGWR process) each time a
 	// flushed segment advances flushedSCN, with exactly the records that
-	// just became durable, in SCN order. It is the tap continuous redo
-	// streaming hangs off: a replication cluster copies the records into
-	// its per-standby outboxes here. The hook must not advance virtual
-	// time (LGWR's flush timing is part of every pinned fingerprint).
+	// just became durable, in SCN order: the tail of the group's records,
+	// so the hook must copy what it keeps. It is the tap continuous redo
+	// streaming hangs off (a replication cluster copies them into its
+	// outboxes) and must not advance virtual time (LGWR's flush timing is
+	// part of every pinned fingerprint).
 	OnDurable func(p *sim.Proc, recs []Record)
 	// OnCheckpointNeeded, when set, is called whenever a reserve or
 	// switch stall finds the next group not yet checkpointed. A
@@ -587,7 +588,7 @@ func (m *Manager) drainBuffer(p *sim.Proc) error {
 			trace.I("bytes", total), trace.I("flushed_scn", int64(m.flushedSCN)))
 	}()
 	var segBytes int64
-	var segRecs []Record
+	var segRecs int // the segment is the last segRecs of the group's records
 	var lastPlaced SCN = -1
 	flushSeg := func() error {
 		if segBytes == 0 {
@@ -612,10 +613,10 @@ func (m *Manager) drainBuffer(p *sim.Proc) error {
 			m.flushedSCN = lastPlaced
 			m.flushed.Broadcast(m.k)
 		}
-		if m.OnDurable != nil && len(segRecs) > 0 {
-			m.OnDurable(p, segRecs)
+		if n := len(g.records); m.OnDurable != nil && segRecs > 0 {
+			m.OnDurable(p, g.records[n-segRecs:n:n])
 		}
-		segRecs = nil
+		segRecs = 0
 		return nil
 	}
 	for len(m.buffer) > 0 {
@@ -637,9 +638,7 @@ func (m *Manager) drainBuffer(p *sim.Proc) error {
 		g.records = append(g.records, rec)
 		g.bytes += rec.Size()
 		segBytes += rec.Size()
-		if m.OnDurable != nil {
-			segRecs = append(segRecs, rec)
-		}
+		segRecs++
 		m.bufferBytes -= rec.Size()
 		lastPlaced = rec.SCN
 	}

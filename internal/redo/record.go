@@ -71,8 +71,8 @@ type Record struct {
 	Meta   string
 }
 
-// Size returns the encoded size of r in bytes, including header overhead.
-// It matches len(r.Encode()).
+// Size returns the encoded size of r in bytes, including header overhead:
+// len(r.Encode()), or what AppendTo adds.
 func (r *Record) Size() int64 {
 	return int64(recordOverhead + 8 + 8 + 1 + 8 +
 		4 + len(r.Table) + 4 + len(r.Before) + 4 + len(r.After) + 4 + len(r.Meta))
@@ -80,20 +80,24 @@ func (r *Record) Size() int64 {
 
 // Encode serialises r to a self-delimiting binary form.
 func (r *Record) Encode() []byte {
-	buf := make([]byte, 0, r.Size())
+	return r.AppendTo(make([]byte, 0, r.Size()))
+}
+
+// AppendTo appends r's encoding (see Encode) to buf.
+func (r *Record) AppendTo(buf []byte) []byte {
 	buf = append(buf, make([]byte, recordOverhead)...)
 	buf = binary.BigEndian.AppendUint64(buf, uint64(r.SCN))
 	buf = binary.BigEndian.AppendUint64(buf, uint64(r.Txn))
 	buf = append(buf, byte(r.Op))
 	buf = binary.BigEndian.AppendUint64(buf, uint64(r.Key))
-	buf = appendBytes(buf, []byte(r.Table))
+	buf = appendBytes(buf, r.Table)
 	buf = appendBytes(buf, r.Before)
 	buf = appendBytes(buf, r.After)
-	buf = appendBytes(buf, []byte(r.Meta))
+	buf = appendBytes(buf, r.Meta)
 	return buf
 }
 
-func appendBytes(buf, b []byte) []byte {
+func appendBytes[B string | []byte](buf []byte, b B) []byte {
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(b)))
 	return append(buf, b...)
 }

@@ -3,7 +3,7 @@ package redo
 import (
 	"encoding/binary"
 	"errors"
-	"hash/fnv"
+	"hash/crc32"
 )
 
 // StreamFrame is the unit of continuous redo transport: a consecutive run
@@ -20,11 +20,14 @@ type StreamFrame struct {
 	Records []Record
 }
 
-// frameOverhead models the wire header: sequence, primary SCN, count and
-// a trailing checksum word.
-const frameOverhead = 32
+// frameOverhead models the wire header: sequence, primary SCN, count, a
+// trailing checksum word and framePad bytes of padding.
+const frameOverhead, framePad = 32, 32 - 8 - 8 - 4 - 8
 
-// Size returns the encoded size of f in bytes. It matches len(f.Encode()).
+var castagnoli = crc32.MakeTable(crc32.Castagnoli) // CRC-32C: in hardware on amd64, arm64
+
+// Size returns the encoded size of f in bytes: len(f.Encode()), or what
+// AppendTo adds.
 func (f *StreamFrame) Size() int64 {
 	n := int64(frameOverhead)
 	for i := range f.Records {
@@ -35,19 +38,26 @@ func (f *StreamFrame) Size() int64 {
 
 // Encode serialises f to a self-delimiting binary form.
 func (f *StreamFrame) Encode() []byte {
-	buf := make([]byte, 0, f.Size())
+	return f.AppendTo(make([]byte, 0, f.Size()))
+}
+
+// AppendTo appends f's encoding (see Encode) to buf. The checksum word is
+// the CRC-32C of the frame's bytes before it.
+func (f *StreamFrame) AppendTo(buf []byte) []byte {
+	start := len(buf)
 	buf = binary.BigEndian.AppendUint64(buf, f.Seq)
 	buf = binary.BigEndian.AppendUint64(buf, uint64(f.PrimarySCN))
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(f.Records)))
 	for i := range f.Records {
-		buf = append(buf, f.Records[i].Encode()...)
+		buf = f.Records[i].AppendTo(buf)
 	}
-	// Trailing checksum word (pad to the modelled header overhead).
-	h := fnv.New64a()
-	h.Write(buf)
-	buf = binary.BigEndian.AppendUint64(buf, h.Sum64())
-	buf = append(buf, make([]byte, frameOverhead-8-8-4-8)...)
-	return buf
+	buf = binary.BigEndian.AppendUint64(buf, uint64(crc32.Checksum(buf[start:], castagnoli)))
+	return append(buf, make([]byte, framePad)...)
+}
+
+// FrameChecksum returns the checksum word of an encoded frame.
+func FrameChecksum(encoded []byte) uint64 {
+	return binary.BigEndian.Uint64(encoded[len(encoded)-framePad-8:])
 }
 
 // ErrCorruptFrame reports a malformed or checksum-failing encoded frame.
@@ -75,18 +85,8 @@ func DecodeStreamFrame(b []byte) (StreamFrame, int, error) {
 		f.Records = append(f.Records, rec)
 		i += used
 	}
-	if len(b) < i+8 {
+	if len(b) < i+8+framePad || binary.BigEndian.Uint64(b[i:]) != uint64(crc32.Checksum(b[:i], castagnoli)) {
 		return StreamFrame{}, 0, ErrCorruptFrame
 	}
-	h := fnv.New64a()
-	h.Write(b[:i])
-	if binary.BigEndian.Uint64(b[i:]) != h.Sum64() {
-		return StreamFrame{}, 0, ErrCorruptFrame
-	}
-	i += 8
-	pad := frameOverhead - 8 - 8 - 4 - 8
-	if len(b) < i+pad {
-		return StreamFrame{}, 0, ErrCorruptFrame
-	}
-	return f, i + pad, nil
+	return f, i + 8 + framePad, nil
 }

@@ -2,6 +2,8 @@ package redo
 
 import (
 	"bytes"
+	"hash/crc32"
+	"hash/fnv"
 	"testing"
 )
 
@@ -39,6 +41,61 @@ func TestStreamFrameRoundTrip(t *testing.T) {
 		if re := dec.Encode(); !bytes.Equal(re, enc) {
 			t.Fatalf("re-encode not byte-identical")
 		}
+	}
+}
+
+// pinnedFrame mixes every record shape a stream carries: inserts, an
+// update with a before-image, a DDL record and a commit.
+func pinnedFrame() StreamFrame {
+	recs := frameRecords(6, 100)
+	recs[1].Op, recs[1].Before = OpUpdate, []byte("before image")
+	recs[3] = Record{SCN: 103, Txn: 1, Op: OpDDL, Meta: "CREATE TABLE t2"}
+	recs[5] = Record{SCN: 105, Txn: 2, Op: OpCommit}
+	return StreamFrame{Seq: 9, PrimarySCN: 120, Records: recs}
+}
+
+// The wire format is pinned: with its checksum word left out, a fixed
+// frame encodes to the bytes the FNV-checksummed codec produced (same
+// layout, same Size, so the same link transfer times), and the checksum
+// word is the CRC-32C of every byte before it. AppendTo onto a buffer
+// reused across frames of different sizes keeps the prefix and appends
+// exactly Encode's bytes.
+func TestStreamFrameWireFormatPinned(t *testing.T) {
+	f := pinnedFrame()
+	enc := f.Encode()
+	at := len(enc) - framePad - 8
+	h := fnv.New64a()
+	h.Write(enc[:at])
+	h.Write(enc[at+8:])
+	if got, want := h.Sum64(), uint64(0x60c4f0d1fb2efb57); got != want || len(enc) != 881 {
+		t.Errorf("frame encodes to %d bytes hashing to %#x, want 881 hashing to %#x", len(enc), got, want)
+	}
+	if got, want := FrameChecksum(enc), uint64(crc32.Checksum(enc[:at], crc32.MakeTable(crc32.Castagnoli))); got != want {
+		t.Errorf("checksum word %#x, want CRC-32C %#x", got, want)
+	}
+	const prefix = "prefix"
+	buf := []byte(prefix)
+	for _, fr := range []StreamFrame{{Seq: 2, Records: frameRecords(40, 1)}, {Seq: 7}, f, {Seq: 3, Records: frameRecords(2, 50)}} {
+		buf = fr.AppendTo(buf[:len(prefix)])
+		if string(buf[:len(prefix)]) != prefix || !bytes.Equal(buf[len(prefix):], fr.Encode()) {
+			t.Fatalf("frame seq %d appended onto a reused buffer differs from Encode", fr.Seq)
+		}
+	}
+}
+
+// Encoding into a warm buffer allocates nothing; Encode allocates its one
+// exactly sized buffer.
+func TestStreamCodecAllocs(t *testing.T) {
+	f := pinnedFrame()
+	buf := f.Encode()
+	if got := testing.AllocsPerRun(100, func() { buf = f.Records[1].AppendTo(buf[:0]) }); got != 0 {
+		t.Errorf("Record.AppendTo allocates %v times, want 0", got)
+	}
+	if got := testing.AllocsPerRun(100, func() { buf = f.AppendTo(buf[:0]) }); got != 0 {
+		t.Errorf("StreamFrame.AppendTo allocates %v times, want 0", got)
+	}
+	if got := testing.AllocsPerRun(100, func() { buf = f.Encode() }); got != 1 {
+		t.Errorf("StreamFrame.Encode allocates %v times, want 1", got)
 	}
 }
 
@@ -101,11 +158,15 @@ func FuzzStreamFrameRoundTrip(f *testing.F) {
 		if re := dec.Encode(); !bytes.Equal(re, enc) {
 			t.Fatalf("re-encode not byte-identical")
 		}
+		// AppendTo keeps whatever the buffer already holds.
+		if got := fr.AppendTo(corrupt[:len(corrupt):len(corrupt)]); !bytes.Equal(got[:len(corrupt)], corrupt) || !bytes.Equal(got[len(corrupt):], enc) {
+			t.Fatalf("AppendTo onto a %d-byte prefix differs from the prefix and Encode", len(corrupt))
+		}
 		// Corruption: flipping any byte in the checksummed region or the
 		// checksum word must not yield the original frame's content under
 		// a clean decode. (The trailing pad bytes are modelled overhead,
 		// not content — excluded.)
-		if guarded := len(enc) - (frameOverhead - 8 - 8 - 4 - 8); len(corrupt) > 0 && guarded > 0 {
+		if guarded := len(enc) - framePad; len(corrupt) > 0 && guarded > 0 {
 			bad := append([]byte(nil), enc...)
 			pos := flip
 			if pos < 0 {

@@ -156,6 +156,14 @@ const (
 	fnvPrime  = 1099511628211
 )
 
+// fnvWord chains v's eight bytes, low byte first, into the FNV-64a hash h.
+func fnvWord(h, v uint64) uint64 {
+	for range 8 {
+		h, v = (h^(v&0xff))*fnvPrime, v>>8
+	}
+	return h
+}
+
 // New wraps a prepared stand-by instance. The instance must contain a
 // physical copy of the primary as of startSCN (the backup the stand-by
 // was instantiated from); it stays unopened until activation.
@@ -209,9 +217,9 @@ func (s *Standby) Lag() int64 {
 	return int64(s.lastPrimary - s.appliedSCN)
 }
 
-// StreamHash is the FNV-64a chain over every received frame's encoded
-// bytes — the transport-level fingerprint the chaos harness folds into
-// its per-seed goldens.
+// StreamHash is the FNV-64a chain over every received frame's checksum
+// word (the CRC-32C of its encoding) — the transport-level fingerprint the
+// chaos harness folds into its per-seed goldens.
 func (s *Standby) StreamHash() uint64 { return s.streamHash }
 
 // Activated reports whether the stand-by has taken over.

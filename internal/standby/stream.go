@@ -82,6 +82,8 @@ type streamer struct {
 	outbox  []redo.Record
 	lns     *sim.Server
 	nextSeq uint64
+	frame   redo.StreamFrame // reused by every frame; Receive copies what it keeps
+	wire    []byte           // the frame's encoding, reused likewise
 	// onDeliver observes every delivered frame (cluster counters and
 	// sync-ack wakeups). Runs after the destination processed the frame.
 	onDeliver func(p *sim.Proc, f *redo.StreamFrame, encoded int)
@@ -115,30 +117,22 @@ func (st *streamer) enqueue(recs []redo.Record) {
 // ship cuts one frame from the outbox and pushes it to the destination.
 func (st *streamer) ship(p *sim.Proc) bool {
 	n := min(len(st.outbox), st.max)
-	f := redo.StreamFrame{
-		Seq:        st.nextSeq,
-		PrimarySCN: st.src(),
-		Records:    append([]redo.Record(nil), st.outbox[:n]...),
-	}
+	st.frame.Seq, st.frame.PrimarySCN = st.nextSeq, st.src()
+	st.frame.Records = append(st.frame.Records[:0], st.outbox[:n]...)
 	st.outbox = st.outbox[n:]
 	st.nextSeq++
-	enc := f.Encode()
-	st.link.Send(p, int64(len(enc)))
-	st.dst.Receive(p, &f, enc)
-	if st.onDeliver != nil {
-		st.onDeliver(p, &f, len(enc))
-	}
+	st.wire = st.frame.AppendTo(st.wire[:0])
+	st.link.Send(p, int64(len(st.wire)))
+	st.dst.Receive(p, &st.frame, st.wire)
+	st.onDeliver(p, &st.frame, len(st.wire))
 	return true
 }
 
-// Receive accepts one stream frame (see accept) and chains its encoded
-// bytes into the stream hash.
+// Receive accepts one stream frame (see accept) and chains the frame's
+// checksum word into the stream hash.
 func (s *Standby) Receive(p *sim.Proc, f *redo.StreamFrame, encoded []byte) {
-	if !s.accept(f.Seq, f.PrimarySCN, int64(len(encoded)), f.Records) {
-		return
-	}
-	for _, b := range encoded {
-		s.streamHash = (s.streamHash ^ uint64(b)) * fnvPrime
+	if s.accept(f.Seq, f.PrimarySCN, int64(len(encoded)), f.Records) {
+		s.streamHash = fnvWord(s.streamHash, redo.FrameChecksum(encoded))
 	}
 }
 
@@ -459,11 +453,7 @@ func (c *Cluster) Links() []*sim.Link { return c.links }
 func (c *Cluster) StreamHash() uint64 {
 	h := uint64(fnvOffset)
 	for _, s := range c.standbys {
-		v := s.streamHash
-		for i := 0; i < 8; i++ {
-			h = (h ^ (v & 0xff)) * fnvPrime
-			v >>= 8
-		}
+		h = fnvWord(h, s.streamHash)
 	}
 	return h
 }
