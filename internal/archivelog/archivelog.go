@@ -162,7 +162,7 @@ func (ar *Archiver) archiveNext(p *sim.Proc) bool {
 // archive copies one group: read the online member, write the archive
 // file, record the inventory entry, release the group.
 func (ar *Archiver) archive(p *sim.Proc, g *redo.Group) (err error) {
-	recs := append([]redo.Record(nil), g.Records()...)
+	recs := g.Records()
 	size := g.Bytes()
 	name := fmt.Sprintf("arch_%06d.arc", g.Seq)
 	span := ar.Trace.Begin(p.Now(), trace.CatArch, "ARCH", "archive",

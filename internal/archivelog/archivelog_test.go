@@ -107,6 +107,33 @@ func TestArchivedRecordsMatchRedoStream(t *testing.T) {
 	}
 }
 
+// An archived log keeps the records its group held when it was archived,
+// after the group has been reused and refilled: here five groups' worth of
+// redo, 2,500 records (several pages) each, cycles through three groups.
+func TestArchivedLogSurvivesGroupReuse(t *testing.T) {
+	rec := redo.Record{Table: "t", After: make([]byte, 100)}
+	f := newFixture(t, 2500*rec.Size(), 3)
+	defer f.shutdown()
+	f.writeRecords(12500, 100)
+	f.k.Run(sim.Time(10 * time.Minute))
+
+	logs := f.ar.Inventory().Logs()
+	if len(logs) < 4 || f.log.CurrentGroup().Seq < logs[1].Seq+3 {
+		t.Fatalf("%d logs archived, current seq %d: seq 2's group was not refilled", len(logs), f.log.CurrentGroup().Seq)
+	}
+	for _, a := range logs {
+		recs := a.Records()
+		if len(recs) != 2500 || recs[0].SCN != a.FirstSCN || recs[len(recs)-1].SCN != a.LastSCN {
+			t.Fatalf("seq %d: %d records, want 2500 from SCN %d to %d", a.Seq, len(recs), a.FirstSCN, a.LastSCN)
+		}
+		for i, r := range recs {
+			if r.SCN != a.FirstSCN+redo.SCN(i) || r.Key != int64(r.SCN-1) {
+				t.Fatalf("seq %d record %d: SCN %d key %d, want SCN %d key %d", a.Seq, i, r.SCN, r.Key, a.FirstSCN+redo.SCN(i), a.FirstSCN+redo.SCN(i)-1)
+			}
+		}
+	}
+}
+
 func TestInventoryFrom(t *testing.T) {
 	f := newFixture(t, 2048, 3)
 	defer f.shutdown()

@@ -73,7 +73,7 @@ func captureRedo(in *engine.Instance) []redo.Record {
 	from := storage.ScanStart(ctl.CheckpointSCN, ctl.UndoSCN)
 	log := in.Log()
 	if recs, ok := log.OnlineRecords(from); ok {
-		return append([]redo.Record(nil), recs...)
+		return recs
 	}
 	var recs []redo.Record
 	next := from

@@ -2,6 +2,7 @@ package redo
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
 	"dbench/internal/sim"
@@ -9,8 +10,18 @@ import (
 	"dbench/internal/trace"
 )
 
+// pageRecords is how many records one page of a group holds: 1024 records
+// of 112 bytes fill fourteen 8 KiB runtime pages exactly (256, 28 KiB, take
+// a 32 KiB slot once Go adds its 8-byte header to a pointer-holding object).
+const pageRecords = 1024
+
 // Group is one online redo log group: a fixed-size slot in the circular
 // log, backed by one or more member files (multiplexing).
+//
+// Its records sit in fixed pages of pageRecords, in SCN order. LGWR places
+// each record once, at the end of the last page, and opens a new page when
+// that one is full; reuse drops the pages. A record is therefore never
+// moved once placed, and a page that has been filled is never written again.
 type Group struct {
 	// ID is the group number (1-based, stable).
 	ID int
@@ -21,7 +32,8 @@ type Group struct {
 	members  []*simdisk.File
 	capacity int64
 	bytes    int64
-	records  []Record
+	pages    [][]Record // every page but the last is full
+	n        int        // records in pages
 
 	archived bool
 	ckptDone bool
@@ -37,9 +49,15 @@ func (g *Group) Capacity() int64 { return g.capacity }
 // Bytes returns the bytes of flushed redo currently in the group.
 func (g *Group) Bytes() int64 { return g.bytes }
 
-// Records returns the flushed records in the group (callers must not
-// modify the slice).
-func (g *Group) Records() []Record { return g.records }
+// Records returns a copy of the flushed records in the group, in SCN
+// order, in an exactly sized slice the caller owns.
+func (g *Group) Records() []Record {
+	recs := make([]Record, 0, g.n)
+	for _, pg := range g.pages {
+		recs = append(recs, pg...)
+	}
+	return recs
+}
 
 // Archived reports whether the group's content has been archived.
 func (g *Group) Archived() bool { return g.archived }
@@ -50,18 +68,51 @@ func (g *Group) Current() bool { return g.current }
 // FirstSCN returns the SCN of the first record in the group, or -1 when
 // empty.
 func (g *Group) FirstSCN() SCN {
-	if len(g.records) == 0 {
+	if g.n == 0 {
 		return -1
 	}
-	return g.records[0].SCN
+	return g.at(0).SCN
 }
 
 // LastSCN returns the SCN of the last record in the group, or -1.
 func (g *Group) LastSCN() SCN {
-	if len(g.records) == 0 {
+	if g.n == 0 {
 		return -1
 	}
-	return g.records[len(g.records)-1].SCN
+	return g.at(g.n - 1).SCN
+}
+
+// at returns the group's i-th record.
+func (g *Group) at(i int) *Record { return &g.pages[i/pageRecords][i%pageRecords] }
+
+// place appends rec to the last page, opening a page of exactly
+// pageRecords capacity when that one is full.
+func (g *Group) place(rec Record) {
+	if g.n%pageRecords == 0 {
+		g.pages = append(g.pages, make([]Record, 0, pageRecords))
+	}
+	pg := &g.pages[g.n/pageRecords]
+	*pg = append(*pg, rec)
+	g.n++
+}
+
+// span returns the index range [lo, hi) of the group's records whose SCN
+// lies in [from, to]; SCNs rise through a group.
+func (g *Group) span(from, to SCN) (lo, hi int) {
+	lo = sort.Search(g.n, func(i int) bool { return g.at(i).SCN >= from })
+	hi = sort.Search(g.n, func(i int) bool { return g.at(i).SCN > to })
+	return lo, max(lo, hi)
+}
+
+// pieces calls f with the group's records lo..hi-1 in SCN order, one
+// capacity-capped piece per page they touch.
+func (g *Group) pieces(lo, hi int, f func([]Record)) {
+	for lo < hi {
+		pg, off := g.pages[lo/pageRecords], lo%pageRecords
+		end := min(len(pg), off+hi-lo)
+		f(pg[off:end:end])
+		lo += end - off
+	}
 }
 
 // usable reports whether all member files are intact.
@@ -174,11 +225,12 @@ type Manager struct {
 	UndoFloor func() SCN
 	// OnDurable, when set, is called (from the LGWR process) each time a
 	// flushed segment advances flushedSCN, with exactly the records that
-	// just became durable, in SCN order: the tail of the group's records,
-	// so the hook must copy what it keeps. It is the tap continuous redo
-	// streaming hangs off (a replication cluster copies them into its
-	// outboxes) and must not advance virtual time (LGWR's flush timing is
-	// part of every pinned fingerprint).
+	// just became durable, in SCN order: one capacity-capped piece of the
+	// group's own records per page the segment touches, so the hook may be
+	// called more than once per segment and must copy what it keeps. It is
+	// the tap continuous redo streaming hangs off (a replication cluster
+	// copies them into its outboxes) and must not advance virtual time
+	// (LGWR's flush timing is part of every pinned fingerprint).
 	OnDurable func(p *sim.Proc, recs []Record)
 	// OnCheckpointNeeded, when set, is called whenever a reserve or
 	// switch stall finds the next group not yet checkpointed. A
@@ -241,7 +293,7 @@ func (m *Manager) newGroup(capacity int64) (*Group, error) {
 // empty discards the group's content so it can be written from the start:
 // no sequence, nothing left to checkpoint or archive, every member truncated.
 func (g *Group) empty() {
-	g.Seq, g.bytes, g.records = 0, 0, nil
+	g.Seq, g.bytes, g.pages, g.n = 0, 0, nil, 0
 	g.archived, g.ckptDone = true, true
 	for _, member := range g.members {
 		member.Truncate(0)
@@ -613,8 +665,8 @@ func (m *Manager) drainBuffer(p *sim.Proc) error {
 			m.flushedSCN = lastPlaced
 			m.flushed.Broadcast(m.k)
 		}
-		if n := len(g.records); m.OnDurable != nil && segRecs > 0 {
-			m.OnDurable(p, g.records[n-segRecs:n:n])
+		if m.OnDurable != nil && segRecs > 0 {
+			g.pieces(g.n-segRecs, g.n, func(recs []Record) { m.OnDurable(p, recs) })
 		}
 		segRecs = 0
 		return nil
@@ -635,7 +687,7 @@ func (m *Manager) drainBuffer(p *sim.Proc) error {
 		if m.bufHead++; m.bufHead == len(m.buffer) {
 			m.buffer, m.bufHead = m.buffer[:0], 0
 		}
-		g.records = append(g.records, rec)
+		g.place(rec)
 		g.bytes += rec.Size()
 		segBytes += rec.Size()
 		segRecs++
@@ -747,29 +799,33 @@ func (m *Manager) ForceSwitch(p *sim.Proc) error {
 	return m.switchGroup(p)
 }
 
-// OnlineRecords returns, in SCN order, the records with SCN >= from that
-// are still present in the online groups (not yet overwritten by reuse),
-// skipping groups whose members were all lost. ok reports whether the range
-// is contiguous from `from` (false means older redo was overwritten or
-// lost, so callers need the archive).
+// OnlineRecords returns, in SCN order, the flushed records with SCN >= from
+// that are still present in the online groups (not yet overwritten by
+// reuse), skipping groups whose members were all lost. They are copied once
+// into an exactly sized slice the caller owns. ok reports whether the range
+// is whole from `from`: false means older redo was overwritten, or a lost
+// group leaves a hole in the range, so callers need the archive. (The SCNs
+// a crash discarded with the redo buffer were never durable: the jump they
+// leave between two records is no hole.)
 func (m *Manager) OnlineRecords(from SCN) (recs []Record, ok bool) {
-	ordered := m.groupsBySeq()
-	lowest := SCN(-1)
-	for _, g := range ordered {
+	n, lowest, whole := 0, SCN(-1), true
+	for i := range m.groups {
+		g := m.byAge(i)
+		lo, hi := g.span(from, m.flushedSCN)
 		if !g.usable() {
+			whole = whole && lo == hi
 			continue
 		}
-		for i := range g.records {
-			r := g.records[i]
-			if r.SCN > m.flushedSCN {
-				break
-			}
-			if lowest < 0 {
-				lowest = r.SCN
-			}
-			if r.SCN >= from {
-				recs = append(recs, r)
-			}
+		if s := g.FirstSCN(); lowest < 0 && s >= 0 && s <= m.flushedSCN {
+			lowest = s
+		}
+		n += hi - lo
+	}
+	recs = make([]Record, 0, n)
+	for i := range m.groups {
+		if g := m.byAge(i); g.usable() {
+			lo, hi := g.span(from, m.flushedSCN)
+			g.pieces(lo, hi, func(pc []Record) { recs = append(recs, pc...) })
 		}
 	}
 	ok = lowest >= 0 && lowest <= from
@@ -779,38 +835,24 @@ func (m *Manager) OnlineRecords(from SCN) (recs []Record, ok bool) {
 	if m.flushedSCN == 0 {
 		ok = true // nothing ever flushed: empty range is contiguous
 	}
-	return recs, ok
+	return recs, ok && whole
 }
 
 // LowestOnlineSCN returns the smallest SCN still present in the online
 // groups, or -1 when nothing is flushed.
 func (m *Manager) LowestOnlineSCN() SCN {
-	for _, g := range m.groupsBySeq() {
-		if !g.usable() {
-			continue
-		}
-		if s := g.FirstSCN(); s >= 0 {
-			return s
+	for i := range m.groups {
+		if g := m.byAge(i); g.usable() && g.n > 0 {
+			return g.FirstSCN()
 		}
 	}
 	return -1
 }
 
-// groupsBySeq returns groups with content ordered by sequence number.
-func (m *Manager) groupsBySeq() []*Group {
-	var used []*Group
-	for _, g := range m.groups {
-		if g.Seq > 0 && len(g.records) > 0 {
-			used = append(used, g)
-		}
-	}
-	for i := 1; i < len(used); i++ {
-		for j := i; j > 0 && used[j-1].Seq > used[j].Seq; j-- {
-			used[j-1], used[j] = used[j], used[j-1]
-		}
-	}
-	return used
-}
+// byAge returns the i-th group of the ring counting from the one after the
+// current group. That one is reused next, so the groups with content come
+// in sequence order, oldest first.
+func (m *Manager) byAge(i int) *Group { return m.groups[(m.cur+1+i)%len(m.groups)] }
 
 // BufferedBytes reports the unflushed redo buffer size.
 func (m *Manager) BufferedBytes() int64 { return m.bufferBytes }
