@@ -90,21 +90,20 @@ func (t *Table) partitionOf(key int64) int {
 	return p
 }
 
-// BlockFor maps a row key to its home block: keys are grouped in runs of
-// Cluster consecutive keys, and runs are spread over the segment (over
-// the key's partition segment for a partitioned table).
-func (t *Table) BlockFor(key int64) storage.BlockRef {
-	c := t.Cluster
-	if c < 1 {
-		c = 1
+// BlockFor maps a row key to its home block.
+func (t *Table) BlockFor(key int64) storage.BlockRef { return t.blocks[t.BlockIndex(key)] }
+
+// BlockIndex maps a row key to its home block's position in Blocks(): keys
+// are grouped in runs of Cluster consecutive keys, and runs are spread over
+// the segment (over the key's partition segment for a partitioned table; all
+// partitions are equally long).
+func (t *Table) BlockIndex(key int64) int {
+	run := uint64(key) / uint64(max(t.Cluster, 1))
+	if len(t.parts) == 0 {
+		return int(run % uint64(len(t.blocks)))
 	}
-	seg := t.blocks
-	if len(t.parts) > 0 {
-		seg = t.parts[t.partitionOf(key)]
-	}
-	run := uint64(key) / uint64(c)
-	idx := int(run % uint64(len(seg)))
-	return seg[idx]
+	n := len(t.parts[0])
+	return t.partitionOf(key)*n + int(run%uint64(n))
 }
 
 // User is a database account.

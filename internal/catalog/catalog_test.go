@@ -2,6 +2,7 @@ package catalog
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -87,6 +88,62 @@ func TestBlockForIsStableAndInRange(t *testing.T) {
 		b := tbl.BlockFor(key)
 		if a != b {
 			t.Fatalf("BlockFor(%d) unstable", key)
+		}
+	}
+}
+
+// TestBlockIndexMatchesBlockFor: a key's position in Blocks() names the block
+// BlockFor gives, on an unpartitioned table and on a W=3 partitioned one, for
+// keys in every partition and keys the clamp sends to the edge partitions;
+// and BlockFor still gives the blocks it gave before it was written in terms
+// of BlockIndex (recorded at the parent commit, 38fe872).
+func TestBlockIndexMatchesBlockFor(t *testing.T) {
+	fs := simdisk.NewFS(simdisk.DefaultSpec("d1"), simdisk.DefaultSpec("d2"))
+	db, err := storage.NewDB(fs, "d1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tss []*storage.Tablespace
+	for i, disks := range [][]string{{"d1", "d2"}, {"d1", "d2"}, {"d2"}, {"d1"}} {
+		ts, err := db.CreateTablespace(fmt.Sprintf("TS%d", i), disks, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tss = append(tss, ts)
+	}
+	c := New()
+	flat, err := c.CreateTableClustered("flat", "u", tss[0], 7, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := c.CreateTablePartitioned("part", "u", tss[1:], 5, 4, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		tbl  *Table
+		keys []int64
+		want []string
+	}{
+		{flat, []int64{-5, 0, 1, 2, 3, 20, 21, 1 << 40}, []string{
+			"TS0_01.dbf#3", "TS0_01.dbf#0", "TS0_01.dbf#0", "TS0_01.dbf#0", "TS0_01.dbf#1", "TS0_02.dbf#2", "TS0_01.dbf#0", "TS0_02.dbf#1",
+		}},
+		// Below 100 and from 400 on, the clamp sends a key to the first or
+		// the last partition.
+		{part, []int64{-7, 0, 42, 99, 100, 103, 104, 150, 199, 200, 257, 300, 321, 399, 400, 401, 555, 1 << 40}, []string{
+			"TS1_01.dbf#2", "TS1_01.dbf#0", "TS1_01.dbf#0", "TS1_02.dbf#1", "TS1_01.dbf#0", "TS1_01.dbf#0", "TS1_01.dbf#1", "TS1_01.dbf#2", "TS1_02.dbf#1",
+			"TS2_01.dbf#0", "TS2_01.dbf#4", "TS3_01.dbf#0", "TS3_01.dbf#0", "TS3_01.dbf#4", "TS3_01.dbf#0", "TS3_01.dbf#0", "TS3_01.dbf#3", "TS3_01.dbf#4",
+		}},
+	}
+	for _, tc := range cases {
+		for i, k := range tc.keys {
+			ref := tc.tbl.BlockFor(k)
+			if got := tc.tbl.Blocks()[tc.tbl.BlockIndex(k)]; got != ref {
+				t.Errorf("%s: key %d: Blocks()[BlockIndex] is %s, BlockFor %s", tc.tbl.Name, k, got, ref)
+			}
+			if ref.String() != tc.want[i] {
+				t.Errorf("%s: key %d: BlockFor is %s, was %s", tc.tbl.Name, k, ref, tc.want[i])
+			}
 		}
 	}
 }

@@ -18,13 +18,8 @@ import (
 
 // Stage collects one table's rows into block images.
 type Stage struct {
-	tbl *catalog.Table
-	pos map[storage.BlockRef]int // block → position in tbl.Blocks()
-	// Keys arrive in runs of one block's: the previous row's block and its
-	// position save the lookup.
-	last   storage.BlockRef
-	at     int
-	images []*storage.Block
+	tbl    *catalog.Table
+	images []*storage.Block // by position in tbl.Blocks()
 }
 
 // StageTable starts an empty stage for the named table.
@@ -33,25 +28,18 @@ func (in *Instance) StageTable(table string) (*Stage, error) {
 	if err != nil {
 		return nil, err
 	}
-	blocks := tbl.Blocks()
-	s := &Stage{tbl: tbl, pos: make(map[storage.BlockRef]int, len(blocks)), images: make([]*storage.Block, len(blocks))}
-	for i, ref := range blocks {
-		s.pos[ref] = i
-	}
-	return s, nil
+	return &Stage{tbl: tbl, images: make([]*storage.Block, tbl.NumBlocks())}, nil
 }
 
 // Put sets a row's image in its home block's staged image. row belongs to
 // the stage from here on. An image's row index grows with the rows put: the
 // table's cluster factor overstates what most blocks get.
 func (s *Stage) Put(key int64, row []byte) {
-	if ref := s.tbl.BlockFor(key); ref != s.last {
-		s.last, s.at = ref, s.pos[ref]
+	at := s.tbl.BlockIndex(key)
+	if s.images[at] == nil {
+		s.images[at] = storage.NewBlock()
 	}
-	if s.images[s.at] == nil {
-		s.images[s.at] = storage.NewBlock()
-	}
-	s.images[s.at].Put(key, row)
+	s.images[at].Put(key, row)
 }
 
 // Images returns what was staged: one image per block of the table, in

@@ -87,77 +87,74 @@ func LastName(num int) string {
 func randLastNameNum(r *rand.Rand) int { return nuRand(r, 255, nuRandCLast, 0, 999) }
 
 // rowText draws the random text columns of the loaded rows into chunks, with
-// exactly the RNG calls a string per column would make, and hands each row's
-// columns out as substrings of its chunk: text costs the load one allocation
-// per chunkSize of it, not one per row.
+// exactly the RNG calls a string per column would make, and returns each
+// column as a substring of its chunk: text costs the load one allocation per
+// chunkSize of it, not one per column.
 type rowText struct {
 	chunk strings.Builder // its String() shares the buffer: no copy
-	start int             // where the current row's text begins
-	ends  []int
-	cols  []string
 }
 
-// maxRowText is the room a chunk must have left for a row to start in it.
-// The longest row text is a customer's, at most 483 bytes; a longer one would
-// still be drawn correctly, into a chunk the builder regrows.
-const maxRowText = 512
-
-// room starts a fresh chunk when the current one cannot take another row.
-// Strings already handed out keep the old one alive for as long as they live.
-func (t *rowText) room() {
-	if len(t.ends) == 0 && t.chunk.Cap()-t.chunk.Len() < maxRowText {
+// room makes sure the chunk can take n more bytes, starting a fresh one when
+// it cannot, and returns where they will start. Strings already handed out
+// keep the old chunk alive for as long as they live. A column longer than a
+// chunk is still drawn correctly, into a chunk the builder regrows.
+func (t *rowText) room(n int) int {
+	if t.chunk.Cap()-t.chunk.Len() < n {
 		t.chunk = strings.Builder{}
 		t.chunk.Grow(chunkSize)
-		t.start = 0
 	}
+	return t.chunk.Len()
 }
 
-// str draws the row's next column: minLen..maxLen random characters.
-func (t *rowText) str(r *rand.Rand, minLen, maxLen int) {
+// str draws a column of minLen..maxLen random characters. Each character is
+// drawn as r.Intn(len(chars)) draws it — the top 31 bits of one Int63, drawn
+// again while above the largest multiple of 62 — without Intn's three calls
+// down to Int63.
+func (t *rowText) str(r *rand.Rand, minLen, maxLen int) string {
 	const chars = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789"
-	t.room()
+	const base = uint32(len(chars))
+	const top = (1<<31 - 1) - (1<<31)%base
 	n := minLen
 	if maxLen > minLen {
 		n += r.Intn(maxLen - minLen + 1)
 	}
-	for i := 0; i < n; i++ {
-		t.chunk.WriteByte(chars[r.Intn(len(chars))])
+	start := t.room(n)
+	var buf [512]byte // every loaded column fits: one Write each
+	for n > 0 {
+		b := buf[:min(n, len(buf))]
+		for i := range b {
+			v := uint32(r.Int63() >> 32)
+			for v > top {
+				v = uint32(r.Int63() >> 32)
+			}
+			b[i] = chars[v%base]
+		}
+		t.chunk.Write(b)
+		n -= len(b)
 	}
-	t.ends = append(t.ends, t.chunk.Len())
+	return t.chunk.String()[start:]
 }
 
-// zip draws the row's next column: a spec zip code.
-func (t *rowText) zip(r *rand.Rand) {
-	t.room()
+// zip draws a spec zip code.
+func (t *rowText) zip(r *rand.Rand) string {
 	n := r.Intn(10000)
+	start := t.room(9)
 	for div := 1000; div > 0; div /= 10 {
 		t.chunk.WriteByte(byte('0' + n/div%10))
 	}
 	t.chunk.WriteString("11111")
-	t.ends = append(t.ends, t.chunk.Len())
+	return t.chunk.String()[start:]
 }
 
-// address draws the five columns a warehouse and a district share: name,
-// street, city, state, zip.
-func (t *rowText) address(r *rand.Rand) {
-	t.str(r, 6, 10)
-	t.str(r, 10, 20)
-	t.str(r, 10, 20)
-	t.str(r, 2, 2)
-	t.zip(r)
-}
-
-// take returns the columns drawn since the last take, in order. The slice
-// is reused by the next row; the strings are the caller's.
-func (t *rowText) take() []string {
-	all := t.chunk.String()
-	t.cols = t.cols[:0]
-	for _, end := range t.ends {
-		t.cols = append(t.cols, all[t.start:end])
-		t.start = end
-	}
-	t.ends = t.ends[:0]
-	return t.cols
+// address draws the five columns a warehouse and a district share, in this
+// order.
+func (t *rowText) address(r *rand.Rand) (name, street, city, state, zip string) {
+	name = t.str(r, 6, 10)
+	street = t.str(r, 10, 20)
+	city = t.str(r, 10, 20)
+	state = t.str(r, 2, 2)
+	zip = t.zip(r)
+	return name, street, city, state, zip
 }
 
 // App binds the TPC-C schema and workload to one engine instance. It also
@@ -383,9 +380,13 @@ func (a *App) Install(p *sim.Proc, set LoadSet) error {
 
 // Generate draws the seeded rows and encodes each straight into its home
 // block's image, for the layout of the app's instance (the schema must
-// exist), and builds the driver-side indexes. It costs host time only. Each
-// row's columns are drawn in the order the row struct lists them, integers
-// included: the RNG call order is what makes a seed's database.
+// exist), and builds the driver-side indexes. It costs host time only. The
+// RNG call order is what makes a seed's database, so a row's drawn columns
+// are set by statements of their own, in draw order; only a row's first draw
+// sits in the literal that starts it. That is not always the order the row
+// struct lists them: a customer's last name and credit come before its first
+// name and its discount between phone and data, an order's line count before
+// its carrier, an order line's dist info before its amount.
 func (a *App) Generate(r *rand.Rand) (LoadSet, error) {
 	cfg := a.Cfg
 	stages := make(map[string]*engine.Stage, len(loadOrder))
@@ -406,52 +407,38 @@ func (a *App) Generate(r *rand.Rand) (LoadSet, error) {
 
 	for i := 1; i <= cfg.Items; i++ {
 		it := Item{ID: i, ImID: 1 + r.Intn(10000)}
-		txt.str(r, 14, 24) // Name
+		it.Name = txt.str(r, 14, 24)
 		it.Price = 1 + float64(r.Intn(9900))/100
-		txt.str(r, 26, 50) // Data
-		col := txt.take()
-		it.Name, it.Data = col[0], col[1]
+		it.Data = txt.str(r, 26, 50)
 		items.Put(IKey(i), it.encode(&rows))
 	}
 
 	for w := 1; w <= cfg.Warehouses; w++ {
-		txt.address(r)
-		col := txt.take()
-		wh := Warehouse{
-			ID: w, Name: col[0], Street: col[1], City: col[2], State: col[3], Zip: col[4],
-			Tax: float64(r.Intn(2000)) / 10000,
-			// W_YTD equals the sum of the warehouse's loaded history
-			// amounts (10 per customer), the identity conditions C8/C9
-			// audit (spec §3.3.2.8–9). The spec's 300,000 is this same
-			// identity at the unscaled 10×3000 customers.
-			YTD: 10 * float64(Districts*cfg.CustomersPerDistrict),
-		}
+		// W_YTD equals the sum of the warehouse's loaded history amounts
+		// (10 per customer), the identity conditions C8/C9 audit (spec
+		// §3.3.2.8–9). The spec's 300,000 is this same identity at the
+		// unscaled 10×3000 customers.
+		wh := Warehouse{ID: w, YTD: 10 * float64(Districts*cfg.CustomersPerDistrict)}
+		wh.Name, wh.Street, wh.City, wh.State, wh.Zip = txt.address(r)
+		wh.Tax = float64(r.Intn(2000)) / 10000
 		warehouses.Put(WKey(w), wh.encode(&rows))
 
 		for i := 1; i <= cfg.Items; i++ {
 			st := Stock{ItemID: i, WID: w, Quantity: 10 + r.Intn(91)}
-			txt.str(r, 26, 50) // Data
-			for range st.Dists {
-				txt.str(r, 24, 24)
+			st.Data = txt.str(r, 26, 50)
+			for j := range st.Dists {
+				st.Dists[j] = txt.str(r, 24, 24)
 			}
-			col := txt.take()
-			st.Data = col[0]
-			copy(st.Dists[:], col[1:])
 			stocks.Put(SKey(w, i), st.encode(&rows))
 		}
 
 		for d := 1; d <= Districts; d++ {
 			// Every customer starts with exactly one order, so
-			// next_o_id is customers+1.
-			txt.address(r)
-			col := txt.take()
-			dist := District{
-				ID: d, WID: w, Name: col[0], Street: col[1], City: col[2], State: col[3], Zip: col[4],
-				Tax: float64(r.Intn(2000)) / 10000,
-				// D_YTD = 10 per loaded history row of the district (C9).
-				YTD:     10 * float64(cfg.CustomersPerDistrict),
-				NextOID: cfg.CustomersPerDistrict + 1,
-			}
+			// next_o_id is customers+1. D_YTD = 10 per loaded history
+			// row of the district (C9).
+			dist := District{ID: d, WID: w, YTD: 10 * float64(cfg.CustomersPerDistrict), NextOID: cfg.CustomersPerDistrict + 1}
+			dist.Name, dist.Street, dist.City, dist.State, dist.Zip = txt.address(r)
+			dist.Tax = float64(r.Intn(2000)) / 10000
 			districts.Put(DKey(w, d), dist.encode(&rows))
 
 			// Customers: the first third get names from the
@@ -460,47 +447,32 @@ func (a *App) Generate(r *rand.Rand) (LoadSet, error) {
 			perm := r.Perm(cfg.CustomersPerDistrict) // customer -> order permutation
 			var undelivered []int                    // the district's new-order queue
 			for c := 1; c <= cfg.CustomersPerDistrict; c++ {
-				last := LastName(randLastNameNum(r))
-				credit := "GC"
+				cust := Customer{ID: c, DID: d, WID: w, Middle: "OE", Credit: "GC", CreditLim: 50000, Balance: -10}
+				cust.Last = LastName(randLastNameNum(r))
 				if r.Intn(10) == 0 {
-					credit = "BC"
+					cust.Credit = "BC"
 				}
-				txt.str(r, 8, 16)  // First
-				txt.str(r, 10, 20) // Street
-				txt.str(r, 10, 20) // City
-				txt.str(r, 2, 2)   // State
-				txt.zip(r)
-				txt.str(r, 16, 16) // Phone
-				discount := float64(r.Intn(5000)) / 10000
-				txt.str(r, 200, 400) // Data
-				col := txt.take()
-				cust := Customer{
-					ID: c, DID: d, WID: w,
-					First: col[0], Middle: "OE", Last: last,
-					Street: col[1], City: col[2], State: col[3], Zip: col[4], Phone: col[5],
-					Credit: credit, CreditLim: 50000, Discount: discount, Balance: -10,
-					Data: col[6],
-				}
+				cust.First = txt.str(r, 8, 16)
+				cust.Street = txt.str(r, 10, 20)
+				cust.City = txt.str(r, 10, 20)
+				cust.State = txt.str(r, 2, 2)
+				cust.Zip = txt.zip(r)
+				cust.Phone = txt.str(r, 16, 16)
+				cust.Discount = float64(r.Intn(5000)) / 10000
+				cust.Data = txt.str(r, 200, 400)
 				customers.Put(CKey(w, d, c), cust.encode(&rows))
-				nk := nameKey{w, d, last}
+				nk := nameKey{w, d, cust.Last}
 				a.byName[nk] = append(a.byName[nk], c)
 
-				txt.str(r, 12, 24)
-				h := History{
-					CID: c, CDID: d, CWID: w, DID: d, WID: w,
-					Amount: 10, Data: txt.take()[0],
-				}
+				h := History{CID: c, CDID: d, CWID: w, DID: d, WID: w, Amount: 10}
+				h.Data = txt.str(r, 12, 24)
 				history.Put(CKey(w, d, c), h.encode(&rows))
 
 				// One initial order per customer, order id from
 				// the permutation.
 				o := perm[c-1] + 1
-				olCnt := 5 + r.Intn(11)
+				ord := Order{ID: o, DID: d, WID: w, CID: c, OLCnt: 5 + r.Intn(11), AllLocal: 1}
 				delivered := o < cfg.CustomersPerDistrict*2/3+1
-				ord := Order{
-					ID: o, DID: d, WID: w, CID: c,
-					OLCnt: olCnt, AllLocal: 1,
-				}
 				if delivered {
 					ord.CarrierID = 1 + r.Intn(10)
 				}
@@ -510,15 +482,9 @@ func (a *App) Generate(r *rand.Rand) (LoadSet, error) {
 					newOrders.Put(OKey(w, d, o), no.encode(&rows))
 					undelivered = append(undelivered, o)
 				}
-				for ol := 1; ol <= olCnt; ol++ {
-					line := OrderLine{
-						OID: o, DID: d, WID: w, Number: ol,
-						ItemID:    1 + r.Intn(cfg.Items),
-						SupplyWID: w,
-						Quantity:  5,
-					}
-					txt.str(r, 24, 24)
-					line.DistInfo = txt.take()[0]
+				for ol := 1; ol <= ord.OLCnt; ol++ {
+					line := OrderLine{OID: o, DID: d, WID: w, Number: ol, ItemID: 1 + r.Intn(cfg.Items), SupplyWID: w, Quantity: 5}
+					line.DistInfo = txt.str(r, 24, 24)
 					if delivered {
 						line.DeliveryTime = 1
 						line.Amount = float64(r.Intn(999999)) / 100

@@ -32,7 +32,7 @@ type rig struct {
 	err error
 }
 
-func newRig(t *testing.T, cfg Config, mutate func(*engine.Config)) *rig {
+func newRig(t testing.TB, cfg Config, mutate func(*engine.Config)) *rig {
 	t.Helper()
 	k := sim.NewKernel(1234)
 	fs := simdisk.NewFS(
@@ -69,7 +69,7 @@ func (r *rig) boot(p *sim.Proc) error {
 	return r.in.Checkpoint(p)
 }
 
-func (r *rig) run(t *testing.T, fn func(p *sim.Proc) error) {
+func (r *rig) run(t testing.TB, fn func(p *sim.Proc) error) {
 	t.Helper()
 	r.k.Go("bench", func(p *sim.Proc) {
 		if err := fn(p); err != nil {
