@@ -25,99 +25,72 @@ import (
 	"dbench/internal/trace"
 )
 
-// table3 caches the fault-free configuration sweep: Table 3 and Figure 4
-// share it.
-var table3Rows []core.PerfRow
-
 func benchScale() core.Scale { return core.QuickScale() }
+
+// measure runs a declared experiment at benchScale, prints its report on
+// the first iteration and returns its first table's rows.
+func measure(b *testing.B, i int, x core.Experiment) []core.Row {
+	b.Helper()
+	rows, err := x.Run(benchScale(), nil, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if i == 0 {
+		fmt.Println(x.Text(rows))
+	}
+	return rows[0]
+}
 
 func BenchmarkTable3Checkpoints(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := core.RunTable3(benchScale(), nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		table3Rows = rows
-		if i == 0 {
-			fmt.Println(core.FormatTable3(rows))
-		}
-		b.ReportMetric(float64(rows[len(rows)-1].Checkpoints), "ckpts-F1G2T1")
-		b.ReportMetric(rows[0].TpmC, "tpmC-F400G3T20")
+		rows := measure(b, i, core.Table3(benchScale()))
+		b.ReportMetric(float64(rows[len(rows)-1][0].Checkpoints), "ckpts-F1G2T1")
+		b.ReportMetric(rows[0][0].TpmC, "tpmC-F400G3T20")
 	}
 }
 
 func BenchmarkFigure4PerfRecovery(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := core.RunFigure4(benchScale(), table3Rows, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			fmt.Println(core.FormatFigure4(rows))
-		}
-		b.ReportMetric(rows[0].RecoveryTime.Seconds(), "rec-s-largest-cfg")
-		b.ReportMetric(rows[len(rows)-1].RecoveryTime.Seconds(), "rec-s-smallest-cfg")
+		rows := measure(b, i, core.Figure4(benchScale()))
+		b.ReportMetric(rows[0][1].RecoveryTime.Seconds(), "rec-s-largest-cfg")
+		b.ReportMetric(rows[len(rows)-1][1].RecoveryTime.Seconds(), "rec-s-smallest-cfg")
 	}
 }
 
 func BenchmarkFigure5ArchiveOverhead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := core.RunFigure5(benchScale(), nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			fmt.Println(core.FormatFigure5(rows))
-		}
+		rows := measure(b, i, core.Figure5(benchScale()))
 		var avg float64
 		for _, r := range rows {
-			avg += r.OverheadPct()
+			if r[0].TpmC != 0 {
+				avg += 100 * (1 - r[1].TpmC/r[0].TpmC)
+			}
 		}
 		b.ReportMetric(avg/float64(len(rows)), "avg-overhead-%")
 	}
 }
 
 func BenchmarkTable4IncompleteRecovery(b *testing.B) {
-	sc := benchScale()
 	for i := 0; i < b.N; i++ {
-		rows, err := core.RunTable4(sc, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			fmt.Println(core.FormatTable4(rows, sc))
-		}
-		b.ReportMetric(rows[0].Times[2].Seconds(), "rec-s-late-inject")
+		rows := measure(b, i, core.Table4(benchScale()))
+		b.ReportMetric(rows[0][2].RecoveryTime.Seconds(), "rec-s-late-inject")
 	}
 }
 
 func BenchmarkTable5CompleteRecovery(b *testing.B) {
-	sc := benchScale()
 	for i := 0; i < b.N; i++ {
-		rows, err := core.RunTable5(sc, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			fmt.Println(core.FormatTable5(rows, sc))
-		}
-		b.ReportMetric(rows[0].Times[0].Seconds(), "abort-rec-s")
+		rows := measure(b, i, core.Table5(benchScale()))
+		b.ReportMetric(rows[0][0].RecoveryTime.Seconds(), "abort-rec-s")
 	}
 }
 
 func BenchmarkFigure6Standby(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := core.RunFigure6(benchScale(), nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			fmt.Println(core.FormatFigure6(rows))
-		}
+		rows := measure(b, i, core.Figure6(benchScale()))
 		var fo, mr float64
 		for _, r := range rows {
-			fo += r.Failover.Seconds()
-			mr += r.MediaRecovery.Seconds()
+			fo += r[2].RecoveryTime.Seconds()
+			mr += r[3].RecoveryTime.Seconds()
 		}
 		b.ReportMetric(fo/float64(len(rows)), "avg-failover-s")
 		b.ReportMetric(mr/float64(len(rows)), "avg-media-rec-s")
@@ -126,15 +99,10 @@ func BenchmarkFigure6Standby(b *testing.B) {
 
 func BenchmarkFigure7LostTransactions(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := core.RunFigure7(benchScale(), nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			fmt.Println(core.FormatFigure7(rows))
-		}
-		b.ReportMetric(float64(rows[0].Lost), "lost-smallest-log")
-		b.ReportMetric(float64(rows[len(rows)-1].Lost), "lost-largest-log")
+		rows := measure(b, i, core.Figure7(benchScale()))
+		b.ReportMetric(float64(rows[0][0].LostTransactions), "lost-smallest-log")
+		last := rows[len(rows)-1]
+		b.ReportMetric(float64(last[len(last)-1].LostTransactions), "lost-largest-log")
 	}
 }
 
@@ -405,11 +373,11 @@ func benchmarkCampaign(b *testing.B, parallel int) {
 	for i := 0; i < b.N; i++ {
 		sc := benchScale()
 		sc.Parallel = parallel
-		rows, err := core.RunTable3(sc, nil)
+		rows, err := core.Table3(sc).Run(sc, nil, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(float64(core.Workers(parallel, len(rows))), "workers")
+		b.ReportMetric(float64(core.Workers(parallel, len(rows[0]))), "workers")
 	}
 }
 

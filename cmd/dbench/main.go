@@ -60,8 +60,8 @@
 // estimate, end-user outage, and the stand-by read-routing counts.
 //
 // -trace/-timeline and -stats/-awr observe one run: the instrumented run
-// of the first selected experiment (its first run, unless the campaign
-// nominates a more telling one — scale its first recovery run, pareto its
+// of the first selected experiment (its first run, unless the declaration
+// names a more telling one — scale its first recovery run, pareto its
 // first controller run). Runs have independent virtual timelines, so a
 // second experiment in the same invocation is neither traced nor sampled.
 // -stats samples that run with the MMON workload repository every
@@ -104,24 +104,28 @@ import (
 
 // env is what an experiment sees of the command line: the campaign scale
 // (carrying the tracer and sampling hooks while they are unconsumed), the
-// progress sink and the parsed per-experiment flags.
+// progress sink, the results measured so far and the parsed
+// per-experiment flags.
 type env struct {
-	sc          core.Scale
-	progress    core.Progress
+	sc       core.Scale
+	progress core.Progress
+	// done holds every result of the invocation by spec name, so a job
+	// declared by two experiments runs once (f4 reads t3's fault-free runs).
+	done        map[string]*core.Result
 	crashPoints int
 	warehouses  []int
-	pareto      core.ParetoConfig
+	budget      time.Duration
+	paretoGrid  []core.RecoveryConfig
 	replica     core.ReplicaGrid
-	// perf carries the Table 3 rows from t3 to f4, which otherwise
-	// re-runs the fault-free side itself.
-	perf []core.PerfRow
 }
 
-// experiment is one -exp token: run executes the campaign and prints its
-// report. inAll says whether "all" selects it; the others are opt-in.
+// experiment is one -exp token: decl declares its table, or run executes
+// the one experiment that is not a table. inAll says whether "all"
+// selects it; the others are opt-in.
 type experiment struct {
 	name  string
 	inAll bool
+	decl  func(e *env) core.Experiment
 	run   func(e *env) error
 }
 
@@ -130,52 +134,18 @@ type experiment struct {
 // violated invariant ends the invocation with the other reports already
 // printed.
 var registry = []experiment{
-	{"t3", true, func(e *env) error {
-		rows, err := core.RunTable3(e.sc, e.progress)
-		e.perf = rows
-		return emit(rows, err, core.FormatTable3)
-	}},
-	{"f4", true, func(e *env) error {
-		rows, err := core.RunFigure4(e.sc, e.perf, e.progress)
-		return emit(rows, err, core.FormatFigure4)
-	}},
-	{"f5", true, func(e *env) error {
-		rows, err := core.RunFigure5(e.sc, e.progress)
-		return emit(rows, err, core.FormatFigure5)
-	}},
-	{"t4", true, func(e *env) error {
-		rows, err := core.RunTable4(e.sc, e.progress)
-		return emit(rows, err, func(r []core.RecRow) string { return core.FormatTable4(r, e.sc) })
-	}},
-	{"t5", true, func(e *env) error {
-		rows, err := core.RunTable5(e.sc, e.progress)
-		return emit(rows, err, func(r []core.RecRow) string { return core.FormatTable5(r, e.sc) })
-	}},
-	{"f6", true, func(e *env) error {
-		rows, err := core.RunFigure6(e.sc, e.progress)
-		return emit(rows, err, core.FormatFigure6)
-	}},
-	{"f7", true, func(e *env) error {
-		rows, err := core.RunFigure7(e.sc, e.progress)
-		return emit(rows, err, core.FormatFigure7)
-	}},
-	{"scale", false, func(e *env) error {
-		rows, err := core.RunScaling(e.sc, e.warehouses, e.progress)
-		return emit(rows, err, core.FormatScaling)
-	}},
-	{"logical", false, func(e *env) error {
-		rows, err := core.RunLogicalVsPhysical(e.sc, e.progress)
-		return emit(rows, err, core.FormatLogical)
-	}},
-	{"pareto", false, func(e *env) error {
-		rep, err := core.RunPareto(e.sc, e.pareto, e.progress)
-		return emit(rep, err, core.FormatPareto)
-	}},
-	{"replica", false, func(e *env) error {
-		rows, err := core.RunReplica(e.sc, e.replica, e.progress)
-		return emit(rows, err, core.FormatReplica)
-	}},
-	{"chaos", false, func(e *env) error {
+	{"t3", true, func(e *env) core.Experiment { return core.Table3(e.sc) }, nil},
+	{"f4", true, func(e *env) core.Experiment { return core.Figure4(e.sc) }, nil},
+	{"f5", true, func(e *env) core.Experiment { return core.Figure5(e.sc) }, nil},
+	{"t4", true, func(e *env) core.Experiment { return core.Table4(e.sc) }, nil},
+	{"t5", true, func(e *env) core.Experiment { return core.Table5(e.sc) }, nil},
+	{"f6", true, func(e *env) core.Experiment { return core.Figure6(e.sc) }, nil},
+	{"f7", true, func(e *env) core.Experiment { return core.Figure7(e.sc) }, nil},
+	{"scale", false, func(e *env) core.Experiment { return core.Scaling(e.sc, e.warehouses) }, nil},
+	{"logical", false, func(e *env) core.Experiment { return core.LogicalVsPhysical(e.sc) }, nil},
+	{"pareto", false, func(e *env) core.Experiment { return core.Pareto(e.sc, e.budget, e.paretoGrid) }, nil},
+	{"replica", false, func(e *env) core.Experiment { return core.Replica(e.sc, e.replica) }, nil},
+	{"chaos", false, nil, func(e *env) error {
 		cfg := chaos.DefaultConfig()
 		cfg.Points = e.crashPoints
 		cfg.Seed = e.sc.Seed
@@ -195,15 +165,6 @@ var registry = []experiment{
 	}},
 }
 
-// emit prints one campaign's report, unless the campaign failed.
-func emit[R any](rows R, err error, format func(R) string) error {
-	if err != nil {
-		return err
-	}
-	fmt.Println(format(rows))
-	return nil
-}
-
 // expNames lists the registry's tokens with the given "all" membership.
 func expNames(reg []experiment, inAll bool) []string {
 	var names []string
@@ -215,17 +176,27 @@ func expNames(reg []experiment, inAll bool) []string {
 	return names
 }
 
-// runExperiments runs the selected entries in registry order. Only the
-// first one is instrumented: the tracer and the sampling hooks observe a
-// single run's virtual timeline, so once an experiment has had them they
-// are cleared for the rest of the invocation.
+// runExperiments runs the selected entries in registry order, printing
+// each declared table's report. Only the first one is instrumented: the
+// tracer and the sampling hooks observe a single run's virtual timeline,
+// so once an experiment has had them they are cleared for the rest of the
+// invocation.
 func runExperiments(reg []experiment, want map[string]bool, e *env) error {
 	for _, x := range reg {
 		if !want[x.name] && !(want["all"] && x.inAll) {
 			continue
 		}
-		if err := x.run(e); err != nil {
-			return err
+		if x.decl == nil {
+			if err := x.run(e); err != nil {
+				return err
+			}
+		} else {
+			d := x.decl(e)
+			rows, err := d.Run(e.sc, e.done, e.progress)
+			if err != nil {
+				return err
+			}
+			fmt.Println(d.Text(rows))
 		}
 		e.sc.Tracer, e.sc.SampleInterval, e.sc.OnRepository = nil, 0, nil
 	}
@@ -248,34 +219,43 @@ func parseList[T any](list, errFmt string, conv func(tok string) (T, bool)) ([]T
 	return out, nil
 }
 
-// writeFile creates path and fills it through write, reporting the first
-// of the write and close errors.
-func writeFile(path string, write func(w io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
+// create opens an output file the invocation fills at its end ("" = no
+// such output). Every output is created before the first run, so a bad
+// path fails at once instead of after the campaign has spent its minutes.
+func create(path string) (*os.File, error) {
+	if path == "" {
+		return nil, nil
 	}
-	err = write(f)
+	return os.Create(path)
+}
+
+// fill writes an output created up front and closes it, reporting the
+// first of the write and close errors.
+func fill(f *os.File, write func(w io.Writer) error) error {
+	err := write(f)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
 	return err
 }
 
-// startProfiles begins the host-side profiles -cpuprofile and -memprofile
-// ask for and returns the function that finishes them: it stops the CPU
-// profile and writes every allocation since process start (read it with
-// go tool pprof -sample_index=alloc_objects or alloc_space).
+// startProfiles creates the files -cpuprofile and -memprofile ask for,
+// begins the CPU profile and returns the function that finishes both: it
+// stops the CPU profile and writes every allocation since process start
+// (read it with go tool pprof -sample_index=alloc_objects or alloc_space).
 func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
-	var cpu *os.File
-	if cpuPath != "" {
-		if cpu, err = os.Create(cpuPath); err != nil {
-			return nil, err
-		}
-		if err := pprof.StartCPUProfile(cpu); err != nil {
-			cpu.Close()
-			return nil, err
-		}
+	mem, err := create(memPath)
+	if err != nil {
+		return nil, err
+	}
+	cpu, err := create(cpuPath)
+	if err == nil && cpu != nil {
+		err = pprof.StartCPUProfile(cpu)
+	}
+	if err != nil {
+		mem.Close()
+		cpu.Close()
+		return nil, err
 	}
 	return func() error {
 		var err error
@@ -283,9 +263,9 @@ func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
 			pprof.StopCPUProfile()
 			err = cpu.Close()
 		}
-		if memPath != "" {
+		if mem != nil {
 			runtime.GC() // the profile is complete up to the last collection
-			werr := writeFile(memPath, func(w io.Writer) error { return pprof.Lookup("allocs").WriteTo(w, 0) })
+			werr := fill(mem, func(w io.Writer) error { return pprof.Lookup("allocs").WriteTo(w, 0) })
 			if err == nil {
 				err = werr
 			}
@@ -387,8 +367,10 @@ func run(args []string) error {
 	}
 
 	e := &env{
+		done:        map[string]*core.Result{},
 		crashPoints: *crashPoints,
-		pareto:      core.ParetoConfig{Budget: *budget},
+		budget:      *budget,
+		paretoGrid:  core.ParetoGrid(),
 		replica:     core.DefaultReplicaGrid(),
 		progress: func(line string) {
 			fmt.Fprintf(os.Stderr, "%s  %s\n", time.Now().Format("15:04:05"), line)
@@ -404,6 +386,9 @@ func run(args []string) error {
 	}
 	e.sc.Parallel = *parallel
 	e.sc.Seed = *seed
+	if *budget <= 0 {
+		return fmt.Errorf("-budget must be positive (got %v)", *budget)
+	}
 
 	want, err := parseExperiments(*expList)
 	if err != nil {
@@ -416,7 +401,7 @@ func run(args []string) error {
 		return err
 	}
 	if strings.TrimSpace(*paretoGrid) != "" { // empty = the default grid
-		e.pareto.Grid, err = parseList(*paretoGrid, "bad -pareto-grid value %q: want Table 3 config names, e.g. F1G3T1,F100G3T10",
+		e.paretoGrid, err = parseList(*paretoGrid, "bad -pareto-grid value %q: want Table 3 config names, e.g. F1G3T1,F100G3T10",
 			func(tok string) (core.RecoveryConfig, bool) { return core.ConfigByName(strings.ToUpper(tok)) })
 		if err != nil {
 			return err
@@ -468,6 +453,17 @@ func run(args []string) error {
 		e.sc.OnRepository = func(r *monitor.Repository) { repo = r }
 	}
 
+	traceOut, err := create(*traceFile)
+	if err != nil {
+		return err
+	}
+	defer traceOut.Close()
+	statsOut, err := create(*statsFile)
+	if err != nil {
+		return err
+	}
+	defer statsOut.Close()
+
 	// flushTrace writes the collected trace outputs.
 	flushTrace := func() error {
 		if timelineSink != nil {
@@ -476,7 +472,7 @@ func run(args []string) error {
 		if chromeSink == nil {
 			return nil
 		}
-		err := writeFile(*traceFile, func(w io.Writer) error {
+		err := fill(traceOut, func(w io.Writer) error {
 			_, err := chromeSink.WriteTo(w)
 			return err
 		})
@@ -493,6 +489,10 @@ func run(args []string) error {
 			if *statsFile != "" || *awr {
 				fmt.Fprintln(os.Stderr, "stats: no run was sampled (the first selected experiment samples no run)")
 			}
+			if statsOut != nil {
+				statsOut.Close()
+				return os.Remove(*statsFile)
+			}
 			return nil
 		}
 		if *awr {
@@ -505,7 +505,7 @@ func run(args []string) error {
 		if strings.HasSuffix(*statsFile, ".json") {
 			write = repo.WriteJSON
 		}
-		err := writeFile(*statsFile, write)
+		err := fill(statsOut, write)
 		if err == nil {
 			fmt.Fprintf(os.Stderr, "stats: %d samples written to %s\n", repo.Len(), *statsFile)
 		}
@@ -522,6 +522,8 @@ func run(args []string) error {
 	}
 	if err == nil {
 		err = flushStats()
+	} else if statsOut != nil {
+		os.Remove(*statsFile) // a failed campaign exports no statistics
 	}
 	// The trace is flushed even when an experiment failed — a chaos
 	// violation above all — so the evidence is on disk.

@@ -74,7 +74,14 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-exp", "chaos", "-crashpoints", "0"},
 		{"-exp", "t4", "-stats", "m.csv", "-sample-interval", "0s"},
 		{"-exp", "t4", "-awr", "-sample-interval", "-1s"},
+		{"-exp", "pareto", "-budget", "0"},
+		{"-exp", "pareto", "-budget", "-5s"},
+		// Every output path is created before the first run: a bad one
+		// fails in a second, not after the campaign.
 		{"-exp", "t4", "-cpuprofile", "no/such/dir/cpu.prof"},
+		{"-exp", "t4", "-memprofile", "no/such/dir/mem.prof"},
+		{"-exp", "t4", "-stats", "no/such/dir/stats.csv"},
+		{"-exp", "t4", "-trace", "no/such/dir/trace.json"},
 	}
 	for _, args := range cases {
 		if err := run(args); err == nil {
@@ -94,7 +101,7 @@ func TestRunExperimentsInstrumentsFirstOnly(t *testing.T) {
 		got = append(got, seen{e.sc.Tracer != nil, e.sc.SampleInterval > 0, e.sc.OnRepository != nil})
 		return nil
 	}
-	stub := []experiment{{"first", true, record}, {"skipped", false, record}, {"second", true, record}}
+	stub := []experiment{{"first", true, nil, record}, {"skipped", false, nil, record}, {"second", true, nil, record}}
 	e := &env{}
 	e.sc.Tracer = trace.New(trace.NewHashSink())
 	e.sc.SampleInterval = time.Second
@@ -134,6 +141,9 @@ func TestStartProfilesWritesBothFiles(t *testing.T) {
 	}
 	if _, err := startProfiles(filepath.Join(dir, "second.prof"), ""); err == nil {
 		t.Error("a second CPU profile started while the first was running")
+	}
+	if _, err := startProfiles("", filepath.Join(dir, "no", "mem.prof")); err == nil {
+		t.Error("a memory profile path in a missing directory was accepted")
 	}
 	if err := stop(); err != nil {
 		t.Fatal(err)

@@ -40,8 +40,8 @@ type Scale struct {
 	RecoveryWorkers []int
 	// Tracer, when set, is attached to the campaign's instrumented run
 	// (runs have independent virtual timebases, so exactly one is traced:
-	// the first, unless the runner nominates a more telling one — see
-	// campaign.go). Nil disables tracing.
+	// the first, unless the declaration names a more telling one — see
+	// Experiment.Instrumented). Nil disables tracing.
 	Tracer *trace.Tracer
 	// SampleInterval, when positive, enables the MMON workload
 	// repository on the same instrumented run.
@@ -93,8 +93,8 @@ func QuickScale() Scale {
 	}
 }
 
-// Validate rejects, before any job of a campaign runs, the empty workload
-// every Run would reject (validateWorkload).
+// Validate rejects the scale's workload if it is the empty one every Run
+// would reject (validateWorkload).
 func (sc Scale) Validate() error { return validateWorkload(sc.TPCC) }
 
 // spec builds a base Spec for this scale.
@@ -118,153 +118,94 @@ func (sc Scale) maxRecoveryWorkers() int {
 	return slices.Max(append([]int{1}, sc.RecoveryWorkers...))
 }
 
-// Progress receives one line per completed run; may be nil. Campaign
-// runners serialize calls under the pool mutex and prefix each line with
-// a completed/total counter, so it is safe to write to a shared sink.
-type Progress func(line string)
-
-// ---------------------------------------------------------------------
-// Table 3 / Figure 4 (performance side): one fault-free run per recovery
-// configuration, measuring tpmC and checkpoints per experiment.
-
-// PerfRow is one configuration's performance measurement.
-type PerfRow struct {
-	Config      RecoveryConfig
-	TpmC        float64
-	Checkpoints int
-	LogStalls   time.Duration
-	RedoMBps    float64
+// inject makes spec a fault run: f is injected at `at` and the run ends
+// Scale.Tail after the recovery completes.
+func (sc Scale) inject(spec *Spec, f faults.Fault, at time.Duration) {
+	spec.Fault = &f
+	spec.InjectAt = at
+	spec.TailAfterRecovery = sc.Tail
 }
 
-// perfRow folds one fault-free result into its Table 3 row.
-func perfRow(cfg RecoveryConfig, sc Scale, res *Result) PerfRow {
-	return PerfRow{
-		Config:      cfg,
-		TpmC:        res.TpmC,
-		Checkpoints: res.Checkpoints,
-		LogStalls:   res.LogStalls,
-		RedoMBps:    float64(res.RedoWritten) / (1 << 20) / sc.Duration.Seconds(),
+// abort is the instance crash: Figure 4's faultload, the stand-by and
+// replication failovers, and the scaling and pareto crash runs.
+var abort = faults.Fault{Kind: faults.ShutdownAbort}
+
+// Table3 is Table 3 (and Figure 4's performance side): one fault-free run
+// per recovery configuration, measuring tpmC and checkpoints per
+// experiment.
+func Table3(sc Scale) Experiment {
+	var grid [][]Spec
+	for _, cfg := range Table3Configs {
+		grid = append(grid, []Spec{sc.spec("T3/"+cfg.Name, cfg)})
 	}
+	return table("Table 3. Recovery configurations (measured).", grid,
+		configCol,
+		Column{"FileSize", 10, "%8dMB", func(r Row) any { return r[0].Spec.Recovery.FileSize >> 20 }},
+		Column{"Groups", 7, "%7d", func(r Row) any { return r[0].Spec.Recovery.Groups }},
+		Column{"CkptTime", 9, "%8ds", func(r Row) any { return int(r[0].Spec.Recovery.CheckpointTimeout.Seconds()) }},
+		bar,
+		Column{"#CKPT/exp", 10, "%10d", func(r Row) any { return r[0].Checkpoints }},
+		Column{"tpmC", 6, "%6.0f", tpmC(0)},
+		Column{"redo MB/s", 10, "%10.2f", redoMBps(0)})
 }
 
-// RunTable3 measures every Table 3 configuration without faults.
-func RunTable3(sc Scale, progress Progress) ([]PerfRow, error) {
-	rows := make([]PerfRow, len(Table3Configs))
-	c := campaign{sc: sc}
-	for i, cfg := range Table3Configs {
-		row := &rows[i]
-		c.add(sc.spec("T3/"+cfg.Name, cfg), func(res *Result) string {
-			r := perfRow(cfg, sc, res)
-			return fmt.Sprintf("T3 %-10s tpmC=%5.0f ckpts=%3d stalls=%v", cfg.Name, r.TpmC, r.Checkpoints, r.LogStalls.Round(time.Second))
-		}, func(res *Result) { *row = perfRow(cfg, sc, res) })
+// Figure4 is Figure 4: per configuration, Table 3's fault-free run (the
+// same job, so an invocation that ran t3 does not run it again) and the
+// Shutdown Abort recovery at full throughput.
+func Figure4(sc Scale) Experiment {
+	var grid [][]Spec
+	for _, cfg := range Table3Configs {
+		crash := sc.spec("F4/"+cfg.Name, cfg)
+		sc.inject(&crash, abort, sc.InjectTimes[1])
+		grid = append(grid, []Spec{sc.spec("T3/"+cfg.Name, cfg), crash})
 	}
-	return runCampaign(&c, rows, progress)
+	return table("Figure 4. Performance and recovery time (Shutdown Abort faultload).", grid,
+		configCol,
+		Column{"tpmC", 8, "%8.0f", tpmC(0)},
+		Column{"recovery (s)", 14, "%14s", recSecs(1)})
 }
 
-// Fig4Row pairs a configuration's performance with its shutdown-abort
-// recovery time.
-type Fig4Row struct {
-	Config       RecoveryConfig
-	TpmC         float64
-	RecoveryTime time.Duration
-}
-
-// RunFigure4 reproduces Figure 4: performance and recovery time per
-// configuration under the Shutdown Abort faultload. perf may carry the
-// Table 3 rows to avoid re-running the fault-free side; pass nil to run
-// them here.
-func RunFigure4(sc Scale, perf []PerfRow, progress Progress) ([]Fig4Row, error) {
-	if perf == nil {
-		var err error
-		if perf, err = RunTable3(sc, progress); err != nil {
-			return nil, err
-		}
-		// The fault-free campaign consumed the scale's instrumentation.
-		sc.Tracer, sc.SampleInterval, sc.OnRepository = nil, 0, nil
-	}
-	rows := make([]Fig4Row, len(perf))
-	c := campaign{sc: sc}
-	for i, pr := range perf {
-		row := &rows[i]
-		*row = Fig4Row{Config: pr.Config, TpmC: pr.TpmC}
-		spec := sc.spec("F4/"+pr.Config.Name, pr.Config)
-		sc.inject(&spec, faults.Fault{Kind: faults.ShutdownAbort}, sc.InjectTimes[1]) // at full throughput
-		c.add(spec, func(res *Result) string {
-			return fmt.Sprintf("F4 %-10s tpmC=%5.0f recovery=%v", row.Config.Name, row.TpmC, res.RecoveryTime.Round(time.Second))
-		}, func(res *Result) { row.RecoveryTime = res.RecoveryTime })
-	}
-	return runCampaign(&c, rows, progress)
-}
-
-// ---------------------------------------------------------------------
-// Figure 5: performance with and without archive logs.
-
-// Fig5Row compares one configuration's tpmC with the archiver off and on.
-type Fig5Row struct {
-	Config        RecoveryConfig
-	TpmCNoArchive float64
-	TpmCArchive   float64
-}
-
-// OverheadPct is the archive mechanism's throughput cost.
-func (r Fig5Row) OverheadPct() float64 {
-	if r.TpmCNoArchive == 0 {
-		return 0
-	}
-	return 100 * (1 - r.TpmCArchive/r.TpmCNoArchive)
-}
-
-// RunFigure5 reproduces Figure 5 over the archive-relevant configurations:
-// two runs per configuration, archiver off and on.
-func RunFigure5(sc Scale, progress Progress) ([]Fig5Row, error) {
-	configs := ArchiveConfigs()
-	rows := make([]Fig5Row, len(configs))
-	c := campaign{sc: sc}
-	for i, cfg := range configs {
-		row := &rows[i]
-		row.Config = cfg
+// Figure5 is Figure 5 over the archive-relevant configurations: per
+// configuration one run with the archiver off and one with it on.
+func Figure5(sc Scale) Experiment {
+	var grid [][]Spec
+	for _, cfg := range ArchiveConfigs() {
+		var row []Spec
 		for _, archive := range []bool{false, true} {
 			spec := sc.spec(fmt.Sprintf("F5/%s/arch=%v", cfg.Name, archive), cfg)
 			spec.Archive = archive
-			cell := &row.TpmCNoArchive
-			if archive {
-				cell = &row.TpmCArchive
-			}
-			c.add(spec, func(res *Result) string {
-				return fmt.Sprintf("F5 %-10s arch=%-5v tpmC=%5.0f", cfg.Name, archive, res.TpmC)
-			}, func(res *Result) { *cell = res.TpmC })
+			row = append(row, spec)
 		}
+		grid = append(grid, row)
 	}
-	return runCampaign(&c, rows, progress)
+	return table("Figure 5. Performance with and without archive logs.", grid,
+		configCol,
+		Column{"tpmC (off)", 12, "%12.0f", tpmC(0)},
+		Column{"tpmC (on)", 12, "%12.0f", tpmC(1)},
+		Column{"overhead", 10, "%9.1f%%", func(r Row) any { // the archiver's throughput cost
+			if r[0].TpmC == 0 {
+				return 0.0
+			}
+			return 100 * (1 - r[1].TpmC/r[0].TpmC)
+		}})
 }
 
-// ---------------------------------------------------------------------
-// Tables 4 and 5: recovery time per fault type, configuration and
-// injection instant, with archive logs active.
-
-// RecRow is one (fault, configuration) row: recovery times at the three
-// injection instants plus the dependability measures.
-type RecRow struct {
-	Fault  faults.Kind
-	Config RecoveryConfig
-	// Times[i] is the recovery time with the fault injected at
-	// Scale.InjectTimes[i].
-	Times [3]time.Duration
-	// LostCommits[i] is committed transactions lost (incomplete
-	// recovery only).
-	LostCommits [3]int
-	// Violations[i] counts integrity violations detected afterwards.
-	Violations [3]int
-	// Avail[i] is the global served fraction (0..1) over the fault
-	// window [inject, recovered): how much of the offered load the
-	// database still served while the fault was being repaired. ~0 for
-	// full outages, near 1 for localized faults at W>1.
-	Avail [3]float64
+// Table4 is Table 4: the faults with incomplete recovery.
+func Table4(sc Scale) Experiment {
+	return recoveryGrid(sc, "Table 4. Recovery time (s) for faults with incomplete recovery.", "T4",
+		[]faults.Kind{faults.DeleteUsersObject, faults.DeleteTablespace}, ArchiveConfigs())
 }
 
-// runRecoveryGrid executes fault × config × inject-time with archives on:
-// one row per (fault, config), one job per injection instant.
-func runRecoveryGrid(sc Scale, kinds []faults.Kind, configs []RecoveryConfig, label string, progress Progress) ([]RecRow, error) {
+// Table5 is Table 5: the faults with complete recovery.
+func Table5(sc Scale) Experiment {
+	return recoveryGrid(sc, "Table 5. Recovery time (s) for faults with complete recovery.", "T5",
+		[]faults.Kind{faults.ShutdownAbort, faults.DeleteDatafile, faults.SetDatafileOffline, faults.SetTablespaceOffline},
+		ArchiveConfigs())
+}
+
+// recoveryGrid declares a Table 4/5 style grid with archive logs active:
+// one line per (fault, configuration), one job per injection instant.
+func recoveryGrid(sc Scale, title, prefix string, kinds []faults.Kind, configs []RecoveryConfig) Experiment {
 	targets := map[faults.Kind]string{
 		faults.DeleteDatafile:       "TPCC_01.dbf",
 		faults.SetDatafileOffline:   "TPCC_01.dbf",
@@ -272,79 +213,45 @@ func runRecoveryGrid(sc Scale, kinds []faults.Kind, configs []RecoveryConfig, la
 		faults.SetTablespaceOffline: tpcc.Tablespace,
 		faults.DeleteUsersObject:    tpcc.TableStock,
 	}
-	var rows []RecRow
-	c := campaign{sc: sc}
+	var grid [][]Spec
 	for _, kind := range kinds {
 		for _, cfg := range configs {
-			r := len(rows)
-			rows = append(rows, RecRow{Fault: kind, Config: cfg})
+			row := make([]Spec, len(sc.InjectTimes))
 			for t, at := range sc.InjectTimes {
-				spec := sc.spec(fmt.Sprintf("%s/%v/%s/t%d", label, kind, cfg.Name, t), cfg)
-				spec.Archive = true
-				sc.inject(&spec, faults.Fault{Kind: kind, Target: targets[kind]}, at)
-				c.add(spec, func(res *Result) string {
-					return fmt.Sprintf("%s %-22v %-10s t%d recovery=%v", label, kind, cfg.Name,
-						t, res.RecoveryTime.Round(time.Second))
-				}, func(res *Result) {
-					row := &rows[r]
-					row.Times[t] = res.RecoveryTime
-					if res.Outcome != nil && res.Outcome.Report != nil {
-						row.LostCommits[t] = res.Outcome.Report.LostCommits
-					}
-					row.Violations[t] = len(res.IntegrityViolations)
-					if res.Availability != nil {
-						row.Avail[t] = res.Availability.GlobalFraction()
-					}
-				})
+				row[t] = sc.spec(fmt.Sprintf("%s/%v/%s/t%d", prefix, kind, cfg.Name, t), cfg)
+				row[t].Archive = true
+				sc.inject(&row[t], faults.Fault{Kind: kind, Target: targets[kind]}, at)
 			}
+			grid = append(grid, row)
 		}
 	}
-	return runCampaign(&c, rows, progress)
+	at := func(t int) Column {
+		return Column{fmt.Sprintf("@%ds", int(sc.InjectTimes[t].Seconds())), 9, "%9s", recSecs(t)}
+	}
+	total := func(measure func(res *Result) int) func(Row) any {
+		return func(r Row) any { return measure(r[0]) + measure(r[1]) + measure(r[2]) }
+	}
+	return table(title, grid,
+		Column{"Fault", -22, "%-22s", func(r Row) any { return label(r[0].Spec.Fault.Kind.String()) }},
+		configCol, bar, at(0), at(1), at(2), bar,
+		Column{"lost", 6, "%6d", total(func(res *Result) int { // committed transactions lost (incomplete recovery only)
+			if res.Outcome == nil || res.Outcome.Report == nil {
+				return 0
+			}
+			return res.Outcome.Report.LostCommits
+		})},
+		Column{"viol", 5, "%5d", total(func(res *Result) int { return len(res.IntegrityViolations) })},
+		Column{"avail", 6, "%6s", func(r Row) any { return pct((avail(r[0]) + avail(r[1]) + avail(r[2])) / 3) }})
 }
 
-// RunTable4 reproduces Table 4: the faults with incomplete recovery.
-func RunTable4(sc Scale, progress Progress) ([]RecRow, error) {
-	return runRecoveryGrid(sc, []faults.Kind{faults.DeleteUsersObject, faults.DeleteTablespace}, ArchiveConfigs(), "T4", progress)
-}
-
-// RunTable5 reproduces Table 5: the faults with complete recovery.
-func RunTable5(sc Scale, progress Progress) ([]RecRow, error) {
-	return runRecoveryGrid(sc, []faults.Kind{
-		faults.ShutdownAbort, faults.DeleteDatafile,
-		faults.SetDatafileOffline, faults.SetTablespaceOffline,
-	}, ArchiveConfigs(), "T5", progress)
-}
-
-// ---------------------------------------------------------------------
-// Figure 6: performance and recovery time with archive logs and the
-// stand-by database.
-
-// Fig6Row compares the stand-by configuration against archive-only.
-type Fig6Row struct {
-	Config RecoveryConfig
-	// TpmCArchive/TpmCStandby are fault-free throughputs.
-	TpmCArchive float64
-	TpmCStandby float64
-	// Failover is the stand-by activation time after a primary crash
-	// at the late injection instant.
-	Failover time.Duration
-	// MediaRecovery is the archive-only delete-datafile recovery at the
-	// same instant, for the paper's comparison curve.
-	MediaRecovery time.Duration
-}
-
-// RunFigure6 reproduces Figure 6 over the archive configurations: per
-// configuration two fault-free runs (archive only, archive + stand-by)
-// and two late-instant fault runs (stand-by failover, archive-only media
+// Figure6 is Figure 6 over the archive configurations: per configuration
+// two fault-free runs (archive only, archive + stand-by) and two
+// late-instant fault runs (stand-by failover, archive-only media
 // recovery).
-func RunFigure6(sc Scale, progress Progress) ([]Fig6Row, error) {
-	configs := ArchiveConfigs()
-	rows := make([]Fig6Row, len(configs))
-	c := campaign{sc: sc}
-	for i, cfg := range configs {
-		row := &rows[i]
-		row.Config = cfg
-		add := func(kind string, sb bool, fault *faults.Fault, fold func(res *Result)) {
+func Figure6(sc Scale) Experiment {
+	var grid [][]Spec
+	for _, cfg := range ArchiveConfigs() {
+		spec := func(kind string, sb bool, fault *faults.Fault) Spec {
 			spec := sc.spec("F6/"+kind+"/"+cfg.Name, cfg)
 			spec.Archive = true
 			if sb {
@@ -353,34 +260,17 @@ func RunFigure6(sc Scale, progress Progress) ([]Fig6Row, error) {
 			if fault != nil {
 				sc.inject(&spec, *fault, sc.InjectTimes[2])
 			}
-			c.add(spec, func(res *Result) string {
-				measure, unit := res.TpmC, "tpmC"
-				if fault != nil {
-					measure, unit = res.RecoveryTime.Seconds(), "rec-s"
-				}
-				return fmt.Sprintf("F6 %-10s %-8s %s=%5.1f", cfg.Name, kind, unit, measure)
-			}, fold)
+			return spec
 		}
-		add("arch", false, nil, func(res *Result) { row.TpmCArchive = res.TpmC })
-		add("sb", true, nil, func(res *Result) { row.TpmCStandby = res.TpmC })
-		add("failover", true, &faults.Fault{Kind: faults.ShutdownAbort},
-			func(res *Result) { row.Failover = res.RecoveryTime })
-		add("media", false, &faults.Fault{Kind: faults.DeleteDatafile, Target: "TPCC_01.dbf"},
-			func(res *Result) { row.MediaRecovery = res.RecoveryTime })
+		grid = append(grid, []Spec{spec("arch", false, nil), spec("sb", true, nil), spec("failover", true, &abort),
+			spec("media", false, &faults.Fault{Kind: faults.DeleteDatafile, Target: "TPCC_01.dbf"})})
 	}
-	return runCampaign(&c, rows, progress)
-}
-
-// ---------------------------------------------------------------------
-// Figure 7: lost transactions on the stand-by database versus redo log
-// file size and group count.
-
-// Fig7Row is one (size, groups) cell.
-type Fig7Row struct {
-	SizeMB int
-	Groups int
-	// Lost is acknowledged commits missing on the activated stand-by.
-	Lost int
+	return table("Figure 6. Performance and recovery time with archive logs and stand-by.", grid,
+		configCol,
+		Column{"tpmC (arch)", 12, "%12.0f", tpmC(0)},
+		Column{"tpmC (sb)", 12, "%12.0f", tpmC(1)},
+		Column{"failover (s)", 14, "%14s", recSecs(2)},
+		Column{"media rec. (s)", 18, "%18s", recSecs(3)})
 }
 
 // Figure7Grid is the size/group grid measured (log sizes in MB × group
@@ -393,12 +283,13 @@ var Figure7Grid = struct {
 	Groups:  []int{2, 3, 6},
 }
 
-// RunFigure7 reproduces Figure 7: primary crash at the late instant with
-// a stand-by, varying the online log geometry.
-func RunFigure7(sc Scale, progress Progress) ([]Fig7Row, error) {
-	var rows []Fig7Row
-	c := campaign{sc: sc}
+// Figure7 is Figure 7: acknowledged commits missing on the activated
+// stand-by after a primary crash at the late instant, one line per online
+// log size, one column per group count.
+func Figure7(sc Scale) Experiment {
+	var grid [][]Spec
 	for _, sizeMB := range Figure7Grid.SizesMB {
+		var row []Spec
 		for _, groups := range Figure7Grid.Groups {
 			cfg := RecoveryConfig{
 				Name:              fmt.Sprintf("F%dG%dT1", sizeMB, groups),
@@ -406,16 +297,17 @@ func RunFigure7(sc Scale, progress Progress) ([]Fig7Row, error) {
 				Groups:            groups,
 				CheckpointTimeout: time.Minute,
 			}
-			r := len(rows)
-			rows = append(rows, Fig7Row{SizeMB: sizeMB, Groups: groups})
 			spec := sc.spec("F7/"+cfg.Name, cfg)
 			spec.Archive = true
 			spec.Standbys, spec.ReplMode = 1, standby.ModeArchive
-			sc.inject(&spec, faults.Fault{Kind: faults.ShutdownAbort}, sc.InjectTimes[2])
-			c.add(spec, func(res *Result) string {
-				return fmt.Sprintf("F7 size=%3dMB groups=%d lost=%d", sizeMB, groups, res.LostTransactions)
-			}, func(res *Result) { rows[r].Lost = res.LostTransactions })
+			sc.inject(&spec, abort, sc.InjectTimes[2])
+			row = append(row, spec)
 		}
+		grid = append(grid, row)
 	}
-	return runCampaign(&c, rows, progress)
+	cols := []Column{{`size\groups`, -10, "%-10s", func(r Row) any { return fmt.Sprintf("%d MB", r[0].Spec.Recovery.FileSize>>20) }}}
+	for j, g := range Figure7Grid.Groups {
+		cols = append(cols, Column{fmt.Sprintf("G%d", g), 8, "%8d", func(r Row) any { return r[j].LostTransactions }})
+	}
+	return table("Figure 7. Lost transactions in the stand-by database.", grid, cols...)
 }

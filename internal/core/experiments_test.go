@@ -55,28 +55,28 @@ func TestShapeCheckpointRateVsConfig(t *testing.T) {
 func TestShapeRecoveryGrid(t *testing.T) {
 	sc := miniScale()
 	configs := []RecoveryConfig{mustConfig("F40G3T10"), mustConfig("F1G3T1")}
-	rows, err := runRecoveryGrid(sc, []faults.Kind{faults.ShutdownAbort, faults.SetTablespaceOffline}, configs, "test", nil)
+	rows, err := recoveryGrid(sc, "", "test", []faults.Kind{faults.ShutdownAbort, faults.SetTablespaceOffline}, configs).Run(sc, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	byKey := map[string]RecRow{}
-	for _, r := range rows {
-		byKey[r.Fault.String()+"/"+r.Config.Name] = r
-		for i := 0; i < 3; i++ {
-			if r.Violations[i] != 0 {
-				t.Errorf("%v/%s inject %d: %d integrity violations", r.Fault, r.Config.Name, i, r.Violations[i])
+	byKey := map[string]Row{}
+	for _, r := range rows[0] {
+		kind, cfg := r[0].Spec.Fault.Kind, r[0].Spec.Recovery.Name
+		byKey[kind.String()+"/"+cfg] = r
+		for i, res := range r {
+			if n := len(res.IntegrityViolations); n != 0 {
+				t.Errorf("%v/%s inject %d: %d integrity violations", kind, cfg, i, n)
 			}
-			if r.LostCommits[i] != 0 {
-				t.Errorf("%v/%s inject %d: %d lost commits on complete recovery", r.Fault, r.Config.Name, i, r.LostCommits[i])
+			if rep := res.Outcome.Report; rep != nil && rep.LostCommits != 0 {
+				t.Errorf("%v/%s inject %d: %d lost commits on complete recovery", kind, cfg, i, rep.LostCommits)
 			}
 		}
 	}
 	// Offline tablespace: always close to a second (paper Table 5).
 	for _, cfg := range configs {
-		r := byKey["Set tablespace offline/"+cfg.Name]
-		for i := 0; i < 3; i++ {
-			if r.Times[i] > 5*time.Second {
-				t.Errorf("offline tablespace recovery %v at %s", r.Times[i], cfg.Name)
+		for i, res := range byKey["Set tablespace offline/"+cfg.Name] {
+			if res.RecoveryTime > 5*time.Second {
+				t.Errorf("offline tablespace recovery %v at %s inject %d", res.RecoveryTime, cfg.Name, i)
 			}
 		}
 	}
@@ -84,10 +84,10 @@ func TestShapeRecoveryGrid(t *testing.T) {
 	// as fast as the lazy one (paper Table 5's dominant trend).
 	lazy := byKey["Shutdown abort/F40G3T10"]
 	eager := byKey["Shutdown abort/F1G3T1"]
-	if eager.Times[2] > lazy.Times[2] {
-		t.Errorf("shutdown abort recovery: eager %v > lazy %v", eager.Times[2], lazy.Times[2])
+	if eager[2].RecoveryTime > lazy[2].RecoveryTime {
+		t.Errorf("shutdown abort recovery: eager %v > lazy %v", eager[2].RecoveryTime, lazy[2].RecoveryTime)
 	}
-	t.Logf("abort recovery lazy=%v eager=%v", lazy.Times, eager.Times)
+	t.Logf("abort recovery at the late instant lazy=%v eager=%v", lazy[2].RecoveryTime, eager[2].RecoveryTime)
 }
 
 // TestShapeLostTransactionsVsLogSize encodes Figure 7: bigger online logs

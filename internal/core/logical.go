@@ -1,7 +1,7 @@
 package core
 
 // Logical recovery campaign and the `recover --scan` procedure: the
-// flashback extension's measurement surface. RunLogicalVsPhysical drives
+// flashback extension's measurement surface. LogicalVsPhysical drives
 // every single-table logical fault through both remedies — FLASHBACK
 // TABLE (instance stays open, one table rewound from the redo stream)
 // and the paper's physical point-in-time baseline (whole database
@@ -15,8 +15,6 @@ import (
 	"hash/fnv"
 	"slices"
 	"sort"
-	"strings"
-	"time"
 
 	"dbench/internal/engine"
 	"dbench/internal/faults"
@@ -30,81 +28,44 @@ var LogicalKinds = []faults.Kind{
 	faults.DeleteUsersObject, faults.TruncateTable, faults.MisroutedBatchUpdate,
 }
 
-// LogicalArm is one remedy's measures for one fault class.
-type LogicalArm struct {
-	// RecoveryTime is the procedure time (detection excluded).
-	RecoveryTime time.Duration
-	// Avail is the global served fraction over the fault window.
-	Avail float64
-	// Lost counts committed transactions discarded by the recovery.
-	Lost int
-}
-
-// LogicalRow compares the two remedies for one fault class.
-type LogicalRow struct {
-	Fault     faults.Kind
-	Flashback LogicalArm
-	Physical  LogicalArm
-}
-
-// Speedup is how many times faster flashback recovered than the
-// physical baseline (0 when either arm is missing).
-func (r LogicalRow) Speedup() float64 {
-	if r.Flashback.RecoveryTime <= 0 || r.Physical.RecoveryTime <= 0 {
-		return 0
-	}
-	return r.Physical.RecoveryTime.Seconds() / r.Flashback.RecoveryTime.Seconds()
-}
-
-// RunLogicalVsPhysical runs the logical-vs-physical comparison: for each
-// fault class, one run recovering by flashback and one forced onto the
-// physical point-in-time path, fault injected at full throughput against
-// the stock table (the largest, most update-heavy segment).
-func RunLogicalVsPhysical(sc Scale, progress Progress) ([]LogicalRow, error) {
+// LogicalVsPhysical is the logical-vs-physical comparison: for each fault
+// class, one run recovering by flashback and one forced onto the physical
+// point-in-time path, fault injected at full throughput against the stock
+// table (the largest, most update-heavy segment).
+func LogicalVsPhysical(sc Scale) Experiment {
 	cfg := mustConfig("F100G3T10")
-	rows := make([]LogicalRow, len(LogicalKinds))
-	c := campaign{sc: sc}
-	for i, kind := range LogicalKinds {
-		row := &rows[i]
-		row.Fault = kind
-		add := func(remedy string, force bool, arm *LogicalArm) {
+	var grid [][]Spec
+	for _, kind := range LogicalKinds {
+		var row []Spec
+		for _, force := range []bool{false, true} {
 			spec := sc.spec(fmt.Sprintf("LvP/%v/physical=%v", kind, force), cfg)
 			spec.Archive = true
 			spec.ForcePhysical = force
 			sc.inject(&spec, faults.Fault{Kind: kind, Target: tpcc.TableStock}, sc.InjectTimes[1])
-			c.add(spec, func(res *Result) string {
-				return fmt.Sprintf("LvP %-22v %-9s recovery=%v lost=%d",
-					kind, remedy, res.RecoveryTime.Round(time.Second), res.LostTransactions)
-			}, func(res *Result) {
-				arm.RecoveryTime = res.RecoveryTime
-				arm.Lost = res.LostTransactions
-				if res.Availability != nil {
-					arm.Avail = res.Availability.GlobalFraction()
-				}
-			})
+			row = append(row, spec)
 		}
-		add("flashback", false, &row.Flashback)
-		add("physical", true, &row.Physical)
+		grid = append(grid, row)
 	}
-	return runCampaign(&c, rows, progress)
-}
-
-// FormatLogical renders the logical-vs-physical comparison table.
-func FormatLogical(rows []LogicalRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Logical vs physical recovery of single-table operator faults.\n")
-	fmt.Fprintf(&b, "(flashback = FLASHBACK TABLE from the redo stream, instance open;\n")
-	fmt.Fprintf(&b, " physical = whole-database point-in-time restore, the paper's remedy)\n")
-	fmt.Fprintf(&b, "%-24s | %9s %6s %5s | %9s %6s %5s | %8s\n", "Fault",
-		"flash (s)", "avail", "lost", "phys (s)", "avail", "lost", "speedup")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-24v | %9s %5.0f%% %5d | %9s %5.0f%% %5d | %7.1fx\n",
-			r.Fault,
-			secs(r.Flashback.RecoveryTime), 100*r.Flashback.Avail, r.Flashback.Lost,
-			secs(r.Physical.RecoveryTime), 100*r.Physical.Avail, r.Physical.Lost,
-			r.Speedup())
-	}
-	return b.String()
+	lost := func(j int) func(Row) any { return func(r Row) any { return r[j].LostTransactions } }
+	return table("Logical vs physical recovery of single-table operator faults.\n"+
+		"(flashback = FLASHBACK TABLE from the redo stream, instance open;\n"+
+		" physical = whole-database point-in-time restore, the paper's remedy)", grid,
+		Column{"Fault", -24, "%-24v", func(r Row) any { return r[0].Spec.Fault.Kind }},
+		bar,
+		Column{"flash (s)", 9, "%9s", recSecs(0)},
+		Column{"avail", 6, "%6s", served(0)},
+		Column{"lost", 5, "%5d", lost(0)},
+		bar,
+		Column{"phys (s)", 9, "%9s", recSecs(1)},
+		Column{"avail", 6, "%6s", served(1)},
+		Column{"lost", 5, "%5d", lost(1)},
+		bar,
+		Column{"speedup", 8, "%7.1fx", func(r Row) any { // how many times faster flashback recovered (0: an arm is missing)
+			if r[0].RecoveryTime <= 0 || r[1].RecoveryTime <= 0 {
+				return 0.0
+			}
+			return r[1].RecoveryTime.Seconds() / r[0].RecoveryTime.Seconds()
+		}})
 }
 
 // ---------------------------------------------------------------------

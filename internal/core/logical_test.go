@@ -4,9 +4,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
-
-	"dbench/internal/faults"
 )
 
 // TestRunCatalogScanRoundTrips drives the full `recover --scan`
@@ -57,22 +54,26 @@ func TestFormatScanReportsFailures(t *testing.T) {
 	}
 }
 
+// The logical table's speedup compares the two arms of its line: 20x for
+// a 2 s flashback against a 40 s restore, 0 when either arm is missing.
 func TestFormatLogicalTable(t *testing.T) {
-	rows := []LogicalRow{{
-		Fault:     faults.TruncateTable,
-		Flashback: LogicalArm{RecoveryTime: 2 * time.Second, Avail: 0.97, Lost: 0},
-		Physical:  LogicalArm{RecoveryTime: 40 * time.Second, Avail: 0.42, Lost: 3},
-	}}
-	if got := rows[0].Speedup(); got < 19.9 || got > 20.1 {
+	x, rows := logicalReport()
+	speedup := func(r Row) float64 {
+		vals := x.Tables[0].Values(r)
+		return vals[len(vals)-1].(float64)
+	}
+	if got := speedup(rows[0][1]); got < 19.9 || got > 20.1 {
 		t.Errorf("speedup = %v, want 20", got)
 	}
-	s := FormatLogical(rows)
+	s := x.Text(rows)
 	for _, want := range []string{"Truncate table", "speedup", "20.0x", "97%", "42%"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("table misses %q:\n%s", want, s)
 		}
 	}
-	if zero := (LogicalRow{}).Speedup(); zero != 0 {
-		t.Errorf("empty row speedup = %v", zero)
+	for _, r := range []Row{rows[0][0], rows[0][2]} {
+		if zero := speedup(r); zero != 0 {
+			t.Errorf("%v: speedup with a missing arm = %v", r[0].Spec.Fault.Kind, zero)
+		}
 	}
 }

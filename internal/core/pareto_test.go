@@ -37,48 +37,52 @@ func TestRunParetoTiny(t *testing.T) {
 		repos++
 		samples = r.Len()
 	}
-	cfg := ParetoConfig{
-		Budget: 30 * time.Second,
-		Grid:   []RecoveryConfig{mustConfig("F1G3T1"), mustConfig("F100G3T10")},
-	}
-	rep, err := RunPareto(sc, cfg, nil)
+	x := Pareto(sc, 30*time.Second, []RecoveryConfig{mustConfig("F1G3T1"), mustConfig("F100G3T10")})
+	rows, err := x.Run(sc, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Rows) != 2 {
-		t.Fatalf("%d frontier rows, want 2", len(rep.Rows))
+	frontier, ctl := rows[0], rows[1]
+	if len(frontier) != 2 {
+		t.Fatalf("%d frontier rows, want 2", len(frontier))
 	}
 	if repos != 1 || samples == 0 {
 		t.Errorf("OnRepository fired %d times (last with %d samples), want once with a non-empty repository", repos, samples)
 	}
-	for _, row := range rep.Rows {
-		if row.TpmC <= 0 {
-			t.Errorf("%s: no throughput measured", row.Config.Name)
+	var best Row
+	for _, r := range frontier {
+		name := r[0].Spec.Recovery.Name
+		if r[0].TpmC <= 0 {
+			t.Errorf("%s: no throughput measured", name)
 		}
-		if row.Recovery <= 0 {
-			t.Errorf("%s: no recovery measured", row.Config.Name)
+		if r[1].RecoveryTime <= 0 {
+			t.Errorf("%s: no recovery measured", name)
+		}
+		if vals := x.Tables[0].Values(r); vals[len(vals)-1] == "yes (best)" {
+			best = r
 		}
 	}
-	if rep.BestStatic < 0 {
+	if best == nil {
 		t.Error("no within-budget static config found (F1G3T1 recovers in ~13s against 30s)")
-	} else if !rep.Rows[rep.BestStatic].WithinBudget {
-		t.Errorf("best static %s marked outside the budget", rep.Rows[rep.BestStatic].Config.Name)
+	} else if best[1].RecoveryTime > 30*time.Second {
+		t.Errorf("best static %s recovered outside the budget", best[0].Spec.Recovery.Name)
 	}
-	if rep.Steady.TpmC <= 0 || rep.Steady.Recovery != 0 {
-		t.Errorf("steady scenario: tpmC=%.0f recovery=%v, want fault-free throughput", rep.Steady.TpmC, rep.Steady.Recovery)
+	steady := ctl[0][0]
+	if steady.TpmC <= 0 || steady.RecoveryTime != 0 {
+		t.Errorf("steady scenario: tpmC=%.0f recovery=%v, want fault-free throughput", steady.TpmC, steady.RecoveryTime)
 	}
-	for _, pc := range []ParetoCtl{rep.Crash, rep.Shift} {
-		if pc.Recovery <= 0 {
-			t.Errorf("%s scenario: no recovery measured", pc.Kind)
+	for _, r := range ctl[1:] {
+		if r[0].RecoveryTime <= 0 {
+			t.Errorf("%s scenario: no recovery measured", r[0].Spec.Name)
 		}
-		if pc.FinalRung == "" {
-			t.Errorf("%s scenario: no final rung reported", pc.Kind)
+		if r[0].Control.Rung().Name == "" {
+			t.Errorf("%s scenario: no final rung reported", r[0].Spec.Name)
 		}
 	}
-	if rep.Steady.Infeasible {
+	if steady.Control.Infeasible() {
 		t.Error("30s budget reported infeasible")
 	}
-	out := FormatPareto(rep)
+	out := x.Text(rows)
 	for _, want := range []string{"Pareto frontier (budget 30s)", "F1G3T1", "F100G3T10", "Controller:", "steady", "shift", "best within-budget static"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)
@@ -86,15 +90,15 @@ func TestRunParetoTiny(t *testing.T) {
 	}
 }
 
-// TestParetoDefaultsAndValidation pins the config defaulting (nil grid,
-// zero budget) and the scale gate.
+// TestParetoDefaultsAndValidation pins the default grid (dbench's
+// -pareto-grid default) and the scale gate.
 func TestParetoDefaultsAndValidation(t *testing.T) {
 	if got := len(ParetoGrid()); got != 6 {
 		t.Errorf("default grid has %d configs, want 6", got)
 	}
 	bad := tinyParetoScale()
 	bad.TPCC.Warehouses = 0
-	if _, err := RunPareto(bad, ParetoConfig{}, nil); err == nil {
+	if _, err := Pareto(bad, 30*time.Second, ParetoGrid()).Run(bad, nil, nil); err == nil {
 		t.Error("invalid scale accepted")
 	}
 }

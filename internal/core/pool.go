@@ -6,14 +6,18 @@ import (
 	"sync"
 )
 
-// This file is the campaign executor: every campaign first *enumerates*
-// its runs declaratively (campaign.go), then submits the list to a pool
-// of workers. Results come back in enumeration order regardless of
+// This file is the campaign executor: every experiment first *declares*
+// its runs (table.go), then submits the list to a pool of workers. Results come back in enumeration order regardless of
 // completion order or worker count, so campaign tables are bit-identical
 // whether they ran on one core or sixteen. Each Run owns
 // its entire simulated platform (kernel, RNG, disks, engine), so runs
 // share no mutable state and the pool needs no coordination beyond the
 // job queue itself.
+
+// Progress receives one line per completed run; may be nil. The pool
+// serializes calls and prefixes each line with a completed/total counter,
+// so it is safe to write to a shared sink.
+type Progress func(line string)
 
 // Workers resolves a user-facing parallelism knob to a worker count for
 // a campaign of n jobs: 0 (or negative) means one worker per available

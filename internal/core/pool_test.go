@@ -120,38 +120,36 @@ func TestRunSpecsEmpty(t *testing.T) {
 
 // TestCampaignDeterminismAcrossWorkerCounts is the pool's core
 // guarantee: a T3 performance sweep and a T5-style recovery grid produce
-// bit-identical row slices whether run sequentially or on four workers.
-// (The full QuickScale T3+T5 sweep takes tens of minutes; this runs the
-// same code paths at tinyScale with a trimmed grid.)
+// bit-identical unrounded cell values whether run sequentially or on four
+// workers. (The full QuickScale T3+T5 sweep takes tens of minutes; this
+// runs the same code paths at tinyScale with a trimmed grid.)
 func TestCampaignDeterminismAcrossWorkerCounts(t *testing.T) {
+	values := func(sc Scale, x Experiment) [][]any {
+		t.Helper()
+		rows, err := x.Run(sc, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var vals [][]any
+		for _, r := range rows[0] {
+			vals = append(vals, x.Tables[0].Values(r))
+		}
+		return vals
+	}
 	seq := tinyScale()
 	seq.Parallel = 1
 	par := tinyScale()
 	par.Parallel = 4
 
-	t3Seq, err := RunTable3(seq, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t3Par, err := RunTable3(par, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(t3Seq, t3Par) {
-		t.Errorf("Table 3 rows differ across worker counts:\nseq: %+v\npar: %+v", t3Seq, t3Par)
+	if t3Seq, t3Par := values(seq, Table3(seq)), values(par, Table3(par)); !reflect.DeepEqual(t3Seq, t3Par) {
+		t.Errorf("Table 3 cells differ across worker counts:\nseq: %v\npar: %v", t3Seq, t3Par)
 	}
 
 	kinds := []faults.Kind{faults.ShutdownAbort, faults.SetTablespaceOffline}
 	configs := []RecoveryConfig{mustConfig("F40G3T10"), mustConfig("F1G3T1")}
-	gridSeq, err := runRecoveryGrid(seq, kinds, configs, "T5", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gridPar, err := runRecoveryGrid(par, kinds, configs, "T5", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	gridSeq := values(seq, recoveryGrid(seq, "", "T5", kinds, configs))
+	gridPar := values(par, recoveryGrid(par, "", "T5", kinds, configs))
 	if !reflect.DeepEqual(gridSeq, gridPar) {
-		t.Errorf("recovery grid rows differ across worker counts:\nseq: %+v\npar: %+v", gridSeq, gridPar)
+		t.Errorf("recovery grid cells differ across worker counts:\nseq: %v\npar: %v", gridSeq, gridPar)
 	}
 }

@@ -2,10 +2,8 @@ package core
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
-	"dbench/internal/faults"
 	"dbench/internal/monitor"
 	"dbench/internal/sim"
 	"dbench/internal/standby"
@@ -89,113 +87,60 @@ func DefaultReplicaGrid() ReplicaGrid {
 	}
 }
 
-// ReplicaRow is one sweep cell's measures.
-type ReplicaRow struct {
-	Standbys int // first-tier stand-bys
-	Cascade  int // cascaded stand-bys
-	Mode     standby.Mode
-	Link     sim.LinkSpec
-
-	// TpmC is throughput with the commit gate and replica reads active.
-	TpmC float64
-	// RPO is acknowledged commits lost at failover (ledger-checked).
-	RPO int
-	// LagRecords is how far the promoted stand-by trailed the primary's
-	// flushed redo at the crash — the async exposure, in redo records.
-	LagRecords int64
-	// RTO is the measured failover duration; RTOEstimate the MMON live
-	// estimate captured at the promotion decision; UserOutage the
-	// end-user view (injection to first post-fault commit).
-	RTO         time.Duration
-	RTOEstimate time.Duration
-	UserOutage  time.Duration
-	// Served/Fallback count stand-by-routed read-only transactions and
-	// their primary fallbacks (staleness refusals).
-	Served   int64
-	Fallback int64
-	// Violations counts failed TPC-C consistency conditions after the
-	// failover (0 = the promoted database is consistent).
-	Violations int
-	// FailedOver confirms the remedy was a promotion, not a restart.
-	FailedOver bool
-	// Replication is the cell's final V$REPLICATION view.
-	Replication []monitor.ReplicationRow
-}
-
-// RunReplica measures managed failover over the grid: each cell streams
-// redo to its stand-bys, routes half the read-only traffic to the first
+// Replica measures managed failover over the grid: each cell streams redo
+// to its stand-bys, routes half the read-only traffic to the first
 // stand-by, crashes the primary at the late instant, promotes, and lets
-// the drivers re-target the promoted primary for the tail.
-func RunReplica(sc Scale, grid ReplicaGrid, progress Progress) ([]ReplicaRow, error) {
-	if len(grid.Standbys) == 0 || len(grid.Modes) == 0 || len(grid.Links) == 0 {
-		return nil, fmt.Errorf("core: replica grid needs at least one stand-by count, mode and link")
-	}
+// the drivers re-target the promoted primary for the tail. The report is
+// the RPO/RTO matrix plus the first cell's final V$REPLICATION view.
+func Replica(sc Scale, grid ReplicaGrid) Experiment {
 	cfg := mustConfig("F40G3T5")
-	var rows []ReplicaRow
-	c := campaign{sc: sc}
+	var cells [][]Spec
 	for _, n := range grid.Standbys {
 		for _, mode := range grid.Modes {
 			for _, link := range grid.Links {
-				casc := 0
-				if grid.CascadeAt > 0 && n >= grid.CascadeAt {
-					casc = 1
-				}
-				r := len(rows)
-				rows = append(rows, ReplicaRow{Standbys: n, Cascade: casc, Mode: mode, Link: link})
 				spec := sc.spec(fmt.Sprintf("REPL/s%d-%s-%s", n, mode, link.Name), cfg)
 				spec.Standbys = n
 				spec.ReplMode = mode
 				spec.ReplLink = link
-				spec.ReplCascade = casc
+				if grid.CascadeAt > 0 && n >= grid.CascadeAt {
+					spec.ReplCascade = 1
+				}
 				spec.ReplicaReads = replicaReadShare
-				sc.inject(&spec, faults.Fault{Kind: faults.ShutdownAbort}, sc.InjectTimes[2])
-				c.add(spec, func(res *Result) string {
-					return fmt.Sprintf("REPL s=%d+%d %-5s %-3s rpo=%d rto=%.1fs",
-						n, casc, mode, link.Name, res.LostTransactions, res.RecoveryTime.Seconds())
-				}, func(res *Result) {
-					row := &rows[r]
-					row.TpmC = res.TpmC
-					row.RPO = res.LostTransactions
-					row.LagRecords = res.ReplLagRecords
-					row.RTO = res.RecoveryTime
-					row.RTOEstimate = res.RTOEstimate
-					row.UserOutage = res.UserOutage
-					row.Served = res.ReplicaServed
-					row.Fallback = res.ReplicaFallback
-					row.Violations = len(res.IntegrityViolations)
-					row.FailedOver = res.FailedOver
-					row.Replication = res.Replication
-				})
+				sc.inject(&spec, abort, sc.InjectTimes[2])
+				cells = append(cells, []Spec{spec})
 			}
 		}
 	}
-	return runCampaign(&c, rows, progress)
-}
-
-// FormatReplica renders the RPO/RTO matrix plus the first cell's final
-// V$REPLICATION view.
-func FormatReplica(rows []ReplicaRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Replication. Managed failover: RPO/RTO over stand-bys x mode x link.\n")
-	fmt.Fprintf(&b, "%2s %4s %-5s %-4s %6s | %4s %8s %7s %7s %9s | %7s %8s %4s\n",
-		"SB", "CASC", "MODE", "LINK", "tpmC",
-		"RPO", "LAG_RECS", "RTO(s)", "EST(s)", "OUTAGE(s)",
-		"SB-READ", "FALLBACK", "VIOL")
-	for _, r := range rows {
-		fo := ""
-		if !r.FailedOver {
-			fo = "  (no failover)"
+	x := table("Replication. Managed failover: RPO/RTO over stand-bys x mode x link.", cells,
+		Column{"SB", 2, "%2d", func(r Row) any { return r[0].Spec.Standbys }}, // first-tier stand-bys
+		Column{"CASC", 4, "%4d", func(r Row) any { return r[0].Spec.ReplCascade }},
+		Column{"MODE", -5, "%-5s", func(r Row) any { return r[0].Spec.ReplMode }},
+		Column{"LINK", -4, "%-4s", func(r Row) any { return r[0].Spec.ReplLink.Name }},
+		Column{"tpmC", 6, "%6.0f", tpmC(0)}, // with the commit gate and replica reads active
+		bar,
+		Column{"RPO", 4, "%4d", func(r Row) any { return r[0].LostTransactions }}, // ledger-checked
+		Column{"LAG_RECS", 8, "%8d", func(r Row) any { return r[0].ReplLagRecords }},
+		Column{"RTO(s)", 7, "%7.1f", func(r Row) any { return r[0].RecoveryTime.Seconds() }},
+		Column{"EST(s)", 7, "%7.1f", func(r Row) any { return r[0].RTOEstimate.Seconds() }},
+		Column{"OUTAGE(s)", 9, "%9.1f", func(r Row) any { return r[0].UserOutage.Seconds() }},
+		bar,
+		Column{"SB-READ", 7, "%7d", func(r Row) any { return r[0].ReplicaServed }},
+		Column{"FALLBACK", 8, "%8d", func(r Row) any { return r[0].ReplicaFallback }},
+		Column{"VIOL", 4, "%4d", func(r Row) any { return len(r[0].IntegrityViolations) }},
+		Column{"", 0, " %s", func(r Row) any { // the remedy was a restart, not a promotion
+			if r[0].FailedOver {
+				return ""
+			}
+			return "(no failover)"
+		}})
+	x.Foot = func(rows [][]Row) string {
+		if len(rows[0]) == 0 || len(rows[0][0][0].Replication) == 0 {
+			return ""
 		}
-		fmt.Fprintf(&b, "%2d %4d %-5s %-4s %6.0f | %4d %8d %7.1f %7.1f %9.1f | %7d %8d %4d%s\n",
-			r.Standbys, r.Cascade, r.Mode, r.Link.Name, r.TpmC,
-			r.RPO, r.LagRecords, r.RTO.Seconds(), r.RTOEstimate.Seconds(),
-			r.UserOutage.Seconds(), r.Served, r.Fallback, r.Violations, fo)
+		res := rows[0][0][0]
+		return fmt.Sprintf("\nV$REPLICATION (cell s=%d+%d %s %s, post-failover):\n%s",
+			res.Spec.Standbys, res.Spec.ReplCascade, res.Spec.ReplMode, res.Spec.ReplLink.Name,
+			monitor.FormatVReplication(res.Replication))
 	}
-	if len(rows) > 0 && len(rows[0].Replication) > 0 {
-		r := rows[0]
-		fmt.Fprintf(&b, "\nV$REPLICATION (cell s=%d+%d %s %s, post-failover):\n%s",
-			r.Standbys, r.Cascade, r.Mode, r.Link.Name,
-			monitor.FormatVReplication(r.Replication))
-	}
-	return b.String()
+	return x
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"time"
 
 	"dbench/internal/faults"
 	"dbench/internal/metrics"
@@ -29,43 +28,6 @@ var (
 
 // DefaultScalingWarehouses is the -exp scale default sweep.
 var DefaultScalingWarehouses = []int{1, 2, 4, 8}
-
-// ScalingCell is one configuration's measures at one warehouse count.
-type ScalingCell struct {
-	TpmC         float64
-	RecoveryTime time.Duration
-	RedoMBps     float64
-
-	// MediaRecovery is the delete-datafile (one warehouse's tablespace)
-	// recovery time at this scale. At W>1 the tablespace is repaired
-	// online while the other warehouses keep serving.
-	MediaRecovery time.Duration
-	// MediaAvail is the global served fraction during the media
-	// recovery window; MediaAvailOther the served fraction over the
-	// warehouses the fault did not touch (1.0 when W=1 offers none).
-	MediaAvail      float64
-	MediaAvailOther float64
-}
-
-// ScalingWorkerCell is crash-recovery time at one parallel worker count,
-// for both configurations.
-type ScalingWorkerCell struct {
-	Workers int
-	Base    time.Duration
-	Tuned   time.Duration
-}
-
-// ScalingRow is one warehouse count: both configurations side by side.
-type ScalingRow struct {
-	Warehouses int
-	Terminals  int
-	Base       ScalingCell
-	Tuned      ScalingCell
-	// WorkerRec holds recovery time at each configured parallel worker
-	// count beyond the serial baseline already in Base/Tuned (empty
-	// unless the scale sweeps RecoveryWorkers).
-	WorkerRec []ScalingWorkerCell
-}
 
 // scalingWorkerCounts returns the recovery-worker sweep: the configured
 // counts sorted ascending and deduplicated, with the serial baseline (1)
@@ -101,53 +63,31 @@ func scalingMediaTarget(w int) string {
 	return "TPCC_W01_01.dbf"
 }
 
-// RunScaling measures the scaling sweep: for every warehouse count and
-// configuration (baseline before tuned), a fault-free run, a
-// shutdown-abort run per recovery-worker count and a media-fault run.
-// Results are identical for every Parallel setting.
-func RunScaling(sc Scale, warehouses []int, progress Progress) ([]ScalingRow, error) {
+// Scaling measures the sweep: for every warehouse count (default
+// DefaultScalingWarehouses) and configuration, baseline before tuned, a
+// fault-free run, a shutdown-abort run per recovery-worker count and a
+// media-fault run. The table shows both configurations side by side,
+// then, when the sweep measured parallel recovery, recovery time at each
+// extra worker count for each configuration.
+func Scaling(sc Scale, warehouses []int) Experiment {
 	if len(warehouses) == 0 {
 		warehouses = DefaultScalingWarehouses
 	}
-	for _, w := range warehouses {
-		if w < 1 {
-			return nil, fmt.Errorf("core: scaling needs warehouses >= 1 (got %d)", w)
-		}
-	}
 	ws := scalingWorkerCounts(sc)
-	rows := make([]ScalingRow, len(warehouses))
-	c := campaign{sc: sc}
-	for i, w := range warehouses {
-		row := &rows[i]
-		*row = ScalingRow{Warehouses: w, Terminals: w * sc.TPCC.TerminalsPerWarehouse}
-		for _, n := range ws[1:] {
-			row.WorkerRec = append(row.WorkerRec, ScalingWorkerCell{Workers: n})
-		}
-		// side enumerates one configuration's jobs; workerRec picks its
-		// column of a parallel-recovery cell.
-		side := func(name string, cfg RecoveryConfig, cell *ScalingCell, workerRec func(*ScalingWorkerCell) *time.Duration) {
-			c.add(scalingSpec(sc, cfg, w, "perf", 1), func(res *Result) string {
-				return fmt.Sprintf("SC W=%-2d %-10s tpmC=%5.0f", w, name+"/perf", res.TpmC)
-			}, func(res *Result) {
-				cell.TpmC = res.TpmC
-				cell.RedoMBps = float64(res.RedoWritten) / (1 << 20) / sc.Duration.Seconds()
-			})
-			for j, n := range ws {
-				kind, rec := "rec", &cell.RecoveryTime
+	var grid [][]Spec
+	for _, w := range warehouses {
+		var row []Spec
+		for _, cfg := range []RecoveryConfig{ScalingBaselineConfig, ScalingTunedConfig} {
+			row = append(row, scalingSpec(sc, cfg, w, "perf", 1))
+			for _, n := range ws {
+				kind := "rec"
 				if n > 1 {
-					kind, rec = fmt.Sprintf("rec@%dw", n), workerRec(&row.WorkerRec[j-1])
+					kind = fmt.Sprintf("rec@%dw", n)
 				}
 				spec := scalingSpec(sc, cfg, w, kind, n)
-				sc.inject(&spec, faults.Fault{Kind: faults.ShutdownAbort}, sc.InjectTimes[1]) // at full throughput
-				c.add(spec, func(res *Result) string {
-					return fmt.Sprintf("SC W=%-2d %-10s recovery=%v", w, name+"/"+kind, res.RecoveryTime.Round(time.Second))
-				}, func(res *Result) { *rec = res.RecoveryTime })
+				sc.inject(&spec, abort, sc.InjectTimes[1]) // at full throughput
+				row = append(row, spec)
 			}
-			// Instrument the first recovery run at the largest worker count
-			// (not the first run): the recovery timeline — worker spans
-			// included when the sweep is parallel — is what a
-			// -trace/-timeline user wants.
-			c.nominate()
 			// The media-fault job deletes warehouse 1's datafile at full
 			// throughput, with archives on so media recovery can roll the
 			// restored file forward. At W>1 only that warehouse's
@@ -156,29 +96,50 @@ func RunScaling(sc Scale, warehouses []int, progress Progress) ([]ScalingRow, er
 			media := scalingSpec(sc, cfg, w, "media", sc.maxRecoveryWorkers())
 			media.Archive = true
 			sc.inject(&media, faults.Fault{Kind: faults.DeleteDatafile, Target: scalingMediaTarget(w)}, sc.InjectTimes[1])
-			c.add(media, func(res *Result) string {
-				avail := 0.0
-				if res.Availability != nil {
-					avail = res.Availability.GlobalFraction()
-				}
-				return fmt.Sprintf("SC W=%-2d %-10s recovery=%v avail=%.0f%%", w, name+"/media",
-					res.RecoveryTime.Round(time.Second), 100*avail)
-			}, func(res *Result) {
-				cell.MediaRecovery = res.RecoveryTime
-				if a := res.Availability; a != nil {
-					cell.MediaAvail = a.GlobalFraction()
-					var other metrics.AvailabilityCell
-					for wn := 2; wn <= a.Warehouses(); wn++ {
-						cw := a.Warehouse(wn)
-						other.Offered += cw.Offered
-						other.Served += cw.Served
-					}
-					cell.MediaAvailOther = other.Fraction()
-				}
-			})
+			row = append(row, media)
 		}
-		side("base", ScalingBaselineConfig, &row.Base, func(wc *ScalingWorkerCell) *time.Duration { return &wc.Base })
-		side("tuned", ScalingTunedConfig, &row.Tuned, func(wc *ScalingWorkerCell) *time.Duration { return &wc.Tuned })
+		grid = append(grid, row)
 	}
-	return runCampaign(&c, rows, progress)
+	k := len(ws) + 2 // jobs per configuration: perf, a crash per worker count, media
+	side := func(o int) []Column {
+		return []Column{
+			{"tpmC", 8, "%8.0f", tpmC(o)},
+			{"rec (s)", 8, "%8s", recSecs(o + 1)},
+			{"redo MB/s", 9, "%9.2f", redoMBps(o)},
+			{"media(s)", 8, "%8s", recSecs(o + k - 1)},
+			{"avail", 5, "%5s", served(o + k - 1)},
+			{"unaff", 5, "%5s", func(r Row) any { // served over the warehouses the fault did not touch
+				a := r[o+k-1].Availability
+				if a == nil {
+					return pct(0)
+				}
+				var other metrics.AvailabilityCell
+				for wn := 2; wn <= a.Warehouses(); wn++ {
+					other.Offered += a.Warehouse(wn).Offered
+					other.Served += a.Warehouse(wn).Served
+				}
+				return pct(other.Fraction())
+			}},
+		}
+	}
+	cols := []Column{
+		{"W", 4, "%4d", func(r Row) any { return r[0].Spec.TPCC.Warehouses }},
+		{"terms", 6, "%6d", func(r Row) any { return r[0].Spec.TPCC.Warehouses * r[0].Spec.TPCC.TerminalsPerWarehouse }},
+		bar,
+	}
+	cols = append(append(append(cols, side(0)...), bar), side(k)...)
+	for j, n := range ws[1:] {
+		cols = append(cols, bar,
+			Column{fmt.Sprintf("B.r@%dw", n), 9, "%9s", recSecs(2 + j)},
+			Column{fmt.Sprintf("T.r@%dw", n), 9, "%9s", recSecs(k + 2 + j)})
+	}
+	x := table(fmt.Sprintf("Scaling. Throughput and crash-recovery time vs warehouses.\n"+
+		"(%s = baseline, %s = perf-tuned; Shutdown Abort at full throughput)\n"+
+		"(media = delete W1's datafile; avail = served fraction during media recovery,\n"+
+		" global / unaffected warehouses)", ScalingBaselineConfig.Name, ScalingTunedConfig.Name), grid, cols...)
+	// Instrument the first W's baseline crash at the largest worker count:
+	// the recovery timeline — worker spans included when the sweep is
+	// parallel — is what a -trace/-timeline user wants.
+	x.Instrumented = len(ws)
+	return x
 }

@@ -47,14 +47,15 @@ func TestScaleValidateRejectsEmptyWorkloads(t *testing.T) {
 func TestCampaignsRejectInvalidScale(t *testing.T) {
 	sc := miniScale()
 	sc.TPCC.TerminalsPerWarehouse = 0
-	if _, err := RunTable3(sc, nil); err == nil {
-		t.Error("RunTable3 accepted a terminal-less scale")
+	if _, err := Table3(sc).Run(sc, nil, nil); err == nil {
+		t.Error("Table3 accepted a terminal-less scale")
 	}
-	if _, err := RunScaling(sc, []int{1}, nil); err == nil {
-		t.Error("RunScaling accepted a terminal-less scale")
+	if _, err := Scaling(sc, []int{1}).Run(sc, nil, nil); err == nil {
+		t.Error("Scaling accepted a terminal-less scale")
 	}
-	if _, err := RunScaling(miniScale(), []int{1, 0}, nil); err == nil {
-		t.Error("RunScaling accepted warehouses=0 in the sweep")
+	ran := 0
+	if _, err := Scaling(miniScale(), []int{1, 0}).Run(miniScale(), nil, func(string) { ran++ }); err == nil || ran > 0 {
+		t.Errorf("Scaling with warehouses=0 in the sweep: err=%v after %d runs, want an error before any run", err, ran)
 	}
 }
 
@@ -62,20 +63,16 @@ func TestCampaignsRejectInvalidScale(t *testing.T) {
 // internal/core/sweeps: it runs multi-minute campaigns and gets its own
 // test binary.
 
-// FormatScaling renders one aligned row per warehouse count.
+// The scaling table renders one aligned line per warehouse count, the
+// parallel-recovery columns included.
 func TestFormatScalingShape(t *testing.T) {
-	rows := []ScalingRow{
-		{Warehouses: 1, Terminals: 10, Base: ScalingCell{TpmC: 1234.5, RecoveryTime: 42e9, RedoMBps: 0.4},
-			Tuned: ScalingCell{TpmC: 2345.6, RecoveryTime: 99e9, RedoMBps: 0.8}},
-		{Warehouses: 8, Terminals: 80, Base: ScalingCell{TpmC: 9876.5, RecoveryTime: 44e9, RedoMBps: 3.1},
-			Tuned: ScalingCell{TpmC: 19876.5, RecoveryTime: 180e9, RedoMBps: 6.4}},
-	}
-	out := FormatScaling(rows)
+	x, rows := scalingReport()
+	out := x.Text(rows)
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 	if len(lines) < 4 {
 		t.Fatalf("table too short:\n%s", out)
 	}
-	for _, want := range []string{ScalingBaselineConfig.Name, ScalingTunedConfig.Name, "1234", "19876"} {
+	for _, want := range []string{ScalingBaselineConfig.Name, ScalingTunedConfig.Name, "1234", "19876", "B.r@4w"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("table missing %q:\n%s", want, out)
 		}

@@ -1,6 +1,7 @@
 package sweeps
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -28,68 +29,80 @@ func miniScale() core.Scale {
 	}
 }
 
+// values runs x at sc and returns its rows and their unrounded cell
+// values.
+func values(t *testing.T, sc core.Scale, x core.Experiment) ([]core.Row, [][]any) {
+	t.Helper()
+	rows, err := x.Run(sc, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var vals [][]any
+	for _, r := range rows[0] {
+		vals = append(vals, x.Tables[0].Values(r))
+	}
+	return rows[0], vals
+}
+
 // TestScalingSweepShape runs the W ∈ {1,2} sweep at mini scale and checks
 // the properties the experiment exists to show: throughput grows with the
 // warehouse count for both configurations, every cell measured a real
-// recovery, and the rendered table is byte-identical when the same sweep
-// runs on a different worker count (the determinism contract).
+// recovery, and the cells are identical when the same sweep runs on a
+// different worker count (the determinism contract).
 func TestScalingSweepShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
 	sc := miniScale()
 	sc.Parallel = 0
-	rows, err := core.RunScaling(sc, []int{1, 2}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	x := core.Scaling(sc, []int{1, 2})
+	rows, vals := values(t, sc, x)
 	if len(rows) != 2 {
 		t.Fatalf("got %d rows, want 2", len(rows))
 	}
+	// Each line is the baseline's jobs (perf, crash, media) then the
+	// tuned configuration's.
+	base := func(r core.Row) core.Row { return r[:3] }
+	tuned := func(r core.Row) core.Row { return r[3:] }
 	for i, w := range []int{1, 2} {
 		r := rows[i]
-		if r.Warehouses != w {
-			t.Errorf("row %d: warehouses %d, want %d", i, r.Warehouses, w)
+		if got := vals[i][0]; got != w {
+			t.Errorf("row %d: warehouses %v, want %d", i, got, w)
 		}
-		if want := w * sc.TPCC.TerminalsPerWarehouse; r.Terminals != want {
-			t.Errorf("W=%d: terminals %d, want %d", w, r.Terminals, want)
+		if got, want := vals[i][1], w*sc.TPCC.TerminalsPerWarehouse; got != want {
+			t.Errorf("W=%d: terminals %v, want %d", w, got, want)
 		}
-		for _, cell := range []struct {
+		for _, side := range []struct {
 			name string
-			c    core.ScalingCell
-		}{{"base", r.Base}, {"tuned", r.Tuned}} {
-			if cell.c.TpmC <= 0 {
-				t.Errorf("W=%d %s: tpmC %.1f", w, cell.name, cell.c.TpmC)
+			jobs core.Row
+		}{{"base", base(r)}, {"tuned", tuned(r)}} {
+			if side.jobs[0].TpmC <= 0 {
+				t.Errorf("W=%d %s: tpmC %.1f", w, side.name, side.jobs[0].TpmC)
 			}
-			if cell.c.RecoveryTime <= 0 {
-				t.Errorf("W=%d %s: recovery time %v", w, cell.name, cell.c.RecoveryTime)
+			if side.jobs[1].RecoveryTime <= 0 {
+				t.Errorf("W=%d %s: recovery time %v", w, side.name, side.jobs[1].RecoveryTime)
 			}
 		}
 		// The tuned config buys throughput at every W (that trade-off is
 		// the experiment's point).
-		if r.Tuned.TpmC < r.Base.TpmC {
-			t.Errorf("W=%d: tuned tpmC %.0f below baseline %.0f", w, r.Tuned.TpmC, r.Base.TpmC)
+		if tuned(r)[0].TpmC < base(r)[0].TpmC {
+			t.Errorf("W=%d: tuned tpmC %.0f below baseline %.0f", w, tuned(r)[0].TpmC, base(r)[0].TpmC)
 		}
 	}
 	// Monotone growth W=1 -> W=2 for both configurations.
-	if rows[1].Base.TpmC <= rows[0].Base.TpmC {
-		t.Errorf("baseline tpmC not monotone: W=1 %.0f, W=2 %.0f", rows[0].Base.TpmC, rows[1].Base.TpmC)
+	if base(rows[1])[0].TpmC <= base(rows[0])[0].TpmC {
+		t.Errorf("baseline tpmC not monotone: W=1 %.0f, W=2 %.0f", base(rows[0])[0].TpmC, base(rows[1])[0].TpmC)
 	}
-	if rows[1].Tuned.TpmC <= rows[0].Tuned.TpmC {
-		t.Errorf("tuned tpmC not monotone: W=1 %.0f, W=2 %.0f", rows[0].Tuned.TpmC, rows[1].Tuned.TpmC)
+	if tuned(rows[1])[0].TpmC <= tuned(rows[0])[0].TpmC {
+		t.Errorf("tuned tpmC not monotone: W=1 %.0f, W=2 %.0f", tuned(rows[0])[0].TpmC, tuned(rows[1])[0].TpmC)
 	}
-	// Byte-identical across worker counts.
+	// Identical across worker counts.
 	sc2 := miniScale()
 	sc2.Parallel = 2
-	rows2, err := core.RunScaling(sc2, []int{1, 2}, nil)
-	if err != nil {
-		t.Fatal(err)
+	if _, vals2 := values(t, sc2, core.Scaling(sc2, []int{1, 2})); !reflect.DeepEqual(vals, vals2) {
+		t.Errorf("scaling cells differ across -parallel:\n--- parallel 0\n%v\n--- parallel 2\n%v", vals, vals2)
 	}
-	if core.FormatScaling(rows) != core.FormatScaling(rows2) {
-		t.Errorf("scaling table differs across -parallel:\n--- parallel 0\n%s--- parallel 2\n%s",
-			core.FormatScaling(rows), core.FormatScaling(rows2))
-	}
-	t.Logf("\n%s", core.FormatScaling(rows))
+	t.Logf("\n%s", x.Text([][]core.Row{rows}))
 }
 
 // tinyReplicaGrid is the smoke sweep: one stand-by, both modes, LAN.
@@ -108,29 +121,28 @@ func tinyReplicaGrid() core.ReplicaGrid {
 // promoted database is consistent.
 func TestReplicaSweepMeasures(t *testing.T) {
 	sc := miniScale()
-	rows, err := core.RunReplica(sc, tinyReplicaGrid(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows, _ := values(t, sc, core.Replica(sc, tinyReplicaGrid()))
 	if len(rows) != 2 {
 		t.Fatalf("got %d rows, want 2", len(rows))
 	}
-	for _, r := range rows {
+	for _, row := range rows {
+		r := row[0]
+		mode := r.Spec.ReplMode
 		t.Logf("s=%d+%d %-5s %s: tpmC=%.0f rpo=%d lag=%d rto=%v est=%v served=%d viol=%d",
-			r.Standbys, r.Cascade, r.Mode, r.Link.Name, r.TpmC, r.RPO,
-			r.LagRecords, r.RTO, r.RTOEstimate, r.Served, r.Violations)
+			r.Spec.Standbys, r.Spec.ReplCascade, mode, r.Spec.ReplLink.Name, r.TpmC, r.LostTransactions,
+			r.ReplLagRecords, r.RecoveryTime, r.RTOEstimate, r.ReplicaServed, len(r.IntegrityViolations))
 		if !r.FailedOver {
-			t.Errorf("%s cell did not fail over", r.Mode)
+			t.Errorf("%s cell did not fail over", mode)
 		}
-		if r.Mode == standby.ModeSync && r.RPO != 0 {
-			t.Errorf("sync cell lost %d acknowledged commits, want 0", r.RPO)
+		if mode == standby.ModeSync && r.LostTransactions != 0 {
+			t.Errorf("sync cell lost %d acknowledged commits, want 0", r.LostTransactions)
 		}
-		if int64(r.RPO) > r.LagRecords {
-			t.Errorf("%s cell RPO %d exceeds the measured stream lag %d records", r.Mode, r.RPO, r.LagRecords)
+		if int64(r.LostTransactions) > r.ReplLagRecords {
+			t.Errorf("%s cell RPO %d exceeds the measured stream lag %d records", mode, r.LostTransactions, r.ReplLagRecords)
 		}
 		// RTO within ±20% of the MMON live estimate (small absolute floor
 		// for scheduling quanta).
-		diff := r.RTO - r.RTOEstimate
+		diff := r.RecoveryTime - r.RTOEstimate
 		if diff < 0 {
 			diff = -diff
 		}
@@ -139,37 +151,35 @@ func TestReplicaSweepMeasures(t *testing.T) {
 			tol = 200 * time.Millisecond
 		}
 		if diff > tol {
-			t.Errorf("%s cell RTO %v vs estimate %v: outside ±20%%", r.Mode, r.RTO, r.RTOEstimate)
+			t.Errorf("%s cell RTO %v vs estimate %v: outside ±20%%", mode, r.RecoveryTime, r.RTOEstimate)
 		}
-		if r.Violations != 0 {
-			t.Errorf("%s cell: %d consistency violations on the promoted database", r.Mode, r.Violations)
+		if n := len(r.IntegrityViolations); n != 0 {
+			t.Errorf("%s cell: %d consistency violations on the promoted database", mode, n)
 		}
-		if r.Served == 0 {
-			t.Errorf("%s cell served no read-only transactions from the stand-by", r.Mode)
+		if r.ReplicaServed == 0 {
+			t.Errorf("%s cell served no read-only transactions from the stand-by", mode)
 		}
 		if r.TpmC <= 0 {
-			t.Errorf("%s cell reports no throughput", r.Mode)
+			t.Errorf("%s cell reports no throughput", mode)
 		}
 	}
 }
 
 // TestReplicaSweepDeterministicAcrossParallelism pins the scheduling
-// contract the whole experiment layer rests on: the rendered replica
-// report is byte-identical whether the cells run sequentially or on four
-// workers.
+// contract the whole experiment layer rests on: the replica report's cells
+// and its rendering are identical whether the cells run sequentially or on
+// four workers.
 func TestReplicaSweepDeterministicAcrossParallelism(t *testing.T) {
-	grid := tinyReplicaGrid()
-	run := func(parallel int) string {
+	report := func(parallel int) ([][]any, string) {
 		sc := miniScale()
 		sc.Parallel = parallel
-		rows, err := core.RunReplica(sc, grid, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return core.FormatReplica(rows)
+		x := core.Replica(sc, tinyReplicaGrid())
+		rows, vals := values(t, sc, x)
+		return vals, x.Text([][]core.Row{rows})
 	}
-	serial, parallel := run(1), run(4)
-	if serial != parallel {
+	serialVals, serial := report(1)
+	parallelVals, parallel := report(4)
+	if !reflect.DeepEqual(serialVals, parallelVals) || serial != parallel {
 		t.Errorf("replica report diverges across -parallel 1/4:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, parallel)
 	}
 }
