@@ -77,6 +77,15 @@ func (m *Manager) Latest() (*Backup, error) {
 // that scn covers the durable images (the engine's Checkpoint does this);
 // scn is typically the control file's checkpoint SCN.
 func (m *Manager) TakeFull(p *sim.Proc, db *storage.DB, dict *catalog.Catalog, scn redo.SCN) (*Backup, error) {
+	// Check every file before copying any: a backup that cannot finish
+	// charges no I/O and leaves no piece behind under the ID it would use.
+	for _, ts := range db.Tablespaces() {
+		for _, f := range ts.Files {
+			if f.Lost() {
+				return nil, fmt.Errorf("backup: datafile %q lost", f.Name)
+			}
+		}
+	}
 	b := &Backup{
 		ID:    len(m.backups) + 1,
 		SCN:   scn,
@@ -86,9 +95,6 @@ func (m *Manager) TakeFull(p *sim.Proc, db *storage.DB, dict *catalog.Catalog, s
 	for _, ts := range db.Tablespaces() {
 		b.tablespaces = append(b.tablespaces, tsBackup{ts: ts})
 		for _, f := range ts.Files {
-			if f.Lost() {
-				return nil, fmt.Errorf("backup: datafile %q lost", f.Name)
-			}
 			name := fmt.Sprintf("backup_%02d_%s", b.ID, f.Name)
 			cp, err := m.fs.Create(m.disk, name, 0)
 			if err != nil {

@@ -2,6 +2,8 @@ package backup
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -116,15 +118,47 @@ func TestRestoreUnknownFileFails(t *testing.T) {
 	})
 }
 
+// TestBackupOfLostFileFails: a backup that meets a lost datafile fails
+// before it copies anything — even when the lost file comes last — so it
+// charges no I/O and leaves no piece under the ID the next backup reuses,
+// and that next backup succeeds once the file is back.
 func TestBackupOfLostFileFails(t *testing.T) {
 	r := newRig(t)
+	if _, err := r.db.CreateTablespace("ZETA", []string{"data"}, 8); err != nil {
+		t.Fatal(err)
+	}
+	pieces := func() (names []string) {
+		for _, name := range r.fs.Files() {
+			if strings.HasPrefix(name, "backup_") {
+				names = append(names, name)
+			}
+		}
+		return names
+	}
 	r.run(t, func(p *sim.Proc) error {
-		f := r.db.Datafiles()[0]
-		if err := r.fs.Delete(f.File().Name()); err != nil {
+		lost := r.db.Datafiles()[1]
+		if err := r.fs.Delete(lost.File().Name()); err != nil {
 			return err
 		}
-		if _, err := r.m.TakeFull(p, r.db, r.cat, 1); err == nil {
-			t.Error("backup of lost datafile succeeded")
+		if _, err := r.m.TakeFull(p, r.db, r.cat, 1); err == nil || !strings.Contains(err.Error(), lost.Name) {
+			t.Errorf("backup with %s lost: err = %v, want it named", lost.Name, err)
+		}
+		if got := pieces(); len(got) != 0 {
+			t.Errorf("the failed backup left pieces behind: %q", got)
+		}
+		if _, w, _, _ := r.fs.Disk("arch").Stats(); w != 0 {
+			t.Errorf("the failed backup charged %d writes to the arch disk", w)
+		}
+		if _, err := r.fs.Restore(lost.File().Name(), lost.SizeBytes()); err != nil {
+			return err
+		}
+		b, err := r.m.TakeFull(p, r.db, r.cat, 2)
+		if err != nil {
+			return fmt.Errorf("backup after the file came back: %w", err)
+		}
+		want := []string{"backup_01_" + r.db.Datafiles()[0].Name, "backup_01_" + lost.Name}
+		if got := pieces(); b.ID != 1 || strings.Join(got, " ") != strings.Join(want, " ") {
+			t.Errorf("backup %d with pieces %q, want backup 1 with %q", b.ID, got, want)
 		}
 		return nil
 	})

@@ -72,8 +72,9 @@ func newShard(capacity int) *shard {
 	}
 }
 
-// Stats counts cache activity for the benchmark reports. It is a
-// snapshot view over the cache's registered counters (see Counters).
+// Stats counts cache activity for the benchmark reports. Its fields are
+// the cache's counters themselves: the cache increments them in place and
+// Counters registers each one as "cache.<snake_case_field>".
 type Stats struct {
 	Hits             int64
 	Misses           int64
@@ -82,30 +83,6 @@ type Stats struct {
 	CheckpointWrites int64
 	SkippedWrites    int64
 	UnflushedSkips   int64
-}
-
-// counters is the cache's registered counter block; one counter per
-// Stats field, named "cache.<snake_case_field>".
-type counters struct {
-	hits             *trace.Counter
-	misses           *trace.Counter
-	evictions        *trace.Counter
-	dirtyEvictWrites *trace.Counter
-	checkpointWrites *trace.Counter
-	skippedWrites    *trace.Counter
-	unflushedSkips   *trace.Counter
-}
-
-func newCounters() counters {
-	return counters{
-		hits:             trace.NewCounter("cache.hits"),
-		misses:           trace.NewCounter("cache.misses"),
-		evictions:        trace.NewCounter("cache.evictions"),
-		dirtyEvictWrites: trace.NewCounter("cache.dirty_evict_writes"),
-		checkpointWrites: trace.NewCounter("cache.checkpoint_writes"),
-		skippedWrites:    trace.NewCounter("cache.skipped_writes"),
-		unflushedSkips:   trace.NewCounter("cache.unflushed_skips"),
-	}
 }
 
 // Cache is the database buffer cache. It is used only from simulation
@@ -137,7 +114,7 @@ type Cache struct {
 	// write-ahead forces, checkpoint skips). A nil tracer is valid.
 	Trace *trace.Tracer
 
-	c counters
+	st Stats
 }
 
 // minShardCapacity is the smallest per-shard buffer count worth splitting
@@ -168,7 +145,6 @@ func New(k *sim.Kernel, capacity int) *Cache {
 		k:        k,
 		capacity: capacity,
 		mask:     uint32(n - 1),
-		c:        newCounters(),
 	}
 	base, extra := capacity/n, capacity%n
 	for i := 0; i < n; i++ {
@@ -189,23 +165,18 @@ func (c *Cache) shardFor(key bufKey) *shard {
 }
 
 // Stats returns a snapshot of the activity counters.
-func (c *Cache) Stats() Stats {
-	return Stats{
-		Hits:             c.c.hits.Value(),
-		Misses:           c.c.misses.Value(),
-		Evictions:        c.c.evictions.Value(),
-		DirtyEvictWrites: c.c.dirtyEvictWrites.Value(),
-		CheckpointWrites: c.c.checkpointWrites.Value(),
-		SkippedWrites:    c.c.skippedWrites.Value(),
-		UnflushedSkips:   c.c.unflushedSkips.Value(),
-	}
-}
+func (c *Cache) Stats() Stats { return c.st }
 
-// Counters exposes the cache's counters for the instance registry.
-func (c *Cache) Counters() []*trace.Counter {
-	return []*trace.Counter{
-		c.c.hits, c.c.misses, c.c.evictions, c.c.dirtyEvictWrites,
-		c.c.checkpointWrites, c.c.skippedWrites, c.c.unflushedSkips,
+// Counters returns the cache's registry rows, one per Stats field.
+func (c *Cache) Counters() []trace.Counter {
+	return []trace.Counter{
+		{Name: "cache.hits", V: &c.st.Hits},
+		{Name: "cache.misses", V: &c.st.Misses},
+		{Name: "cache.evictions", V: &c.st.Evictions},
+		{Name: "cache.dirty_evict_writes", V: &c.st.DirtyEvictWrites},
+		{Name: "cache.checkpoint_writes", V: &c.st.CheckpointWrites},
+		{Name: "cache.skipped_writes", V: &c.st.SkippedWrites},
+		{Name: "cache.unflushed_skips", V: &c.st.UnflushedSkips},
 	}
 }
 
@@ -237,11 +208,11 @@ func (c *Cache) Get(p *sim.Proc, ref storage.BlockRef) (*storage.Block, error) {
 	key := bufKey{file: ref.File, no: ref.No}
 	s := c.shardFor(key)
 	if b, ok := s.buffers[key]; ok {
-		c.c.hits.Inc()
+		c.st.Hits++
 		s.lru.MoveToFront(b.elem)
 		return b.block, nil
 	}
-	c.c.misses.Inc()
+	c.st.Misses++
 	for len(s.buffers) >= s.capacity {
 		if err := c.evictOne(p, s); err != nil {
 			return nil, err
@@ -416,7 +387,7 @@ func (c *Cache) tryEvict(p *sim.Proc, s *shard) (yielded, evicted bool, err erro
 			case unwritten:
 				continue // unwritable: try an older buffer
 			case written:
-				c.c.dirtyEvictWrites.Inc()
+				c.st.DirtyEvictWrites++
 				c.Trace.Instant(p.Now(), trace.CatDBWR, "DBWR", "evict write",
 					trace.S("file", b.ref.File.Name), trace.I("block", int64(b.ref.No)), trace.I("scn", int64(scn)))
 			}
@@ -431,7 +402,7 @@ func (c *Cache) tryEvict(p *sim.Proc, s *shard) (yielded, evicted bool, err erro
 		}
 		s.lru.Remove(b.elem)
 		delete(s.buffers, key)
-		c.c.evictions.Inc()
+		c.st.Evictions++
 		return yielded, true, nil
 	}
 	return yielded, false, nil
@@ -473,7 +444,7 @@ func (c *Cache) Checkpoint(p *sim.Proc) (int, error) {
 			// it from the checkpoint would deadlock (see FlushableSCN);
 			// leave the buffer for the next checkpoint, clamping this
 			// one's position below its first dirty change.
-			c.c.unflushedSkips.Inc()
+			c.st.UnflushedSkips++
 			c.Trace.Instant(p.Now(), trace.CatDBWR, "DBWR", "unflushed skip",
 				trace.S("file", b.ref.File.Name), trace.I("block", int64(b.ref.No)), trace.I("scn", int64(b.block.SCN)))
 			continue
@@ -486,10 +457,10 @@ func (c *Cache) Checkpoint(p *sim.Proc) (int, error) {
 		case unforced:
 			return n, err
 		case unwritten:
-			c.c.skippedWrites.Inc()
+			c.st.SkippedWrites++
 		case written:
 			n++
-			c.c.checkpointWrites.Inc()
+			c.st.CheckpointWrites++
 		}
 	}
 	return n, nil

@@ -571,8 +571,9 @@ func runPoint(cfg Config, index int) (*PointResult, error) {
 	activeIn := in
 	if cluster != nil {
 		res.StreamHash = cluster.StreamHash()
-		res.ReplFrames, res.ReplBytes, res.ReplRecords,
-			res.ReplSyncWaits, res.ReplSyncLost, res.ReplResyncs = cluster.Counters()
+		st := cluster.Stats()
+		res.ReplFrames, res.ReplBytes, res.ReplRecords = st.Frames, st.Bytes, st.Records
+		res.ReplSyncWaits, res.ReplSyncLost, res.ReplResyncs = st.SyncWaits, st.SyncLost, st.Resyncs
 		if res.FailedOver {
 			activeIn = cluster.ActiveInstance()
 		}

@@ -94,7 +94,7 @@ const (
 // Decision is one evaluated tick of the controller, kept for reports
 // and tests.
 type Decision struct {
-	Tick       int
+	Tick       int64
 	At         sim.Time
 	Rung       int
 	Predicted  time.Duration
@@ -113,8 +113,7 @@ type Controller struct {
 	ctl *sim.Server
 
 	rung       int
-	ticks      int
-	lastChange int // tick index of the last knob change (0 = none yet)
+	lastChange int64 // tick index of the last knob change (0 = none yet)
 	upStreak   int
 	infeasible bool
 	parSet     bool
@@ -125,13 +124,8 @@ type Controller struct {
 
 	history []Decision
 
-	c struct {
-		ticks      *trace.Counter
-		skipped    *trace.Counter
-		changes    *trace.Counter
-		knobs      *trace.Counter
-		infeasible *trace.Counter
-	}
+	// st holds the controller's counters, registered as ctl.*.
+	st struct{ ticks, skipped, changes, knobs, infeasible int64 }
 }
 
 // ewmaAlpha smooths the sampled redo rates; ~8 ticks of memory.
@@ -157,12 +151,13 @@ func New(in *engine.Instance, cfg Config) (*Controller, error) {
 	}
 	c := &Controller{in: in, budget: cfg.Budget, ladder: DefaultLadder()}
 	c.rung = c.matchRung()
-	reg := in.Registry()
-	c.c.ticks = reg.Counter("ctl.ticks")
-	c.c.skipped = reg.Counter("ctl.skipped_ticks")
-	c.c.changes = reg.Counter("ctl.rung_changes")
-	c.c.knobs = reg.Counter("ctl.knob_changes")
-	c.c.infeasible = reg.Counter("ctl.infeasible_ticks")
+	in.Registry().Register([]trace.Counter{
+		{Name: "ctl.ticks", V: &c.st.ticks},
+		{Name: "ctl.skipped_ticks", V: &c.st.skipped},
+		{Name: "ctl.rung_changes", V: &c.st.changes},
+		{Name: "ctl.knob_changes", V: &c.st.knobs},
+		{Name: "ctl.infeasible_ticks", V: &c.st.infeasible},
+	}...)
 	return c, nil
 }
 
@@ -202,11 +197,11 @@ func (c *Controller) Rung() Rung { return c.ladder[c.rung] }
 func (c *Controller) RungIndex() int { return c.rung }
 
 // Ticks returns the number of evaluation ticks so far.
-func (c *Controller) Ticks() int { return c.ticks }
+func (c *Controller) Ticks() int64 { return c.st.ticks }
 
 // LastChangeTick returns the tick index of the most recent knob change
 // (0 when the controller has never moved).
-func (c *Controller) LastChangeTick() int { return c.lastChange }
+func (c *Controller) LastChangeTick() int64 { return c.lastChange }
 
 // Infeasible reports whether the budget is currently unattainable: even
 // the most conservative rung's predicted recovery exceeds it.
@@ -218,10 +213,9 @@ func (c *Controller) History() []Decision { return c.history }
 
 // tick is one evaluation: sense, predict each rung's worst case, move.
 func (c *Controller) tick(p *sim.Proc) {
-	c.ticks++
-	c.c.ticks.Inc()
+	c.st.ticks++
 	if c.in.State() != engine.StateOpen {
-		c.c.skipped.Inc()
+		c.st.skipped++
 		return
 	}
 	// Parallel recovery has no cost while the instance is up, so the
@@ -230,8 +224,8 @@ func (c *Controller) tick(p *sim.Proc) {
 		c.parSet = true
 		if maxParallel > c.in.RecoveryParallelism() {
 			if _, _, err := c.in.AlterSystem(p, "recovery_parallelism", strconv.Itoa(maxParallel)); err == nil {
-				c.c.knobs.Inc()
-				c.lastChange = c.ticks
+				c.st.knobs++
+				c.lastChange = c.st.ticks
 			}
 			if c.in.State() != engine.StateOpen {
 				return // crashed during the admin latency
@@ -242,7 +236,7 @@ func (c *Controller) tick(p *sim.Proc) {
 	recRate, ok1 := repo.Rate("db.flushed_scn")
 	byteRate, ok2 := repo.Rate("redo.flushed_bytes")
 	if !ok1 || !ok2 {
-		c.c.skipped.Inc()
+		c.st.skipped++
 		return
 	}
 	if !c.seeded {
@@ -272,7 +266,7 @@ func (c *Controller) tick(p *sim.Proc) {
 				trace.I("budget_ms", c.budget.Milliseconds()),
 				trace.I("floor_ms", floorPred.Milliseconds()))
 		}
-		c.c.infeasible.Inc()
+		c.st.infeasible++
 		desired = 0
 	case desired < 0:
 		// Nothing fits the margin but the floor fits the budget: hold
@@ -313,14 +307,14 @@ func (c *Controller) tick(p *sim.Proc) {
 
 	pred := c.predict(c.rung)
 	c.history = append(c.history, Decision{
-		Tick: c.ticks, At: p.Now(), Rung: c.rung,
+		Tick: c.st.ticks, At: p.Now(), Rung: c.rung,
 		Predicted: pred, Changed: changed, Infeasible: c.infeasible,
 	})
 	c.in.Tracer().Instant(p.Now(), trace.CatCtl, "CTL", "decision",
 		trace.S("rung", c.ladder[c.rung].Name),
 		trace.I("predicted_ms", pred.Milliseconds()),
 		trace.I("target_ms", target.Milliseconds()),
-		trace.I("tick", int64(c.ticks)))
+		trace.I("tick", c.st.ticks))
 }
 
 // predict answers the what-if question for rung i: if the instance ran
@@ -364,15 +358,15 @@ func (c *Controller) move(p *sim.Proc, to int) bool {
 			break // instance went down mid-move; retry next tick
 		}
 		if moved {
-			c.c.knobs.Inc()
+			c.st.knobs++
 			changed = true
 		}
 	}
 	if changed {
-		c.c.changes.Inc()
-		c.lastChange = c.ticks
+		c.st.changes++
+		c.lastChange = c.st.ticks
 		c.in.Tracer().Instant(p.Now(), trace.CatCtl, "CTL", "rung change",
-			trace.S("from", from), trace.S("to", r.Name), trace.I("tick", int64(c.ticks)))
+			trace.S("from", from), trace.S("to", r.Name), trace.I("tick", c.st.ticks))
 		if down && c.in.State() == engine.StateOpen {
 			// Stepping down means the budget is at risk now — but the
 			// group resize only pends until the next log switch, and the

@@ -118,9 +118,8 @@ func (r *Rig) populate(p *sim.Proc, app *tpcc.App) error {
 // replaced it and the reference backup is gone.
 func (r *Rig) ReleaseLoadSet() { r.set = nil }
 
-// Load is the set-up procedure: open, create and load the database,
-// checkpoint, take the reference backup and — in archive mode — force a
-// log switch so the backup's redo is archived.
+// Load is the set-up procedure: open, create and load the database, then
+// take the reference backup the way a DBA does, with BACKUP DATABASE.
 func (r *Rig) Load(p *sim.Proc) error {
 	if err := r.In.Open(p); err != nil {
 		return err
@@ -128,16 +127,14 @@ func (r *Rig) Load(p *sim.Proc) error {
 	if err := r.populate(p, r.App); err != nil {
 		return err
 	}
-	if err := r.In.Checkpoint(p); err != nil {
+	if _, err := r.ex.Execute(p, "BACKUP DATABASE"); err != nil {
 		return err
 	}
-	r.backupSCN = r.In.DB().Control.CheckpointSCN
-	if _, err := r.bk.TakeFull(p, r.In.DB(), r.In.Catalog(), r.backupSCN); err != nil {
+	b, err := r.bk.Latest()
+	if err != nil {
 		return err
 	}
-	if r.In.Config().Redo.ArchiveMode {
-		return r.In.ForceLogSwitch(p)
-	}
+	r.backupSCN = b.SCN
 	return nil
 }
 

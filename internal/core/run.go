@@ -391,7 +391,7 @@ func Run(spec Spec) (*Result, error) {
 		res.Series = drv.ThroughputSeries(start, end, 30*time.Second)
 		res.Committed = drv.CountCommitted(0)
 		res.Failures = len(drv.Failures())
-		res.Checkpoints = in.Stats().Checkpoints - ckptBase
+		res.Checkpoints = int(in.Stats().Checkpoints - ckptBase)
 		res.RedoWritten = in.Log().Stats().FlushedBytes
 		res.LogStalls = in.Log().Stats().StallTime
 		res.Repository = in.Monitor()

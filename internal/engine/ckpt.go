@@ -78,9 +78,9 @@ func (c *ckptProcess) serve(p *sim.Proc) bool {
 	// attribute the batch to its first reason.
 	switch batch[0] {
 	case reasonSwitch:
-		c.in.c.switchCheckpoints.Inc()
+		c.in.st.SwitchCheckpoints++
 	case reasonTimeout:
-		c.in.c.timeoutCheckpoints.Inc()
+		c.in.st.TimeoutCheckpoints++
 	}
 	return true
 }

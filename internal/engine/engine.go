@@ -57,25 +57,17 @@ var (
 	ErrCrashRecoveryNeeded = errors.New("engine: crash recovery required")
 )
 
-// Stats counts instance activity for the benchmark reports. It is a
-// snapshot view over the instance's counter registry.
+// Stats counts instance activity for the benchmark reports. Its fields are
+// the instance's own counters, registered first in its registry as
+// "engine.<snake_case_field>"; the cache and redo rows follow.
 type Stats struct {
-	Checkpoints        int
-	SwitchCheckpoints  int
-	TimeoutCheckpoints int
-	Crashes            int
-}
-
-// counters is the engine's own registered counter block; the cache and
-// redo blocks register alongside it in the instance registry.
-type counters struct {
-	checkpoints        *trace.Counter
-	switchCheckpoints  *trace.Counter
-	timeoutCheckpoints *trace.Counter
-	crashes            *trace.Counter
-	tsOfflines         *trace.Counter
-	tsOnlines          *trace.Counter
-	alters             *trace.Counter
+	Checkpoints        int64
+	SwitchCheckpoints  int64
+	TimeoutCheckpoints int64
+	Crashes            int64
+	TsOfflines         int64
+	TsOnlines          int64
+	Alters             int64
 }
 
 // Instance is one database server instance plus its database.
@@ -101,7 +93,7 @@ type Instance struct {
 	pmon *sim.Server
 	mmon *sim.Server // nil when monitoring is off
 	repo *monitor.Repository
-	c    counters
+	st   Stats
 	reg  *trace.Registry
 	tr   *trace.Tracer
 
@@ -150,21 +142,21 @@ func New(k *sim.Kernel, fs *simdisk.FS, cfg Config) (*Instance, error) {
 		state:  StateDown,
 		tsDown: make(map[string]sim.Time),
 	}
-	// One registry per instance: the engine's own counters plus every
-	// subsystem block, in construction order. Status() derives its
+	// One registry per instance: the engine's own rows, then the cache's
+	// and the log's, in construction order. Status() derives its
 	// counter fields from here, so a counter added in any subsystem
 	// shows up in reports without per-field plumbing.
 	inst.reg = trace.NewRegistry()
 	inst.tr = cfg.Tracer
-	inst.c = counters{
-		checkpoints:        inst.reg.Counter("engine.checkpoints"),
-		switchCheckpoints:  inst.reg.Counter("engine.switch_checkpoints"),
-		timeoutCheckpoints: inst.reg.Counter("engine.timeout_checkpoints"),
-		crashes:            inst.reg.Counter("engine.crashes"),
-		tsOfflines:         inst.reg.Counter("engine.ts_offlines"),
-		tsOnlines:          inst.reg.Counter("engine.ts_onlines"),
-		alters:             inst.reg.Counter("engine.alters"),
-	}
+	inst.reg.Register([]trace.Counter{
+		{Name: "engine.checkpoints", V: &inst.st.Checkpoints},
+		{Name: "engine.switch_checkpoints", V: &inst.st.SwitchCheckpoints},
+		{Name: "engine.timeout_checkpoints", V: &inst.st.TimeoutCheckpoints},
+		{Name: "engine.crashes", V: &inst.st.Crashes},
+		{Name: "engine.ts_offlines", V: &inst.st.TsOfflines},
+		{Name: "engine.ts_onlines", V: &inst.st.TsOnlines},
+		{Name: "engine.alters", V: &inst.st.Alters},
+	}...)
 	inst.reg.Register(inst.cache.Counters()...)
 	inst.reg.Register(log.Counters()...)
 	inst.cache.Trace = cfg.Tracer
@@ -251,17 +243,10 @@ func (in *Instance) Config() Config {
 }
 
 // Stats returns a snapshot of the instance counters.
-func (in *Instance) Stats() Stats {
-	return Stats{
-		Checkpoints:        int(in.c.checkpoints.Value()),
-		SwitchCheckpoints:  int(in.c.switchCheckpoints.Value()),
-		TimeoutCheckpoints: int(in.c.timeoutCheckpoints.Value()),
-		Crashes:            int(in.c.crashes.Value()),
-	}
-}
+func (in *Instance) Stats() Stats { return in.st }
 
-// Registry returns the instance's counter registry (engine + cache +
-// redo counter blocks).
+// Registry returns the instance's counter registry: the engine, cache and
+// redo rows, then any a driver, a cluster or a controller registers.
 func (in *Instance) Registry() *trace.Registry { return in.reg }
 
 // Tracer returns the instance's event bus (nil when tracing is off;
@@ -291,7 +276,7 @@ func (in *Instance) markTablespaceDown(name string) {
 		return
 	}
 	in.tsDown[name] = in.k.Now()
-	in.c.tsOfflines.Inc()
+	in.st.TsOfflines++
 	in.tr.Instant(in.k.Now(), trace.CatEngine, "engine", "tablespace down", trace.S("ts", name))
 }
 
@@ -301,7 +286,7 @@ func (in *Instance) clearTablespaceDown(name string) {
 		return
 	}
 	delete(in.tsDown, name)
-	in.c.tsOnlines.Inc()
+	in.st.TsOnlines++
 	in.tr.Instant(in.k.Now(), trace.CatEngine, "engine", "tablespace up", trace.S("ts", name))
 }
 
@@ -408,7 +393,7 @@ func (in *Instance) Crash() {
 	// picture, which is what the chaos estimator invariant compares the
 	// measured recovery against.
 	in.repo.Sample(in.k.Now())
-	in.c.crashes.Inc()
+	in.st.Crashes++
 	in.tr.Instant(in.k.Now(), trace.CatEngine, "engine", "crash",
 		trace.I("scn", int64(in.log.NextSCN())))
 	in.stop(true)
@@ -553,7 +538,7 @@ func (in *Instance) checkpoint(p *sim.Proc) error {
 		return err
 	}
 	in.log.CheckpointCompleted(scn)
-	in.c.checkpoints.Inc()
+	in.st.Checkpoints++
 	// Sample right after the checkpoint lands: the recovery-scan window
 	// (and so the live recovery estimate) just shrank, and a crash before
 	// the next MMON tick must not be compared against the stale pre-

@@ -13,7 +13,7 @@ import (
 // Config.SampleInterval > 0; everything it registers is a pure read of
 // instance state, so sampling never advances virtual time.
 func buildRepository(in *Instance) *monitor.Repository {
-	repo := monitor.New(monitor.Config{})
+	repo := monitor.New()
 	repo.Bind(in.reg)
 
 	repo.AddProbe("db.current_scn", func() int64 { return int64(in.log.NextSCN() - 1) })

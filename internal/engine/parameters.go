@@ -220,7 +220,7 @@ func (in *Instance) AlterSystem(p *sim.Proc, name, value string) (msg string, ch
 	if err := s.apply(in, v); err != nil {
 		return "", false, err
 	}
-	in.c.alters.Inc()
+	in.st.Alters++
 	in.tr.Instant(p.Now(), trace.CatEngine, "engine", "alter system",
 		trace.S("param", name), trace.S("value", value))
 	msg = fmt.Sprintf("%s = %s", name, s.unit.format(v))

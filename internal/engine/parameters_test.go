@@ -61,7 +61,7 @@ var dynamicCases = map[string]struct {
 // static; unknown; malformed) fails with its message and changes nothing.
 func TestAlterSystemDynamicKnobs(t *testing.T) {
 	k, _, in := newInstance(t, nil)
-	alters := in.reg.Counter("engine.alters")
+	alters := &in.st.Alters
 	listed := func(name string) Parameter {
 		for _, row := range in.Parameters() {
 			if row.Name == name {
@@ -71,12 +71,12 @@ func TestAlterSystemDynamicKnobs(t *testing.T) {
 		return Parameter{}
 	}
 	reject := func(p *sim.Proc, name, value, want string) error {
-		before, at := alters.Value(), p.Now()
+		before, at := *alters, p.Now()
 		_, changed, err := in.AlterSystem(p, name, value)
 		if err == nil || changed || err.Error() != want {
 			return fmt.Errorf("%s = %q: changed=%v err=%v, want error %q", name, value, changed, err, want)
 		}
-		if alters.Value() != before || p.Now() != at {
+		if *alters != before || p.Now() != at {
 			return fmt.Errorf("rejected %s = %q counted an alter or took time", name, value)
 		}
 		return nil
@@ -105,13 +105,13 @@ func TestAlterSystemDynamicKnobs(t *testing.T) {
 			if !ok {
 				return fmt.Errorf("dynamic parameter %q has no test case", row.name)
 			}
-			before, at := alters.Value(), p.Now()
+			before, at := *alters, p.Now()
 			msg, changed, err := in.AlterSystem(p, row.name, tc.set)
 			if err != nil || !changed || msg != tc.msg {
 				return fmt.Errorf("%s = %s: msg=%q changed=%v err=%v, want %q", row.name, tc.set, msg, changed, err, tc.msg)
 			}
-			if alters.Value() != before+1 || p.Now().Sub(at) != adminLatency {
-				return fmt.Errorf("%s: accepted alter counted %d, took %v", row.name, alters.Value()-before, p.Now().Sub(at))
+			if *alters != before+1 || p.Now().Sub(at) != adminLatency {
+				return fmt.Errorf("%s: accepted alter counted %d, took %v", row.name, *alters-before, p.Now().Sub(at))
 			}
 			got := listed(row.name)
 			if !got.Adjustable || (row.set.deferred && got.Pending != tc.set) || (!row.set.deferred && (got.Value != tc.set || got.Pending != "")) {
@@ -122,7 +122,7 @@ func TestAlterSystemDynamicKnobs(t *testing.T) {
 			if err != nil || changed || msg != tc.noop {
 				return fmt.Errorf("%s re-set: msg=%q changed=%v err=%v, want %q", row.name, msg, changed, err, tc.noop)
 			}
-			if alters.Value() != before+1 || p.Now() != at {
+			if *alters != before+1 || p.Now() != at {
 				return fmt.Errorf("%s: no-op counted an alter or took %v", row.name, p.Now().Sub(at))
 			}
 			for _, bad := range [][2]string{{tc.below, tc.errBelow}, {tc.above, tc.errAbove}, {tc.junk, tc.errJunk}} {
@@ -185,9 +185,9 @@ func TestAlterRearmsCheckpointTimer(t *testing.T) {
 		if err := in.Commit(p, tx); err != nil {
 			return err
 		}
-		base := in.reg.Counter("engine.timeout_checkpoints").Value()
+		base := in.st.TimeoutCheckpoints
 		p.Sleep(7 * time.Second)
-		if got := in.reg.Counter("engine.timeout_checkpoints").Value(); got <= base {
+		if got := in.st.TimeoutCheckpoints; got <= base {
 			return fmt.Errorf("no timeout checkpoint fired after arming a 2s timer (count %d)", got)
 		}
 		return nil

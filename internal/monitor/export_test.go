@@ -109,7 +109,7 @@ func TestExportsDeterministic(t *testing.T) {
 // tablespace offline at the window start but back online at the end still
 // appears in the report, with "-" for the end value.
 func TestFormatAWRGaugeGoneAtEnd(t *testing.T) {
-	r := New(Config{Depth: 4})
+	r := newRepository(4)
 	down := true
 	r.AddMultiProbe(func(emit func(string, int64)) {
 		if down {
@@ -127,7 +127,7 @@ func TestFormatAWRGaugeGoneAtEnd(t *testing.T) {
 }
 
 func TestFormatEmptyRepository(t *testing.T) {
-	r := New(Config{Depth: 4})
+	r := newRepository(4)
 	if got := FormatAWR(r); got != "Workload repository: no samples.\n" {
 		t.Errorf("empty AWR = %q", got)
 	}
@@ -146,7 +146,7 @@ func TestFormatEmptyRepository(t *testing.T) {
 // a sampled repository with no bound estimator says so rather than
 // printing a zero estimate.
 func TestFormatVRecoveryEstimateNoEstimator(t *testing.T) {
-	r := New(Config{Depth: 4})
+	r := newRepository(4)
 	r.Sample(0)
 	if got := FormatVRecoveryEstimate(r); got != "no estimator bound\n" {
 		t.Errorf("no-estimator V$RECOVERY_ESTIMATE = %q", got)

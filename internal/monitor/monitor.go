@@ -27,18 +27,11 @@ import (
 	"dbench/internal/trace"
 )
 
-// DefaultDepth bounds the repository when Config.Depth is zero: at the
-// default one-second sample interval it retains over an hour of virtual
-// time, far beyond any campaign's run length.
+// DefaultDepth bounds every repository: at the default one-second sample
+// interval it retains over an hour of virtual time, far beyond any
+// campaign's run length. When the ring is full the oldest sample is
+// evicted (and counted in Dropped).
 const DefaultDepth = 4096
-
-// Config sizes a repository.
-type Config struct {
-	// Depth is the maximum number of retained samples; when the ring is
-	// full the oldest sample is evicted (and counted in Dropped). Zero
-	// means DefaultDepth.
-	Depth int
-}
 
 // Gauge is one point-in-time measurement supplied by a probe: unlike the
 // registry's counters, gauges can move both ways (dirty-buffer depth) or
@@ -125,13 +118,13 @@ type Repository struct {
 	emit func(name string, v int64)
 }
 
-// New returns an empty repository.
-func New(cfg Config) *Repository {
-	d := cfg.Depth
-	if d <= 0 {
-		d = DefaultDepth
-	}
-	r := &Repository{depth: d}
+// New returns an empty repository of DefaultDepth samples.
+func New() *Repository { return newRepository(DefaultDepth) }
+
+// newRepository returns an empty repository retaining at most depth
+// samples (the ring-eviction tests build shallow ones).
+func newRepository(depth int) *Repository {
+	r := &Repository{depth: depth}
 	r.emit = func(name string, v int64) {
 		r.cur.Gauges = append(r.cur.Gauges, Gauge{Name: name, Value: v})
 	}

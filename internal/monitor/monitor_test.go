@@ -8,16 +8,22 @@ import (
 	"dbench/internal/trace"
 )
 
+// fixtureCounters is the synthetic registry's storage.
+type fixtureCounters struct{ commits, redoBytes int64 }
+
 // fixtureRepo builds a small repository over a synthetic registry with
 // two counters, one fixed probe, one multi-probe and a bound estimator,
 // then advances it through n samples with a deterministic workload shape.
 // The commits counter advances 10/tick and redo 5000 bytes/tick so rates
 // and diffs have known values.
-func fixtureRepo(depth, n int) (*Repository, *trace.Registry) {
+func fixtureRepo(depth, n int) (*Repository, *fixtureCounters) {
+	fc := &fixtureCounters{}
 	reg := trace.NewRegistry()
-	commits := reg.Counter("txn.committed")
-	redoBytes := reg.Counter("redo.flushed_bytes")
-	r := New(Config{Depth: depth})
+	reg.Register([]trace.Counter{
+		{Name: "txn.committed", V: &fc.commits},
+		{Name: "redo.flushed_bytes", V: &fc.redoBytes},
+	}...)
+	r := newRepository(depth)
 	r.Bind(reg)
 	dirty := int64(0)
 	r.AddProbe("cache.dirty", func() int64 { return dirty })
@@ -37,11 +43,11 @@ func fixtureRepo(depth, n int) (*Repository, *trace.Registry) {
 		Parallel:        1,
 	})
 	r.SetEstimator(est, func() (int64, int64, int64) {
-		return 1, flushed, redoBytes.Value()
+		return 1, flushed, fc.redoBytes
 	})
 	for i := 0; i < n; i++ {
-		commits.Add(10)
-		redoBytes.Add(5000)
+		fc.commits += 10
+		fc.redoBytes += 5000
 		flushed += 10
 		dirty = int64(i % 7)
 		if i%2 == 1 {
@@ -51,7 +57,7 @@ func fixtureRepo(depth, n int) (*Repository, *trace.Registry) {
 		}
 		r.Sample(sim.Time(i+1) * sim.Time(time.Second))
 	}
-	return r, reg
+	return r, fc
 }
 
 func TestRepositoryRingEviction(t *testing.T) {
@@ -137,11 +143,11 @@ func TestRepositoryHashDeterministicAndSensitive(t *testing.T) {
 		t.Error("extra sample did not change the hash")
 	}
 	// A single counter divergence must flip the hash.
-	d, reg := fixtureRepo(8, 6)
-	reg.Counter("txn.committed").Add(1)
+	d, dc := fixtureRepo(8, 6)
+	dc.commits++
 	d.Sample(sim.Time(100) * sim.Time(time.Second))
-	e, reg2 := fixtureRepo(8, 6)
-	reg2.Counter("txn.committed").Add(2)
+	e, ec := fixtureRepo(8, 6)
+	ec.commits += 2
 	e.Sample(sim.Time(100) * sim.Time(time.Second))
 	if d.Hash() == e.Hash() {
 		t.Error("counter divergence did not change the hash")

@@ -140,38 +140,17 @@ type Config struct {
 	ArchiveMode bool
 }
 
-// Stats exposes counters used by the benchmark reports. It is a
-// snapshot view over the manager's registered counters (see Counters).
+// Stats counts log activity for the benchmark reports. Its fields are the
+// manager's counters themselves: the manager increments them in place and
+// Counters registers each one as "redo.<snake_case_field>" (StallTime in
+// nanoseconds, as redo.stall_ns).
 type Stats struct {
-	Switches        int
-	Flushes         int
+	Switches        int64
+	Flushes         int64
 	FlushedBytes    int64
-	CheckpointWaits int
-	ArchiveWaits    int
+	CheckpointWaits int64
+	ArchiveWaits    int64
 	StallTime       time.Duration
-}
-
-// counters is the manager's registered counter block; one counter per
-// Stats field, named "redo.<snake_case_field>" (StallTime is kept in
-// nanoseconds as redo.stall_ns).
-type counters struct {
-	switches        *trace.Counter
-	flushes         *trace.Counter
-	flushedBytes    *trace.Counter
-	checkpointWaits *trace.Counter
-	archiveWaits    *trace.Counter
-	stallNS         *trace.Counter
-}
-
-func newCounters() counters {
-	return counters{
-		switches:        trace.NewCounter("redo.switches"),
-		flushes:         trace.NewCounter("redo.flushes"),
-		flushedBytes:    trace.NewCounter("redo.flushed_bytes"),
-		checkpointWaits: trace.NewCounter("redo.checkpoint_waits"),
-		archiveWaits:    trace.NewCounter("redo.archive_waits"),
-		stallNS:         trace.NewCounter("redo.stall_ns"),
-	}
 }
 
 // Manager owns the online redo log: the record buffer, the group ring and
@@ -247,7 +226,7 @@ type Manager struct {
 	// switches, reserve stalls). A nil tracer is valid.
 	Trace *trace.Tracer
 
-	c counters
+	st Stats
 }
 
 // NewManager creates the group files on disk and returns a manager ready
@@ -262,7 +241,7 @@ func NewManager(k *sim.Kernel, fs *simdisk.FS, cfg Config) (*Manager, error) {
 	if cfg.GroupSizeBytes <= 0 {
 		return nil, fmt.Errorf("redo: group size must be positive")
 	}
-	m := &Manager{k: k, fs: fs, cfg: cfg, nextSCN: 1, c: newCounters()}
+	m := &Manager{k: k, fs: fs, cfg: cfg, nextSCN: 1}
 	for range cfg.Groups {
 		g, err := m.newGroup(cfg.GroupSizeBytes)
 		if err != nil {
@@ -421,22 +400,17 @@ func (m *Manager) applyResize(p *sim.Proc) error {
 }
 
 // Stats returns a snapshot of the manager's counters.
-func (m *Manager) Stats() Stats {
-	return Stats{
-		Switches:        int(m.c.switches.Value()),
-		Flushes:         int(m.c.flushes.Value()),
-		FlushedBytes:    m.c.flushedBytes.Value(),
-		CheckpointWaits: int(m.c.checkpointWaits.Value()),
-		ArchiveWaits:    int(m.c.archiveWaits.Value()),
-		StallTime:       time.Duration(m.c.stallNS.Value()),
-	}
-}
+func (m *Manager) Stats() Stats { return m.st }
 
-// Counters exposes the manager's counters for the instance registry.
-func (m *Manager) Counters() []*trace.Counter {
-	return []*trace.Counter{
-		m.c.switches, m.c.flushes, m.c.flushedBytes,
-		m.c.checkpointWaits, m.c.archiveWaits, m.c.stallNS,
+// Counters returns the manager's registry rows, one per Stats field.
+func (m *Manager) Counters() []trace.Counter {
+	return []trace.Counter{
+		{Name: "redo.switches", V: &m.st.Switches},
+		{Name: "redo.flushes", V: &m.st.Flushes},
+		{Name: "redo.flushed_bytes", V: &m.st.FlushedBytes},
+		{Name: "redo.checkpoint_waits", V: &m.st.CheckpointWaits},
+		{Name: "redo.archive_waits", V: &m.st.ArchiveWaits},
+		{Name: "redo.stall_ns", V: (*int64)(&m.st.StallTime)},
 	}
 }
 
@@ -541,7 +515,7 @@ func (m *Manager) Reserve(p *sim.Proc, size int64) error {
 	}
 	if stallStart >= 0 {
 		waited := p.Now().Sub(stallStart)
-		m.c.stallNS.Add(int64(waited))
+		m.st.StallTime += waited
 		m.Trace.Instant(p.Now(), trace.CatLGWR, "redo", "reserve stall",
 			trace.I("bytes", size), trace.I("wait_ns", int64(waited)))
 	}
@@ -620,7 +594,7 @@ func (m *Manager) flush(p *sim.Proc) bool {
 		}
 		return false
 	}
-	m.c.flushes.Inc()
+	m.st.Flushes++
 	return true
 }
 
@@ -658,7 +632,7 @@ func (m *Manager) drainBuffer(p *sim.Proc) error {
 				return fmt.Errorf("redo: member write: %w", err)
 			}
 		}
-		m.c.flushedBytes.Add(segBytes)
+		m.st.FlushedBytes += segBytes
 		total += segBytes
 		segBytes = 0
 		if lastPlaced > m.flushedSCN {
@@ -754,13 +728,13 @@ func (m *Manager) switchGroup(p *sim.Proc) error {
 		m.waitReusable(p, next)
 	}
 	stalled := p.Now().Sub(stallStart)
-	m.c.stallNS.Add(int64(stalled))
+	m.st.StallTime += stalled
 
 	m.cur = (m.cur + 1) % len(m.groups)
 	next.empty() // reuse rewrites the group from the start
 	next.current = true
 	next.Seq = old.Seq + 1
-	m.c.switches.Inc()
+	m.st.Switches++
 	m.Trace.End(p.Now(), span,
 		trace.I("to_seq", int64(next.Seq)), trace.I("stall_ns", int64(stalled)))
 	if err := m.applyResize(p); err != nil {
@@ -777,12 +751,12 @@ func (m *Manager) switchGroup(p *sim.Proc) error {
 // also demands a fresh one) or its archive copy ("archival required").
 func (m *Manager) waitReusable(p *sim.Proc, next *Group) {
 	if !next.ckptDone {
-		m.c.checkpointWaits.Inc()
+		m.st.CheckpointWaits++
 		if m.OnCheckpointNeeded != nil {
 			m.OnCheckpointNeeded()
 		}
 	} else {
-		m.c.archiveWaits.Inc()
+		m.st.ArchiveWaits++
 	}
 	m.reusable.Wait(p)
 }

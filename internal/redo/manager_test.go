@@ -124,7 +124,7 @@ func TestLogSwitchOnFull(t *testing.T) {
 	if len(switched) == 0 {
 		t.Fatal("no log switch happened")
 	}
-	if m.Stats().Switches != len(switched) {
+	if m.Stats().Switches != int64(len(switched)) {
 		t.Fatalf("stats.Switches = %d, callbacks = %d", m.Stats().Switches, len(switched))
 	}
 	// Sequence numbers must increase across switches.

@@ -102,7 +102,7 @@ func TestClusterIntrospection(t *testing.T) {
 			pri.Txns().CommitGate = cluster.CommitGate
 			pri.OnStateChange = cluster.OnPrimaryState
 
-			repo := monitor.New(monitor.Config{})
+			repo := monitor.New()
 			cluster.RegisterProbes(repo)
 
 			put := func(key int64) error {
@@ -131,7 +131,8 @@ func TestClusterIntrospection(t *testing.T) {
 			if got := len(cluster.Standbys()); got != 3 {
 				return fmt.Errorf("standbys = %d, want 3", got)
 			}
-			frames, bytes, records, syncWaits, _, resyncs := cluster.Counters()
+			st := cluster.Stats()
+			frames, bytes, records, syncWaits, resyncs := st.Frames, st.Bytes, st.Records, st.SyncWaits, st.Resyncs
 			if frames == 0 || bytes == 0 || records == 0 {
 				return fmt.Errorf("stream counters empty: frames=%d bytes=%d records=%d", frames, bytes, records)
 			}
@@ -186,7 +187,7 @@ func TestClusterIntrospection(t *testing.T) {
 			// logs when it reopens — no stand-by falls behind permanently.
 			cluster.OnPrimaryState(p.Now(), engine.StateDown)
 			cluster.OnPrimaryState(p.Now(), engine.StateOpen)
-			if _, _, _, _, _, resyncs := cluster.Counters(); resyncs != 2 {
+			if resyncs := cluster.Stats().Resyncs; resyncs != 2 {
 				return fmt.Errorf("resyncs = %d after bounce, want 2 (first tier)", resyncs)
 			}
 			for i := int64(50); i < 60; i++ {
@@ -252,7 +253,7 @@ func TestClusterIntrospectionArchive(t *testing.T) {
 		pr.primary.Archiver().OnArchived = cluster.OnArchived
 		pr.primary.Txns().CommitGate = cluster.CommitGate
 		pr.primary.OnStateChange = cluster.OnPrimaryState
-		repo := monitor.New(monitor.Config{})
+		repo := monitor.New()
 		cluster.RegisterProbes(repo)
 
 		for i := int64(0); i < 600; i++ {
@@ -266,8 +267,8 @@ func TestClusterIntrospectionArchive(t *testing.T) {
 		if n := len(cluster.Links()); n != 0 {
 			return fmt.Errorf("archive cluster built %d stream links", n)
 		}
-		if frames, _, _, syncWaits, _, _ := cluster.Counters(); frames != 0 || syncWaits != 0 {
-			return fmt.Errorf("archive cluster streamed %d frames and held %d commits", frames, syncWaits)
+		if st := cluster.Stats(); st.Frames != 0 || st.SyncWaits != 0 {
+			return fmt.Errorf("archive cluster streamed %d frames and held %d commits", st.Frames, st.SyncWaits)
 		}
 		rows := cluster.VReplication()
 		if len(rows) != 1 {

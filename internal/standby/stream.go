@@ -165,9 +165,7 @@ type Cluster struct {
 	flushedAtDown redo.SCN
 	ackWake       sim.Cond
 
-	cFrames, cBytes, cRecords *trace.Counter
-	cSyncWaits, cSyncLost     *trace.Counter
-	cResyncs                  *trace.Counter
+	st ClusterStats
 
 	promoted     *Standby
 	lastEstimate time.Duration
@@ -176,8 +174,8 @@ type Cluster struct {
 
 // NewCluster builds a cluster over prepared stand-bys (see New). The
 // last cfg.Cascade stand-bys become second-tier destinations; at least
-// one first-tier stand-by must remain. Counters register on the
-// primary's registry under repl.*.
+// one first-tier stand-by must remain. The ClusterStats fields register
+// on the primary's registry under repl.*.
 func NewCluster(primary *engine.Instance, standbys []*Standby, cfg ClusterConfig) (*Cluster, error) {
 	if len(standbys) == 0 {
 		return nil, errors.New("standby: cluster needs at least one standby")
@@ -185,20 +183,22 @@ func NewCluster(primary *engine.Instance, standbys []*Standby, cfg ClusterConfig
 	if cfg.Cascade < 0 || cfg.Cascade >= len(standbys) {
 		return nil, fmt.Errorf("standby: %d cascades leave no first-tier standby (have %d)", cfg.Cascade, len(standbys))
 	}
-	reg := primary.Registry()
-	return &Cluster{
-		k:          primary.Kernel(),
-		primary:    primary,
-		cfg:        cfg,
-		standbys:   standbys,
-		firstTier:  len(standbys) - cfg.Cascade,
-		cFrames:    reg.Counter("repl.frames"),
-		cBytes:     reg.Counter("repl.bytes"),
-		cRecords:   reg.Counter("repl.records"),
-		cSyncWaits: reg.Counter("repl.sync.waits"),
-		cSyncLost:  reg.Counter("repl.sync.lost"),
-		cResyncs:   reg.Counter("repl.resyncs"),
-	}, nil
+	c := &Cluster{
+		k:         primary.Kernel(),
+		primary:   primary,
+		cfg:       cfg,
+		standbys:  standbys,
+		firstTier: len(standbys) - cfg.Cascade,
+	}
+	primary.Registry().Register([]trace.Counter{
+		{Name: "repl.frames", V: &c.st.Frames},
+		{Name: "repl.bytes", V: &c.st.Bytes},
+		{Name: "repl.records", V: &c.st.Records},
+		{Name: "repl.sync.waits", V: &c.st.SyncWaits},
+		{Name: "repl.sync.lost", V: &c.st.SyncLost},
+		{Name: "repl.resyncs", V: &c.st.Resyncs},
+	}...)
+	return c, nil
 }
 
 // Start mounts every stand-by and launches the shipping processes. The
@@ -208,9 +208,9 @@ func NewCluster(primary *engine.Instance, standbys []*Standby, cfg ClusterConfig
 // OnStateChange to c.OnPrimaryState).
 func (c *Cluster) Start(p *sim.Proc) error {
 	deliver := func(dp *sim.Proc, f *redo.StreamFrame, encoded int) {
-		c.cFrames.Inc()
-		c.cBytes.Add(int64(encoded))
-		c.cRecords.Add(int64(len(f.Records)))
+		c.st.Frames++
+		c.st.Bytes += int64(encoded)
+		c.st.Records += int64(len(f.Records))
 		c.ackWake.Broadcast(c.k)
 	}
 	// ship starts one LNS process streaming to dst over its own link.
@@ -293,14 +293,14 @@ func (c *Cluster) CommitGate(p *sim.Proc, scn redo.SCN) error {
 	for !c.down && !c.quorum(scn) {
 		if !waited {
 			waited = true
-			c.cSyncWaits.Inc()
+			c.st.SyncWaits++
 		}
 		c.ackWake.Wait(p)
 	}
 	if c.quorum(scn) {
 		return nil
 	}
-	c.cSyncLost.Inc()
+	c.st.SyncLost++
 	return ErrPrimaryLost
 }
 
@@ -363,7 +363,7 @@ func (c *Cluster) resync() {
 		st.outbox = nil
 		st.start()
 		st.enqueue(recs)
-		c.cResyncs.Inc()
+		c.st.Resyncs++
 	}
 	c.ackWake.Broadcast(c.k)
 }
@@ -458,14 +458,17 @@ func (c *Cluster) StreamHash() uint64 {
 	return h
 }
 
-// Counters returns the repl.* counter values — frames and bytes
-// delivered, records streamed, sync commit waits, sync commits failed by
-// a primary loss, and stream resyncs. The chaos harness folds them into
-// its determinism fingerprints.
-func (c *Cluster) Counters() (frames, bytes, records, syncWaits, syncLost, resyncs int64) {
-	return c.cFrames.Value(), c.cBytes.Value(), c.cRecords.Value(),
-		c.cSyncWaits.Value(), c.cSyncLost.Value(), c.cResyncs.Value()
+// ClusterStats counts replication activity: frames and bytes delivered,
+// records streamed, sync commit waits, sync commits failed by a primary
+// loss, and stream resyncs. The chaos harness folds them into its
+// determinism fingerprints.
+type ClusterStats struct {
+	Frames, Bytes, Records       int64
+	SyncWaits, SyncLost, Resyncs int64
 }
+
+// Stats returns the cluster's repl.* counters.
+func (c *Cluster) Stats() ClusterStats { return c.st }
 
 // VReplication reports the V$REPLICATION view rows, one per stand-by.
 func (c *Cluster) VReplication() []monitor.ReplicationRow {

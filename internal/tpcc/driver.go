@@ -80,20 +80,19 @@ type Driver struct {
 	failures []FailureRecord
 	aborts   []AbortRecord
 
-	offered *trace.Counter
-	served  *trace.Counter
-	refused *trace.Counter
+	// st holds the driver's counters, registered as tpcc.*.
+	st struct{ offered, served, refused int64 }
 }
 
 // NewDriver creates a driver for the loaded application.
 func NewDriver(app *App, cfg DriverConfig) *Driver {
-	reg := app.In.Registry()
-	return &Driver{
-		app: app, k: app.In.Kernel(), cfg: cfg,
-		offered: reg.Counter("tpcc.offered"),
-		served:  reg.Counter("tpcc.served"),
-		refused: reg.Counter("tpcc.refused"),
-	}
+	d := &Driver{app: app, k: app.In.Kernel(), cfg: cfg}
+	app.In.Registry().Register([]trace.Counter{
+		{Name: "tpcc.offered", V: &d.st.offered},
+		{Name: "tpcc.served", V: &d.st.served},
+		{Name: "tpcc.refused", V: &d.st.refused},
+	}...)
+	return d
 }
 
 // Start launches the terminal processes.
@@ -235,7 +234,7 @@ func (d *Driver) terminalLoop(p *sim.Proc, w int, track string, r *rand.Rand, id
 			span = tr.Begin(p.Now(), trace.CatTxn, track, typ.String())
 		}
 		submitted++
-		d.offered.Inc()
+		d.st.offered++
 		res, err := d.exec(p, r, typ, w)
 		now := p.Now()
 		if span != 0 {
@@ -256,14 +255,14 @@ func (d *Driver) terminalLoop(p *sim.Proc, w int, track string, r *rand.Rand, id
 				rec.D, rec.OID = res.districtID, res.orderID
 			}
 			d.commits = append(d.commits, rec)
-			d.served.Inc()
+			d.st.served++
 		case errors.Is(err, ErrUserAbort):
 			// The database did its part: a user abort is served traffic.
 			d.aborts = append(d.aborts, AbortRecord{At: now, W: w})
-			d.served.Inc()
+			d.st.served++
 		default:
 			d.failures = append(d.failures, FailureRecord{Type: typ, At: now, W: w, Err: err.Error()})
-			d.refused.Inc()
+			d.st.refused++
 			p.Sleep(retryBackoff)
 		}
 	}
