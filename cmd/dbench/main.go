@@ -148,10 +148,10 @@ var registry = []experiment{
 	{"chaos", false, nil, func(e *env) error {
 		cfg := chaos.DefaultConfig()
 		cfg.Points = e.crashPoints
-		cfg.Seed = e.sc.Seed
+		cfg.Spec.Seed = e.sc.Seed
 		cfg.Parallel = e.sc.Parallel
-		cfg.TPCC.Warehouses = e.warehouses[0]
-		cfg.RecoveryWorkers = slices.Max(e.sc.RecoveryWorkers)
+		cfg.Spec.TPCC.Warehouses = e.warehouses[0]
+		cfg.Spec.RecoveryWorkers = slices.Max(e.sc.RecoveryWorkers)
 		cfg.Tracer = e.sc.Tracer
 		rep, err := chaos.Explore(cfg, e.progress)
 		if err != nil {

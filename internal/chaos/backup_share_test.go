@@ -15,7 +15,6 @@ import (
 	"dbench/internal/sim"
 	"dbench/internal/standby"
 	"dbench/internal/storage"
-	"dbench/internal/tpcc"
 )
 
 // imagesHash is StateHash's block hash over a bare set of images.
@@ -43,14 +42,12 @@ func imagesHash(images []*storage.Block) uint64 {
 // it as a found bug; the parent commit shows it too). No experiment injects
 // two faults, and this test is not about that.
 func TestBackupImagesSurviveWorkloadRestoresAndCrash(t *testing.T) {
-	cfg := quickConfig()
-	ecfg := engine.DefaultConfig()
-	ecfg.Redo.GroupSizeBytes = groupSize
-	ecfg.Redo.Groups = groups
-	ecfg.Redo.ArchiveMode = true
-	ecfg.CheckpointTimeout = 2 * time.Second
-	ecfg.CacheBlocks = 48 // far below the working set: evictions write dirty blocks back
-	rig, err := core.NewRig(5, ecfg, cfg.TPCC, tpcc.DriverConfig{}, 0)
+	spec := quickConfig().Spec
+	spec.Seed = 5
+	spec.Recovery.CheckpointTimeout = 2 * time.Second
+	spec.CacheBlocks = 48 // far below the working set: evictions write dirty blocks back
+	spec.SampleInterval = 0
+	rig, err := core.NewRig(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,14 +168,12 @@ func fileHashes(in *engine.Instance) map[string]uint64 {
 // redo prefix it received does on a third copy of the same images (the
 // failover differential's oracle).
 func TestStandbysShareTheLoadedImagesAndNobodyWritesThrough(t *testing.T) {
-	cfg := quickConfig()
-	ecfg := engine.DefaultConfig()
-	ecfg.Redo.GroupSizeBytes = groupSize
-	ecfg.Redo.Groups = groups
-	ecfg.Redo.ArchiveMode = true
-	ecfg.CheckpointTimeout = 2 * time.Second
-	ecfg.CacheBlocks = 48 // far below the working set: evictions write dirty blocks back
-	rig, err := core.NewRig(6, ecfg, cfg.TPCC, tpcc.DriverConfig{}, 0)
+	spec := quickConfig().Spec
+	spec.Seed = 6
+	spec.Recovery.CheckpointTimeout = 2 * time.Second
+	spec.CacheBlocks = 48 // far below the working set: evictions write dirty blocks back
+	spec.SampleInterval = 0
+	rig, err := core.NewRig(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -96,70 +96,28 @@ func (w Window) String() string {
 
 // Config scales one exploration campaign.
 type Config struct {
+	// Spec is the run every crash point makes, on a rig of its own. Its
+	// Seed is the campaign seed (each point's is derived from it and the
+	// point index) and TailAfterRecovery how long the workload runs after
+	// recovery, before the checks; the crash replaces Fault, InjectAt and
+	// Duration, and a hash of the point's own trace replaces Tracer. What
+	// the spec enables joins the battery: SampleInterval folds the metric
+	// stream into the fingerprint and arms the estimator check (f), which
+	// is vacuous at zero; Control puts crashes amid ALTER SYSTEM knob
+	// changes and folds the controller's decisions in too; Standbys makes
+	// promotion the remedy, adds the two link-fault windows, extends
+	// served-safety to sync acks against a dark quorum and folds in the
+	// stream transport. Each such option, and each RecoveryWorkers count,
+	// pins its own fingerprints.
+	Spec core.Spec
 	// Points is the number of crash points to explore.
 	Points int
-	// Seed drives every random choice; the per-point seed is derived
-	// from it and the point index.
-	Seed int64
 	// Parallel is the worker count, following core.Workers (0 = one
 	// worker per CPU).
 	Parallel int
-
-	// TPCC scales the workload under which crashes happen.
-	TPCC tpcc.Config
-	// CacheBlocks sizes the buffer cache; small caches write back
-	// dirty blocks early and widen the crash-state space.
-	CacheBlocks int
-	// CheckpointTimeout is the engine's periodic checkpoint interval.
-	CheckpointTimeout time.Duration
 	// CrashMin/CrashMax bound the crash instant, measured from
 	// workload start.
 	CrashMin, CrashMax time.Duration
-	// Tail is how long the workload keeps running after recovery
-	// before the database is quiesced and checked.
-	Tail time.Duration
-	// RecoveryWorkers is the parallel-recovery fan-out for every
-	// point's crash recovery (<=1 = serial). The four invariants must
-	// hold for any value; parallel recovery changes the traced event
-	// stream (worker spans, overlapped I/O), so each worker count has
-	// its own deterministic fingerprints.
-	RecoveryWorkers int
-
-	// Controller attaches the self-tuning controller (internal/control)
-	// to every point's instance, evaluating every sample tick — so crash
-	// points land amid ALTER SYSTEM knob changes, checkpoint-timer
-	// re-arms and pending redo resizes. Requires SampleInterval > 0 (the
-	// repository is the controller's sensor). The controller's decision
-	// stream folds into the determinism fingerprint twice over: its
-	// trace instants hash into TraceHash and its ctl.* counters into
-	// MetricsHash, so controller-enabled explorations pin their own
-	// golden fingerprints.
-	Controller bool
-	// Budget is the controller's recovery-time objective (0 = 30s).
-	Budget time.Duration
-
-	// Standbys attaches a streaming-replication cluster to every point:
-	// that many stand-bys fed by continuous redo streaming, the commit
-	// gate per ReplMode, and stand-by promotion — not primary instance
-	// recovery — as the remedy for every crash. The window rotation
-	// gains the two link-fault windows (partition, lag-spike), the
-	// stream hash and repl.* counters fold into the determinism
-	// fingerprint, and the served-safety invariant extends to sync
-	// acknowledgements against a dark quorum. Zero keeps the harness —
-	// and its golden fingerprints — exactly as before.
-	Standbys int
-	// ReplMode is the commit-acknowledgement protocol (sync or async), over
-	// the rig's default link (core.LinkLAN).
-	ReplMode standby.Mode
-
-	// SampleInterval enables the MMON workload repository on every
-	// point's instance and sets its sampling period. With sampling on,
-	// two more checks join the battery: the metric-stream hash is folded
-	// into the determinism fingerprint, and the estimator-accuracy
-	// invariant (f) compares the crash-instant recovery estimate against
-	// the measured redo-replay phase. Zero disables both (the estimate
-	// verdict is then vacuously true).
-	SampleInterval time.Duration
 
 	// Tracer, when set, receives one chaos-category instant per crash
 	// point (in point order, after the pool completes, so the stream is
@@ -169,17 +127,10 @@ type Config struct {
 	Tracer *trace.Tracer
 }
 
-// The redo log every point runs with: three 1 MB groups keep switches,
-// archiving and checkpoints frequent, so crash points land amid them.
-// Recovery starts after the injector's default detection time (2 s).
-const (
-	groupSize = 1 << 20
-	groups    = 3
-)
-
 // DefaultConfig explores 50 points of a deliberately twitchy
-// configuration, whose small redo groups put crashes amid the interesting
-// machinery.
+// configuration: three 1 MB redo groups put crashes amid the interesting
+// machinery. Recovery starts after the injector's default detection time
+// (2 s).
 func DefaultConfig() Config {
 	tc := tpcc.DefaultConfig()
 	tc.Warehouses = 1
@@ -187,15 +138,20 @@ func DefaultConfig() Config {
 	tc.Items = 1000
 	tc.TerminalsPerWarehouse = 8
 	return Config{
-		Points:            50,
-		Seed:              1,
-		TPCC:              tc,
-		CacheBlocks:       512,
-		CheckpointTimeout: 15 * time.Second,
-		CrashMin:          3 * time.Second,
-		CrashMax:          25 * time.Second,
-		Tail:              5 * time.Second,
-		SampleInterval:    250 * time.Millisecond,
+		Spec: core.Spec{
+			Name:              "chaos",
+			Seed:              1,
+			Recovery:          core.RecoveryConfig{FileSize: 1 << 20, Groups: 3, CheckpointTimeout: 15 * time.Second},
+			Archive:           true,
+			TPCC:              tc,
+			CacheBlocks:       512,
+			Cost:              engine.DefaultCostModel(),
+			SampleInterval:    250 * time.Millisecond,
+			TailAfterRecovery: 5 * time.Second,
+		},
+		Points:   50,
+		CrashMin: 3 * time.Second,
+		CrashMax: 25 * time.Second,
 	}
 }
 
@@ -254,52 +210,37 @@ func Explore(cfg Config, progress core.Progress) (*Report, error) {
 // platform and returns every measure except the determinism verdict
 // (Explore fills that in from the rerun).
 func runPoint(cfg Config, index int) (*PointResult, error) {
-	seed := pointSeed(cfg.Seed, index)
+	spec := cfg.Spec
+	spec.Seed = pointSeed(cfg.Spec.Seed, index)
 	mod := windowCount
-	if cfg.Standbys > 0 {
+	if spec.Standbys > 0 {
 		mod = windowCountRepl
 	}
 	window := Window(index%mod + 1)
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(rand.NewSource(spec.Seed))
 	crashDelay := cfg.CrashMin + time.Duration(rng.Int63n(int64(cfg.CrashMax-cfg.CrashMin)))
 	jitter := time.Duration(rng.Int63n(int64(50 * time.Millisecond)))
 
-	ecfg := engine.DefaultConfig()
-	ecfg.Redo.GroupSizeBytes = groupSize
-	ecfg.Redo.Groups = groups
-	ecfg.Redo.ArchiveMode = true
-	ecfg.CheckpointTimeout = cfg.CheckpointTimeout
-	ecfg.CacheBlocks = cfg.CacheBlocks
-	ecfg.RecoveryParallelism = cfg.RecoveryWorkers
-	ecfg.SampleInterval = cfg.SampleInterval
 	// Every point runs fully traced into a hash sink: the event stream —
 	// every span, instant, timestamp and attribute the instrumentation
 	// emits — is condensed to one value and compared across the
 	// determinism rerun. A scheduling divergence that happens to end in
 	// the same final state still trips this.
 	hs := trace.NewHashSink()
-	ecfg.Tracer = trace.New(hs)
-	rig, err := core.NewRig(seed, ecfg, cfg.TPCC, tpcc.DriverConfig{}, 0)
+	spec.Tracer = trace.New(hs)
+	rig, err := core.NewRig(spec)
 	if err != nil {
 		return nil, err
 	}
-	k, in, rm, inj, app, drv := rig.K, rig.In, rig.Rm, rig.Inj, rig.App, rig.Drv
+	k, in, rm, app, drv := rig.K, rig.In, rig.Rm, rig.App, rig.Drv
 	var ctl *control.Controller
-	if cfg.Controller {
-		if cfg.SampleInterval <= 0 {
-			return nil, fmt.Errorf("chaos: Controller requires SampleInterval > 0")
-		}
-		budget := cfg.Budget
-		if budget <= 0 {
-			budget = 30 * time.Second
-		}
-		ctl, err = control.New(in, control.Config{Budget: budget})
-		if err != nil {
+	if spec.Control != nil {
+		if ctl, err = control.New(in, *spec.Control); err != nil {
 			return nil, err
 		}
 	}
 
-	res := &PointResult{Index: index, Window: window, Seed: seed, ReplActive: cfg.Standbys > 0}
+	res := &PointResult{Index: index, Window: window, Seed: spec.Seed, ReplActive: spec.Standbys > 0}
 	var cluster *standby.Cluster
 	var reopenAt sim.Time
 	// The first instance to (re)open after the crash closes the dark
@@ -311,28 +252,22 @@ func runPoint(cfg Config, index int) (*PointResult, error) {
 	}
 
 	err = rig.Exec("chaos", func(p *sim.Proc) error {
-		// Phase 1: create, load, checkpoint, reference backup.
-		if err := rig.Load(p); err != nil {
+		// Phase 1: create, load, checkpoint, reference backup, and (in
+		// replicated explorations) the streaming cluster. Only the primary
+		// feeds the trace hash and the MMON repository (the rig's
+		// stand-bys neither trace nor sample). Every stand-by instance
+		// reports its open — after a promotion the primary never reopens,
+		// so the dark window closes when the promoted stand-by comes up
+		// instead.
+		var err error
+		if cluster, err = rig.Setup(p); err != nil {
 			return err
 		}
-
-		// Phase 1b (replicated explorations): the streaming cluster. Only
-		// the primary feeds the trace hash and the MMON repository (the
-		// rig's stand-bys neither trace nor sample). Every stand-by
-		// instance reports its open — after a promotion the primary never
-		// reopens, so the dark window closes when the promoted stand-by
-		// comes up instead.
-		if cfg.Standbys > 0 {
-			var err error
-			cluster, err = rig.StartCluster(p, cfg.Standbys, standby.ClusterConfig{Mode: cfg.ReplMode})
-			if err != nil {
-				return err
-			}
+		if cluster != nil {
 			for _, s := range cluster.Standbys() {
 				s.Instance().OnStateChange = noteOpen
 			}
 		}
-		rig.ReleaseLoadSet()
 
 		// Phase 2: workload, then position the crash inside the
 		// requested window. The controller (when enabled) starts with
@@ -433,7 +368,8 @@ func runPoint(cfg Config, index int) (*PointResult, error) {
 			noteOpen(now, s)
 		}
 		o := faults.Observed(faults.Fault{Kind: faults.ShutdownAbort}, res.CrashAt, preSCN)
-		if err := inj.Recover(p, o); err != nil {
+		recoveryPoint, err := rig.Remedy(p, o)
+		if err != nil {
 			return fmt.Errorf("recovery after crash at %v: %w", res.CrashAt, err)
 		}
 		res.RecoveryKind = o.Report.Kind
@@ -442,18 +378,15 @@ func runPoint(cfg Config, index int) (*PointResult, error) {
 		res.BytesReplayed = o.Report.BytesApplied
 
 		// After a promotion the cluster's stand-by is the database: the
-		// terminals re-target it, every check below runs against it, and
-		// the promotion SCN is the durability cut — acknowledged commits
-		// beyond it are the failover's RPO, legitimate in async mode
-		// only.
+		// terminals re-target it (Remedy), every check below runs against
+		// it, and the promotion SCN is the durability cut — acknowledged
+		// commits beyond it are the failover's RPO, legitimate in async
+		// mode only.
 		checkIn, reapplier := in, rm
-		recoveryPoint := redo.SCN(-1)
 		if o.FailedOver {
 			res.FailedOver = true
 			checkIn = cluster.ActiveInstance()
 			reapplier = recovery.NewManager(checkIn, nil)
-			recoveryPoint = cluster.PromotedSCN()
-			app.In = checkIn
 			// Trim the idempotence replay to the promoted prefix: redo
 			// beyond the promotion SCN never reached the stand-by, so
 			// re-applying it would (correctly) change state.
@@ -484,7 +417,7 @@ func runPoint(cfg Config, index int) (*PointResult, error) {
 				}
 			}
 			res.EstimatedRedoReplay = crashEstimate.RedoReplay
-			if cfg.SampleInterval > 0 {
+			if spec.SampleInterval > 0 {
 				res.EstimateOK = crashEstimate.Valid &&
 					estimateWithin(res.EstimatedRedoReplay, res.MeasuredRedoReplay)
 			} else {
@@ -500,8 +433,8 @@ func runPoint(cfg Config, index int) (*PointResult, error) {
 		res.Idempotent = res.ReappliedRecords == 0 && StateHash(checkIn) == before
 
 		// Phase 4: post-recovery tail, then quiesce and check.
-		if cfg.Tail > 0 {
-			p.Sleep(cfg.Tail)
+		if spec.TailAfterRecovery > 0 {
+			p.Sleep(spec.TailAfterRecovery)
 		}
 		drv.Quiesce(p)
 
@@ -510,14 +443,14 @@ func runPoint(cfg Config, index int) (*PointResult, error) {
 		// beyond the cut are the failover's RPO: the async exposure the
 		// replica experiment measures, and a hard violation in sync mode
 		// (the commit gate held those acknowledgements for the quorum).
-		missing, beyond, err := missingFromLedger(p, app, ledger, recoveryPoint)
+		missing, beyond, err := app.Missing(p, ledger, recoveryPoint)
 		if err != nil {
 			return fmt.Errorf("durability check: %w", err)
 		}
 		res.MissingCommits = missing
 		res.RPOLost = beyond
 		res.Durable = missing == 0 &&
-			(!res.FailedOver || cfg.ReplMode != standby.ModeSync || beyond == 0)
+			(!res.FailedOver || spec.ReplMode != standby.ModeSync || beyond == 0)
 
 		// Invariant (e): served traffic is safe. The driver must never
 		// have recorded a commit acknowledgement while the instance was
@@ -534,7 +467,7 @@ func runPoint(cfg Config, index int) (*PointResult, error) {
 		// quorum was dark — a commit acknowledged in that window whose
 		// SCN had not already reached every first-tier stand-by was
 		// acked by nobody. The commit gate must have held it instead.
-		if cluster != nil && cfg.ReplMode == standby.ModeSync && partStart > 0 {
+		if cluster != nil && spec.ReplMode == standby.ModeSync && partStart > 0 {
 			for _, c := range drv.Commits() {
 				if c.At > partStart && c.At <= res.CrashAt && c.SCN > floorAtCrash {
 					res.DarkAcks++

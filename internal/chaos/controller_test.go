@@ -1,6 +1,11 @@
 package chaos
 
-import "testing"
+import (
+	"testing"
+	"time"
+
+	"dbench/internal/control"
+)
 
 // Crash-point exploration with the self-tuning controller active: the
 // controller ticks every 250 ms sample, so crash points land amid ALTER
@@ -19,10 +24,10 @@ func TestExploreWithControllerAllInvariants(t *testing.T) {
 	}
 	for _, seed := range []int64{1, 2} {
 		cfg := quickConfig()
-		cfg.Controller = true
-		cfg.Budget = 20e9 // 20s: tight enough that the controller moves
-		cfg.Points = 4    // one per window
-		cfg.Seed = seed
+		// A 20 s budget is tight enough that the controller moves.
+		cfg.Spec.Control = &control.Config{Budget: 20 * time.Second}
+		cfg.Points = 4 // one per window
+		cfg.Spec.Seed = seed
 		rep, err := Explore(cfg, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -52,8 +57,8 @@ func TestExploreWithControllerAllInvariants(t *testing.T) {
 // controller's only sensor is the workload repository.
 func TestControllerRequiresSampling(t *testing.T) {
 	cfg := quickConfig()
-	cfg.Controller = true
-	cfg.SampleInterval = 0
+	cfg.Spec.Control = &control.Config{Budget: 30 * time.Second}
+	cfg.Spec.SampleInterval = 0
 	cfg.Points = 1
 	if _, err := Explore(cfg, nil); err == nil {
 		t.Fatal("Controller without SampleInterval accepted")

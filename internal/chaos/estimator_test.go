@@ -16,7 +16,7 @@ func TestEstimatorAccuracy(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		cfg := quickConfig()
 		cfg.Points = 4 // one per window
-		cfg.Seed = seed
+		cfg.Spec.Seed = seed
 		rep, err := Explore(cfg, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -43,7 +43,7 @@ func TestEstimatorAccuracy(t *testing.T) {
 // the estimator verdict is vacuously true rather than a spurious failure.
 func TestEstimatorDisabledVacuouslyGreen(t *testing.T) {
 	cfg := quickConfig()
-	cfg.SampleInterval = 0
+	cfg.Spec.SampleInterval = 0
 	r, err := runPoint(cfg, 0)
 	if err != nil {
 		t.Fatal(err)

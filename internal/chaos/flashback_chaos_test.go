@@ -170,7 +170,7 @@ func runFlashbackCrashPoint(seed int64, crashAfter time.Duration) (*flashPoint, 
 			}
 
 			// Invariants (a) and (b) on the converged database.
-			res.MissingCommits, _, err = missingFromLedger(p, app, ledger, -1)
+			res.MissingCommits, _, err = app.Missing(p, ledger, -1)
 			if err != nil {
 				return err
 			}

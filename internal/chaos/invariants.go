@@ -8,9 +8,7 @@ import (
 
 	"dbench/internal/engine"
 	"dbench/internal/redo"
-	"dbench/internal/sim"
 	"dbench/internal/storage"
-	"dbench/internal/tpcc"
 )
 
 // This file holds the invariant checkers. Each is small and separable so
@@ -89,36 +87,6 @@ func captureRedo(in *engine.Instance) []redo.Record {
 	}
 	online, _ := log.OnlineRecords(next)
 	return append(recs, online...)
-}
-
-// missingFromLedger probes every acknowledged New-Order commit in the
-// ledger and counts the ones whose order row is absent — lost
-// transactions from the end-user's view. The instance must be open and
-// the workload quiesced. A commit whose SCN lies beyond the non-negative
-// cut (the failover's promotion SCN) is counted as beyond without
-// probing: the promoted stand-by never received it, so it is the
-// failover's RPO rather than a recovery defect — and probing would lie,
-// because the post-failover workload reuses the lost order ids (the
-// promoted district counters rolled back with the lost redo) and plants
-// unrelated orders at the same keys. cut < 0 probes everything.
-func missingFromLedger(p *sim.Proc, app *tpcc.App, ledger []tpcc.CommitRecord, cut redo.SCN) (missing, beyond int, err error) {
-	for _, c := range ledger {
-		if c.Type != tpcc.TxnNewOrder || c.OID == 0 {
-			continue
-		}
-		if cut >= 0 && c.SCN > cut {
-			beyond++
-			continue
-		}
-		ok, err := app.HasOrder(p, c.W, c.D, c.OID)
-		if err != nil {
-			return 0, 0, err
-		}
-		if !ok {
-			missing++
-		}
-	}
-	return missing, beyond, nil
 }
 
 // fingerprint condenses a finished point — the final datafile state hash

@@ -96,12 +96,12 @@ func TestDurabilityCheckerFlagsMissingCommit(t *testing.T) {
 			{Type: tpcc.TxnPayment},                          // no order: skipped
 			{Type: tpcc.TxnNewOrder, OID: 0},                 // user-aborted New-Order: skipped
 		}
-		missing, _, err := missingFromLedger(p, r.app, ledger, -1)
+		missing, _, err := r.app.Missing(p, ledger, -1)
 		if err != nil {
 			return err
 		}
 		if missing != 1 {
-			t.Errorf("missingFromLedger = %d, want 1 (only the fabricated OID)", missing)
+			t.Errorf("Missing = %d, want 1 (only the fabricated OID)", missing)
 		}
 		return nil
 	})

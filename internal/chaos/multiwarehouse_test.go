@@ -17,9 +17,9 @@ func TestExploreFourWarehousesAllInvariants(t *testing.T) {
 	}
 	for _, seed := range []int64{1, 2} {
 		cfg := quickConfig()
-		cfg.TPCC.Warehouses = 4
+		cfg.Spec.TPCC.Warehouses = 4
 		cfg.Points = 4 // one per window
-		cfg.Seed = seed
+		cfg.Spec.Seed = seed
 		rep, err := Explore(cfg, nil)
 		if err != nil {
 			t.Fatal(err)

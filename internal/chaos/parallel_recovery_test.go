@@ -20,10 +20,10 @@ func TestExploreParallelRecoveryAllInvariants(t *testing.T) {
 		var fps [2][4]uint64
 		for pi, par := range []int{1, 2} {
 			cfg := quickConfig()
-			cfg.TPCC.Warehouses = 4
-			cfg.RecoveryWorkers = 4
+			cfg.Spec.TPCC.Warehouses = 4
+			cfg.Spec.RecoveryWorkers = 4
 			cfg.Points = 4 // one per window
-			cfg.Seed = seed
+			cfg.Spec.Seed = seed
 			cfg.Parallel = par
 			rep, err := Explore(cfg, nil)
 			if err != nil {

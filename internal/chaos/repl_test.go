@@ -11,8 +11,8 @@ import (
 // window rotation extended with the partition and lag-spike link faults.
 func replConfig(mode standby.Mode) Config {
 	cfg := quickConfig()
-	cfg.Standbys = 2
-	cfg.ReplMode = mode
+	cfg.Spec.Standbys = 2
+	cfg.Spec.ReplMode = mode
 	return cfg
 }
 

@@ -154,7 +154,7 @@ func verdict(ok bool, n int) string {
 // reruns with the same seed.
 func FormatReport(r *Report) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Chaos crash-point exploration: %d points, seed %d.\n", len(r.Points), r.Config.Seed)
+	fmt.Fprintf(&b, "Chaos crash-point exploration: %d points, seed %d.\n", len(r.Points), r.Config.Spec.Seed)
 	fmt.Fprintf(&b, "%4s %-10s %9s %9s %8s %9s %11s %7s %8s %8s %9s %9s | %7s %7s %6s %6s %6s %6s\n",
 		"pt", "window", "crash@", "crashSCN", "recovery", "applied", "replayed", "acked",
 		"offered", "served", "est", "measured",

@@ -5,13 +5,13 @@ import "testing"
 // quickConfig shrinks the exploration for test runtimes.
 func quickConfig() Config {
 	cfg := DefaultConfig()
-	cfg.TPCC.CustomersPerDistrict = 30
-	cfg.TPCC.Items = 300
-	cfg.TPCC.TerminalsPerWarehouse = 4
-	cfg.CacheBlocks = 256
+	cfg.Spec.TPCC.CustomersPerDistrict = 30
+	cfg.Spec.TPCC.Items = 300
+	cfg.Spec.TPCC.TerminalsPerWarehouse = 4
+	cfg.Spec.CacheBlocks = 256
 	cfg.CrashMin = 2e9  // 2s
 	cfg.CrashMax = 10e9 // 10s
-	cfg.Tail = 3e9
+	cfg.Spec.TailAfterRecovery = 3e9
 	return cfg
 }
 

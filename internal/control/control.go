@@ -193,9 +193,6 @@ func (c *Controller) Budget() time.Duration { return c.budget }
 // Rung returns the ladder rung currently held.
 func (c *Controller) Rung() Rung { return c.ladder[c.rung] }
 
-// RungIndex returns the index of the rung currently held.
-func (c *Controller) RungIndex() int { return c.rung }
-
 // Ticks returns the number of evaluation ticks so far.
 func (c *Controller) Ticks() int64 { return c.st.ticks }
 

@@ -154,8 +154,8 @@ func TestControllerReportsInfeasible(t *testing.T) {
 	if !ctl.Infeasible() {
 		t.Fatal("1s budget (below the 12s instance-restart cost) not reported infeasible")
 	}
-	if ctl.RungIndex() != 0 {
-		t.Errorf("infeasible budget held rung %d (%s), want the most conservative (0)", ctl.RungIndex(), ctl.Rung().Name)
+	if got, want := ctl.Rung().Name, control.DefaultLadder()[0].Name; got != want {
+		t.Errorf("infeasible budget held rung %s, want the most conservative (%s)", got, want)
 	}
 	marked := 0
 	for _, d := range ctl.History() {

@@ -93,10 +93,6 @@ func QuickScale() Scale {
 	}
 }
 
-// Validate rejects the scale's workload if it is the empty one every Run
-// would reject (validateWorkload).
-func (sc Scale) Validate() error { return validateWorkload(sc.TPCC) }
-
 // spec builds a base Spec for this scale.
 func (sc Scale) spec(name string, cfg RecoveryConfig) Spec {
 	return Spec{

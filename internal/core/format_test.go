@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"dbench/internal/control"
-	"dbench/internal/engine"
 	"dbench/internal/faults"
 	"dbench/internal/metrics"
 	"dbench/internal/monitor"
@@ -235,9 +234,10 @@ func TestFormatLogicalGolden(t *testing.T) {
 // real controller history for a synthetic pareto report.
 func testController(t *testing.T, budget time.Duration, ticks int) *control.Controller {
 	t.Helper()
-	ecfg := engine.DefaultConfig()
-	ecfg.SampleInterval = time.Second
-	rig, err := NewRig(1, ecfg, tinyScale().TPCC, tpcc.DriverConfig{}, 0)
+	spec := DefaultSpec()
+	spec.TPCC = tinyScale().TPCC
+	spec.SampleInterval = time.Second
+	rig, err := NewRig(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -96,17 +96,18 @@ func (r *ScanReport) OK() bool {
 // round-trips — every table rediscovered and flashback still working on
 // top of the rebuilt dictionary.
 func RunCatalogScan(seed int64, warehouses int) (*ScanReport, error) {
-	ecfg := engine.DefaultConfig()
-	ecfg.Redo.GroupSizeBytes = 1 << 20
-	ecfg.Redo.Groups = 3
-	ecfg.Redo.ArchiveMode = true
-	ecfg.CacheBlocks = 256
-	ecfg.CheckpointTimeout = 0
 	cfg := tpcc.DefaultConfig()
 	cfg.Warehouses = warehouses
 	cfg.CustomersPerDistrict = 30
 	cfg.Items = 300
-	rig, err := NewRig(seed, ecfg, cfg, tpcc.DriverConfig{}, 0)
+	rig, err := NewRig(Spec{
+		Seed:        seed,
+		Recovery:    RecoveryConfig{FileSize: 1 << 20, Groups: 3},
+		Archive:     true,
+		TPCC:        cfg,
+		CacheBlocks: 256,
+		Cost:        engine.DefaultCostModel(),
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -8,10 +8,8 @@ import (
 	"time"
 
 	"dbench/internal/control"
-	"dbench/internal/engine"
 	"dbench/internal/sim"
 	"dbench/internal/standby"
-	"dbench/internal/tpcc"
 )
 
 // TestRegistryOrderPinned pins the instance registry every report reads —
@@ -22,12 +20,13 @@ import (
 // after 30 virtual seconds of load their values must hash to the pinned
 // value: every report that folds the registry depends on both.
 func TestRegistryOrderPinned(t *testing.T) {
-	ecfg := engine.DefaultConfig()
-	ecfg.Redo.GroupSizeBytes = 1 << 20
-	ecfg.CheckpointTimeout = 10 * time.Second
-	ecfg.CacheBlocks = 512
-	ecfg.SampleInterval = time.Second
-	rig, err := NewRig(5, ecfg, tinyScale().TPCC, tpcc.DriverConfig{}, 0)
+	spec := DefaultSpec()
+	spec.Seed = 5
+	spec.TPCC = tinyScale().TPCC
+	spec.Recovery = RecoveryConfig{FileSize: 1 << 20, Groups: 3, CheckpointTimeout: 10 * time.Second}
+	spec.CacheBlocks = 512
+	spec.SampleInterval = time.Second
+	rig, err := NewRig(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

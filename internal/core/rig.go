@@ -19,9 +19,9 @@ import (
 
 // Rig is one experiment's simulated platform: a kernel, the primary
 // server and the TPC-C application with its terminal driver. It is the
-// single place an experiment is built, loaded and wired to stand-bys —
-// Run, the chaos harness and RunCatalogScan all start here. A Rig shares
-// nothing with any other Rig, so many can run concurrently.
+// single place a Spec becomes a platform that is built, loaded and wired to
+// stand-bys — Run, the chaos harness and RunCatalogScan all start here. A
+// Rig shares nothing with any other Rig, so many can run concurrently.
 type Rig struct {
 	K   *sim.Kernel
 	In  *engine.Instance
@@ -30,8 +30,10 @@ type Rig struct {
 	App *tpcc.App
 	Drv *tpcc.Driver
 
-	bk *backup.Manager
-	ex *sqladmin.Executor
+	spec    Spec
+	bk      *backup.Manager
+	ex      *sqladmin.Executor
+	cluster *standby.Cluster
 	// backupSCN is the reference backup's SCN (set by Load): the content
 	// every stand-by is instantiated from and starts managed recovery at.
 	backupSCN redo.SCN
@@ -39,7 +41,6 @@ type Rig struct {
 	// primary's), installed as it is into every stand-by, and given up by
 	// ReleaseLoadSet once set-up is over.
 	set       tpcc.LoadSet
-	seed      int64
 	dataDisks []string
 	// sbCfg configures every stand-by: the primary's configuration
 	// without its tracer and sampler (see Standby).
@@ -47,11 +48,27 @@ type Rig struct {
 	err   error
 }
 
-// NewRig builds the platform in a fixed order (the counter registry and
-// the trace stream depend on it). seed drives the kernel and the data
-// load; dataDisks follows Spec.DataDisks (0 = the paper's two disks).
-func NewRig(seed int64, ecfg engine.Config, tc tpcc.Config, dc tpcc.DriverConfig, dataDisks int) (*Rig, error) {
-	r := &Rig{K: sim.NewKernel(seed), seed: seed, dataDisks: dataDiskNames(dataDisks), sbCfg: ecfg}
+// NewRig validates spec and builds its platform in a fixed order (the
+// counter registry and the trace stream depend on it). The spec's seed
+// drives the kernel and the data load; its recovery configuration, cache,
+// CPUs, cost model, tracer and sampler configure the primary; its
+// Detection, ForcePhysical and Phases the injector and the driver.
+func NewRig(spec Spec) (*Rig, error) {
+	if err := spec.validate(); err != nil {
+		return nil, err
+	}
+	ecfg := engine.DefaultConfig()
+	ecfg.Redo.GroupSizeBytes = spec.Recovery.FileSize
+	ecfg.Redo.Groups = spec.Recovery.Groups
+	ecfg.Redo.ArchiveMode = spec.Archive
+	ecfg.CheckpointTimeout = spec.Recovery.CheckpointTimeout
+	ecfg.CacheBlocks = spec.CacheBlocks
+	ecfg.CPUs = spec.CPUs
+	ecfg.RecoveryParallelism = spec.RecoveryWorkers
+	ecfg.Cost = spec.Cost
+	ecfg.Tracer = spec.Tracer
+	ecfg.SampleInterval = spec.SampleInterval
+	r := &Rig{K: sim.NewKernel(spec.Seed), spec: spec, dataDisks: dataDiskNames(spec.DataDisks), sbCfg: ecfg}
 	r.sbCfg.Tracer, r.sbCfg.SampleInterval = nil, 0
 	in, err := r.machine(ecfg)
 	if err != nil {
@@ -62,8 +79,12 @@ func NewRig(seed int64, ecfg engine.Config, tc tpcc.Config, dc tpcc.DriverConfig
 	r.Rm = recovery.NewManager(in, r.bk)
 	r.ex = sqladmin.NewExecutor(in, r.Rm, r.bk)
 	r.Inj = faults.NewInjector(in, r.Rm, r.ex)
-	r.App = tpcc.NewApp(in, tc)
-	r.Drv = tpcc.NewDriver(r.App, dc)
+	if spec.Detection > 0 {
+		r.Inj.Detection = spec.Detection
+	}
+	r.Inj.ForcePhysical = spec.ForcePhysical
+	r.App = tpcc.NewApp(in, spec.TPCC)
+	r.Drv = tpcc.NewDriver(r.App, tpcc.DriverConfig{Phases: spec.Phases})
 	return r, nil
 }
 
@@ -103,7 +124,7 @@ func (r *Rig) populate(p *sim.Proc, app *tpcc.App) error {
 		return err
 	}
 	if r.set == nil {
-		set, err := app.Generate(rand.New(rand.NewSource(r.seed)))
+		set, err := app.Generate(rand.New(rand.NewSource(r.spec.Seed)))
 		if err != nil {
 			return err
 		}
@@ -138,12 +159,56 @@ func (r *Rig) Load(p *sim.Proc) error {
 	return nil
 }
 
+// Setup is the set-up every run starts with: Load, then the spec's
+// replication cluster — Standbys first-tier stand-bys plus ReplCascade
+// cascaded ones, fed per ReplMode over ReplLink — and ReleaseLoadSet. It
+// returns the cluster (nil without stand-bys). The controller and the
+// terminals are the caller's to start.
+func (r *Rig) Setup(p *sim.Proc) (*standby.Cluster, error) {
+	if err := r.Load(p); err != nil {
+		return nil, err
+	}
+	if s := r.spec; s.Standbys > 0 {
+		var err error
+		r.cluster, err = r.StartCluster(p, s.Standbys+s.ReplCascade, standby.ClusterConfig{
+			Mode:    s.ReplMode,
+			Link:    s.ReplLink,
+			Cascade: s.ReplCascade,
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	r.ReleaseLoadSet()
+	return r.cluster, nil
+}
+
+// Remedy recovers from o through the injector and returns the recovery
+// point: -1 after a complete recovery, where nothing acknowledged may be
+// missing; the pre-fault SCN after a point-in-time recovery; the promoted
+// SCN after a failover, when the terminals re-target the new primary (and
+// stop routing reads to stand-bys).
+func (r *Rig) Remedy(p *sim.Proc, o *faults.Outcome) (redo.SCN, error) {
+	if err := r.Inj.Recover(p, o); err != nil {
+		return 0, err
+	}
+	switch {
+	case o.FailedOver:
+		r.App.In = r.cluster.ActiveInstance()
+		r.App.Replica = nil
+		return r.cluster.PromotedSCN(), nil
+	case o.Report != nil && !o.Report.Complete:
+		return o.PreFaultSCN, nil
+	}
+	return -1, nil
+}
+
 // Standby creates one stand-by server: its own simulated machine with an
 // identical schema, and the primary's loaded block images installed into it
 // at the I/O cost of a load — the standard "instantiate from a backup of
 // the primary" procedure: nothing is generated again. It is left unopened for
-// managed recovery from the reference backup. Its configuration is the one
-// NewRig received, minus the tracer and the sampler: the stand-by shares the
+// managed recovery from the reference backup. Its configuration is the
+// primary's, minus the tracer and the sampler: the stand-by shares the
 // primary's kernel but is a second database, whose events would interleave
 // with the primary's on the same tracks, and whose repository — a promoted
 // stand-by starts MMON at Open — nobody reads. Call after Load and before

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"dbench/internal/engine"
 	"dbench/internal/sim"
 	"dbench/internal/tpcc"
 	"dbench/internal/trace"
@@ -24,10 +23,12 @@ import (
 // (chaos.TestStandbysShareTheLoadedImagesAndNobodyWritesThrough adds that the
 // state hashes agree and that nobody writes through.)
 func TestRigStandbyMatchesPrimaryAfterLoad(t *testing.T) {
-	ecfg := engine.DefaultConfig()
-	ecfg.Redo.ArchiveMode = true
-	ecfg.CacheBlocks = 512
-	rig, err := NewRig(11, ecfg, tinyScale().TPCC, tpcc.DriverConfig{}, 0)
+	spec := DefaultSpec()
+	spec.Seed = 11
+	spec.TPCC = tinyScale().TPCC
+	spec.Archive = true
+	spec.CacheBlocks = 512
+	rig, err := NewRig(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

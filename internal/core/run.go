@@ -236,17 +236,23 @@ func (r *Result) String() string {
 	return s
 }
 
-// validateWorkload rejects a workload that would silently run empty: with
-// no warehouses or no terminals nothing is ever submitted, and every
-// measure would be a zero rather than an error. Run checks it for every
-// entry (campaigns, tpccrun, faultinject, the benchmark); a zero Duration
-// stays valid — a load-only run.
-func validateWorkload(c tpcc.Config) error {
-	if c.Warehouses < 1 {
-		return fmt.Errorf("core: workload needs Warehouses >= 1 (got %d)", c.Warehouses)
-	}
-	if c.TerminalsPerWarehouse < 1 {
-		return fmt.Errorf("core: workload needs TerminalsPerWarehouse >= 1 (got %d)", c.TerminalsPerWarehouse)
+// validate rejects a spec that could not run as described, before anything
+// is built: NewRig and Experiment.Run check it, so every entry (campaigns,
+// tpccrun, faultinject, chaos, the benchmark) meets the same rules. A
+// workload with no warehouses or no terminals would silently run empty —
+// every measure a zero rather than an error; an archive-shipping stand-by
+// needs the primary's archiver; the controller's only sensor is the
+// workload repository. A zero Duration stays valid — a load-only run.
+func (s Spec) validate() error {
+	switch {
+	case s.TPCC.Warehouses < 1:
+		return fmt.Errorf("core: workload needs Warehouses >= 1 (got %d)", s.TPCC.Warehouses)
+	case s.TPCC.TerminalsPerWarehouse < 1:
+		return fmt.Errorf("core: workload needs TerminalsPerWarehouse >= 1 (got %d)", s.TPCC.TerminalsPerWarehouse)
+	case s.Standbys > 0 && s.ReplMode == standby.ModeArchive && !s.Archive:
+		return fmt.Errorf("core: spec %q: ReplMode %v needs Archive", s.Name, s.ReplMode)
+	case s.Control != nil && s.SampleInterval <= 0:
+		return fmt.Errorf("core: spec %q: Control needs the workload repository (SampleInterval > 0)", s.Name)
 	}
 	return nil
 }
@@ -260,59 +266,29 @@ func validateWorkload(c tpcc.Config) error {
 // state, so campaign runners may execute many Runs in parallel (see
 // pool.go) with results identical to sequential execution.
 func Run(spec Spec) (*Result, error) {
-	if err := validateWorkload(spec.TPCC); err != nil {
-		return nil, err
-	}
-	ecfg := engine.DefaultConfig()
-	ecfg.Redo.GroupSizeBytes = spec.Recovery.FileSize
-	ecfg.Redo.Groups = spec.Recovery.Groups
-	ecfg.Redo.ArchiveMode = spec.Archive
-	ecfg.CheckpointTimeout = spec.Recovery.CheckpointTimeout
-	ecfg.CacheBlocks = spec.CacheBlocks
-	ecfg.CPUs = spec.CPUs
-	ecfg.RecoveryParallelism = spec.RecoveryWorkers
-	ecfg.Cost = spec.Cost
-	ecfg.Tracer = spec.Tracer
-	ecfg.SampleInterval = spec.SampleInterval
-	rig, err := NewRig(spec.Seed, ecfg, spec.TPCC, tpcc.DriverConfig{Phases: spec.Phases}, spec.DataDisks)
+	rig, err := NewRig(spec)
 	if err != nil {
 		return nil, err
 	}
 	in, ex, inj, app, drv := rig.In, rig.ex, rig.Inj, rig.App, rig.Drv
-	if spec.Detection > 0 {
-		inj.Detection = spec.Detection
-	}
-	inj.ForcePhysical = spec.ForcePhysical
 
 	res := &Result{Spec: spec}
 	err = rig.Exec("benchmark", func(p *sim.Proc) error {
-		// Phase 1: create, load, checkpoint, reference backup.
-		if err := rig.Load(p); err != nil {
+		// Phase 1: create, load, checkpoint, reference backup, and the
+		// replication cluster — N stand-bys instantiated from the same
+		// content and fed per ReplMode, the commit gate, and failover as
+		// the ShutdownAbort remedy.
+		cluster, err := rig.Setup(p)
+		if err != nil {
 			return err
 		}
-
-		// Phase 1b: the replication cluster — N stand-bys instantiated from
-		// the same content and fed per ReplMode, the commit gate, and
-		// failover as the ShutdownAbort remedy.
-		var cluster *standby.Cluster
-		if spec.Standbys > 0 {
-			var err error
-			cluster, err = rig.StartCluster(p, spec.Standbys+spec.ReplCascade, standby.ClusterConfig{
-				Mode:    spec.ReplMode,
-				Link:    spec.ReplLink,
-				Cascade: spec.ReplCascade,
-			})
-			if err != nil {
-				return err
-			}
+		if cluster != nil {
 			cluster.RegisterProbes(in.Monitor())
 			if spec.ReplicaReads > 0 {
 				app.Replica = ReplicaOf(cluster.Standbys()[0])
 				app.ReplicaShare = spec.ReplicaReads
 			}
 		}
-		// Set-up is over: nothing else is instantiated from the load.
-		rig.ReleaseLoadSet()
 
 		// Phase 2: measured run.
 		if spec.Control != nil {
@@ -348,23 +324,16 @@ func Run(spec Spec) (*Result, error) {
 				return err
 			}
 			res.Outcome = o
-			if err := inj.Recover(p, o); err != nil {
+			if recoveryPoint, err = rig.Remedy(p, o); err != nil {
 				return err
 			}
-			switch {
-			case o.FailedOver:
+			if o.FailedOver {
 				// A stand-by was promoted instead of the primary recovered:
-				// the new incarnation starts at the promoted watermark,
-				// acknowledged commits beyond it are lost (the RPO), and
-				// the drivers re-target the new primary.
-				recoveryPoint = cluster.PromotedSCN()
-				app.In = cluster.ActiveInstance()
+				// the new incarnation starts at the promoted watermark and
+				// acknowledged commits beyond it are lost (the RPO).
 				res.RTOEstimate = cluster.LastRTOEstimate()
 				res.ReplLagRecords = cluster.PromotedLag()
-				app.Replica = nil
 				res.FailedOver = true
-			case o.Report != nil && !o.Report.Complete:
-				recoveryPoint = o.PreFaultSCN
 			}
 			res.RecoveryTime = o.RecoveryDuration()
 		}
@@ -440,11 +409,11 @@ func Run(spec Spec) (*Result, error) {
 				res.LostTransactions = rep.LostCommits
 			}
 		} else {
-			lost, err := drv.VerifyDurability(p)
+			lost, _, err := app.Missing(p, drv.Commits(), -1)
 			if err != nil {
 				return fmt.Errorf("core: durability check: %w", err)
 			}
-			res.LostTransactions = len(lost)
+			res.LostTransactions = lost
 		}
 		if cluster != nil {
 			res.Replication = cluster.VReplication()

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"strings"
 	"testing"
 	"time"
 
+	"dbench/internal/control"
 	"dbench/internal/faults"
 	"dbench/internal/recovery"
 	"dbench/internal/standby"
@@ -214,5 +216,42 @@ func TestConfigTable(t *testing.T) {
 	}
 	if len(ArchiveConfigs()) != 8 {
 		t.Fatalf("archive configs = %d, want 8", len(ArchiveConfigs()))
+	}
+}
+
+// TestSpecMismatchesFailBeforeSetup: a spec whose parts do not fit together
+// is refused by every entry — NewRig, Run and a campaign — before anything is
+// built or loaded, with an error that names the mismatch. An archive-shipping
+// stand-by on a primary that does not archive used to load the database and
+// the stand-by, then panic on the missing archiver; a controller without the
+// workload repository it reads failed only after the load.
+func TestSpecMismatchesFailBeforeSetup(t *testing.T) {
+	archive := quickSpec("archive-standby")
+	archive.Standbys, archive.ReplMode = 1, standby.ModeArchive
+	blind := quickSpec("blind-controller")
+	blind.Control = &control.Config{Budget: 30 * time.Second}
+	for _, tc := range []struct {
+		spec Spec
+		want string
+	}{
+		{archive, "ReplMode archive needs Archive"},
+		{blind, "Control needs the workload repository"},
+	} {
+		check := func(entry string, err error) {
+			t.Helper()
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s(%s): err = %v, want it to name the mismatch (%q)", entry, tc.spec.Name, err, tc.want)
+			}
+		}
+		_, err := NewRig(tc.spec)
+		check("NewRig", err)
+		_, err = Run(tc.spec)
+		check("Run", err)
+		ran := 0
+		_, err = table("mismatch", [][]Spec{{tc.spec}}).Run(tinyScale(), nil, func(string) { ran++ })
+		check("Experiment.Run", err)
+		if ran != 0 {
+			t.Errorf("Experiment.Run(%s) ran %d jobs before refusing the spec", tc.spec.Name, ran)
+		}
 	}
 }

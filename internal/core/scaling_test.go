@@ -20,7 +20,7 @@ func TestScaleValidateRejectsEmptyWorkloads(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			sc := miniScale()
 			tc.mutate(&sc)
-			err := sc.Validate()
+			err := sc.spec("empty", Table3Configs[0]).validate()
 			if tc.want == "" {
 				if err != nil {
 					t.Fatalf("valid scale rejected: %v", err)

@@ -75,14 +75,14 @@ func (x Experiment) Run(sc Scale, done map[string]*Result, progress Progress) ([
 	for _, t := range x.Tables {
 		for _, row := range t.Grid {
 			for _, spec := range row {
-				if err := validateWorkload(spec.TPCC); err != nil {
-					return nil, err
-				}
 				if i == x.Instrumented {
 					spec.Tracer, spec.OnRepository = sc.Tracer, sc.OnRepository
 					if sc.SampleInterval > 0 {
 						spec.SampleInterval = sc.SampleInterval
 					}
+				}
+				if err := spec.validate(); err != nil {
+					return nil, err
 				}
 				i++
 				if done[spec.Name] == nil && !queued[spec.Name] {

@@ -7,8 +7,8 @@ import (
 	"dbench/internal/trace"
 )
 
-// Disk-layout names used by the default configuration; the paper's
-// platform had four disks per server.
+// Disk-layout names; the paper's platform had four disks per server. The
+// control file always lives on DiskData1 and archived logs on DiskArch.
 const (
 	DiskData1 = "data1"
 	DiskData2 = "data2"
@@ -77,10 +77,6 @@ type Config struct {
 	// CheckpointTimeout is Oracle's log_checkpoint_timeout: a periodic
 	// checkpoint trigger. Zero disables timeout checkpoints.
 	CheckpointTimeout time.Duration
-	// ControlDisk holds the control file.
-	ControlDisk string
-	// ArchiveDisk holds archived logs (only used in archive mode).
-	ArchiveDisk string
 	// Cost is the simulated cost model.
 	Cost CostModel
 	// Tracer, when set, receives the instance's structured events
@@ -106,8 +102,6 @@ func DefaultConfig() Config {
 		},
 		CacheBlocks:       4096,
 		CheckpointTimeout: 600 * time.Second,
-		ControlDisk:       DiskData1,
-		ArchiveDisk:       DiskArch,
 		Cost:              DefaultCostModel(),
 	}
 }

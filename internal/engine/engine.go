@@ -122,7 +122,7 @@ type Instance struct {
 // New builds an instance over fs. The database starts empty and down;
 // callers create tablespaces/tables (or restore a backup), then Open.
 func New(k *sim.Kernel, fs *simdisk.FS, cfg Config) (*Instance, error) {
-	db, err := storage.NewDB(fs, cfg.ControlDisk)
+	db, err := storage.NewDB(fs, DiskData1)
 	if err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
@@ -173,7 +173,7 @@ func New(k *sim.Kernel, fs *simdisk.FS, cfg Config) (*Instance, error) {
 		CPUPerOp:    cfg.Cost.CPUPerOp,
 	})
 	if cfg.Redo.ArchiveMode {
-		inst.arch = archivelog.NewArchiver(k, fs, log, cfg.ArchiveDisk)
+		inst.arch = archivelog.NewArchiver(k, fs, log, DiskArch)
 		inst.arch.Trace = cfg.Tracer
 	}
 	log.OnSwitch = inst.onLogSwitch

@@ -66,7 +66,7 @@ var (
 // parameters is the table, in listing order: stable, alphabetical within
 // each group (instance, redo, cost model).
 var parameters = []parameter{
-	{name: "archive_disk", get: func(c *Config) any { return c.ArchiveDisk }},
+	{name: "archive_disk", get: func(c *Config) any { return DiskArch }},
 	{name: "cache_blocks", get: func(c *Config) any { return c.CacheBlocks }},
 	{name: "checkpoint_timeout", get: func(c *Config) any { return c.CheckpointTimeout }, set: &setter{
 		unit: durations, min: int64(time.Second), max: int64(2 * time.Hour),
@@ -81,7 +81,7 @@ var parameters = []parameter{
 			return nil
 		},
 	}},
-	{name: "control_disk", get: func(c *Config) any { return c.ControlDisk }},
+	{name: "control_disk", get: func(c *Config) any { return DiskData1 }},
 	{name: "cpus", get: func(c *Config) any { return max(c.CPUs, 1) }},
 	{name: "instance_name", get: func(c *Config) any { return c.Name }},
 	{name: "recovery_parallelism", get: func(c *Config) any { return max(c.RecoveryParallelism, 1) }, set: &setter{

@@ -828,9 +828,6 @@ func (m *Manager) LowestOnlineSCN() SCN {
 // in sequence order, oldest first.
 func (m *Manager) byAge(i int) *Group { return m.groups[(m.cur+1+i)%len(m.groups)] }
 
-// BufferedBytes reports the unflushed redo buffer size.
-func (m *Manager) BufferedBytes() int64 { return m.bufferBytes }
-
 // ResetLogs reinitialises the online log after incomplete recovery (ALTER
 // DATABASE OPEN RESETLOGS): all group content is discarded and the SCN
 // stream resumes at nextSCN. The manager must be stopped.

@@ -246,8 +246,8 @@ func TestStopDiscardsBuffer(t *testing.T) {
 	m.Append(dataRec(1, 1, 100)) // never flushed
 	m.Stop()
 	k.RunAll()
-	if m.BufferedBytes() != 0 {
-		t.Fatalf("buffer = %d bytes after stop", m.BufferedBytes())
+	if m.bufferBytes != 0 {
+		t.Fatalf("buffer = %d bytes after stop", m.bufferBytes)
 	}
 	if m.FlushedSCN() != 0 {
 		t.Fatalf("flushedSCN = %d, want 0", m.FlushedSCN())

@@ -79,9 +79,6 @@ func (l *Link) SetPartitioned(v bool) {
 	l.partitioned = v
 }
 
-// Partitioned reports whether the link is currently dark.
-func (l *Link) Partitioned() bool { return l.partitioned }
-
 // SetExtraLatency sets (or, with 0, clears) a lag-spike latency added to
 // every subsequent send's propagation delay.
 func (l *Link) SetExtraLatency(d Duration) {
@@ -90,15 +87,6 @@ func (l *Link) SetExtraLatency(d Duration) {
 	}
 	l.extra = d
 }
-
-// ExtraLatency returns the active lag-spike latency.
-func (l *Link) ExtraLatency() Duration { return l.extra }
-
-// Sends reports completed sends.
-func (l *Link) Sends() int64 { return l.sends }
-
-// BytesSent reports total bytes delivered.
-func (l *Link) BytesSent() int64 { return l.bytesSent }
 
 // PartitionStalls reports sends that had to wait out a partition.
 func (l *Link) PartitionStalls() int64 { return l.stalls }

@@ -36,8 +36,8 @@ func TestLinkSendPaysLatencyAndBandwidth(t *testing.T) {
 	if want := Duration(time.Second + 10*time.Millisecond); took != want {
 		t.Fatalf("send took %v, want %v", took, want)
 	}
-	if l.Sends() != 1 || l.BytesSent() != 1000 {
-		t.Fatalf("counters sends=%d bytes=%d, want 1/1000", l.Sends(), l.BytesSent())
+	if l.sends != 1 || l.bytesSent != 1000 {
+		t.Fatalf("counters sends=%d bytes=%d, want 1/1000", l.sends, l.bytesSent)
 	}
 	if l.PartitionStalls() != 0 {
 		t.Fatalf("unexpected partition stalls: %d", l.PartitionStalls())
@@ -66,7 +66,7 @@ func TestLinkPartitionBlocksUntilHealed(t *testing.T) {
 	k := NewKernel(1)
 	l := NewLink(k, LinkSpec{})
 	l.SetPartitioned(true)
-	if !l.Partitioned() {
+	if !l.partitioned {
 		t.Fatal("link not partitioned after SetPartitioned(true)")
 	}
 	var delivered Time
@@ -79,7 +79,7 @@ func TestLinkPartitionBlocksUntilHealed(t *testing.T) {
 	if delivered != Time(5*time.Second) {
 		t.Fatalf("delivery at %v, want at the 5s heal", delivered)
 	}
-	if l.Partitioned() {
+	if l.partitioned {
 		t.Fatal("link still partitioned after heal")
 	}
 	if l.PartitionStalls() != 1 {
@@ -87,7 +87,7 @@ func TestLinkPartitionBlocksUntilHealed(t *testing.T) {
 	}
 	// Healing an already-healthy link is a no-op.
 	l.SetPartitioned(false)
-	if l.Partitioned() {
+	if l.partitioned {
 		t.Fatal("healthy link became partitioned")
 	}
 }
@@ -96,7 +96,7 @@ func TestLinkExtraLatencyWindow(t *testing.T) {
 	k := NewKernel(1)
 	l := NewLink(k, LinkSpec{Latency: Duration(time.Millisecond)})
 	l.SetExtraLatency(Duration(100 * time.Millisecond))
-	if got := l.ExtraLatency(); got != Duration(100*time.Millisecond) {
+	if got := l.extra; got != Duration(100*time.Millisecond) {
 		t.Fatalf("extra latency = %v", got)
 	}
 	var first, second Time
@@ -111,8 +111,8 @@ func TestLinkExtraLatencyWindow(t *testing.T) {
 	if first != Time(101*time.Millisecond) {
 		t.Fatalf("lagged send delivered at %v, want 101ms", first)
 	}
-	if l.ExtraLatency() != 0 {
-		t.Fatalf("extra latency not cleared: %v", l.ExtraLatency())
+	if l.extra != 0 {
+		t.Fatalf("extra latency not cleared: %v", l.extra)
 	}
 	if second != Time(102*time.Millisecond) {
 		t.Fatalf("post-spike send delivered at %v, want 102ms", second)

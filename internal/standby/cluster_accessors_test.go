@@ -165,8 +165,8 @@ func TestClusterIntrospection(t *testing.T) {
 			if sb.Name() != "sb1" {
 				return fmt.Errorf("standby name = %q", sb.Name())
 			}
-			if sb.LastPrimarySCN() == 0 || sb.StreamHash() == 0 {
-				return fmt.Errorf("stream watermarks empty: primary=%d hash=%d", sb.LastPrimarySCN(), sb.StreamHash())
+			if sb.lastPrimary == 0 || sb.StreamHash() == 0 {
+				return fmt.Errorf("stream watermarks empty: primary=%d hash=%d", sb.lastPrimary, sb.StreamHash())
 			}
 			last, ok := repo.Last()
 			if !ok {

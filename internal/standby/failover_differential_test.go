@@ -210,7 +210,7 @@ func runFailoverDifferential(t *testing.T, seed int64, mode Mode, standbys, casc
 				if r := s.ReceivedSCN(); r > out.bestRecv {
 					out.bestRecv = r
 				}
-				out.inFlight += s.InFlight()
+				out.inFlight += len(s.shipQueue)
 			}
 			if mode == ModeArchive {
 				out.bestRecv = handedOff

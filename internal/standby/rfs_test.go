@@ -64,7 +64,7 @@ func TestActivationKeepsFullyHandedOffArchive(t *testing.T) {
 		if len(handedOff) < 2 {
 			return fmt.Errorf("only %d archives handed off; need several in flight", len(handedOff))
 		}
-		if pr.sb.InFlight() == 0 {
+		if len(pr.sb.shipQueue) == 0 {
 			return fmt.Errorf("no archive in flight at the crash: the regression window never opened")
 		}
 		last := handedOff[len(handedOff)-1]

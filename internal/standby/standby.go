@@ -204,10 +204,6 @@ func (s *Standby) ReceivedSCN() redo.SCN {
 	return s.appliedSCN
 }
 
-// LastPrimarySCN returns the primary's flushed SCN as of the last
-// received frame — the far end of the lag interval.
-func (s *Standby) LastPrimarySCN() redo.SCN { return s.lastPrimary }
-
 // Lag returns the apply lag in records: how far the stand-by's applied
 // state trails the primary's flushed stream, as of the last frame heard.
 func (s *Standby) Lag() int64 {
@@ -222,15 +218,8 @@ func (s *Standby) Lag() int64 {
 // chaos harness folds into its per-seed goldens.
 func (s *Standby) StreamHash() uint64 { return s.streamHash }
 
-// Activated reports whether the stand-by has taken over.
-func (s *Standby) Activated() bool { return s.activated }
-
 // Stats returns a copy of the counters.
 func (s *Standby) Stats() Stats { return s.stats }
-
-// InFlight reports archives handed off by the primary's ARCH process but
-// not yet fully received.
-func (s *Standby) InFlight() int { return len(s.shipQueue) }
 
 // Err reports why managed recovery halted (a gap in the redo feed), or
 // nil while the stand-by is healthy.

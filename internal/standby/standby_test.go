@@ -165,7 +165,7 @@ func TestStandbyAppliesShippedLogsAndActivates(t *testing.T) {
 		if took <= 0 || took > 2*time.Minute {
 			return fmt.Errorf("activation took %v", took)
 		}
-		if !pr.sb.Activated() {
+		if !pr.sb.activated {
 			return fmt.Errorf("not activated")
 		}
 		// The new primary serves reads; rows applied before failover
@@ -381,7 +381,7 @@ func promoteWithBrokenControl(t *testing.T, breakControl bool) (map[string][]*st
 				return err
 			}
 		}
-		if pr.sb.InFlight() == 0 {
+		if len(pr.sb.shipQueue) == 0 {
 			return fmt.Errorf("no archive in flight at the crash: the promotion would have no tail")
 		}
 		if len(pr.sb.pending[open.ID]) == 0 {
@@ -398,7 +398,7 @@ func promoteWithBrokenControl(t *testing.T, breakControl bool) (map[string][]*st
 			if _, err := pr.sb.Promote(p); err == nil {
 				return fmt.Errorf("promotion succeeded without a control file")
 			}
-			if pr.sb.Activated() {
+			if pr.sb.activated {
 				return fmt.Errorf("stand-by reports activated after a failed promotion")
 			}
 			if n := tr.OpenSpans(); n != 0 {

@@ -164,9 +164,6 @@ func (d *Driver) Commits() []CommitRecord { return d.commits }
 // Failures returns the failure log.
 func (d *Driver) Failures() []FailureRecord { return d.failures }
 
-// UserAborts returns the count of intentional New-Order rollbacks.
-func (d *Driver) UserAborts() int { return len(d.aborts) }
-
 // Availability tallies offered-vs-served per warehouse over [from, to).
 // Commits and user aborts count as served (the terminal got its answer);
 // failures count as offered-but-refused.
@@ -349,30 +346,39 @@ func (d *Driver) CountCommitted(typ TxnType) int {
 	return n
 }
 
-// VerifyDurability checks that every acknowledged New-Order commit's
-// order row still exists, returning the missing ones (lost transactions
-// from the end-user view).
-func (d *Driver) VerifyDurability(p *sim.Proc) (lost []CommitRecord, err error) {
-	for _, c := range d.commits {
+// Missing probes every acknowledged New-Order commit in ledger and counts
+// the ones whose order row is absent — lost transactions from the
+// end-user's view. The instance must be open and the workload quiesced. A
+// commit whose SCN lies beyond a non-negative cut (a failover's promotion
+// SCN) is counted as beyond without probing: the promoted stand-by never
+// received it, so it is the failover's RPO rather than a recovery defect —
+// and probing would lie, because the post-failover workload reuses the lost
+// order ids (the promoted district counters rolled back with the lost redo)
+// and plants unrelated orders at the same keys. cut < 0 probes everything.
+func (a *App) Missing(p *sim.Proc, ledger []CommitRecord, cut redo.SCN) (missing, beyond int, err error) {
+	for _, c := range ledger {
 		if c.Type != TxnNewOrder || c.OID == 0 {
 			continue
 		}
-		ok, err := d.app.HasOrder(p, c.W, c.D, c.OID)
+		if cut >= 0 && c.SCN > cut {
+			beyond++
+			continue
+		}
+		ok, err := a.hasOrder(p, c.W, c.D, c.OID)
 		if err != nil {
-			return nil, err
+			return 0, 0, err
 		}
 		if !ok {
-			lost = append(lost, c)
+			missing++
 		}
 	}
-	return lost, nil
+	return missing, beyond, nil
 }
 
-// HasOrder reports whether the order row for an acknowledged New-Order
-// commit exists — the durability probe behind Driver.VerifyDurability
-// and the chaos harness's commit-ledger check. It reads through a
-// regular transaction, so the instance must be open.
-func (a *App) HasOrder(p *sim.Proc, w, d, oid int) (bool, error) {
+// hasOrder reports whether the order row for an acknowledged New-Order
+// commit exists. It reads through a regular transaction, so the instance
+// must be open.
+func (a *App) hasOrder(p *sim.Proc, w, d, oid int) (bool, error) {
 	var rerr error
 	if _, err := a.In.Atomically(p, func(t *txn.Txn) error {
 		_, rerr = a.In.Read(p, t, TableOrder, OKey(w, d, oid))

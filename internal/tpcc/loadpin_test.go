@@ -6,7 +6,6 @@ import (
 
 	"dbench/internal/chaos"
 	"dbench/internal/core"
-	"dbench/internal/engine"
 	"dbench/internal/sim"
 	"dbench/internal/tpcc"
 )
@@ -40,9 +39,9 @@ func TestGeneratedDatabasePinned(t *testing.T) {
 		{"default W=2 partitioned", tpcc.DefaultConfig(), 42, 0x897220ff5513f3a4, 0xd5a70e34487bf6f5, defaultLoaded, 0x1771de531c9c7c78},
 	}
 	for _, tc := range cases {
-		ecfg := engine.DefaultConfig()
-		ecfg.Redo.ArchiveMode = true
-		rig, err := core.NewRig(tc.seed, ecfg, tc.cfg, tpcc.DriverConfig{}, 0)
+		spec := core.DefaultSpec()
+		spec.Seed, spec.TPCC, spec.Archive = tc.seed, tc.cfg, true
+		rig, err := core.NewRig(spec)
 		if err != nil {
 			t.Fatal(err)
 		}

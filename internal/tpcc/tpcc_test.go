@@ -130,16 +130,16 @@ func TestWorkloadRunsAndStaysConsistent(t *testing.T) {
 			return fmt.Errorf("violations after run: %v", viols[:min(3, len(viols))])
 		}
 		// Durability of every acked New-Order.
-		lost, err := r.drv.VerifyDurability(p)
+		lost, _, err := r.app.Missing(p, r.drv.Commits(), -1)
 		if err != nil {
 			return err
 		}
-		if len(lost) != 0 {
-			return fmt.Errorf("%d acked orders missing", len(lost))
+		if lost != 0 {
+			return fmt.Errorf("%d acked orders missing", lost)
 		}
 		return nil
 	})
-	if r.drv.UserAborts() == 0 {
+	if len(r.drv.aborts) == 0 {
 		t.Log("note: no user aborts observed (small run)")
 	}
 }
@@ -199,12 +199,12 @@ func TestCrashDuringWorkloadRecoversConsistently(t *testing.T) {
 			return fmt.Errorf("recovery time %v", back.Sub(crashAt))
 		}
 		// No committed work lost, no integrity violations.
-		lost, err := r.drv.VerifyDurability(p)
+		lost, _, err := r.app.Missing(p, r.drv.Commits(), -1)
 		if err != nil {
 			return err
 		}
-		if len(lost) != 0 {
-			return fmt.Errorf("%d acked orders lost by crash recovery", len(lost))
+		if lost != 0 {
+			return fmt.Errorf("%d acked orders lost by crash recovery", lost)
 		}
 		viols, err := r.app.CheckConsistency(p)
 		if err != nil {
