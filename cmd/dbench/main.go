@@ -7,11 +7,14 @@
 //	dbench -exp scale,logical,pareto,replica,chaos   (opt-in: never part of "all")
 //	dbench -h                                        (every flag, tagged with its experiment)
 //	dbench recover -scan [-seed S] [-warehouses W]
+//	dbench run '<key>'                               (one run, e.g. 'F40G3T5 arch W1 fault=drop-table:stock at=5m')
 //
 // Output is the paper-style text table for each experiment, preceded by
-// per-run progress lines on stderr. -parallel sets the campaign worker
-// count (0 = one worker per CPU, 1 = sequential); results are identical
-// for every worker count. The -exp tokens, their run order and which of
+// per-run progress lines on stderr. A progress line starts with the run's
+// key (core.Spec.Key): every field the run reads, written as text, and
+// the argument that makes `dbench run` replay it. -parallel sets the
+// campaign worker count (0 = one worker per CPU, 1 = sequential); results
+// are identical for every worker count. The -exp tokens, their run order and which of
 // them "all" selects come from the experiment registry below.
 //
 // The chaos experiment is the crash-point exploration harness: N seeded
@@ -80,6 +83,11 @@
 // every datafile's metadata header, and verifies the metadata
 // round-trips (every table rediscovered, FLASHBACK TABLE still working
 // on the rebuilt dictionary). Exits non-zero on any mismatch.
+//
+// `dbench run '<key>'` makes the one run a key describes (core.ParseSpec:
+// tokens left out keep core.DefaultSpec's values) and prints its
+// performance measures and, when the key has a fault, the fault's
+// recovery measures.
 package main
 
 import (
@@ -109,7 +117,7 @@ import (
 type env struct {
 	sc       core.Scale
 	progress core.Progress
-	// done holds every result of the invocation by spec name, so a job
+	// done holds every result of the invocation by run key, so a job
 	// declared by two experiments runs once (f4 reads t3's fault-free runs).
 	done        map[string]*core.Result
 	crashPoints int
@@ -282,9 +290,12 @@ func positiveInt(tok string) (int, bool) {
 func main() {
 	args := os.Args[1:]
 	var err error
-	if len(args) > 0 && args[0] == "recover" {
+	switch {
+	case len(args) > 0 && args[0] == "recover":
 		err = runRecover(args[1:])
-	} else {
+	case len(args) > 0 && args[0] == "run":
+		err = runKey(os.Stdout, strings.Join(args[1:], " "))
+	default:
 		err = run(args)
 	}
 	if err != nil {
@@ -316,6 +327,56 @@ func runRecover(args []string) error {
 	fmt.Print(core.FormatScan(rep))
 	if !rep.OK() {
 		return fmt.Errorf("recover -scan: metadata did not round-trip")
+	}
+	return nil
+}
+
+// runKey handles `dbench run '<key>'`: it makes the run the key describes
+// and writes its report to w.
+func runKey(w io.Writer, key string) error {
+	if strings.TrimSpace(key) == "" {
+		return fmt.Errorf("usage: dbench run '<key>', e.g. dbench run 'F40G3T5 W1 dur=4m'")
+	}
+	spec, err := core.ParseSpec(key)
+	if err != nil {
+		return err
+	}
+	res, err := core.Run(spec)
+	if err != nil {
+		return err
+	}
+	line := func(label, format string, args ...any) {
+		fmt.Fprintf(w, "%-18s"+format+"\n", append([]any{label + ":"}, args...)...)
+	}
+	line("key", "%s", spec.Key())
+	line("tpmC", "%.0f", res.TpmC)
+	line("committed", "%d (failures observed: %d)", res.Committed, res.Failures)
+	line("checkpoints", "%d", res.Checkpoints)
+	line("redo written", "%.1f MB (%.2f MB/s)", float64(res.RedoWritten)/(1<<20), float64(res.RedoWritten)/(1<<20)/spec.Duration.Seconds())
+	line("log stalls", "%v", res.LogStalls.Round(time.Millisecond))
+	line("cache hit rate", "%.3f", res.CacheHitRate)
+	line("mix", "%v", res.ByType)
+	line("throughput/30s", "%v", res.Series)
+	if o := res.Outcome; o != nil {
+		line("fault", "%v", o.Fault)
+		line("injected at", "%v (workload-relative %v)", o.InjectedAt, spec.InjectAt)
+		line("detected at", "%v (detection %v)", o.DetectedAt, spec.Detection)
+		line("recovery time", "%v", res.RecoveryTime.Round(time.Millisecond))
+		line("end-user outage", "%v", res.UserOutage.Round(time.Millisecond))
+		if rep := o.Report; rep != nil {
+			line("recovery kind", "%v (complete=%v)", rep.Kind, rep.Complete)
+			line("records applied", "%d of %d scanned, %d archived logs, %d losers rolled back",
+				rep.RecordsApplied, rep.RecordsScanned, rep.ArchivesProcessed, rep.LosersRolledBack)
+		}
+	}
+	line("lost commits", "%d", res.LostTransactions)
+	line("integrity", "%d violations", len(res.IntegrityViolations))
+	for i, v := range res.IntegrityViolations {
+		if i == 5 {
+			fmt.Fprintf(w, "  ... %d more\n", len(res.IntegrityViolations)-5)
+			break
+		}
+		fmt.Fprintf(w, "  %v\n", v)
 	}
 	return nil
 }

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"bytes"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -8,6 +11,8 @@ import (
 	"testing"
 	"time"
 
+	"dbench/internal/core"
+	"dbench/internal/faults"
 	"dbench/internal/monitor"
 	"dbench/internal/trace"
 )
@@ -157,5 +162,51 @@ func TestStartProfilesWritesBothFiles(t *testing.T) {
 	}
 	if stop, err := startProfiles("", ""); err != nil || stop() != nil {
 		t.Errorf("no profile requested: %v", err)
+	}
+}
+
+// An unknown fault must fail before anything runs, with a message that
+// lists every valid name — "shutdown-abort" is the spelling people reach
+// for, and a bare "unknown fault" left them guessing.
+func TestUnknownFaultListsValidNames(t *testing.T) {
+	err := runKey(io.Discard, "F40G3T5 W1 fault=shutdown-abort at=5m")
+	if err == nil {
+		t.Fatal("unknown fault accepted")
+	}
+	if !strings.Contains(err.Error(), `unknown fault "shutdown-abort"`) {
+		t.Errorf("error %q does not name the rejected fault", err)
+	}
+	for k := faults.ShutdownAbort; k <= faults.MisroutedBatchUpdate; k++ {
+		if !strings.Contains(err.Error(), k.Token()) {
+			t.Errorf("error %q does not list valid fault %q", err, k.Token())
+		}
+	}
+}
+
+// A progress line starts with its run's key, and `dbench run '<key>'`
+// replays that run: the same tpmC and the same committed count.
+func TestRunReplaysAProgressLine(t *testing.T) {
+	sc := core.QuickScale()
+	sc.Duration = 30 * time.Second
+	x := core.Table3(sc)
+	x.Tables[0].Grid = x.Tables[0].Grid[:1]
+	var line string
+	rows, err := x.Run(sc, nil, func(l string) { line = l })
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, _, ok := strings.Cut(strings.TrimPrefix(line, "[1/1] "), ": tpmC=")
+	if !ok {
+		t.Fatalf("progress line %q holds no key", line)
+	}
+	var out bytes.Buffer
+	if err := runKey(&out, key); err != nil {
+		t.Fatal(err)
+	}
+	res := rows[0][0][0]
+	for _, want := range []string{fmt.Sprintf("%-18s%.0f\n", "tpmC:", res.TpmC), fmt.Sprintf("%-18s%d ", "committed:", res.Committed)} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("dbench run %q printed\n%s\nwant a line starting %q", key, out.String(), want)
+		}
 	}
 }

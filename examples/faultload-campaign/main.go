@@ -7,7 +7,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"time"
 
 	"dbench/internal/core"
 	"dbench/internal/faults"
@@ -32,26 +31,21 @@ func main() {
 	fmt.Println("  (* = injected by this campaign)")
 	fmt.Println()
 
+	// Each run is a run key (core.Spec.Key); `dbench run '<key>'` makes any
+	// one of them on its own.
 	targets := map[faults.Kind]string{
-		faults.DeleteDatafile:       "TPCC_01.dbf",
-		faults.SetDatafileOffline:   "TPCC_01.dbf",
-		faults.DeleteTablespace:     tpcc.Tablespace,
-		faults.SetTablespaceOffline: tpcc.Tablespace,
-		faults.DeleteUsersObject:    tpcc.TableStock,
+		faults.DeleteDatafile:       ":TPCC_01.dbf",
+		faults.SetDatafileOffline:   ":TPCC_01.dbf",
+		faults.DeleteTablespace:     ":" + tpcc.Tablespace,
+		faults.SetTablespaceOffline: ":" + tpcc.Tablespace,
+		faults.DeleteUsersObject:    ":" + tpcc.TableStock,
 	}
-	cfg, _ := core.ConfigByName("F10G3T1")
 	fmt.Printf("%-24s %10s %10s %6s %6s %s\n", "fault", "recovery", "outage", "lost", "viol", "kind")
 	for _, kind := range faults.Kinds {
-		spec := core.DefaultSpec()
-		spec.Name = "campaign/" + kind.String()
-		spec.TPCC.Warehouses = 1
-		spec.Duration = 8 * time.Minute
-		spec.Recovery = cfg
-		spec.Archive = true
-		spec.Fault = &faults.Fault{Kind: kind, Target: targets[kind]}
-		spec.InjectAt = 3 * time.Minute
-		spec.TailAfterRecovery = time.Minute
-
+		spec, err := core.ParseSpec("F10G3T1 arch W1 dur=8m fault=" + kind.Token() + targets[kind] + " at=3m tail=1m")
+		if err != nil {
+			log.Fatal(err)
+		}
 		res, err := core.Run(spec)
 		if err != nil {
 			log.Fatal(err)

@@ -137,11 +137,12 @@ func DefaultConfig() Config {
 	tc.CustomersPerDistrict = 60
 	tc.Items = 1000
 	tc.TerminalsPerWarehouse = 8
+	rc, _ := core.ParseConfig("F1G3T15s") // a literal that parses: three 1 MB groups, a 15 s checkpoint timeout
 	return Config{
 		Spec: core.Spec{
 			Name:              "chaos",
 			Seed:              1,
-			Recovery:          core.RecoveryConfig{FileSize: 1 << 20, Groups: 3, CheckpointTimeout: 15 * time.Second},
+			Recovery:          rc,
 			Archive:           true,
 			TPCC:              tc,
 			CacheBlocks:       512,

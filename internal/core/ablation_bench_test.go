@@ -12,7 +12,7 @@ import (
 
 func ablationSpec(name string) Spec {
 	sc := miniScale()
-	return sc.spec(name, mustConfig("F10G3T1"))
+	return sc.spec(mustConfig("F10G3T1"))
 }
 
 // BenchmarkAblationCacheSize shows the throughput cliff when the buffer
@@ -45,7 +45,7 @@ func BenchmarkAblationCheckpointTimeout(b *testing.B) {
 		cfg := mustConfig("F400G3T20")
 		cfg.CheckpointTimeout = timeout
 		sc := miniScale()
-		spec := sc.spec("ckpt-timeout", cfg)
+		spec := sc.spec(cfg)
 		spec.Fault = &faults.Fault{Kind: faults.ShutdownAbort}
 		spec.InjectAt = sc.InjectTimes[2]
 		spec.TailAfterRecovery = sc.Tail
@@ -69,7 +69,7 @@ func BenchmarkAblationCheckpointTimeout(b *testing.B) {
 func BenchmarkAblationDetectionTime(b *testing.B) {
 	for _, det := range []time.Duration{2 * time.Second, 30 * time.Second} {
 		sc := miniScale()
-		spec := sc.spec("detection", mustConfig("F10G3T1"))
+		spec := sc.spec(mustConfig("F10G3T1"))
 		spec.Archive = true
 		spec.Fault = &faults.Fault{Kind: faults.DeleteUsersObject, Target: "stock"}
 		spec.InjectAt = sc.InjectTimes[1]

@@ -6,10 +6,7 @@
 // paper's evaluation (§5).
 package core
 
-import (
-	"fmt"
-	"time"
-)
+import "time"
 
 // RecoveryConfig is one row of the paper's Table 3: a recovery-mechanism
 // configuration of the engine.
@@ -26,14 +23,11 @@ type RecoveryConfig struct {
 
 func (c RecoveryConfig) String() string { return c.Name }
 
-// mkCfg builds a config named per the paper's scheme.
+// mkCfg builds a config named per the paper's scheme (its key).
 func mkCfg(sizeMB, groups int, timeout time.Duration) RecoveryConfig {
-	return RecoveryConfig{
-		Name:              fmt.Sprintf("F%dG%dT%d", sizeMB, groups, int(timeout.Minutes())),
-		FileSize:          int64(sizeMB) << 20,
-		Groups:            groups,
-		CheckpointTimeout: timeout,
-	}
+	c := RecoveryConfig{FileSize: int64(sizeMB) << 20, Groups: groups, CheckpointTimeout: timeout}
+	c.Name = c.key()
+	return c
 }
 
 // Table3Configs reproduces the paper's Table 3 configuration set.

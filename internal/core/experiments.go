@@ -5,7 +5,6 @@ import (
 	"slices"
 	"time"
 
-	"dbench/internal/engine"
 	"dbench/internal/faults"
 	"dbench/internal/monitor"
 	"dbench/internal/standby"
@@ -93,19 +92,13 @@ func QuickScale() Scale {
 	}
 }
 
-// spec builds a base Spec for this scale.
-func (sc Scale) spec(name string, cfg RecoveryConfig) Spec {
-	return Spec{
-		Name:            name,
-		Seed:            sc.Seed,
-		Recovery:        cfg,
-		TPCC:            sc.TPCC,
-		CacheBlocks:     sc.CacheBlocks,
-		Cost:            engine.DefaultCostModel(),
-		Duration:        sc.Duration,
-		Detection:       2 * time.Second,
-		RecoveryWorkers: sc.maxRecoveryWorkers(),
-	}
+// spec builds a base Spec for this scale: DefaultSpec at the scale's
+// workload, duration and recovery fan-out.
+func (sc Scale) spec(cfg RecoveryConfig) Spec {
+	s := DefaultSpec()
+	s.Seed, s.Recovery, s.TPCC, s.CacheBlocks = sc.Seed, cfg, sc.TPCC, sc.CacheBlocks
+	s.Duration, s.RecoveryWorkers = sc.Duration, sc.maxRecoveryWorkers()
+	return s
 }
 
 // maxRecoveryWorkers returns the largest configured recovery fan-out
@@ -132,7 +125,7 @@ var abort = faults.Fault{Kind: faults.ShutdownAbort}
 func Table3(sc Scale) Experiment {
 	var grid [][]Spec
 	for _, cfg := range Table3Configs {
-		grid = append(grid, []Spec{sc.spec("T3/"+cfg.Name, cfg)})
+		grid = append(grid, []Spec{sc.spec(cfg)})
 	}
 	return table("Table 3. Recovery configurations (measured).", grid,
 		configCol,
@@ -151,9 +144,9 @@ func Table3(sc Scale) Experiment {
 func Figure4(sc Scale) Experiment {
 	var grid [][]Spec
 	for _, cfg := range Table3Configs {
-		crash := sc.spec("F4/"+cfg.Name, cfg)
+		crash := sc.spec(cfg)
 		sc.inject(&crash, abort, sc.InjectTimes[1])
-		grid = append(grid, []Spec{sc.spec("T3/"+cfg.Name, cfg), crash})
+		grid = append(grid, []Spec{sc.spec(cfg), crash})
 	}
 	return table("Figure 4. Performance and recovery time (Shutdown Abort faultload).", grid,
 		configCol,
@@ -168,7 +161,7 @@ func Figure5(sc Scale) Experiment {
 	for _, cfg := range ArchiveConfigs() {
 		var row []Spec
 		for _, archive := range []bool{false, true} {
-			spec := sc.spec(fmt.Sprintf("F5/%s/arch=%v", cfg.Name, archive), cfg)
+			spec := sc.spec(cfg)
 			spec.Archive = archive
 			row = append(row, spec)
 		}
@@ -188,20 +181,20 @@ func Figure5(sc Scale) Experiment {
 
 // Table4 is Table 4: the faults with incomplete recovery.
 func Table4(sc Scale) Experiment {
-	return recoveryGrid(sc, "Table 4. Recovery time (s) for faults with incomplete recovery.", "T4",
+	return recoveryGrid(sc, "Table 4. Recovery time (s) for faults with incomplete recovery.",
 		[]faults.Kind{faults.DeleteUsersObject, faults.DeleteTablespace}, ArchiveConfigs())
 }
 
 // Table5 is Table 5: the faults with complete recovery.
 func Table5(sc Scale) Experiment {
-	return recoveryGrid(sc, "Table 5. Recovery time (s) for faults with complete recovery.", "T5",
+	return recoveryGrid(sc, "Table 5. Recovery time (s) for faults with complete recovery.",
 		[]faults.Kind{faults.ShutdownAbort, faults.DeleteDatafile, faults.SetDatafileOffline, faults.SetTablespaceOffline},
 		ArchiveConfigs())
 }
 
 // recoveryGrid declares a Table 4/5 style grid with archive logs active:
 // one line per (fault, configuration), one job per injection instant.
-func recoveryGrid(sc Scale, title, prefix string, kinds []faults.Kind, configs []RecoveryConfig) Experiment {
+func recoveryGrid(sc Scale, title string, kinds []faults.Kind, configs []RecoveryConfig) Experiment {
 	targets := map[faults.Kind]string{
 		faults.DeleteDatafile:       "TPCC_01.dbf",
 		faults.SetDatafileOffline:   "TPCC_01.dbf",
@@ -214,7 +207,7 @@ func recoveryGrid(sc Scale, title, prefix string, kinds []faults.Kind, configs [
 		for _, cfg := range configs {
 			row := make([]Spec, len(sc.InjectTimes))
 			for t, at := range sc.InjectTimes {
-				row[t] = sc.spec(fmt.Sprintf("%s/%v/%s/t%d", prefix, kind, cfg.Name, t), cfg)
+				row[t] = sc.spec(cfg)
 				row[t].Archive = true
 				sc.inject(&row[t], faults.Fault{Kind: kind, Target: targets[kind]}, at)
 			}
@@ -247,8 +240,8 @@ func recoveryGrid(sc Scale, title, prefix string, kinds []faults.Kind, configs [
 func Figure6(sc Scale) Experiment {
 	var grid [][]Spec
 	for _, cfg := range ArchiveConfigs() {
-		spec := func(kind string, sb bool, fault *faults.Fault) Spec {
-			spec := sc.spec("F6/"+kind+"/"+cfg.Name, cfg)
+		spec := func(sb bool, fault *faults.Fault) Spec {
+			spec := sc.spec(cfg)
 			spec.Archive = true
 			if sb {
 				spec.Standbys, spec.ReplMode = 1, standby.ModeArchive
@@ -258,8 +251,8 @@ func Figure6(sc Scale) Experiment {
 			}
 			return spec
 		}
-		grid = append(grid, []Spec{spec("arch", false, nil), spec("sb", true, nil), spec("failover", true, &abort),
-			spec("media", false, &faults.Fault{Kind: faults.DeleteDatafile, Target: "TPCC_01.dbf"})})
+		grid = append(grid, []Spec{spec(false, nil), spec(true, nil), spec(true, &abort),
+			spec(false, &faults.Fault{Kind: faults.DeleteDatafile, Target: "TPCC_01.dbf"})})
 	}
 	return table("Figure 6. Performance and recovery time with archive logs and stand-by.", grid,
 		configCol,
@@ -287,13 +280,7 @@ func Figure7(sc Scale) Experiment {
 	for _, sizeMB := range Figure7Grid.SizesMB {
 		var row []Spec
 		for _, groups := range Figure7Grid.Groups {
-			cfg := RecoveryConfig{
-				Name:              fmt.Sprintf("F%dG%dT1", sizeMB, groups),
-				FileSize:          int64(sizeMB) << 20,
-				Groups:            groups,
-				CheckpointTimeout: time.Minute,
-			}
-			spec := sc.spec("F7/"+cfg.Name, cfg)
+			spec := sc.spec(mkCfg(sizeMB, groups, time.Minute))
 			spec.Archive = true
 			spec.Standbys, spec.ReplMode = 1, standby.ModeArchive
 			sc.inject(&spec, abort, sc.InjectTimes[2])

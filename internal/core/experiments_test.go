@@ -31,11 +31,11 @@ func miniScale() Scale {
 // and that costs throughput (or at least never helps it much).
 func TestShapeCheckpointRateVsConfig(t *testing.T) {
 	sc := miniScale()
-	big, err := Run(sc.spec("big", mustConfig("F400G3T20")))
+	big, err := Run(sc.spec(mustConfig("F400G3T20")))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tiny, err := Run(sc.spec("tiny", mustConfig("F1G3T1")))
+	tiny, err := Run(sc.spec(mustConfig("F1G3T1")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestShapeCheckpointRateVsConfig(t *testing.T) {
 func TestShapeRecoveryGrid(t *testing.T) {
 	sc := miniScale()
 	configs := []RecoveryConfig{mustConfig("F40G3T10"), mustConfig("F1G3T1")}
-	rows, err := recoveryGrid(sc, "", "test", []faults.Kind{faults.ShutdownAbort, faults.SetTablespaceOffline}, configs).Run(sc, nil, nil)
+	rows, err := recoveryGrid(sc, "", []faults.Kind{faults.ShutdownAbort, faults.SetTablespaceOffline}, configs).Run(sc, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestShapeLostTransactionsVsLogSize(t *testing.T) {
 		}
 		// Sub-MB sizes for the mini workload: scale by KB instead.
 		cfg.FileSize = int64(sizeMB) << 10 * 64 // 64 KB per "MB" step
-		spec := sc.spec("f7", cfg)
+		spec := sc.spec(cfg)
 		spec.Archive = true
 		spec.Standbys, spec.ReplMode = 1, standby.ModeArchive
 		spec.Fault = &faults.Fault{Kind: faults.ShutdownAbort}
@@ -133,7 +133,7 @@ func TestFigure7LostTransactionCountPinned(t *testing.T) {
 	cfg := RecoveryConfig{
 		Name: "f7pin", FileSize: 16 << 10 * 64, Groups: 3, CheckpointTimeout: time.Minute,
 	}
-	spec := sc.spec("f7pin", cfg)
+	spec := sc.spec(cfg)
 	spec.Archive = true
 	spec.Standbys, spec.ReplMode = 1, standby.ModeArchive
 	spec.Fault = &faults.Fault{Kind: faults.ShutdownAbort}

@@ -280,13 +280,12 @@ func paretoReport(t *testing.T, budget time.Duration, points []struct {
 	for i := range points {
 		rows[0] = append(rows[0], append(Row{frontier[2*i], frontier[2*i+1]}, frontier...))
 	}
-	for i, kind := range []string{"steady", "crash", "shift"} {
-		c := ctls[i]
-		res := &Result{TpmC: c.tpmC, RecoveryTime: c.rec, Control: testController(t, budget, c.ticks)}
-		res.Spec.Name = "PF/ctl/" + kind
+	x := Pareto(StdScale(), budget, nil)
+	for i, c := range ctls { // steady, crash, shift
+		res := &Result{Spec: x.Tables[1].Grid[i][0], TpmC: c.tpmC, RecoveryTime: c.rec, Control: testController(t, budget, c.ticks)}
 		rows[1] = append(rows[1], Row{res})
 	}
-	return Pareto(StdScale(), budget, nil), rows[:]
+	return x, rows[:]
 }
 
 // TestFormatParetoGolden renders a sweep with a within-budget best, then

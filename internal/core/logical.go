@@ -38,7 +38,7 @@ func LogicalVsPhysical(sc Scale) Experiment {
 	for _, kind := range LogicalKinds {
 		var row []Spec
 		for _, force := range []bool{false, true} {
-			spec := sc.spec(fmt.Sprintf("LvP/%v/physical=%v", kind, force), cfg)
+			spec := sc.spec(cfg)
 			spec.Archive = true
 			spec.ForcePhysical = force
 			sc.inject(&spec, faults.Fault{Kind: kind, Target: tpcc.TableStock}, sc.InjectTimes[1])

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"strings"
 	"time"
 
 	"dbench/internal/control"
@@ -53,9 +52,9 @@ func paretoPhases(d time.Duration) []tpcc.LoadPhase {
 func Pareto(sc Scale, budget time.Duration, grid []RecoveryConfig) Experiment {
 	var frontier []Spec
 	for _, rc := range grid {
-		crash := sc.spec("PF/crash/"+rc.Name, rc)
+		crash := sc.spec(rc)
 		sc.inject(&crash, abort, sc.InjectTimes[1]) // at full throughput
-		frontier = append(frontier, sc.spec("PF/perf/"+rc.Name, rc), crash)
+		frontier = append(frontier, sc.spec(rc), crash)
 	}
 	// A frontier line is its point's two runs followed by the whole
 	// frontier, which its mark compares it with; Run measures each job once.
@@ -65,8 +64,8 @@ func Pareto(sc Scale, budget time.Duration, grid []RecoveryConfig) Experiment {
 	}
 	// A controller run is monitored (the repository is the controller's
 	// sensor) with the budgeted controller attached; injectAt 0 = no fault.
-	ctl := func(kind string, phases []tpcc.LoadPhase, injectAt time.Duration) []Spec {
-		spec := sc.spec("PF/ctl/"+kind, mustConfig("F100G3T10"))
+	ctl := func(phases []tpcc.LoadPhase, injectAt time.Duration) []Spec {
+		spec := sc.spec(mustConfig("F100G3T10"))
 		if spec.SampleInterval = sc.SampleInterval; spec.SampleInterval <= 0 {
 			spec.SampleInterval = time.Second
 		}
@@ -98,12 +97,20 @@ func Pareto(sc Scale, budget time.Duration, grid []RecoveryConfig) Experiment {
 		}, {
 			Title: "\nController:",
 			Grid: [][]Spec{
-				ctl("steady", nil, 0),
-				ctl("crash", nil, sc.InjectTimes[1]),
-				ctl("shift", paretoPhases(sc.Duration), sc.InjectTimes[2]), // after the load has shifted twice
+				ctl(nil, 0),
+				ctl(nil, sc.InjectTimes[1]),
+				ctl(paretoPhases(sc.Duration), sc.InjectTimes[2]), // after the load has shifted twice
 			},
 			Cols: []Column{
-				{"scenario", -8, "%-8s", func(r Row) any { return strings.TrimPrefix(r[0].Spec.Name, "PF/ctl/") }},
+				{"scenario", -8, "%-8s", func(r Row) any {
+					switch s := r[0].Spec; {
+					case s.Phases != nil:
+						return "shift"
+					case s.Fault != nil:
+						return "crash"
+					}
+					return "steady"
+				}},
 				{"tpmC", 8, "%8.0f", tpmC(0)},
 				{"recovery", 10, "%10s", func(r Row) any {
 					if d := r[0].RecoveryTime; d > 0 {

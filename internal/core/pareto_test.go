@@ -73,10 +73,10 @@ func TestRunParetoTiny(t *testing.T) {
 	}
 	for _, r := range ctl[1:] {
 		if r[0].RecoveryTime <= 0 {
-			t.Errorf("%s scenario: no recovery measured", r[0].Spec.Name)
+			t.Errorf("%s: no recovery measured", r[0].Spec.Key())
 		}
 		if r[0].Control.Rung().Name == "" {
-			t.Errorf("%s scenario: no final rung reported", r[0].Spec.Name)
+			t.Errorf("%s: no final rung reported", r[0].Spec.Key())
 		}
 	}
 	if steady.Control.Infeasible() {

@@ -62,7 +62,7 @@ func TestRunSpecsOrderAndProgress(t *testing.T) {
 	sc.Duration = time.Minute
 	specs := make([]Spec, 4)
 	for i := range specs {
-		specs[i] = sc.spec(fmt.Sprintf("pool/run%d", i), Table3Configs[i*3])
+		specs[i] = sc.spec(Table3Configs[i*3])
 	}
 	var lines []string
 	results, err := RunSpecs(specs, 3, func(line string) { lines = append(lines, line) })
@@ -73,8 +73,8 @@ func TestRunSpecsOrderAndProgress(t *testing.T) {
 		t.Fatalf("got %d results", len(results))
 	}
 	for i, res := range results {
-		if res == nil || res.Spec.Name != specs[i].Name {
-			t.Errorf("slot %d: got %v, want %s", i, res, specs[i].Name)
+		if res == nil || res.Spec.Key() != specs[i].Key() {
+			t.Errorf("slot %d: got %v, want %s", i, res, specs[i].Key())
 		}
 	}
 	if len(lines) != len(specs) {
@@ -94,9 +94,9 @@ func TestRunSpecsFailFast(t *testing.T) {
 	sc := tinyScale()
 	bad := RecoveryConfig{Name: "bad", FileSize: 1 << 20, Groups: 1, CheckpointTimeout: time.Minute}
 	specs := []Spec{
-		sc.spec("pool/bad0", bad),
-		sc.spec("pool/bad1", bad),
-		sc.spec("pool/bad2", bad),
+		sc.spec(bad),
+		sc.spec(bad),
+		sc.spec(bad),
 	}
 	results, err := RunSpecs(specs, 2, nil)
 	if err == nil {
@@ -147,8 +147,8 @@ func TestCampaignDeterminismAcrossWorkerCounts(t *testing.T) {
 
 	kinds := []faults.Kind{faults.ShutdownAbort, faults.SetTablespaceOffline}
 	configs := []RecoveryConfig{mustConfig("F40G3T10"), mustConfig("F1G3T1")}
-	gridSeq := values(seq, recoveryGrid(seq, "", "T5", kinds, configs))
-	gridPar := values(par, recoveryGrid(par, "", "T5", kinds, configs))
+	gridSeq := values(seq, recoveryGrid(seq, "", kinds, configs))
+	gridPar := values(par, recoveryGrid(par, "", kinds, configs))
 	if !reflect.DeepEqual(gridSeq, gridPar) {
 		t.Errorf("recovery grid cells differ across worker counts:\nseq: %v\npar: %v", gridSeq, gridPar)
 	}

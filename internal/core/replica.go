@@ -31,13 +31,8 @@ var (
 
 // LinkByName resolves a profile name ("lan", "wan") for the CLI.
 func LinkByName(name string) (sim.LinkSpec, bool) {
-	switch name {
-	case "lan":
-		return LinkLAN, true
-	case "wan":
-		return LinkWAN, true
-	}
-	return sim.LinkSpec{}, false
+	l, ok := map[string]sim.LinkSpec{"lan": LinkLAN, "wan": LinkWAN}[name]
+	return l, ok
 }
 
 // snapshotReplica adapts a streaming stand-by to the TPC-C Replica
@@ -98,7 +93,7 @@ func Replica(sc Scale, grid ReplicaGrid) Experiment {
 	for _, n := range grid.Standbys {
 		for _, mode := range grid.Modes {
 			for _, link := range grid.Links {
-				spec := sc.spec(fmt.Sprintf("REPL/s%d-%s-%s", n, mode, link.Name), cfg)
+				spec := sc.spec(cfg)
 				spec.Standbys = n
 				spec.ReplMode = mode
 				spec.ReplLink = link

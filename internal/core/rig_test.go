@@ -118,8 +118,8 @@ func (s panicSink) Emit(ev trace.Event) {
 func TestProcessPanicFailsOnlyItsOwnJob(t *testing.T) {
 	sc := tinyScale()
 	sc.Duration = 20 * time.Second
-	good := sc.spec("panic/good", Table3Configs[0])
-	bad := sc.spec("panic/bad", Table3Configs[0])
+	good := sc.spec(Table3Configs[0])
+	bad := sc.spec(Table3Configs[0])
 	bad.Tracer = trace.New(panicSink{after: sim.Time(5 * time.Second)})
 
 	want, err := Run(good)

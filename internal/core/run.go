@@ -20,7 +20,8 @@ import (
 // recovery configuration under test, and (optionally) one operator fault
 // with its injection instant.
 type Spec struct {
-	// Name labels the experiment in reports.
+	// Name is the caller's label for the spec (the benchmark names its
+	// workloads). It is not part of Key, and no run reads it.
 	Name string
 	// Seed drives every random choice, making runs reproducible.
 	Seed int64
@@ -125,17 +126,17 @@ type ScriptedStmt struct {
 }
 
 // DefaultSpec returns a paper-style 20-minute experiment on F100G3T10
-// without a fault.
+// without a fault and with serial recovery: what a run key leaves out.
 func DefaultSpec() Spec {
 	return Spec{
-		Name:        "default",
-		Seed:        1,
-		Recovery:    mustConfig("F100G3T10"),
-		TPCC:        tpcc.DefaultConfig(),
-		CacheBlocks: 4096,
-		Cost:        engine.DefaultCostModel(),
-		Duration:    20 * time.Minute,
-		Detection:   2 * time.Second,
+		Seed:            1,
+		Recovery:        mustConfig("F100G3T10"),
+		TPCC:            tpcc.DefaultConfig(),
+		CacheBlocks:     4096,
+		Cost:            engine.DefaultCostModel(),
+		RecoveryWorkers: 1,
+		Duration:        20 * time.Minute,
+		Detection:       2 * time.Second,
 	}
 }
 
@@ -225,9 +226,9 @@ type Result struct {
 	DiskBusy     map[string]time.Duration
 }
 
-// String renders a one-line summary.
+// String renders a one-line summary that leads with the run's key.
 func (r *Result) String() string {
-	s := fmt.Sprintf("%s: tpmC=%.0f ckpts=%d", r.Spec.Name, r.TpmC, r.Checkpoints)
+	s := fmt.Sprintf("%s: tpmC=%.0f ckpts=%d", r.Spec.Key(), r.TpmC, r.Checkpoints)
 	if r.Outcome != nil {
 		s += fmt.Sprintf(" fault=%v recovery=%v outage=%v lost=%d viol=%d",
 			r.Outcome.Fault, r.RecoveryTime.Round(time.Second), r.UserOutage.Round(time.Second),
@@ -238,21 +239,24 @@ func (r *Result) String() string {
 
 // validate rejects a spec that could not run as described, before anything
 // is built: NewRig and Experiment.Run check it, so every entry (campaigns,
-// tpccrun, faultinject, chaos, the benchmark) meets the same rules. A
-// workload with no warehouses or no terminals would silently run empty —
-// every measure a zero rather than an error; an archive-shipping stand-by
-// needs the primary's archiver; the controller's only sensor is the
-// workload repository. A zero Duration stays valid — a load-only run.
+// dbench run, chaos, the benchmark) meets the same rules. A workload with no
+// warehouses or no terminals would silently run empty — every measure a zero
+// rather than an error — and one with no customers or items panics drawing
+// from an empty range; an archive-shipping stand-by needs the primary's
+// archiver; the controller's only sensor is the workload repository. A zero
+// Duration stays valid — a load-only run.
 func (s Spec) validate() error {
 	switch {
 	case s.TPCC.Warehouses < 1:
 		return fmt.Errorf("core: workload needs Warehouses >= 1 (got %d)", s.TPCC.Warehouses)
 	case s.TPCC.TerminalsPerWarehouse < 1:
 		return fmt.Errorf("core: workload needs TerminalsPerWarehouse >= 1 (got %d)", s.TPCC.TerminalsPerWarehouse)
+	case s.TPCC.CustomersPerDistrict < 1 || s.TPCC.Items < 1:
+		return fmt.Errorf("core: workload needs CustomersPerDistrict and Items >= 1 (got %d, %d)", s.TPCC.CustomersPerDistrict, s.TPCC.Items)
 	case s.Standbys > 0 && s.ReplMode == standby.ModeArchive && !s.Archive:
-		return fmt.Errorf("core: spec %q: ReplMode %v needs Archive", s.Name, s.ReplMode)
+		return fmt.Errorf("core: spec %q: ReplMode %v needs Archive", s.Key(), s.ReplMode)
 	case s.Control != nil && s.SampleInterval <= 0:
-		return fmt.Errorf("core: spec %q: Control needs the workload repository (SampleInterval > 0)", s.Name)
+		return fmt.Errorf("core: spec %q: Control needs the workload repository (SampleInterval > 0)", s.Key())
 	}
 	return nil
 }
@@ -428,7 +432,7 @@ func Run(spec Spec) (*Result, error) {
 		return nil
 	})
 	if err != nil {
-		return nil, fmt.Errorf("core: run %q: %w", spec.Name, err)
+		return nil, fmt.Errorf("core: run %q: %w", spec.Key(), err)
 	}
 	if spec.OnRepository != nil && res.Repository != nil {
 		spec.OnRepository(res.Repository)

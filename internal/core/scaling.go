@@ -38,13 +38,13 @@ func scalingWorkerCounts(sc Scale) []int {
 	return slices.Compact(counts)
 }
 
-// scalingSpec builds one spec of the sweep; kind labels the job ("perf",
-// "rec", "rec@4w", "media"). The simulated platform grows with the
-// warehouse count — CPU slots and data disks scale with W and the buffer
-// cache keeps its per-warehouse share — so the sweep measures the scaled
-// system, not one starved box.
-func scalingSpec(sc Scale, cfg RecoveryConfig, w int, kind string, recWorkers int) Spec {
-	spec := sc.spec(fmt.Sprintf("SC/W%d/%s/%s", w, cfg.Name, kind), cfg)
+// scalingSpec builds one spec of the sweep, with recWorkers recovery
+// workers. The simulated platform grows with the warehouse count — CPU
+// slots and data disks scale with W and the buffer cache keeps its
+// per-warehouse share — so the sweep measures the scaled system, not one
+// starved box.
+func scalingSpec(sc Scale, cfg RecoveryConfig, w, recWorkers int) Spec {
+	spec := sc.spec(cfg)
 	spec.TPCC.Warehouses = w
 	spec.CacheBlocks = sc.CacheBlocks * w
 	spec.CPUs = w
@@ -78,13 +78,9 @@ func Scaling(sc Scale, warehouses []int) Experiment {
 	for _, w := range warehouses {
 		var row []Spec
 		for _, cfg := range []RecoveryConfig{ScalingBaselineConfig, ScalingTunedConfig} {
-			row = append(row, scalingSpec(sc, cfg, w, "perf", 1))
+			row = append(row, scalingSpec(sc, cfg, w, 1))
 			for _, n := range ws {
-				kind := "rec"
-				if n > 1 {
-					kind = fmt.Sprintf("rec@%dw", n)
-				}
-				spec := scalingSpec(sc, cfg, w, kind, n)
+				spec := scalingSpec(sc, cfg, w, n)
 				sc.inject(&spec, abort, sc.InjectTimes[1]) // at full throughput
 				row = append(row, spec)
 			}
@@ -93,7 +89,7 @@ func Scaling(sc Scale, warehouses []int) Experiment {
 			// restored file forward. At W>1 only that warehouse's
 			// tablespace goes offline and the run measures how much
 			// traffic the rest of the database keeps serving.
-			media := scalingSpec(sc, cfg, w, "media", sc.maxRecoveryWorkers())
+			media := scalingSpec(sc, cfg, w, sc.maxRecoveryWorkers())
 			media.Archive = true
 			sc.inject(&media, faults.Fault{Kind: faults.DeleteDatafile, Target: scalingMediaTarget(w)}, sc.InjectTimes[1])
 			row = append(row, media)

@@ -15,12 +15,14 @@ func TestScaleValidateRejectsEmptyWorkloads(t *testing.T) {
 		{"zero warehouses", func(sc *Scale) { sc.TPCC.Warehouses = 0 }, "Warehouses"},
 		{"negative warehouses", func(sc *Scale) { sc.TPCC.Warehouses = -3 }, "Warehouses"},
 		{"zero terminals", func(sc *Scale) { sc.TPCC.TerminalsPerWarehouse = 0 }, "Terminals"},
+		{"zero customers", func(sc *Scale) { sc.TPCC.CustomersPerDistrict = 0 }, "CustomersPerDistrict"},
+		{"zero items", func(sc *Scale) { sc.TPCC.Items = 0 }, "Items"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			sc := miniScale()
 			tc.mutate(&sc)
-			err := sc.spec("empty", Table3Configs[0]).validate()
+			err := sc.spec(Table3Configs[0]).validate()
 			if tc.want == "" {
 				if err != nil {
 					t.Fatalf("valid scale rejected: %v", err)
@@ -33,9 +35,9 @@ func TestScaleValidateRejectsEmptyWorkloads(t *testing.T) {
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
 			}
-			// Run is where every entry (campaign, tpccrun, faultinject,
-			// the benchmark) meets the same check.
-			if _, rerr := Run(sc.spec("empty", Table3Configs[0])); rerr == nil || rerr.Error() != err.Error() {
+			// Run is where every entry (campaign, dbench run, chaos, the
+			// benchmark) meets the same check.
+			if _, rerr := Run(sc.spec(Table3Configs[0])); rerr == nil || rerr.Error() != err.Error() {
 				t.Fatalf("Run error = %v, want %v", rerr, err)
 			}
 		})

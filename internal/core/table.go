@@ -60,22 +60,23 @@ func table(title string, grid [][]Spec, cols ...Column) Experiment {
 }
 
 // Run measures x on sc's worker pool and returns each table's rows. Every
-// job is validated before any runs. A spec name already in done is not run
-// again — within one invocation f4 reuses t3's fault-free runs, and a job
-// listed on several lines runs once; every result measured here is added
-// to done (nil keeps none). The rows are identical for every
-// Scale.Parallel, since the pool returns results in enumeration order.
+// job is validated before any runs. A job whose key (Spec.Key) is already
+// in done is not run again — within one invocation f4 reuses t3's
+// fault-free runs, and a job listed on several lines runs once; every
+// result measured here is added to done (nil keeps none). The rows are
+// identical for every Scale.Parallel, since the pool returns results in
+// enumeration order.
 func (x Experiment) Run(sc Scale, done map[string]*Result, progress Progress) ([][]Row, error) {
 	if done == nil {
 		done = map[string]*Result{}
 	}
 	var specs []Spec
+	var keys []string // every job's, in declaration order
 	queued := map[string]bool{}
-	i := 0
 	for _, t := range x.Tables {
 		for _, row := range t.Grid {
 			for _, spec := range row {
-				if i == x.Instrumented {
+				if len(keys) == x.Instrumented {
 					spec.Tracer, spec.OnRepository = sc.Tracer, sc.OnRepository
 					if sc.SampleInterval > 0 {
 						spec.SampleInterval = sc.SampleInterval
@@ -84,9 +85,10 @@ func (x Experiment) Run(sc Scale, done map[string]*Result, progress Progress) ([
 				if err := spec.validate(); err != nil {
 					return nil, err
 				}
-				i++
-				if done[spec.Name] == nil && !queued[spec.Name] {
-					queued[spec.Name] = true
+				key := spec.Key()
+				keys = append(keys, key)
+				if done[key] == nil && !queued[key] {
+					queued[key] = true
 					specs = append(specs, spec)
 				}
 			}
@@ -96,15 +98,15 @@ func (x Experiment) Run(sc Scale, done map[string]*Result, progress Progress) ([
 	if err != nil {
 		return nil, err
 	}
-	for _, res := range results {
-		done[res.Spec.Name] = res
+	for i, res := range results {
+		done[specs[i].Key()] = res
 	}
 	rows := make([][]Row, len(x.Tables))
 	for i, t := range x.Tables {
 		for _, grid := range t.Grid {
 			row := make(Row, len(grid))
-			for j, spec := range grid {
-				row[j] = done[spec.Name]
+			for j := range row {
+				row[j], keys = done[keys[0]], keys[1:]
 			}
 			rows[i] = append(rows[i], row)
 		}

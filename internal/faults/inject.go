@@ -3,6 +3,7 @@ package faults
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"time"
 
 	"dbench/internal/engine"
@@ -47,24 +48,47 @@ const (
 	MisroutedBatchUpdate
 )
 
-var kindNames = map[Kind]string{
-	ShutdownAbort:        "Shutdown abort",
-	DeleteDatafile:       "Delete datafile",
-	DeleteTablespace:     "Delete tablespace",
-	SetDatafileOffline:   "Set datafile offline",
-	SetTablespaceOffline: "Set tablespace offline",
-	DeleteUsersObject:    "Delete user's object",
-	CorruptDatafile:      "Corrupt datafile",
-	KillUserSession:      "Kill user session",
-	TruncateTable:        "Truncate table",
-	MisroutedBatchUpdate: "Mis-routed batch update",
+// kindNames spells each kind twice: its name in reports, and its one-word
+// token, the way a run key (core.Spec.Key) and the command line write it.
+var kindNames = [...]struct{ name, token string }{
+	ShutdownAbort:        {"Shutdown abort", "shutdown"},
+	DeleteDatafile:       {"Delete datafile", "delete-datafile"},
+	DeleteTablespace:     {"Delete tablespace", "delete-tablespace"},
+	SetDatafileOffline:   {"Set datafile offline", "offline-datafile"},
+	SetTablespaceOffline: {"Set tablespace offline", "offline-tablespace"},
+	DeleteUsersObject:    {"Delete user's object", "drop-table"},
+	CorruptDatafile:      {"Corrupt datafile", "corrupt-datafile"},
+	KillUserSession:      {"Kill user session", "kill-session"},
+	TruncateTable:        {"Truncate table", "truncate-table"},
+	MisroutedBatchUpdate: {"Mis-routed batch update", "misrouted-batch"},
 }
 
 func (k Kind) String() string {
-	if s, ok := kindNames[k]; ok {
-		return s
+	if k > 0 && int(k) < len(kindNames) {
+		return kindNames[k].name
 	}
 	return fmt.Sprintf("fault(%d)", uint8(k))
+}
+
+// Token is k's one-word spelling; ParseKind reads it back.
+func (k Kind) Token() string {
+	if k > 0 && int(k) < len(kindNames) {
+		return kindNames[k].token
+	}
+	return fmt.Sprintf("fault(%d)", uint8(k))
+}
+
+// ParseKind returns the kind a token spells. An unknown token is an error
+// that lists every valid one.
+func ParseKind(tok string) (Kind, error) {
+	var valid []string
+	for k := Kind(1); int(k) < len(kindNames); k++ {
+		if kindNames[k].token == tok {
+			return k, nil
+		}
+		valid = append(valid, kindNames[k].token)
+	}
+	return 0, fmt.Errorf("unknown fault %q (valid: %s)", tok, strings.Join(valid, ", "))
 }
 
 // Kinds lists all injected fault kinds in the paper's presentation order.
