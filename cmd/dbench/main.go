@@ -7,7 +7,8 @@
 //	dbench -exp scale,logical,pareto,replica,chaos   (opt-in: never part of "all")
 //	dbench -h                                        (every flag, tagged with its experiment)
 //	dbench recover -scan [-seed S] [-warehouses W]
-//	dbench run '<key>'                               (one run, e.g. 'F40G3T5 arch W1 fault=drop-table:stock at=5m')
+//	dbench run '<key>' [-trace F] [-timeline] [-stats F] [-awr]
+//	                                                 (one run, e.g. 'F40G3T5 arch W1 fault=drop-table:stock at=5m')
 //
 // Output is the paper-style text table for each experiment, preceded by
 // per-run progress lines on stderr. A progress line starts with the run's
@@ -62,17 +63,6 @@
 // ledger — 0 in sync mode), measured RTO alongside the MMON live
 // estimate, end-user outage, and the stand-by read-routing counts.
 //
-// -trace/-timeline and -stats/-awr observe one run: the instrumented run
-// of the first selected experiment (its first run, unless the declaration
-// names a more telling one — scale its first recovery run, pareto its
-// first controller run). Runs have independent virtual timelines, so a
-// second experiment in the same invocation is neither traced nor sampled.
-// -stats samples that run with the MMON workload repository every
-// -sample-interval of virtual time and exports the metric time-series —
-// counters, gauges and the live recovery-time estimate — as CSV (JSON for
-// .json paths); -awr prints an AWR-style first-vs-last snapshot diff.
-// Both outputs are byte-identical across reruns of the same seed.
-//
 // -cpuprofile/-memprofile write host-side pprof profiles of the whole
 // invocation (CPU samples; every allocation since start): where the wall
 // clock and the garbage of a campaign go, as opposed to its virtual time.
@@ -87,7 +77,16 @@
 // `dbench run '<key>'` makes the one run a key describes (core.ParseSpec:
 // tokens left out keep core.DefaultSpec's values) and prints its
 // performance measures and, when the key has a fault, the fault's
-// recovery measures.
+// recovery measures. Its flags observe that run, and only there: runs have
+// independent virtual timelines, so to observe a campaign's run, copy its
+// key from the progress line. -trace writes the run's Chrome trace_event
+// file and -timeline prints its recovery-phase timeline. -stats samples the
+// run with the MMON workload repository at the key's sample= cadence (1 s
+// of virtual time when the key has none) and exports the metric
+// time-series — counters, gauges and the live recovery-time estimate — as
+// CSV (JSON for .json paths); -awr prints an AWR-style first-vs-last
+// snapshot diff. The report comes first, then the AWR diff, then the
+// timeline; every artifact is byte-identical across replays of the key.
 package main
 
 import (
@@ -110,9 +109,8 @@ import (
 	"dbench/internal/trace"
 )
 
-// env is what an experiment sees of the command line: the campaign scale
-// (carrying the tracer and sampling hooks while they are unconsumed), the
-// progress sink, the results measured so far and the parsed
+// env is what an experiment sees of the command line: the campaign scale,
+// the progress sink, the results measured so far and the parsed
 // per-experiment flags.
 type env struct {
 	sc       core.Scale
@@ -160,7 +158,6 @@ var registry = []experiment{
 		cfg.Parallel = e.sc.Parallel
 		cfg.Spec.TPCC.Warehouses = e.warehouses[0]
 		cfg.Spec.RecoveryWorkers = slices.Max(e.sc.RecoveryWorkers)
-		cfg.Tracer = e.sc.Tracer
 		rep, err := chaos.Explore(cfg, e.progress)
 		if err != nil {
 			return err
@@ -185,10 +182,7 @@ func expNames(reg []experiment, inAll bool) []string {
 }
 
 // runExperiments runs the selected entries in registry order, printing
-// each declared table's report. Only the first one is instrumented: the
-// tracer and the sampling hooks observe a single run's virtual timeline,
-// so once an experiment has had them they are cleared for the rest of the
-// invocation.
+// each declared table's report.
 func runExperiments(reg []experiment, want map[string]bool, e *env) error {
 	for _, x := range reg {
 		if !want[x.name] && !(want["all"] && x.inAll) {
@@ -206,7 +200,6 @@ func runExperiments(reg []experiment, want map[string]bool, e *env) error {
 			}
 			fmt.Println(d.Text(rows))
 		}
-		e.sc.Tracer, e.sc.SampleInterval, e.sc.OnRepository = nil, 0, nil
 	}
 	return nil
 }
@@ -294,7 +287,7 @@ func main() {
 	case len(args) > 0 && args[0] == "recover":
 		err = runRecover(args[1:])
 	case len(args) > 0 && args[0] == "run":
-		err = runKey(os.Stdout, strings.Join(args[1:], " "))
+		err = runKey(os.Stdout, args[1:])
 	default:
 		err = run(args)
 	}
@@ -331,20 +324,117 @@ func runRecover(args []string) error {
 	return nil
 }
 
-// runKey handles `dbench run '<key>'`: it makes the run the key describes
-// and writes its report to w.
-func runKey(w io.Writer, key string) error {
+// runKey handles `dbench run '<key>' [flags]`: it makes the run the key
+// describes, writes its report to w, and writes or prints what the
+// observation flags ask for. The key's words and the flags may come in any
+// order.
+func runKey(w io.Writer, args []string) error {
+	fs := flag.NewFlagSet("dbench run", flag.ContinueOnError)
+	traceFile := fs.String("trace", "", "write the run's Chrome trace_event JSON file (virtual timebase); open in chrome://tracing or ui.perfetto.dev")
+	timeline := fs.Bool("timeline", false, "print the run's recovery-phase timeline last, after the report and any -awr diff")
+	statsFile := fs.String("stats", "", "sample the run with the MMON workload repository (at the key's sample=, else 1s) and export the metric time-series to this file (CSV; .json for JSON)")
+	awr := fs.Bool("awr", false, "sample the run and print an AWR-style first-vs-last snapshot diff report after the run's report")
+	var words []string
+	for {
+		if err := fs.Parse(args); err != nil {
+			return err
+		}
+		if fs.NArg() == 0 {
+			break
+		}
+		words, args = append(words, fs.Arg(0)), fs.Args()[1:]
+	}
+	key := strings.Join(words, " ")
 	if strings.TrimSpace(key) == "" {
-		return fmt.Errorf("usage: dbench run '<key>', e.g. dbench run 'F40G3T5 W1 dur=4m'")
+		return fmt.Errorf("usage: dbench run '<key>' [-trace F] [-timeline] [-stats F] [-awr], e.g. dbench run 'F40G3T5 W1 dur=4m'")
 	}
 	spec, err := core.ParseSpec(key)
 	if err != nil {
 		return err
 	}
-	res, err := core.Run(spec)
+	// -stats/-awr sample at the key's sample= cadence, 1 s without one.
+	if (*statsFile != "" || *awr) && spec.SampleInterval == 0 {
+		spec.SampleInterval = time.Second
+	}
+	// The Chrome sink feeds -trace, the timeline sink -timeline; both
+	// observe the same event stream. With neither the run has no tracer.
+	var chromeSink *trace.ChromeSink
+	var timelineSink *trace.TimelineSink
+	var sinks []trace.Sink
+	if *traceFile != "" {
+		chromeSink = trace.NewChromeSink()
+		sinks = append(sinks, chromeSink)
+	}
+	if *timeline {
+		timelineSink = trace.NewTimelineSink()
+		sinks = append(sinks, timelineSink)
+	}
+	if sink := trace.MultiSink(sinks...); sink != nil {
+		spec.Tracer = trace.New(sink)
+	}
+	traceOut, err := create(*traceFile)
 	if err != nil {
 		return err
 	}
+	defer traceOut.Close()
+	statsOut, err := create(*statsFile)
+	if err != nil {
+		return err
+	}
+	defer statsOut.Close()
+
+	res, err := core.Run(spec)
+	if err == nil {
+		report(w, spec, res)
+		err = exportStats(w, res.Repository, *awr, statsOut)
+	} else if statsOut != nil {
+		os.Remove(*statsFile) // a failed run exports no statistics
+	}
+	// The trace is flushed even when the run failed, so the evidence is
+	// on disk.
+	if timelineSink != nil {
+		fmt.Fprintln(w, timelineSink.Render())
+	}
+	if chromeSink != nil {
+		terr := fill(traceOut, func(out io.Writer) error {
+			_, err := chromeSink.WriteTo(out)
+			return err
+		})
+		switch {
+		case terr == nil:
+			fmt.Fprintf(os.Stderr, "trace: %d records written to %s\n", chromeSink.Len(), *traceFile)
+		case err == nil:
+			err = terr
+		default:
+			fmt.Fprintln(os.Stderr, terr)
+		}
+	}
+	return err
+}
+
+// exportStats writes a sampled run's repository: the -awr diff report to w
+// and, when out is set, the -stats time-series to out.
+func exportStats(w io.Writer, repo *monitor.Repository, awr bool, out *os.File) error {
+	if awr {
+		fmt.Fprint(w, monitor.FormatAWR(repo))
+	}
+	if out == nil {
+		return nil
+	}
+	write := repo.WriteCSV
+	if strings.HasSuffix(out.Name(), ".json") {
+		write = repo.WriteJSON
+	}
+	err := fill(out, write)
+	if err == nil {
+		fmt.Fprintf(os.Stderr, "stats: %d samples written to %s\n", repo.Len(), out.Name())
+	}
+	return err
+}
+
+// report writes a run's performance measures and, when it had a fault,
+// its recovery measures.
+func report(w io.Writer, spec core.Spec, res *core.Result) {
 	line := func(label, format string, args ...any) {
 		fmt.Fprintf(w, "%-18s"+format+"\n", append([]any{label + ":"}, args...)...)
 	}
@@ -352,7 +442,11 @@ func runKey(w io.Writer, key string) error {
 	line("tpmC", "%.0f", res.TpmC)
 	line("committed", "%d (failures observed: %d)", res.Committed, res.Failures)
 	line("checkpoints", "%d", res.Checkpoints)
-	line("redo written", "%.1f MB (%.2f MB/s)", float64(res.RedoWritten)/(1<<20), float64(res.RedoWritten)/(1<<20)/spec.Duration.Seconds())
+	redo := fmt.Sprintf("%.1f MB", float64(res.RedoWritten)/(1<<20))
+	if spec.Duration > 0 { // a load-only run has no rate
+		redo += fmt.Sprintf(" (%.2f MB/s)", float64(res.RedoWritten)/(1<<20)/spec.Duration.Seconds())
+	}
+	line("redo written", "%s", redo)
 	line("log stalls", "%v", res.LogStalls.Round(time.Millisecond))
 	line("cache hit rate", "%.3f", res.CacheHitRate)
 	line("mix", "%v", res.ByType)
@@ -378,7 +472,6 @@ func runKey(w io.Writer, key string) error {
 		}
 		fmt.Fprintf(w, "  %v\n", v)
 	}
-	return nil
 }
 
 // parseExperiments validates a comma-separated -exp value against the
@@ -411,11 +504,6 @@ func run(args []string) error {
 	seed := fs.Int64("seed", 1, "campaign seed: workload seed for every experiment, crash-point seed for chaos (same seed = byte-identical report)")
 	warehousesList := fs.String("warehouses", "1,2,4,8", "scale: warehouse counts to sweep; chaos: warehouse count (first value)")
 	recoveryWorkers := fs.String("recovery-workers", "1", "parallel recovery fan-out: scale sweeps each listed count, other experiments use the largest")
-	traceFile := fs.String("trace", "", "write a Chrome trace_event JSON file (virtual timebase) for the instrumented run of the first selected experiment; open in chrome://tracing or ui.perfetto.dev")
-	timeline := fs.Bool("timeline", false, "print the traced run's recovery-phase timeline after the reports")
-	statsFile := fs.String("stats", "", "sample the instrumented run of the first selected experiment with the MMON workload repository and export the metric time-series to this file (CSV; .json for JSON); byte-identical across reruns of the same seed")
-	awr := fs.Bool("awr", false, "sample the instrumented run of the first selected experiment and print an AWR-style first-vs-last snapshot diff report")
-	sampleEvery := fs.Duration("sample-interval", time.Second, "MMON sample interval (virtual time) used by -stats/-awr")
 	budget := fs.Duration("budget", 30*time.Second, "pareto: recovery-time budget the controller must hold")
 	paretoGrid := fs.String("pareto-grid", "", "pareto: comma-separated Table 3 config names to sweep (empty = default six-config grid)")
 	standbysList := fs.String("standbys", "1,3", "replica: first-tier stand-by counts to sweep")
@@ -484,95 +572,6 @@ func run(args []string) error {
 		return err
 	}
 
-	// Tracing: the Chrome sink feeds -trace, the timeline sink feeds
-	// -timeline; both observe the same event stream. A nil tracer (no
-	// flag given) disables every instrumentation point at zero cost.
-	var chromeSink *trace.ChromeSink
-	var timelineSink *trace.TimelineSink
-	var sinks []trace.Sink
-	if *traceFile != "" {
-		chromeSink = trace.NewChromeSink()
-		sinks = append(sinks, chromeSink)
-	}
-	if *timeline {
-		timelineSink = trace.NewTimelineSink()
-		sinks = append(sinks, timelineSink)
-	}
-	if sink := trace.MultiSink(sinks...); sink != nil {
-		e.sc.Tracer = trace.New(sink)
-	}
-
-	// -stats/-awr: sample the instrumented run with the MMON repository.
-	// The repository pointer lands here when that run completes (the
-	// pool joins before we read it).
-	var repo *monitor.Repository
-	if *statsFile != "" || *awr {
-		if *sampleEvery <= 0 {
-			return fmt.Errorf("-sample-interval must be positive (got %v)", *sampleEvery)
-		}
-		e.sc.SampleInterval = *sampleEvery
-		e.sc.OnRepository = func(r *monitor.Repository) { repo = r }
-	}
-
-	traceOut, err := create(*traceFile)
-	if err != nil {
-		return err
-	}
-	defer traceOut.Close()
-	statsOut, err := create(*statsFile)
-	if err != nil {
-		return err
-	}
-	defer statsOut.Close()
-
-	// flushTrace writes the collected trace outputs.
-	flushTrace := func() error {
-		if timelineSink != nil {
-			fmt.Println(timelineSink.Render())
-		}
-		if chromeSink == nil {
-			return nil
-		}
-		err := fill(traceOut, func(w io.Writer) error {
-			_, err := chromeSink.WriteTo(w)
-			return err
-		})
-		if err == nil {
-			fmt.Fprintf(os.Stderr, "trace: %d records written to %s\n", chromeSink.Len(), *traceFile)
-		}
-		return err
-	}
-
-	// flushStats exports the sampled repository (if a campaign ran one):
-	// the -awr diff report to stdout, the -stats time-series to disk.
-	flushStats := func() error {
-		if repo == nil {
-			if *statsFile != "" || *awr {
-				fmt.Fprintln(os.Stderr, "stats: no run was sampled (the first selected experiment samples no run)")
-			}
-			if statsOut != nil {
-				statsOut.Close()
-				return os.Remove(*statsFile)
-			}
-			return nil
-		}
-		if *awr {
-			fmt.Print(monitor.FormatAWR(repo))
-		}
-		if *statsFile == "" {
-			return nil
-		}
-		write := repo.WriteCSV
-		if strings.HasSuffix(*statsFile, ".json") {
-			write = repo.WriteJSON
-		}
-		err := fill(statsOut, write)
-		if err == nil {
-			fmt.Fprintf(os.Stderr, "stats: %d samples written to %s\n", repo.Len(), *statsFile)
-		}
-		return err
-	}
-
 	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
 	if err != nil {
 		return err
@@ -580,18 +579,6 @@ func run(args []string) error {
 	err = runExperiments(registry, want, e)
 	if perr := stopProfiles(); err == nil {
 		err = perr
-	}
-	if err == nil {
-		err = flushStats()
-	} else if statsOut != nil {
-		os.Remove(*statsFile) // a failed campaign exports no statistics
-	}
-	// The trace is flushed even when an experiment failed — a chaos
-	// violation above all — so the evidence is on disk.
-	if terr := flushTrace(); err == nil {
-		err = terr
-	} else if terr != nil {
-		fmt.Fprintln(os.Stderr, terr)
 	}
 	return err
 }

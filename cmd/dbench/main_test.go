@@ -6,15 +6,12 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"dbench/internal/core"
 	"dbench/internal/faults"
-	"dbench/internal/monitor"
-	"dbench/internal/trace"
 )
 
 func TestParseExperimentsValid(t *testing.T) {
@@ -77,46 +74,106 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-parallel", "-2"},
 		{"-nosuchflag"},
 		{"-exp", "chaos", "-crashpoints", "0"},
-		{"-exp", "t4", "-stats", "m.csv", "-sample-interval", "0s"},
-		{"-exp", "t4", "-awr", "-sample-interval", "-1s"},
 		{"-exp", "pareto", "-budget", "0"},
 		{"-exp", "pareto", "-budget", "-5s"},
 		// Every output path is created before the first run: a bad one
 		// fails in a second, not after the campaign.
 		{"-exp", "t4", "-cpuprofile", "no/such/dir/cpu.prof"},
 		{"-exp", "t4", "-memprofile", "no/such/dir/mem.prof"},
-		{"-exp", "t4", "-stats", "no/such/dir/stats.csv"},
-		{"-exp", "t4", "-trace", "no/such/dir/trace.json"},
 	}
 	for _, args := range cases {
 		if err := run(args); err == nil {
 			t.Errorf("run(%v): expected error", args)
 		}
 	}
+	// The observation flags belong to `dbench run`: a campaign has no
+	// single run to observe.
+	for _, args := range [][]string{{"-trace", "t.json"}, {"-timeline"}, {"-stats", "s.csv"}, {"-awr"}, {"-sample-interval", "1s"}} {
+		if err := run(append(args, "-scale", "huge")); err == nil || !strings.Contains(err.Error(), "not defined") {
+			t.Errorf("run(%v): %v, want the flag rejected", args, err)
+		}
+	}
 }
 
-// Only the first selected experiment is instrumented: runs have
-// independent virtual timelines, so a second experiment sharing the
-// tracer or the repository hook would interleave two timelines in one
-// trace file and overwrite the first one's repository.
-func TestRunExperimentsInstrumentsFirstOnly(t *testing.T) {
-	type seen struct{ traced, sampled, hooked bool }
-	var got []seen
-	record := func(e *env) error {
-		got = append(got, seen{e.sc.Tracer != nil, e.sc.SampleInterval > 0, e.sc.OnRepository != nil})
-		return nil
+// A bad observation flag fails `dbench run` before the run starts: the key
+// below would fail in core.Run, and the flag's error must come first.
+func TestRunKeyRejectsBadFlags(t *testing.T) {
+	const doomed = "F100G3T10 W0 dur=1m"
+	for _, args := range [][]string{
+		{"-stats", "no/such/dir/stats.csv"},
+		{"-trace", "no/such/dir/trace.json"},
+		{"-nosuchflag"},
+	} {
+		err := runKey(io.Discard, append([]string{doomed}, args...))
+		if err == nil || strings.Contains(err.Error(), "Warehouses") {
+			t.Errorf("dbench run %q %v: %v, want the flag's error before the run", doomed, args, err)
+		}
 	}
-	stub := []experiment{{"first", true, nil, record}, {"skipped", false, nil, record}, {"second", true, nil, record}}
-	e := &env{}
-	e.sc.Tracer = trace.New(trace.NewHashSink())
-	e.sc.SampleInterval = time.Second
-	e.sc.OnRepository = func(*monitor.Repository) {}
-	if err := runExperiments(stub, map[string]bool{"all": true}, e); err != nil {
+}
+
+// `dbench run` observes the run its key names: two replays of one key with
+// every observation flag write byte-identical trace and stats files and print
+// identical reports, AWR diffs and recovery timelines. The flags may come
+// before, between or after the key's words.
+func TestRunKeyObservesReproducibly(t *testing.T) {
+	dir := t.TempDir()
+	replay := func(n int) (stdout string, traceFile, statsFile []byte) {
+		t.Helper()
+		tr, st := filepath.Join(dir, fmt.Sprint("t", n, ".json")), filepath.Join(dir, fmt.Sprint("s", n, ".csv"))
+		args := []string{"-trace", tr, "F100G3T10 W1 cust=150 items=2500 cache=2048", "-timeline", "-stats", st,
+			"dur=30s fault=shutdown at=10s", "-awr"}
+		var out bytes.Buffer
+		if err := runKey(&out, args); err != nil {
+			t.Fatal(err)
+		}
+		var files [2][]byte
+		for i, path := range []string{tr, st} {
+			b, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[i] = b
+		}
+		return out.String(), files[0], files[1]
+	}
+	out1, trace1, stats1 := replay(1)
+	out2, trace2, stats2 := replay(2)
+	if out1 != out2 {
+		t.Errorf("stdout differs between replays:\n%s\n---\n%s", out1, out2)
+	}
+	if !bytes.Equal(trace1, trace2) || !bytes.Equal(stats1, stats2) {
+		t.Error("trace or stats file differs between replays")
+	}
+	report, rest, ok := strings.Cut(out1, "Workload repository diff report")
+	if !ok || !strings.Contains(rest, "Recovery timeline") || !strings.Contains(report, "sample=1s\n") {
+		t.Errorf("stdout is not the sampled key's report, then the AWR diff, then the timeline:\n%s", out1)
+	}
+	if len(trace1) < 1000 || len(stats1) < 1000 {
+		t.Errorf("trace (%d bytes) or stats (%d bytes) suspiciously small", len(trace1), len(stats1))
+	}
+}
+
+// -stats/-awr sample at the key's own sample= cadence: the replay runs the
+// spec the key names, not one the flags rewrite.
+func TestRunKeyKeepsItsSampleCadence(t *testing.T) {
+	var out bytes.Buffer
+	if err := runKey(&out, []string{"F40G3T5 W1 cust=60 items=1000 dur=10s sample=2s", "-awr"}); err != nil {
 		t.Fatal(err)
 	}
-	want := []seen{{true, true, true}, {false, false, false}}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("entries saw (traced, sampled, hooked) = %v, want %v", got, want)
+	if !strings.Contains(out.String(), "sample=2s\n") || !strings.Contains(out.String(), "Workload repository diff report") {
+		t.Errorf("dbench run -awr on a sample=2s key did not run that key:\n%s", out.String())
+	}
+}
+
+// A load-only key (dur=0s) has no redo rate: the report prints none, not
+// NaN MB/s.
+func TestRunKeyLoadOnlyPrintsNoRate(t *testing.T) {
+	var out bytes.Buffer
+	if err := runKey(&out, []string{"F100G3T10 W1 cust=60 items=1000 dur=0s"}); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(out.String(), "NaN") || !strings.Contains(out.String(), "redo written:     0.0 MB\n") {
+		t.Errorf("load-only report:\n%s", out.String())
 	}
 }
 
@@ -169,7 +226,7 @@ func TestStartProfilesWritesBothFiles(t *testing.T) {
 // lists every valid name — "shutdown-abort" is the spelling people reach
 // for, and a bare "unknown fault" left them guessing.
 func TestUnknownFaultListsValidNames(t *testing.T) {
-	err := runKey(io.Discard, "F40G3T5 W1 fault=shutdown-abort at=5m")
+	err := runKey(io.Discard, []string{"F40G3T5 W1 fault=shutdown-abort at=5m"})
 	if err == nil {
 		t.Fatal("unknown fault accepted")
 	}
@@ -200,7 +257,7 @@ func TestRunReplaysAProgressLine(t *testing.T) {
 		t.Fatalf("progress line %q holds no key", line)
 	}
 	var out bytes.Buffer
-	if err := runKey(&out, key); err != nil {
+	if err := runKey(&out, []string{key}); err != nil {
 		t.Fatal(err)
 	}
 	res := rows[0][0][0]

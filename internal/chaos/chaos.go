@@ -118,13 +118,6 @@ type Config struct {
 	// CrashMin/CrashMax bound the crash instant, measured from
 	// workload start.
 	CrashMin, CrashMax time.Duration
-
-	// Tracer, when set, receives one chaos-category instant per crash
-	// point (in point order, after the pool completes, so the stream is
-	// deterministic under any worker count). Each point's own engine
-	// trace is hashed internally for the determinism invariant; it is
-	// not forwarded here, since every point restarts virtual time at 0.
-	Tracer *trace.Tracer
 }
 
 // DefaultConfig explores 50 points of a deliberately twitchy
@@ -196,13 +189,10 @@ func Explore(cfg Config, progress core.Progress) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i, r := range points {
-		if progress != nil {
+	if progress != nil {
+		for i, r := range points {
 			progress(fmt.Sprintf("[%d/%d] window=%s verdict=%s", i+1, cfg.Points, r.Window, r.Verdict()))
 		}
-		cfg.Tracer.Instant(r.CrashAt, trace.CatChaos, "chaos", "point",
-			trace.I("index", int64(r.Index)), trace.S("window", r.Window.String()),
-			trace.S("verdict", r.Verdict()), trace.I("trace_events", int64(r.TraceEvents)))
 	}
 	return &Report{Config: cfg, Points: points}, nil
 }

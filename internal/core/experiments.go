@@ -6,10 +6,8 @@ import (
 	"time"
 
 	"dbench/internal/faults"
-	"dbench/internal/monitor"
 	"dbench/internal/standby"
 	"dbench/internal/tpcc"
-	"dbench/internal/trace"
 )
 
 // Scale groups the knobs that trade experiment fidelity for wall-clock
@@ -37,17 +35,6 @@ type Scale struct {
 	// other campaigns run recovery at the largest listed count. Empty
 	// means serial recovery everywhere — the paper's configuration.
 	RecoveryWorkers []int
-	// Tracer, when set, is attached to the campaign's instrumented run
-	// (runs have independent virtual timebases, so exactly one is traced:
-	// the first, unless the declaration names a more telling one — see
-	// Experiment.Instrumented). Nil disables tracing.
-	Tracer *trace.Tracer
-	// SampleInterval, when positive, enables the MMON workload
-	// repository on the same instrumented run.
-	SampleInterval time.Duration
-	// OnRepository receives the instrumented run's repository after it
-	// completes, if that run sampled (dbench's -stats/-awr export hook).
-	OnRepository func(*monitor.Repository)
 }
 
 // FullScale is the paper-faithful setup: 20-minute experiments, operator

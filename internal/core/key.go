@@ -21,7 +21,9 @@ import (
 // value (the recovery configuration is always written); ParseSpec reads the
 // tokens back onto DefaultSpec. One key is one run: a campaign measures each
 // key once (Experiment.Run), a progress line starts with it and `dbench run`
-// replays it. Name, Tracer and OnRepository only label or observe a run.
+// replays it. Name and Tracer only label or observe a run: `dbench run
+// -trace/-timeline` attaches a tracer to the run a key names, and -stats/-awr
+// set its SampleInterval, which the key carries.
 
 // keyFields are the key's rows, in the order Key writes them: a token and
 // the Spec field (a dotted path) whose value follows it. A field that

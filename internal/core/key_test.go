@@ -17,7 +17,7 @@ import (
 // notInKey are the Spec leaves that label or observe a run and change
 // nothing in it. A configuration's name is its key text, which ParseSpec
 // derives from the configuration's content.
-var notInKey = map[string]bool{"Name": true, "Tracer": true, "OnRepository": true, "Recovery.Name": true}
+var notInKey = map[string]bool{"Name": true, "Tracer": true, "Recovery.Name": true}
 
 // fullSpec switches every part of a Spec on, so that each of its fields
 // changes the run: a fault, stand-bys, replica reads, the controller, load

@@ -62,13 +62,12 @@ func Pareto(sc Scale, budget time.Duration, grid []RecoveryConfig) Experiment {
 	for i := range grid {
 		points = append(points, append(slices.Clone(frontier[2*i:2*i+2]), frontier...))
 	}
-	// A controller run is monitored (the repository is the controller's
-	// sensor) with the budgeted controller attached; injectAt 0 = no fault.
+	// A controller run is sampled every second (the repository is the
+	// controller's sensor) with the budgeted controller attached; injectAt
+	// 0 = no fault.
 	ctl := func(phases []tpcc.LoadPhase, injectAt time.Duration) []Spec {
 		spec := sc.spec(mustConfig("F100G3T10"))
-		if spec.SampleInterval = sc.SampleInterval; spec.SampleInterval <= 0 {
-			spec.SampleInterval = time.Second
-		}
+		spec.SampleInterval = time.Second
 		spec.Control = &control.Config{Budget: budget}
 		spec.Phases = phases
 		if injectAt > 0 {
@@ -138,9 +137,6 @@ func Pareto(sc Scale, budget time.Duration, grid []RecoveryConfig) Experiment {
 				{"settled@", 0, "tick %d", func(r Row) any { return r[0].Control.LastChangeTick() }},
 			},
 		}},
-		// The controller runs are the interesting ones to trace and sample;
-		// the static grid is covered by the scaling and figure campaigns.
-		Instrumented: len(points) * (2 + len(frontier)),
 		Foot: func(rows [][]Row) string {
 			s := "\nno static configuration meets the budget\n"
 			if len(rows[0]) > 0 {

@@ -4,8 +4,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"dbench/internal/monitor"
 )
 
 // tinyParetoScale shrinks the sweep to seconds of wall time: two grid
@@ -26,17 +24,11 @@ func tinyParetoScale() Scale {
 // checks the report's structure: every frontier point measured, a
 // within-budget best exists (F1G3T1 recovers in ~13 s against a 30 s
 // budget), and all three controller scenarios ran — the crash scenarios
-// with a measured recovery, the steady one without. The scale's
-// repository hook must fire exactly once (the first controller run is the
-// campaign's instrumented job; `-exp pareto -stats/-awr` used to export
-// nothing).
+// with a measured recovery, the steady one without. Every controller run
+// carries a non-empty repository, its controller's sensor, which `dbench run
+// '<ctl= key>' -awr/-stats` exports.
 func TestRunParetoTiny(t *testing.T) {
 	sc := tinyParetoScale()
-	var repos, samples int
-	sc.OnRepository = func(r *monitor.Repository) {
-		repos++
-		samples = r.Len()
-	}
 	x := Pareto(sc, 30*time.Second, []RecoveryConfig{mustConfig("F1G3T1"), mustConfig("F100G3T10")})
 	rows, err := x.Run(sc, nil, nil)
 	if err != nil {
@@ -46,8 +38,10 @@ func TestRunParetoTiny(t *testing.T) {
 	if len(frontier) != 2 {
 		t.Fatalf("%d frontier rows, want 2", len(frontier))
 	}
-	if repos != 1 || samples == 0 {
-		t.Errorf("OnRepository fired %d times (last with %d samples), want once with a non-empty repository", repos, samples)
+	for i, r := range ctl {
+		if r[0].Repository.Len() == 0 {
+			t.Errorf("controller run %d: empty repository", i)
+		}
 	}
 	var best Row
 	for _, r := range frontier {

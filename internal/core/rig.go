@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"time"
@@ -275,9 +276,10 @@ func (r *Rig) StartCluster(p *sim.Proc, n int, ccfg standby.ClusterConfig) (*sta
 func (r *Rig) Exec(name string, body func(p *sim.Proc) error) (err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
-			r.K.KillAll()
-			err = fmt.Errorf("experiment aborted: %v", rec)
+			r.Fail(fmt.Errorf("experiment aborted: %v", rec))
 		}
+		r.teardown()
+		err = r.err
 	}()
 	r.K.Go(name, func(p *sim.Proc) {
 		if err := body(p); err != nil {
@@ -286,12 +288,30 @@ func (r *Rig) Exec(name string, body func(p *sim.Proc) error) (err error) {
 		r.K.Stop()
 	})
 	r.K.Run(sim.Time(200 * time.Hour))
-	// Tear the simulation down completely: parked background processes
-	// (LGWR waiting for work, PMON sleeping, stand-by MRP, ...) would
-	// otherwise leak their coroutines' goroutines and keep the whole run's
-	// state reachable — across a campaign of dozens of runs that is an OOM.
-	r.K.KillAll()
-	return r.err
+	return nil
+}
+
+// teardown ends the simulation completely: parked background processes
+// (LGWR waiting for work, PMON sleeping, stand-by MRP, ...) would otherwise
+// leak their coroutines' goroutines and keep the whole run's state
+// reachable — across a campaign of dozens of runs that is an OOM. A process
+// killed before its first step still runs its body up to its first block;
+// a panic there (sim.ErrKilledUnstarted) belongs to the teardown, not to
+// the run, and is dropped. Any other panic is the run's and goes through
+// Fail. Either way the processes left are killed again.
+func (r *Rig) teardown() {
+	for panicked := true; panicked; {
+		func() {
+			defer func() {
+				rec := recover()
+				panicked = rec != nil
+				if err, ok := rec.(error); panicked && !(ok && errors.Is(err, sim.ErrKilledUnstarted)) {
+					r.Fail(fmt.Errorf("experiment aborted: %v", rec))
+				}
+			}()
+			r.K.KillAll()
+		}()
+	}
 }
 
 // Fail aborts the experiment from any simulated process; the first error

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -140,5 +141,65 @@ func TestProcessPanicFailsOnlyItsOwnJob(t *testing.T) {
 	}
 	if got.TpmC != want.TpmC || got.TpmC <= 0 {
 		t.Errorf("run after the aborted one: tpmC %v, want %v", got.TpmC, want.TpmC)
+	}
+}
+
+// TestExecTeardownPanicsStayInside: a process killed before its first step
+// still runs its body on that step, so tearing a run down can raise panics
+// of its own. They are not the run's: a body that returned nil leaves Exec
+// with nil, one that failed with its own error, and neither the first such
+// panic nor a second one escapes Exec.
+func TestExecTeardownPanicsStayInside(t *testing.T) {
+	bodyErr := errors.New("body failed")
+	for _, want := range []error{nil, bodyErr} {
+		rig, err := NewRig(DefaultSpec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got error
+		func() {
+			defer func() {
+				if rec := recover(); rec != nil {
+					t.Fatalf("Exec let a teardown panic escape: %v", rec)
+				}
+			}()
+			got = rig.Exec("teardown-test", func(p *sim.Proc) error {
+				for _, name := range []string{"a", "b"} {
+					rig.K.Go(name, func(*sim.Proc) { panic("unstarted " + name) })
+				}
+				return want
+			})
+		}()
+		if got != want {
+			t.Errorf("body returned %v: Exec returned %v", want, got)
+		}
+	}
+}
+
+// TestExecTeardownFailsOnARunsPanic: a panic in teardown from a process that
+// had already run — here a deferred cleanup with a defect — is the run's,
+// so a body that returned nil comes back aborted; a body's own error still
+// stands first.
+func TestExecTeardownFailsOnARunsPanic(t *testing.T) {
+	bodyErr := errors.New("body failed")
+	for _, ret := range []error{nil, bodyErr} {
+		rig, err := NewRig(DefaultSpec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := rig.Exec("teardown-test", func(p *sim.Proc) error {
+			rig.K.Go("cleanup", func(q *sim.Proc) {
+				defer func() { panic("broken cleanup") }()
+				q.Sleep(time.Hour)
+			})
+			p.Sleep(time.Second)
+			return ret
+		})
+		switch {
+		case ret != nil && got != ret:
+			t.Errorf("body returned %v: Exec returned %v", ret, got)
+		case ret == nil && (got == nil || !strings.Contains(got.Error(), "broken cleanup")):
+			t.Errorf("body returned nil: Exec returned %v, want the cleanup's panic", got)
+		}
 	}
 }

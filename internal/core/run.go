@@ -88,21 +88,17 @@ type Spec struct {
 	TailAfterRecovery time.Duration
 
 	// Tracer, when set, receives this run's instrumentation events
-	// (spans and instants on the run's own virtual timebase). At most
-	// one spec per campaign should carry a tracer: runs share nothing
-	// else, and interleaving several virtual timelines into one sink
-	// would be meaningless. Nil disables tracing at zero cost.
+	// (spans and instants on the run's own virtual timebase). A tracer
+	// observes one run: runs share nothing else, and interleaving several
+	// virtual timelines into one sink would be meaningless (`dbench run
+	// -trace` attaches one to the run its key names). Nil disables tracing
+	// at zero cost.
 	Tracer *trace.Tracer
 
 	// SampleInterval enables the MMON workload repository on this run's
 	// instance (engine.Config.SampleInterval); zero disables monitoring
-	// at zero cost. Like Tracer, at most one spec per campaign should
-	// sample — the repository rides on a single run's virtual timeline.
+	// at zero cost. The repository lands in Result.Repository.
 	SampleInterval time.Duration
-	// OnRepository, when set, receives the run's workload repository
-	// after the simulation has fully stopped (dbench uses it to export
-	// -stats / -awr). Called once per Run, only when sampling is on.
-	OnRepository func(*monitor.Repository)
 
 	// Control, when non-nil, attaches the self-tuning controller
 	// (internal/control) to the run's instance for the measured phase.
@@ -433,9 +429,6 @@ func Run(spec Spec) (*Result, error) {
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: run %q: %w", spec.Key(), err)
-	}
-	if spec.OnRepository != nil && res.Repository != nil {
-		spec.OnRepository(res.Repository)
 	}
 	return res, nil
 }

@@ -129,13 +129,8 @@ func Scaling(sc Scale, warehouses []int) Experiment {
 			Column{fmt.Sprintf("B.r@%dw", n), 9, "%9s", recSecs(2 + j)},
 			Column{fmt.Sprintf("T.r@%dw", n), 9, "%9s", recSecs(k + 2 + j)})
 	}
-	x := table(fmt.Sprintf("Scaling. Throughput and crash-recovery time vs warehouses.\n"+
+	return table(fmt.Sprintf("Scaling. Throughput and crash-recovery time vs warehouses.\n"+
 		"(%s = baseline, %s = perf-tuned; Shutdown Abort at full throughput)\n"+
 		"(media = delete W1's datafile; avail = served fraction during media recovery,\n"+
 		" global / unaffected warehouses)", ScalingBaselineConfig.Name, ScalingTunedConfig.Name), grid, cols...)
-	// Instrument the first W's baseline crash at the largest worker count:
-	// the recovery timeline — worker spans included when the sweep is
-	// parallel — is what a -trace/-timeline user wants.
-	x.Instrumented = len(ws)
-	return x
 }

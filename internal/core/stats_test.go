@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"dbench/internal/faults"
-	"dbench/internal/monitor"
 )
 
 // sampledSpec is quickSpec with the workload repository on and a fault
@@ -58,15 +57,9 @@ func TestRunStatsDeterministic(t *testing.T) {
 // back actually saw the fault: samples exist, the estimator was bound,
 // and the completed recovery calibrated it.
 func TestRunRepositoryCoversRecovery(t *testing.T) {
-	var fromCallback *monitor.Repository
-	spec := sampledSpec("stats-recovery")
-	spec.OnRepository = func(r *monitor.Repository) { fromCallback = r }
-	res, err := Run(spec)
+	res, err := Run(sampledSpec("stats-recovery"))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if fromCallback != res.Repository {
-		t.Error("OnRepository saw a different repository than the result")
 	}
 	repo := res.Repository
 	if repo.Len() < 60 {

@@ -39,17 +39,9 @@ type Table struct {
 	Cols  []Column
 }
 
-// Experiment is one report: its tables, the job that carries the scale's
-// instrumentation, and the lines printed below the tables.
+// Experiment is one report: its tables and the lines printed below them.
 type Experiment struct {
 	Tables []Table
-	// Instrumented indexes, over every table's jobs in declaration order,
-	// the one run the scale's tracer and MMON sampling observe: runs have
-	// independent virtual timebases, and interleaving several into one
-	// trace or repository would be meaningless. 0 is the first job, which
-	// keeps the choice reproducible; a declaration points it at a more
-	// telling run.
-	Instrumented int
 	// Foot, when set, renders the lines below the tables from their rows.
 	Foot func(rows [][]Row) string
 }
@@ -76,12 +68,6 @@ func (x Experiment) Run(sc Scale, done map[string]*Result, progress Progress) ([
 	for _, t := range x.Tables {
 		for _, row := range t.Grid {
 			for _, spec := range row {
-				if len(keys) == x.Instrumented {
-					spec.Tracer, spec.OnRepository = sc.Tracer, sc.OnRepository
-					if sc.SampleInterval > 0 {
-						spec.SampleInterval = sc.SampleInterval
-					}
-				}
 				if err := spec.validate(); err != nil {
 					return nil, err
 				}

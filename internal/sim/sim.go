@@ -13,6 +13,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"iter"
 	"math"
@@ -235,6 +236,7 @@ func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
 	k.live[p] = struct{}{}
 	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
 		p.yield = yield
+		unstarted := p.killed // killed before its first step
 		defer func() {
 			p.done = true
 			k.procs--
@@ -242,7 +244,11 @@ func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
 			switch r := recover().(type) {
 			case nil, killSignal:
 			default: // iter.Pull re-raises this from next, i.e. out of Run
-				panic(fmt.Errorf("sim: process %q panicked at t=%v: %v\n%s", name, k.now, r, debug.Stack()))
+				err := fmt.Errorf("sim: process %q panicked at t=%v: %v\n%s", name, k.now, r, debug.Stack())
+				if unstarted {
+					err = fmt.Errorf("%w: %w", ErrKilledUnstarted, err)
+				}
+				panic(err)
 			}
 		}()
 		// The coroutine keeps this closure reachable for the life of the
@@ -257,6 +263,11 @@ func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
 }
 
 type killSignal struct{}
+
+// ErrKilledUnstarted marks the panic of a process killed before its first
+// step: such a process still runs its body up to its first block, so the
+// panic comes from code that whoever killed it never meant to run.
+var ErrKilledUnstarted = errors.New("killed before its first step")
 
 // step resumes the process coroutine and returns when it blocks or
 // finishes. It runs on the kernel's goroutine.

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"runtime"
@@ -847,5 +848,38 @@ func TestSimLifetimesKillAllEndsEveryGoroutine(t *testing.T) {
 			t.Fatalf("%d goroutines after KillAll, %d before the kernel", runtime.NumGoroutine(), before)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// A process killed before its first step still runs its body up to its
+// first block; a panic there is marked ErrKilledUnstarted, one from a
+// process that had already run is not.
+func TestKillBeforeFirstStepPanicIsMarked(t *testing.T) {
+	for _, started := range []bool{false, true} {
+		k := NewKernel(1)
+		p := k.Go("p", func(p *Proc) {
+			defer func() {
+				if started {
+					panic("cleanup")
+				}
+			}()
+			if !started {
+				panic("body")
+			}
+			p.Sleep(time.Hour)
+		})
+		if started {
+			k.Run(Time(time.Second))
+		}
+		p.Kill()
+		rec := func() (rec any) {
+			defer func() { rec = recover() }()
+			k.RunAll()
+			return nil
+		}()
+		err, ok := rec.(error)
+		if !ok || errors.Is(err, ErrKilledUnstarted) == started {
+			t.Errorf("started=%v: panic %v, want marked ErrKilledUnstarted only when unstarted", started, rec)
+		}
 	}
 }

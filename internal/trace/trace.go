@@ -2,7 +2,7 @@
 //
 // Subsystems emit spans (Begin/End with parent linkage) and instant
 // events into a Tracer; each event carries the sim.Time virtual clock, a
-// category (lgwr, dbwr, ckpt, arch, recovery, txn, fault, chaos), and up
+// category (lgwr, dbwr, ckpt, arch, recovery, txn, fault, ctl), and up
 // to MaxAttrs key/value attributes. A Tracer fans events out to a Sink —
 // an in-memory ring for tests, a Chrome trace_event JSON exporter for
 // chrome://tracing / Perfetto, a recovery-timeline text report, or an
@@ -40,6 +40,9 @@ const (
 	CatRecovery
 	CatTxn
 	CatFault
+	// CatChaos has no emitter left, but keeps its value: HashSink folds
+	// the category byte into every chaos fingerprint, so renumbering
+	// CatCtl would move them all.
 	CatChaos
 	CatCtl
 )
