@@ -132,7 +132,7 @@ func (m *Manager) flashbackTable(p *sim.Proc, table string, toSCN redo.SCN, rep 
 			continue
 		}
 		ref := tbl.BlockFor(rec.Key)
-		UndoToImage(rec, ref, stamp)
+		undoToImage(rec, ref, stamp)
 		rep.RecordsApplied++
 		rep.BytesApplied += rec.Size()
 		touched[ref] = true

@@ -373,7 +373,7 @@ func (sa *streamApply) finish(p *sim.Proc, stamp redo.SCN) error {
 		if !ok || !sa.takes(ref.File) {
 			continue
 		}
-		UndoToImage(c.rec, ref, stamp)
+		undoToImage(c.rec, ref, stamp)
 		sa.touched[ref] = true
 		sa.cs.add(cost)
 	}

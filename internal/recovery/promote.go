@@ -2,12 +2,11 @@
 // machinery as every other path — the received-but-unapplied tail rolls
 // forward through the one redo-apply pass (parallel.go), transactions the
 // stream never finished are rolled back in reverse global SCN order, and
-// the database opens RESETLOGS as the new primary. The package-level image
-// helpers are exported here so the standby's continuous managed recovery
-// applies records with exactly the semantics the recovery paths use; any
-// drift between the two would break the failover differential (promoted
-// images must be bit-identical to an in-order recovery of the same redo
-// prefix).
+// the database opens RESETLOGS as the new primary. The stand-by's managed
+// recovery applies records through ApplyToImage too, so promoted images stay
+// bit-identical to an in-order recovery of the same redo prefix (the failover
+// differential). A change is made by storage.Block.Apply and undone by
+// applying its redo.Record.Inverse, the record run-time rollback logs as a CLR.
 package recovery
 
 import (
@@ -29,27 +28,21 @@ func ApplyToImage(rec *redo.Record, ref storage.BlockRef) bool {
 	if ref.File.PeekBlock(ref.No).SCN >= rec.SCN {
 		return false
 	}
+	r := *rec
+	r.After = append([]byte(nil), r.After...) // the image owns its rows
 	img := ref.File.EditBlock(ref.No)
-	switch rec.Op {
-	case redo.OpInsert, redo.OpUpdate:
-		img.Put(rec.Key, append([]byte(nil), rec.After...))
-	case redo.OpDelete:
-		img.Remove(rec.Key)
-	}
+	img.Apply(&r)
 	img.SCN = rec.SCN
 	return true
 }
 
-// UndoToImage applies a record's before-image during a rollback pass,
-// stamping the image with the recovery end SCN.
-func UndoToImage(rec *redo.Record, ref storage.BlockRef, stamp redo.SCN) {
+// undoToImage undoes a record during a rollback pass, stamping the image
+// with the recovery end SCN.
+func undoToImage(rec *redo.Record, ref storage.BlockRef, stamp redo.SCN) {
+	inv := rec.Inverse()
+	inv.After = append([]byte(nil), inv.After...)
 	img := ref.File.EditBlock(ref.No)
-	switch rec.Op {
-	case redo.OpInsert: // undo insert: remove the row
-		img.Remove(rec.Key)
-	case redo.OpUpdate, redo.OpDelete: // restore the before image
-		img.Put(rec.Key, append([]byte(nil), rec.Before...))
-	}
+	img.Apply(&inv)
 	if img.SCN < stamp {
 		img.SCN = stamp
 	}

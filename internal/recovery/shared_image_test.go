@@ -186,9 +186,9 @@ func TestHeldImagesOutliveEveryChangeToTheirBlock(t *testing.T) {
 			}
 			return nil
 		})
-		step("UndoToImage of the delete", func() error { UndoToImage(&delRec, ref, scn+3); return nil })
-		step("UndoToImage of an insert", func() error {
-			UndoToImage(&redo.Record{Op: redo.OpInsert, Table: "acct", Key: keys[0]}, ref, scn+3)
+		step("undoToImage of the delete", func() error { undoToImage(&delRec, ref, scn+3); return nil })
+		step("undoToImage of an insert", func() error {
+			undoToImage(&redo.Record{Op: redo.OpInsert, Table: "acct", Key: keys[0]}, ref, scn+3)
 			return nil
 		})
 		if got := f.PeekBlock(ref.No); got.SCN != scn+3 || string(got.Rows[keys[1]]) != "x" || got.Rows[keys[0]] != nil {

@@ -8,9 +8,13 @@ import (
 // FuzzRedoRecordRoundTrip checks the record codec's core contract:
 // encode→decode→encode is byte-identical, Decode consumes exactly what
 // Encode produced, and every field survives the trip. Recovery, archiving
-// and the stand-by apply all assume this.
+// and the stand-by apply all assume this. It also checks the undo rule: a
+// data record's inverse of its inverse is the record again, bar SCN and
+// Meta.
 func FuzzRedoRecordRoundTrip(f *testing.F) {
 	f.Add(int64(1), int64(7), byte(OpInsert), "warehouse", int64(42), []byte("before"), []byte("after"), "")
+	f.Add(int64(3), int64(7), byte(OpUpdate), "stock", int64(5), []byte("old"), []byte("new"), "")
+	f.Add(int64(4), int64(7), byte(OpDelete), "stock", int64(6), []byte("gone"), []byte(nil), "")
 	f.Add(int64(0), int64(0), byte(OpCommit), "", int64(0), []byte(nil), []byte(nil), "")
 	f.Add(int64(1<<40), int64(-1), byte(OpDDL), "order_line", int64(-9), []byte{0, 1, 2}, bytes.Repeat([]byte{0xFF}, 300), "create table")
 	f.Add(int64(-5), int64(99), byte(OpCheckpoint), "t\x00b", int64(1<<62), []byte{}, []byte{}, "meta\nwith\nnewlines")
@@ -43,6 +47,17 @@ func FuzzRedoRecordRoundTrip(f *testing.F) {
 		}
 		if re := dec.Encode(); !bytes.Equal(re, enc) {
 			t.Fatalf("re-encode not byte-identical:\n first: %x\nsecond: %x", enc, re)
+		}
+		if !r.IsDataChange() {
+			return
+		}
+		inv := r.Inverse()
+		if inv.Meta != "clr" || inv.Txn != r.Txn || inv.Table != r.Table || inv.Key != r.Key {
+			t.Fatalf("inverse of %+v is %+v", r, inv)
+		}
+		if back := inv.Inverse(); back.Txn != r.Txn || back.Op != r.Op || back.Table != r.Table ||
+			back.Key != r.Key || !bytes.Equal(back.Before, r.Before) || !bytes.Equal(back.After, r.After) {
+			t.Fatalf("inverse of the inverse differs:\n in: %+v\nout: %+v", r, back)
 		}
 	})
 }

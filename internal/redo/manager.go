@@ -652,7 +652,7 @@ func (m *Manager) drainBuffer(p *sim.Proc) error {
 			if err := flushSeg(); err != nil {
 				return err
 			}
-			if err := m.switchGroup(p); err != nil {
+			if err := m.switchGroup(p, g); err != nil {
 				return err
 			}
 			g = m.groups[m.cur]
@@ -704,11 +704,15 @@ func (m *Manager) FlushableSCN() SCN {
 	return horizon
 }
 
-// switchGroup advances to the next group in the ring, waiting until it is
-// checkpointed and archived (the paper's "checkpoint not complete" /
-// "archival required" stalls), then notifies OnSwitch with the old group.
-func (m *Manager) switchGroup(p *sim.Proc) error {
-	old := m.groups[m.cur]
+// switchGroup advances from old to the next group in the ring, waiting until
+// it is checkpointed and archived (the paper's "checkpoint not complete" /
+// "archival required" stalls), then notifies OnSwitch with old. Once another
+// switch has left old, it does nothing: leaving the empty group now current
+// would strand it un-checkpointed, with no record a checkpoint could cover.
+func (m *Manager) switchGroup(p *sim.Proc, old *Group) error {
+	if old != m.groups[m.cur] {
+		return nil
+	}
 	old.current = false
 	old.ckptDone = false
 	if m.cfg.ArchiveMode {
@@ -726,6 +730,10 @@ func (m *Manager) switchGroup(p *sim.Proc) error {
 			break
 		}
 		m.waitReusable(p, next)
+		if old != m.groups[m.cur] {
+			m.Trace.End(p.Now(), span)
+			return nil // a second caller waiting to leave old got there first
+		}
 	}
 	stalled := p.Now().Sub(stallStart)
 	m.st.StallTime += stalled
@@ -770,7 +778,7 @@ func (m *Manager) ForceSwitch(p *sim.Proc) error {
 	if m.groups[m.cur].bytes == 0 {
 		return nil
 	}
-	return m.switchGroup(p)
+	return m.switchGroup(p, m.groups[m.cur])
 }
 
 // OnlineRecords returns, in SCN order, the flushed records with SCN >= from

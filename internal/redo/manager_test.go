@@ -375,6 +375,57 @@ func TestForceSwitch(t *testing.T) {
 	k.RunAll()
 }
 
+// An administrative switch that lands while LGWR writes a full group makes
+// the next, empty group current. LGWR then has nothing left to switch away
+// from: leaving that empty group too would mark it un-checkpointed, no
+// checkpoint could mark it again (it holds no records), and once the ring
+// came back to it every writer would park for good.
+func TestForceSwitchDuringAFullGroupsFlushLeavesNoGroupBehind(t *testing.T) {
+	k, _, m := newTestLog(t, 4096, 3, false)
+	m.Start()
+	ckptPending := false
+	m.OnCheckpointNeeded = func() {
+		if ckptPending {
+			return
+		}
+		ckptPending = true
+		k.Go("CKPT", func(p *sim.Proc) {
+			p.Sleep(5 * time.Millisecond)
+			ckptPending = false
+			m.CheckpointCompleted(m.FlushedSCN())
+		})
+	}
+	const commits = 40
+	done := 0
+	k.Go("writer", func(p *sim.Proc) {
+		for i := 0; i < commits; i++ {
+			txn := TxnID(i + 1)
+			for r := 0; r < 4; r++ {
+				m.Append(dataRec(txn, int64(r), 1000))
+			}
+			if err := m.WaitFlushed(p, m.Append(Record{Txn: txn, Op: OpCommit})); err != nil {
+				t.Error(err)
+				return
+			}
+			done++
+		}
+	})
+	// Three records fill the first group, so LGWR's first member write is
+	// followed by a switch; this one arrives while that write positions.
+	k.Go("switch", func(p *sim.Proc) {
+		p.Sleep(time.Millisecond)
+		if err := m.ForceSwitch(p); err != nil {
+			t.Error(err)
+		}
+	})
+	k.Run(sim.Time(30 * time.Second))
+	if done != commits {
+		t.Errorf("%d of %d commits durable after 30 virtual seconds", done, commits)
+	}
+	m.Stop()
+	k.RunAll()
+}
+
 func TestNewManagerValidation(t *testing.T) {
 	k := sim.NewKernel(1)
 	fs := simdisk.NewFS(simdisk.DefaultSpec("redo"))

@@ -164,3 +164,18 @@ func readBytes(b []byte, i int) ([]byte, int, error) {
 func (r *Record) IsDataChange() bool {
 	return r.Op == OpInsert || r.Op == OpUpdate || r.Op == OpDelete
 }
+
+// Inverse returns the change that undoes data record r: an insert becomes a
+// delete, a delete an insert of the before-image, and an update an update
+// back to it. Txn, Table and Key stay r's, Meta is "clr", and r's two images
+// trade places (shared, not copied).
+func (r *Record) Inverse() Record {
+	inv := Record{Txn: r.Txn, Op: r.Op, Table: r.Table, Key: r.Key, Before: r.After, After: r.Before, Meta: "clr"}
+	switch r.Op {
+	case OpInsert:
+		inv.Op = OpDelete
+	case OpDelete:
+		inv.Op = OpInsert
+	}
+	return inv
+}

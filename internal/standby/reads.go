@@ -69,15 +69,15 @@ func (sn *Snapshot) valid() error {
 	return nil
 }
 
-// committedRow folds the overlay over a raw image row: a row first
-// touched by a pending insert does not exist in the committed view; one
-// touched by a pending update or delete reads as its before-image.
+// committedRow folds the overlay over a raw image row: a row a pending
+// transaction changed reads as the inverse of its first change there —
+// absent under an insert, the before-image under an update or delete.
 func (sn *Snapshot) committedRow(table string, key int64, raw []byte, rawOK bool) ([]byte, bool) {
-	if e, ok := sn.s.overlay[overlayKey{table: table, key: key}]; ok {
-		if e.insert {
-			return nil, false
+	if first, ok := sn.s.overlay[overlayKey{table: table, key: key}]; ok {
+		if inv := first.Inverse(); inv.Op != redo.OpDelete {
+			return append([]byte(nil), inv.After...), true
 		}
-		return append([]byte(nil), e.before...), true
+		return nil, false
 	}
 	if !rawOK {
 		return nil, false

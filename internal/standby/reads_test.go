@@ -11,6 +11,7 @@ import (
 	"dbench/internal/redo"
 	"dbench/internal/sim"
 	"dbench/internal/tpcc"
+	"dbench/internal/txn"
 )
 
 // testReplica adapts a stand-by to the tpcc.Replica routing interface,
@@ -229,6 +230,104 @@ func TestSnapshotFailsClosedAcrossApply(t *testing.T) {
 				return fmt.Errorf("outlived snapshot did not fail closed: %v", err)
 			}
 			sn.Done(p)
+			return nil
+		}()
+	})
+	k.Run(sim.Time(time.Hour))
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+}
+
+// TestSnapshotReadsPendingRowsAsTheirBeforeImages pins the committed-read
+// overlay: under a transaction the stream has not seen finish, a row it
+// inserted reads as absent, and a row it updated (twice) or deleted reads
+// as the before-image of its first change to that row. Once the commit
+// arrives, the snapshot reads the new state.
+func TestSnapshotReadsPendingRowsAsTheirBeforeImages(t *testing.T) {
+	k := sim.NewKernel(5)
+	in, err := engine.New(k, machineFS(), engine.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb := New(in, DefaultConfig(), 0)
+	frame := func(seq uint64, recs ...redo.Record) *redo.StreamFrame {
+		for i := range recs {
+			recs[i].SCN = redo.SCN(seq*10 + uint64(i))
+		}
+		return &redo.StreamFrame{Seq: seq, PrimarySCN: recs[len(recs)-1].SCN, Records: recs}
+	}
+	type row struct {
+		v  string
+		ok bool
+	}
+	read := func(p *sim.Proc) (map[int64]row, []int64, error) {
+		sn, err := sb.Snapshot()
+		if err != nil {
+			return nil, nil, err
+		}
+		defer sn.Done(p)
+		got := make(map[int64]row)
+		for key := int64(1); key <= 3; key++ {
+			v, err := sn.Read(p, "acct", key)
+			if err != nil && !errors.Is(err, txn.ErrRowNotFound) {
+				return nil, nil, err
+			}
+			got[key] = row{string(v), err == nil}
+		}
+		var scanned []int64
+		err = sn.Scan(p, "acct", func(key int64, v []byte) bool {
+			if r := got[key]; !r.ok || r.v != string(v) {
+				scanned = append(scanned, -key) // disagrees with Read
+			} else {
+				scanned = append(scanned, key)
+			}
+			return true
+		})
+		return got, scanned, err
+	}
+	var runErr error
+	k.Go("overlay", func(p *sim.Proc) {
+		runErr = func() error {
+			if err := schemaStandby(p, sb.Instance()); err != nil {
+				return err
+			}
+			if err := sb.Start(p); err != nil {
+				return err
+			}
+			for _, f := range []*redo.StreamFrame{
+				frame(1,
+					redo.Record{Txn: 1, Op: redo.OpInsert, Table: "acct", Key: 1, After: []byte("a0")},
+					redo.Record{Txn: 1, Op: redo.OpInsert, Table: "acct", Key: 2, After: []byte("b0")},
+					redo.Record{Txn: 1, Op: redo.OpCommit}),
+				frame(2,
+					redo.Record{Txn: 2, Op: redo.OpInsert, Table: "acct", Key: 3, After: []byte("c1")},
+					redo.Record{Txn: 2, Op: redo.OpUpdate, Table: "acct", Key: 1, Before: []byte("a0"), After: []byte("a1")},
+					redo.Record{Txn: 2, Op: redo.OpUpdate, Table: "acct", Key: 1, Before: []byte("a1"), After: []byte("a2")},
+					redo.Record{Txn: 2, Op: redo.OpDelete, Table: "acct", Key: 2, Before: []byte("b0")}),
+			} {
+				sb.Receive(p, f, f.Encode())
+			}
+			p.Sleep(time.Second) // let the stream apply drain
+			got, scanned, err := read(p)
+			if err != nil {
+				return err
+			}
+			want := map[int64]row{1: {"a0", true}, 2: {"b0", true}, 3: {"", false}}
+			if fmt.Sprint(got) != fmt.Sprint(want) || fmt.Sprint(scanned) != "[1 2]" {
+				return fmt.Errorf("under the pending transaction: read %v, scanned %v; want %v and [1 2]", got, scanned, want)
+			}
+			f := frame(3, redo.Record{Txn: 2, Op: redo.OpCommit})
+			sb.Receive(p, f, f.Encode())
+			p.Sleep(time.Second)
+			got, scanned, err = read(p)
+			if err != nil {
+				return err
+			}
+			want = map[int64]row{1: {"a2", true}, 2: {"", false}, 3: {"c1", true}}
+			if fmt.Sprint(got) != fmt.Sprint(want) || fmt.Sprint(scanned) != "[1 3]" {
+				return fmt.Errorf("after the commit: read %v, scanned %v; want %v and [1 3]", got, scanned, want)
+			}
 			return nil
 		}()
 	})

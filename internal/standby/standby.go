@@ -82,17 +82,6 @@ type overlayKey struct {
 	key   int64
 }
 
-// overlayEntry is the committed (pre-transaction) view of one row touched
-// by a transaction the continuous apply has not yet seen finish: the
-// before-image of the transaction's first change to the row. Snapshot
-// reads substitute it for the raw image, so replica-served reads observe
-// only committed state at the applied SCN.
-type overlayEntry struct {
-	txn    redo.TxnID
-	before []byte
-	insert bool // first change was an insert: committed view has no row
-}
-
 // Standby is one stand-by database server.
 type Standby struct {
 	k    *sim.Kernel
@@ -134,8 +123,10 @@ type Standby struct {
 	// finished — the rollback set at promotion — with the same
 	// unconditional-of-apply-guard candidacy the recovery paths use.
 	pending map[redo.TxnID][]redo.Record
-	// overlay is the committed-read view over pending rows (reads.go).
-	overlay map[overlayKey]overlayEntry
+	// overlay holds, for each row a pending transaction changed, that
+	// transaction's first record for the row: its inverse is the row's
+	// committed view (reads.go).
+	overlay map[overlayKey]redo.Record
 	// snapReads accumulates snapshot read-row counts whose CPU cost is
 	// paid when the snapshot closes.
 	snapReads int64
@@ -178,7 +169,7 @@ func New(in *engine.Instance, cfg Config, startSCN redo.SCN) *Standby {
 		receivedSCN:    startSCN,
 		appliedSCN:     startSCN,
 		pending:        make(map[redo.TxnID][]redo.Record),
-		overlay:        make(map[overlayKey]overlayEntry),
+		overlay:        make(map[overlayKey]redo.Record),
 		streamHash:     fnvOffset,
 	}
 }
@@ -384,7 +375,7 @@ func (s *Standby) applyRecord(rec redo.Record) {
 	s.pending[rec.Txn] = append(s.pending[rec.Txn], rec)
 	ok := overlayKey{table: rec.Table, key: rec.Key}
 	if _, exists := s.overlay[ok]; !exists {
-		s.overlay[ok] = overlayEntry{txn: rec.Txn, before: rec.Before, insert: rec.Op == redo.OpInsert}
+		s.overlay[ok] = rec
 	}
 }
 
@@ -393,7 +384,7 @@ func (s *Standby) applyRecord(rec redo.Record) {
 func (s *Standby) finishTxn(id redo.TxnID) {
 	for _, rec := range s.pending[id] {
 		ok := overlayKey{table: rec.Table, key: rec.Key}
-		if e, exists := s.overlay[ok]; exists && e.txn == id {
+		if first, exists := s.overlay[ok]; exists && first.Txn == id {
 			delete(s.overlay, ok)
 		}
 	}
@@ -462,7 +453,7 @@ func (s *Standby) Promote(p *sim.Proc) (*recovery.Report, error) {
 	s.appliedSCN = scn
 	s.receivedSCN = scn
 	s.pending = make(map[redo.TxnID][]redo.Record)
-	s.overlay = make(map[overlayKey]overlayEntry)
+	s.overlay = make(map[overlayKey]redo.Record)
 	s.activated = true
 	return rep, nil
 }

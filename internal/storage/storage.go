@@ -86,6 +86,17 @@ func (b *Block) Remove(key int64) {
 	delete(b.Rows, key)
 }
 
+// Apply makes data record rec's change to the block: it removes the row
+// for a delete and puts rec.After otherwise, which then belongs to the
+// block. Undoing a change is applying its rec.Inverse().
+func (b *Block) Apply(rec *redo.Record) {
+	if rec.Op == redo.OpDelete {
+		b.Remove(rec.Key)
+	} else {
+		b.Put(rec.Key, rec.After)
+	}
+}
+
 // mustOwn turns a change to an image someone else also holds — which would
 // silently rewrite a backup or a durable image — into a stack trace at the
 // write.

@@ -39,7 +39,7 @@ func TestBeginReusesFinishedTransactionsLists(t *testing.T) {
 			t.Errorf("the finished transaction still holds its lists (%d undo records, %d locks)", len(tx.undo), len(tx.locks))
 		}
 		for i := range undo {
-			if undo[i].before != nil || undo[i].table != "" || locks[i].table != "" {
+			if undo[i].Before != nil || undo[i].Table != "" || locks[i].table != "" {
 				t.Errorf("entry %d of the retired lists was not emptied: %+v, %+v", i, undo[i], locks[i])
 			}
 		}

@@ -31,17 +31,10 @@ const (
 	StateAborted
 )
 
-// undoRec remembers how to compensate one change.
-type undoRec struct {
-	op     redo.Op
-	table  string
-	key    int64
-	before []byte
-}
-
-// txnLists are a transaction's two growing lists.
+// txnLists are a transaction's two growing lists. The undo list is the
+// redo the transaction logged: the inverse of each record compensates it.
 type txnLists struct {
-	undo  []undoRec
+	undo  []redo.Record
 	locks []lockKey
 }
 
@@ -196,7 +189,7 @@ func (m *Manager) ActiveWritersOn(table string) int {
 			continue
 		}
 		for _, u := range t.undo {
-			if u.table == table {
+			if u.Table == table {
 				n++
 				break
 			}
@@ -222,7 +215,7 @@ func (m *Manager) Begin() *Txn {
 	} else {
 		// Room for a New-Order's two dozen row changes up front, instead
 		// of regrowing both lists from nil five times.
-		t.txnLists = txnLists{undo: make([]undoRec, 0, 32), locks: make([]lockKey, 0, 32)}
+		t.txnLists = txnLists{undo: make([]redo.Record, 0, 32), locks: make([]lockKey, 0, 32)}
 	}
 	m.nextID++
 	m.active[t.ID] = t
@@ -253,12 +246,13 @@ func available(ref storage.BlockRef) error {
 	return nil
 }
 
-// Read returns the row's value without locking (read committed in spirit;
-// see package doc for the anomaly discussion). The result is a read-only
-// view of the stored image, not a copy: row images are replaced, never
-// written in place, so it stays what it was whatever happens to the row
-// afterwards. Its capacity is capped at its length — an append reallocates
-// instead of reaching the neighbouring row of a loaded block's buffer.
+// Read returns the row's value with no lock and no visibility check, so it
+// can return another active transaction's uncommitted image (ROADMAP item
+// 11). The result is a read-only view of the stored image, not a copy: row
+// images are replaced, never written in place, so it stays what it was
+// whatever happens to the row afterwards. Its capacity is capped at its
+// length — an append reallocates instead of reaching the neighbouring row of
+// a loaded block's buffer.
 func (m *Manager) Read(p *sim.Proc, t *Txn, table string, key int64) ([]byte, error) {
 	if !t.usable() {
 		return nil, ErrTxnDone
@@ -313,10 +307,10 @@ func (m *Manager) Delete(p *sim.Proc, t *Txn, table string, key int64) error {
 }
 
 // write is the single mutation path: lock, reserve redo space, log (WAL),
-// apply to the cached block, remember undo. The caller keeps value: the
-// redo record and the block share one private copy of it, and the before
-// image is copied too — the stored one may sit in a loaded block's one
-// buffer, which a retained redo record must not pin.
+// apply to the cached block, keep the record as undo. The caller keeps
+// value: the redo record and the block share one private copy of it, and
+// the before image is copied too — the stored one may sit in a loaded
+// block's one buffer, which a retained redo record must not pin.
 func (m *Manager) write(p *sim.Proc, t *Txn, op redo.Op, table string, key int64, value []byte) error {
 	if !t.usable() {
 		return ErrTxnDone
@@ -364,20 +358,19 @@ func (m *Manager) write(p *sim.Proc, t *Txn, op redo.Op, table string, key int64
 			return fmt.Errorf("%w: %s[%d]", ErrRowNotFound, table, key)
 		}
 	}
-	beforeCopy := append([]byte(nil), before...)
-	after := append([]byte(nil), value...)
-	scn := m.change(ref, blk, redo.Record{
+	rec := redo.Record{
 		Txn:    t.ID,
 		Op:     op,
 		Table:  table,
 		Key:    key,
-		Before: beforeCopy,
-		After:  after,
-	})
+		Before: append([]byte(nil), before...),
+		After:  append([]byte(nil), value...),
+	}
+	scn := m.change(ref, blk, rec)
 	if t.firstSCN == 0 {
 		t.firstSCN = scn
 	}
-	t.undo = append(t.undo, undoRec{op: op, table: table, key: key, before: beforeCopy})
+	t.undo = append(t.undo, rec)
 	return nil
 }
 
@@ -463,8 +456,7 @@ func (m *Manager) rollback(p *sim.Proc, t *Txn) error {
 			// one was parked in a compensation.
 			return ErrTxnDone
 		}
-		u := t.undo[i]
-		if err := m.compensate(p, t, u); err != nil {
+		if err := m.compensate(p, t.undo[i]); err != nil {
 			// A failed compensation (e.g. datafile lost mid-abort)
 			// leaves the transaction to crash recovery.
 			return fmt.Errorf("txn: rollback: %w", err)
@@ -478,11 +470,12 @@ func (m *Manager) rollback(p *sim.Proc, t *Txn) error {
 	return nil
 }
 
-// compensate applies the inverse of one change, logging it as a normal
-// data record (compensation log record).
-func (m *Manager) compensate(p *sim.Proc, t *Txn, u undoRec) error {
+// compensate applies and logs the inverse of one change (a CLR). Its
+// before-image is read from the block it overwrites, not taken from u: they
+// differ when PMON and a killed session both compensate the same change.
+func (m *Manager) compensate(p *sim.Proc, u redo.Record) error {
 	m.charge(p)
-	tbl, err := m.cat.Table(u.table)
+	tbl, err := m.cat.Table(u.Table)
 	if err != nil {
 		// Table dropped since the change (DDL faultload): nothing to
 		// restore into; skip.
@@ -491,12 +484,12 @@ func (m *Manager) compensate(p *sim.Proc, t *Txn, u undoRec) error {
 	if tbl.Frozen {
 		// A flashback is rewinding the table; the zombie sweep retries
 		// after it finishes.
-		return fmt.Errorf("%w: %s", catalog.ErrTableFrozen, u.table)
+		return fmt.Errorf("%w: %s", catalog.ErrTableFrozen, u.Table)
 	}
-	if err := m.log.Reserve(p, int64(256+len(u.table)+2*len(u.before))); err != nil {
+	if err := m.log.Reserve(p, int64(256+len(u.Table)+2*len(u.Before))); err != nil {
 		return fmt.Errorf("txn: %w", err)
 	}
-	ref := tbl.BlockFor(u.key)
+	ref := tbl.BlockFor(u.Key)
 	if err := available(ref); err != nil {
 		return err
 	}
@@ -504,17 +497,9 @@ func (m *Manager) compensate(p *sim.Proc, t *Txn, u undoRec) error {
 	if err != nil {
 		return err
 	}
-	rec := redo.Record{Txn: t.ID, Table: u.table, Key: u.key, Meta: "clr"}
-	switch u.op {
-	case redo.OpInsert: // compensate by delete
-		rec.Op, rec.Before = redo.OpDelete, append([]byte(nil), blk.Rows[u.key]...)
-	case redo.OpUpdate: // compensate by restoring the before image
-		rec.Op, rec.Before = redo.OpUpdate, append([]byte(nil), blk.Rows[u.key]...)
-		rec.After = append([]byte(nil), u.before...) // one copy for record and row, as in write
-	case redo.OpDelete: // compensate by re-insert
-		rec.Op, rec.After = redo.OpInsert, append([]byte(nil), u.before...)
-	default:
-		return fmt.Errorf("txn: cannot compensate op %v", u.op)
+	rec := u.Inverse()
+	if rec.Op != redo.OpInsert {
+		rec.Before = append([]byte(nil), blk.Rows[u.Key]...)
 	}
 	m.change(ref, blk, rec)
 	return nil
@@ -529,12 +514,7 @@ func (m *Manager) change(ref storage.BlockRef, blk *storage.Block, rec redo.Reco
 	if cur, ok := m.cache.Peek(ref); !ok || cur != blk {
 		panic("txn: mutated stale block pointer")
 	}
-	blk = m.cache.MarkDirty(ref, scn)
-	if rec.Op == redo.OpDelete {
-		blk.Remove(rec.Key)
-	} else {
-		blk.Put(rec.Key, rec.After)
-	}
+	m.cache.MarkDirty(ref, scn).Apply(&rec)
 	return scn
 }
 

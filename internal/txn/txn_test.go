@@ -1,6 +1,7 @@
 package txn
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -149,6 +150,87 @@ func TestRollbackRestoresAllChanges(t *testing.T) {
 	if f.m.Stats().Aborted != 1 {
 		t.Fatalf("aborted = %d", f.m.Stats().Aborted)
 	}
+}
+
+// A rollback logs one compensation record (CLR) per change, newest first:
+// the inverse of the change, whose before-image is what the row holds when
+// it is compensated. The rows end as they were before the transaction.
+func TestRollbackLogsTheInverseOfEachChange(t *testing.T) {
+	f := newFixture(t)
+	defer f.shutdown()
+	f.run(func(p *sim.Proc) {
+		setup := f.m.Begin()
+		_ = f.m.Insert(p, setup, "acct", 2, []byte("b0"))
+		_ = f.m.Insert(p, setup, "acct", 3, []byte("c0"))
+		_ = f.m.Commit(p, setup)
+
+		tx := f.m.Begin()
+		for _, err := range []error{
+			f.m.Insert(p, tx, "acct", 1, []byte("a1")),
+			f.m.Update(p, tx, "acct", 1, []byte("a2")),
+			f.m.Update(p, tx, "acct", 1, []byte("a3")),
+			f.m.Update(p, tx, "acct", 2, []byte("b1")),
+			f.m.Delete(p, tx, "acct", 3),
+		} {
+			if err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		if err := f.m.Rollback(p, tx); err != nil {
+			t.Error(err)
+			return
+		}
+		if err := f.log.WaitFlushed(p, f.log.NextSCN()-1); err != nil {
+			t.Error(err)
+			return
+		}
+		recs, _ := f.log.OnlineRecords(0)
+		var clrs []redo.Record
+		var last redo.Op
+		for _, r := range recs {
+			if r.Txn != tx.ID {
+				continue
+			}
+			last = r.Op
+			if r.Meta == "clr" {
+				clrs = append(clrs, r)
+			}
+		}
+		want := []redo.Record{
+			{Op: redo.OpInsert, Key: 3, After: []byte("c0")},
+			{Op: redo.OpUpdate, Key: 2, Before: []byte("b1"), After: []byte("b0")},
+			{Op: redo.OpUpdate, Key: 1, Before: []byte("a3"), After: []byte("a2")},
+			{Op: redo.OpUpdate, Key: 1, Before: []byte("a2"), After: []byte("a1")},
+			{Op: redo.OpDelete, Key: 1, Before: []byte("a1")},
+		}
+		if len(clrs) != len(want) {
+			t.Errorf("%d CLRs logged, want %d: %+v", len(clrs), len(want), clrs)
+			return
+		}
+		for i, w := range want {
+			g := clrs[i]
+			if g.Op != w.Op || g.Table != "acct" || g.Key != w.Key || g.Meta != "clr" ||
+				!bytes.Equal(g.Before, w.Before) || !bytes.Equal(g.After, w.After) {
+				t.Errorf("CLR %d = %v acct[%d] %q -> %q (%s), want %v acct[%d] %q -> %q (clr)",
+					i, g.Op, g.Key, g.Before, g.After, g.Meta, w.Op, w.Key, w.Before, w.After)
+			}
+		}
+		if last != redo.OpAbort {
+			t.Errorf("the transaction's last record is %v, want abort", last)
+		}
+		check := f.m.Begin()
+		if _, err := f.m.Read(p, check, "acct", 1); !errors.Is(err, ErrRowNotFound) {
+			t.Errorf("key1 err = %v, want not found", err)
+		}
+		if v, _ := f.m.Read(p, check, "acct", 2); string(v) != "b0" {
+			t.Errorf("key2 = %q, want b0", v)
+		}
+		if v, _ := f.m.Read(p, check, "acct", 3); string(v) != "c0" {
+			t.Errorf("key3 = %q, want c0", v)
+		}
+		_ = f.m.Commit(p, check)
+	})
 }
 
 func TestLockBlocksSecondWriter(t *testing.T) {

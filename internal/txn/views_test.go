@@ -186,10 +186,10 @@ func TestUpdateLeavesTheCallerItsBuffer(t *testing.T) {
 		if got, err := f.m.Read(p, tx, "acct", rowA); err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("row A = %q, %v after its caller's buffer was overwritten, want %q", got, err, want)
 		}
-		if got := tx.undo[0].before; !bytes.Equal(got, first) {
+		if got := tx.undo[0].Before; !bytes.Equal(got, first) {
 			t.Fatalf("undo image = %q, want %q", got, first)
 		}
-		if &tx.undo[0].before[0] == &stored[0] {
+		if &tx.undo[0].Before[0] == &stored[0] {
 			t.Fatal("undo image aliases the stored row: a retained record would pin the block's buffer")
 		}
 		if err := f.m.Commit(p, tx); err != nil {
