@@ -68,8 +68,10 @@ func (s Spec) Key() string {
 }
 
 // ParseSpec reads a run key back: DefaultSpec with each token's field set.
+// A key that sets one field twice is an error: one key is one run.
 func ParseSpec(key string) (Spec, error) {
 	s := DefaultSpec()
+	set := map[string]string{} // field -> the token that set it
 	for _, t := range strings.Fields(key) {
 		f := keyFields[0] // the one row without a token
 		for _, g := range keyFields[1:] {
@@ -77,6 +79,10 @@ func ParseSpec(key string) (Spec, error) {
 				f = g
 			}
 		}
+		if prev, ok := set[f.field]; ok {
+			return Spec{}, fmt.Errorf("core: run key sets %s twice: %q and %q", f.field, prev, t)
+		}
+		set[f.field] = t
 		if err := setText(specField(&s, f.field), t[len(f.tok):]); err != nil {
 			return Spec{}, fmt.Errorf("core: run key token %q: %w", t, err)
 		}

@@ -101,7 +101,8 @@ func TestKeyTellsEveryFieldApart(t *testing.T) {
 }
 
 // ParseSpec reads back every spec the declarations build, at every scale,
-// and the chaos harness's: the key is a complete command line.
+// and the chaos harness's: the key is a complete command line. Every one of
+// them is also a valid run.
 func TestParseSpecReadsBackEveryDeclaredSpec(t *testing.T) {
 	specs := []core.Spec{chaos.DefaultConfig().Spec, fullSpec()}
 	for _, sc := range []core.Scale{core.QuickScale(), core.StdScale(), core.FullScale()} {
@@ -119,6 +120,9 @@ func TestParseSpecReadsBackEveryDeclaredSpec(t *testing.T) {
 	for _, s := range specs {
 		k := s.Key()
 		keys[k] = true
+		if err := s.Validate(); err != nil {
+			t.Error(err)
+		}
 		got, err := core.ParseSpec(k)
 		if err != nil {
 			t.Errorf("%q: %v", k, err)
@@ -133,14 +137,21 @@ func TestParseSpecReadsBackEveryDeclaredSpec(t *testing.T) {
 }
 
 // A token ParseSpec cannot read is an error naming it; a fault token it
-// does not know lists every one it does.
+// does not know lists every one it does. A token that sets a field an
+// earlier one set is an error naming the field and both tokens: read
+// leniently, the last would win, and the key would name a run other than
+// the one its reader sees.
 func TestParseSpecRejectsUnknownTokens(t *testing.T) {
 	for key, want := range map[string]string{
-		"F40G3T5 W1 colour=red": `"colour=red"`,
-		"F40G3T5 archive":       `"archive"`,
-		"F40G3T5 W":             `"W"`,
-		"F40G3T5 fault=nope":    "valid: shutdown, delete-datafile",
-		"F40G3T5 mode=quorum":   `unknown replication mode "quorum"`,
+		"F40G3T5 W1 colour=red":      `"colour=red"`,
+		"F40G3T5 archive":            `"archive"`,
+		"F40G3T5 W":                  `"W"`,
+		"F40G3T5 fault=nope":         "valid: shutdown, delete-datafile",
+		"F40G3T5 mode=quorum":        `unknown replication mode "quorum"`,
+		"F40G3T5 W1 W2":              `TPCC.Warehouses twice: "W1" and "W2"`,
+		"F40G3T5 F100G3T10":          `Recovery twice: "F40G3T5" and "F100G3T10"`,
+		"F40G3T5 arch W1 arch":       `Archive twice: "arch" and "arch"`,
+		"F40G3T5 dur=1m at=5s at=5s": `InjectAt twice: "at=5s" and "at=5s"`,
 	} {
 		if _, err := core.ParseSpec(key); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("ParseSpec(%q) = %v, want an error containing %s", key, err, want)

@@ -239,8 +239,10 @@ func (r *Result) String() string {
 // warehouses or no terminals would silently run empty — every measure a zero
 // rather than an error — and one with no customers or items panics drawing
 // from an empty range; an archive-shipping stand-by needs the primary's
-// archiver; the controller's only sensor is the workload repository. A zero
-// Duration stays valid — a load-only run.
+// archiver; the controller's only sensor is the workload repository. A field
+// the run would ignore — a replication setting without stand-bys, an
+// injection instant without a fault — is refused too: it would give the
+// plain run a second key. A zero Duration stays valid — a load-only run.
 func (s Spec) validate() error {
 	switch {
 	case s.TPCC.Warehouses < 1:
@@ -253,6 +255,12 @@ func (s Spec) validate() error {
 		return fmt.Errorf("core: spec %q: ReplMode %v needs Archive", s.Key(), s.ReplMode)
 	case s.Control != nil && s.SampleInterval <= 0:
 		return fmt.Errorf("core: spec %q: Control needs the workload repository (SampleInterval > 0)", s.Key())
+	case s.Standbys < 1 && (s.ReplMode != standby.ModeAsync || s.ReplLink != sim.LinkSpec{} || s.ReplCascade != 0 || s.ReplicaReads != 0):
+		return fmt.Errorf("core: spec %q: ReplMode, ReplLink, ReplCascade and ReplicaReads need Standbys > 0", s.Key())
+	case s.Fault == nil && s.InjectAt != 0 && s.Duration > 0:
+		// A load-only run reads no field of the measured phase; the
+		// benchmark's load-only spec keeps its InjectAt (ROADMAP 7(b)).
+		return fmt.Errorf("core: spec %q: InjectAt needs a Fault", s.Key())
 	}
 	return nil
 }

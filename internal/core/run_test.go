@@ -224,18 +224,32 @@ func TestConfigTable(t *testing.T) {
 // built or loaded, with an error that names the mismatch. An archive-shipping
 // stand-by on a primary that does not archive used to load the database and
 // the stand-by, then panic on the missing archiver; a controller without the
-// workload repository it reads failed only after the load.
+// workload repository it reads failed only after the load. A replication
+// field without stand-bys, or an injection instant without a fault, used to
+// run as the plain run under a key of its own.
 func TestSpecMismatchesFailBeforeSetup(t *testing.T) {
 	archive := quickSpec("archive-standby")
 	archive.Standbys, archive.ReplMode = 1, standby.ModeArchive
 	blind := quickSpec("blind-controller")
 	blind.Control = &control.Config{Budget: 30 * time.Second}
+	cascade := quickSpec("cascade-without-standbys")
+	cascade.ReplCascade = 1
+	reads := quickSpec("reads-without-standbys")
+	reads.ReplicaReads = 0.5
+	mode := quickSpec("mode-without-standbys")
+	mode.ReplMode, mode.ReplLink = standby.ModeSync, LinkWAN
+	at := quickSpec("inject-at-without-fault")
+	at.InjectAt = time.Minute
 	for _, tc := range []struct {
 		spec Spec
 		want string
 	}{
 		{archive, "ReplMode archive needs Archive"},
 		{blind, "Control needs the workload repository"},
+		{cascade, "need Standbys > 0"},
+		{reads, "need Standbys > 0"},
+		{mode, "need Standbys > 0"},
+		{at, "InjectAt needs a Fault"},
 	} {
 		check := func(entry string, err error) {
 			t.Helper()

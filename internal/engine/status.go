@@ -4,74 +4,32 @@ import (
 	"fmt"
 	"strings"
 	"time"
-
-	"dbench/internal/trace"
 )
 
-// Status reporting: the V$-view-style introspection a DBA (and the
-// benchmark driver) uses to observe the instance. Each report is a
-// point-in-time text snapshot.
-
-// StatusReport is a structured snapshot of the instance.
-type StatusReport struct {
-	State       State
-	Crashed     bool
-	Checkpoints int
-	CkptSCN     int64
-	UndoSCN     int64
-	FlushedSCN  int64
-	NextSCN     int64
-
-	ActiveTxns  int
-	ZombieTxns  int
-	CacheLen    int
-	CacheDirty  int
-	CacheHits   int64
-	CacheMisses int64
-
-	LogSwitches   int
-	LogStallTime  time.Duration
-	RedoWritten   int64
-	ArchiveQueue  int
-	ArchivedLogs  int
-	DatafileLines []string
-	LogLines      []string
-
-	// Counters is the full instance counter registry at snapshot time,
-	// in registration order. The scalar fields above that duplicate a
-	// counter (Checkpoints, CacheHits, ...) are derived from it, so a
-	// counter registered anywhere in the instance cannot silently miss
-	// the report.
-	Counters []trace.CounterSnapshot
-}
-
-// Status collects a snapshot.
-func (in *Instance) Status() StatusReport {
-	r := StatusReport{
-		State:      in.state,
-		Crashed:    in.crashed,
-		CkptSCN:    int64(in.db.Control.CheckpointSCN),
-		UndoSCN:    int64(in.db.Control.UndoSCN),
-		FlushedSCN: int64(in.log.FlushedSCN()),
-		NextSCN:    int64(in.log.NextSCN()),
-		ActiveTxns: in.tm.ActiveCount(),
-		ZombieTxns: in.tm.ZombieCount(),
-		CacheLen:   in.cache.Len(),
-		CacheDirty: in.cache.DirtyCount(),
-	}
-	// Counter-backed fields come from the registry, not from per-
-	// subsystem Stats() calls: one source of truth for the report.
-	r.Counters = in.reg.Snapshot()
-	r.Checkpoints = int(in.reg.Value("engine.checkpoints"))
-	r.CacheHits = in.reg.Value("cache.hits")
-	r.CacheMisses = in.reg.Value("cache.misses")
-	r.LogSwitches = int(in.reg.Value("redo.switches"))
-	r.LogStallTime = time.Duration(in.reg.Value("redo.stall_ns"))
-	r.RedoWritten = in.reg.Value("redo.flushed_bytes")
+// Status renders the SHOW STATUS screen: the V$-view-style point-in-time
+// snapshot a DBA (and the benchmark driver) uses to observe the instance.
+// Every counter on it is read from the instance's counter registry: the
+// summary lines quote rows that the screen also prints in full under
+// "counters:", so a counter registered anywhere in the instance cannot miss
+// the screen or disagree with it.
+func (in *Instance) Status() string {
+	var b strings.Builder
+	v := in.reg.Value
+	var queued, archived int
 	if in.arch != nil {
-		r.ArchiveQueue = in.arch.QueueLen()
-		r.ArchivedLogs = in.arch.Archived()
+		queued, archived = in.arch.QueueLen(), in.arch.Archived()
 	}
+	fmt.Fprintf(&b, "instance: %v (crashed=%v)\n", in.state, in.crashed)
+	fmt.Fprintf(&b, "scn: ckpt=%d undo=%d flushed=%d next=%d\n",
+		in.db.Control.CheckpointSCN, in.db.Control.UndoSCN, in.log.FlushedSCN(), in.log.NextSCN())
+	fmt.Fprintf(&b, "txns: active=%d zombie=%d\n", in.tm.ActiveCount(), in.tm.ZombieCount())
+	fmt.Fprintf(&b, "cache: %d buffers (%d dirty), hits=%d misses=%d\n",
+		in.cache.Len(), in.cache.DirtyCount(), v("cache.hits"), v("cache.misses"))
+	fmt.Fprintf(&b, "redo: %d switches, %s written, stalls=%v; archive queue=%d done=%d\n",
+		v("redo.switches"), byteSize(v("redo.flushed_bytes")),
+		time.Duration(v("redo.stall_ns")).Round(time.Millisecond), queued, archived)
+	fmt.Fprintf(&b, "checkpoints: %d\n", v("engine.checkpoints"))
+	fmt.Fprintf(&b, "datafiles:\n")
 	for _, f := range in.db.Datafiles() {
 		status := "ONLINE"
 		switch {
@@ -82,9 +40,9 @@ func (in *Instance) Status() StatusReport {
 		case !f.Online():
 			status = "OFFLINE"
 		}
-		r.DatafileLines = append(r.DatafileLines,
-			fmt.Sprintf("%-16s %-12s %-8s ckpt=%d", f.Name, f.Tablespace, status, f.CkptSCN))
+		fmt.Fprintf(&b, "  %-16s %-12s %-8s ckpt=%d\n", f.Name, f.Tablespace, status, f.CkptSCN)
 	}
+	fmt.Fprintf(&b, "redo logs:\n")
 	for _, g := range in.log.Groups() {
 		status := "INACTIVE"
 		switch {
@@ -93,33 +51,11 @@ func (in *Instance) Status() StatusReport {
 		case !g.Archived():
 			status = "ACTIVE" // awaiting archive
 		}
-		r.LogLines = append(r.LogLines,
-			fmt.Sprintf("group %d seq=%-5d %-8s %5.1f%% full", g.ID, g.Seq, status,
-				100*float64(g.Bytes())/float64(g.Capacity())))
-	}
-	return r
-}
-
-// String renders the snapshot like a status screen.
-func (r StatusReport) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "instance: %v (crashed=%v)\n", r.State, r.Crashed)
-	fmt.Fprintf(&b, "scn: ckpt=%d undo=%d flushed=%d next=%d\n", r.CkptSCN, r.UndoSCN, r.FlushedSCN, r.NextSCN)
-	fmt.Fprintf(&b, "txns: active=%d zombie=%d\n", r.ActiveTxns, r.ZombieTxns)
-	fmt.Fprintf(&b, "cache: %d buffers (%d dirty), hits=%d misses=%d\n", r.CacheLen, r.CacheDirty, r.CacheHits, r.CacheMisses)
-	fmt.Fprintf(&b, "redo: %d switches, %s written, stalls=%v; archive queue=%d done=%d\n",
-		r.LogSwitches, byteSize(r.RedoWritten), r.LogStallTime.Round(time.Millisecond), r.ArchiveQueue, r.ArchivedLogs)
-	fmt.Fprintf(&b, "checkpoints: %d\n", r.Checkpoints)
-	fmt.Fprintf(&b, "datafiles:\n")
-	for _, l := range r.DatafileLines {
-		fmt.Fprintf(&b, "  %s\n", l)
-	}
-	fmt.Fprintf(&b, "redo logs:\n")
-	for _, l := range r.LogLines {
-		fmt.Fprintf(&b, "  %s\n", l)
+		fmt.Fprintf(&b, "  group %d seq=%-5d %-8s %5.1f%% full\n", g.ID, g.Seq, status,
+			100*float64(g.Bytes())/float64(g.Capacity()))
 	}
 	fmt.Fprintf(&b, "counters:\n")
-	for _, c := range r.Counters {
+	for _, c := range in.reg.Snapshot() {
 		fmt.Fprintf(&b, "  %-28s %d\n", c.Name, c.Value)
 	}
 	return b.String()

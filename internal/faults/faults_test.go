@@ -188,7 +188,7 @@ func TestAllSixFaultsInjectAndRecover(t *testing.T) {
 				// complete recovery of the database: only the damaged
 				// table is rewound); the rest follow the kind's static
 				// classification.
-				wantComplete := kind.CompleteRecovery() || isLogicalFault(kind)
+				wantComplete := kind.CompleteRecovery() || kinds[kind].logical
 				if o.Report != nil && o.Report.Complete != wantComplete {
 					return fmt.Errorf("complete=%v, want %v", o.Report.Complete, wantComplete)
 				}

@@ -48,32 +48,43 @@ const (
 	MisroutedBatchUpdate
 )
 
-// kindNames spells each kind twice: its name in reports, and its one-word
-// token, the way a run key (core.Spec.Key) and the command line write it.
-var kindNames = [...]struct{ name, token string }{
-	ShutdownAbort:        {"Shutdown abort", "shutdown"},
-	DeleteDatafile:       {"Delete datafile", "delete-datafile"},
-	DeleteTablespace:     {"Delete tablespace", "delete-tablespace"},
-	SetDatafileOffline:   {"Set datafile offline", "offline-datafile"},
-	SetTablespaceOffline: {"Set tablespace offline", "offline-tablespace"},
-	DeleteUsersObject:    {"Delete user's object", "drop-table"},
-	CorruptDatafile:      {"Corrupt datafile", "corrupt-datafile"},
-	KillUserSession:      {"Kill user session", "kill-session"},
-	TruncateTable:        {"Truncate table", "truncate-table"},
-	MisroutedBatchUpdate: {"Mis-routed batch update", "misrouted-batch"},
+// kinds is one row per kind: its name in reports; its one-word token, the
+// way a run key (core.Spec.Key) and the command line write it; whether its
+// recovery is complete (no committed transactions lost, paper Table 5) or
+// incomplete (Table 4); and whether it damages exactly one table logically,
+// making FLASHBACK TABLE applicable. The physical remedy for a logical kind
+// is incomplete (point-in-time) recovery; flashback upgrades it to a complete
+// recovery of the database as a whole — only the damaged table is rewound —
+// which the per-outcome Report records.
+var kinds = [...]struct {
+	name, token       string
+	complete, logical bool
+}{
+	ShutdownAbort:        {"Shutdown abort", "shutdown", true, false},
+	DeleteDatafile:       {"Delete datafile", "delete-datafile", true, false},
+	DeleteTablespace:     {"Delete tablespace", "delete-tablespace", false, false},
+	SetDatafileOffline:   {"Set datafile offline", "offline-datafile", true, false},
+	SetTablespaceOffline: {"Set tablespace offline", "offline-tablespace", true, false},
+	DeleteUsersObject:    {"Delete user's object", "drop-table", false, true},
+	CorruptDatafile:      {"Corrupt datafile", "corrupt-datafile", true, false},
+	KillUserSession:      {"Kill user session", "kill-session", true, false},
+	TruncateTable:        {"Truncate table", "truncate-table", false, true},
+	MisroutedBatchUpdate: {"Mis-routed batch update", "misrouted-batch", false, true},
 }
 
+func (k Kind) known() bool { return k > 0 && int(k) < len(kinds) }
+
 func (k Kind) String() string {
-	if k > 0 && int(k) < len(kindNames) {
-		return kindNames[k].name
+	if k.known() {
+		return kinds[k].name
 	}
 	return fmt.Sprintf("fault(%d)", uint8(k))
 }
 
 // Token is k's one-word spelling; ParseKind reads it back.
 func (k Kind) Token() string {
-	if k > 0 && int(k) < len(kindNames) {
-		return kindNames[k].token
+	if k.known() {
+		return kinds[k].token
 	}
 	return fmt.Sprintf("fault(%d)", uint8(k))
 }
@@ -82,11 +93,11 @@ func (k Kind) Token() string {
 // that lists every valid one.
 func ParseKind(tok string) (Kind, error) {
 	var valid []string
-	for k := Kind(1); int(k) < len(kindNames); k++ {
-		if kindNames[k].token == tok {
+	for k := Kind(1); k.known(); k++ {
+		if kinds[k].token == tok {
 			return k, nil
 		}
-		valid = append(valid, kindNames[k].token)
+		valid = append(valid, kinds[k].token)
 	}
 	return 0, fmt.Errorf("unknown fault %q (valid: %s)", tok, strings.Join(valid, ", "))
 }
@@ -97,20 +108,9 @@ var Kinds = []Kind{
 	SetDatafileOffline, SetTablespaceOffline, DeleteUsersObject,
 }
 
-// CompleteRecovery reports whether the fault's recovery is complete (no
-// committed transactions lost, paper Table 5) or incomplete (Table 4).
-func (k Kind) CompleteRecovery() bool {
-	switch k {
-	case DeleteTablespace, DeleteUsersObject, TruncateTable, MisroutedBatchUpdate:
-		// The physical remedy for these is incomplete (point-in-time)
-		// recovery. Flashback upgrades the single-table kinds to a
-		// complete recovery of the database as a whole — only the damaged
-		// table is rewound — which the per-outcome Report records.
-		return false
-	default:
-		return true
-	}
-}
+// CompleteRecovery reports whether the fault's recovery is complete (paper
+// Table 5) or incomplete (Table 4).
+func (k Kind) CompleteRecovery() bool { return !k.known() || kinds[k].complete }
 
 // Fault is one concrete injection: a kind plus its target.
 type Fault struct {
@@ -333,7 +333,7 @@ func (inj *Injector) Inject(p *sim.Proc, f Fault) (*Outcome, error) {
 	if err != nil {
 		return nil, fmt.Errorf("faults: inject %v: %w", f, err)
 	}
-	if isLogicalFault(f.Kind) {
+	if kinds[f.Kind].logical {
 		// Pin the undo retention horizon at the pre-fault SCN so the
 		// online log keeps every record a flashback will need, however
 		// long detection takes. Recover clears the pin.
@@ -425,12 +425,6 @@ func (inj *Injector) Recover(p *sim.Proc, o *Outcome) error {
 	o.RecoveredAt = p.Now()
 	inj.in.Tracer().End(p.Now(), span)
 	return nil
-}
-
-// isLogicalFault reports whether the fault damages exactly one table
-// logically, making FLASHBACK TABLE applicable.
-func isLogicalFault(k Kind) bool {
-	return k == DeleteUsersObject || k == TruncateTable || k == MisroutedBatchUpdate
 }
 
 // misrouteBatch commits a batch of updates against the wrong table, the

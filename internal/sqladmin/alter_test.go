@@ -13,7 +13,26 @@ import (
 	"dbench/internal/sim"
 )
 
-var updateVParameter = flag.Bool("update-vparameter", false, "rewrite testdata/vparameter.golden from the observed V$PARAMETER output")
+var update = flag.Bool("update", false, "rewrite the testdata/*.golden files from the observed output")
+
+// checkGolden compares got with testdata/name byte for byte, after
+// rewriting the file from got under -update.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read golden (regenerate with -update): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("%s drifted from golden (regenerate with -update if deliberate):\ngot:\n%s\nwant:\n%s", name, got, want)
+	}
+}
 
 // TestAlterSystemSetMatrix is the accept/reject contract of ALTER SYSTEM
 // SET, one row per case: every dynamic knob accepts an in-range value,
@@ -202,9 +221,8 @@ func TestAlterPendingResizeAppliesAtSwitch(t *testing.T) {
 // static/dynamic scope, current value and pending value for every
 // parameter, in a fixed order. The fixture captures the view with one
 // immediate and one deferred ALTER outstanding. Regenerate with
-// -update-vparameter when the parameter table deliberately changes.
+// -update when the parameter table deliberately changes.
 func TestVParameterGolden(t *testing.T) {
-	goldenPath := filepath.Join("testdata", "vparameter.golden")
 	r := newRig(t)
 	var got string
 	r.run(t, func(p *sim.Proc) error {
@@ -224,19 +242,5 @@ func TestVParameterGolden(t *testing.T) {
 		got = out
 		return nil
 	})
-	if *updateVParameter {
-		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenPath, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("read golden (regenerate with -update-vparameter): %v", err)
-	}
-	if got != string(want) {
-		t.Errorf("V$PARAMETER drifted from golden (regenerate with -update-vparameter if deliberate):\ngot:\n%s\nwant:\n%s", got, want)
-	}
+	checkGolden(t, "vparameter.golden", got)
 }

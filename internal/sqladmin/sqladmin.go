@@ -134,7 +134,7 @@ func (e *Executor) show(toks []string) (string, error) {
 	if len(toks) >= 2 {
 		switch toks[1] {
 		case "STATUS":
-			return e.in.Status().String(), nil
+			return e.in.Status(), nil
 		case "PARAMETERS":
 			return formatVParameter(e.in.Parameters()), nil
 		}

@@ -253,89 +253,58 @@ func warehouseTablespace(w int) string {
 	return fmt.Sprintf("%s_W%02d", Tablespace, w)
 }
 
-// CreateSchema creates the physical layout and the nine tables. At W = 1
-// everything lives in one shared tablespace, the exact layout the paper's
-// single-warehouse experiments (and their fault targets, e.g.
-// "TPCC_01.dbf") rely on. At W > 1 each warehouse gets its own tablespace
-// holding its partitions of the seven warehouse-keyed tables, spread
-// round-robin over the data disks; item and history stay in the shared
-// tablespace (which keeps the shared fault targets valid at any W).
+// CreateSchema creates the physical layout and the nine tables. A table is
+// partitioned exactly when W > 1 and it is warehouse-keyed (partDivs): each
+// warehouse then gets its own tablespace, one datafile on a round-robin data
+// disk, holding its partitions of those tables. Every other table lives in
+// the shared tablespace, spread over every data disk — at W = 1 all nine,
+// the exact layout the paper's single-warehouse experiments (and their fault
+// targets, e.g. "TPCC_01.dbf") rely on, and item and history at any W, which
+// keeps the shared fault targets valid. Each tablespace is sized with ~25%
+// headroom over its segments, like a real installation.
 func (a *App) CreateSchema(p *sim.Proc, disks []string) error {
-	if a.Cfg.Warehouses <= 1 {
-		return a.createSchemaShared(p, disks)
-	}
-	return a.createSchemaPartitioned(p, disks)
-}
-
-// createSchemaShared is the single-tablespace layout (sized with headroom
-// over the segments, like a real installation).
-func (a *App) createSchemaShared(p *sim.Proc, disks []string) error {
-	specs := a.Cfg.tableSpecs()
-	total := 0
-	for _, sp := range specs {
-		total += sp.blocks
-	}
-	perFile := total/len(disks) + total/(4*len(disks)) + 16 // ~25% headroom
-	if _, err := a.In.CreateTablespace(p, Tablespace, disks, perFile); err != nil {
-		return err
-	}
-	if err := a.In.CreateUser(p, owner, Tablespace); err != nil {
-		return err
-	}
-	for _, tbl := range Tables {
-		sp := specs[tbl]
-		if err := a.In.CreateTableClustered(p, tbl, owner, Tablespace, sp.blocks, sp.cluster); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// createSchemaPartitioned is the per-warehouse layout for W > 1.
-func (a *App) createSchemaPartitioned(p *sim.Proc, disks []string) error {
 	full := a.Cfg.tableSpecs()
 	one := a.Cfg
 	one.Warehouses = 1
 	per := one.tableSpecs() // one warehouse's partition sizing
-
-	// Shared tablespace on every data disk: item + history.
-	shared := full[TableItem].blocks + full[TableHistory].blocks
-	sharedPerFile := shared/len(disks) + shared/(4*len(disks)) + 16
-	if _, err := a.In.CreateTablespace(p, Tablespace, disks, sharedPerFile); err != nil {
+	split := a.Cfg.Warehouses > 1
+	partitioned := func(tbl string) bool {
+		_, ok := partDivs[tbl]
+		return split && ok
+	}
+	shared, perWarehouse := 0, 0
+	for _, tbl := range Tables {
+		if partitioned(tbl) {
+			perWarehouse += per[tbl].blocks
+		} else {
+			shared += full[tbl].blocks
+		}
+	}
+	if _, err := a.In.CreateTablespace(p, Tablespace, disks, shared/len(disks)+shared/(4*len(disks))+16); err != nil {
 		return err
 	}
 	if err := a.In.CreateUser(p, owner, Tablespace); err != nil {
 		return err
 	}
-
-	// One tablespace per warehouse, one datafile on a round-robin disk,
-	// sized for that warehouse's seven partitions plus headroom.
-	perWarehouse := 0
-	for tbl := range partDivs {
-		perWarehouse += per[tbl].blocks
-	}
-	wts := make([]string, 0, a.Cfg.Warehouses)
-	for w := 1; w <= a.Cfg.Warehouses; w++ {
+	var wts []string
+	for w := 1; split && w <= a.Cfg.Warehouses; w++ {
 		name := warehouseTablespace(w)
 		disk := disks[(w-1)%len(disks)]
-		size := perWarehouse + perWarehouse/4 + 16
-		if _, err := a.In.CreateTablespace(p, name, []string{disk}, size); err != nil {
+		if _, err := a.In.CreateTablespace(p, name, []string{disk}, perWarehouse+perWarehouse/4+16); err != nil {
 			return err
 		}
 		wts = append(wts, name)
 	}
-
 	for _, tbl := range Tables {
-		div, partitioned := partDivs[tbl]
-		if !partitioned {
+		var err error
+		if partitioned(tbl) {
+			sp := per[tbl]
+			err = a.In.CreateTablePartitioned(p, tbl, owner, wts, sp.blocks, sp.cluster, partDivs[tbl])
+		} else {
 			sp := full[tbl]
-			if err := a.In.CreateTableClustered(p, tbl, owner, Tablespace, sp.blocks, sp.cluster); err != nil {
-				return err
-			}
-			continue
+			err = a.In.CreateTableClustered(p, tbl, owner, Tablespace, sp.blocks, sp.cluster)
 		}
-		sp := per[tbl]
-		if err := a.In.CreateTablePartitioned(p, tbl, owner, wts, sp.blocks, sp.cluster, div); err != nil {
+		if err != nil {
 			return err
 		}
 	}

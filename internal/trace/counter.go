@@ -29,8 +29,8 @@ func NewRegistry() *Registry {
 }
 
 // Register attaches counter rows. Registering a name twice panics: two
-// owners silently sharing one count is exactly the drift StatusReport
-// derivation exists to prevent.
+// owners silently sharing one count is exactly the drift that reading
+// every report from the registry exists to prevent.
 func (r *Registry) Register(rows ...Counter) {
 	for _, c := range rows {
 		if _, dup := r.byName[c.Name]; dup {
