@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"bytes"
 	"fmt"
 	"hash/fnv"
 	"slices"
@@ -15,6 +16,8 @@ import (
 	"dbench/internal/sim"
 	"dbench/internal/standby"
 	"dbench/internal/storage"
+	"dbench/internal/tpcc"
+	"dbench/internal/txn"
 )
 
 // imagesHash is StateHash's block hash over a bare set of images.
@@ -295,5 +298,129 @@ func TestStandbysShareTheLoadedImagesAndNobodyWritesThrough(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// heldRows keeps row images as they were handed out: each slice beside a
+// deep copy of its bytes when kept.
+type heldRows struct{ views, copies [][]byte }
+
+func (h *heldRows) keep(v []byte) {
+	if len(v) > 0 {
+		h.views = append(h.views, v)
+		h.copies = append(h.copies, append([]byte(nil), v...))
+	}
+}
+
+// changed counts the kept slices whose bytes differ from their copy now.
+func (h *heldRows) changed() (n int, first string) {
+	for i, v := range h.views {
+		if !bytes.Equal(v, h.copies[i]) {
+			if n == 0 {
+				first = fmt.Sprintf("%q, kept as %q", v, h.copies[i])
+			}
+			n++
+		}
+	}
+	return n, first
+}
+
+// Row images are replaced, never written in place (DESIGN.md §4b), and
+// nothing else guards it: the block, the redo record's After, the next
+// change's Before, the undo list, recovery's images and the stand-bys' all
+// hold the one slice. So keep every reference-backup row and the Before and
+// After of every redo record as LGWR makes it durable, each beside a deep
+// copy, through TPC-C, a rollback of a durable change, SHUTDOWN ABORT with a
+// durable loser and instance recovery on four apply workers, more workload, a
+// second crash and the promotion of a sync stand-by that applied the whole
+// stream — and no byte may differ at the end.
+func TestRowImagesAreNeverWrittenInPlace(t *testing.T) {
+	spec := quickConfig().Spec
+	spec.Seed = 8
+	spec.RecoveryWorkers = 4
+	spec.SampleInterval = 0
+	rig, err := core.NewRig(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var held heldRows
+	err = rig.Exec("row-images", func(p *sim.Proc) error {
+		if err := rig.Load(p); err != nil {
+			return err
+		}
+		in := rig.In
+		// Nothing has changed a block since the reference backup: the
+		// files hold its images.
+		for _, f := range in.DB().Datafiles() {
+			for _, img := range f.SnapshotImages() {
+				for _, v := range img.Rows {
+					held.keep(v)
+				}
+			}
+		}
+		cluster, err := rig.StartCluster(p, 1, standby.ClusterConfig{Mode: standby.ModeSync})
+		if err != nil {
+			return err
+		}
+		rig.ReleaseLoadSet()
+		records := 0
+		stream := in.Log().OnDurable
+		in.Log().OnDurable = func(dp *sim.Proc, recs []redo.Record) {
+			for _, rec := range recs {
+				held.keep(rec.Before)
+				held.keep(rec.After)
+			}
+			records += len(recs)
+			stream(dp, recs)
+		}
+		// durableChange updates warehouse 1 in a transaction of its own
+		// and waits until the redo log holds the change.
+		durableChange := func(value string) (*txn.Txn, error) {
+			tx, err := in.Begin()
+			if err != nil {
+				return nil, err
+			}
+			if err := in.Update(p, tx, tpcc.TableWarehouse, tpcc.WKey(1), []byte(value)); err != nil {
+				return nil, err
+			}
+			return tx, in.Log().WaitFlushed(p, in.Log().NextSCN()-1)
+		}
+
+		rig.Drv.Start()
+		p.Sleep(10 * time.Second)
+		undone, err := durableChange("rolled back")
+		if err != nil {
+			return err
+		}
+		if err := in.Rollback(p, undone); err != nil {
+			return err
+		}
+		if _, err := durableChange("never committed"); err != nil {
+			return err
+		}
+		in.Crash()
+		rep, err := rig.Rm.InstanceRecovery(p)
+		if err != nil {
+			return err
+		}
+		if rep.RecordsApplied == 0 || rep.LosersRolledBack == 0 {
+			t.Errorf("instance recovery applied %d records and rolled back %d transactions: no redo or no undo exercised", rep.RecordsApplied, rep.LosersRolledBack)
+		}
+		p.Sleep(4 * time.Second)
+		in.Crash()
+		rig.Drv.Stop()
+		if _, err := cluster.Promote(p); err != nil {
+			return err
+		}
+		if records == 0 {
+			t.Error("no redo record became durable")
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, first := held.changed(); n > 0 {
+		t.Errorf("%d of %d kept row images changed in place; the first reads %s", n, len(held.views), first)
 	}
 }

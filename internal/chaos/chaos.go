@@ -271,6 +271,7 @@ func runPoint(cfg Config, index int) (*PointResult, error) {
 		p.Sleep(crashDelay)
 		var helper *sim.Proc
 		var partStart sim.Time
+		switcher := func(sp *sim.Proc) { _ = in.ForceLogSwitch(sp) }
 		switch window {
 		case WindowCheckpoint:
 			in.RequestCheckpoint()
@@ -281,16 +282,12 @@ func runPoint(cfg Config, index int) (*PointResult, error) {
 			}
 			p.Sleep(jitter / 4)
 		case WindowLogSwitch:
-			helper = k.Go("switcher", func(sp *sim.Proc) {
-				_ = in.ForceLogSwitch(sp)
-			})
+			helper = k.Go("switcher", switcher)
 			p.Sleep(jitter / 8)
 		case WindowArchive:
 			arch := in.Archiver()
 			base := arch.Archived()
-			helper = k.Go("switcher", func(sp *sim.Proc) {
-				_ = in.ForceLogSwitch(sp)
-			})
+			helper = k.Go("switcher", switcher)
 			for i := 0; i < 5000 && arch.QueueLen() == 0 && arch.Archived() == base; i++ {
 				p.Sleep(time.Millisecond)
 			}

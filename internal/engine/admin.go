@@ -354,10 +354,16 @@ func (in *Instance) OnlineTablespace(p *sim.Proc, name string) error {
 	return nil
 }
 
-// ForceLogSwitch performs ALTER SYSTEM SWITCH LOGFILE.
-func (in *Instance) ForceLogSwitch(p *sim.Proc) error {
+// SwitchLogfile performs ALTER SYSTEM SWITCH LOGFILE (see redo.ForceSwitch).
+func (in *Instance) SwitchLogfile(p *sim.Proc) (switched bool, err error) {
 	if in.state != StateOpen {
-		return ErrInstanceDown
+		return false, ErrInstanceDown
 	}
 	return in.log.ForceSwitch(p)
+}
+
+// ForceLogSwitch is SwitchLogfile for a caller that needs only its error.
+func (in *Instance) ForceLogSwitch(p *sim.Proc) error {
+	_, err := in.SwitchLogfile(p)
+	return err
 }

@@ -34,7 +34,7 @@ func (in *Instance) ReadForUpdate(p *sim.Proc, t *txn.Txn, table string, key int
 	return in.tm.ReadForUpdate(p, t, table, key)
 }
 
-// Insert adds a row.
+// Insert adds a row, taking value over: the caller must not change it.
 func (in *Instance) Insert(p *sim.Proc, t *txn.Txn, table string, key int64, value []byte) error {
 	if in.state != StateOpen {
 		return ErrInstanceDown
@@ -42,7 +42,7 @@ func (in *Instance) Insert(p *sim.Proc, t *txn.Txn, table string, key int64, val
 	return in.tm.Insert(p, t, table, key, value)
 }
 
-// Update replaces a row.
+// Update replaces a row, taking value over as Insert does.
 func (in *Instance) Update(p *sim.Proc, t *txn.Txn, table string, key int64, value []byte) error {
 	if in.state != StateOpen {
 		return ErrInstanceDown

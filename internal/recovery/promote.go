@@ -28,10 +28,8 @@ func ApplyToImage(rec *redo.Record, ref storage.BlockRef) bool {
 	if ref.File.PeekBlock(ref.No).SCN >= rec.SCN {
 		return false
 	}
-	r := *rec
-	r.After = append([]byte(nil), r.After...) // the image owns its rows
 	img := ref.File.EditBlock(ref.No)
-	img.Apply(&r)
+	img.Apply(rec) // the image and the record share rec.After
 	img.SCN = rec.SCN
 	return true
 }
@@ -40,12 +38,9 @@ func ApplyToImage(rec *redo.Record, ref storage.BlockRef) bool {
 // with the recovery end SCN.
 func undoToImage(rec *redo.Record, ref storage.BlockRef, stamp redo.SCN) {
 	inv := rec.Inverse()
-	inv.After = append([]byte(nil), inv.After...)
 	img := ref.File.EditBlock(ref.No)
 	img.Apply(&inv)
-	if img.SCN < stamp {
-		img.SCN = stamp
-	}
+	img.SCN = max(img.SCN, stamp)
 }
 
 // ReplayDDL re-executes a logged DDL statement against a dictionary and

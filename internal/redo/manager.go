@@ -770,15 +770,15 @@ func (m *Manager) waitReusable(p *sim.Proc, next *Group) {
 }
 
 // ForceSwitch performs an administrative log switch (ALTER SYSTEM SWITCH
-// LOGFILE), used at backup time so the archive captures all redo.
-func (m *Manager) ForceSwitch(p *sim.Proc) error {
+// LOGFILE). It reports false, and does nothing, on an empty current group.
+func (m *Manager) ForceSwitch(p *sim.Proc) (switched bool, err error) {
 	if !m.Running() {
-		return fmt.Errorf("redo: log writer down")
+		return false, fmt.Errorf("redo: log writer down")
 	}
 	if m.groups[m.cur].bytes == 0 {
-		return nil
+		return false, nil
 	}
-	return m.switchGroup(p, m.groups[m.cur])
+	return true, m.switchGroup(p, m.groups[m.cur])
 }
 
 // OnlineRecords returns, in SCN order, the flushed records with SCN >= from

@@ -356,15 +356,15 @@ func TestForceSwitch(t *testing.T) {
 			t.Error(err)
 		}
 		before := m.CurrentGroup().Seq
-		if err := m.ForceSwitch(p); err != nil {
-			t.Error(err)
+		if switched, err := m.ForceSwitch(p); err != nil || !switched {
+			t.Errorf("force switch: switched=%v, %v", switched, err)
 		}
 		if m.CurrentGroup().Seq != before+1 {
 			t.Errorf("seq %d after force switch, want %d", m.CurrentGroup().Seq, before+1)
 		}
-		// Empty current group: force switch is a no-op.
-		if err := m.ForceSwitch(p); err != nil {
-			t.Error(err)
+		// Empty current group: force switch is a no-op, and says so.
+		if switched, err := m.ForceSwitch(p); err != nil || switched {
+			t.Errorf("force switch of an empty group: switched=%v, %v", switched, err)
 		}
 		if m.CurrentGroup().Seq != before+1 {
 			t.Errorf("empty force switch advanced seq")
@@ -414,7 +414,7 @@ func TestForceSwitchDuringAFullGroupsFlushLeavesNoGroupBehind(t *testing.T) {
 	// followed by a switch; this one arrives while that write positions.
 	k.Go("switch", func(p *sim.Proc) {
 		p.Sleep(time.Millisecond)
-		if err := m.ForceSwitch(p); err != nil {
+		if _, err := m.ForceSwitch(p); err != nil {
 			t.Error(err)
 		}
 	})

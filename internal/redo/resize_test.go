@@ -70,7 +70,7 @@ func TestResizeLandsAtSwitchAndClears(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if err := m.ForceSwitch(p); err != nil {
+			if _, err := m.ForceSwitch(p); err != nil {
 				t.Error(err)
 				return
 			}

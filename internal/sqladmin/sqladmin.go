@@ -240,8 +240,12 @@ func (e *Executor) alter(p *sim.Proc, toks []string) (string, error) {
 			}
 			return "checkpoint completed", nil
 		case toks[2] == "SWITCH" && len(toks) >= 4 && toks[3] == "LOGFILE":
-			if err := e.in.ForceLogSwitch(p); err != nil {
+			switched, err := e.in.SwitchLogfile(p)
+			if err != nil {
 				return "", err
+			}
+			if !switched {
+				return "log not switched: the current group is empty", nil
 			}
 			return "log switched", nil
 		case toks[2] == "SET":

@@ -160,6 +160,44 @@ func TestCheckpointAndSwitchStatements(t *testing.T) {
 	})
 }
 
+// SWITCH LOGFILE answers what it did: on a fresh instance, whose current
+// group holds no redo, nothing switches and the answer says so; after a
+// commit the log switches; straight after that switch it does not again.
+func TestSwitchLogfileSaysWhetherItSwitched(t *testing.T) {
+	r := newRig(t)
+	r.run(t, func(p *sim.Proc) error {
+		if err := r.setup(p); err != nil {
+			return err
+		}
+		want := func(answer string, seq int) error {
+			out, err := r.ex.Execute(p, "ALTER SYSTEM SWITCH LOGFILE")
+			if err != nil {
+				return err
+			}
+			if got := r.in.Log().CurrentGroup().Seq; out != answer || got != seq {
+				return fmt.Errorf("SWITCH LOGFILE: %q at seq %d, want %q at seq %d", out, got, answer, seq)
+			}
+			return nil
+		}
+		const not = "log not switched: the current group is empty"
+		seq := r.in.Log().CurrentGroup().Seq
+		if err := want(not, seq); err != nil {
+			return err
+		}
+		tx, _ := r.in.Begin()
+		if err := r.in.Insert(p, tx, "t", 1, []byte("v")); err != nil {
+			return err
+		}
+		if err := r.in.Commit(p, tx); err != nil {
+			return err
+		}
+		if err := want("log switched", seq+1); err != nil {
+			return err
+		}
+		return want(not, seq+1)
+	})
+}
+
 func TestDatafileOfflineRecoverOnline(t *testing.T) {
 	r := newRig(t)
 	r.run(t, func(p *sim.Proc) error {

@@ -16,6 +16,7 @@ import (
 
 	"dbench/internal/redo"
 	"dbench/internal/sim"
+	"dbench/internal/storage"
 	"dbench/internal/txn"
 )
 
@@ -69,20 +70,16 @@ func (sn *Snapshot) valid() error {
 	return nil
 }
 
-// committedRow folds the overlay over a raw image row: a row a pending
-// transaction changed reads as the inverse of its first change there —
-// absent under an insert, the before-image under an update or delete.
-func (sn *Snapshot) committedRow(table string, key int64, raw []byte, rawOK bool) ([]byte, bool) {
-	if first, ok := sn.s.overlay[overlayKey{table: table, key: key}]; ok {
-		if inv := first.Inverse(); inv.Op != redo.OpDelete {
-			return append([]byte(nil), inv.After...), true
-		}
-		return nil, false
+// committedRow folds the overlay over an image's row, a capped view like
+// txn.Manager.Read's: a row a pending transaction changed reads as the inverse
+// of its first change there — absent under an insert, else its before-image.
+func (sn *Snapshot) committedRow(table string, key int64, img *storage.Block) ([]byte, bool) {
+	v, ok := img.Rows[key]
+	if first, pending := sn.s.overlay[overlayKey{table: table, key: key}]; pending {
+		inv := first.Inverse()
+		v, ok = inv.After, inv.Op != redo.OpDelete
 	}
-	if !rawOK {
-		return nil, false
-	}
-	return append([]byte(nil), raw...), true
+	return v[:len(v):len(v)], ok
 }
 
 // Read returns the committed value of table[key] at the snapshot SCN,
@@ -101,8 +98,7 @@ func (sn *Snapshot) Read(p *sim.Proc, table string, key int64) ([]byte, error) {
 		return nil, fmt.Errorf("standby: datafile %s lost", ref.File.Name)
 	}
 	sn.rows++
-	raw, rawOK := ref.File.PeekBlock(ref.No).Rows[key]
-	v, ok := sn.committedRow(table, key, raw, rawOK)
+	v, ok := sn.committedRow(table, key, ref.File.PeekBlock(ref.No))
 	if !ok {
 		return nil, fmt.Errorf("%w: %s[%d]", txn.ErrRowNotFound, table, key)
 	}
@@ -145,8 +141,7 @@ func (sn *Snapshot) Scan(p *sim.Proc, table string, fn func(key int64, value []b
 		}
 		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 		for _, k := range keys {
-			raw, rawOK := img.Rows[k]
-			v, ok := sn.committedRow(table, k, raw, rawOK)
+			v, ok := sn.committedRow(table, k, img)
 			if !ok {
 				continue
 			}

@@ -243,7 +243,9 @@ func TestSnapshotFailsClosedAcrossApply(t *testing.T) {
 // overlay: under a transaction the stream has not seen finish, a row it
 // inserted reads as absent, and a row it updated (twice) or deleted reads
 // as the before-image of its first change to that row. Once the commit
-// arrives, the snapshot reads the new state.
+// arrives, the snapshot reads the new state. Either way a read is a view, as
+// txn.Manager.Read's is: the very bytes the stream carried, capped at their
+// length, which the image shares with the applied record.
 func TestSnapshotReadsPendingRowsAsTheirBeforeImages(t *testing.T) {
 	k := sim.NewKernel(5)
 	in, err := engine.New(k, machineFS(), engine.DefaultConfig())
@@ -286,6 +288,22 @@ func TestSnapshotReadsPendingRowsAsTheirBeforeImages(t *testing.T) {
 		})
 		return got, scanned, err
 	}
+	isView := func(p *sim.Proc, key int64, carried []byte) error {
+		sn, err := sb.Snapshot()
+		if err != nil {
+			return err
+		}
+		defer sn.Done(p)
+		v, err := sn.Read(p, "acct", key)
+		if err != nil {
+			return err
+		}
+		if &v[0] != &carried[0] || cap(v) != len(v) {
+			return fmt.Errorf("row %d reads %q (cap %d), not a capped view of the %q the stream carried", key, v, cap(v), carried)
+		}
+		return nil
+	}
+	a0, a2, b0 := []byte("a0"), []byte("a2"), []byte("b0")
 	var runErr error
 	k.Go("overlay", func(p *sim.Proc) {
 		runErr = func() error {
@@ -302,9 +320,9 @@ func TestSnapshotReadsPendingRowsAsTheirBeforeImages(t *testing.T) {
 					redo.Record{Txn: 1, Op: redo.OpCommit}),
 				frame(2,
 					redo.Record{Txn: 2, Op: redo.OpInsert, Table: "acct", Key: 3, After: []byte("c1")},
-					redo.Record{Txn: 2, Op: redo.OpUpdate, Table: "acct", Key: 1, Before: []byte("a0"), After: []byte("a1")},
-					redo.Record{Txn: 2, Op: redo.OpUpdate, Table: "acct", Key: 1, Before: []byte("a1"), After: []byte("a2")},
-					redo.Record{Txn: 2, Op: redo.OpDelete, Table: "acct", Key: 2, Before: []byte("b0")}),
+					redo.Record{Txn: 2, Op: redo.OpUpdate, Table: "acct", Key: 1, Before: a0, After: []byte("a1")},
+					redo.Record{Txn: 2, Op: redo.OpUpdate, Table: "acct", Key: 1, Before: []byte("a1"), After: a2},
+					redo.Record{Txn: 2, Op: redo.OpDelete, Table: "acct", Key: 2, Before: b0}),
 			} {
 				sb.Receive(p, f, f.Encode())
 			}
@@ -317,6 +335,12 @@ func TestSnapshotReadsPendingRowsAsTheirBeforeImages(t *testing.T) {
 			if fmt.Sprint(got) != fmt.Sprint(want) || fmt.Sprint(scanned) != "[1 2]" {
 				return fmt.Errorf("under the pending transaction: read %v, scanned %v; want %v and [1 2]", got, scanned, want)
 			}
+			if err := isView(p, 1, a0); err != nil {
+				return err
+			}
+			if err := isView(p, 2, b0); err != nil {
+				return err
+			}
 			f := frame(3, redo.Record{Txn: 2, Op: redo.OpCommit})
 			sb.Receive(p, f, f.Encode())
 			p.Sleep(time.Second)
@@ -328,7 +352,7 @@ func TestSnapshotReadsPendingRowsAsTheirBeforeImages(t *testing.T) {
 			if fmt.Sprint(got) != fmt.Sprint(want) || fmt.Sprint(scanned) != "[1 3]" {
 				return fmt.Errorf("after the commit: read %v, scanned %v; want %v and [1 3]", got, scanned, want)
 			}
-			return nil
+			return isView(p, 1, a2)
 		}()
 	})
 	k.Run(sim.Time(time.Hour))

@@ -74,7 +74,7 @@ func (b *Block) Clone() *Block {
 	return c
 }
 
-// Put sets a row's image. v belongs to the block from here on.
+// Put sets a row's image to v itself, which nobody writes through again.
 func (b *Block) Put(key int64, v []byte) {
 	b.mustOwn()
 	b.Rows[key] = v
@@ -87,8 +87,8 @@ func (b *Block) Remove(key int64) {
 }
 
 // Apply makes data record rec's change to the block: it removes the row
-// for a delete and puts rec.After otherwise, which then belongs to the
-// block. Undoing a change is applying its rec.Inverse().
+// for a delete and puts rec.After otherwise, which the block and the record
+// then share. Undoing a change is applying its rec.Inverse().
 func (b *Block) Apply(rec *redo.Record) {
 	if rec.Op == redo.OpDelete {
 		b.Remove(rec.Key)

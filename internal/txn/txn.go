@@ -291,12 +291,12 @@ func (m *Manager) ReadForUpdate(p *sim.Proc, t *Txn, table string, key int64) ([
 	return m.Read(p, t, table, key)
 }
 
-// Insert adds a new row.
+// Insert adds a new row, taking value over (see write).
 func (m *Manager) Insert(p *sim.Proc, t *Txn, table string, key int64, value []byte) error {
 	return m.write(p, t, redo.OpInsert, table, key, value)
 }
 
-// Update replaces an existing row's value.
+// Update replaces an existing row's value, taking value over (see write).
 func (m *Manager) Update(p *sim.Proc, t *Txn, table string, key int64, value []byte) error {
 	return m.write(p, t, redo.OpUpdate, table, key, value)
 }
@@ -307,10 +307,10 @@ func (m *Manager) Delete(p *sim.Proc, t *Txn, table string, key int64) error {
 }
 
 // write is the single mutation path: lock, reserve redo space, log (WAL),
-// apply to the cached block, keep the record as undo. The caller keeps
-// value: the redo record and the block share one private copy of it, and
-// the before image is copied too — the stored one may sit in a loaded
-// block's one buffer, which a retained redo record must not pin.
+// apply to the cached block, keep the record as undo. It copies nothing:
+// value becomes the stored row and the record's After, the replaced row its
+// Before, each capped at its length. Row images are never written in place
+// (DESIGN.md §4b), so the caller must not change value afterwards.
 func (m *Manager) write(p *sim.Proc, t *Txn, op redo.Op, table string, key int64, value []byte) error {
 	if !t.usable() {
 		return ErrTxnDone
@@ -363,8 +363,8 @@ func (m *Manager) write(p *sim.Proc, t *Txn, op redo.Op, table string, key int64
 		Op:     op,
 		Table:  table,
 		Key:    key,
-		Before: append([]byte(nil), before...),
-		After:  append([]byte(nil), value...),
+		Before: before[:len(before):len(before)],
+		After:  value[:len(value):len(value)],
 	}
 	scn := m.change(ref, blk, rec)
 	if t.firstSCN == 0 {
@@ -499,7 +499,7 @@ func (m *Manager) compensate(p *sim.Proc, u redo.Record) error {
 	}
 	rec := u.Inverse()
 	if rec.Op != redo.OpInsert {
-		rec.Before = append([]byte(nil), blk.Rows[u.Key]...)
+		rec.Before = blk.Rows[u.Key]
 	}
 	m.change(ref, blk, rec)
 	return nil

@@ -2,6 +2,7 @@ package txn
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"dbench/internal/redo"
@@ -9,9 +10,9 @@ import (
 )
 
 // The tests below hold the invariant Read's views, shared block images
-// (Block.Clone copies the row index, not the rows) and write's shared
-// After/row copy stand on (DESIGN.md §4b): a row image is replaced, never
-// written in place.
+// (Block.Clone copies the row index, not the rows) and write's sharing of
+// the caller's value and the replaced row stand on (DESIGN.md §4b): a row
+// image is replaced, never written in place.
 
 // Keys 1 and 9 share a block of the fixture's 8-block table.
 const rowA, rowB int64 = 1, 9
@@ -163,34 +164,48 @@ func TestAppendToReadViewLeavesTheNeighbourAlone(t *testing.T) {
 	})
 }
 
-func TestUpdateLeavesTheCallerItsBuffer(t *testing.T) {
+// Update takes the caller's slice: the block stores it and the redo record
+// carries it as After, both capped at its length, and the record's Before —
+// the undo list's and the redo log's alike — is the row it replaced, the
+// very bytes the block held, even one cut from a reloaded block's buffer.
+// Nothing is copied; rollback puts those bytes back.
+func TestUpdateSharesTheCallersSliceAndTheReplacedRow(t *testing.T) {
 	f := newFixture(t)
 	defer f.shutdown()
 	f.run(func(p *sim.Proc) {
 		first, _ := seedRows(t, f, p)
 		reload(t, f, p)
 		stored := mustRead(t, f, p, rowA) // aliases the image in the reloaded block
+		same := func(a, b []byte) bool { return len(a) == len(b) && &a[0] == &b[0] }
 
-		buf := []byte("second image")
-		want := append([]byte(nil), buf...)
+		value := make([]byte, len("second image"), 64)
+		copy(value, "second image")
 		tx := f.m.Begin()
-		if err := f.m.Update(p, tx, "acct", rowA, buf); err != nil {
+		if err := f.m.Update(p, tx, "acct", rowA, value); err != nil {
 			t.Fatal(err)
 		}
-		// The caller reuses its buffer for the next row, as the benchmark's
-		// update probe does 2 000 times over.
-		copy(buf, "XXXXXXXXXXXX")
-		if err := f.m.Update(p, tx, "acct", rowB, buf); err != nil {
+		got, err := f.m.Read(p, tx, "acct", rowA)
+		if err != nil || !same(got, value) || cap(got) != len(value) {
+			t.Fatalf("row A reads %q (cap %d), %v: want the caller's slice, capped at %d", got, cap(got), err, len(value))
+		}
+		u := tx.undo[0]
+		if !same(u.After, value) || cap(u.After) != len(value) {
+			t.Fatalf("undo After %q (cap %d) is not the caller's slice capped", u.After, cap(u.After))
+		}
+		if !same(u.Before, stored) || cap(u.Before) != len(stored) || !bytes.Equal(u.Before, first) {
+			t.Fatalf("undo Before %q (cap %d) is not the replaced stored row %q", u.Before, cap(u.Before), first)
+		}
+		if err := f.m.Rollback(p, tx); err != nil {
 			t.Fatal(err)
 		}
-		if got, err := f.m.Read(p, tx, "acct", rowA); err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("row A = %q, %v after its caller's buffer was overwritten, want %q", got, err, want)
+		if got := mustRead(t, f, p, rowA); !same(got, stored) {
+			t.Fatalf("row A reads %q after rollback, not the row the update replaced", got)
 		}
-		if got := tx.undo[0].Before; !bytes.Equal(got, first) {
-			t.Fatalf("undo image = %q, want %q", got, first)
-		}
-		if &tx.undo[0].Before[0] == &stored[0] {
-			t.Fatal("undo image aliases the stored row: a retained record would pin the block's buffer")
+
+		// Committed, the same two slices are what the redo log holds.
+		tx = f.m.Begin()
+		if err := f.m.Update(p, tx, "acct", rowA, value); err != nil {
+			t.Fatal(err)
 		}
 		if err := f.m.Commit(p, tx); err != nil {
 			t.Fatal(err)
@@ -206,11 +221,42 @@ func TestUpdateLeavesTheCallerItsBuffer(t *testing.T) {
 		if rec == nil {
 			t.Fatal("no redo record for the update of row A")
 		}
-		if !bytes.Equal(rec.After, want) || !bytes.Equal(rec.Before, first) {
-			t.Fatalf("redo record carries %q -> %q, want %q -> %q", rec.Before, rec.After, first, want)
+		if !same(rec.Before, stored) || !same(rec.After, value) {
+			t.Fatalf("the redo record carries copies: %q -> %q", rec.Before, rec.After)
 		}
-		if &rec.Before[0] == &stored[0] {
-			t.Fatal("Record.Before aliases the stored row: a retained record would pin the block's buffer")
+	})
+}
+
+// An Update of an existing row allocates no row bytes: the value the caller
+// hands over is the stored row and the record's After, and the row it
+// replaces the record's Before. A copy of either, of a 16 KiB value, would
+// show as 16 KiB per update; what is left is the bookkeeping (the redo
+// buffer and the undo list growing), well under a quarter of that.
+func TestUpdateAllocatesNoRowBytes(t *testing.T) {
+	f := newFixture(t)
+	defer f.shutdown()
+	f.run(func(p *sim.Proc) {
+		seedRows(t, f, p)
+		value := bytes.Repeat([]byte("v"), 16<<10)
+		tx := f.m.Begin()
+		update := func() {
+			if err := f.m.Update(p, tx, "acct", rowA, value); err != nil {
+				t.Fatal(err)
+			}
+		}
+		update() // the lock, the cached block's private copy, the first undo slot
+		const n = 32
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			update()
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / n; per >= uint64(len(value))/4 {
+			t.Errorf("an update of a %d-byte row allocates %d bytes", len(value), per)
+		}
+		if err := f.m.Commit(p, tx); err != nil {
+			t.Fatal(err)
 		}
 	})
 }
