@@ -193,11 +193,13 @@ func (c *Cache) Len() int {
 func (c *Cache) DirtyCount() int { return c.nDirty }
 
 // setClean marks a resident buffer clean and removes it from its shard's
-// dirty list.
+// dirty list. Two writers of one dirty buffer can both clean it.
 func (c *Cache) setClean(s *shard, key bufKey, b *buffer) {
+	if b.dirty {
+		c.nDirty--
+	}
 	b.dirty = false
 	delete(s.dirty, key)
-	c.nDirty--
 }
 
 // Get returns the cached block for ref, reading it from disk on a miss

@@ -139,6 +139,36 @@ func TestCheckpointDrainsDirty(t *testing.T) {
 	}
 }
 
+// Two checkpoints that write the same dirty buffer at once both get past
+// the dirty check before either write lands, and both clean the buffer
+// after it: the second must not count it clean again.
+func TestConcurrentCheckpointsCleanABufferOnce(t *testing.T) {
+	f := newFixture(t, 8, 8)
+	f.run(func(p *sim.Proc) {
+		if _, err := f.c.Get(p, f.ref(0)); err != nil {
+			t.Fatal(err)
+		}
+		f.c.MarkDirty(f.ref(0), 1).Put(1, []byte("one"))
+		var wg sim.WaitGroup
+		for _, name := range []string{"ckpt-a", "ckpt-b"} {
+			wg.Add(1)
+			f.k.Go(name, func(cp *sim.Proc) {
+				defer wg.Done(cp.Kernel())
+				if _, err := f.c.Checkpoint(cp); err != nil {
+					t.Error(err)
+				}
+				if n := f.c.DirtyCount(); n < 0 {
+					t.Errorf("%s: dirty count %d after its checkpoint", name, n)
+				}
+			})
+		}
+		wg.Wait(p)
+	})
+	if n := f.c.DirtyCount(); n != 0 {
+		t.Fatalf("dirty count = %d after two checkpoints of one dirty buffer, want 0", n)
+	}
+}
+
 func TestMinDirtySCNTracksEarliest(t *testing.T) {
 	f := newFixture(t, 8, 8)
 	f.run(func(p *sim.Proc) {

@@ -1,21 +1,20 @@
 // The redo-apply pass. Every recovery that rolls redo forward — instance,
 // datafile and tablespace media, point-in-time, failover — runs the one
 // pass in this file (streamApply): the coordinator scans the stream in SCN
-// order, keeps bookkeeping, catalog lookups and DDL replay to itself, and
-// routes each data change to whoever applies it. The recovery fan-out
-// decides only that "who": at one worker the coordinator applies the
-// record itself, inline and in scan order, and no other process exists;
-// at N > 1 an apply crew of N simulation processes does, partitioned by
-// block — storage.BlockRef.Route, the same hash the buffer cache shards
-// with. One block maps to exactly one worker and each worker consumes its
-// queue in arrival order, so the per-block SCN apply order of the inline
-// pass is preserved; workers charge their apply CPU against the instance's
-// CPU slots, so the speedup is bounded by the configured CPU count. The
-// crew drains to a barrier before every DDL replay and phase transition,
-// which keeps the phase timeline contiguous-by-construction and nests
-// worker spans inside their phase's span. Recovered images and report
-// counts are identical at every worker count (differential_test.go); only
-// the virtual time differs (virtual_time_test.go pins it).
+// order, runs the per-record rule (losers.go) on each record and routes
+// each data change's image change to whoever makes it. The recovery
+// fan-out decides only that "who": at one worker the coordinator, inline
+// and in scan order, with no other process; at N > 1 an apply crew of N
+// simulation processes, partitioned by block — storage.BlockRef.Route, the
+// same hash the buffer cache shards with — each consuming its queue in
+// arrival order, so every block's SCN apply order is kept. Workers charge
+// their apply CPU against the instance's CPU slots, so the speedup is
+// bounded by the configured CPU count. The crew drains to a barrier before
+// every DDL replay and phase transition, which keeps the phase timeline
+// contiguous and nests worker spans inside their phase's span. Recovered
+// images and report counts are identical at every worker count
+// (differential_test.go); only the virtual time differs
+// (virtual_time_test.go pins it).
 package recovery
 
 import (
@@ -35,11 +34,6 @@ import (
 func workerFor(ref storage.BlockRef, n int) int {
 	return int(ref.Route() % uint32(n))
 }
-
-// applyChunk mirrors chunkedSleep's threshold: workers pay their accrued
-// apply CPU once it reaches this much, so huge redo streams do not flood
-// the event queue with per-record sleeps.
-const applyChunk = 50 * time.Millisecond
 
 // routed is one redo record queued for a worker, its block already
 // resolved by the coordinator (catalog lookups stay on the coordinator
@@ -130,11 +124,12 @@ func (c *applyCrew) runWorker(p *sim.Proc, w *applyWorker) {
 		batch := w.queue
 		w.queue = nil
 		for i := range batch {
-			if c.sa.applyOne(batch[i].rec, batch[i].ref) {
+			if ApplyToImage(batch[i].rec, batch[i].ref) {
+				c.sa.book(batch[i].rec, batch[i].ref)
 				owed += cost
 			}
 			done++
-			if owed >= applyChunk {
+			if owed >= ApplyChunk {
 				cpu.Use(p, owed)
 				owed = 0
 			}
@@ -192,58 +187,36 @@ func (c *applyCrew) shutdown(p *sim.Proc) {
 }
 
 // streamApply is the one forward/undo pass of recovery. Its coordinator
-// takes redo in SCN order — the whole stream at once, or batch by batch
-// when the scan is pipelined into a crew, archive by archive — keeps
-// bookkeeping and catalog work to itself, and hands each data change to
-// the crew or applies it on the spot. Loser candidacy is decided with the
-// catalog state at scan position and filtered against the full stream's
-// commit/abort set once the scan completes.
+// takes redo in SCN order — the whole stream at once, or archive by archive
+// when the scan is pipelined into a crew — into its loser table, whose
+// losers it undoes once the scan completes.
 type streamApply struct {
 	m   *Manager
 	rep *Report
 	tl  *timeline
 	// n is the recovery fan-out; crew is nil at n == 1, where the
 	// coordinator applies every routed record itself.
-	n    int
-	crew *applyCrew
-	cs   *chunkedSleep
-	// only restricts the pass to a set of datafiles (media recovery of
-	// one file or one tablespace); nil means a whole-database pass, which
-	// takes every participating file (includeOffline: also the offline
-	// ones, which point-in-time recovery and failover restored or own).
-	// Used for membership only, never iterated, so map order cannot
-	// perturb determinism.
-	only           map[*storage.Datafile]bool
-	includeOffline bool
+	n      int
+	crew   *applyCrew
+	cs     *chunkedSleep
+	losers *Losers
 	// until is the last SCN the pass rolls forward to; commits beyond it
 	// are counted as lost (point-in-time recovery's stop point).
-	until    redo.SCN
-	touched  map[storage.BlockRef]bool
-	finished map[redo.TxnID]bool
-	cands    []loserCand
+	until   redo.SCN
+	touched map[storage.BlockRef]bool
 }
 
-// loserCand is a routed data record that may need the undo pass:
-// whether it actually is a loser is only known once the whole stream has
-// been scanned (its transaction's commit may come later).
-type loserCand struct {
-	rec    *redo.Record
-	active bool
-}
-
-// newStreamApply opens the pass at the instance's current recovery
-// fan-out — read here, so an ALTER SYSTEM SET recovery_parallelism
-// applies to the next recovery — and starts the crew when that is > 1.
-func (m *Manager) newStreamApply(p *sim.Proc, rep *Report, tl *timeline, includeOffline bool, only map[*storage.Datafile]bool) *streamApply {
+// newStreamApply opens the pass into a loser table at the instance's
+// current recovery fan-out (read here, so an ALTER SYSTEM SET applies to
+// the next recovery) and starts the crew when that is > 1.
+func (m *Manager) newStreamApply(p *sim.Proc, rep *Report, tl *timeline, losers *Losers) *streamApply {
 	sa := &streamApply{
 		m: m, rep: rep, tl: tl,
-		n:              m.in.RecoveryParallelism(),
-		cs:             &chunkedSleep{p: p},
-		only:           only,
-		includeOffline: includeOffline,
-		until:          math.MaxInt64,
-		touched:        make(map[storage.BlockRef]bool),
-		finished:       make(map[redo.TxnID]bool),
+		n:       m.in.RecoveryParallelism(),
+		cs:      &chunkedSleep{p: p},
+		losers:  losers,
+		until:   math.MaxInt64,
+		touched: make(map[storage.BlockRef]bool),
 	}
 	if sa.n > 1 {
 		sa.crew = newApplyCrew(p, sa)
@@ -251,24 +224,11 @@ func (m *Manager) newStreamApply(p *sim.Proc, rep *Report, tl *timeline, include
 	return sa
 }
 
-// takes reports whether the pass rolls the given file.
-func (sa *streamApply) takes(f *storage.Datafile) bool {
-	if sa.only != nil {
-		return sa.only[f]
-	}
-	return participates(f, sa.includeOffline)
-}
-
-// applyOne applies one routed record to its image and books it. It
-// reports whether the image changed — whoever applied it pays the CPU.
-func (sa *streamApply) applyOne(rec *redo.Record, ref storage.BlockRef) bool {
-	if !ApplyToImage(rec, ref) {
-		return false
-	}
+// book counts an applied record; whoever applied it pays the CPU.
+func (sa *streamApply) book(rec *redo.Record, ref storage.BlockRef) {
 	sa.rep.RecordsApplied++
 	sa.rep.BytesApplied += rec.Size()
 	sa.touched[ref] = true
-	return true
 }
 
 // roll scans redo from SCN `from` through the pass and completes it.
@@ -298,12 +258,11 @@ func (sa *streamApply) roll(p *sim.Proc, from, stamp redo.SCN) error {
 }
 
 // feed scans one batch of redo records in SCN order. DDL is a barrier:
-// the crew drains before the dictionary changes, so refFor resolves
-// every record against the catalog state an in-order replay sees.
+// the crew drains before the dictionary changes, so every record resolves
+// against the catalog state an in-order replay sees.
 func (sa *streamApply) feed(p *sim.Proc, recs []redo.Record) {
 	sa.tl.setWorkers(sa.n)
-	in := sa.m.in
-	cost := in.Config().Cost.RedoApplyPerRecord
+	cost := sa.m.in.Config().Cost.RedoApplyPerRecord
 	for i := range recs {
 		rec := &recs[i]
 		if rec.SCN > sa.until {
@@ -313,11 +272,8 @@ func (sa *streamApply) feed(p *sim.Proc, recs []redo.Record) {
 			continue
 		}
 		sa.rep.RecordsScanned++
-		if rec.Op == redo.OpCommit || rec.Op == redo.OpAbort {
-			sa.finished[rec.Txn] = true
-		}
 		switch {
-		case sa.only != nil:
+		case sa.losers.only != nil:
 			// Media recovery: every scanned record costs a quarter
 			// charge, and the live dictionary replays no DDL.
 			sa.cs.add(cost / 4)
@@ -326,25 +282,17 @@ func (sa *streamApply) feed(p *sim.Proc, recs []redo.Record) {
 				sa.crew.drain(p)
 			}
 			sa.cs.add(cost)
-			ReplayDDL(in.Catalog(), in.DB(), rec.Meta)
 		case !rec.IsDataChange():
 			sa.cs.add(cost / 4)
 		}
-		if !rec.IsDataChange() {
-			continue
-		}
-		ref, ok := sa.m.refFor(rec)
-		if !ok || !sa.takes(ref.File) {
-			continue
-		}
 		if sa.crew != nil {
-			sa.crew.dispatch(p, rec, ref)
-		} else if sa.applyOne(rec, ref) {
+			if ref, ok := sa.losers.route(rec); ok {
+				sa.crew.dispatch(p, rec, ref)
+			}
+		} else if ref, ok := sa.losers.Apply(rec); ok {
+			sa.book(rec, ref)
 			sa.cs.add(cost)
 		}
-		// With the instance open (media recovery), a transaction still
-		// running will finish through the normal commit or rollback path.
-		sa.cands = append(sa.cands, loserCand{rec: rec, active: sa.only != nil && in.Txns().IsActive(rec.Txn)})
 	}
 }
 
@@ -362,22 +310,10 @@ func (sa *streamApply) finish(p *sim.Proc, stamp redo.SCN) error {
 	}
 	sa.tl.phase(p, PhaseUndoRollback)
 	cost := sa.m.in.Config().Cost.RedoApplyPerRecord
-	losers := make(map[redo.TxnID]bool)
-	for i := len(sa.cands) - 1; i >= 0; i-- {
-		c := sa.cands[i]
-		if sa.finished[c.rec.Txn] || c.active {
-			continue
-		}
-		losers[c.rec.Txn] = true
-		ref, ok := sa.m.refFor(c.rec)
-		if !ok || !sa.takes(ref.File) {
-			continue
-		}
-		undoToImage(c.rec, ref, stamp)
+	sa.rep.LosersRolledBack = sa.losers.undo(stamp, func(ref storage.BlockRef) {
 		sa.touched[ref] = true
 		sa.cs.add(cost)
-	}
-	sa.rep.LosersRolledBack = len(losers)
+	})
 	sa.cs.flush()
 	sa.tl.phase(p, PhaseBlockWrites)
 	sa.tl.setWorkers(sa.n)

@@ -1,12 +1,11 @@
-// Failover promotion: the standby's activation runs on the same recovery
-// machinery as every other path — the received-but-unapplied tail rolls
-// forward through the one redo-apply pass (parallel.go), transactions the
-// stream never finished are rolled back in reverse global SCN order, and
-// the database opens RESETLOGS as the new primary. The stand-by's managed
-// recovery applies records through ApplyToImage too, so promoted images stay
-// bit-identical to an in-order recovery of the same redo prefix (the failover
-// differential). A change is made by storage.Block.Apply and undone by
-// applying its redo.Record.Inverse, the record run-time rollback logs as a CLR.
+// Failover promotion and the image steps of the per-record rule. A
+// stand-by's managed recovery is a failover that has not finished: it
+// applies each record by the rule every recovery pass uses, into its own
+// loser table (losers.go), and promotion finishes it through the one
+// redo-apply pass (parallel.go), so promoted images stay bit-identical to
+// an in-order recovery of the same redo prefix (the failover differential).
+// A change is made by storage.Block.Apply and undone by applying its
+// redo.Record.Inverse, the record run-time rollback logs as a CLR.
 package recovery
 
 import (
@@ -65,28 +64,19 @@ func ReplayDDL(cat *catalog.Catalog, db *storage.DB, stmt string) {
 
 // Failover promotes a standby database to primary. The instance must be
 // mounted with a physical copy consistent through the standby's continuous
-// apply; tail is the received-but-not-yet-applied stream suffix (SCN
-// order), pending the data records of transactions the continuous apply
-// saw no commit or abort for (SCN order, all below the tail's), and scn
-// the standby's received watermark — the SCN the new incarnation starts
-// after.
-//
-// The tail rolls forward through the same pass as every other recovery —
-// on the apply crew when the stand-by's RecoveryParallelism > 1 — with the
-// pending records seeded as undo candidates: those whose transaction
-// commits inside the tail drop out like any finished transaction, the rest
-// are undone after the tail's own losers, which keeps the whole undo pass
-// in reverse global SCN order.
-func (m *Manager) Failover(p *sim.Proc, tail, pending []redo.Record, scn redo.SCN) (*Report, error) {
+// apply, which kept the loser table losers; tail is the received-but-not-
+// yet-applied stream suffix (SCN order) and scn the received watermark,
+// the SCN the new incarnation starts after. The tail rolls forward through
+// the same pass as every other recovery, into a copy of losers, and what
+// never finished is undone in reverse global SCN order. losers itself is
+// left as it was, so a failed failover is retried from the same table.
+func (m *Manager) Failover(p *sim.Proc, tail []redo.Record, losers *Losers, scn redo.SCN) (*Report, error) {
 	if m.in.State() == engine.StateOpen {
 		return nil, fmt.Errorf("recovery: failover target is already open")
 	}
 	return m.run(p, KindFailover, func(rep *Report, tl *timeline) error {
 		tl.phase(p, PhaseRedoReplay)
-		sa := m.newStreamApply(p, rep, tl, true, nil)
-		for i := range pending {
-			sa.cands = append(sa.cands, loserCand{rec: &pending[i]})
-		}
+		sa := m.newStreamApply(p, rep, tl, losers.clone())
 		sa.feed(p, tail)
 		if err := sa.finish(p, scn); err != nil {
 			return err

@@ -128,8 +128,7 @@ func (m *Manager) observeRedoReplay(rep *Report) {
 	}
 }
 
-// chunkedSleep accumulates per-record CPU charges and sleeps in chunks so
-// huge redo streams do not flood the event queue.
+// chunkedSleep accumulates per-record CPU charges and sleeps in ApplyChunks.
 type chunkedSleep struct {
 	p       *sim.Proc
 	pending time.Duration
@@ -137,7 +136,7 @@ type chunkedSleep struct {
 
 func (c *chunkedSleep) add(d time.Duration) {
 	c.pending += d
-	if c.pending >= 50*time.Millisecond {
+	if c.pending >= ApplyChunk {
 		c.p.Sleep(c.pending)
 		c.pending = 0
 	}
@@ -208,7 +207,7 @@ func (m *Manager) InstanceRecovery(p *sim.Proc) (*Report, error) {
 		if err != nil {
 			return err
 		}
-		sa := m.newStreamApply(p, rep, tl, false, nil)
+		sa := m.newStreamApply(p, rep, tl, newLosers(in, false, nil))
 		sa.feed(p, recs)
 		if err := sa.finish(p, log.FlushedSCN()); err != nil {
 			return err
@@ -262,7 +261,7 @@ func (m *Manager) recoverDatafile(p *sim.Proc, name string, f *storage.Datafile,
 // recovery. Returns the end SCN the files are now consistent at.
 func (m *Manager) rollForwardFiles(p *sim.Proc, files map[*storage.Datafile]bool, from redo.SCN, rep *Report, tl *timeline) (redo.SCN, error) {
 	end := m.in.Log().FlushedSCN()
-	return end, m.newStreamApply(p, rep, tl, false, files).roll(p, from, end)
+	return end, m.newStreamApply(p, rep, tl, newLosers(m.in, false, files)).roll(p, from, end)
 }
 
 // RestoreAndRecoverDatafile is the full "delete datafile" procedure: take
@@ -417,7 +416,7 @@ func (m *Manager) PointInTime(p *sim.Proc, untilSCN redo.SCN) (*Report, error) {
 		if err := b.RestoreAllWorkers(p, in.FS(), in.DB(), in.Catalog(), n); err != nil {
 			return err
 		}
-		sa := m.newStreamApply(p, rep, tl, true, nil)
+		sa := m.newStreamApply(p, rep, tl, newLosers(in, true, nil))
 		sa.until = untilSCN
 		if err := sa.roll(p, b.SCN+1, untilSCN); err != nil {
 			return err
@@ -526,16 +525,6 @@ func (m *Manager) chargeLogScan(p *sim.Proc, recs []redo.Record) {
 	disk.Use(p, bytes, false /* initial seek */, false)
 }
 
-// refFor maps a data record to its block, or ok=false when its table no
-// longer exists.
-func (m *Manager) refFor(rec *redo.Record) (storage.BlockRef, bool) {
-	tbl, err := m.in.Catalog().Table(rec.Table)
-	if err != nil {
-		return storage.BlockRef{}, false
-	}
-	return tbl.BlockFor(rec.Key), true
-}
-
 // participates decides whether a file takes part in a whole-database
 // recovery pass. Offline files are skipped during crash recovery (their
 // own media recovery picks them up later) but included in point-in-time
@@ -550,27 +539,20 @@ func participates(f *storage.Datafile, includeOffline bool) bool {
 	return f.Online()
 }
 
-// ReapplyDataRecords re-applies data-change records through the same
-// SCN-guarded path the redo pass uses and reports how many of them
-// actually changed a durable image. After a completed recovery every
-// record of the recovered range is already reflected in the images
-// (applied records stamped the blocks, undone losers were stamped with
-// the recovery end SCN), so a second replay must apply zero records —
-// the redo-idempotence invariant the chaos harness checks. Unlike the
-// recovery paths this charges no simulated I/O or CPU: it is harness
-// instrumentation, not a procedure the DBA runs.
+// ReapplyDataRecords re-applies data-change records through ApplyToImage
+// and reports how many of them changed a durable image. After a completed
+// recovery every record of its range is in the images (applied records and
+// undone losers stamped their blocks), so a second replay must apply none:
+// the redo-idempotence invariant the chaos harness checks. It charges no
+// simulated I/O or CPU and tracks no losers: it is harness instrumentation.
 func (m *Manager) ReapplyDataRecords(recs []redo.Record) int {
+	t := Losers{in: m.in, includeOffline: true}
 	n := 0
 	for i := range recs {
-		rec := &recs[i]
-		if !rec.IsDataChange() {
+		if !recs[i].IsDataChange() {
 			continue
 		}
-		ref, ok := m.refFor(rec)
-		if !ok || ref.File.Lost() {
-			continue
-		}
-		if ApplyToImage(rec, ref) {
+		if ref, ok := t.resolve(&recs[i]); ok && ApplyToImage(&recs[i], ref) {
 			n++
 		}
 	}

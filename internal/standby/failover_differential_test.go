@@ -237,7 +237,7 @@ func runFailoverDifferential(t *testing.T, seed int64, mode Mode, standbys, casc
 
 			// Serial reference: roll the same redo prefix forward on the
 			// scratch clone — Failover discovers the losers itself from
-			// the prefix, exactly as the promotion did from its pending
+			// the prefix, exactly as the promotion did from its loser
 			// table plus unapplied tail.
 			prefix := make([]redo.Record, 0, len(captured))
 			for _, rec := range captured {
@@ -248,7 +248,7 @@ func runFailoverDifferential(t *testing.T, seed int64, mode Mode, standbys, casc
 			if err := refIn.Mount(p); err != nil {
 				return err
 			}
-			if _, err := recovery.NewManager(refIn, nil).Failover(p, prefix, nil, out.promotedSCN); err != nil {
+			if _, err := recovery.NewManager(refIn, nil).Failover(p, prefix, recovery.NewLosers(refIn), out.promotedSCN); err != nil {
 				return err
 			}
 			out.imageDiff = diffImages(snapshotImages(refIn.DB()), promoted)

@@ -75,7 +75,7 @@ func (sn *Snapshot) valid() error {
 // of its first change there — absent under an insert, else its before-image.
 func (sn *Snapshot) committedRow(table string, key int64, img *storage.Block) ([]byte, bool) {
 	v, ok := img.Rows[key]
-	if first, pending := sn.s.overlay[overlayKey{table: table, key: key}]; pending {
+	if first := sn.s.losers.Pending(table, key); first != nil {
 		inv := first.Inverse()
 		v, ok = inv.After, inv.Op != redo.OpDelete
 	}
@@ -128,17 +128,11 @@ func (sn *Snapshot) Scan(p *sim.Proc, table string, fn func(key int64, value []b
 		}
 		// Rows a pending delete already removed from the image still
 		// exist in the committed view — pull them back via the overlay.
-		for ok := range sn.s.overlay {
-			if ok.table != table {
-				continue
+		sn.s.losers.PendingKeys(table, func(key int64) {
+			if _, inImg := img.Rows[key]; !inImg && tbl.BlockFor(key) == ref {
+				keys = append(keys, key)
 			}
-			if _, inImg := img.Rows[ok.key]; inImg {
-				continue
-			}
-			if r := tbl.BlockFor(ok.key); r == ref {
-				keys = append(keys, ok.key)
-			}
-		}
+		})
 		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 		for _, k := range keys {
 			v, ok := sn.committedRow(table, k, img)

@@ -242,10 +242,11 @@ func TestSnapshotFailsClosedAcrossApply(t *testing.T) {
 // TestSnapshotReadsPendingRowsAsTheirBeforeImages pins the committed-read
 // overlay: under a transaction the stream has not seen finish, a row it
 // inserted reads as absent, and a row it updated (twice) or deleted reads
-// as the before-image of its first change to that row. Once the commit
-// arrives, the snapshot reads the new state. Either way a read is a view, as
-// txn.Manager.Read's is: the very bytes the stream carried, capped at their
-// length, which the image shares with the applied record.
+// as the before-image of its first change to that row — also after enough
+// committed traffic has streamed past to compact the loser table. Once the
+// commit arrives, the snapshot reads the new state. Either way a read is a
+// view, as txn.Manager.Read's is: the very bytes the stream carried, capped
+// at their length, which the image shares with the applied record.
 func TestSnapshotReadsPendingRowsAsTheirBeforeImages(t *testing.T) {
 	k := sim.NewKernel(5)
 	in, err := engine.New(k, machineFS(), engine.DefaultConfig())
@@ -341,7 +342,37 @@ func TestSnapshotReadsPendingRowsAsTheirBeforeImages(t *testing.T) {
 			if err := isView(p, 2, b0); err != nil {
 				return err
 			}
-			f := frame(3, redo.Record{Txn: 2, Op: redo.OpCommit})
+			// 1200 committed transactions insert and delete row 9 in turn,
+			// five to a frame: more than a compaction's worth of records.
+			seq := uint64(3)
+			for i := 0; i < 1200; i += 5 {
+				var recs []redo.Record
+				for j := i; j < i+5; j++ {
+					id := redo.TxnID(100 + j)
+					rec := redo.Record{Txn: id, Op: redo.OpInsert, Table: "acct", Key: 9, After: []byte("f")}
+					if j%2 == 1 {
+						rec = redo.Record{Txn: id, Op: redo.OpDelete, Table: "acct", Key: 9, Before: []byte("f")}
+					}
+					recs = append(recs, rec, redo.Record{Txn: id, Op: redo.OpCommit})
+				}
+				f := frame(seq, recs...)
+				sb.Receive(p, f, f.Encode())
+				seq++
+			}
+			p.Sleep(time.Second)
+			if recs, _, _ := tableSize(sb.losers); recs >= 1200 {
+				return fmt.Errorf("the loser table holds %d records after 1200 committed changes: it never compacted", recs)
+			}
+			if got, scanned, err = read(p); err != nil {
+				return err
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) || fmt.Sprint(scanned) != "[1 2]" {
+				return fmt.Errorf("after a compaction, under the pending transaction: read %v, scanned %v; want %v and [1 2]", got, scanned, want)
+			}
+			if err := isView(p, 1, a0); err != nil {
+				return err
+			}
+			f := frame(seq, redo.Record{Txn: 2, Op: redo.OpCommit})
 			sb.Receive(p, f, f.Encode())
 			p.Sleep(time.Second)
 			got, scanned, err = read(p)

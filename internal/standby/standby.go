@@ -8,19 +8,22 @@
 // 6/7), or one frame of a continuous redo stream over a simulated network
 // link, acknowledged sync or async, with optional cascading.
 //
+// Managed recovery applies each record by recovery's per-record rule into
+// one loser table kept for the stand-by's whole life (recovery.Losers);
+// only its CPU and block-write charges are its own.
+//
 // On a primary failure the stand-by is promoted: the received-but-
 // unapplied redo tail is rolled forward by recovery's one redo-apply pass
-// (recovery.Manager.Failover), transactions the feed never finished
-// are rolled back, and the database opens as the new primary. Committed
-// transactions whose redo never reached the stand-by are lost — the
-// paper's Figure 7 measures that against the online log geometry for
-// archive shipping; the replica experiment measures it as RPO for
-// streaming.
+// (recovery.Manager.Failover) into a copy of that table, the transactions
+// the feed never finished are rolled back, and the database opens as the
+// new primary. Committed transactions whose redo never reached the
+// stand-by are lost — the paper's Figure 7 measures that against the
+// online log geometry for archive shipping; the replica experiment
+// measures it as RPO for streaming.
 package standby
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"dbench/internal/archivelog"
@@ -76,12 +79,6 @@ type Stats struct {
 	StreamBytes int64
 }
 
-// overlayKey identifies one row in the committed-read overlay.
-type overlayKey struct {
-	table string
-	key   int64
-}
-
 // Standby is one stand-by database server.
 type Standby struct {
 	k    *sim.Kernel
@@ -119,17 +116,12 @@ type Standby struct {
 
 	appliedSCN redo.SCN
 
-	// pending tracks data records of transactions not yet known to be
-	// finished — the rollback set at promotion — with the same
-	// unconditional-of-apply-guard candidacy the recovery paths use.
-	pending map[redo.TxnID][]redo.Record
-	// overlay holds, for each row a pending transaction changed, that
-	// transaction's first record for the row: its inverse is the row's
-	// committed view (reads.go).
-	overlay map[overlayKey]redo.Record
-	// snapReads accumulates snapshot read-row counts whose CPU cost is
-	// paid when the snapshot closes.
-	snapReads int64
+	// losers is managed recovery's loser table: the rollback set at
+	// promotion, and the committed-read overlay of reads.go. It points
+	// into recvQueue's arrays: a long-running transaction's record keeps
+	// the array it arrived in (in archive mode, a whole archived log's
+	// records) alive until a compaction drops it.
+	losers *recovery.Losers
 
 	// gapErr is set when a transport unit arrives beyond the expected
 	// sequence number — something is missing from the middle of the
@@ -168,8 +160,7 @@ func New(in *engine.Instance, cfg Config, startSCN redo.SCN) *Standby {
 		wantSeq:        1,
 		receivedSCN:    startSCN,
 		appliedSCN:     startSCN,
-		pending:        make(map[redo.TxnID][]redo.Record),
-		overlay:        make(map[overlayKey]redo.Record),
+		losers:         recovery.NewLosers(in),
 		streamHash:     fnvOffset,
 	}
 }
@@ -188,21 +179,11 @@ func (s *Standby) AppliedSCN() redo.SCN { return s.appliedSCN }
 // stand-by holds redo for.
 // Promotion recovers through it; in sync mode no commit is acknowledged
 // until the quorum's ReceivedSCN covers it.
-func (s *Standby) ReceivedSCN() redo.SCN {
-	if s.receivedSCN > s.appliedSCN {
-		return s.receivedSCN
-	}
-	return s.appliedSCN
-}
+func (s *Standby) ReceivedSCN() redo.SCN { return max(s.receivedSCN, s.appliedSCN) }
 
 // Lag returns the apply lag in records: how far the stand-by's applied
 // state trails the primary's flushed stream, as of the last frame heard.
-func (s *Standby) Lag() int64 {
-	if s.lastPrimary <= s.appliedSCN {
-		return 0
-	}
-	return int64(s.lastPrimary - s.appliedSCN)
-}
+func (s *Standby) Lag() int64 { return max(int64(s.lastPrimary-s.appliedSCN), 0) }
 
 // StreamHash is the FNV-64a chain over every received frame's checksum
 // word (the CRC-32C of its encoding) — the transport-level fingerprint the
@@ -256,15 +237,11 @@ func (s *Standby) accept(seq uint64, primarySCN redo.SCN, bytes int64, recs []re
 	s.wantSeq++
 	s.stats.Frames++
 	s.stats.StreamBytes += bytes
-	if primarySCN > s.lastPrimary {
-		s.lastPrimary = primarySCN
-	}
+	s.lastPrimary = max(s.lastPrimary, primarySCN)
 	if len(recs) == 0 {
 		return true
 	}
-	if last := recs[len(recs)-1].SCN; last > s.receivedSCN {
-		s.receivedSCN = last
-	}
+	s.receivedSCN = max(s.receivedSCN, recs[len(recs)-1].SCN)
 	s.recvQueue = append(s.recvQueue, recs...)
 	s.mrp.Wake()
 	for _, rel := range s.relays {
@@ -306,23 +283,24 @@ func (s *Standby) applyDue() bool {
 	return len(s.recvQueue) > 0 || s.owed > 0 || len(s.touched) > 0
 }
 
-// apply is managed recovery: it applies every record received so far.
-// Records are popped one at a time and applied instantly, with the CPU cost
-// paid in chunks — a kill mid-sleep leaves appliedSCN exactly at the last
-// applied record and the queue holding exactly the unapplied tail. With the
-// queue empty it pays the rest of the debt and then, unless more records
-// arrived meanwhile, writes the blocks it touched.
+// apply is managed recovery: it pops each received record and applies it
+// at once by recovery's per-record rule, paying the CPU cost in chunks — a
+// kill mid-sleep leaves appliedSCN at the last applied record and the queue
+// holding the unapplied tail. With the queue empty it pays the rest of the
+// debt and, unless more records arrived meanwhile, writes what it touched.
 func (s *Standby) apply(p *sim.Proc) bool {
 	for len(s.recvQueue) > 0 {
-		rec := s.recvQueue[0]
+		rec := &s.recvQueue[0]
 		s.recvQueue = s.recvQueue[1:]
 		if rec.SCN <= s.appliedSCN {
 			continue
 		}
-		s.applyRecord(rec)
+		if ref, ok := s.losers.Apply(rec); ok {
+			s.touched[ref] = true
+		}
 		s.appliedSCN = rec.SCN
 		s.stats.RecordsDone++
-		if s.owed += s.applyPerRecord; s.owed >= 50*time.Millisecond {
+		if s.owed += s.applyPerRecord; s.owed >= recovery.ApplyChunk {
 			d := s.owed
 			s.owed = 0
 			p.Sleep(d)
@@ -342,55 +320,6 @@ func (s *Standby) apply(p *sim.Proc) bool {
 	return true
 }
 
-// applyRecord applies one record to the stand-by images with exactly the
-// recovery paths' semantics — the shared exported helpers guarantee the
-// promoted images stay bit-identical to a serial recovery of the same
-// redo prefix — and maintains the pending-transaction table and the
-// committed-read overlay.
-func (s *Standby) applyRecord(rec redo.Record) {
-	switch rec.Op {
-	case redo.OpCommit, redo.OpAbort:
-		s.finishTxn(rec.Txn)
-		return
-	case redo.OpDDL:
-		recovery.ReplayDDL(s.in.Catalog(), s.in.DB(), rec.Meta)
-		return
-	}
-	if !rec.IsDataChange() {
-		return
-	}
-	tbl, err := s.in.Catalog().Table(rec.Table)
-	if err != nil {
-		return
-	}
-	ref := tbl.BlockFor(rec.Key)
-	if ref.File.Lost() {
-		return
-	}
-	if recovery.ApplyToImage(&rec, ref) {
-		s.touched[ref] = true
-	}
-	// Rollback candidacy is unconditional of the idempotence guard's
-	// outcome, mirroring the recovery loser tracking.
-	s.pending[rec.Txn] = append(s.pending[rec.Txn], rec)
-	ok := overlayKey{table: rec.Table, key: rec.Key}
-	if _, exists := s.overlay[ok]; !exists {
-		s.overlay[ok] = rec
-	}
-}
-
-// finishTxn retires a transaction the stream saw commit or abort: its
-// rows leave the committed-read overlay and the rollback set.
-func (s *Standby) finishTxn(id redo.TxnID) {
-	for _, rec := range s.pending[id] {
-		ok := overlayKey{table: rec.Table, key: rec.Key}
-		if first, exists := s.overlay[ok]; exists && first.Txn == id {
-			delete(s.overlay, ok)
-		}
-	}
-	delete(s.pending, id)
-}
-
 // chargeTouched charges standby block I/O for the applied changes.
 func (s *Standby) chargeTouched(p *sim.Proc) {
 	// Managed recovery writes blocks lazily and mostly sequentially;
@@ -404,25 +333,12 @@ func (s *Standby) chargeTouched(p *sim.Proc) {
 	}
 }
 
-// pendingRecords flattens the rollback set in ascending SCN order — the
-// promotion undo pass reverses it, restoring recovery's reverse global
-// SCN undo order.
-func (s *Standby) pendingRecords() []redo.Record {
-	var out []redo.Record
-	for _, recs := range s.pending {
-		out = append(out, recs...)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].SCN < out[j].SCN })
-	return out
-}
-
 // Promote fails the stand-by over: in-flight archive transfers are
-// drained (received bytes must not be lost), the received-but-unapplied
-// redo tail is rolled forward by recovery.Manager.Failover, transactions
-// with no commit record in the received feed are rolled back, and the
-// database opens RESETLOGS as the new primary. A failed promotion keeps
-// the tail and the rollback set, so it can be retried once the cause is
-// repaired.
+// drained (received bytes must not be lost), and recovery.Manager.Failover
+// rolls the received-but-unapplied tail forward, rolls back what the feed
+// never finished and opens RESETLOGS as the new primary. Failover works on
+// a copy of the loser table, so a failed promotion keeps the tail and the
+// table and can be retried once the cause is repaired.
 func (s *Standby) Promote(p *sim.Proc) (*recovery.Report, error) {
 	if s.activated {
 		return nil, fmt.Errorf("standby: already activated")
@@ -445,15 +361,14 @@ func (s *Standby) Promote(p *sim.Proc) (*recovery.Report, error) {
 		tail = tail[1:]
 	}
 	scn := s.ReceivedSCN()
-	rep, err := recovery.NewManager(s.in, nil).Failover(p, tail, s.pendingRecords(), scn)
+	rep, err := recovery.NewManager(s.in, nil).Failover(p, tail, s.losers, scn)
 	if err != nil {
 		return nil, err
 	}
 	s.recvQueue = nil
 	s.appliedSCN = scn
 	s.receivedSCN = scn
-	s.pending = make(map[redo.TxnID][]redo.Record)
-	s.overlay = make(map[overlayKey]redo.Record)
+	s.losers = recovery.NewLosers(s.in)
 	s.activated = true
 	return rep, nil
 }
@@ -462,9 +377,6 @@ func (s *Standby) Promote(p *sim.Proc) (*recovery.Report, error) {
 // an MMON gauge on the primary: the fixed activation overhead plus the
 // apply and rollback cost of everything received but not yet applied.
 func (s *Standby) EstimateRTO() time.Duration {
-	backlog := int64(len(s.recvQueue))
-	for _, recs := range s.pending {
-		backlog += int64(len(recs))
-	}
+	backlog := int64(len(s.recvQueue) + s.losers.Live())
 	return activationOverhead + time.Duration(backlog)*s.applyPerRecord
 }

@@ -1,18 +1,22 @@
 package standby
 
 import (
+	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"dbench/internal/archivelog"
 	"dbench/internal/engine"
+	"dbench/internal/recovery"
 	"dbench/internal/redo"
 	"dbench/internal/sim"
 	"dbench/internal/simdisk"
 	"dbench/internal/storage"
 	"dbench/internal/trace"
+	"dbench/internal/txn"
 )
 
 // pair is a primary + stand-by rig sharing one simulation kernel, with
@@ -326,22 +330,44 @@ func TestStandbyDetectsArchiveGap(t *testing.T) {
 
 // A promotion that fails — here on a deleted stand-by control file, after
 // the roll-forward and the rollback already ran — must keep the unapplied
-// tail and the rollback set: once the file is put back, a second Promote
-// rolls the same tail and undoes the same transactions, and opens with the
-// images of a promotion that never failed.
+// tail and the loser table as they were: once the file is put back, a
+// second Promote rolls the same tail and undoes the same transactions, and
+// opens with the images of a promotion that never failed.
 // The failed attempt closes every span, with the error on the root span.
+// Both promotions' reports are pinned: a failed attempt that left its
+// tail's records or finish marks in the stand-by's table would undo the
+// tail twice on the retry and charge it twice.
 func TestPromoteRetriesAfterFailure(t *testing.T) {
-	want, wantSCN := promoteWithBrokenControl(t, false)
-	got, gotSCN := promoteWithBrokenControl(t, true)
+	want, wantSCN, wantRep := promoteWithBrokenControl(t, false)
+	got, gotSCN, gotRep := promoteWithBrokenControl(t, true)
 	if gotSCN != wantSCN {
 		t.Errorf("retried promotion opened at SCN %d, the undisturbed one at %d", gotSCN, wantSCN)
 	}
 	if d := diffImages(want, got); d != "" {
 		t.Errorf("images after the retried promotion differ from the undisturbed promotion's: %s", d)
 	}
+	// The retry finds the tail already applied (the failed attempt stamped
+	// every block it touched), so it applies nothing and only rolls back:
+	// the open transaction and one whose commit record the tail lacks.
+	for _, c := range []struct {
+		name                     string
+		rep                      *recovery.Report
+		applied, scanned, losers int
+		dur                      time.Duration
+	}{
+		{"undisturbed", wantRep, 241, 481, 2, 109902500 * time.Nanosecond},
+		{"retried", gotRep, 0, 481, 2, 65436250 * time.Nanosecond},
+	} {
+		if c.rep.RecordsApplied != c.applied || c.rep.RecordsScanned != c.scanned ||
+			c.rep.LosersRolledBack != c.losers || c.rep.Duration() != c.dur {
+			t.Errorf("%s promotion: applied %d, scanned %d, rolled back %d in %v; want %d, %d, %d in %v",
+				c.name, c.rep.RecordsApplied, c.rep.RecordsScanned, c.rep.LosersRolledBack, c.rep.Duration(),
+				c.applied, c.scanned, c.losers, c.dur)
+		}
+	}
 }
 
-func promoteWithBrokenControl(t *testing.T, breakControl bool) (map[string][]*storage.Block, redo.SCN) {
+func promoteWithBrokenControl(t *testing.T, breakControl bool) (map[string][]*storage.Block, redo.SCN, *recovery.Report) {
 	ring := &trace.RingSink{}
 	tr := trace.New(ring)
 	// A shipping link slow enough (4 s per log) that the archives handed
@@ -353,6 +379,7 @@ func promoteWithBrokenControl(t *testing.T, breakControl bool) (map[string][]*st
 	pr := newPairWith(t, 128<<10, 8, scfg, tr)
 
 	var images map[string][]*storage.Block
+	var rep *recovery.Report
 	pr.run(t, func(p *sim.Proc) error {
 		if err := schema(p, pr.primary); err != nil {
 			return err
@@ -377,6 +404,14 @@ func promoteWithBrokenControl(t *testing.T, breakControl bool) (map[string][]*st
 			if i == 700 {
 				p.Sleep(6 * time.Second) // the first archive arrives and is applied
 			}
+			if i == 2000 {
+				// A second row late enough to reach the stand-by only in
+				// the promotion's tail: the loser straddles the table and
+				// the tail.
+				if err := pr.primary.Insert(p, open, "acct", 5001, []byte("uncommitted")); err != nil {
+					return err
+				}
+			}
 			if err := pr.put(p, pr.primary, i%200, fmt.Sprintf("v%d", i)); err != nil {
 				return err
 			}
@@ -384,7 +419,7 @@ func promoteWithBrokenControl(t *testing.T, breakControl bool) (map[string][]*st
 		if len(pr.sb.shipQueue) == 0 {
 			return fmt.Errorf("no archive in flight at the crash: the promotion would have no tail")
 		}
-		if len(pr.sb.pending[open.ID]) == 0 {
+		if first := pr.sb.losers.Pending("acct", 5000); first == nil || first.Txn != open.ID {
 			return fmt.Errorf("the open transaction was not applied before the crash: no rollback set to keep")
 		}
 		pr.primary.Crash()
@@ -422,8 +457,7 @@ func promoteWithBrokenControl(t *testing.T, breakControl bool) (map[string][]*st
 				return err
 			}
 		}
-		rep, err := pr.sb.Promote(p)
-		if err != nil {
+		if rep, err = pr.sb.Promote(p); err != nil {
 			return err
 		}
 		if rep.RecordsScanned == 0 || rep.LosersRolledBack == 0 {
@@ -436,5 +470,80 @@ func promoteWithBrokenControl(t *testing.T, breakControl bool) (map[string][]*st
 	if images == nil {
 		t.Fatal("scenario never reached the promotion (a simulated process is stuck)")
 	}
-	return images, pr.sb.AppliedSCN()
+	return images, pr.sb.AppliedSCN(), rep
+}
+
+// tableSize reads the size of a loser table: the records it holds,
+// finished or not, its first-record-per-row map and its finished set.
+func tableSize(l *recovery.Losers) (recs, rows, finished int) {
+	v := reflect.ValueOf(l).Elem()
+	return v.FieldByName("recs").Len(), v.FieldByName("first").Len(), v.FieldByName("finished").Len()
+}
+
+// Managed recovery keeps one loser table for the stand-by's whole life:
+// after 5000 committed transactions have streamed past one that stays in
+// flight, the table holds a bounded number of records, rows and finish
+// marks, and the promotion estimate counts only the in-flight record.
+func TestStandbyLoserTableStaysBounded(t *testing.T) {
+	k := sim.NewKernel(7)
+	in, err := engine.New(k, machineFS(), engine.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb := New(in, DefaultConfig(), 0)
+	var runErr error
+	k.Go("bounded", func(p *sim.Proc) {
+		runErr = func() error {
+			if err := schemaStandby(p, sb.Instance()); err != nil {
+				return err
+			}
+			if err := sb.Start(p); err != nil {
+				return err
+			}
+			const open = redo.TxnID(1)
+			recs := []redo.Record{{Txn: open, Op: redo.OpInsert, Table: "acct", Key: 1, After: []byte("open")}}
+			seq := uint64(1)
+			send := func() {
+				for i := range recs {
+					recs[i].SCN = redo.SCN(seq*10 + uint64(i))
+				}
+				f := &redo.StreamFrame{Seq: seq, PrimarySCN: recs[len(recs)-1].SCN, Records: recs}
+				sb.Receive(p, f, f.Encode())
+				seq, recs = seq+1, nil
+			}
+			for i := range 5000 {
+				id := open + 1 + redo.TxnID(i)
+				recs = append(recs,
+					redo.Record{Txn: id, Op: redo.OpInsert, Table: "acct", Key: 10 + int64(i), After: []byte("c")},
+					redo.Record{Txn: id, Op: redo.OpCommit})
+				if len(recs) >= 8 {
+					send()
+				}
+			}
+			if len(recs) > 0 {
+				send()
+			}
+			p.Sleep(5 * time.Second) // managed recovery drains the queue
+			if held, rows, finished := tableSize(sb.losers); held >= 1024 || rows >= 1024 || finished >= 1024 {
+				return fmt.Errorf("after 5000 commits the table holds %d records, %d rows and %d finish marks; want each under 1024",
+					held, rows, finished)
+			}
+			if got, want := sb.EstimateRTO(), activationOverhead+sb.applyPerRecord; got != want {
+				return fmt.Errorf("RTO estimate %v, want %v: the activation and the one in-flight record", got, want)
+			}
+			sn, err := sb.Snapshot()
+			if err != nil {
+				return err
+			}
+			defer sn.Done(p)
+			if _, err := sn.Read(p, "acct", 1); !errors.Is(err, txn.ErrRowNotFound) {
+				return fmt.Errorf("the in-flight insert reads %v, want not found", err)
+			}
+			return nil
+		}()
+	})
+	k.Run(sim.Time(time.Hour))
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
 }

@@ -450,13 +450,14 @@ func (m *Manager) rollback(p *sim.Proc, t *Txn) error {
 		return ErrTxnDone
 	}
 	for i := len(t.undo) - 1; i >= 0; i-- {
-		if i >= len(t.undo) {
+		err := m.compensate(p, t, t.undo[i])
+		if t.state != StateActive {
 			// PMON and the killed session both rolling it back: the
 			// other one finished, and retired the list, while this
 			// one was parked in a compensation.
 			return ErrTxnDone
 		}
-		if err := m.compensate(p, t.undo[i]); err != nil {
+		if err != nil {
 			// A failed compensation (e.g. datafile lost mid-abort)
 			// leaves the transaction to crash recovery.
 			return fmt.Errorf("txn: rollback: %w", err)
@@ -470,10 +471,11 @@ func (m *Manager) rollback(p *sim.Proc, t *Txn) error {
 	return nil
 }
 
-// compensate applies and logs the inverse of one change (a CLR). Its
+// compensate applies and logs the inverse of t's change u (a CLR). Its
 // before-image is read from the block it overwrites, not taken from u: they
 // differ when PMON and a killed session both compensate the same change.
-func (m *Manager) compensate(p *sim.Proc, u redo.Record) error {
+// Once t has finished it logs nothing: no record follows a txn's abort.
+func (m *Manager) compensate(p *sim.Proc, t *Txn, u redo.Record) error {
 	m.charge(p)
 	tbl, err := m.cat.Table(u.Table)
 	if err != nil {
@@ -496,6 +498,9 @@ func (m *Manager) compensate(p *sim.Proc, u redo.Record) error {
 	blk, err := m.cache.Get(p, ref)
 	if err != nil {
 		return err
+	}
+	if t.state != StateActive {
+		return ErrTxnDone // the other rollback's abort freed the row meanwhile
 	}
 	rec := u.Inverse()
 	if rec.Op != redo.OpInsert {
