@@ -198,7 +198,6 @@ func TestStandbysShareTheLoadedImagesAndNobodyWritesThrough(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		rig.ReleaseLoadSet()
 
 		rows := 0
 		for _, sb := range slices.Concat(cluster.Standbys(), []*standby.Standby{ref}) {
@@ -362,7 +361,6 @@ func TestRowImagesAreNeverWrittenInPlace(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		rig.ReleaseLoadSet()
 		records := 0
 		stream := in.Log().OnDurable
 		in.Log().OnDurable = func(dp *sim.Proc, recs []redo.Record) {

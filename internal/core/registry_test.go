@@ -39,7 +39,6 @@ func TestRegistryOrderPinned(t *testing.T) {
 			return err
 		}
 		cluster.RegisterProbes(rig.In.Monitor())
-		rig.ReleaseLoadSet()
 		ctl, err := control.New(rig.In, control.Config{Budget: 20 * time.Second})
 		if err != nil {
 			return err

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
 	"time"
 
 	"dbench/internal/backup"
@@ -22,7 +23,8 @@ import (
 // server and the TPC-C application with its terminal driver. It is the
 // single place a Spec becomes a platform that is built, loaded and wired to
 // stand-bys — Run, the chaos harness and RunCatalogScan all start here. A
-// Rig shares nothing with any other Rig, so many can run concurrently.
+// Rig shares nothing with any other Rig but a generated database, which
+// nobody changes, so many can run concurrently.
 type Rig struct {
 	K   *sim.Kernel
 	In  *engine.Instance
@@ -38,9 +40,8 @@ type Rig struct {
 	// backupSCN is the reference backup's SCN (set by Load): the content
 	// every stand-by is instantiated from and starts managed recovery at.
 	backupSCN redo.SCN
-	// set is the generated database: built by the first populate (the
-	// primary's), installed as it is into every stand-by, and given up by
-	// ReleaseLoadSet once set-up is over.
+	// set is the generated database: found or drawn by the first populate
+	// (the primary's) and installed as it is into every stand-by.
 	set       tpcc.LoadSet
 	dataDisks []string
 	// sbCfg configures every stand-by: the primary's configuration
@@ -115,30 +116,65 @@ func (r *Rig) machine(ecfg engine.Config) (*engine.Instance, error) {
 }
 
 // populate creates the schema in an instance and installs the rig's generated
-// database into it, generating it first if the rig has none: once, with the
-// primary's App, which also gets the driver-side indexes. The set is a pure
-// function of the seed and the layout, and an install hands over its images
-// themselves, so every instance populated here holds the same block images —
-// not equal ones — until it changes a block, in a copy of its own.
+// database into it, finding or drawing it first if the rig has none: once,
+// with the primary's App, which also gets the driver-side indexes. The set is
+// a pure function of the seed and the layout, and an install hands over its
+// images themselves, so every instance populated here holds the same block
+// images — not equal ones — until it changes a block, in a copy of its own.
 func (r *Rig) populate(p *sim.Proc, app *tpcc.App) error {
 	if err := app.CreateSchema(p, r.dataDisks); err != nil {
 		return err
 	}
 	if r.set == nil {
-		set, err := app.Generate(rand.New(rand.NewSource(r.spec.Seed)))
+		g, err := r.generated(app)
 		if err != nil {
 			return err
 		}
-		r.set = set
+		r.set = g.Set
 	}
 	return app.Install(p, r.set)
 }
 
-// ReleaseLoadSet gives up the generated database. Whoever drives the rig
-// calls it when the last stand-by has been instantiated, before the measured
-// run: the set keeps every loaded row reachable, long after the workload has
-// replaced it and the reference backup is gone.
-func (r *Rig) ReleaseLoadSet() { r.set = nil }
+// drawn is the database this process generated last, kept for the next rig
+// that would draw the same one: a campaign's runs, a benchmark repetition's
+// load-only and measured runs, and tests share a seed, a scale and a layout.
+// It holds one entry, so it keeps at most one set reachable.
+var drawn struct {
+	sync.Mutex
+	key drawKey
+	g   *tpcc.Generated
+}
+
+// drawKey is everything Generate reads: the seed, the TPC-C scale and the
+// number of data disks, which fixes the schema layout.
+type drawKey struct {
+	seed  int64
+	tpcc  tpcc.Config
+	disks int
+}
+
+// generated gives app the rig's generated database and its driver-side
+// indexes: the drawn one when it has the rig's key, else a fresh draw, which
+// becomes the drawn one. Two rigs that miss at once both draw; the later
+// publication wins, and both sets are the same database.
+func (r *Rig) generated(app *tpcc.App) (*tpcc.Generated, error) {
+	key := drawKey{seed: r.spec.Seed, tpcc: app.Cfg, disks: len(r.dataDisks)}
+	drawn.Lock()
+	g, hit := drawn.g, drawn.g != nil && drawn.key == key
+	drawn.Unlock()
+	if hit {
+		app.Adopt(g)
+		return g, nil
+	}
+	g, err := app.Generate(rand.New(rand.NewSource(r.spec.Seed)))
+	if err != nil {
+		return nil, err
+	}
+	drawn.Lock()
+	drawn.key, drawn.g = key, g
+	drawn.Unlock()
+	return g, nil
+}
 
 // Load is the set-up procedure: open, create and load the database, then
 // take the reference backup the way a DBA does, with BACKUP DATABASE.
@@ -162,9 +198,9 @@ func (r *Rig) Load(p *sim.Proc) error {
 
 // Setup is the set-up every run starts with: Load, then the spec's
 // replication cluster — Standbys first-tier stand-bys plus ReplCascade
-// cascaded ones, fed per ReplMode over ReplLink — and ReleaseLoadSet. It
-// returns the cluster (nil without stand-bys). The controller and the
-// terminals are the caller's to start.
+// cascaded ones, fed per ReplMode over ReplLink. It returns the cluster (nil
+// without stand-bys). The controller and the terminals are the caller's to
+// start.
 func (r *Rig) Setup(p *sim.Proc) (*standby.Cluster, error) {
 	if err := r.Load(p); err != nil {
 		return nil, err
@@ -180,7 +216,6 @@ func (r *Rig) Setup(p *sim.Proc) (*standby.Cluster, error) {
 			return nil, err
 		}
 	}
-	r.ReleaseLoadSet()
 	return r.cluster, nil
 }
 
@@ -212,8 +247,7 @@ func (r *Rig) Remedy(p *sim.Proc, o *faults.Outcome) (redo.SCN, error) {
 // primary's, minus the tracer and the sampler: the stand-by shares the
 // primary's kernel but is a second database, whose events would interleave
 // with the primary's on the same tracks, and whose repository — a promoted
-// stand-by starts MMON at Open — nobody reads. Call after Load and before
-// ReleaseLoadSet.
+// stand-by starts MMON at Open — nobody reads. Call after Load.
 func (r *Rig) Standby(p *sim.Proc, name string) (*standby.Standby, error) {
 	ecfg := r.sbCfg
 	ecfg.Name = name

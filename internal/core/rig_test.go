@@ -20,7 +20,7 @@ import (
 // redo streamed from the reference backup's SCN applies to the stand-by
 // exactly as it would to the backup. And it holds them because the rig
 // installed its one generated set into it, image by image: nothing was
-// generated a second time.
+// generated a second time. The process then holds at most that one set.
 // (chaos.TestStandbysShareTheLoadedImagesAndNobodyWritesThrough adds that the
 // state hashes agree and that nobody writes through.)
 func TestRigStandbyMatchesPrimaryAfterLoad(t *testing.T) {
@@ -90,15 +90,33 @@ func TestRigStandbyMatchesPrimaryAfterLoad(t *testing.T) {
 				return fmt.Errorf("the set holds no image")
 			}
 		}
-		rig.ReleaseLoadSet()
-		if rig.set != nil {
-			t.Error("the set is still reachable from the rig after ReleaseLoadSet")
-		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+
+	// The process keeps the set for the next rig that would draw it, and
+	// only the last set drawn: a rig of another seed replaces it.
+	if !sameSet(drawnSet(), rig.set) {
+		t.Error("the process does not keep the set the rig drew")
+	}
+	spec.Seed++
+	other, err := NewRig(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := other.Exec("rig-test", other.Load); err != nil {
+		t.Fatal(err)
+	}
+	if sameSet(drawnSet(), rig.set) || !sameSet(drawnSet(), other.set) {
+		t.Error("the process keeps a set other than the last one drawn")
+	}
+}
+
+// sameSet reports whether two sets are one map, not equal ones.
+func sameSet(a, b tpcc.LoadSet) bool {
+	return a != nil && reflect.ValueOf(a).UnsafePointer() == reflect.ValueOf(b).UnsafePointer()
 }
 
 // panicSink stands for any bug that panics inside a simulated process: it

@@ -270,9 +270,10 @@ func (s Spec) validate() error {
 // the configured duration with the optional fault, then collect measures.
 //
 // Run is safe for concurrent use: every call builds its own Rig (sim
-// kernel, RNG, disks and engine) and touches no package-level mutable
-// state, so campaign runners may execute many Runs in parallel (see
-// pool.go) with results identical to sequential execution.
+// kernel, RNG, disks and engine), and the one package-level state it
+// touches, the last generated database, is locked and never changed, so
+// campaign runners may execute many Runs in parallel (see pool.go) with
+// results identical to sequential execution.
 func Run(spec Spec) (*Result, error) {
 	rig, err := NewRig(spec)
 	if err != nil {

@@ -54,9 +54,13 @@ func NewBlock() *Block {
 }
 
 // Share marks b as having a second holder and returns it: from here on it
-// is read-only, and a holder that wants to change it works on a Clone.
+// is read-only, and a holder that wants to change it works on a Clone. It
+// writes the mark only once, so sharing an image that rigs on several
+// goroutines hold (a generated database) only reads it.
 func (b *Block) Share() *Block {
-	b.shared = true
+	if !b.shared {
+		b.shared = true
+	}
 	return b
 }
 

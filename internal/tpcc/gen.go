@@ -176,7 +176,8 @@ type App struct {
 
 	// byName maps (w, d, lastname) to the customer IDs sharing that
 	// name, sorted by ID: customerByName picks the middle one (the spec's
-	// midpoint rule, which orders by first name).
+	// midpoint rule, which orders by first name). Every app that adopted
+	// the same Generated reads the one index: nobody writes it after Generate.
 	byName map[nameKey][]int
 	// noQueue holds undelivered order IDs per district (driver-side
 	// view of the NEW_ORDER table, FIFO).
@@ -324,14 +325,45 @@ var loadOrder = []string{
 	TableOrder, TableNewOrder, TableOrderLine, TableStock,
 }
 
+// Generated is one drawn database: its block images and the driver-side
+// indexes drawn with it. It is a pure function of the seed and the schema
+// layout, and nobody changes it once drawn, so apps on other goroutines can
+// Adopt it and install its set at the same time.
+type Generated struct {
+	Set     LoadSet
+	byName  map[nameKey][]int
+	noQueue map[int64][]int
+	histSeq int64
+}
+
+// Adopt gives the app g's driver-side indexes, as Generate gives them to the
+// app that draws: the name index itself, which nobody changes, and a copy of
+// the new-order queues, which the transactions change.
+func (a *App) Adopt(g *Generated) {
+	a.byName, a.noQueue, a.histSeq = g.byName, cloneQueues(g.noQueue), g.histSeq
+}
+
+// cloneQueues copies the new-order queues, each with the capacity it had, not
+// just its length. Virtual results depend on that capacity: Delivery holds a
+// queue across blocking calls and may write that stale slice back, and
+// whether New-Order's append or Delivery's removal moved the array in the
+// meantime depends on the capacity left (ROADMAP item 5(d)).
+func cloneQueues(qs map[int64][]int) map[int64][]int {
+	out := make(map[int64][]int, len(qs))
+	for k, q := range qs {
+		out[k] = append(make([]int, 0, cap(q)), q...)
+	}
+	return out
+}
+
 // Load populates the database per TPC-C §4.3 (scaled) with a direct-path
 // load and builds the driver-side indexes. The schema must exist.
 func (a *App) Load(p *sim.Proc, r *rand.Rand) error {
-	set, err := a.Generate(r)
+	g, err := a.Generate(r)
 	if err != nil {
 		return err
 	}
-	return a.Install(p, set)
+	return a.Install(p, g.Set)
 }
 
 // Install writes a generated database into the app's instance: one block read
@@ -349,14 +381,16 @@ func (a *App) Install(p *sim.Proc, set LoadSet) error {
 
 // Generate draws the seeded rows and encodes each straight into its home
 // block's image, for the layout of the app's instance (the schema must
-// exist), and builds the driver-side indexes. It costs host time only. The
+// exist), and gives the app the driver-side indexes drawn with them. The
+// Generated it returns keeps a copy of the new-order queues, for other apps
+// to Adopt; its images are marked shared. It costs host time only. The
 // RNG call order is what makes a seed's database, so a row's drawn columns
 // are set by statements of their own, in draw order; only a row's first draw
 // sits in the literal that starts it. That is not always the order the row
 // struct lists them: a customer's last name and credit come before its first
 // name and its discount between phone and data, an order's line count before
 // its carrier, an order line's dist info before its amount.
-func (a *App) Generate(r *rand.Rand) (LoadSet, error) {
+func (a *App) Generate(r *rand.Rand) (*Generated, error) {
 	cfg := a.Cfg
 	stages := make(map[string]*engine.Stage, len(loadOrder))
 	for _, table := range loadOrder {
@@ -373,6 +407,7 @@ func (a *App) Generate(r *rand.Rand) (LoadSet, error) {
 		txt  rowText
 		rows chunk // every row image of the set is cut from here
 	)
+	a.byName, a.noQueue = make(map[nameKey][]int), make(map[int64][]int)
 
 	for i := 1; i <= cfg.Items; i++ {
 		it := Item{ID: i, ImID: 1 + r.Intn(10000)}
@@ -476,6 +511,11 @@ func (a *App) Generate(r *rand.Rand) (LoadSet, error) {
 	set := make(LoadSet, len(stages))
 	for table, st := range stages {
 		set[table] = st.Images()
+		for _, img := range set[table] {
+			if img != nil {
+				img.Share()
+			}
+		}
 	}
-	return set, nil
+	return &Generated{Set: set, byName: a.byName, noQueue: cloneQueues(a.noQueue), histSeq: a.histSeq}, nil
 }
