@@ -215,42 +215,26 @@ func (b *Backup) RestoreAllWorkers(p *sim.Proc, fs *simdisk.FS, db *storage.DB, 
 			names = append(names, f.Name)
 		}
 	}
-	if workers <= 1 {
-		for _, name := range names {
-			if err := b.RestoreDatafile(p, fs, name); err != nil {
+	restore := func(wp *sim.Proc, _ int, part []string) error {
+		for _, name := range part {
+			if err := b.RestoreDatafile(wp, fs, name); err != nil {
 				return err
 			}
 		}
+		return nil
+	}
+	var err error
+	if workers <= 1 {
+		err = restore(p, 0, names)
 	} else {
 		parts := make([][]string, workers)
 		for i, name := range names {
 			parts[i%workers] = append(parts[i%workers], name)
 		}
-		k := p.Kernel()
-		var wg sim.WaitGroup
-		var firstErr error
-		for i, part := range parts {
-			if len(part) == 0 {
-				continue
-			}
-			part := part
-			wg.Add(1)
-			k.Go(fmt.Sprintf("restore-%d", i), func(wp *sim.Proc) {
-				defer wg.Done(wp.Kernel())
-				for _, name := range part {
-					if err := b.RestoreDatafile(wp, fs, name); err != nil {
-						if firstErr == nil {
-							firstErr = err
-						}
-						return
-					}
-				}
-			})
-		}
-		wg.Wait(p)
-		if firstErr != nil {
-			return firstErr
-		}
+		err = sim.FanOut(p.Kernel(), "restore", parts, restore).Join(p)
+	}
+	if err != nil {
+		return err
 	}
 	dict.Restore(b.dict)
 	return nil

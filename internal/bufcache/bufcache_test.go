@@ -2,6 +2,7 @@ package bufcache
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
@@ -149,20 +150,18 @@ func TestConcurrentCheckpointsCleanABufferOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 		f.c.MarkDirty(f.ref(0), 1).Put(1, []byte("one"))
-		var wg sim.WaitGroup
-		for _, name := range []string{"ckpt-a", "ckpt-b"} {
-			wg.Add(1)
-			f.k.Go(name, func(cp *sim.Proc) {
-				defer wg.Done(cp.Kernel())
-				if _, err := f.c.Checkpoint(cp); err != nil {
-					t.Error(err)
-				}
-				if n := f.c.DirtyCount(); n < 0 {
-					t.Errorf("%s: dirty count %d after its checkpoint", name, n)
-				}
-			})
+		err := sim.FanOut(f.k, "ckpt", [][]int{{0}, {1}}, func(cp *sim.Proc, _ int, _ []int) error {
+			if _, err := f.c.Checkpoint(cp); err != nil {
+				return err
+			}
+			if n := f.c.DirtyCount(); n < 0 {
+				return fmt.Errorf("%s: dirty count %d after its checkpoint", cp.Name(), n)
+			}
+			return nil
+		}).Join(p)
+		if err != nil {
+			t.Error(err)
 		}
-		wg.Wait(p)
 	})
 	if n := f.c.DirtyCount(); n != 0 {
 		t.Fatalf("dirty count = %d after two checkpoints of one dirty buffer, want 0", n)

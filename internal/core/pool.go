@@ -11,8 +11,8 @@ import (
 // completion order or worker count, so campaign tables are bit-identical
 // whether they ran on one core or sixteen. Each Run owns
 // its entire simulated platform (kernel, RNG, disks, engine), so runs
-// share no mutable state and the pool needs no coordination beyond the
-// job queue itself.
+// share no mutable state and the pool needs no coordination beyond one
+// lock over the next job's index and the results.
 
 // Progress receives one line per completed run; may be nil. The pool
 // serializes calls and prefixes each line with a completed/total counter,
@@ -61,54 +61,40 @@ func RunIndexed[T any](n, parallel int, run func(i int) (T, error), progress Pro
 	workers := Workers(parallel, n)
 
 	results := make([]T, n)
-	jobs := make(chan int)
-	done := make(chan struct{})
 	var (
 		mu        sync.Mutex
+		next      int // the next job to hand out
 		firstErr  error
 		completed int
-		once      sync.Once
+		wg        sync.WaitGroup
 	)
-	cancel := func() { once.Do(func() { close(done) }) }
-
-	// The feeder stops handing out queued jobs as soon as any worker
-	// fails; workers drain the (then closed) queue and exit.
-	go func() {
-		defer close(jobs)
-		for i := 0; i < n; i++ {
-			select {
-			case jobs <- i:
-			case <-done:
-				return
-			}
-		}
-	}()
-
-	var wg sync.WaitGroup
+	// Each worker takes the next index under the lock that guards the
+	// results, and none takes one once a job has failed.
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range jobs {
-				select {
-				case <-done:
+			for {
+				mu.Lock()
+				if next == n || firstErr != nil {
+					mu.Unlock()
 					return
-				default:
 				}
+				i := next
+				next++
+				mu.Unlock()
 				res, err := run(i)
 				mu.Lock()
 				if err != nil {
 					if firstErr == nil {
 						firstErr = err
 					}
-					mu.Unlock()
-					cancel()
-					return
-				}
-				results[i] = res
-				completed++
-				if progress != nil && line != nil {
-					progress(fmt.Sprintf("[%d/%d] %s", completed, n, line(i, res)))
+				} else {
+					results[i] = res
+					completed++
+					if progress != nil && line != nil {
+						progress(fmt.Sprintf("[%d/%d] %s", completed, n, line(i, res)))
+					}
 				}
 				mu.Unlock()
 			}

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -107,6 +109,37 @@ func TestRunSpecsFailFast(t *testing.T) {
 	}
 	if results != nil {
 		t.Errorf("results should be nil on error, got %v", results)
+	}
+}
+
+// TestRunIndexedStartsNoJobAfterAFailure: once a job's error is recorded no
+// worker takes another index. At two workers the job beside the failing one
+// may already run; it finishes well after the failure is recorded.
+func TestRunIndexedStartsNoJobAfterAFailure(t *testing.T) {
+	for _, parallel := range []int{1, 2} {
+		var (
+			mu       sync.Mutex
+			started  []int
+			returned = make(chan struct{})
+		)
+		_, err := RunIndexed(8, parallel, func(i int) (int, error) {
+			mu.Lock()
+			started = append(started, i)
+			mu.Unlock()
+			if i == 0 {
+				close(returned)
+				return 0, errors.New("job 0 failed")
+			}
+			<-returned
+			time.Sleep(20 * time.Millisecond)
+			return i, nil
+		}, nil, nil)
+		if err == nil || err.Error() != "job 0 failed" {
+			t.Fatalf("parallel %d: err = %v, want job 0's", parallel, err)
+		}
+		if len(started) > parallel {
+			t.Errorf("parallel %d: jobs %v started, want at most the first %d", parallel, started, parallel)
+		}
 	}
 }
 

@@ -120,7 +120,7 @@ func (m *Manager) flashbackTable(p *sim.Proc, table string, toSCN redo.SCN, rep 
 
 	stamp := in.Log().FlushedSCN()
 	tl.phase(p, PhaseUndoRollback)
-	cs := &chunkedSleep{p: p}
+	cs := applyMeter{pay: p.Sleep}
 	cost := in.Config().Cost
 	touched := make(map[storage.BlockRef]bool)
 	lostTxns := make(map[redo.TxnID]bool)

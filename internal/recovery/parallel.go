@@ -9,16 +9,18 @@
 // same hash the buffer cache shards with — each consuming its queue in
 // arrival order, so every block's SCN apply order is kept. Workers charge
 // their apply CPU against the instance's CPU slots, so the speedup is
-// bounded by the configured CPU count. The crew drains to a barrier before
-// every DDL replay and phase transition, which keeps the phase timeline
-// contiguous and nests worker spans inside their phase's span. Recovered
+// bounded by the configured CPU count. The crew is started when the pass
+// opens and joined at its shutdown, and the block-write pass at N > 1
+// starts and joins its I/O workers, through the one sim.FanOut. The crew
+// drains to a barrier before every DDL replay and phase transition, which
+// keeps the phase timeline contiguous and nests worker spans inside their
+// phase's span. Recovered
 // images and report counts are identical at every worker count
 // (differential_test.go); only the virtual time differs
 // (virtual_time_test.go pins it).
 package recovery
 
 import (
-	"fmt"
 	"math"
 	"time"
 
@@ -53,11 +55,11 @@ type routed struct {
 type applyCrew struct {
 	sa *streamApply
 
-	workers []*applyWorker
+	workers []applyWorker
 	pending int
 	idle    sim.Cond
 	closed  bool
-	wg      sim.WaitGroup
+	fan     *sim.Fan
 }
 
 type applyWorker struct {
@@ -67,19 +69,19 @@ type applyWorker struct {
 	span  trace.SpanID
 }
 
-// newApplyCrew starts sa.n apply workers on the instance's kernel.
+// newApplyCrew starts sa.n apply workers on the instance's kernel, each
+// its own one-worker part of the fan-out that shutdown joins.
 func newApplyCrew(p *sim.Proc, sa *streamApply) *applyCrew {
-	c := &applyCrew{sa: sa}
-	k := p.Kernel()
-	for i := 0; i < sa.n; i++ {
-		w := &applyWorker{id: i}
-		c.workers = append(c.workers, w)
-		c.wg.Add(1)
-		k.Go(fmt.Sprintf("recovery-apply-%d", i), func(wp *sim.Proc) {
-			defer c.wg.Done(wp.Kernel())
-			c.runWorker(wp, w)
-		})
+	c := &applyCrew{sa: sa, workers: make([]applyWorker, sa.n)}
+	parts := make([][]applyWorker, sa.n)
+	for i := range c.workers {
+		c.workers[i].id = i
+		parts[i] = c.workers[i : i+1]
 	}
+	c.fan = sim.FanOut(p.Kernel(), "recovery-apply", parts, func(wp *sim.Proc, _ int, w []applyWorker) error {
+		c.runWorker(wp, &w[0])
+		return nil
+	})
 	return c
 }
 
@@ -88,16 +90,13 @@ func (c *applyCrew) runWorker(p *sim.Proc, w *applyWorker) {
 	in := c.sa.m.in
 	cost := in.Config().Cost.RedoApplyPerRecord
 	cpu := in.CPU()
-	var owed time.Duration
+	owed := applyMeter{pay: func(d time.Duration) { cpu.Use(p, d) }}
 	done := 0
 	// settle pays the accrued CPU and only then publishes the consumed
 	// records, so drain returns strictly after every routed record has
 	// been applied and its cost charged.
 	settle := func() {
-		if owed > 0 {
-			cpu.Use(p, owed)
-			owed = 0
-		}
+		owed.flush()
 		if done > 0 {
 			c.pending -= done
 			done = 0
@@ -126,13 +125,9 @@ func (c *applyCrew) runWorker(p *sim.Proc, w *applyWorker) {
 		for i := range batch {
 			if ApplyToImage(batch[i].rec, batch[i].ref) {
 				c.sa.book(batch[i].rec, batch[i].ref)
-				owed += cost
+				owed.add(cost)
 			}
 			done++
-			if owed >= ApplyChunk {
-				cpu.Use(p, owed)
-				owed = 0
-			}
 		}
 	}
 }
@@ -160,7 +155,7 @@ func (c *applyCrew) endWorkerSpan(p *sim.Proc, w *applyWorker) {
 
 // dispatch routes one record to its block's worker.
 func (c *applyCrew) dispatch(p *sim.Proc, rec *redo.Record, ref storage.BlockRef) {
-	w := c.workers[workerFor(ref, len(c.workers))]
+	w := &c.workers[workerFor(ref, len(c.workers))]
 	w.queue = append(w.queue, routed{rec: rec, ref: ref})
 	c.pending++
 	w.work.Signal(p.Kernel())
@@ -180,10 +175,10 @@ func (c *applyCrew) drain(p *sim.Proc) {
 func (c *applyCrew) shutdown(p *sim.Proc) {
 	c.closed = true
 	k := p.Kernel()
-	for _, w := range c.workers {
-		w.work.Broadcast(k)
+	for i := range c.workers {
+		c.workers[i].work.Broadcast(k)
 	}
-	c.wg.Wait(p)
+	c.fan.Join(p)
 }
 
 // streamApply is the one forward/undo pass of recovery. Its coordinator
@@ -198,7 +193,7 @@ type streamApply struct {
 	// coordinator applies every routed record itself.
 	n      int
 	crew   *applyCrew
-	cs     *chunkedSleep
+	cs     applyMeter
 	losers *Losers
 	// until is the last SCN the pass rolls forward to; commits beyond it
 	// are counted as lost (point-in-time recovery's stop point).
@@ -213,7 +208,7 @@ func (m *Manager) newStreamApply(p *sim.Proc, rep *Report, tl *timeline, losers 
 	sa := &streamApply{
 		m: m, rep: rep, tl: tl,
 		n:       m.in.RecoveryParallelism(),
-		cs:      &chunkedSleep{p: p},
+		cs:      applyMeter{pay: p.Sleep},
 		losers:  losers,
 		until:   math.MaxInt64,
 		touched: make(map[storage.BlockRef]bool),
@@ -337,26 +332,11 @@ func (m *Manager) chargeBlockPasses(p *sim.Proc, touched map[storage.BlockRef]bo
 		i := int(ref.File.ShardHint() % uint32(n))
 		parts[i] = append(parts[i], ref)
 	}
-	k := p.Kernel()
-	var wg sim.WaitGroup
-	var firstErr error
-	for i, part := range parts {
-		if len(part) == 0 {
-			continue
-		}
-		i, part := i, part
-		wg.Add(1)
-		k.Go(fmt.Sprintf("recovery-io-%d", i), func(wp *sim.Proc) {
-			defer wg.Done(wp.Kernel())
-			span := tl.tr.BeginChild(wp.Now(), trace.CatRecovery, "recovery",
-				"io worker", tl.currentSpan(), trace.I("worker", int64(i)))
-			err := blockPass(wp, part)
-			tl.tr.End(wp.Now(), span, trace.I("blocks", int64(len(part))))
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-		})
-	}
-	wg.Wait(p)
-	return firstErr
+	return sim.FanOut(p.Kernel(), "recovery-io", parts, func(wp *sim.Proc, i int, part []storage.BlockRef) error {
+		span := tl.tr.BeginChild(wp.Now(), trace.CatRecovery, "recovery",
+			"io worker", tl.currentSpan(), trace.I("worker", int64(i)))
+		err := blockPass(wp, part)
+		tl.tr.End(wp.Now(), span, trace.I("blocks", int64(len(part))))
+		return err
+	}).Join(p)
 }

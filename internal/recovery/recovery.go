@@ -128,24 +128,26 @@ func (m *Manager) observeRedoReplay(rep *Report) {
 	}
 }
 
-// chunkedSleep accumulates per-record CPU charges and sleeps in ApplyChunks.
-type chunkedSleep struct {
-	p       *sim.Proc
+// applyMeter adds up per-record apply CPU and pays it through pay: at
+// every ApplyChunk it accrues, and what is left at flush. The coordinator
+// pays by sleeping, a crew worker in the instance's CPU slots.
+type applyMeter struct {
+	pay     func(time.Duration)
 	pending time.Duration
 }
 
-func (c *chunkedSleep) add(d time.Duration) {
-	c.pending += d
-	if c.pending >= ApplyChunk {
-		c.p.Sleep(c.pending)
-		c.pending = 0
+func (m *applyMeter) add(d time.Duration) {
+	m.pending += d
+	if m.pending >= ApplyChunk {
+		m.pay(m.pending)
+		m.pending = 0
 	}
 }
 
-func (c *chunkedSleep) flush() {
-	if c.pending > 0 {
-		c.p.Sleep(c.pending)
-		c.pending = 0
+func (m *applyMeter) flush() {
+	if m.pending > 0 {
+		m.pay(m.pending)
+		m.pending = 0
 	}
 }
 

@@ -39,7 +39,6 @@ import (
 	"strings"
 
 	"dbench/internal/backup"
-	"dbench/internal/catalog"
 	"dbench/internal/engine"
 	"dbench/internal/monitor"
 	"dbench/internal/recovery"
@@ -310,17 +309,7 @@ func (e *Executor) drop(p *sim.Proc, toks []string) (string, error) {
 	}
 	switch toks[1] {
 	case "TABLE":
-		// Table names are stored lower-case by the TPC-C schema; admin
-		// SQL is case-insensitive, so try as-given then lower. Only an
-		// unknown-table miss falls through to the other casing — any
-		// other failure (e.g. the writer drain timing out) must surface
-		// as-is, not be masked by a second lookup failure.
-		name := toks[2]
-		err := e.in.DropTable(p, strings.ToLower(name))
-		if errors.Is(err, catalog.ErrUnknownTable) {
-			err = e.in.DropTable(p, name)
-		}
-		if err != nil {
+		if err := e.in.DropTable(p, e.tableName(toks[2])); err != nil {
 			return "", err
 		}
 		return "table dropped", nil
@@ -339,9 +328,10 @@ func (e *Executor) drop(p *sim.Proc, toks []string) (string, error) {
 	}
 }
 
-// tableName resolves an admin-SQL table token: names are stored
-// lower-case by the TPC-C schema, and admin SQL is case-insensitive, so
-// prefer the lower-cased form when it resolves.
+// tableName resolves the table token of DROP, TRUNCATE and FLASHBACK:
+// names are stored lower-case by the TPC-C schema, and admin SQL is
+// case-insensitive, so prefer the lower-cased form when it resolves, and
+// otherwise take the token as given (a quoted name keeps its case).
 func (e *Executor) tableName(tok string) string {
 	if _, err := e.in.Catalog().Table(strings.ToLower(tok)); err == nil {
 		return strings.ToLower(tok)

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"dbench/internal/backup"
+	"dbench/internal/catalog"
 	"dbench/internal/engine"
 	"dbench/internal/recovery"
 	"dbench/internal/sim"
@@ -290,6 +291,59 @@ func TestCatalogScanAfterPITRKeepsRecoveredTable(t *testing.T) {
 		}
 		if _, err := r.in.Catalog().Table("stock"); err != nil {
 			return fmt.Errorf("after PITR and a catalog scan: %w", err)
+		}
+		return nil
+	})
+}
+
+// A quoted table name keeps its case, and DROP, TRUNCATE and FLASHBACK
+// resolve it by one rule: the lower-cased name when it exists, the name as
+// given otherwise.
+func TestQuotedMixedCaseTableInEveryTableStatement(t *testing.T) {
+	r := newRig(t)
+	r.run(t, func(p *sim.Proc) error {
+		if err := r.setup(p); err != nil {
+			return err
+		}
+		if err := r.in.CreateTableClustered(p, "Parts", "app", "USERS", 8, 1); err != nil {
+			return err
+		}
+		for i := int64(0); i < 5; i++ {
+			tx, _ := r.in.Begin()
+			if err := r.in.Insert(p, tx, "Parts", i, []byte("v")); err != nil {
+				return err
+			}
+			if err := r.in.Commit(p, tx); err != nil {
+				return err
+			}
+		}
+		target := r.in.Log().NextSCN() - 1
+		read := func() error {
+			tx, _ := r.in.Begin()
+			_, err := r.in.Read(p, tx, "Parts", 3)
+			r.in.Commit(p, tx)
+			return err
+		}
+		if _, err := r.ex.Execute(p, "TRUNCATE TABLE Parts"); !errors.Is(err, catalog.ErrUnknownTable) {
+			return fmt.Errorf("unquoted TRUNCATE TABLE Parts: %v, want an unknown table", err)
+		}
+		if _, err := r.ex.Execute(p, "TRUNCATE TABLE 'Parts'"); err != nil {
+			return err
+		}
+		if read() == nil {
+			return errors.New("row 3 still there after TRUNCATE")
+		}
+		if _, err := r.ex.Execute(p, fmt.Sprintf("FLASHBACK TABLE 'Parts' TO SCN %d", target)); err != nil {
+			return err
+		}
+		if err := read(); err != nil {
+			return fmt.Errorf("row 3 after FLASHBACK: %w", err)
+		}
+		if _, err := r.ex.Execute(p, "DROP TABLE 'Parts'"); err != nil {
+			return err
+		}
+		if _, err := r.in.Catalog().Table("Parts"); !errors.Is(err, catalog.ErrUnknownTable) {
+			return fmt.Errorf("after DROP TABLE 'Parts': %v, want an unknown table", err)
 		}
 		return nil
 	})
