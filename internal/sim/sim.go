@@ -7,18 +7,24 @@
 // Resource and something other than its own wakeup is due. Events at equal
 // virtual times fire in scheduling order, so runs are fully reproducible.
 //
+// A call scheduled with AfterFunc can be taken back with Timer.Stop, so a
+// timeout nobody waits for any more (a granted lock wait's) costs the queue
+// nothing; a timer that fires keeps the place it was scheduled in.
+//
 // The kernel is the substrate for everything else in this repository: the
 // simulated disks, the database engine's background processes, the TPC-C
 // terminals, and the fault injector are all sim processes.
 package sim
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"iter"
 	"math"
 	"math/rand"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"time"
 )
@@ -41,8 +47,10 @@ func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 
 func (t Time) String() string { return time.Duration(t).String() }
 
-// event is a scheduled wakeup of proc or, when proc is nil, a call of fn. It
-// is stored by value in the kernel's heap: scheduling allocates nothing.
+// event is a scheduled wakeup of proc or, when proc is nil, a call of fn or,
+// when fn is nil too, of timer seq. It is stored by value in the kernel's
+// heap, in four words the compiler keeps in registers: scheduling allocates
+// nothing.
 type event struct {
 	at   Time
 	seq  uint64
@@ -63,7 +71,9 @@ type Kernel struct {
 	now     Time
 	until   Time // bound of the Run in progress
 	seq     uint64
-	events  []event // binary min-heap on (at, seq)
+	events  []event           // binary min-heap on (at, seq)
+	timers  map[uint64]func() // by seq: the calls of timers neither run nor stopped
+	stale   int               // events of stopped timers left in events
 	rng     *rand.Rand
 	procs   int
 	live    map[*Proc]struct{}
@@ -76,8 +86,9 @@ type Kernel struct {
 // random source derived from seed.
 func NewKernel(seed int64) *Kernel {
 	return &Kernel{
-		rng:  rand.New(rand.NewSource(seed)),
-		live: make(map[*Proc]struct{}),
+		rng:    rand.New(rand.NewSource(seed)),
+		live:   make(map[*Proc]struct{}),
+		timers: make(map[uint64]func()),
 	}
 }
 
@@ -111,25 +122,61 @@ func (k *Kernel) push(at Time, p *Proc, fn func()) {
 	k.events = h
 }
 
-// pop removes and returns the earliest event.
+// pop removes and returns the earliest event. The top is never a stopped
+// timer's: pop drops those that come up after it, or compacts the heap once
+// they are more than half of it.
 func (k *Kernel) pop() event {
-	h := k.events
-	n := len(h) - 1
-	top, last := h[0], h[n]
-	i := 0
-	for c := 1; c < n; c = 2*i + 1 {
-		if c+1 < n && h[c+1].before(&h[c]) {
-			c++
+	top := k.events[0]
+	for {
+		h := k.events
+		n := len(h) - 1
+		last := h[n]
+		i := 0
+		for c := 1; c < n; c = 2*i + 1 {
+			if c+1 < n && h[c+1].before(&h[c]) {
+				c++
+			}
+			if !h[c].before(&last) {
+				break
+			}
+			h[i], i = h[c], c
 		}
-		if !h[c].before(&last) {
-			break
+		h[i] = last
+		h[n] = event{} // drop the references the vacated slot holds
+		k.events = h[:n]
+		switch {
+		case k.stale == 0:
+		case 2*k.stale > n:
+			k.compact()
+		case k.dead(&h[0]):
+			k.stale--
+			continue
 		}
-		h[i], i = h[c], c
+		return top
 	}
-	h[i] = last
-	h[n] = event{} // drop the references the vacated slot holds
-	k.events = h[:n]
-	return top
+}
+
+// compact rebuilds the heap without the events of stopped timers: sorted,
+// which is a heap too.
+func (k *Kernel) compact() {
+	h := k.events[:0]
+	for i := range k.events {
+		if !k.dead(&k.events[i]) {
+			h = append(h, k.events[i])
+		}
+	}
+	clear(k.events[len(h):])
+	slices.SortFunc(h, func(a, b event) int { return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.seq, b.seq)) })
+	k.events, k.stale = h, 0
+}
+
+// dead reports whether e is the event of a stopped timer.
+func (k *Kernel) dead(e *event) bool {
+	if e.proc != nil || e.fn != nil {
+		return false
+	}
+	_, queued := k.timers[e.seq]
+	return !queued
 }
 
 // After registers fn to run d from now.
@@ -138,6 +185,39 @@ func (k *Kernel) After(d Duration, fn func()) {
 		d = 0
 	}
 	k.Schedule(k.now.Add(d), fn)
+}
+
+// Timer is a call scheduled by AfterFunc. It is a value and allocates
+// nothing of its own.
+type Timer struct {
+	k   *Kernel
+	seq uint64
+}
+
+// AfterFunc registers fn to run d from now, as After does, and returns a
+// Timer whose Stop takes the call back.
+func (k *Kernel) AfterFunc(d Duration, fn func()) Timer {
+	k.push(k.now.Add(max(d, 0)), nil, nil)
+	k.timers[k.seq] = fn
+	return Timer{k: k, seq: k.seq}
+}
+
+// Stop takes the call back unless it has run already, and reports whether
+// it did. Its event leaves the heap now if it is the next one, else when it
+// comes to the top or the heap is compacted: the heap never holds more than
+// twice the events still to fire.
+func (t Timer) Stop() bool {
+	k := t.k
+	if _, queued := k.timers[t.seq]; !queued {
+		return false
+	}
+	delete(k.timers, t.seq)
+	if k.events[0].seq == t.seq {
+		k.pop()
+	} else if k.stale++; 2*k.stale > len(k.events) {
+		k.compact()
+	}
+	return true
 }
 
 // Stop makes Run return once the currently executing event completes.
@@ -168,6 +248,10 @@ func (k *Kernel) run(until Time) {
 		e := k.pop()
 		k.now = e.at
 		switch {
+		case e.proc == nil && e.fn == nil:
+			fn := k.timers[e.seq]
+			delete(k.timers, e.seq)
+			fn()
 		case e.proc == nil:
 			e.fn()
 		case e.proc.mustRequeue():
@@ -206,8 +290,8 @@ func (k *Kernel) Live() []*Proc {
 	return procs
 }
 
-// Pending reports the number of queued events.
-func (k *Kernel) Pending() int { return len(k.events) }
+// Pending reports the number of queued events, stopped timers not counted.
+func (k *Kernel) Pending() int { return len(k.events) - k.stale }
 
 // Procs reports the number of live processes (started and not finished).
 func (k *Kernel) Procs() int { return k.procs }

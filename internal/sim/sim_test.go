@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -342,8 +344,9 @@ func TestQuickResourceThroughput(t *testing.T) {
 }
 
 // TestSimAllocs is the kernel's allocation gate: in steady state — event
-// heap and wait queues grown — no scheduling primitive allocates, and a
-// plain Schedule costs nothing beyond the caller's own closure.
+// heap and wait queues grown — no scheduling primitive allocates, a plain
+// Schedule costs nothing beyond the caller's own closure, and a timer and
+// its Stop nothing at all.
 func TestSimAllocs(t *testing.T) {
 	loads := map[string]load{
 		"Sleep": sleepLoad, "CondPingPong": condPingPongLoad, "Broadcast": broadcastLoad,
@@ -366,6 +369,119 @@ func TestSimAllocs(t *testing.T) {
 	if got := testing.AllocsPerRun(200, func() { k.After(time.Microsecond, func() { fired++ }); k.RunAll() }); got > 1 {
 		t.Errorf("Schedule of a fresh closure: %v allocs, want at most the closure itself", got)
 	}
+	// Timers stopped behind an earlier event, as granted lock waits stop
+	// their timeouts, until the heap is compacted.
+	var timers [8]Timer
+	if got := testing.AllocsPerRun(200, func() {
+		for i := range timers {
+			timers[i] = k.AfterFunc(time.Second, fn)
+		}
+		k.After(time.Microsecond, fn)
+		for _, tm := range timers {
+			tm.Stop()
+		}
+		k.RunAll()
+	}); got != 0 {
+		t.Errorf("AfterFunc and Stop: %v allocs, want 0", got)
+	}
+}
+
+// TestStoppedTimersLeaveNoTrace runs one seeded program of plain events and
+// timers twice: once with its timers, some of which it stops before they
+// are due — as a granted lock wait stops its timeout, seconds early or at
+// its very deadline — and once with plain events in place of the timers
+// that fire and nothing in place of the stopped ones. Deadlines come in any
+// order and tie often. A stopped timer never fires; every other call fires at the time and
+// in the order it has in the run without the stopped timers; Pending does not
+// count a stopped timer, and the heap never holds more than twice what
+// Pending counts; a timer that has fired, or was stopped, stops no more.
+func TestStoppedTimersLeaveNoTrace(t *testing.T) {
+	type firing struct {
+		at Time
+		id int
+	}
+	run := func(withTimers bool) (fired []firing, pending []int) {
+		k := NewKernel(1)
+		r := rand.New(rand.NewSource(7)) // drawn alike by both runs
+		stopping := 0                    // timers to be stopped and not yet stopped
+		var spent []Timer                // timers that fired or were stopped
+		ids := 0
+		var fire func(id int)
+		schedule := func() {
+			ids++
+			id, d := ids, Duration(r.Intn(40))*time.Millisecond
+			switch r.Intn(3) {
+			case 0:
+				k.After(d, func() { fire(id) })
+			case 1: // a timer that fires
+				if !withTimers {
+					k.After(d, func() { fire(id) })
+					break
+				}
+				var tm Timer
+				tm = k.AfterFunc(d, func() { spent = append(spent, tm); fire(id) })
+			case 2: // a timeout stopped soon, by an event scheduled first, or at its deadline
+				stopIn := d
+				d += Duration(r.Intn(3)) * time.Second
+				if !withTimers {
+					k.After(stopIn, func() {})
+					break
+				}
+				var tm Timer
+				stopping++
+				k.After(stopIn, func() {
+					if !tm.Stop() {
+						t.Errorf("timer %d: Stop before its deadline found it gone", id)
+					}
+					stopping--
+					spent = append(spent, tm)
+				})
+				tm = k.AfterFunc(d, func() { t.Errorf("stopped timer %d fired", id) })
+			}
+		}
+		fire = func(id int) {
+			fired = append(fired, firing{k.Now(), id})
+			pending = append(pending, k.Pending()-stopping)
+			if len(k.events) > 2*k.Pending() {
+				t.Fatalf("%d events in the heap, %d pending", len(k.events), k.Pending())
+			}
+			for n := 1 + r.Intn(3); n > 0 && ids < 5000; n-- {
+				schedule()
+			}
+		}
+		for i := 0; i < 50; i++ {
+			schedule()
+		}
+		k.RunAll()
+		if k.Pending() != 0 || len(k.events) != 0 || len(k.timers) != 0 {
+			t.Fatalf("drained kernel: %d pending, %d events, %d timers", k.Pending(), len(k.events), len(k.timers))
+		}
+		for _, tm := range spent {
+			if tm.Stop() {
+				t.Fatal("Stop took back a timer that had fired or was stopped")
+			}
+		}
+		if withTimers && (len(spent) < 1000 || len(spent) == len(fired)) {
+			t.Fatalf("%d timers spent, %d calls fired: the program exercises too little", len(spent), len(fired))
+		}
+		return fired, pending
+	}
+	got, gotPending := run(true)
+	want, wantPending := run(false)
+	if !slices.Equal(got, want) {
+		t.Fatalf("with timers %d calls fired, without %d; first difference at %d", len(got), len(want), firstDiff(got, want))
+	}
+	if !slices.Equal(gotPending, wantPending) {
+		t.Fatalf("Pending counts differ at call %d", firstDiff(gotPending, wantPending))
+	}
+}
+
+func firstDiff[T comparable](a, b []T) int {
+	i := 0
+	for i < min(len(a), len(b)) && a[i] == b[i] {
+		i++
+	}
+	return i
 }
 
 // randomProgramHash runs a seeded random program over every kernel

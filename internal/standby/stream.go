@@ -78,8 +78,9 @@ type streamer struct {
 	link    *sim.Link
 	src     func() redo.SCN // primary flushed SCN stamped on each frame
 	dst     *Standby
-	max     int // records per frame
-	outbox  []redo.Record
+	max     int           // records per frame
+	outbox  []redo.Record // outbox[head:] is still to ship
+	head    int
 	lns     *sim.Server
 	nextSeq uint64
 	frame   redo.StreamFrame // reused by every frame; Receive copies what it keeps
@@ -93,7 +94,7 @@ func (st *streamer) start() {
 	if st.lns.Running() {
 		return
 	}
-	st.lns = st.k.Serve(st.name, func() bool { return len(st.outbox) > 0 }, st.ship)
+	st.lns = st.k.Serve(st.name, func() bool { return len(st.outbox) > st.head }, st.ship)
 }
 
 // stop kills the shipping process and drops the outbox — the undelivered
@@ -102,7 +103,7 @@ func (st *streamer) stop() {
 	if !st.lns.Running() {
 		return
 	}
-	st.outbox = nil
+	st.outbox, st.head = nil, 0
 	st.lns.Stop()
 }
 
@@ -110,16 +111,23 @@ func (st *streamer) enqueue(recs []redo.Record) {
 	if !st.lns.Running() || len(recs) == 0 {
 		return
 	}
+	if len(st.outbox)+len(recs) > cap(st.outbox) && 2*st.head >= len(st.outbox) {
+		// Reuse the slots ship consumed instead of letting append grow,
+		// also in an outbox that never drains (async, WAN).
+		n := copy(st.outbox, st.outbox[st.head:])
+		clear(st.outbox[n:])
+		st.outbox, st.head = st.outbox[:n], 0
+	}
 	st.outbox = append(st.outbox, recs...)
 	st.lns.Wake()
 }
 
 // ship cuts one frame from the outbox and pushes it to the destination.
 func (st *streamer) ship(p *sim.Proc) bool {
-	n := min(len(st.outbox), st.max)
+	n := min(len(st.outbox)-st.head, st.max)
 	st.frame.Seq, st.frame.PrimarySCN = st.nextSeq, st.src()
-	st.frame.Records = append(st.frame.Records[:0], st.outbox[:n]...)
-	st.outbox = st.outbox[n:]
+	st.frame.Records = append(st.frame.Records[:0], st.outbox[st.head:st.head+n]...)
+	st.head += n
 	st.nextSeq++
 	st.wire = st.frame.AppendTo(st.wire[:0])
 	st.link.Send(p, int64(len(st.wire)))
@@ -360,7 +368,7 @@ func (c *Cluster) resync() {
 			continue
 		}
 		st.nextSeq = s.wantSeq
-		st.outbox = nil
+		st.outbox, st.head = nil, 0
 		st.start()
 		st.enqueue(recs)
 		c.st.Resyncs++

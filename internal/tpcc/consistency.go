@@ -119,10 +119,8 @@ func (c *checker) run() error {
 		return err
 	}
 
-	// Order lines and history rows are read for their numbers: the text
-	// column is checked to be all there, and not converted.
 	if err := c.scan(c.p, TableOrderLine, func(k int64, v []byte) bool {
-		l, err := decodeOrderLine(&codec{b: v, noText: true})
+		l, err := DecodeOrderLine(v)
 		if err != nil {
 			c.addf("decode", "order_line[%d]: %v", k, err)
 			return true
@@ -158,7 +156,7 @@ func (c *checker) run() error {
 	hWarehouse := make(map[int]float64)
 	hDistrict := make(map[int64]float64)
 	if err := c.scan(c.p, TableHistory, func(k int64, v []byte) bool {
-		h, err := decodeHistory(&codec{b: v, noText: true})
+		h, err := DecodeHistory(v)
 		if err != nil {
 			c.addf("decode", "history[%d]: %v", k, err)
 			return true

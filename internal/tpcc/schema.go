@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"unsafe"
 )
 
 // Table names.
@@ -76,22 +77,16 @@ var ErrBadRow = errors.New("tpcc: bad row encoding")
 //	}
 //	return c.b
 //
-// Decoding (read, the zero step) takes one pass, front to back. The first
-// string field converts the rest of the row to one string and every string
-// field is a substring of it, so a decode allocates once however many text
-// columns the row has, and not at all for an all-integer row.
+// Decoding (read, the zero step) takes one pass, front to back, and
+// allocates nothing: every string field is a view of the row's own bytes
+// (see view), so a decoded row is as cheap as its integers.
 type codec struct {
 	b    []byte
 	step uint8  // read, measure or write
 	n    int    // measure: the length so far
 	from *chunk // write: where the buffer is cut from; nil allocates it
 	off  int    // read: next unread byte of b
-	text string // read: string(b), once a string field has been read
 	err  error
-	// noText makes a read check a text field's bounds and leave it ""
-	// without converting anything: for readers that want a row's numbers
-	// only.
-	noText bool
 }
 
 const (
@@ -185,22 +180,26 @@ func (c *codec) str(v *string) {
 	case write:
 		c.b = append(binary.BigEndian.AppendUint32(c.b, uint32(len(*v))), *v...)
 	default:
-		at := c.take(4)
-		if at < 0 {
-			return
+		if at := c.take(4); at >= 0 {
+			n := int(binary.BigEndian.Uint32(c.b[at:]))
+			if at = c.take(n); at >= 0 {
+				*v = view(c.b, at, n)
+			}
 		}
-		n := int(binary.BigEndian.Uint32(c.b[at:]))
-		if at = c.take(n); at < 0 || c.noText {
-			return
-		}
-		if c.text == "" {
-			// Rebase on the first string's first byte: the integers already
-			// read need not be copied into the text.
-			c.b, c.off, at = c.b[at:], c.off-at, 0
-			c.text = string(c.b)
-		}
-		*v = c.text[at : at+n]
 	}
+}
+
+// view returns b[at:at+n] as a string that shares b's bytes instead of
+// copying them. That is sound only for a row image, which is replaced and
+// never written in place (DESIGN.md §4b): the string reads what the row held
+// when it was decoded for as long as the string lives, and keeps the image's
+// buffer alive no longer than that. An empty field is "" without taking the
+// address of b[at], which may lie one past the end of b.
+func view(b []byte, at, n int) string {
+	if n == 0 {
+		return ""
+	}
+	return unsafe.String(&b[at], n)
 }
 
 // intField reads integer field i of a row whose first i+1 fields are all
@@ -395,10 +394,9 @@ func (h *History) encode(from *chunk) []byte {
 }
 
 // DecodeHistory parses a row.
-func DecodeHistory(b []byte) (History, error) { return decodeHistory(&codec{b: b}) }
-
-func decodeHistory(c *codec) (h History, err error) {
-	h.fields(c)
+func DecodeHistory(b []byte) (h History, err error) {
+	c := codec{b: b}
+	h.fields(&c)
 	return h, c.err
 }
 
@@ -513,10 +511,9 @@ func (l *OrderLine) encode(from *chunk) []byte {
 }
 
 // DecodeOrderLine parses a row.
-func DecodeOrderLine(b []byte) (OrderLine, error) { return decodeOrderLine(&codec{b: b}) }
-
-func decodeOrderLine(c *codec) (l OrderLine, err error) {
-	l.fields(c)
+func DecodeOrderLine(b []byte) (l OrderLine, err error) {
+	c := codec{b: b}
+	l.fields(&c)
 	return l, c.err
 }
 

@@ -32,9 +32,9 @@ func mallocs(fn func() error) (uint64, error) {
 //     (2.5 per row when every row was a string, a buffer and a map entry);
 //   - installing a set that exists allocates nothing per row or per block, so a
 //     stand-by costs its schema and no more;
-//   - the consistency check allocates per table scanned, not per row: it
-//     reads an order line's and a history row's numbers without converting the
-//     text (it was one string per row and one pointer per order).
+//   - the consistency check allocates per table scanned, not per row: a
+//     decoded row's text is a view of the row (it was one string per row and
+//     one pointer per order).
 func TestSetupAllocs(t *testing.T) {
 	for _, cfg := range []Config{TinyConfig(), DefaultConfig()} {
 		r := newRig(t, cfg, nil)

@@ -25,6 +25,7 @@ type lockWaiter struct {
 	proc     *sim.Proc
 	granted  bool
 	timeout  bool
+	timer    sim.Timer // the wait's timeout, stopped by the grant
 	wakeCond *sim.Cond
 }
 
@@ -78,16 +79,13 @@ func (lt *lockTable) acquire(p *sim.Proc, t *Txn, table string, key int64) error
 		return nil
 	}
 	w := &lockWaiter{txn: t, proc: p}
-	st.waiters = append(st.waiters, w)
-	lt.locks[lk] = st
-	lt.waits++
-	lt.k.After(lt.timeout, func() {
-		if w.granted || w.timeout {
-			return
-		}
+	w.timer = lt.k.AfterFunc(lt.timeout, func() {
 		w.timeout = true
 		lt.k.After(0, w.wake)
 	})
+	st.waiters = append(st.waiters, w)
+	lt.locks[lk] = st
+	lt.waits++
 	for !w.granted && !w.timeout {
 		w.block()
 	}
@@ -127,6 +125,7 @@ func (lt *lockTable) grantNext(st lockState) lockState {
 		}
 		st.holder = w.txn
 		w.granted = true
+		w.timer.Stop()
 		lt.k.After(0, w.wake)
 		break
 	}

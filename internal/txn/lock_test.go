@@ -35,6 +35,30 @@ func TestUncontendedLockGrantAllocatesNothing(t *testing.T) {
 	}
 }
 
+// A wait that ends in a grant takes its timeout out of the event queue: the
+// waiter, once it holds the lock, finds nothing queued, and the kernel runs
+// out of events when the release is done, not when the timeout would have
+// come due.
+func TestGrantedWaitLeavesNoTimeoutQueued(t *testing.T) {
+	k := sim.NewKernel(1)
+	lt := newLockTable(k, 10*time.Second)
+	holder, waiter := &Txn{state: StateActive}, &Txn{state: StateActive}
+	if err := lt.acquire(nil, holder, "stock", 7); err != nil {
+		t.Fatal(err)
+	}
+	pending := -1
+	k.Go("waiter", func(p *sim.Proc) {
+		if err := lt.acquire(p, waiter, "stock", 7); err != nil {
+			t.Error(err)
+		}
+		pending = k.Pending()
+	})
+	k.Schedule(sim.Time(time.Second), func() { lt.releaseAll(holder) })
+	if end := k.RunAll(); pending != 0 || end != sim.Time(time.Second) || !lt.held(waiter, "stock", 7) {
+		t.Fatalf("granted waiter saw %d events queued, the kernel ran to %v; want 0, and 1s", pending, end)
+	}
+}
+
 // Waiters are served first come, first served; one that times out in the
 // middle of the queue drops out without disturbing the order behind it;
 // and a lock nobody holds or waits for leaves nothing in the table.
