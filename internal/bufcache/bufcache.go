@@ -7,19 +7,30 @@
 // more often the cache is drained, the less redo crash recovery must
 // replay, but the more disk bandwidth the foreground workload loses.
 //
-// The cache is sharded: each shard owns its own buffer map, LRU list and
+// The cache is sharded: each shard owns its own buffer map, LRU order and
 // dirty list, sized so a multi-warehouse working set does not funnel every
 // lookup through one LRU and — more importantly — so DBWR/CKPT walk only
 // per-shard dirty lists instead of scanning every resident buffer. Shard
 // placement mixes the datafile's stable ShardHint with the block number,
 // so it is deterministic across runs and identical for every worker count.
+//
+// A shard's LRU order is one slice of buffers, least recently used first,
+// in which each buffer knows its slot: a hit moves the buffer to the end
+// and leaves nil behind, and the slice compacts in place when it is full
+// and at least half nil, so once it has grown neither a hit nor a miss
+// allocates. An eviction pass walks the slice in
+// place, in the order the shard had when the pass began: a pass waits on
+// dirty writes, and a buffer touched meanwhile, before the pass reached
+// it, is recorded against the slot it left, where the pass still visits
+// it.
 package bufcache
 
 import (
-	"container/list"
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"dbench/internal/redo"
@@ -47,7 +58,7 @@ type buffer struct {
 	// dirty buffers.
 	firstDirtySCN redo.SCN
 
-	elem *list.Element
+	slot int // the buffer's index in its shard's order
 }
 
 // shard is one independently evictable slice of the cache: its own
@@ -55,21 +66,165 @@ type buffer struct {
 type shard struct {
 	capacity int
 	buffers  map[bufKey]*buffer
-	lru      *list.List // front = most recently used
-	dirty    map[bufKey]*buffer
-	// spares are tryEvict's used candidate lists, cleared, for its next
-	// passes: a stack, because a pass yields and a second one may start on
-	// the same shard meanwhile — each holds its own list.
-	spares [][]*buffer
+	// order holds the resident buffers least recently used first, each at
+	// its slot, with nil in the slots buffers have left; order[head] is the
+	// least recently used buffer (head == len(order) when there is none).
+	// It holds at most twice the capacity (see push).
+	order []*buffer
+	head  int
+	dirty map[bufKey]*buffer
+	// passes are the eviction passes over order: the open ones, which a
+	// touch must tell about the slot it vacates, and closed ones kept for
+	// reuse. A pass yields in its writes, so several can be open at once.
+	passes []pass
+}
+
+// pass is one eviction pass: it visits the shard's buffers in the order
+// they had when it began.
+type pass struct {
+	open bool
+	// pos and end bound the slots still to visit: of the shard's order, or
+	// of rest once detached.
+	pos, end int
+	// moved are the buffers touched away from a slot in [pos, end) while
+	// the pass was open; the pass visits each at the slot it left.
+	moved []movedBuffer
+	// A compaction renumbers the slots: an open pass first takes what it
+	// has left into rest and walks that from then on.
+	rest     []*buffer
+	detached bool
+}
+
+type movedBuffer struct {
+	slot int
+	b    *buffer
 }
 
 func newShard(capacity int) *shard {
 	return &shard{
 		capacity: capacity,
 		buffers:  make(map[bufKey]*buffer, capacity),
-		lru:      list.New(),
 		dirty:    make(map[bufKey]*buffer),
 	}
+}
+
+// push makes b, new or just unlinked, the most recently used buffer. A
+// full order doubles, up to twice the capacity, while more than half its
+// slots hold buffers, and compacts in place otherwise: it grows with what
+// the shard holds, and a full shard's compacts at twice the capacity.
+func (s *shard) push(b *buffer) {
+	if n := len(s.order); n == cap(s.order) {
+		if m := min(2*n, 2*s.capacity); m > n && 2*len(s.buffers) > n {
+			s.order = append(make([]*buffer, 0, m), s.order...)
+		} else {
+			s.compact()
+		}
+	}
+	b.slot = len(s.order)
+	s.order = append(s.order, b)
+}
+
+// touch makes a resident buffer the most recently used. An open pass that
+// has still to reach b's slot records b there.
+func (s *shard) touch(b *buffer) {
+	if b.slot == len(s.order)-1 {
+		return
+	}
+	for i := range s.passes {
+		if ps := &s.passes[i]; ps.open && !ps.detached && ps.pos <= b.slot && b.slot < ps.end {
+			ps.moved = append(ps.moved, movedBuffer{b.slot, b})
+		}
+	}
+	s.unlink(b)
+	s.push(b)
+}
+
+// unlink takes b out of the order.
+func (s *shard) unlink(b *buffer) {
+	s.order[b.slot] = nil
+	for s.head < len(s.order) && s.order[s.head] == nil {
+		s.head++
+	}
+}
+
+// drop removes a resident buffer from the shard. An open pass that has
+// still to reach it skips it: its slot is nil and nothing is recorded.
+func (s *shard) drop(key bufKey, b *buffer) {
+	s.unlink(b)
+	delete(s.buffers, key)
+}
+
+// compact moves the buffers to the front of the order, in order. Every
+// open pass still walking the order first takes what it has left.
+func (s *shard) compact() {
+	for i := range s.passes {
+		if ps := &s.passes[i]; ps.open && !ps.detached {
+			rest := ps.rest[:0]
+			for b := s.candidate(ps); b != nil; b = s.candidate(ps) {
+				rest = append(rest, b)
+			}
+			ps.rest, ps.pos, ps.end, ps.detached = rest, 0, len(rest), true
+		}
+	}
+	n := 0
+	for _, b := range s.order[s.head:] {
+		if b != nil {
+			b.slot = n
+			s.order[n] = b
+			n++
+		}
+	}
+	clear(s.order[n:])
+	s.order, s.head = s.order[:n], 0
+}
+
+// openPass starts an eviction pass at the head of the order and returns
+// its index in passes; closePass ends it.
+func (s *shard) openPass() int {
+	i := 0
+	for i < len(s.passes) && s.passes[i].open {
+		i++
+	}
+	if i == len(s.passes) {
+		s.passes = append(s.passes, pass{})
+	}
+	ps := &s.passes[i]
+	ps.open, ps.pos, ps.end = true, s.head, len(s.order)
+	return i
+}
+
+// closePass ends pass i, keeping no buffer reachable from it.
+func (s *shard) closePass(i int) {
+	ps := &s.passes[i]
+	clear(ps.moved)
+	clear(ps.rest)
+	ps.moved, ps.rest = ps.moved[:0], ps.rest[:0]
+	ps.open, ps.detached = false, false
+}
+
+// candidate returns the pass's next buffer, or nil once it has visited
+// every buffer the shard held when it began. A buffer dropped meanwhile
+// is either not returned or no longer the resident one for its block.
+func (s *shard) candidate(ps *pass) *buffer {
+	for ps.pos < ps.end {
+		slot := ps.pos
+		ps.pos++
+		if ps.detached {
+			return ps.rest[slot]
+		}
+		if b := s.order[slot]; b != nil {
+			return b
+		}
+		for i, m := range ps.moved {
+			if m.slot == slot {
+				last := len(ps.moved) - 1
+				ps.moved[i], ps.moved[last] = ps.moved[last], movedBuffer{}
+				ps.moved = ps.moved[:last]
+				return m.b
+			}
+		}
+	}
+	return nil
 }
 
 // Stats counts cache activity for the benchmark reports. Its fields are
@@ -211,7 +366,7 @@ func (c *Cache) Get(p *sim.Proc, ref storage.BlockRef) (*storage.Block, error) {
 	s := c.shardFor(key)
 	if b, ok := s.buffers[key]; ok {
 		c.st.Hits++
-		s.lru.MoveToFront(b.elem)
+		s.touch(b)
 		return b.block, nil
 	}
 	c.st.Misses++
@@ -228,11 +383,11 @@ func (c *Cache) Get(p *sim.Proc, ref storage.BlockRef) (*storage.Block, error) {
 	// meanwhile. Use the resident buffer in that case — two live copies
 	// of one block would lose whichever's updates are written last.
 	if b, ok := s.buffers[key]; ok {
-		s.lru.MoveToFront(b.elem)
+		s.touch(b)
 		return b.block, nil
 	}
 	b := &buffer{ref: ref, block: blk}
-	b.elem = s.lru.PushFront(b)
+	s.push(b)
 	s.buffers[key] = b
 	return b.block, nil
 }
@@ -357,24 +512,15 @@ func (c *Cache) evictOne(p *sim.Proc, s *shard) error {
 	return ErrNoEvictable
 }
 
-// tryEvict runs one eviction pass over a snapshot of the shard's LRU
-// order — a snapshot, not a live walk: the order as of the pass's start is
-// what it continues in after a write yields. It reports whether the pass
-// yielded control (so the cache may have changed) and whether a buffer was
-// evicted.
+// tryEvict runs one eviction pass over the shard's LRU order as of the
+// pass's start — not a live walk: that order is what it continues in after
+// a write yields. It reports whether the pass yielded control (so the
+// cache may have changed) and whether a buffer was evicted.
 func (c *Cache) tryEvict(p *sim.Proc, s *shard) (yielded, evicted bool, err error) {
-	var candidates []*buffer
-	if n := len(s.spares); n > 0 {
-		candidates, s.spares = s.spares[n-1], s.spares[:n-1]
-	}
-	for e := s.lru.Back(); e != nil; e = e.Prev() {
-		candidates = append(candidates, e.Value.(*buffer))
-	}
-	defer func() {
-		clear(candidates) // a spare pins no evicted buffer
-		s.spares = append(s.spares, candidates[:0])
-	}()
-	for _, b := range candidates {
+	i := s.openPass()
+	defer s.closePass(i)
+	// s.passes may grow while a write yields: index it afresh each time.
+	for b := s.candidate(&s.passes[i]); b != nil; b = s.candidate(&s.passes[i]) {
 		key := bufKey{file: b.ref.File, no: b.ref.No}
 		if s.buffers[key] != b {
 			continue // evicted by a concurrent process meanwhile
@@ -402,8 +548,7 @@ func (c *Cache) tryEvict(p *sim.Proc, s *shard) (yielded, evicted bool, err erro
 		if b.dirty {
 			continue // modified while writing: the newer change is not durable yet
 		}
-		s.lru.Remove(b.elem)
-		delete(s.buffers, key)
+		s.drop(key, b)
 		c.st.Evictions++
 		return yielded, true, nil
 	}
@@ -541,8 +686,7 @@ func (c *Cache) InvalidateBlocks(refs []storage.BlockRef) {
 		if b.dirty {
 			c.setClean(s, key, b)
 		}
-		s.lru.Remove(b.elem)
-		delete(s.buffers, key)
+		s.drop(key, b)
 	}
 }
 
@@ -558,8 +702,7 @@ func (c *Cache) InvalidateFile(f *storage.Datafile) {
 			if b.dirty {
 				c.setClean(s, key, b)
 			}
-			s.lru.Remove(b.elem)
-			delete(s.buffers, key)
+			s.drop(key, b)
 		}
 	}
 }
@@ -581,12 +724,10 @@ func (c *Cache) forceLog(p *sim.Proc, scn redo.SCN) error {
 }
 
 func sortBuffers(bs []*buffer) {
-	sort.Slice(bs, func(i, j int) bool { return less(bs[i], bs[j]) })
-}
-
-func less(a, b *buffer) bool {
-	if a.ref.File.Name != b.ref.File.Name {
-		return a.ref.File.Name < b.ref.File.Name
-	}
-	return a.ref.No < b.ref.No
+	slices.SortFunc(bs, func(a, b *buffer) int {
+		if c := strings.Compare(a.ref.File.Name, b.ref.File.Name); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.ref.No, b.ref.No)
+	})
 }

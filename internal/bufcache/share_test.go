@@ -2,7 +2,6 @@ package bufcache
 
 import (
 	"testing"
-	"time"
 
 	"dbench/internal/redo"
 	"dbench/internal/sim"
@@ -12,10 +11,10 @@ import (
 var sinkBlock *storage.Block
 
 // A miss and an eviction write copy no block image — the buffer takes the
-// durable image itself, the datafile takes the buffer's — and an eviction
-// pass reuses its candidate list.
+// durable image itself, the datafile takes the buffer's — and neither a
+// miss nor an eviction pass allocates for the LRU order.
 func TestMissAndWriteBackShareTheImage(t *testing.T) {
-	const capacity = 64 // one shard; a pass snapshots 64 candidates
+	const capacity = 64 // one shard
 	f := newFixture(t, capacity, 2*capacity)
 	file := f.ts.Files[0]
 	f.run(func(p *sim.Proc) {
@@ -40,8 +39,8 @@ func TestMissAndWriteBackShareTheImage(t *testing.T) {
 				t.Fatalf("Get(%d) on a miss returned a copy of the durable image", no)
 			}
 		})
-		if miss != 2 {
-			t.Errorf("a clean miss allocates %v objects, want 2: the buffer and its LRU element", miss)
+		if miss != 1 {
+			t.Errorf("a clean miss allocates %v objects, want 1: the buffer", miss)
 		}
 
 		// The same with a change to every block read: MarkDirty takes the
@@ -81,7 +80,7 @@ func TestMissAndWriteBackShareTheImage(t *testing.T) {
 			t.Fatal("no changed block was evicted")
 		}
 
-		// A pass of its own, in steady state: 64 candidates, no allocation.
+		// A pass of its own, in steady state, allocates nothing.
 		s := f.c.shards[0]
 		pass := testing.AllocsPerRun(capacity/2, func() {
 			if _, evicted, err := f.c.tryEvict(p, s); err != nil || !evicted {
@@ -91,49 +90,6 @@ func TestMissAndWriteBackShareTheImage(t *testing.T) {
 		})
 		if pass != miss {
 			t.Errorf("an eviction pass and a refill allocate %v objects, want the refill's %v", pass, miss)
-		}
-	})
-}
-
-// Two passes over one shard at once — the first is waiting for its write —
-// each snapshot the LRU into a list of their own, and give it back cleared;
-// the second round finds the first round's two lists as spares.
-func TestConcurrentEvictionPassesHoldTheirOwnCandidates(t *testing.T) {
-	f := newFixture(t, 4, 8)
-	f.c.FlushLog = func(p *sim.Proc, scn redo.SCN) error { p.Sleep(1); return nil }
-	f.run(func(p *sim.Proc) {
-		s := f.c.shards[0]
-		for round := 0; round < 2; round++ {
-			for no := 4 * round; len(s.buffers) < 4; no++ {
-				if _, err := f.c.Get(p, f.ref(no)); err != nil {
-					t.Fatal(err)
-				}
-				f.c.MarkDirty(f.ref(no), redo.SCN(no+1)).Put(0, []byte("dirty"))
-			}
-			evictions := 0
-			for i := 0; i < 2; i++ {
-				f.k.Go("evictor", func(q *sim.Proc) {
-					if _, evicted, err := f.c.tryEvict(q, s); err != nil {
-						t.Error(err)
-					} else if evicted {
-						evictions++
-					}
-				})
-			}
-			p.Sleep(time.Second)
-			if evictions != 2 || len(s.buffers) != 2 {
-				t.Errorf("round %d: %d evictions, %d buffers left, want 2 and 2", round, evictions, len(s.buffers))
-			}
-			if len(s.spares) != 2 {
-				t.Fatalf("round %d: %d spare candidate lists after two overlapping passes, want 2", round, len(s.spares))
-			}
-			for _, spare := range s.spares {
-				for _, b := range spare[:cap(spare)] {
-					if b != nil {
-						t.Fatal("a spare candidate list still points at a buffer")
-					}
-				}
-			}
 		}
 	})
 }

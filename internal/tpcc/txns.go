@@ -1,10 +1,11 @@
 package tpcc
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"dbench/internal/redo"
 	"dbench/internal/sim"
@@ -60,6 +61,19 @@ type orderLineReq struct {
 	qty    int
 }
 
+// sortLines puts a New-Order's lines in the canonical order its stock rows
+// are locked in, to avoid deadlocks between concurrent New-Orders (client
+// applications do the same): by supplying warehouse, then item. An item
+// drawn twice keeps the place the pdqsort gives it, as with sort.Slice.
+func sortLines(lines []orderLineReq) {
+	slices.SortFunc(lines, func(a, b orderLineReq) int {
+		if c := cmp.Compare(a.supply, b.supply); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.item, b.item)
+	})
+}
+
 // pick helpers --------------------------------------------------------
 
 func (a *App) randomDistrict(r *rand.Rand) int { return 1 + r.Intn(Districts) }
@@ -105,14 +119,7 @@ func (a *App) NewOrder(p *sim.Proc, r *rand.Rand, w int) (Result, error) {
 		}
 		lines[i] = orderLineReq{item: a.randomItemID(r), supply: supply, qty: 1 + r.Intn(10)}
 	}
-	// Lock stock rows in a canonical order to avoid deadlocks between
-	// concurrent New-Orders (client applications do the same).
-	sort.Slice(lines, func(i, j int) bool {
-		if lines[i].supply != lines[j].supply {
-			return lines[i].supply < lines[j].supply
-		}
-		return lines[i].item < lines[j].item
-	})
+	sortLines(lines)
 
 	var oid int
 	scn, err := in.Atomically(p, func(t *txn.Txn) (err error) {

@@ -21,12 +21,14 @@ type lockKey struct {
 }
 
 type lockWaiter struct {
-	txn      *Txn
-	proc     *sim.Proc
-	granted  bool
-	timeout  bool
-	timer    sim.Timer // the wait's timeout, stopped by the grant
-	wakeCond *sim.Cond
+	txn     *Txn
+	granted bool
+	timeout bool
+	timer   sim.Timer // the wait's timeout, stopped by the grant
+	cond    sim.Cond  // the waiter parks on its own condition
+	// wake broadcasts cond; bound once, the timeout and the grant both
+	// schedule it.
+	wake func()
 }
 
 // lockState is held by value in the table's map: granting and releasing an
@@ -78,7 +80,8 @@ func (lt *lockTable) acquire(p *sim.Proc, t *Txn, table string, key int64) error
 		t.locks = append(t.locks, lk)
 		return nil
 	}
-	w := &lockWaiter{txn: t, proc: p}
+	w := &lockWaiter{txn: t}
+	w.wake = func() { w.cond.Broadcast(lt.k) }
 	w.timer = lt.k.AfterFunc(lt.timeout, func() {
 		w.timeout = true
 		lt.k.After(0, w.wake)
@@ -87,7 +90,7 @@ func (lt *lockTable) acquire(p *sim.Proc, t *Txn, table string, key int64) error
 	lt.locks[lk] = st
 	lt.waits++
 	for !w.granted && !w.timeout {
-		w.block()
+		w.cond.Wait(p)
 	}
 	st = lt.locks[lk] // the lock moved on while we were parked
 	if w.timeout {
@@ -130,21 +133,6 @@ func (lt *lockTable) grantNext(st lockState) lockState {
 		break
 	}
 	return st
-}
-
-// block/wake adapt a waiter to the kernel's handoff protocol via a private
-// condition: the waiter parks on its own proc.
-func (w *lockWaiter) block() {
-	var c sim.Cond
-	w.wakeCond = &c
-	c.Wait(w.proc)
-}
-
-func (w *lockWaiter) wake() {
-	if w.wakeCond != nil {
-		w.wakeCond.Broadcast(w.proc.Kernel())
-		w.wakeCond = nil
-	}
 }
 
 // releaseAll frees every lock held by t, handing each to its next waiter.

@@ -35,6 +35,45 @@ func TestUncontendedLockGrantAllocatesNothing(t *testing.T) {
 	}
 }
 
+// A wait for a held lock that ends in a grant allocates the waiter, its
+// timeout call, its wake call, the row's waiter queue and the waiter's
+// place on its own condition: five objects, where it was six with a
+// condition of its own allocated per wait and a wake call per schedule.
+func TestContendedLockWaitAllocs(t *testing.T) {
+	k := sim.NewKernel(1)
+	lt := newLockTable(k, time.Second)
+	holder, waiter := &Txn{state: StateActive}, &Txn{state: StateActive}
+	holderRoom, waiterRoom := make([]lockKey, 0, 1), make([]lockKey, 0, 1)
+	var start sim.Cond
+	k.Go("waiter", func(p *sim.Proc) {
+		for {
+			start.Wait(p)
+			waiter.locks = waiterRoom
+			if err := lt.acquire(p, waiter, "stock", 7); err != nil {
+				t.Error(err)
+			}
+			lt.releaseAll(waiter)
+		}
+	})
+	k.RunAll()
+	got := testing.AllocsPerRun(100, func() {
+		holder.locks = holderRoom
+		if err := lt.acquire(nil, holder, "stock", 7); err != nil {
+			t.Fatal(err)
+		}
+		start.Signal(k)
+		k.Run(k.Now()) // the waiter queues behind the holder
+		lt.releaseAll(holder)
+		k.Run(k.Now()) // and takes the lock, gives it back and waits for the next round
+	})
+	if lt.waits < 100 || lt.timeouts != 0 || len(lt.locks) != 0 {
+		t.Fatalf("%d waits, %d timeouts, %d locks left in the table; want a wait per round, no timeout and no lock left", lt.waits, lt.timeouts, len(lt.locks))
+	}
+	if got != 5 {
+		t.Fatalf("a contended lock wait allocates %v objects, want 5", got)
+	}
+}
+
 // A wait that ends in a grant takes its timeout out of the event queue: the
 // waiter, once it holds the lock, finds nothing queued, and the kernel runs
 // out of events when the release is done, not when the timeout would have
