@@ -26,12 +26,14 @@ type ArchivedLog struct {
 	LastSCN  redo.SCN
 	Bytes    int64
 
-	file    *simdisk.File
-	records []redo.Record
+	file   *simdisk.File
+	pieces [][]redo.Record
 }
 
-// Records returns the archived redo records (not to be modified).
-func (a *ArchivedLog) Records() []redo.Record { return a.records }
+// Pieces returns the archived redo records in SCN order, as views of the
+// pages LGWR placed them in: the group's reuse drops those pages without
+// writing them, so the archive keeps them as they were. Not to be modified.
+func (a *ArchivedLog) Pieces() [][]redo.Record { return a.pieces }
 
 // File returns the archive file.
 func (a *ArchivedLog) File() *simdisk.File { return a.file }
@@ -162,7 +164,7 @@ func (ar *Archiver) archiveNext(p *sim.Proc) bool {
 // archive copies one group: read the online member, write the archive
 // file, record the inventory entry, release the group.
 func (ar *Archiver) archive(p *sim.Proc, g *redo.Group) (err error) {
-	recs := g.Records()
+	pieces := g.Pieces()
 	size := g.Bytes()
 	name := fmt.Sprintf("arch_%06d.arc", g.Seq)
 	span := ar.Trace.Begin(p.Now(), trace.CatArch, "ARCH", "archive",
@@ -203,10 +205,10 @@ func (ar *Archiver) archive(p *sim.Proc, g *redo.Group) (err error) {
 	if err := f.Append(p, size); err != nil {
 		return fmt.Errorf("archivelog: write %s: %w", name, err)
 	}
-	a := &ArchivedLog{Seq: g.Seq, Bytes: size, file: f, records: recs}
-	if len(recs) > 0 {
-		a.FirstSCN = recs[0].SCN
-		a.LastSCN = recs[len(recs)-1].SCN
+	a := &ArchivedLog{Seq: g.Seq, Bytes: size, file: f, pieces: pieces}
+	if len(pieces) > 0 {
+		last := pieces[len(pieces)-1]
+		a.FirstSCN, a.LastSCN = pieces[0][0].SCN, last[len(last)-1].SCN
 	}
 	ar.inv.Add(a)
 	ar.archived++

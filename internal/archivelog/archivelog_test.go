@@ -1,6 +1,8 @@
 package archivelog
 
 import (
+	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -95,7 +97,7 @@ func TestArchivedRecordsMatchRedoStream(t *testing.T) {
 
 	var prev redo.SCN
 	for _, a := range f.ar.Inventory().Logs() {
-		for _, r := range a.Records() {
+		for _, r := range slices.Concat(a.Pieces()...) {
 			if r.SCN != prev+1 {
 				t.Fatalf("archived SCN %d after %d", r.SCN, prev)
 			}
@@ -122,7 +124,7 @@ func TestArchivedLogSurvivesGroupReuse(t *testing.T) {
 		t.Fatalf("%d logs archived, current seq %d: seq 2's group was not refilled", len(logs), f.log.CurrentGroup().Seq)
 	}
 	for _, a := range logs {
-		recs := a.Records()
+		recs := slices.Concat(a.Pieces()...)
 		if len(recs) != 2500 || recs[0].SCN != a.FirstSCN || recs[len(recs)-1].SCN != a.LastSCN {
 			t.Fatalf("seq %d: %d records, want 2500 from SCN %d to %d", a.Seq, len(recs), a.FirstSCN, a.LastSCN)
 		}
@@ -209,4 +211,46 @@ func TestArchiveFailureWhenDestinationMissing(t *testing.T) {
 	log.Stop()
 	ar.Stop()
 	k.RunAll()
+}
+
+// Archiving a group keeps its pages, not a copy: the archived log's pieces
+// are the group's own page views, record for record at the same address,
+// and creating it allocates a few objects whatever the group holds (a copy
+// of these 4,096 records was 448 KiB).
+func TestArchivedLogHoldsTheGroupsPages(t *testing.T) {
+	rec := redo.Record{Table: "t", After: make([]byte, 100)}
+	f := newFixture(t, 4096*rec.Size(), 3)
+	defer f.shutdown()
+	f.ar.Stop()
+	f.writeRecords(5000, 100)
+	f.k.Run(sim.Time(5 * time.Minute))
+	if f.ar.QueueLen() != 1 {
+		t.Fatalf("%d groups queued for archiving, want 1", f.ar.QueueLen())
+	}
+	g := f.ar.queue[0]
+	pages := g.Pieces()
+	var before, after runtime.MemStats
+	f.k.Go("archive", func(p *sim.Proc) {
+		runtime.ReadMemStats(&before)
+		f.ar.archiveNext(p)
+		runtime.ReadMemStats(&after)
+	})
+	f.k.Run(sim.Time(10 * time.Minute))
+	logs := f.ar.Inventory().Logs()
+	if len(logs) != 1 {
+		t.Fatalf("%d logs archived, want 1", len(logs))
+	}
+	pieces := logs[0].Pieces()
+	if len(pieces) != 4 || len(pieces) != len(pages) {
+		t.Fatalf("the archived log holds %d pieces, the group %d pages; want 4", len(pieces), len(pages))
+	}
+	for i, pc := range pieces {
+		if len(pc) != len(pages[i]) || cap(pc) != len(pc) || &pc[0] != &pages[i][0] {
+			t.Fatalf("piece %d (%d records, capacity %d) is not the group's page %d", i, len(pc), cap(pc), i)
+		}
+	}
+	// A few hundred bytes, plus whatever the runtime allocates meanwhile.
+	if got := after.TotalAlloc - before.TotalAlloc; got > 32<<10 {
+		t.Errorf("archiving %d records allocated %d bytes, want at most 32 KiB", 4096, got)
+	}
 }

@@ -77,10 +77,12 @@ func captureRedo(in *engine.Instance) []redo.Record {
 	next := from
 	if arch := in.Archiver(); arch != nil {
 		for _, al := range arch.Inventory().From(from) {
-			for _, rec := range al.Records() {
-				if rec.SCN >= next {
-					recs = append(recs, rec)
-					next = rec.SCN + 1
+			for _, pc := range al.Pieces() {
+				for _, rec := range pc {
+					if rec.SCN >= next {
+						recs = append(recs, rec)
+						next = rec.SCN + 1
+					}
 				}
 			}
 		}

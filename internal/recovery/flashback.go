@@ -77,7 +77,7 @@ func (m *Manager) flashbackTable(p *sim.Proc, table string, toSCN redo.SCN, rep 
 		defer func() { tbl.Frozen = false }()
 	}
 
-	recs, err := m.redoRange(p, rep, toSCN+1, tl, nil)
+	pieces, err := m.redoRange(p, rep, toSCN+1, tl, nil)
 	if err != nil {
 		return err
 	}
@@ -86,8 +86,7 @@ func (m *Manager) flashbackTable(p *sim.Proc, table string, toSCN redo.SCN, rep 
 		// Dropped table: resurrect the catalog entry from the descriptor
 		// the DROP TABLE record carries in its before-image slot.
 		var desc *redo.TableDescriptor
-		for i := len(recs) - 1; i >= 0; i-- {
-			rec := &recs[i]
+		for rec := range backward(pieces) {
 			if rec.Op == redo.OpDDL && rec.Meta == "DROP TABLE "+table && len(rec.Before) > 0 {
 				if desc, err = redo.DecodeTableDescriptor(rec.Before); err != nil {
 					return fmt.Errorf("recovery: flashback %s: %w", table, err)
@@ -124,8 +123,7 @@ func (m *Manager) flashbackTable(p *sim.Proc, table string, toSCN redo.SCN, rep 
 	cost := in.Config().Cost
 	touched := make(map[storage.BlockRef]bool)
 	lostTxns := make(map[redo.TxnID]bool)
-	for i := len(recs) - 1; i >= 0; i-- {
-		rec := &recs[i]
+	for rec := range backward(pieces) {
 		rep.RecordsScanned++
 		if !rec.IsDataChange() || rec.Table != table {
 			cs.add(cost.RedoApplyPerRecord / 4)
@@ -140,8 +138,8 @@ func (m *Manager) flashbackTable(p *sim.Proc, table string, toSCN redo.SCN, rep 
 		cs.add(cost.RedoApplyPerRecord)
 	}
 	// Post-toSCN commits whose changes to this table were just rewound.
-	for i := range recs {
-		if recs[i].Op == redo.OpCommit && lostTxns[recs[i].Txn] {
+	for rec := range all(pieces) {
+		if rec.Op == redo.OpCommit && lostTxns[rec.Txn] {
 			rep.LostCommits++
 		}
 	}

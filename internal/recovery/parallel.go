@@ -235,11 +235,11 @@ func (sa *streamApply) book(rec *redo.Record, ref storage.BlockRef) {
 // disk contention of everything after). A failed scan stops the crew
 // here, for every caller.
 func (sa *streamApply) roll(p *sim.Proc, from, stamp redo.SCN) error {
-	var sink func(*sim.Proc, []redo.Record)
+	var sink func(*sim.Proc, [][]redo.Record)
 	if sa.crew != nil {
 		sink = sa.feed
 	}
-	recs, err := sa.m.redoRange(p, sa.rep, from, sa.tl, sink)
+	pieces, err := sa.m.redoRange(p, sa.rep, from, sa.tl, sink)
 	if err != nil {
 		if sa.crew != nil {
 			sa.crew.shutdown(p)
@@ -247,19 +247,18 @@ func (sa *streamApply) roll(p *sim.Proc, from, stamp redo.SCN) error {
 		return err
 	}
 	if sink == nil {
-		sa.feed(p, recs)
+		sa.feed(p, pieces)
 	}
 	return sa.finish(p, stamp)
 }
 
-// feed scans one batch of redo records in SCN order. DDL is a barrier:
-// the crew drains before the dictionary changes, so every record resolves
-// against the catalog state an in-order replay sees.
-func (sa *streamApply) feed(p *sim.Proc, recs []redo.Record) {
+// feed scans one batch of redo records in SCN order, piece by piece. DDL
+// is a barrier: the crew drains before the dictionary changes, so every
+// record resolves against the catalog state an in-order replay sees.
+func (sa *streamApply) feed(p *sim.Proc, pieces [][]redo.Record) {
 	sa.tl.setWorkers(sa.n)
 	cost := sa.m.in.Config().Cost.RedoApplyPerRecord
-	for i := range recs {
-		rec := &recs[i]
+	for rec := range all(pieces) {
 		if rec.SCN > sa.until {
 			if rec.Op == redo.OpCommit {
 				sa.rep.LostCommits++

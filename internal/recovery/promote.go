@@ -77,7 +77,7 @@ func (m *Manager) Failover(p *sim.Proc, tail []redo.Record, losers *Losers, scn 
 	return m.run(p, KindFailover, func(rep *Report, tl *timeline) error {
 		tl.phase(p, PhaseRedoReplay)
 		sa := m.newStreamApply(p, rep, tl, losers.clone())
-		sa.feed(p, tail)
+		sa.feed(p, [][]redo.Record{tail})
 		if err := sa.finish(p, scn); err != nil {
 			return err
 		}

@@ -19,7 +19,10 @@
 package recovery
 
 import (
+	"cmp"
 	"fmt"
+	"iter"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -194,7 +197,7 @@ func (m *Manager) InstanceRecovery(p *sim.Proc) (*Report, error) {
 		// (no sink, at any fan-out): the clamp retry below may rescan from
 		// a lower SCN, and records must not reach an apply crew from a
 		// scan that is then abandoned.
-		recs, err := m.redoRange(p, rep, from, tl, nil)
+		pieces, err := m.redoRange(p, rep, from, tl, nil)
 		if err != nil && from <= ctl.CheckpointSCN {
 			// The undo extension below the checkpoint was overwritten.
 			// That is safe to clamp: the log's reuse undo-floor keeps the
@@ -203,14 +206,14 @@ func (m *Manager) InstanceRecovery(p *sim.Proc) (*Report, error) {
 			// that finished (and need no undo). The redo pass itself only
 			// needs records after the checkpoint.
 			if lowest := log.LowestOnlineSCN(); lowest >= 0 && lowest <= ctl.CheckpointSCN+1 {
-				recs, err = m.redoRange(p, rep, lowest, tl, nil)
+				pieces, err = m.redoRange(p, rep, lowest, tl, nil)
 			}
 		}
 		if err != nil {
 			return err
 		}
 		sa := m.newStreamApply(p, rep, tl, newLosers(in, false, nil))
-		sa.feed(p, recs)
+		sa.feed(p, pieces)
 		if err := sa.finish(p, log.FlushedSCN()); err != nil {
 			return err
 		}
@@ -441,30 +444,32 @@ func (m *Manager) latestBackup() (*backup.Backup, error) {
 // phase while reading archives and into redo-replay when it reaches the
 // online log (the forward apply that follows stays in redo-replay).
 //
+// The stream comes back as pieces, in SCN order: views of the pages LGWR
+// placed the records in, which nobody writes again, so nothing is copied.
 // A non-nil sink receives each newly scanned segment (one per archived
 // log, one for the online top-up) in SCN order as soon as it is read —
 // streamApply.roll feeds an apply crew through it. The full stream is
 // still returned.
-func (m *Manager) redoRange(p *sim.Proc, rep *Report, from redo.SCN, tl *timeline, sink func(*sim.Proc, []redo.Record)) ([]redo.Record, error) {
+func (m *Manager) redoRange(p *sim.Proc, rep *Report, from redo.SCN, tl *timeline, sink func(*sim.Proc, [][]redo.Record)) ([][]redo.Record, error) {
 	in := m.in
 	log := in.Log()
 	cost := in.Config().Cost
 
 	// Fast path: everything still online.
-	if recs, ok := log.OnlineRecords(from); ok {
+	if pieces, ok := log.OnlinePieces(from); ok {
 		tl.phase(p, PhaseRedoReplay)
-		m.chargeLogScan(p, recs)
+		m.chargeLogScan(p, pieces)
 		if sink != nil {
-			sink(p, recs)
+			sink(p, pieces)
 		}
-		return recs, nil
+		return pieces, nil
 	}
 	arch := in.Archiver()
 	if arch == nil {
 		return nil, fmt.Errorf("recovery: redo before SCN %d overwritten and no archive logs", from)
 	}
 	tl.phase(p, PhaseArchiveReplay)
-	var recs []redo.Record
+	var pieces [][]redo.Record
 	next := from
 	for _, al := range arch.Inventory().From(from) {
 		if al.Lost() {
@@ -483,21 +488,27 @@ func (m *Manager) redoRange(p *sim.Proc, rep *Report, from redo.SCN, tl *timelin
 		// means an earlier archive is missing from the inventory. That
 		// must be an error — silently continuing would replay around the
 		// gap and resurrect a stale database state.
-		if logRecs := al.Records(); len(logRecs) > 0 && logRecs[0].SCN > next {
-			return nil, fmt.Errorf("recovery: gap in archived redo: need SCN %d but archived log seq %d starts at SCN %d", next, al.Seq, logRecs[0].SCN)
+		logPieces := al.Pieces()
+		if len(logPieces) > 0 && logPieces[0][0].SCN > next {
+			return nil, fmt.Errorf("recovery: gap in archived redo: need SCN %d but archived log seq %d starts at SCN %d", next, al.Seq, logPieces[0][0].SCN)
 		}
-		segStart := len(recs)
-		for _, rec := range al.Records() {
-			if rec.SCN >= next {
-				recs = append(recs, rec)
-				next = rec.SCN + 1
+		if al.LastSCN < next {
+			continue
+		}
+		// SCNs rise through a log, so it contributes a suffix: its
+		// records from next on.
+		seg := len(pieces)
+		for _, pc := range logPieces {
+			if i := sort.Search(len(pc), func(i int) bool { return pc[i].SCN >= next }); i < len(pc) {
+				pieces = append(pieces, pc[i:])
 			}
 		}
-		if sink != nil && len(recs) > segStart {
-			sink(p, recs[segStart:])
+		next = al.LastSCN + 1
+		if sink != nil {
+			sink(p, pieces[seg:])
 		}
 	}
-	online, ok := log.OnlineRecords(next)
+	online, ok := log.OnlinePieces(next)
 	if !ok && len(online) > 0 {
 		return nil, fmt.Errorf("recovery: gap between archived and online redo at SCN %d", next)
 	}
@@ -506,19 +517,43 @@ func (m *Manager) redoRange(p *sim.Proc, rep *Report, from redo.SCN, tl *timelin
 	if sink != nil && len(online) > 0 {
 		sink(p, online)
 	}
-	recs = append(recs, online...)
-	return recs, nil
+	return append(pieces, online...), nil
+}
+
+// all yields the records of pieces in order, backward newest first.
+func all(pieces [][]redo.Record) iter.Seq[*redo.Record] {
+	return func(yield func(*redo.Record) bool) {
+		for _, pc := range pieces {
+			for i := range pc {
+				if !yield(&pc[i]) {
+					return
+				}
+			}
+		}
+	}
+}
+
+func backward(pieces [][]redo.Record) iter.Seq[*redo.Record] {
+	return func(yield func(*redo.Record) bool) {
+		for _, pc := range slices.Backward(pieces) {
+			for i := len(pc) - 1; i >= 0; i-- {
+				if !yield(&pc[i]) {
+					return
+				}
+			}
+		}
+	}
 }
 
 // chargeLogScan charges a sequential read of the given records' bytes
 // against the online redo disk.
-func (m *Manager) chargeLogScan(p *sim.Proc, recs []redo.Record) {
-	if len(recs) == 0 {
+func (m *Manager) chargeLogScan(p *sim.Proc, pieces [][]redo.Record) {
+	if len(pieces) == 0 {
 		return
 	}
 	var bytes int64
-	for i := range recs {
-		bytes += recs[i].Size()
+	for rec := range all(pieces) {
+		bytes += rec.Size()
 	}
 	disk := m.in.FS().Disk(m.in.Config().Redo.Disk)
 	if disk == nil {
@@ -568,20 +603,20 @@ func firstWord(s string) string {
 	return s
 }
 
-// SortedRefs flattens a touched-block set into (file name, block number)
-// order — the deterministic sequential-pass order block I/O is charged in.
+// SortedRefs flattens a touched-block set into CompareRefs order.
 func SortedRefs(touched map[storage.BlockRef]bool) []storage.BlockRef {
 	refs := make([]storage.BlockRef, 0, len(touched))
 	for ref := range touched {
 		refs = append(refs, ref)
 	}
-	sort.Slice(refs, func(i, j int) bool {
-		if refs[i].File.Name != refs[j].File.Name {
-			return refs[i].File.Name < refs[j].File.Name
-		}
-		return refs[i].No < refs[j].No
-	})
+	slices.SortFunc(refs, CompareRefs)
 	return refs
+}
+
+// CompareRefs orders blocks by (file name, block number) — the
+// deterministic sequential-pass order block I/O is charged in.
+func CompareRefs(a, b storage.BlockRef) int {
+	return cmp.Or(strings.Compare(a.File.Name, b.File.Name), cmp.Compare(a.No, b.No))
 }
 
 // blockPass charges one sequential read pass and one sequential write

@@ -49,14 +49,14 @@ func (g *Group) Capacity() int64 { return g.capacity }
 // Bytes returns the bytes of flushed redo currently in the group.
 func (g *Group) Bytes() int64 { return g.bytes }
 
-// Records returns a copy of the flushed records in the group, in SCN
-// order, in an exactly sized slice the caller owns.
-func (g *Group) Records() []Record {
-	recs := make([]Record, 0, g.n)
-	for _, pg := range g.pages {
-		recs = append(recs, pg...)
-	}
-	return recs
+// Pieces returns the group's records in SCN order, one capacity-capped
+// view per page: the records themselves, which stay as they are after the
+// group is reused (DESIGN.md §4b), so the caller may keep them but must not
+// write them.
+func (g *Group) Pieces() [][]Record {
+	pieces := make([][]Record, 0, len(g.pages))
+	g.pieces(0, g.n, func(pc []Record) { pieces = append(pieces, pc) })
+	return pieces
 }
 
 // Archived reports whether the group's content has been archived.
@@ -206,9 +206,10 @@ type Manager struct {
 	// flushed segment advances flushedSCN, with exactly the records that
 	// just became durable, in SCN order: one capacity-capped piece of the
 	// group's own records per page the segment touches, so the hook may be
-	// called more than once per segment and must copy what it keeps. It is
-	// the tap continuous redo streaming hangs off (a replication cluster
-	// copies them into its outboxes) and must not advance virtual time
+	// called more than once per segment. A placed record is never written
+	// again, so the hook may keep the pieces, but must not write them. It
+	// is the tap continuous redo streaming hangs off (a replication cluster
+	// queues the pieces in its outboxes) and must not advance virtual time
 	// (LGWR's flush timing is part of every pinned fingerprint).
 	OnDurable func(p *sim.Proc, recs []Record)
 	// OnCheckpointNeeded, when set, is called whenever a reserve or
@@ -790,7 +791,31 @@ func (m *Manager) ForceSwitch(p *sim.Proc) (switched bool, err error) {
 // a crash discarded with the redo buffer were never durable: the jump they
 // leave between two records is no hole.)
 func (m *Manager) OnlineRecords(from SCN) (recs []Record, ok bool) {
-	n, lowest, whole := 0, SCN(-1), true
+	n := 0
+	ok = m.online(from, func(_ *Group, lo, hi int) { n += hi - lo })
+	recs = make([]Record, 0, n)
+	m.online(from, func(g *Group, lo, hi int) {
+		g.pieces(lo, hi, func(pc []Record) { recs = append(recs, pc...) })
+	})
+	return recs, ok
+}
+
+// OnlinePieces is OnlineRecords without the copy: the records themselves,
+// one capacity-capped view per page they lie in. A placed record is never
+// written again, and reuse drops a group's pages without touching them, so
+// the caller may keep the views but must not write them.
+func (m *Manager) OnlinePieces(from SCN) (pieces [][]Record, ok bool) {
+	ok = m.online(from, func(g *Group, lo, hi int) {
+		g.pieces(lo, hi, func(pc []Record) { pieces = append(pieces, pc) })
+	})
+	return pieces, ok
+}
+
+// online walks the online span OnlineRecords describes: f gets each usable
+// group's index range of flushed records with SCN >= from, oldest group
+// first, and online reports whether the span is whole.
+func (m *Manager) online(from SCN, f func(g *Group, lo, hi int)) (ok bool) {
+	lowest, whole := SCN(-1), true
 	for i := range m.groups {
 		g := m.byAge(i)
 		lo, hi := g.span(from, m.flushedSCN)
@@ -801,14 +826,7 @@ func (m *Manager) OnlineRecords(from SCN) (recs []Record, ok bool) {
 		if s := g.FirstSCN(); lowest < 0 && s >= 0 && s <= m.flushedSCN {
 			lowest = s
 		}
-		n += hi - lo
-	}
-	recs = make([]Record, 0, n)
-	for i := range m.groups {
-		if g := m.byAge(i); g.usable() {
-			lo, hi := g.span(from, m.flushedSCN)
-			g.pieces(lo, hi, func(pc []Record) { recs = append(recs, pc...) })
-		}
+		f(g, lo, hi)
 	}
 	ok = lowest >= 0 && lowest <= from
 	if from <= 0 {
@@ -817,7 +835,7 @@ func (m *Manager) OnlineRecords(from SCN) (recs []Record, ok bool) {
 	if m.flushedSCN == 0 {
 		ok = true // nothing ever flushed: empty range is contiguous
 	}
-	return recs, ok && whole
+	return ok && whole
 }
 
 // LowestOnlineSCN returns the smallest SCN still present in the online

@@ -1,6 +1,7 @@
 package redo
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -562,7 +563,7 @@ func TestRedoBufferReusesItsArray(t *testing.T) {
 	}
 	var placed []SCN
 	for _, g := range m.Groups() {
-		for _, r := range g.Records() {
+		for _, r := range slices.Concat(g.Pieces()...) {
 			placed = append(placed, r.SCN)
 		}
 	}

@@ -3,6 +3,7 @@ package redo
 import (
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 	"unsafe"
@@ -158,7 +159,7 @@ func TestOnlineRecordsMatchesAFlatRead(t *testing.T) {
 // and every page is opened at exactly pageRecords capacity.
 func TestGroupSCNsAtPageEdges(t *testing.T) {
 	var g Group
-	if g.FirstSCN() != -1 || g.LastSCN() != -1 || len(g.Records()) != 0 {
+	if g.FirstSCN() != -1 || g.LastSCN() != -1 || len(g.Pieces()) != 0 {
 		t.Fatal("an empty group has records")
 	}
 	for n := 1; n <= 2*P+1; n++ {
@@ -175,8 +176,14 @@ func TestGroupSCNsAtPageEdges(t *testing.T) {
 			}
 		}
 	}
-	if recs := g.Records(); len(recs) != 2*P+1 || cap(recs) != len(recs) || recs[P].SCN != 101+P {
-		t.Fatalf("Records: %d records, capacity %d", len(recs), cap(recs))
+	pieces := g.Pieces()
+	if len(pieces) != 3 || len(slices.Concat(pieces...)) != 2*P+1 || pieces[1][0].SCN != 101+P {
+		t.Fatalf("Pieces: %d pieces", len(pieces))
+	}
+	for i, pc := range pieces {
+		if cap(pc) != len(pc) || &pc[0] != &g.pages[i][0] {
+			t.Fatalf("piece %d is not a capacity-capped view of page %d", i, i)
+		}
 	}
 	g.empty()
 	if g.FirstSCN() != -1 || g.LastSCN() != -1 || len(g.pages) != 0 {
@@ -253,6 +260,82 @@ func TestOnlineRecordsCopiesOnce(t *testing.T) {
 	}
 	if len(recs) != 5*P-99 {
 		t.Errorf("OnlineRecords(100) gave %d records, want %d", len(recs), 5*P-99)
+	}
+	m.Stop()
+	k.RunAll()
+}
+
+// placedAt reports whether rec is the very record a page of m's groups holds.
+func placedAt(m *Manager, rec *Record) bool {
+	for _, g := range m.groups {
+		for _, pg := range g.pages {
+			if i := int(rec.SCN - pg[0].SCN); i >= 0 && i < len(pg) && &pg[i] == rec {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// OnlinePieces hands out the pages themselves: capacity-capped views that
+// read what OnlineRecords copies, from any SCN, after the ring has wrapped,
+// whose records sit where LGWR placed them. A group's reuse drops its pages
+// without writing them, so a view taken before it reads the same records
+// after it.
+func TestOnlinePiecesAreThePagesThemselves(t *testing.T) {
+	k, _, m := newTestLog(t, (P+P/4)*recBytes, 3, false)
+	m.OnSwitch = func(p *sim.Proc, old *Group) { m.CheckpointCompleted(old.LastSCN()) }
+	m.Start()
+	writeBursts(t, k, m, 7, P-4, P+5, 3, 2*P, P-11)
+	k.Run(sim.Time(time.Minute))
+	lowest := m.LowestOnlineSCN()
+	for _, from := range []SCN{lowest, lowest + 1, lowest + P, m.FlushedSCN(), m.FlushedSCN() + 1} {
+		pieces, ok := m.OnlinePieces(from)
+		want, wantOK := m.OnlineRecords(from)
+		if got := slices.Concat(pieces...); ok != wantOK || len(got) != len(want) || len(got) > 0 && !reflect.DeepEqual(got, want) {
+			t.Fatalf("OnlinePieces(%d) reads %d records (ok %v), OnlineRecords %d (ok %v)",
+				from, len(slices.Concat(pieces...)), ok, len(want), wantOK)
+		}
+		for _, pc := range pieces {
+			if len(pc) == 0 || cap(pc) != len(pc) || !placedAt(m, &pc[0]) || !placedAt(m, &pc[len(pc)-1]) {
+				t.Fatalf("OnlinePieces(%d): a piece of %d records (capacity %d) is not a capped view of a page", from, len(pc), cap(pc))
+			}
+		}
+	}
+	held, _ := m.OnlinePieces(lowest)
+	kept := slices.Clone(slices.Concat(held...))
+	writeBursts(t, k, m, 4*P)
+	k.Run(sim.Time(2 * time.Minute))
+	if m.LowestOnlineSCN() <= kept[len(kept)-1].SCN {
+		t.Fatalf("lowest online SCN %d: the held span (to SCN %d) was not overwritten", m.LowestOnlineSCN(), kept[len(kept)-1].SCN)
+	}
+	if !reflect.DeepEqual(slices.Concat(held...), kept) {
+		t.Error("views taken before their groups were reused read other records after it")
+	}
+	m.Stop()
+	k.RunAll()
+}
+
+// OnlinePieces allocates for its pieces, not its records: a span of five
+// pages costs its short list of views, where a copy (OnlineRecords) costs
+// 112 bytes a record.
+func TestOnlinePiecesAllocatesPerPiece(t *testing.T) {
+	k, _, m := newTestLog(t, 2*P*recBytes, 3, false)
+	m.Start()
+	writeBursts(t, k, m, P, 2*P, 2*P)
+	k.Run(sim.Time(time.Minute))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	pieces, _ := m.OnlinePieces(100)
+	runtime.ReadMemStats(&after)
+	n := len(slices.Concat(pieces...))
+	if n != 5*P-99 {
+		t.Fatalf("OnlinePieces(100) reads %d records, want %d", n, 5*P-99)
+	}
+	// A few growths of a list of 5 views, plus whatever the runtime
+	// allocates meanwhile; a copy is 112 bytes a record, 549 KiB here.
+	if got := after.TotalAlloc - before.TotalAlloc; got > 16<<10 {
+		t.Errorf("OnlinePieces of %d pieces (%d records) allocated %d bytes, want at most 16 KiB", len(pieces), n, got)
 	}
 	m.Stop()
 	k.RunAll()

@@ -32,8 +32,8 @@ func TestActivationKeepsFullyHandedOffArchive(t *testing.T) {
 		}
 		var handedOff []redo.SCN // last SCN of each archive ARCH handed off
 		pr.primary.Archiver().OnArchived = func(ap *sim.Proc, al *archivelog.ArchivedLog) {
-			if recs := al.Records(); len(recs) > 0 {
-				handedOff = append(handedOff, recs[len(recs)-1].SCN)
+			if len(al.Pieces()) > 0 {
+				handedOff = append(handedOff, al.LastSCN)
 			}
 			pr.sb.Ship(ap, al)
 		}

@@ -24,6 +24,7 @@ package standby
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"dbench/internal/archivelog"
@@ -94,14 +95,15 @@ type Standby struct {
 	// The one feed (see accept): transport units arrive in sequence and
 	// their records wait in recvQueue for the managed-recovery process,
 	// which owes the CPU cost of what it applied and has yet to write the
-	// blocks it touched.
+	// blocks it touched (in apply order, a block listed again only when
+	// another came between).
 	wantSeq     uint64
 	receivedSCN redo.SCN
 	lastPrimary redo.SCN
-	recvQueue   []redo.Record
+	recvQueue   views
 	mrp         *sim.Server
 	owed        time.Duration
-	touched     map[storage.BlockRef]bool
+	touched     []storage.BlockRef
 	streamHash  uint64
 	// Archive shipping: Ship hands archives to the RFS receiver process,
 	// which pays the network transfer on the stand-by side — so a primary
@@ -118,9 +120,9 @@ type Standby struct {
 
 	// losers is managed recovery's loser table: the rollback set at
 	// promotion, and the committed-read overlay of reads.go. It points
-	// into recvQueue's arrays: a long-running transaction's record keeps
-	// the array it arrived in (in archive mode, a whole archived log's
-	// records) alive until a compaction drops it.
+	// into the pages the records were placed in, which nobody writes
+	// again: a long-running transaction's record keeps its page alive
+	// until a compaction drops it.
 	losers *recovery.Losers
 
 	// gapErr is set when a transport unit arrives beyond the expected
@@ -205,7 +207,7 @@ func (s *Standby) Start(p *sim.Proc) error {
 	if err := s.in.Mount(p); err != nil {
 		return err
 	}
-	s.owed, s.touched = 0, make(map[storage.BlockRef]bool)
+	s.owed, s.touched = 0, s.touched[:0]
 	s.mrp = s.k.Serve("MRP-"+s.name, s.applyDue, s.apply)
 	return nil
 }
@@ -224,9 +226,10 @@ func (s *Standby) Stop() {
 // redo is missing from the middle of the feed, so the stand-by halts
 // rather than apply around the hole; an old number is a duplicate and is
 // dropped quietly. The unit's records join the receive queue and are
-// forwarded to any cascaded destinations on receipt, before apply.
-// Reports whether the unit was taken.
-func (s *Standby) accept(seq uint64, primarySCN redo.SCN, bytes int64, recs []redo.Record) bool {
+// forwarded to any cascaded destinations on receipt, before apply: both
+// queue the views recs, in order, not the records. Reports whether the
+// unit was taken.
+func (s *Standby) accept(seq uint64, primarySCN redo.SCN, bytes int64, recs [][]redo.Record) bool {
 	if s.gapErr != nil || s.activated || seq < s.wantSeq {
 		return false
 	}
@@ -238,14 +241,21 @@ func (s *Standby) accept(seq uint64, primarySCN redo.SCN, bytes int64, recs []re
 	s.stats.Frames++
 	s.stats.StreamBytes += bytes
 	s.lastPrimary = max(s.lastPrimary, primarySCN)
-	if len(recs) == 0 {
+	queued := s.recvQueue.pending
+	for _, view := range recs {
+		if len(view) > 0 {
+			s.receivedSCN = max(s.receivedSCN, view[len(view)-1].SCN)
+			s.recvQueue.push(view)
+		}
+	}
+	if s.recvQueue.pending == queued {
 		return true
 	}
-	s.receivedSCN = max(s.receivedSCN, recs[len(recs)-1].SCN)
-	s.recvQueue = append(s.recvQueue, recs...)
 	s.mrp.Wake()
 	for _, rel := range s.relays {
-		rel.enqueue(recs)
+		for _, view := range recs {
+			rel.enqueue(view)
+		}
 	}
 	return true
 }
@@ -272,7 +282,7 @@ func (s *Standby) receive(p *sim.Proc) bool {
 		p.Sleep(time.Duration(al.Bytes * int64(time.Second) / s.cfg.ShipBytesPerSec))
 	}
 	s.shipQueue = s.shipQueue[1:]
-	s.accept(uint64(al.Seq), al.LastSCN, al.Bytes, al.Records())
+	s.accept(uint64(al.Seq), al.LastSCN, al.Bytes, al.Pieces())
 	s.rfsDrained.Broadcast(s.k)
 	return true
 }
@@ -280,7 +290,7 @@ func (s *Standby) receive(p *sim.Proc) bool {
 // applyDue reports managed recovery's work: records to apply, apply cost
 // to pay, or blocks to write.
 func (s *Standby) applyDue() bool {
-	return len(s.recvQueue) > 0 || s.owed > 0 || len(s.touched) > 0
+	return s.recvQueue.pending > 0 || s.owed > 0 || len(s.touched) > 0
 }
 
 // apply is managed recovery: it pops each received record and applies it
@@ -289,14 +299,13 @@ func (s *Standby) applyDue() bool {
 // holding the unapplied tail. With the queue empty it pays the rest of the
 // debt and, unless more records arrived meanwhile, writes what it touched.
 func (s *Standby) apply(p *sim.Proc) bool {
-	for len(s.recvQueue) > 0 {
-		rec := &s.recvQueue[0]
-		s.recvQueue = s.recvQueue[1:]
+	for s.recvQueue.pending > 0 {
+		rec := s.recvQueue.pop()
 		if rec.SCN <= s.appliedSCN {
 			continue
 		}
-		if ref, ok := s.losers.Apply(rec); ok {
-			s.touched[ref] = true
+		if ref, ok := s.losers.Apply(rec); ok && (len(s.touched) == 0 || s.touched[len(s.touched)-1] != ref) {
+			s.touched = append(s.touched, ref)
 		}
 		s.appliedSCN = rec.SCN
 		s.stats.RecordsDone++
@@ -312,9 +321,9 @@ func (s *Standby) apply(p *sim.Proc) bool {
 	d := s.owed
 	s.owed = 0
 	p.Sleep(d)
-	if len(s.recvQueue) == 0 {
+	if s.recvQueue.pending == 0 {
 		s.chargeTouched(p)
-		s.touched = make(map[storage.BlockRef]bool)
+		s.touched = s.touched[:0]
 		s.stats.Applied++
 	}
 	return true
@@ -325,7 +334,8 @@ func (s *Standby) chargeTouched(p *sim.Proc) {
 	// Managed recovery writes blocks lazily and mostly sequentially;
 	// charge one write per touched block at the sequential rate on the
 	// file's disk, in recovery's sorted block-pass order.
-	for _, ref := range recovery.SortedRefs(s.touched) {
+	slices.SortFunc(s.touched, recovery.CompareRefs)
+	for _, ref := range slices.Compact(s.touched) {
 		if ref.File.Lost() {
 			continue
 		}
@@ -356,16 +366,19 @@ func (s *Standby) Promote(p *sim.Proc) (*recovery.Report, error) {
 		// that never existed on the primary.
 		return nil, s.gapErr
 	}
-	tail := s.recvQueue
-	for len(tail) > 0 && tail[0].SCN <= s.appliedSCN {
-		tail = tail[1:]
+	// The tail is flattened once, past the records already applied.
+	tail := make([]redo.Record, 0, s.recvQueue.pending)
+	for rec := range s.recvQueue.all() {
+		if len(tail) > 0 || rec.SCN > s.appliedSCN {
+			tail = append(tail, *rec)
+		}
 	}
 	scn := s.ReceivedSCN()
 	rep, err := recovery.NewManager(s.in, nil).Failover(p, tail, s.losers, scn)
 	if err != nil {
 		return nil, err
 	}
-	s.recvQueue = nil
+	s.recvQueue = views{}
 	s.appliedSCN = scn
 	s.receivedSCN = scn
 	s.losers = recovery.NewLosers(s.in)
@@ -377,6 +390,6 @@ func (s *Standby) Promote(p *sim.Proc) (*recovery.Report, error) {
 // an MMON gauge on the primary: the fixed activation overhead plus the
 // apply and rollback cost of everything received but not yet applied.
 func (s *Standby) EstimateRTO() time.Duration {
-	backlog := int64(len(s.recvQueue) + s.losers.Live())
+	backlog := int64(s.recvQueue.pending + s.losers.Live())
 	return activationOverhead + time.Duration(backlog)*s.applyPerRecord
 }

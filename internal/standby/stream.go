@@ -15,6 +15,7 @@ package standby
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"time"
 
 	"dbench/internal/archivelog"
@@ -68,6 +69,77 @@ func ParseMode(s string) (Mode, error) {
 // never acknowledged to the client, so losing it costs no RPO.
 var ErrPrimaryLost = errors.New("standby: primary lost before sync acknowledgement")
 
+// views is a FIFO of redo records held as views of the pages LGWR placed
+// them in, which nobody writes again (DESIGN.md §4b): it queues a view's
+// header, never its records, so a pointer to a queued record stays valid
+// however the queue moves. The LNS outboxes and a stand-by's receive queue
+// are views.
+type views struct {
+	q       [][]redo.Record // q[head][off:] and the views after it are queued
+	head    int
+	off     int
+	pending int // records queued
+}
+
+func (v *views) push(recs []redo.Record) {
+	if len(recs) == 0 {
+		return
+	}
+	if q := v.q; len(q) == cap(q) && 2*v.head >= len(q) {
+		// Reuse the slots the consumer vacated instead of letting append
+		// grow, also in a queue that never drains (async, WAN).
+		n := copy(q, q[v.head:])
+		clear(q[n:])
+		v.q, v.head = q[:n], 0
+	}
+	v.q = append(v.q, recs)
+	v.pending += len(recs)
+}
+
+// pop takes the first queued record.
+func (v *views) pop() *redo.Record {
+	rec := &v.q[v.head][v.off]
+	v.drop(1)
+	return rec
+}
+
+// cut takes the first n queued records, appending them to into as views:
+// one per queued view they lie in.
+func (v *views) cut(n int, into [][]redo.Record) [][]redo.Record {
+	for n > 0 {
+		recs := v.q[v.head][v.off:]
+		recs = recs[:min(n, len(recs))]
+		into = append(into, recs)
+		v.drop(len(recs))
+		n -= len(recs)
+	}
+	return into
+}
+
+// drop takes the first n records of the head view.
+func (v *views) drop(n int) {
+	v.pending -= n
+	if v.off += n; v.off == len(v.q[v.head]) {
+		v.q[v.head] = nil
+		v.head, v.off = v.head+1, 0
+	}
+}
+
+// all yields the queued records in order, leaving them queued.
+func (v *views) all() iter.Seq[*redo.Record] {
+	return func(yield func(*redo.Record) bool) {
+		off := v.off
+		for _, recs := range v.q[v.head:] {
+			for i := off; i < len(recs); i++ {
+				if !yield(&recs[i]) {
+					return
+				}
+			}
+			off = 0
+		}
+	}
+}
+
 // streamer is one LNS shipping process: it cuts frames from its outbox
 // and pushes them over a link to one destination. First-tier streamers
 // run on the primary host and die with it; cascade relays run on their
@@ -78,13 +150,17 @@ type streamer struct {
 	link    *sim.Link
 	src     func() redo.SCN // primary flushed SCN stamped on each frame
 	dst     *Standby
-	max     int           // records per frame
-	outbox  []redo.Record // outbox[head:] is still to ship
-	head    int
+	max     int   // records per frame
+	outbox  views // still to ship
 	lns     *sim.Server
 	nextSeq uint64
-	frame   redo.StreamFrame // reused by every frame; Receive copies what it keeps
-	wire    []byte           // the frame's encoding, reused likewise
+	// frame is reused by every frame. Its Records are the frame's one
+	// view, or flat when the frame spans several; the destination takes
+	// the views (cut), never flat, which is only encoded.
+	frame redo.StreamFrame
+	cut   [][]redo.Record
+	flat  []redo.Record
+	wire  []byte // the frame's encoding, reused likewise
 	// onDeliver observes every delivered frame (cluster counters and
 	// sync-ack wakeups). Runs after the destination processed the frame.
 	onDeliver func(p *sim.Proc, f *redo.StreamFrame, encoded int)
@@ -94,7 +170,7 @@ func (st *streamer) start() {
 	if st.lns.Running() {
 		return
 	}
-	st.lns = st.k.Serve(st.name, func() bool { return len(st.outbox) > st.head }, st.ship)
+	st.lns = st.k.Serve(st.name, func() bool { return st.outbox.pending > 0 }, st.ship)
 }
 
 // stop kills the shipping process and drops the outbox — the undelivered
@@ -103,7 +179,7 @@ func (st *streamer) stop() {
 	if !st.lns.Running() {
 		return
 	}
-	st.outbox, st.head = nil, 0
+	st.outbox = views{}
 	st.lns.Stop()
 }
 
@@ -111,35 +187,41 @@ func (st *streamer) enqueue(recs []redo.Record) {
 	if !st.lns.Running() || len(recs) == 0 {
 		return
 	}
-	if len(st.outbox)+len(recs) > cap(st.outbox) && 2*st.head >= len(st.outbox) {
-		// Reuse the slots ship consumed instead of letting append grow,
-		// also in an outbox that never drains (async, WAN).
-		n := copy(st.outbox, st.outbox[st.head:])
-		clear(st.outbox[n:])
-		st.outbox, st.head = st.outbox[:n], 0
-	}
-	st.outbox = append(st.outbox, recs...)
+	st.outbox.push(recs)
 	st.lns.Wake()
 }
 
 // ship cuts one frame from the outbox and pushes it to the destination.
 func (st *streamer) ship(p *sim.Proc) bool {
-	n := min(len(st.outbox)-st.head, st.max)
+	st.cut = st.outbox.cut(min(st.outbox.pending, st.max), st.cut[:0])
 	st.frame.Seq, st.frame.PrimarySCN = st.nextSeq, st.src()
-	st.frame.Records = append(st.frame.Records[:0], st.outbox[st.head:st.head+n]...)
-	st.head += n
+	st.frame.Records = st.cut[0]
+	if len(st.cut) > 1 {
+		st.flat = st.flat[:0]
+		for _, recs := range st.cut {
+			st.flat = append(st.flat, recs...)
+		}
+		st.frame.Records = st.flat
+	}
 	st.nextSeq++
 	st.wire = st.frame.AppendTo(st.wire[:0])
 	st.link.Send(p, int64(len(st.wire)))
-	st.dst.Receive(p, &st.frame, st.wire)
+	st.dst.receiveFrame(&st.frame, st.wire, st.cut...)
 	st.onDeliver(p, &st.frame, len(st.wire))
 	return true
 }
 
 // Receive accepts one stream frame (see accept) and chains the frame's
-// checksum word into the stream hash.
+// checksum word into the stream hash. The stand-by keeps f.Records
+// themselves, as Insert and Update keep a row: the caller must not write
+// them again.
 func (s *Standby) Receive(p *sim.Proc, f *redo.StreamFrame, encoded []byte) {
-	if s.accept(f.Seq, f.PrimarySCN, int64(len(encoded)), f.Records) {
+	s.receiveFrame(f, encoded, f.Records)
+}
+
+// receiveFrame is Receive of a frame whose records are recs, in order.
+func (s *Standby) receiveFrame(f *redo.StreamFrame, encoded []byte, recs ...[]redo.Record) {
+	if s.accept(f.Seq, f.PrimarySCN, int64(len(encoded)), recs) {
 		s.streamHash = fnvWord(s.streamHash, redo.FrameChecksum(encoded))
 	}
 }
@@ -362,15 +444,17 @@ func (c *Cluster) resync() {
 		if s.activated || s.gapErr != nil {
 			continue
 		}
-		recs, ok := c.primary.Log().OnlineRecords(s.ReceivedSCN() + 1)
+		pieces, ok := c.primary.Log().OnlinePieces(s.ReceivedSCN() + 1)
 		if !ok {
 			s.gapErr = fmt.Errorf("standby: resync gap: online redo past SCN %d was overwritten", s.ReceivedSCN())
 			continue
 		}
 		st.nextSeq = s.wantSeq
-		st.outbox, st.head = nil, 0
+		st.outbox = views{}
 		st.start()
-		st.enqueue(recs)
+		for _, recs := range pieces {
+			st.enqueue(recs)
+		}
 		c.st.Resyncs++
 	}
 	c.ackWake.Broadcast(c.k)

@@ -211,10 +211,11 @@ func TestUpdateSharesTheCallersSliceAndTheReplacedRow(t *testing.T) {
 			t.Fatal(err)
 		}
 		var rec *redo.Record
-		for _, g := range f.log.Groups() {
-			for i, r := range g.Records() {
-				if r.Txn == tx.ID && r.Key == rowA {
-					rec = &g.Records()[i]
+		pieces, _ := f.log.OnlinePieces(0)
+		for _, pc := range pieces {
+			for i := range pc {
+				if pc[i].Txn == tx.ID && pc[i].Key == rowA {
+					rec = &pc[i]
 				}
 			}
 		}
