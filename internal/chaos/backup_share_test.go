@@ -281,7 +281,7 @@ func TestStandbysShareTheLoadedImagesAndNobodyWritesThrough(t *testing.T) {
 		if err := ref.Instance().Mount(p); err != nil {
 			return err
 		}
-		if _, err := recovery.NewManager(ref.Instance(), nil).Failover(p, prefix, recovery.NewLosers(ref.Instance()), other.AppliedSCN()); err != nil {
+		if _, err := recovery.NewManager(ref.Instance(), nil).Failover(p, [][]redo.Record{prefix}, recovery.NewLosers(ref.Instance()), other.AppliedSCN()); err != nil {
 			return err
 		}
 		want, got := fileHashes(ref.Instance()), fileHashes(other.Instance())

@@ -378,13 +378,7 @@ func runPoint(cfg Config, index int) (*PointResult, error) {
 			// Trim the idempotence replay to the promoted prefix: redo
 			// beyond the promotion SCN never reached the stand-by, so
 			// re-applying it would (correctly) change state.
-			trimmed := replay[:0]
-			for _, rec := range replay {
-				if rec.SCN <= recoveryPoint {
-					trimmed = append(trimmed, rec)
-				}
-			}
-			replay = trimmed
+			replay = cutAt(replay, recoveryPoint)
 		}
 
 		// Invariant (f): the estimate in force at the remedy decision

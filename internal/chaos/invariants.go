@@ -65,30 +65,41 @@ func hashImage(h hash.Hash64, no int, img *storage.Block) {
 // recycled, from the archived logs. This is harness bookkeeping (the
 // crashed instance's durable bytes read without simulated cost), kept
 // deliberately separate from recovery's own redoRange so the two
-// implementations cross-check each other.
-func captureRedo(in *engine.Instance) []redo.Record {
+// implementations cross-check each other. It returns views of the
+// records where they were placed, in SCN order.
+func captureRedo(in *engine.Instance) [][]redo.Record {
 	ctl := in.DB().Control
 	from := storage.ScanStart(ctl.CheckpointSCN, ctl.UndoSCN)
 	log := in.Log()
-	if recs, ok := log.OnlineRecords(from); ok {
-		return recs
+	if pieces, ok := log.OnlinePieces(from); ok {
+		return pieces
 	}
-	var recs []redo.Record
+	var pieces [][]redo.Record
 	next := from
 	if arch := in.Archiver(); arch != nil {
 		for _, al := range arch.Inventory().From(from) {
 			for _, pc := range al.Pieces() {
-				for _, rec := range pc {
-					if rec.SCN >= next {
-						recs = append(recs, rec)
-						next = rec.SCN + 1
-					}
+				for len(pc) > 0 && pc[0].SCN < next {
+					pc = pc[1:]
+				}
+				if len(pc) > 0 {
+					pieces, next = append(pieces, pc), pc[len(pc)-1].SCN+1
 				}
 			}
 		}
 	}
-	online, _ := log.OnlineRecords(next)
-	return append(recs, online...)
+	online, _ := log.OnlinePieces(next)
+	return append(pieces, online...)
+}
+
+// cutAt keeps the records of SCN-ordered pieces at or below scn, in place.
+func cutAt(pieces [][]redo.Record, scn redo.SCN) [][]redo.Record {
+	for i, pc := range pieces {
+		if n := sort.Search(len(pc), func(j int) bool { return pc[j].SCN > scn }); n < len(pc) {
+			return append(pieces[:i], pc[:n])
+		}
+	}
+	return pieces
 }
 
 // fingerprint condenses a finished point — the final datafile state hash

@@ -1,7 +1,10 @@
 package chaos
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -26,7 +29,9 @@ type rig struct {
 	err error
 }
 
-func newRig(t *testing.T) *rig {
+// newRig builds a one-warehouse rig; edits change the engine configuration
+// before the instance is made.
+func newRig(t *testing.T, edits ...func(*engine.Config)) *rig {
 	t.Helper()
 	k := sim.NewKernel(4321)
 	fs := simdisk.NewFS(
@@ -39,6 +44,9 @@ func newRig(t *testing.T) *rig {
 	ecfg.Redo.GroupSizeBytes = 4 << 20
 	ecfg.CacheBlocks = 512
 	ecfg.CheckpointTimeout = 60 * time.Second
+	for _, edit := range edits {
+		edit(&ecfg)
+	}
 	in, err := engine.New(k, fs, ecfg)
 	if err != nil {
 		t.Fatal(err)
@@ -189,7 +197,7 @@ func TestIdempotenceCheckerFlagsReappliedRecord(t *testing.T) {
 			t.Fatal("no data-change records in the online log after load")
 		}
 		before := StateHash(r.in)
-		if n := r.rm.ReapplyDataRecords(data); n != 0 {
+		if n := r.rm.ReapplyDataRecords([][]redo.Record{data}); n != 0 {
 			t.Errorf("ReapplyDataRecords(already applied) = %d, want 0", n)
 		}
 		if StateHash(r.in) != before {
@@ -200,11 +208,83 @@ func TestIdempotenceCheckerFlagsReappliedRecord(t *testing.T) {
 		// beyond anything any block image carries.
 		forged := data[len(data)-1]
 		forged.SCN = r.in.Log().NextSCN() + 1000
-		if n := r.rm.ReapplyDataRecords([]redo.Record{forged}); n != 1 {
+		if n := r.rm.ReapplyDataRecords([][]redo.Record{{forged}}); n != 1 {
 			t.Errorf("ReapplyDataRecords(forged future record) = %d, want 1", n)
 		}
 		if StateHash(r.in) == before {
 			t.Error("StateHash did not change after the forged record applied")
+		}
+		return nil
+	})
+}
+
+// The idempotence replay reads the archives where the online log has
+// wrapped. Flattened, captureRedo's pieces are record for record what a
+// flat walk of the archives and a copy of the online log give, and the
+// failover trim keeps exactly the records at or below its cut.
+func TestCaptureRedoReadsWhatAFlatWalkCopies(t *testing.T) {
+	r := newRig(t, func(c *engine.Config) {
+		c.Redo.GroupSizeBytes = 64 << 10
+		c.Redo.Groups = 3
+		c.Redo.ArchiveMode = true
+	})
+	r.run(t, func(p *sim.Proc) error {
+		if err := r.boot(p); err != nil {
+			return err
+		}
+		for i := 0; i < 1500; i++ {
+			tx, _ := r.in.Begin()
+			if err := r.in.Update(p, tx, tpcc.TableItem, tpcc.IKey(1+i%300), []byte(fmt.Sprintf("item %d", i))); err != nil {
+				return err
+			}
+			if err := r.in.Commit(p, tx); err != nil {
+				return err
+			}
+		}
+		log := r.in.Log()
+		archives := r.in.Archiver().Inventory().Logs()
+		if len(archives) < 3 || log.LowestOnlineSCN() <= 1 {
+			return fmt.Errorf("%d archives, lowest online SCN %d: the online log did not wrap", len(archives), log.LowestOnlineSCN())
+		}
+		// Read from the first SCN on, as from a control file restored from
+		// before the load.
+		ctl := r.in.DB().Control
+		ctl.CheckpointSCN, ctl.UndoSCN = 0, 0
+
+		var want []redo.Record
+		next := redo.SCN(1)
+		for _, al := range archives {
+			for _, pc := range al.Pieces() {
+				for _, rec := range pc {
+					if rec.SCN >= next {
+						want = append(want, rec)
+						next = rec.SCN + 1
+					}
+				}
+			}
+		}
+		online, _ := log.OnlineRecords(next)
+		want = append(want, online...)
+
+		pieces := captureRedo(r.in)
+		if got := slices.Concat(pieces...); !reflect.DeepEqual(got, want) {
+			return fmt.Errorf("captureRedo reads %d records, the flat walk %d", len(got), len(want))
+		}
+		if len(online) == len(want) {
+			return fmt.Errorf("the replay read no archive")
+		}
+		first, last := want[0].SCN, want[len(want)-1].SCN
+		cuts := []redo.SCN{first - 1, first, pieces[0][len(pieces[0])-1].SCN, pieces[1][1].SCN, (first + last) / 2, last - 1, last, last + 1}
+		for _, cut := range cuts {
+			var kept []redo.Record
+			for _, rec := range want {
+				if rec.SCN <= cut {
+					kept = append(kept, rec)
+				}
+			}
+			if got := slices.Concat(cutAt(slices.Clone(pieces), cut)...); !reflect.DeepEqual(got, kept) {
+				return fmt.Errorf("cut at SCN %d keeps %d records, want the %d at or below it", cut, len(got), len(kept))
+			}
 		}
 		return nil
 	})

@@ -82,7 +82,7 @@ func TestLoserTableCompactionKeepsUndoOrder(t *testing.T) {
 				if err := r.in.Mount(p); err != nil {
 					return err
 				}
-				rep, err := r.rm.Failover(p, stream, NewLosers(r.in), stream[len(stream)-1].SCN)
+				rep, err := r.rm.Failover(p, [][]redo.Record{stream}, NewLosers(r.in), stream[len(stream)-1].SCN)
 				if err != nil {
 					return err
 				}

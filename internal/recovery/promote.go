@@ -65,19 +65,20 @@ func ReplayDDL(cat *catalog.Catalog, db *storage.DB, stmt string) {
 // Failover promotes a standby database to primary. The instance must be
 // mounted with a physical copy consistent through the standby's continuous
 // apply, which kept the loser table losers; tail is the received-but-not-
-// yet-applied stream suffix (SCN order) and scn the received watermark,
-// the SCN the new incarnation starts after. The tail rolls forward through
-// the same pass as every other recovery, into a copy of losers, and what
-// never finished is undone in reverse global SCN order. losers itself is
-// left as it was, so a failed failover is retried from the same table.
-func (m *Manager) Failover(p *sim.Proc, tail []redo.Record, losers *Losers, scn redo.SCN) (*Report, error) {
+// yet-applied stream suffix, pieces in SCN order read where they lie and
+// never written, and scn the received watermark, the SCN the new
+// incarnation starts after. The tail rolls forward through the same pass
+// as every other recovery, into a copy of losers, and what never finished
+// is undone in reverse global SCN order. losers itself is left as it was,
+// so a failed failover is retried from the same table and tail.
+func (m *Manager) Failover(p *sim.Proc, tail [][]redo.Record, losers *Losers, scn redo.SCN) (*Report, error) {
 	if m.in.State() == engine.StateOpen {
 		return nil, fmt.Errorf("recovery: failover target is already open")
 	}
 	return m.run(p, KindFailover, func(rep *Report, tl *timeline) error {
 		tl.phase(p, PhaseRedoReplay)
 		sa := m.newStreamApply(p, rep, tl, losers.clone())
-		sa.feed(p, [][]redo.Record{tail})
+		sa.feed(p, tail)
 		if err := sa.finish(p, scn); err != nil {
 			return err
 		}

@@ -582,14 +582,14 @@ func participates(f *storage.Datafile, includeOffline bool) bool {
 // undone losers stamped their blocks), so a second replay must apply none:
 // the redo-idempotence invariant the chaos harness checks. It charges no
 // simulated I/O or CPU and tracks no losers: it is harness instrumentation.
-func (m *Manager) ReapplyDataRecords(recs []redo.Record) int {
+func (m *Manager) ReapplyDataRecords(pieces [][]redo.Record) int {
 	t := Losers{in: m.in, includeOffline: true}
 	n := 0
-	for i := range recs {
-		if !recs[i].IsDataChange() {
+	for rec := range all(pieces) {
+		if !rec.IsDataChange() {
 			continue
 		}
-		if ref, ok := t.resolve(&recs[i]); ok && ApplyToImage(&recs[i], ref) {
+		if ref, ok := t.resolve(rec); ok && ApplyToImage(rec, ref) {
 			n++
 		}
 	}

@@ -785,8 +785,9 @@ func (m *Manager) ForceSwitch(p *sim.Proc) (switched bool, err error) {
 // OnlineRecords returns, in SCN order, the flushed records with SCN >= from
 // that are still present in the online groups (not yet overwritten by
 // reuse), skipping groups whose members were all lost. They are copied once
-// into an exactly sized slice the caller owns. ok reports whether the range
-// is whole from `from`: false means older redo was overwritten, or a lost
+// into an exactly sized slice the caller owns: the benchmark probe's flat
+// read (the program reads OnlinePieces). ok reports whether the range is
+// whole from `from`: false means older redo was overwritten, or a lost
 // group leaves a hole in the range, so callers need the archive. (The SCNs
 // a crash discarded with the redo buffer were never durable: the jump they
 // leave between two records is no hole.)

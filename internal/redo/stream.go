@@ -26,8 +26,7 @@ const frameOverhead, framePad = 32, 32 - 8 - 8 - 4 - 8
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli) // CRC-32C: in hardware on amd64, arm64
 
-// Size returns the encoded size of f in bytes: len(f.Encode()), or what
-// AppendTo adds.
+// Size returns the encoded size of f in bytes: len(f.Encode()).
 func (f *StreamFrame) Size() int64 {
 	n := int64(frameOverhead)
 	for i := range f.Records {
@@ -38,18 +37,25 @@ func (f *StreamFrame) Size() int64 {
 
 // Encode serialises f to a self-delimiting binary form.
 func (f *StreamFrame) Encode() []byte {
-	return f.AppendTo(make([]byte, 0, f.Size()))
+	return AppendFrame(make([]byte, 0, f.Size()), f.Seq, f.PrimarySCN, f.Records)
 }
 
-// AppendTo appends f's encoding (see Encode) to buf. The checksum word is
-// the CRC-32C of the frame's bytes before it.
-func (f *StreamFrame) AppendTo(buf []byte) []byte {
-	start := len(buf)
-	buf = binary.BigEndian.AppendUint64(buf, f.Seq)
-	buf = binary.BigEndian.AppendUint64(buf, uint64(f.PrimarySCN))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(f.Records)))
-	for i := range f.Records {
-		buf = f.Records[i].AppendTo(buf)
+// AppendFrame appends to buf the encoding of the frame numbered seq,
+// stamped with primarySCN, whose records are the pieces' in order: the
+// bytes Encode gives the frame holding them in one slice. The checksum
+// word is the CRC-32C of the frame's bytes before it.
+func AppendFrame(buf []byte, seq uint64, primarySCN SCN, pieces ...[]Record) []byte {
+	start, n := len(buf), 0
+	for _, pc := range pieces {
+		n += len(pc)
+	}
+	buf = binary.BigEndian.AppendUint64(buf, seq)
+	buf = binary.BigEndian.AppendUint64(buf, uint64(primarySCN))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(n))
+	for _, pc := range pieces {
+		for i := range pc {
+			buf = pc[i].AppendTo(buf)
+		}
 	}
 	buf = binary.BigEndian.AppendUint64(buf, uint64(crc32.Checksum(buf[start:], castagnoli)))
 	return append(buf, make([]byte, framePad)...)

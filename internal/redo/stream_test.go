@@ -57,7 +57,7 @@ func pinnedFrame() StreamFrame {
 // The wire format is pinned: with its checksum word left out, a fixed
 // frame encodes to the bytes the FNV-checksummed codec produced (same
 // layout, same Size, so the same link transfer times), and the checksum
-// word is the CRC-32C of every byte before it. AppendTo onto a buffer
+// word is the CRC-32C of every byte before it. AppendFrame onto a buffer
 // reused across frames of different sizes keeps the prefix and appends
 // exactly Encode's bytes.
 func TestStreamFrameWireFormatPinned(t *testing.T) {
@@ -76,26 +76,45 @@ func TestStreamFrameWireFormatPinned(t *testing.T) {
 	const prefix = "prefix"
 	buf := []byte(prefix)
 	for _, fr := range []StreamFrame{{Seq: 2, Records: frameRecords(40, 1)}, {Seq: 7}, f, {Seq: 3, Records: frameRecords(2, 50)}} {
-		buf = fr.AppendTo(buf[:len(prefix)])
+		buf = AppendFrame(buf[:len(prefix)], fr.Seq, fr.PrimarySCN, fr.Records)
 		if string(buf[:len(prefix)]) != prefix || !bytes.Equal(buf[len(prefix):], fr.Encode()) {
 			t.Fatalf("frame seq %d appended onto a reused buffer differs from Encode", fr.Seq)
 		}
 	}
 }
 
-// Encoding into a warm buffer allocates nothing; Encode allocates its one
-// exactly sized buffer.
+// Encoding into a warm buffer allocates nothing, in one piece or several;
+// Encode allocates its one exactly sized buffer.
 func TestStreamCodecAllocs(t *testing.T) {
 	f := pinnedFrame()
 	buf := f.Encode()
 	if got := testing.AllocsPerRun(100, func() { buf = f.Records[1].AppendTo(buf[:0]) }); got != 0 {
 		t.Errorf("Record.AppendTo allocates %v times, want 0", got)
 	}
-	if got := testing.AllocsPerRun(100, func() { buf = f.AppendTo(buf[:0]) }); got != 0 {
-		t.Errorf("StreamFrame.AppendTo allocates %v times, want 0", got)
+	if got := testing.AllocsPerRun(100, func() { buf = AppendFrame(buf[:0], f.Seq, f.PrimarySCN, f.Records) }); got != 0 {
+		t.Errorf("AppendFrame of one piece allocates %v times, want 0", got)
+	}
+	pieces := [][]Record{f.Records[:2], f.Records[2:3], f.Records[3:]}
+	if got := testing.AllocsPerRun(100, func() { buf = AppendFrame(buf[:0], f.Seq, f.PrimarySCN, pieces...) }); got != 0 {
+		t.Errorf("AppendFrame of three pieces allocates %v times, want 0", got)
 	}
 	if got := testing.AllocsPerRun(100, func() { buf = f.Encode() }); got != 1 {
 		t.Errorf("StreamFrame.Encode allocates %v times, want 1", got)
+	}
+}
+
+// A frame's records split into two pieces at any point, either of them
+// empty, encode byte for byte as the frame holding them in one slice, with
+// its checksum word.
+func TestAppendFrameAtEverySplit(t *testing.T) {
+	f := pinnedFrame()
+	want := f.Encode()
+	for i := 0; i <= len(f.Records); i++ {
+		got := AppendFrame(nil, f.Seq, f.PrimarySCN, f.Records[:i], f.Records[i:])
+		if !bytes.Equal(got, want) || FrameChecksum(got) != FrameChecksum(want) {
+			t.Errorf("split at %d of %d encodes %d bytes (checksum %#x), the flat frame %d (%#x)",
+				i, len(f.Records), len(got), FrameChecksum(got), len(want), FrameChecksum(want))
+		}
 	}
 }
 
@@ -127,11 +146,11 @@ func TestStreamFrameRejectsCorruption(t *testing.T) {
 // a plausible frame (a silent mis-parse would feed the stand-by redo the
 // primary never produced).
 func FuzzStreamFrameRoundTrip(f *testing.F) {
-	f.Add(uint64(1), int64(10), 3, int64(8), []byte(nil), 0)
-	f.Add(uint64(7), int64(0), 0, int64(0), []byte(nil), 0)
-	f.Add(uint64(1<<40), int64(1<<50), 64, int64(1), []byte{0xFF, 0x00, 0x10}, 5)
-	f.Add(uint64(2), int64(-3), 1, int64(-9), []byte{1, 2, 3, 4}, 17)
-	f.Fuzz(func(t *testing.T, seq uint64, primary int64, count int, base int64, corrupt []byte, flip int) {
+	f.Add(uint64(1), int64(10), 3, int64(8), []byte(nil), 0, 1)
+	f.Add(uint64(7), int64(0), 0, int64(0), []byte(nil), 0, 0)
+	f.Add(uint64(1<<40), int64(1<<50), 64, int64(1), []byte{0xFF, 0x00, 0x10}, 5, 63)
+	f.Add(uint64(2), int64(-3), 1, int64(-9), []byte{1, 2, 3, 4}, 17, -1)
+	f.Fuzz(func(t *testing.T, seq uint64, primary int64, count int, base int64, corrupt []byte, flip, split int) {
 		if count < 0 || count > 256 {
 			return
 		}
@@ -158,9 +177,15 @@ func FuzzStreamFrameRoundTrip(f *testing.F) {
 		if re := dec.Encode(); !bytes.Equal(re, enc) {
 			t.Fatalf("re-encode not byte-identical")
 		}
-		// AppendTo keeps whatever the buffer already holds.
-		if got := fr.AppendTo(corrupt[:len(corrupt):len(corrupt)]); !bytes.Equal(got[:len(corrupt)], corrupt) || !bytes.Equal(got[len(corrupt):], enc) {
-			t.Fatalf("AppendTo onto a %d-byte prefix differs from the prefix and Encode", len(corrupt))
+		// AppendFrame keeps whatever the buffer already holds, and the
+		// records split into two pieces anywhere encode as the flat frame.
+		at := split % (count + 1)
+		if at < 0 {
+			at += count + 1
+		}
+		pre := corrupt[:len(corrupt):len(corrupt)]
+		if got := AppendFrame(pre, seq, SCN(primary), fr.Records[:at], fr.Records[at:]); !bytes.Equal(got[:len(corrupt)], corrupt) || !bytes.Equal(got[len(corrupt):], enc) {
+			t.Fatalf("AppendFrame split at %d of %d onto a %d-byte prefix differs from the prefix and Encode", at, count, len(corrupt))
 		}
 		// Corruption: flipping any byte in the checksummed region or the
 		// checksum word must not yield the original frame's content under

@@ -248,7 +248,7 @@ func runFailoverDifferential(t *testing.T, seed int64, mode Mode, standbys, casc
 			if err := refIn.Mount(p); err != nil {
 				return err
 			}
-			if _, err := recovery.NewManager(refIn, nil).Failover(p, prefix, recovery.NewLosers(refIn), out.promotedSCN); err != nil {
+			if _, err := recovery.NewManager(refIn, nil).Failover(p, [][]redo.Record{prefix}, recovery.NewLosers(refIn), out.promotedSCN); err != nil {
 				return err
 			}
 			out.imageDiff = diffImages(snapshotImages(refIn.DB()), promoted)

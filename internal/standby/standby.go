@@ -346,9 +346,10 @@ func (s *Standby) chargeTouched(p *sim.Proc) {
 // Promote fails the stand-by over: in-flight archive transfers are
 // drained (received bytes must not be lost), and recovery.Manager.Failover
 // rolls the received-but-unapplied tail forward, rolls back what the feed
-// never finished and opens RESETLOGS as the new primary. Failover works on
-// a copy of the loser table, so a failed promotion keeps the tail and the
-// table and can be retried once the cause is repaired.
+// never finished and opens RESETLOGS as the new primary. The tail is the
+// receive queue's own views past the applied SCN, and Failover works on a
+// copy of the loser table, so a failed promotion leaves the queue and the
+// table as they were and can be retried once the cause is repaired.
 func (s *Standby) Promote(p *sim.Proc) (*recovery.Report, error) {
 	if s.activated {
 		return nil, fmt.Errorf("standby: already activated")
@@ -366,15 +367,8 @@ func (s *Standby) Promote(p *sim.Proc) (*recovery.Report, error) {
 		// that never existed on the primary.
 		return nil, s.gapErr
 	}
-	// The tail is flattened once, past the records already applied.
-	tail := make([]redo.Record, 0, s.recvQueue.pending)
-	for rec := range s.recvQueue.all() {
-		if len(tail) > 0 || rec.SCN > s.appliedSCN {
-			tail = append(tail, *rec)
-		}
-	}
 	scn := s.ReceivedSCN()
-	rep, err := recovery.NewManager(s.in, nil).Failover(p, tail, s.losers, scn)
+	rep, err := recovery.NewManager(s.in, nil).Failover(p, s.recvQueue.after(s.appliedSCN), s.losers, scn)
 	if err != nil {
 		return nil, err
 	}

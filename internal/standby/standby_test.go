@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -453,6 +454,20 @@ func promoteWithBrokenControl(t *testing.T, breakControl bool) (map[string][]*st
 			if !strings.Contains(rootErr, ctl.Name()) {
 				return fmt.Errorf("failed promotion's root span carries error=%q, want the lost control file", rootErr)
 			}
+			// A failed promotion leaves the receive queue as it was: a
+			// second attempt, with managed recovery stopped and no archive
+			// in flight, rolls the same tail and leaves the same views.
+			pending, views := pr.sb.recvQueue.pending, queuedViews(&pr.sb.recvQueue)
+			if pending == 0 {
+				return fmt.Errorf("the failed promotion left no tail queued")
+			}
+			if _, err := pr.sb.Promote(p); err == nil {
+				return fmt.Errorf("a second promotion succeeded without a control file")
+			}
+			if got := queuedViews(&pr.sb.recvQueue); pr.sb.recvQueue.pending != pending || !slices.Equal(got, views) {
+				return fmt.Errorf("a failed promotion left %d records in %d views, it found %d in %d",
+					pr.sb.recvQueue.pending, len(got), pending, len(views))
+			}
 			if _, err := fs.Restore(ctl.Name(), ctl.Size()); err != nil {
 				return err
 			}
@@ -471,6 +486,23 @@ func promoteWithBrokenControl(t *testing.T, breakControl bool) (map[string][]*st
 		t.Fatal("scenario never reached the promotion (a simulated process is stuck)")
 	}
 	return images, pr.sb.AppliedSCN(), rep
+}
+
+// viewAt is a queued view by the address of its first record and its length.
+type viewAt struct {
+	first *redo.Record
+	n     int
+}
+
+// queuedViews lists the views v queues, in order.
+func queuedViews(v *views) []viewAt {
+	var out []viewAt
+	off := v.off
+	for _, recs := range v.q[v.head:] {
+		out = append(out, viewAt{&recs[off], len(recs) - off})
+		off = 0
+	}
+	return out
 }
 
 // tableSize reads the size of a loser table: the records it holds,

@@ -15,7 +15,6 @@ package standby
 import (
 	"errors"
 	"fmt"
-	"iter"
 	"time"
 
 	"dbench/internal/archivelog"
@@ -73,7 +72,8 @@ var ErrPrimaryLost = errors.New("standby: primary lost before sync acknowledgeme
 // them in, which nobody writes again (DESIGN.md §4b): it queues a view's
 // header, never its records, so a pointer to a queued record stays valid
 // however the queue moves. The LNS outboxes and a stand-by's receive queue
-// are views.
+// are views; a frame is cut from an outbox as views, and a promotion rolls
+// the receive queue's tail forward from its views (after).
 type views struct {
 	q       [][]redo.Record // q[head][off:] and the views after it are queued
 	head    int
@@ -125,19 +125,20 @@ func (v *views) drop(n int) {
 	}
 }
 
-// all yields the queued records in order, leaving them queued.
-func (v *views) all() iter.Seq[*redo.Record] {
-	return func(yield func(*redo.Record) bool) {
-		off := v.off
-		for _, recs := range v.q[v.head:] {
-			for i := off; i < len(recs); i++ {
-				if !yield(&recs[i]) {
-					return
-				}
-			}
-			off = 0
+// after returns the queued views from the first record above scn on,
+// leaving them queued: only the leading run at or below scn is skipped.
+func (v *views) after(scn redo.SCN) (tail [][]redo.Record) {
+	off := v.off
+	for _, recs := range v.q[v.head:] {
+		recs, off = recs[off:], 0
+		for len(tail) == 0 && len(recs) > 0 && recs[0].SCN <= scn {
+			recs = recs[1:]
+		}
+		if len(recs) > 0 {
+			tail = append(tail, recs)
 		}
 	}
+	return tail
 }
 
 // streamer is one LNS shipping process: it cuts frames from its outbox
@@ -154,16 +155,14 @@ type streamer struct {
 	outbox  views // still to ship
 	lns     *sim.Server
 	nextSeq uint64
-	// frame is reused by every frame. Its Records are the frame's one
-	// view, or flat when the frame spans several; the destination takes
-	// the views (cut), never flat, which is only encoded.
-	frame redo.StreamFrame
-	cut   [][]redo.Record
-	flat  []redo.Record
-	wire  []byte // the frame's encoding, reused likewise
-	// onDeliver observes every delivered frame (cluster counters and
-	// sync-ack wakeups). Runs after the destination processed the frame.
-	onDeliver func(p *sim.Proc, f *redo.StreamFrame, encoded int)
+	// cut is the frame's records, views of the outbox's (the destination
+	// queues them); wire is its encoding. Both are reused by every frame.
+	cut  [][]redo.Record
+	wire []byte
+	// onDeliver observes every delivered frame by its record count and
+	// encoded size (cluster counters and sync-ack wakeups). Runs after the
+	// destination processed the frame.
+	onDeliver func(p *sim.Proc, records, encoded int)
 }
 
 func (st *streamer) start() {
@@ -193,35 +192,28 @@ func (st *streamer) enqueue(recs []redo.Record) {
 
 // ship cuts one frame from the outbox and pushes it to the destination.
 func (st *streamer) ship(p *sim.Proc) bool {
-	st.cut = st.outbox.cut(min(st.outbox.pending, st.max), st.cut[:0])
-	st.frame.Seq, st.frame.PrimarySCN = st.nextSeq, st.src()
-	st.frame.Records = st.cut[0]
-	if len(st.cut) > 1 {
-		st.flat = st.flat[:0]
-		for _, recs := range st.cut {
-			st.flat = append(st.flat, recs...)
-		}
-		st.frame.Records = st.flat
-	}
+	n, seq, scn := min(st.outbox.pending, st.max), st.nextSeq, st.src()
+	st.cut = st.outbox.cut(n, st.cut[:0])
 	st.nextSeq++
-	st.wire = st.frame.AppendTo(st.wire[:0])
+	st.wire = redo.AppendFrame(st.wire[:0], seq, scn, st.cut...)
 	st.link.Send(p, int64(len(st.wire)))
-	st.dst.receiveFrame(&st.frame, st.wire, st.cut...)
-	st.onDeliver(p, &st.frame, len(st.wire))
+	st.dst.receiveFrame(seq, scn, st.wire, st.cut...)
+	st.onDeliver(p, n, len(st.wire))
 	return true
 }
 
 // Receive accepts one stream frame (see accept) and chains the frame's
-// checksum word into the stream hash. The stand-by keeps f.Records
-// themselves, as Insert and Update keep a row: the caller must not write
-// them again.
+// checksum word into the stream hash. The stand-by queues f.Records as a
+// view, not a copy, as Insert and Update keep a row: the caller must not
+// write them again.
 func (s *Standby) Receive(p *sim.Proc, f *redo.StreamFrame, encoded []byte) {
-	s.receiveFrame(f, encoded, f.Records)
+	s.receiveFrame(f.Seq, f.PrimarySCN, encoded, f.Records)
 }
 
-// receiveFrame is Receive of a frame whose records are recs, in order.
-func (s *Standby) receiveFrame(f *redo.StreamFrame, encoded []byte, recs ...[]redo.Record) {
-	if s.accept(f.Seq, f.PrimarySCN, int64(len(encoded)), recs) {
+// receiveFrame is Receive of the frame numbered seq, stamped with
+// primarySCN, whose records are recs' in order.
+func (s *Standby) receiveFrame(seq uint64, primarySCN redo.SCN, encoded []byte, recs ...[]redo.Record) {
+	if s.accept(seq, primarySCN, int64(len(encoded)), recs) {
 		s.streamHash = fnvWord(s.streamHash, redo.FrameChecksum(encoded))
 	}
 }
@@ -297,10 +289,10 @@ func NewCluster(primary *engine.Instance, standbys []*Standby, cfg ClusterConfig
 // (Txns().CommitGate = c.CommitGate) and lifecycle observer (chain
 // OnStateChange to c.OnPrimaryState).
 func (c *Cluster) Start(p *sim.Proc) error {
-	deliver := func(dp *sim.Proc, f *redo.StreamFrame, encoded int) {
+	deliver := func(dp *sim.Proc, records, encoded int) {
 		c.st.Frames++
 		c.st.Bytes += int64(encoded)
-		c.st.Records += int64(len(f.Records))
+		c.st.Records += int64(records)
 		c.ackWake.Broadcast(c.k)
 	}
 	// ship starts one LNS process streaming to dst over its own link.
