@@ -27,12 +27,14 @@ import (
 	"dbench/internal/txn"
 )
 
-// State is the instance lifecycle state.
+// State is the instance's one lifecycle field; whether its last stop was
+// clean is the control file's to say (StopSCN).
 type State uint8
 
 // Instance states.
 const (
-	StateDown State = iota + 1
+	StateDown    State = iota + 1
+	StateMounted       // started, control file read, database closed
 	StateOpen
 )
 
@@ -40,6 +42,8 @@ func (s State) String() string {
 	switch s {
 	case StateDown:
 		return "down"
+	case StateMounted:
+		return "mounted"
 	case StateOpen:
 		return "open"
 	default:
@@ -47,13 +51,16 @@ func (s State) String() string {
 	}
 }
 
-// Errors reported by the instance.
+// Errors reported by the instance. A command issued in the wrong state
+// fails with ErrInstanceDown or ErrInstanceOpen, bare or wrapped.
 var (
-	// ErrInstanceDown is returned by DML calls while the instance is not
-	// open; clients see it as a lost connection.
+	// ErrInstanceDown: the command needs an open instance. Clients see it
+	// as a lost connection.
 	ErrInstanceDown = errors.New("engine: instance down")
-	// ErrCrashRecoveryNeeded is returned by Open when the database was
-	// not cleanly shut down and has not been recovered.
+	// ErrInstanceOpen: the command needs an instance that is not open.
+	ErrInstanceOpen = errors.New("engine: instance open")
+	// ErrCrashRecoveryNeeded is returned by Open while the control file
+	// records an unclean stop (StopSCN < 0).
 	ErrCrashRecoveryNeeded = errors.New("engine: crash recovery required")
 )
 
@@ -84,10 +91,7 @@ type Instance struct {
 	arch  *archivelog.Archiver
 	cpu   *sim.Resource
 
-	state     State
-	mounted   bool // instance started (SGA up, control file read), not yet open
-	crashed   bool // not cleanly shut down; recovery required before Open
-	recovered bool // recovery manager completed instance recovery
+	state State
 
 	ckpt *ckptProcess
 	pmon *sim.Server
@@ -261,12 +265,9 @@ func (in *Instance) Monitor() *monitor.Repository { return in.repo }
 // State returns the lifecycle state.
 func (in *Instance) State() State { return in.state }
 
-// Crashed reports whether the last stop was unclean (recovery needed).
-func (in *Instance) Crashed() bool { return in.crashed }
-
-// MarkRecovered is called by the recovery manager once instance recovery
-// has completed, unblocking Open.
-func (in *Instance) MarkRecovered() { in.recovered = true }
+// Crashed reports that the instance is not open and the control file
+// records an unclean stop: Open needs recovery first.
+func (in *Instance) Crashed() bool { return in.state != StateOpen && in.db.Control.StopSCN < 0 }
 
 // markTablespaceDown records the start of a tablespace outage (first
 // marking wins: a fault followed by a recovery offline keeps the fault's
@@ -299,9 +300,9 @@ func (in *Instance) LastDDL() (redo.SCN, sim.Time) { return in.lastDDLSCN, in.la
 // Recovery runs against a mounted instance; Open completes the startup.
 func (in *Instance) Mount(p *sim.Proc) error {
 	if in.state == StateOpen {
-		return fmt.Errorf("engine: already open")
+		return fmt.Errorf("engine: mount: %w", ErrInstanceOpen)
 	}
-	if in.mounted {
+	if in.state == StateMounted {
 		return nil
 	}
 	if in.db.Control.Lost() {
@@ -312,16 +313,16 @@ func (in *Instance) Mount(p *sim.Proc) error {
 	// A fresh instance starts with a fresh SGA: drop anything a process
 	// racing the previous crash may have smuggled into the cache.
 	in.cache.InvalidateAll()
-	in.tm.AbandonAll()
-	in.mounted = true
+	in.state = StateMounted
 	in.tr.End(p.Now(), span)
 	return nil
 }
 
 // Open starts the instance: charges startup cost (unless already
 // mounted), verifies the control file, starts background processes and
-// accepts work. A crashed database must be recovered first
-// (recovery.InstanceRecovery does this and calls MarkRecovered).
+// accepts work. A database the control file records as not cleanly shut
+// down must be recovered first (recovery.InstanceRecovery does this: it
+// stamps StopSCN before it opens).
 func (in *Instance) Open(p *sim.Proc) error {
 	if in.state == StateOpen {
 		return nil
@@ -329,7 +330,7 @@ func (in *Instance) Open(p *sim.Proc) error {
 	if err := in.Mount(p); err != nil {
 		return err
 	}
-	if in.crashed && !in.recovered {
+	if in.db.Control.StopSCN < 0 {
 		return ErrCrashRecoveryNeeded
 	}
 	in.log.Start()
@@ -349,8 +350,6 @@ func (in *Instance) Open(p *sim.Proc) error {
 	if in.repo != nil {
 		in.mmon = in.k.Every("MMON", in.cfg.SampleInterval, func(p *sim.Proc) { in.repo.Sample(p.Now()) })
 	}
-	in.crashed = false
-	in.recovered = false
 	in.state = StateOpen
 	// Mark the control file "in use": a crash leaves this mark behind.
 	in.db.Control.StopSCN = -1
@@ -381,9 +380,10 @@ func (in *Instance) Open(p *sim.Proc) error {
 	return nil
 }
 
-// Crash kills the instance without any cleanup: SHUTDOWN ABORT and fatal
-// internal errors land here. The buffer cache and redo buffer vanish;
-// in-flight transactions are abandoned to recovery.
+// Crash kills a mounted or open instance without any cleanup: SHUTDOWN
+// ABORT and fatal internal errors land here. The buffer cache and redo
+// buffer vanish; in-flight transactions are abandoned to recovery. On a
+// down instance it does nothing.
 func (in *Instance) Crash() {
 	if in.state == StateDown {
 		return
@@ -396,17 +396,15 @@ func (in *Instance) Crash() {
 	in.st.Crashes++
 	in.tr.Instant(in.k.Now(), trace.CatEngine, "engine", "crash",
 		trace.I("scn", int64(in.log.NextSCN())))
-	in.stop(true)
+	in.stop()
 }
 
 // stop takes the instance down: the state flips, the background processes
 // end, the cache content is dropped (lost in a crash, clean after the
 // shutdown checkpoint) and — only a crash leaves any — in-flight
 // transactions are abandoned to recovery.
-func (in *Instance) stop(crashed bool) {
+func (in *Instance) stop() {
 	in.state = StateDown
-	in.mounted = false
-	in.crashed = crashed
 	in.log.Stop()
 	if in.arch != nil {
 		in.arch.Stop()
@@ -417,34 +415,40 @@ func (in *Instance) stop(crashed bool) {
 	in.pmon.Stop()
 	in.mmon.Stop()
 	in.cache.InvalidateAll()
-	if crashed {
-		in.tm.AbandonAll()
-	}
+	in.tm.AbandonAll()
 	if in.OnStateChange != nil {
 		in.OnStateChange(in.k.Now(), StateDown)
 	}
 }
 
-// ShutdownImmediate closes the instance cleanly: active transactions are
-// rolled back, a final checkpoint is taken, and the control file is marked
-// clean so the next Open skips recovery.
+// ShutdownImmediate closes the instance cleanly: it closes the database
+// first, so every guard refuses new work, ends the transactions in flight,
+// takes a final checkpoint and, once the control file write lands, marks
+// the stop clean so the next Open skips recovery. A shutdown that fails
+// leaves the instance open, unless the failure crashed it.
 func (in *Instance) ShutdownImmediate(p *sim.Proc) error {
 	if in.state != StateOpen {
 		return ErrInstanceDown
 	}
 	span := in.tr.Begin(p.Now(), trace.CatEngine, "engine", "shutdown immediate")
 	defer func() { in.tr.End(p.Now(), span) }()
-	if err := in.tm.RollbackAllActive(p); err != nil {
+	in.state = StateMounted
+	err := in.tm.RollbackAllActive(p)
+	if err == nil {
+		err = in.checkpoint(p)
+	}
+	stop := in.log.FlushedSCN()
+	if err == nil {
+		err = in.db.Control.Update(p)
+	}
+	if err != nil {
+		if in.state == StateMounted {
+			in.state = StateOpen
+		}
 		return fmt.Errorf("engine: shutdown: %w", err)
 	}
-	if err := in.checkpoint(p); err != nil {
-		return fmt.Errorf("engine: shutdown checkpoint: %w", err)
-	}
-	in.db.Control.StopSCN = in.log.FlushedSCN()
-	if err := in.db.Control.Update(p); err != nil {
-		return err
-	}
-	in.stop(false)
+	in.db.Control.StopSCN = stop
+	in.stop()
 	return nil
 }
 
@@ -501,6 +505,9 @@ func (in *Instance) checkpoint(p *sim.Proc) error {
 	}
 	span := in.tr.Begin(p.Now(), trace.CatCkpt, "CKPT", "checkpoint")
 	written, err := in.cache.Checkpoint(p)
+	if err == nil && in.state == StateDown {
+		err = ErrInstanceDown // crashed during the drain: only recovery moves its scan start
+	}
 	if err != nil {
 		in.tr.End(p.Now(), span, trace.I("written", int64(written)), trace.S("error", err.Error()))
 		return err

@@ -9,6 +9,7 @@ import (
 	"dbench/internal/sim"
 	"dbench/internal/simdisk"
 	"dbench/internal/storage"
+	"dbench/internal/txn"
 )
 
 func newInstance(t *testing.T, mutate func(*Config)) (*sim.Kernel, *simdisk.FS, *Instance) {
@@ -203,6 +204,93 @@ func TestShutdownImmediateRollsBackActive(t *testing.T) {
 	})
 }
 
+// Four writers update their own rows every millisecond when SHUTDOWN
+// IMMEDIATE begins. It closes the database to new work first, ends every
+// transaction in flight and returns soon after; no transaction begun after
+// it started commits, and after Open every acknowledged commit reads back.
+func TestShutdownImmediateUnderLoadClosesBeforeItDrains(t *testing.T) {
+	const writers, keysPer = 4, 10
+	k, _, in := newInstance(t, nil)
+	acked := make(map[int64]string)   // the last acknowledged value of each key
+	inDoubt := make(map[int64]string) // a commit that failed after its COMMIT record
+	shuttingDown, lateCommits := false, 0
+	writer := func(p *sim.Proc, w int) {
+		for i := 0; p.Now() < sim.Time(time.Minute); i++ {
+			tx, err := in.Begin()
+			if err != nil {
+				return
+			}
+			late := shuttingDown
+			key, val := int64(w*keysPer+i%keysPer), fmt.Sprintf("w%d-%d", w, i)
+			write := in.Update
+			if i < keysPer {
+				write = in.Insert
+			}
+			if write(p, tx, "t", key, []byte(val)) != nil {
+				return
+			}
+			if err := in.Commit(p, tx); err != nil {
+				if !errors.Is(err, ErrInstanceDown) && !errors.Is(err, txn.ErrTxnDone) {
+					inDoubt[key] = val
+				}
+				return
+			}
+			if late {
+				lateCommits++
+			}
+			acked[key] = val
+			p.Sleep(time.Millisecond)
+		}
+	}
+	var took sim.Duration
+	reopened := false
+	runErr(t, k, func(p *sim.Proc) error {
+		if err := setupAndOpen(p, in); err != nil {
+			return err
+		}
+		for w := 0; w < writers; w++ {
+			k.Go(fmt.Sprintf("writer%d", w), func(p *sim.Proc) { writer(p, w) })
+		}
+		p.Sleep(14500 * time.Millisecond)
+		shuttingDown = true
+		start := p.Now()
+		if err := in.ShutdownImmediate(p); err != nil {
+			return fmt.Errorf("SHUTDOWN IMMEDIATE under load: %w", err)
+		}
+		took = p.Now().Sub(start)
+		if err := in.Open(p); err != nil {
+			return err
+		}
+		tx, err := in.Begin()
+		if err != nil {
+			return err
+		}
+		for key, want := range acked {
+			got, err := in.Read(p, tx, "t", key)
+			if err != nil {
+				return err
+			}
+			if string(got) != want && string(got) != inDoubt[key] {
+				return fmt.Errorf("key %d reads %q, acknowledged %q", key, got, want)
+			}
+		}
+		reopened = true
+		return in.Commit(p, tx)
+	})
+	if !reopened {
+		t.Fatal("SHUTDOWN IMMEDIATE never returned")
+	}
+	if took > 5*time.Second {
+		t.Errorf("SHUTDOWN IMMEDIATE took %v", took)
+	}
+	if lateCommits > 0 {
+		t.Errorf("%d transactions begun after SHUTDOWN IMMEDIATE started committed", lateCommits)
+	}
+	if len(acked) != writers*keysPer {
+		t.Errorf("%d keys acknowledged, want %d", len(acked), writers*keysPer)
+	}
+}
+
 func TestDropTableMakesRowsUnreachable(t *testing.T) {
 	k, _, in := newInstance(t, nil)
 	runErr(t, k, func(p *sim.Proc) error {
@@ -368,6 +456,82 @@ func TestControlFileLossCrashesOnCheckpoint(t *testing.T) {
 		}
 		if in.State() != StateDown {
 			return fmt.Errorf("instance still %v after control file loss", in.State())
+		}
+		return nil
+	})
+}
+
+// A SHUTDOWN IMMEDIATE that cannot roll a transaction back (its datafile is
+// offline) fails and leaves the instance open, accepting work again, with
+// the rollback handed to PMON.
+func TestFailedShutdownLeavesTheInstanceOpen(t *testing.T) {
+	k, _, in := newInstance(t, nil)
+	runErr(t, k, func(p *sim.Proc) error {
+		if err := setupAndOpen(p, in); err != nil {
+			return err
+		}
+		tx, _ := in.Begin()
+		if err := in.Insert(p, tx, "t", 1, []byte("v")); err != nil {
+			return err
+		}
+		ts, err := in.DB().Tablespace("USERS")
+		if err != nil {
+			return err
+		}
+		if err := in.OfflineDatafile(p, ts.Files[0].Name); err != nil {
+			return err
+		}
+		if err := in.ShutdownImmediate(p); !errors.Is(err, storage.ErrFileOffline) {
+			return fmt.Errorf("SHUTDOWN IMMEDIATE with a rollback on an offline file: %v, want %v", err, storage.ErrFileOffline)
+		}
+		if in.State() != StateOpen || in.Crashed() || in.Txns().ZombieCount() != 1 {
+			return fmt.Errorf("after the failed shutdown: %v, crashed=%v, %d zombies; want open and the failed rollback PMON's",
+				in.State(), in.Crashed(), in.Txns().ZombieCount())
+		}
+		tx2, err := in.Begin()
+		if err != nil {
+			return err
+		}
+		return in.Commit(p, tx2)
+	})
+}
+
+// A crash while SHUTDOWN IMMEDIATE's checkpoint drains the cache fails the
+// shutdown and leaves the control file as the crash left it: neither the
+// checkpoint position nor the stop SCN moves, so the next Open demands
+// recovery.
+func TestCrashDuringShutdownCheckpointNeedsRecovery(t *testing.T) {
+	k, _, in := newInstance(t, nil)
+	runErr(t, k, func(p *sim.Proc) error {
+		if err := setupAndOpen(p, in); err != nil {
+			return err
+		}
+		for i := int64(0); i < 8; i++ {
+			tx, _ := in.Begin()
+			if err := in.Insert(p, tx, "t", i, []byte("v")); err != nil {
+				return err
+			}
+			if err := in.Commit(p, tx); err != nil {
+				return err
+			}
+		}
+		ckpt := in.DB().Control.CheckpointSCN
+		// Abort while the drain writes its last dirty buffer: the drain
+		// then ends without an error of its own.
+		k.Go("abort", func(q *sim.Proc) {
+			for !in.CheckpointInProgress() || in.Cache().DirtyCount() > 1 {
+				q.Sleep(100 * time.Microsecond)
+			}
+			in.Crash()
+		})
+		if err := in.ShutdownImmediate(p); !errors.Is(err, ErrInstanceDown) {
+			return fmt.Errorf("SHUTDOWN IMMEDIATE crashed in its checkpoint: %v, want %v", err, ErrInstanceDown)
+		}
+		if got := in.DB().Control.CheckpointSCN; got != ckpt {
+			return fmt.Errorf("checkpoint SCN moved from %d to %d across the crash", ckpt, got)
+		}
+		if err := in.Open(p); !errors.Is(err, ErrCrashRecoveryNeeded) {
+			return fmt.Errorf("Open after the crash: %v, want %v", err, ErrCrashRecoveryNeeded)
 		}
 		return nil
 	})

@@ -19,7 +19,7 @@ func (in *Instance) Status() string {
 	if in.arch != nil {
 		queued, archived = in.arch.QueueLen(), in.arch.Archived()
 	}
-	fmt.Fprintf(&b, "instance: %v (crashed=%v)\n", in.state, in.crashed)
+	fmt.Fprintf(&b, "instance: %v (crashed=%v)\n", in.state, in.Crashed())
 	fmt.Fprintf(&b, "scn: ckpt=%d undo=%d flushed=%d next=%d\n",
 		in.db.Control.CheckpointSCN, in.db.Control.UndoSCN, in.log.FlushedSCN(), in.log.NextSCN())
 	fmt.Fprintf(&b, "txns: active=%d zombie=%d\n", in.tm.ActiveCount(), in.tm.ZombieCount())

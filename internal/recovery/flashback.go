@@ -48,7 +48,7 @@ import (
 // in LostCommits.
 func (m *Manager) FlashbackTable(p *sim.Proc, table string, toSCN redo.SCN) (*Report, error) {
 	if m.in.State() != engine.StateOpen {
-		return nil, fmt.Errorf("recovery: instance must be open for flashback")
+		return nil, fmt.Errorf("recovery: flashback: %w", engine.ErrInstanceDown)
 	}
 	return m.run(p, KindFlashback, func(rep *Report, tl *timeline) error {
 		return m.flashbackTable(p, table, toSCN, rep, tl)

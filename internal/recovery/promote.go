@@ -47,17 +47,19 @@ func undoToImage(rec *redo.Record, ref storage.BlockRef, stamp redo.SCN) {
 // engine's containment rule: only tables fully inside the tablespace go
 // down with it.
 func ReplayDDL(cat *catalog.Catalog, db *storage.DB, stmt string) {
-	switch {
-	case strings.HasPrefix(stmt, "DROP TABLE "):
-		_ = cat.DropTable(firstWord(strings.TrimPrefix(stmt, "DROP TABLE ")))
-	case strings.HasPrefix(stmt, "DROP TABLESPACE "):
-		name := firstWord(strings.TrimPrefix(stmt, "DROP TABLESPACE "))
+	w := strings.Fields(stmt) // DROP TABLE|TABLESPACE|USER <name> ...
+	if len(w) < 3 || w[0] != "DROP" {
+		return
+	}
+	switch name := w[2]; w[1] {
+	case "TABLE":
+		_ = cat.DropTable(name)
+	case "TABLESPACE":
 		for _, tbl := range cat.TablesFullyIn(name) {
 			_ = cat.DropTable(tbl)
 		}
 		_ = db.DropTablespace(name)
-	case strings.HasPrefix(stmt, "DROP USER "):
-		name := firstWord(strings.TrimPrefix(stmt, "DROP USER "))
+	case "USER":
 		_, _ = cat.DropUser(name)
 	}
 }
@@ -73,7 +75,7 @@ func ReplayDDL(cat *catalog.Catalog, db *storage.DB, stmt string) {
 // so a failed failover is retried from the same table and tail.
 func (m *Manager) Failover(p *sim.Proc, tail [][]redo.Record, losers *Losers, scn redo.SCN) (*Report, error) {
 	if m.in.State() == engine.StateOpen {
-		return nil, fmt.Errorf("recovery: failover target is already open")
+		return nil, fmt.Errorf("recovery: failover: %w", engine.ErrInstanceOpen)
 	}
 	return m.run(p, KindFailover, func(rep *Report, tl *timeline) error {
 		tl.phase(p, PhaseRedoReplay)

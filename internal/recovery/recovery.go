@@ -179,7 +179,7 @@ func (m *Manager) run(p *sim.Proc, kind Kind, body func(rep *Report, tl *timelin
 func (m *Manager) InstanceRecovery(p *sim.Proc) (*Report, error) {
 	in := m.in
 	if in.State() == engine.StateOpen {
-		return nil, fmt.Errorf("recovery: instance is open")
+		return nil, fmt.Errorf("recovery: instance recovery: %w", engine.ErrInstanceOpen)
 	}
 	if !in.Crashed() {
 		return nil, fmt.Errorf("recovery: database was cleanly shut down")
@@ -309,7 +309,7 @@ func (m *Manager) RestoreAndRecoverDatafile(p *sim.Proc, name string) (*Report, 
 func (m *Manager) OnlineTablespaceRecovery(p *sim.Proc, name string) (*Report, error) {
 	in := m.in
 	if in.State() != engine.StateOpen {
-		return nil, fmt.Errorf("recovery: instance must be open for online tablespace recovery")
+		return nil, fmt.Errorf("recovery: online tablespace recovery: %w", engine.ErrInstanceDown)
 	}
 	return m.run(p, KindTablespace, func(rep *Report, tl *timeline) error {
 		ts, err := in.DB().Tablespace(name)
@@ -596,13 +596,6 @@ func (m *Manager) ReapplyDataRecords(pieces [][]redo.Record) int {
 	return n
 }
 
-func firstWord(s string) string {
-	if i := strings.IndexByte(s, ' '); i >= 0 {
-		return s[:i]
-	}
-	return s
-}
-
 // SortedRefs flattens a touched-block set into CompareRefs order.
 func SortedRefs(touched map[storage.BlockRef]bool) []storage.BlockRef {
 	refs := make([]storage.BlockRef, 0, len(touched))
@@ -658,7 +651,6 @@ func (m *Manager) finishRecovery(p *sim.Proc, tl *timeline, scn redo.SCN, resetL
 	ctl := in.DB().Control
 	ctl.CheckpointSCN = scn
 	ctl.UndoSCN = scn + 1
-	ctl.StopSCN = scn // consistent as of scn: no crash recovery on open
 	for _, f := range in.DB().Datafiles() {
 		if !participates(f, resetLogs) {
 			continue
@@ -671,7 +663,7 @@ func (m *Manager) finishRecovery(p *sim.Proc, tl *timeline, scn redo.SCN, resetL
 	if err := ctl.Update(p); err != nil {
 		return err
 	}
+	ctl.StopSCN = scn // consistent as of scn: Open needs no crash recovery
 	in.Log().CheckpointCompleted(scn)
-	in.MarkRecovered()
 	return in.Open(p)
 }

@@ -11,6 +11,7 @@ import (
 	"dbench/internal/engine"
 	"dbench/internal/sim"
 	"dbench/internal/simdisk"
+	"dbench/internal/storage"
 	"dbench/internal/trace"
 )
 
@@ -212,6 +213,44 @@ func TestCrashRecoveryPreservesCommittedAndUndoesInFlight(t *testing.T) {
 		}
 		if v, _ := r.get(p, 10); v != "v10" {
 			return fmt.Errorf("row 10 = %q, want v10 (dirty update must be rolled back)", v)
+		}
+		return nil
+	})
+}
+
+// The control file is lost while instance recovery rolls forward: the
+// recovery fails on the control file's write, and the database still needs
+// recovery, since only a control file that holds the stop SCN records a
+// consistent database.
+func TestControlFileLostDuringRecoveryStillNeedsRecovery(t *testing.T) {
+	r, err := newRig(false, 4<<20, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.run(t, func(p *sim.Proc) error {
+		if err := r.setup(p); err != nil {
+			return err
+		}
+		for i := int64(0); i < 50; i++ {
+			if err := r.put(p, i, fmt.Sprintf("v%d", i)); err != nil {
+				return err
+			}
+		}
+		r.in.Crash()
+		r.k.Go("operator", func(q *sim.Proc) {
+			for r.in.State() != engine.StateMounted {
+				q.Sleep(time.Millisecond)
+			}
+			_ = r.fs.Delete(r.in.DB().Control.File().Name())
+		})
+		if _, err := r.rm.InstanceRecovery(p); !errors.Is(err, storage.ErrControlLost) {
+			return fmt.Errorf("instance recovery with the control file lost: %v, want %v", err, storage.ErrControlLost)
+		}
+		if err := r.in.Open(p); !errors.Is(err, engine.ErrCrashRecoveryNeeded) {
+			return fmt.Errorf("Open after the failed recovery: %v, want %v", err, engine.ErrCrashRecoveryNeeded)
+		}
+		if r.in.State() == engine.StateOpen || !r.in.Crashed() {
+			return fmt.Errorf("instance %v, crashed=%v after the failed recovery", r.in.State(), r.in.Crashed())
 		}
 		return nil
 	})

@@ -25,6 +25,14 @@
 //	SHOW STATUS | SHOW PARAMETERS
 //	SELECT * FROM V$PARAMETER | V$SYSSTAT | V$METRIC | V$RECOVERY_ESTIMATE
 //
+// SHUTDOWN IMMEDIATE closes the database first, so from then on every
+// statement that needs an open instance fails with engine.ErrInstanceDown;
+// it then ends the transactions in flight (a commit already logged
+// finishes, the rest roll back), takes a checkpoint and records the clean
+// stop in the control file, so STARTUP opens without recovery. After
+// SHUTDOWN ABORT the control file records an unclean stop, and STARTUP
+// runs instance recovery first.
+//
 // The SELECT surface is deliberately narrow: V$PARAMETER projects the
 // instance parameter table (static/dynamic scope, current and pending
 // values) and SHOW PARAMETERS is a synonym for it; the other V$ views
@@ -192,6 +200,15 @@ func (e *Executor) selectView(toks []string) (string, error) {
 	}
 }
 
+// done is a statement's result: msg, or the error that kept it from
+// being true.
+func done(msg string, err error) (string, error) {
+	if err != nil {
+		return "", err
+	}
+	return msg, nil
+}
+
 func (e *Executor) shutdown(p *sim.Proc, toks []string) (string, error) {
 	if len(toks) < 2 {
 		return "", fmt.Errorf("%w: SHUTDOWN needs ABORT or IMMEDIATE", ErrSyntax)
@@ -201,10 +218,7 @@ func (e *Executor) shutdown(p *sim.Proc, toks []string) (string, error) {
 		e.in.Crash()
 		return "instance aborted", nil
 	case "IMMEDIATE":
-		if err := e.in.ShutdownImmediate(p); err != nil {
-			return "", err
-		}
-		return "instance shut down", nil
+		return done("instance shut down", e.in.ShutdownImmediate(p))
 	default:
 		return "", fmt.Errorf("%w: SHUTDOWN %s", ErrSyntax, toks[1])
 	}
@@ -220,10 +234,7 @@ func (e *Executor) startup(p *sim.Proc) (string, error) {
 		return fmt.Sprintf("database opened after crash recovery (%d records, %v)",
 			rep.RecordsApplied, rep.Duration()), nil
 	}
-	if err != nil {
-		return "", err
-	}
-	return "database opened", nil
+	return done("database opened", err)
 }
 
 func (e *Executor) alter(p *sim.Proc, toks []string) (string, error) {
@@ -234,10 +245,7 @@ func (e *Executor) alter(p *sim.Proc, toks []string) (string, error) {
 	case "SYSTEM":
 		switch {
 		case toks[2] == "CHECKPOINT":
-			if err := e.in.Checkpoint(p); err != nil {
-				return "", err
-			}
-			return "checkpoint completed", nil
+			return done("checkpoint completed", e.in.Checkpoint(p))
 		case toks[2] == "SWITCH" && len(toks) >= 4 && toks[3] == "LOGFILE":
 			switched, err := e.in.SwitchLogfile(p)
 			if err != nil {
@@ -255,15 +263,9 @@ func (e *Executor) alter(p *sim.Proc, toks []string) (string, error) {
 			file, mode := toks[3], toks[4]
 			switch mode {
 			case "OFFLINE":
-				if err := e.in.OfflineDatafile(p, file); err != nil {
-					return "", err
-				}
-				return "datafile offline", nil
+				return done("datafile offline", e.in.OfflineDatafile(p, file))
 			case "ONLINE":
-				if err := e.in.OnlineDatafile(p, file); err != nil {
-					return "", err
-				}
-				return "datafile online", nil
+				return done("datafile online", e.in.OnlineDatafile(p, file))
 			}
 		}
 	case "TABLESPACE":
@@ -271,15 +273,9 @@ func (e *Executor) alter(p *sim.Proc, toks []string) (string, error) {
 			name, mode := toks[2], toks[3]
 			switch mode {
 			case "OFFLINE":
-				if err := e.in.OfflineTablespace(p, name); err != nil {
-					return "", err
-				}
-				return "tablespace offline", nil
+				return done("tablespace offline", e.in.OfflineTablespace(p, name))
 			case "ONLINE":
-				if err := e.in.OnlineTablespace(p, name); err != nil {
-					return "", err
-				}
-				return "tablespace online", nil
+				return done("tablespace online", e.in.OnlineTablespace(p, name))
 			}
 		}
 	}
@@ -309,20 +305,11 @@ func (e *Executor) drop(p *sim.Proc, toks []string) (string, error) {
 	}
 	switch toks[1] {
 	case "TABLE":
-		if err := e.in.DropTable(p, e.tableName(toks[2])); err != nil {
-			return "", err
-		}
-		return "table dropped", nil
+		return done("table dropped", e.in.DropTable(p, e.tableName(toks[2])))
 	case "TABLESPACE":
-		if err := e.in.DropTablespace(p, toks[2]); err != nil {
-			return "", err
-		}
-		return "tablespace dropped", nil
+		return done("tablespace dropped", e.in.DropTablespace(p, toks[2]))
 	case "USER":
-		if err := e.in.DropUser(p, strings.ToLower(toks[2])); err != nil {
-			return "", err
-		}
-		return "user dropped", nil
+		return done("user dropped", e.in.DropUser(p, strings.ToLower(toks[2])))
 	default:
 		return "", fmt.Errorf("%w: DROP %s", ErrSyntax, toks[1])
 	}
@@ -343,10 +330,7 @@ func (e *Executor) truncate(p *sim.Proc, toks []string) (string, error) {
 	if len(toks) < 3 || toks[1] != "TABLE" {
 		return "", fmt.Errorf("%w: TRUNCATE TABLE <name>", ErrSyntax)
 	}
-	if err := e.in.TruncateTable(p, e.tableName(toks[2])); err != nil {
-		return "", err
-	}
-	return "table truncated", nil
+	return done("table truncated", e.in.TruncateTable(p, e.tableName(toks[2])))
 }
 
 func (e *Executor) flashback(p *sim.Proc, toks []string) (string, error) {

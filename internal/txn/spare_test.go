@@ -87,7 +87,9 @@ func TestSecondRollbackStopsWhenTheFirstHasRetiredTheList(t *testing.T) {
 			_ = m.Update(p, tx, "acct", k, []byte("new"))
 		}
 		pmonErr, pmonDone := error(nil), false
-		f.k.Go("PMON", func(q *sim.Proc) { pmonErr, pmonDone = m.Rollback(q, tx), true })
+		// PMON's sweep (rollback, as RollbackZombies calls it): the client's
+		// Rollback, which starts first, shuts out a second client call.
+		f.k.Go("PMON", func(q *sim.Proc) { pmonErr, pmonDone = m.rollback(q, tx), true })
 		err := m.Rollback(p, tx)
 		for i := 0; i < 100 && !pmonDone; i++ {
 			p.Sleep(time.Millisecond)

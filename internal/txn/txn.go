@@ -47,14 +47,17 @@ type Txn struct {
 	firstSCN  redo.SCN // SCN of the transaction's first redo record
 	CommitSCN redo.SCN
 	zombie    bool // client gave up after a failed rollback; PMON owns it
+	// ending is StateCommitted once the COMMIT record is appended and
+	// StateAborted once a rollback has begun; each shuts the other out.
+	ending State
 }
 
 // State returns the transaction's lifecycle state.
 func (t *Txn) State() State { return t.state }
 
-// usable reports whether the client may still call on t: it is active, and
-// neither killed nor given up to PMON.
-func (t *Txn) usable() bool { return t.state == StateActive && !t.zombie }
+// usable reports whether the client may still call on t: it is active, has
+// not begun to finish, and is neither killed nor given up to PMON.
+func (t *Txn) usable() bool { return t.state == StateActive && t.ending == 0 && !t.zombie }
 
 // Config tunes the transaction manager.
 type Config struct {
@@ -101,6 +104,7 @@ type Manager struct {
 	// active set (commit, rollback, abandon): the redo log uses it to
 	// re-check group-reuse stalls against the undo floor.
 	OnTxnFinished func()
+	ended         sim.Cond // broadcast when a transaction leaves the active set
 
 	// CommitGate, when set, blocks a commit after its local log flush
 	// until the gate clears — the hook synchronous replication uses to
@@ -392,8 +396,9 @@ func (m *Manager) Commit(p *sim.Proc, t *Txn) error {
 		return fmt.Errorf("txn: commit: %w", err)
 	}
 	if !t.usable() {
-		return ErrTxnDone // instance crashed, or session killed, while stalled on the log
+		return ErrTxnDone // instance crashed, session killed or rollback begun while stalled on the log
 	}
+	t.ending = StateCommitted
 	scn := m.log.Append(redo.Record{Txn: t.ID, Op: redo.OpCommit})
 	if err := m.log.WaitFlushed(p, scn); err != nil {
 		// The instance died under us; the transaction's fate is
@@ -428,6 +433,7 @@ func (m *Manager) retire(t *Txn) {
 
 // finished fires the completion hook.
 func (m *Manager) finished() {
+	m.ended.Broadcast(m.k)
 	if m.OnTxnFinished != nil {
 		m.OnTxnFinished()
 	}
@@ -446,9 +452,10 @@ func (m *Manager) Rollback(p *sim.Proc, t *Txn) error {
 
 // rollback is Rollback for the client, PMON's sweep and shutdown alike.
 func (m *Manager) rollback(p *sim.Proc, t *Txn) error {
-	if t.state != StateActive {
+	if t.state != StateActive || t.ending == StateCommitted {
 		return ErrTxnDone
 	}
+	t.ending = StateAborted
 	for i := len(t.undo) - 1; i >= 0; i-- {
 		err := m.compensate(p, t, t.undo[i])
 		if t.state != StateActive {
@@ -593,14 +600,19 @@ func (m *Manager) RollbackZombies(p *sim.Proc) int {
 	return cleaned
 }
 
-// RollbackAllActive rolls back every in-flight transaction in ID order
-// (used by clean shutdown after the workload has been quiesced).
+// RollbackAllActive ends every in-flight transaction in ID order for a
+// clean shutdown: it waits out each whose COMMIT is appended and rolls back
+// the rest, handing the first rollback that fails to PMON.
 func (m *Manager) RollbackAllActive(p *sim.Proc) error {
 	for _, t := range m.activeByID() {
+		for t.state == StateActive && t.ending == StateCommitted {
+			m.ended.Wait(p)
+		}
 		if t.state != StateActive {
 			continue
 		}
-		if err := m.rollback(p, t); err != nil {
+		if err := m.rollback(p, t); err != nil && t.state == StateActive {
+			m.MarkZombie(t)
 			return err
 		}
 	}

@@ -26,6 +26,11 @@ type fixture struct {
 }
 
 func makeFixture() (*fixture, error) {
+	return makeFixtureLog(redo.Config{GroupSizeBytes: 4 << 20, Groups: 3, Disk: "redo"})
+}
+
+// makeFixtureLog is makeFixture over a log of the given geometry.
+func makeFixtureLog(logCfg redo.Config) (*fixture, error) {
 	k := sim.NewKernel(1)
 	fs := simdisk.NewFS(simdisk.DefaultSpec("data"), simdisk.DefaultSpec("redo"))
 	db, err := storage.NewDB(fs, "data")
@@ -40,7 +45,7 @@ func makeFixture() (*fixture, error) {
 	if _, err := cat.CreateTableClustered("acct", "bank", ts, 8, 1); err != nil {
 		return nil, err
 	}
-	log, err := redo.NewManager(k, fs, redo.Config{GroupSizeBytes: 4 << 20, Groups: 3, Disk: "redo"})
+	log, err := redo.NewManager(k, fs, logCfg)
 	if err != nil {
 		return nil, err
 	}
